@@ -1,0 +1,76 @@
+"""Golden-output oracle: the standard-grid NDJSON, the orbit-chain NDJSON
+and the structure-constant dumps must stay byte-identical.
+
+The files under ``tests/golden/`` are written by this module itself:
+
+    PYTHONPATH=src python3 tests/test_golden.py
+
+Regenerate them only for a deliberate change of output, and review the
+diff before committing it.
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "golden"
+sys.path.insert(0, str(HERE))
+sys.path.insert(0, str(HERE.parent / "scripts"))
+
+import dump_structure_constants  # noqa: E402
+import run_grid  # noqa: E402
+from superverma.cli import SMALLEST_CASES, main as cli_main  # noqa: E402
+from superverma.rootdata import CaseId  # noqa: E402
+from test_acceptance import CHAINS  # noqa: E402
+
+
+def _stdout(entry, argv) -> str:
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert entry(argv) == 0, argv
+    return buffer.getvalue()
+
+
+def grid() -> str:
+    """``scripts/run_grid.py --seed 0``: 41 verify records, all checks."""
+    return _stdout(run_grid.main, ["--seed", "0"])
+
+
+def orbit_chains() -> str:
+    """``superverma orbit --json`` for every acceptance chain at seed 0."""
+    out = ""
+    for text, C, target, _ in CHAINS:
+        case = CaseId.parse(text)
+        target_text = ",".join(map(str, target)) if isinstance(target, tuple) else str(target)
+        argv = ["orbit", "--case", case.family, "--m", str(case.m), "--n", str(case.n),
+                "--C", str(C), "--target", target_text, "--seed", "0", "--json"]
+        out += _stdout(cli_main, argv)
+    return out
+
+
+def structure_constants() -> str:
+    """``scripts/dump_structure_constants.py`` for the smallest case of each family."""
+    return "".join(_stdout(dump_structure_constants.main, [text]) for text in SMALLEST_CASES)
+
+
+GOLDEN_FILES = {
+    "grid_seed0.ndjson": grid,
+    "orbit_chains_seed0.ndjson": orbit_chains,
+    "structure_constants.txt": structure_constants,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FILES))
+def test_output_matches_golden(name):
+    assert GOLDEN_FILES[name]().encode() == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, produce in GOLDEN_FILES.items():
+        (GOLDEN / name).write_bytes(produce().encode())
+        print(f"wrote {GOLDEN / name}", file=sys.stderr)
