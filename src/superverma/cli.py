@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -32,7 +33,6 @@ from .rootdata import (
     FAMILIES,
     InvalidParams,
     OSP_FAMILIES,
-    ParityViolation,
     parse_weight,
     wdiff,
 )
@@ -45,7 +45,6 @@ from .singular import (
     chain_weight,
     claimed_drop,
     default_lambda,
-    permuted_u,
     propagate_chain,
     run_witness,
     validate_params,
@@ -115,11 +114,27 @@ def _level_grid(args) -> List[int]:
     return parse_grid(args.N if args.N is not None else "1")
 
 
-def _run_jobs(fn, jobs, n_workers: int):
-    if n_workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]
+def _run_grid(point, jobs, args, text_line, noun: str) -> int:
+    """Run ``point`` on every job and print one report line per job, in job
+    order, then a summary in text mode.  Worker processes are bounded by
+    the number of jobs and of CPUs."""
+    if args.jobs < 1:
+        raise InvalidParams(f"--jobs must be at least 1, got {args.jobs}")
+    workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
+    t0 = time.monotonic()
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(point, jobs))
+    else:
+        results = [point(job) for job in jobs]
+    failures = 0
+    for rec, elapsed in results:
+        if not rec["ok"]:
+            failures += 1
+        print(json.dumps(rec, sort_keys=True) if args.json else text_line(rec, elapsed))
+    if not args.json:
+        print(f"{len(results)} {noun}, {failures} failed, {time.monotonic() - t0:.2f}s total")
+    return 1 if failures else 0
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +198,7 @@ def _verify_point(job):
             rng = random.Random(f"signflip:{case.text}:{N}:{seed}:{trial}")
             perm = list(range(k))
             rng.shuffle(perm)
-            w = permuted_u(params, perm, ctx)
+            w = candidate_u(params, ctx, perm=perm)
             if w.body != u.body and w.body != neg:
                 flip_ok = False
                 if counterexample is None:
@@ -240,22 +255,7 @@ def cmd_verify(args) -> int:
         for N in levels
         for seed in seeds
     ]
-    t0 = time.monotonic()
-    results = _run_jobs(_verify_point, jobs, args.jobs)
-    failures = 0
-    for rec, elapsed in results:
-        if not rec["ok"]:
-            failures += 1
-        if args.json:
-            print(json.dumps(rec, sort_keys=True))
-        else:
-            print(_verify_text_line(rec, elapsed))
-    if not args.json:
-        print(
-            f"{len(results)} grid points, {failures} failed,"
-            f" {time.monotonic() - t0:.2f}s total"
-        )
-    return 1 if failures else 0
+    return _run_grid(_verify_point, jobs, args, _verify_text_line, "grid points")
 
 
 # ---------------------------------------------------------------------------
@@ -343,22 +343,7 @@ def cmd_orbit(args) -> int:
     levels = parse_grid(args.C)
     seeds = parse_grid(args.seed)
     jobs = [(case.text, C, target, seed, args.p) for C in levels for seed in seeds]
-    t0 = time.monotonic()
-    results = _run_jobs(_orbit_point, jobs, args.jobs)
-    failures = 0
-    for rec, elapsed in results:
-        if not rec["ok"]:
-            failures += 1
-        if args.json:
-            print(json.dumps(rec, sort_keys=True))
-        else:
-            print(_orbit_text_line(rec, elapsed))
-    if not args.json:
-        print(
-            f"{len(results)} chains, {failures} failed,"
-            f" {time.monotonic() - t0:.2f}s total"
-        )
-    return 1 if failures else 0
+    return _run_grid(_orbit_point, jobs, args, _orbit_text_line, "chains")
 
 
 # ---------------------------------------------------------------------------
@@ -585,10 +570,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidParams, ParityViolation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # InvalidParams, ParityViolation, unparsable numbers
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

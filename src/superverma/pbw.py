@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .rootdata import Weight, wsum, wzero
-from .superalgebra import BracketTable
+from .superalgebra import BracketTable, _merge, _scaled
 
 Monomial = Tuple[Tuple[int, int], ...]
 UEAElement = Dict[Monomial, Fraction]
@@ -36,6 +36,10 @@ class Inhomogeneous(ValueError):
     """A single weight was requested for an element that has none."""
 
 
+class RoundTripFailure(RuntimeError):
+    """A right quotient times the divisor did not give back the dividend."""
+
+
 def el_zero() -> UEAElement:
     return {}
 
@@ -44,32 +48,19 @@ def el_one() -> UEAElement:
     return {(): Fraction(1)}
 
 
-def el_scale(x: UEAElement, c) -> UEAElement:
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {m: c * v for m, v in x.items()}
+el_scale = _scaled
 
 
 def el_add(x: UEAElement, y: UEAElement) -> UEAElement:
     out = dict(x)
-    _add_into(out, y)
+    _merge(out, y)
     return out
 
 
 def el_sub(x: UEAElement, y: UEAElement) -> UEAElement:
     out = dict(x)
-    _add_into(out, y, Fraction(-1))
+    _merge(out, y, Fraction(-1))
     return out
-
-
-def _add_into(dst: Dict[Monomial, Fraction], src: UEAElement, c: Fraction = Fraction(1)) -> None:
-    for m, v in src.items():
-        new = dst.get(m, Fraction(0)) + c * v
-        if new:
-            dst[m] = new
-        else:
-            dst.pop(m, None)
 
 
 @dataclass(eq=False)
@@ -164,20 +155,20 @@ class PBWEngine:
             for bid, exp in mono:
                 for _ in range(exp):
                     cur = self._el_times_gen(cur, bid)
-            _add_into(out, cur, coef)
+            _merge(out, cur, coef)
         return out
 
     def import_element(self, x: UEAElement) -> UEAElement:
         """Re-straighten an element produced under another generator order."""
         out: Dict[Monomial, Fraction] = {}
         for mono, coef in x.items():
-            _add_into(out, self.word(mono), coef)
+            _merge(out, self.word(mono), coef)
         return out
 
     def _el_times_gen(self, el: UEAElement, g: int) -> UEAElement:
         out: Dict[Monomial, Fraction] = {}
         for mono, coef in el.items():
-            _add_into(out, self.mono_times_gen(mono, g), coef)
+            _merge(out, self.mono_times_gen(mono, g), coef)
         return out
 
     def mono_times_gen(self, m: Monomial, g: int) -> UEAElement:
@@ -202,14 +193,14 @@ class PBWEngine:
                     head = m[:-1]
                     res = {}
                     for z, c in table.bracket(g, g).items():
-                        _add_into(res, self.mono_times_gen(head, z), c / 2)
+                        _merge(res, self.mono_times_gen(head, z), c / 2)
             else:
                 base = m[:-1] + ((x, a - 1),) if a > 1 else m[:-1]
                 sign = Fraction(-1 if table.basis[x].odd and table.basis[g].odd else 1)
                 res = {}
-                _add_into(res, self._el_times_gen(self.mono_times_gen(base, g), x), sign)
+                _merge(res, self._el_times_gen(self.mono_times_gen(base, g), x), sign)
                 for z, c in table.bracket(x, g).items():
-                    _add_into(res, self.mono_times_gen(base, z), c)
+                    _merge(res, self.mono_times_gen(base, z), c)
         self._cache[key] = res
         return res
 
@@ -235,8 +226,10 @@ class PBWEngine:
                 )
             e = mono[-1][1] - p
             out[mono[:-1] + ((bid, e),) if e else mono[:-1]] = coef
-        back = self.multiply(out, self.gen(bid, p))
-        assert back == x, "right division failed to verify"
+        if self.multiply(out, self.gen(bid, p)) != x:
+            raise RoundTripFailure(
+                f"quotient times {self.table.basis[bid].name}^{p} differs from the dividend"
+            )
         return out
 
     def monomial_weight(self, m: Monomial) -> Weight:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 Weight = Tuple[Fraction, ...]
@@ -171,8 +172,6 @@ RootSpec = Union[RootDatum, Weight, str]
 # ---------------------------------------------------------------------------
 # name rendering
 
-_SUPERSCRIPTS = {}
-
 
 def render_weight_name(coord_names: Sequence[str], w: Weight) -> str:
     """Render a weight as a signed combination of coordinate names.
@@ -312,18 +311,6 @@ class AlgebraData:
         if w in self.index:
             return self.pos_roots[self.index[w]].name
         return render_weight_name(self.coord_names, w)
-
-
-def bilinear_form(a: Weight, b: Weight, alg: AlgebraData) -> Fraction:
-    return alg.form(a, b)
-
-
-def coroot_pairing(lam: Weight, beta: RootSpec, alg: AlgebraData) -> Fraction:
-    return alg.coroot_pairing(lam, beta)
-
-
-def reflect(lam: Weight, beta: RootSpec, alg: AlgebraData) -> Weight:
-    return alg.reflect(lam, beta)
 
 
 def wprime_orbit(beta: RootSpec, alg: AlgebraData) -> Tuple[RootDatum, ...]:
@@ -469,126 +456,63 @@ def _assemble(
     )
 
 
-def _osp_scaffold(case: CaseId):
+# family -> (coordinate block that leads the simple system, B or D type);
+# the other block trails
+_OSP_SHAPES = {
+    "B-I": ("d", "B"),
+    "B-II": ("e", "B"),
+    "D-I": ("d", "D"),
+    "D-II": ("e", "D"),
+}
+
+
+def _build_osp(case: CaseId) -> AlgebraData:
     m, n = case.m, case.n
+    lead, kind = _OSP_SHAPES[case.family]
+    trail = "e" if lead == "d" else "d"
     dim = m + n
     coord_names = tuple(f"d{i + 1}" for i in range(m)) + tuple(f"e{j + 1}" for j in range(n))
     form = _diag_form([1] * m + [-1] * n)
-    delta = [_unit(dim, i) for i in range(m)]
-    eps = [_unit(dim, m + j) for j in range(n)]
-    return coord_names, form, delta, eps
+    block = {"d": [_unit(dim, i) for i in range(m)], "e": [_unit(dim, m + j) for j in range(n)]}
+    delta, eps = block["d"], block["e"]
 
+    def closing(letter: str) -> Weight:
+        x = block[letter]
+        if kind == "B":
+            return x[-1]
+        return wscale(2, x[-1]) if letter == "d" else wsum(x[-2], x[-1])
 
-def _build_b1(case: CaseId) -> AlgebraData:
-    m, n = case.m, case.n
-    coord_names, form, delta, eps = _osp_scaffold(case)
-    even = (
-        [wdiff(delta[i], delta[j]) for i in range(m) for j in range(i + 1, m)]
-        + [wsum(delta[i], delta[j]) for i in range(m) for j in range(i + 1, m)]
-        + [wscale(2, delta[p]) for p in range(m)]
-        + [wdiff(eps[k], eps[l]) for k in range(n) for l in range(k + 1, n)]
-        + [wsum(eps[k], eps[l]) for k in range(n) for l in range(k + 1, n)]
-        + [eps[q] for q in range(n)]
-    )
-    odd = (
-        [delta[p] for p in range(m)]
-        + [wdiff(delta[p], eps[q]) for p in range(m) for q in range(n)]
-        + [wsum(delta[p], eps[q]) for p in range(m) for q in range(n)]
-    )
+    def plus_minus(pairs) -> List[Weight]:
+        pairs = list(pairs)
+        return [op(a, b) for op in (wdiff, wsum) for a, b in pairs]
+
+    def chain(x: Sequence[Weight]) -> List[Weight]:
+        return [wdiff(a, b) for a, b in zip(x, x[1:])]
+
+    even = plus_minus(combinations(delta, 2)) + [wscale(2, d) for d in delta]
+    even += plus_minus(combinations(eps, 2))
+    odd = plus_minus(product(block[lead], block[trail]))
+    if kind == "B":
+        even += eps
+        odd += delta
     simples = (
-        [wdiff(delta[i], delta[i + 1]) for i in range(m - 1)]
-        + [wdiff(delta[m - 1], eps[0])]
-        + [wdiff(eps[j], eps[j + 1]) for j in range(n - 1)]
-        + [eps[n - 1]]
+        chain(block[lead])
+        + [wdiff(block[lead][-1], block[trail][0])]
+        + chain(block[trail])
+        + [closing(trail)]
     )
+    # rho's coordinate on x_i is |x| - i + offset(x), less |trail| on the lead block
+    size = {"d": m, "e": n}
+    if kind == "B":
+        offset = {"d": Fraction(1, 2), "e": Fraction(1, 2)}
+    else:
+        offset = {"d": Fraction(1), "e": Fraction(0)}
     rho = tuple(
-        [Fraction(2 * (m - n - i) + 1, 2) for i in range(1, m + 1)]
-        + [Fraction(2 * (n - j) + 1, 2) for j in range(1, n + 1)]
+        size[x] - i + offset[x] - (size[trail] if x == lead else 0)
+        for x in "de"
+        for i in range(1, size[x] + 1)
     )
-    return _assemble(case, coord_names, form, simples, even, odd, rho, delta[m - 1])
-
-
-def _build_b2(case: CaseId) -> AlgebraData:
-    m, n = case.m, case.n
-    coord_names, form, delta, eps = _osp_scaffold(case)
-    even = (
-        [wdiff(delta[i], delta[j]) for i in range(m) for j in range(i + 1, m)]
-        + [wsum(delta[i], delta[j]) for i in range(m) for j in range(i + 1, m)]
-        + [wscale(2, delta[p]) for p in range(m)]
-        + [wdiff(eps[k], eps[l]) for k in range(n) for l in range(k + 1, n)]
-        + [wsum(eps[k], eps[l]) for k in range(n) for l in range(k + 1, n)]
-        + [eps[q] for q in range(n)]
-    )
-    odd = (
-        [delta[p] for p in range(m)]
-        + [wdiff(eps[q], delta[p]) for p in range(m) for q in range(n)]
-        + [wsum(eps[q], delta[p]) for p in range(m) for q in range(n)]
-    )
-    simples = (
-        [wdiff(eps[j], eps[j + 1]) for j in range(n - 1)]
-        + [wdiff(eps[n - 1], delta[0])]
-        + [wdiff(delta[i], delta[i + 1]) for i in range(m - 1)]
-        + [delta[m - 1]]
-    )
-    rho = tuple(
-        [Fraction(2 * (m - i) + 1, 2) for i in range(1, m + 1)]
-        + [Fraction(2 * (n - m - j) + 1, 2) for j in range(1, n + 1)]
-    )
-    return _assemble(case, coord_names, form, simples, even, odd, rho, eps[n - 1])
-
-
-def _build_d1(case: CaseId) -> AlgebraData:
-    m, n = case.m, case.n
-    coord_names, form, delta, eps = _osp_scaffold(case)
-    even = (
-        [wdiff(delta[i], delta[j]) for i in range(m) for j in range(i + 1, m)]
-        + [wsum(delta[i], delta[j]) for i in range(m) for j in range(i + 1, m)]
-        + [wscale(2, delta[p]) for p in range(m)]
-        + [wdiff(eps[k], eps[l]) for k in range(n) for l in range(k + 1, n)]
-        + [wsum(eps[k], eps[l]) for k in range(n) for l in range(k + 1, n)]
-    )
-    odd = [wdiff(delta[p], eps[q]) for p in range(m) for q in range(n)] + [
-        wsum(delta[p], eps[q]) for p in range(m) for q in range(n)
-    ]
-    simples = (
-        [wdiff(delta[i], delta[i + 1]) for i in range(m - 1)]
-        + [wdiff(delta[m - 1], eps[0])]
-        + [wdiff(eps[j], eps[j + 1]) for j in range(n - 1)]
-        + [wsum(eps[n - 2], eps[n - 1])]
-    )
-    rho = tuple(
-        [Fraction(m - n - i + 1) for i in range(1, m + 1)]
-        + [Fraction(n - j) for j in range(1, n + 1)]
-    )
-    return _assemble(case, coord_names, form, simples, even, odd, rho, wscale(2, delta[m - 1]))
-
-
-def _build_d2(case: CaseId) -> AlgebraData:
-    m, n = case.m, case.n
-    coord_names, form, delta, eps = _osp_scaffold(case)
-    even = (
-        [wdiff(delta[i], delta[j]) for i in range(m) for j in range(i + 1, m)]
-        + [wsum(delta[i], delta[j]) for i in range(m) for j in range(i + 1, m)]
-        + [wscale(2, delta[p]) for p in range(m)]
-        + [wdiff(eps[k], eps[l]) for k in range(n) for l in range(k + 1, n)]
-        + [wsum(eps[k], eps[l]) for k in range(n) for l in range(k + 1, n)]
-    )
-    odd = [wdiff(eps[q], delta[p]) for p in range(m) for q in range(n)] + [
-        wsum(eps[q], delta[p]) for p in range(m) for q in range(n)
-    ]
-    simples = (
-        [wdiff(eps[j], eps[j + 1]) for j in range(n - 1)]
-        + [wdiff(eps[n - 1], delta[0])]
-        + [wdiff(delta[i], delta[i + 1]) for i in range(m - 1)]
-        + [wscale(2, delta[m - 1])]
-    )
-    rho = tuple(
-        [Fraction(m - i + 1) for i in range(1, m + 1)]
-        + [Fraction(n - m - j) for j in range(1, n + 1)]
-    )
-    return _assemble(
-        case, coord_names, form, simples, even, odd, rho, wsum(eps[n - 2], eps[n - 1])
-    )
+    return _assemble(case, coord_names, form, simples, even, odd, rho, closing(lead))
 
 
 def _build_f31(case: CaseId) -> AlgebraData:
@@ -653,14 +577,7 @@ def _build_g3(case: CaseId) -> AlgebraData:
     return _assemble(case, coord_names, form, simples, even, odd, rho, delta, names)
 
 
-_BUILDERS = {
-    "B-I": _build_b1,
-    "B-II": _build_b2,
-    "D-I": _build_d1,
-    "D-II": _build_d2,
-    "F31": _build_f31,
-    "G3": _build_g3,
-}
+_BUILDERS = {**dict.fromkeys(_OSP_SHAPES, _build_osp), "F31": _build_f31, "G3": _build_g3}
 
 
 def build_algebra_data(case: CaseId) -> AlgebraData:

@@ -33,6 +33,7 @@ from .rootdata import (
     ParityViolation,
     RootDatum,
     Weight,
+    _unit,
     build_algebra_data,
     f31_sign_weight,
     wdiff,
@@ -122,17 +123,12 @@ def default_lambda(case: CaseId, N: int, seed: int, alg: Optional[AlgebraData] =
         alg = build_context(case).alg
     rng = random.Random(f"{case.text}:{N}:{seed}")
     coords = [Fraction(rng.randint(-3, 3)) for _ in range(alg.rank)]
-    family, m, n = case.family, case.m, case.n
-    if family == "B-I":
-        coords[m - 1] = Fraction(N, 2)
-    elif family == "B-II":
-        coords[m + n - 1] = Fraction(N, 2)
-    elif family == "D-I":
-        coords[m - 1] = Fraction(N)
-    elif family == "D-II":
-        coords[m + n - 1] = Fraction(N) - coords[m + n - 2]
-    else:
-        coords[0] = Fraction(N, 2)
+    # the constraint is linear in lambda: solve it on gamma's last nonzero coordinate
+    gamma = alg.gamma.weight
+    k = max(i for i, x in enumerate(gamma) if x)
+    coords[k] = Fraction(0)
+    rest = alg.coroot_pairing(tuple(coords), gamma)
+    coords[k] = (N - rest) / alg.coroot_pairing(_unit(alg.rank, k), gamma)
     lam = tuple(coords)
     assert alg.coroot_pairing(lam, alg.gamma) == N
     return lam
@@ -140,10 +136,6 @@ def default_lambda(case: CaseId, N: int, seed: int, alg: Optional[AlgebraData] =
 
 # ---------------------------------------------------------------------------
 # candidate vectors
-
-
-def _unit(dim: int, i: int) -> Weight:
-    return tuple(Fraction(1 if j == i else 0) for j in range(dim))
 
 
 def _delta_w(alg: AlgebraData, i: int) -> Weight:
@@ -223,10 +215,6 @@ def candidate_u(
     if engine is None:
         engine = ctx.default_engine
     return _apply_factors(engine, params.lam, odd, tail)
-
-
-def permuted_u(params: CaseParams, perm: Sequence[int], ctx: Context) -> VermaVector:
-    return candidate_u(params, ctx, perm=perm)
 
 
 def claimed_drop(params: CaseParams, alg: AlgebraData) -> Weight:
@@ -564,7 +552,9 @@ def witness_spec(params: CaseParams, alg: AlgebraData) -> WitnessSpec:
         )
         return WitnessSpec(tuple(seq), steps)
 
-    # osp families share the scaffolding
+    # osp families share the scaffolding; step k of B-I, B-II and D-I
+    # applies the candidate's odd factors from pair k on
+    odd_factors = candidate_factors(params, alg)[0]
     deltas = [_delta_w(alg, i) for i in range(1, m + 1)]
     epss = [_eps_w(alg, j) for j in range(1, n + 1)]
 
@@ -579,9 +569,7 @@ def witness_spec(params: CaseParams, alg: AlgebraData) -> WitnessSpec:
         tail = ((dm, 1), (wscale(2, dm), M + n))
         steps = []
         for k in range(1, n + 2):
-            factors = tuple(
-                w for i in range(k, n + 1) for w in (wdiff(dm, epss[i - 1]), wsum(dm, epss[i - 1]))
-            )
+            factors = tuple(odd_factors[2 * (k - 1):])
             if k <= n:
                 mono = [(epss[n - 1], 1)]
                 mono += [(wdiff(epss[i - 1], epss[i]), 1) for i in range(n - 1, k - 1, -1)]
@@ -602,9 +590,7 @@ def witness_spec(params: CaseParams, alg: AlgebraData) -> WitnessSpec:
         tail = ((en, N + 2 * m),)
         steps = []
         for k in range(1, m + 2):
-            factors = tuple(
-                w for i in range(k, m + 1) for w in (wdiff(en, deltas[i - 1]), wsum(en, deltas[i - 1]))
-            )
+            factors = tuple(odd_factors[2 * (k - 1):])
             if k <= m:
                 mono = [(deltas[m - 1], 1)]
                 mono += [(wdiff(deltas[i - 1], deltas[i]), 1) for i in range(m - 1, k - 1, -1)]
@@ -625,9 +611,7 @@ def witness_spec(params: CaseParams, alg: AlgebraData) -> WitnessSpec:
         tail = ((wscale(2, dm), N + n),)
         steps = []
         for k in range(1, n + 2):
-            factors = tuple(
-                w for i in range(k, n + 1) for w in (wdiff(dm, epss[i - 1]), wsum(dm, epss[i - 1]))
-            )
+            factors = tuple(odd_factors[2 * (k - 1):])
             if k <= n:
                 mono = [(wdiff(epss[i - 1], epss[i]), 1) for i in range(n - 1, k - 1, -1)]
                 mono += [(wsum(dm, epss[n - 1]), 1), (wdiff(dm, epss[k - 1]), 1)]

@@ -52,13 +52,19 @@ class BasisElement:
     name: str
 
 
-def _scaled(val: Value, c: Fraction) -> Value:
+# Sparse vectors (dicts from keys to nonzero Fractions) are shared by the
+# bracket table here and by U(g) elements in pbw and verma.
+
+
+def _scaled(val: Dict, c) -> Dict:
+    """c * val for an int or Fraction c."""
     if not c:
         return {}
     return {k: c * v for k, v in val.items()}
 
 
-def _merge(into: Dict[int, Fraction], val: Value, c: Fraction = Fraction(1)) -> None:
+def _merge(into: Dict, val: Dict, c: Fraction = Fraction(1)) -> None:
+    """into += c * val, dropping keys that cancel."""
     for k, v in val.items():
         new = into.get(k, Fraction(0)) + c * v
         if new:

@@ -14,8 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .pbw import Inhomogeneous, Monomial, PBWEngine, UEAElement, _add_into
-from .rootdata import Weight, wdiff, wsum
+from .pbw import Monomial, PBWEngine, UEAElement
+from .rootdata import Weight, format_weight, wdiff, wsum
+from .superalgebra import _merge, _scaled
+
+
+class ModuleMismatch(ValueError):
+    """Vectors of Verma modules with different highest weights were combined."""
 
 
 @dataclass(eq=False)
@@ -27,13 +32,16 @@ class VermaVector:
         return not self.body
 
     def scaled(self, c) -> "VermaVector":
-        c = Fraction(c)
-        return VermaVector({m: c * v for m, v in self.body.items()} if c else {}, self.highest_weight)
+        return VermaVector(_scaled(self.body, c), self.highest_weight)
 
     def plus(self, other: "VermaVector") -> "VermaVector":
-        assert self.highest_weight == other.highest_weight
+        if self.highest_weight != other.highest_weight:
+            raise ModuleMismatch(
+                f"vector of M({format_weight(other.highest_weight)}) added to one of"
+                f" M({format_weight(self.highest_weight)})"
+            )
         out = dict(self.body)
-        _add_into(out, other.body)
+        _merge(out, other.body)
         return VermaVector(out, self.highest_weight)
 
 

@@ -24,7 +24,6 @@ from superverma.singular import (
     chain_weight,
     claimed_drop,
     default_lambda,
-    permuted_u,
     propagate_chain,
     run_witness,
 )
@@ -122,7 +121,7 @@ def test_criterion_3_odd_factor_permutations():
             rng = random.Random(f"acceptance:flip:{text}:{trial}")
             perm = list(range(k))
             rng.shuffle(perm)
-            w = permuted_u(params, perm, ctx)
+            w = candidate_u(params, ctx, perm=perm)
             assert w.body == u.body or w.body == neg, (text, perm)
             trials += 1
     print(f"criterion 3 PASS: {trials} permutations each changed u by a factor in {{+1, -1}}")

@@ -162,6 +162,46 @@ def test_parallel_jobs_match_serial(capsys):
     assert serial == parallel
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+def test_jobs_are_bounded_by_points_and_cpus(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    verify = ("verify", "--case", "B-I", "--m", "1", "--n", "1", "--N", "1,3",
+              "--check", "nonzero", "--json")
+    code, serial, _ = run(capsys, *verify)
+    assert code == 0 and RecordingPool.sizes == []
+    code, out, _ = run(capsys, *verify, "--jobs", "64")
+    assert code == 0 and out == serial
+    assert RecordingPool.sizes == [2]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    code, _, _ = run(capsys, "orbit", "--case", "B-II", "--m", "1", "--n", "2",
+                     "--C", "1..3", "--jobs", "64", "--json")
+    assert code == 0
+    assert RecordingPool.sizes == [2, 2]
+    for bad in ("0", "-1"):
+        code, _, err = run(capsys, *verify, "--jobs", bad)
+        assert code == 2 and "--jobs must be at least 1" in err
+    assert RecordingPool.sizes == [2, 2]
+
+
 def test_selftest_passes(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0

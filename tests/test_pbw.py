@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from superverma.pbw import (
     Inhomogeneous,
     NotDivisible,
+    PBWEngine,
+    RoundTripFailure,
     WrongOrder,
     el_add,
     el_one,
@@ -186,6 +188,17 @@ def test_right_division_raises():
         tailed.right_divide(tailed.gen(even, 1), even, 2)
     with pytest.raises(NotDivisible):
         tailed.right_divide(tailed.gen(ctx.table.f_gen("d1")), even, 1)
+
+
+def test_right_division_round_trip_failure_is_named(monkeypatch):
+    """The quotient is certified by multiplying back, also under python -O."""
+    ctx = ctx_for("D-I:m=1,n=2")
+    bid = ctx.table.f_gen(first_even_root(ctx.alg))
+    engine = PBWEngine(ctx.table, ctx.engine(tail=(bid,)).order)
+    x = engine.multiply(random_lowering(engine, random.Random(3), 2), engine.gen(bid, 2))
+    monkeypatch.setattr(engine, "multiply", lambda a, b: el_zero())
+    with pytest.raises(RoundTripFailure):
+        engine.right_divide(x, bid, 2)
 
 
 def test_even_power_commutation_expands_binomially():

@@ -13,7 +13,6 @@ from superverma.singular import (
     candidate_u,
     claimed_drop,
     default_lambda,
-    permuted_u,
     validate_params,
 )
 from superverma.verma import is_singular, weight_of
@@ -133,12 +132,12 @@ def test_factor_permutations_flip_sign_at_most():
         for _ in range(8):
             perm = list(range(k))
             rng.shuffle(perm)
-            w = permuted_u(params, perm, ctx)
+            w = candidate_u(params, ctx, perm=perm)
             assert w.body in (u.body, neg)
             seen_minus = seen_minus or w.body == neg
         assert seen_minus
     with pytest.raises(InvalidParams):
-        permuted_u(params, [0, 0, 1, 2, 3, 4, 5, 6], ctx)
+        candidate_u(params, ctx, perm=[0, 0, 1, 2, 3, 4, 5, 6])
 
 
 def test_context_caches_engines():

@@ -6,7 +6,14 @@ import pytest
 from superverma.pbw import Inhomogeneous, PBWEngine, el_add, el_scale, make_order
 from superverma.rootdata import CaseId, build_algebra_data, wdiff, wscale, wsum
 from superverma.superalgebra import build_structure_constants
-from superverma.verma import VermaVector, act, highest_weight_vector, is_singular, weight_of
+from superverma.verma import (
+    ModuleMismatch,
+    VermaVector,
+    act,
+    highest_weight_vector,
+    is_singular,
+    weight_of,
+)
 
 
 def setup(text: str, tail=()):
@@ -139,3 +146,12 @@ def test_singularity_certificate_names_failures():
     report = is_singular(zero, eng)
     assert not report.ok
     assert not report.nonzero
+
+
+def test_plus_needs_one_module():
+    lam, mu = frac_weight("1/2", 1), frac_weight("3/2", 1)
+    v = highest_weight_vector(lam)
+    assert v.plus(v.scaled(-1)).is_zero()
+    assert v.plus(v).body == {(): Fraction(2)}
+    with pytest.raises(ModuleMismatch):
+        v.plus(highest_weight_vector(mu))
