@@ -1,5 +1,6 @@
-"""Golden-output oracle: the standard-grid NDJSON, the orbit-chain NDJSON
-and the structure-constant dumps must stay byte-identical.
+"""Golden-output oracle: the standard-grid NDJSON, the orbit-chain NDJSON,
+the structure-constant dumps and the osp witness specs must stay
+byte-identical.
 
 The files under ``tests/golden/`` are written by this module itself:
 
@@ -24,7 +25,14 @@ sys.path.insert(0, str(HERE.parent / "scripts"))
 import dump_structure_constants  # noqa: E402
 import run_grid  # noqa: E402
 from superverma.cli import SMALLEST_CASES, main as cli_main  # noqa: E402
-from superverma.rootdata import CaseId  # noqa: E402
+from superverma.rootdata import OSP_FAMILIES, CaseId  # noqa: E402
+from superverma.singular import (  # noqa: E402
+    CaseParams,
+    build_context,
+    candidate_factors,
+    default_lambda,
+    witness_spec,
+)
 from test_acceptance import CHAINS  # noqa: E402
 
 
@@ -57,10 +65,45 @@ def structure_constants() -> str:
     return "".join(_stdout(dump_structure_constants.main, [text]) for text in SMALLEST_CASES)
 
 
+def _powers(alg, pairs) -> str:
+    return " ".join(f"{alg.name_of(w)}^{e}" for w, e in pairs)
+
+
+def witness_specs() -> str:
+    """Candidate factors and witness specs of every osp case with m, n <= 3
+    at the two lowest levels, with the lowering order the witness engine
+    runs in.  Step monomials are listed sorted, zero exponents dropped."""
+    lines = []
+    for family in OSP_FAMILIES:
+        for m in range(1, 4):
+            for n in range(2 if family.startswith("D") else 1, 4):
+                case = CaseId(family, m, n)
+                ctx = build_context(case)
+                alg = ctx.alg
+                for N in (1, 3) if family == "B-I" else (1, 2):
+                    params = CaseParams(case, N, default_lambda(case, N, 0, alg))
+                    odd, tail = candidate_factors(params, alg)
+                    spec = witness_spec(params, alg)
+                    order = ctx.engine(negative_sequence=spec.negative_sequence).order
+                    lines.append(f"{case.text} N={N}")
+                    lines.append("  candidate " + " ".join(alg.name_of(w) for w in odd)
+                                 + " | " + _powers(alg, tail))
+                    lines.append("  order " + " ".join(
+                        ctx.table.basis[b].name for b in order.sequence[:order.n_neg]))
+                    for step in spec.steps:
+                        mono = sorted(_powers(alg, [(w, e)]) for w, e in step.v_mono if e)
+                        lines.append(f"  step {step.label} "
+                                     + " ".join(alg.name_of(w) for w in step.e_factors)
+                                     + " | " + _powers(alg, step.tail)
+                                     + " | " + " ".join(mono))
+    return "".join(line + "\n" for line in lines)
+
+
 GOLDEN_FILES = {
     "grid_seed0.ndjson": grid,
     "orbit_chains_seed0.ndjson": orbit_chains,
     "structure_constants.txt": structure_constants,
+    "witness_specs.txt": witness_specs,
 }
 
 
