@@ -12,7 +12,8 @@ Three subcommands:
 
 Reports are deterministic for fixed flags: all randomness is seeded, grid
 points are emitted in canonical order, and JSON lines carry no timing.
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage error.
+Exit codes: 0 all checks pass, 1 a check failed, 2 usage error, 3 internal
+error, 141 stdout closed early (broken pipe).
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .pbw import el_one
+from .pbw import Inhomogeneous, RoundTripFailure, WrongOrder, el_one
 from .rootdata import (
     CaseId,
     FAMILIES,
     InvalidParams,
     OSP_FAMILIES,
+    RootDataError,
     parse_weight,
     wdiff,
 )
@@ -49,11 +51,22 @@ from .singular import (
     run_witness,
     validate_params,
 )
-from .superalgebra import check_jacobi, check_reference_scaling
-from .verma import VermaVector, act, highest_weight_vector, is_singular, weight_of
+from .superalgebra import ClosureFailure, check_jacobi, check_reference_scaling
+from .verma import ModuleMismatch, VermaVector, act, highest_weight_vector, is_singular, weight_of
 
 CHECK_NAMES = ("nonzero", "singular", "signflip", "witness")
 SIGNFLIP_SAMPLES = 20
+
+# Faults of the program rather than of its input or of a checked claim.
+# Some subclass ValueError, so they are caught before the usage errors.
+INTERNAL_ERRORS = (
+    ClosureFailure,
+    RootDataError,
+    RoundTripFailure,
+    WrongOrder,
+    Inhomogeneous,
+    ModuleMismatch,
+)
 
 SMALLEST_CASES = (
     "B-I:m=1,n=1",
@@ -569,7 +582,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a reader that went away
+    except INTERNAL_ERRORS as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:  # InvalidParams, ParityViolation, unparsable numbers
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple, Union
 
 from .rootdata import Weight, wsum, wzero
 from .superalgebra import BracketTable, _merge, _scaled
@@ -29,7 +29,8 @@ class NotDivisible(ArithmeticError):
 
 
 class WrongOrder(ValueError):
-    """The operation needs a different generator in the rightmost slot."""
+    """A generator order or a monomial does not fit the operation: a
+    repeated generator, or the wrong one in the rightmost slot."""
 
 
 class Inhomogeneous(ValueError):
@@ -73,10 +74,6 @@ class PBWOrder:
     def rightmost_negative(self) -> int:
         return self.sequence[self.n_neg - 1]
 
-    @property
-    def key(self) -> Tuple[int, ...]:
-        return self.sequence
-
 
 def _resolve_f(table: BracketTable, spec: GenSpec) -> int:
     if isinstance(spec, int):
@@ -86,32 +83,21 @@ def _resolve_f(table: BracketTable, spec: GenSpec) -> int:
     return table.f_gen(spec)
 
 
-def make_order(
-    table: BracketTable,
-    tail: Sequence[GenSpec] = (),
-    negative_sequence: Optional[Sequence[GenSpec]] = None,
-) -> PBWOrder:
+def make_order(table: BracketTable, tail: Sequence[GenSpec] = ()) -> PBWOrder:
     """Build a generator order.
 
-    By default the lowering generators are sorted by root height and then
-    by enumeration index.  `tail` moves the listed generators to the end of
-    the lowering block, in the given order.  `negative_sequence` instead
-    prescribes the whole lowering block explicitly.
+    The lowering generators are sorted by root height and then by
+    enumeration index, except that `tail` moves the listed generators to
+    the end of the lowering block, in the given order.  A tail that lists
+    every lowering generator prescribes the whole block.
     """
     alg = table.alg
     P = table.n_pos
-    if negative_sequence is not None:
-        negs = [_resolve_f(table, s) for s in negative_sequence]
-        if sorted(negs) != list(range(P)):
-            raise WrongOrder("negative_sequence must list every lowering generator once")
-        if tail:
-            raise WrongOrder("tail and negative_sequence are mutually exclusive")
-    else:
-        tail_ids = [_resolve_f(table, s) for s in tail]
-        if len(set(tail_ids)) != len(tail_ids):
-            raise WrongOrder("tail entries must be distinct")
-        negs = [i for i in sorted(range(P), key=lambda i: (alg.heights[i], i)) if i not in tail_ids]
-        negs.extend(tail_ids)
+    tail_ids = [_resolve_f(table, s) for s in tail]
+    if len(set(tail_ids)) != len(tail_ids):
+        raise WrongOrder("tail entries must be distinct")
+    negs = [i for i in sorted(range(P), key=lambda i: (alg.heights[i], i)) if i not in tail_ids]
+    negs.extend(tail_ids)
     seq = negs + [table.h_id(j) for j in range(table.n_cartan)]
     seq += [
         table.e_id(i)
@@ -134,21 +120,12 @@ class PBWEngine:
         if exp == 0:
             return el_one()
         if self.table.basis[bid].odd and exp > 1:
-            out = el_one()
-            for _ in range(exp):
-                out = self._el_times_gen(out, bid)
-            return out
+            return self.multiply(el_one(), {((bid, exp),): Fraction(1)})
         return {((bid, exp),): Fraction(1)}
 
-    def word(self, factors: Sequence[Tuple[int, int]]) -> UEAElement:
-        """Product of generator powers taken left to right."""
-        out = el_one()
-        for bid, exp in factors:
-            for _ in range(exp):
-                out = self._el_times_gen(out, bid)
-        return out
-
     def multiply(self, a: UEAElement, b: UEAElement) -> UEAElement:
+        """a * b in normal form; the monomials of b are read as generator
+        powers from left to right and need not be in normal form."""
         out: Dict[Monomial, Fraction] = {}
         for mono, coef in b.items():
             cur = a
@@ -160,10 +137,7 @@ class PBWEngine:
 
     def import_element(self, x: UEAElement) -> UEAElement:
         """Re-straighten an element produced under another generator order."""
-        out: Dict[Monomial, Fraction] = {}
-        for mono, coef in x.items():
-            _merge(out, self.word(mono), coef)
-        return out
+        return self.multiply(el_one(), x)
 
     def _el_times_gen(self, el: UEAElement, g: int) -> UEAElement:
         out: Dict[Monomial, Fraction] = {}
@@ -189,7 +163,8 @@ class PBWEngine:
                     res = {m[:-1] + ((g, a + 1),): Fraction(1)}
                 else:
                     # odd square: x*x = [x, x] / 2
-                    assert a == 1, "odd generators are exponent one in normal form"
+                    if a != 1:
+                        raise WrongOrder("odd generators are exponent one in normal form")
                     head = m[:-1]
                     res = {}
                     for z, c in table.bracket(g, g).items():

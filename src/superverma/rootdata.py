@@ -53,6 +53,10 @@ class ParityViolation(ValueError):
     """An integer parameter has the wrong parity for the requested case."""
 
 
+class RootDataError(RuntimeError):
+    """Constructed root data violates an invariant the construction promises."""
+
+
 # ---------------------------------------------------------------------------
 # weight arithmetic
 
@@ -82,7 +86,10 @@ def parse_weight(text: str, dim: int) -> Weight:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != dim:
         raise InvalidParams(f"expected {dim} coordinates, got {len(parts)}")
-    return tuple(Fraction(p) for p in parts)
+    try:
+        return tuple(Fraction(p) for p in parts)
+    except ZeroDivisionError:
+        raise InvalidParams(f"zero denominator in weight {text!r}") from None
 
 
 def format_weight(w: Weight) -> str:
@@ -334,7 +341,8 @@ def wprime_orbit(beta: RootSpec, alg: AlgebraData) -> Tuple[RootDatum, ...]:
         frontier = nxt
     reps = {w if w in alg.index else wneg(w) for w in seen}
     for w in reps:
-        assert w in alg.index, "orbit left the root system"
+        if w not in alg.index:
+            raise RootDataError(f"the orbit of {alg.name_of(start)} left the root system at {w}")
     return tuple(alg.pos_roots[alg.index[w]] for w in sorted(reps))
 
 
@@ -370,9 +378,12 @@ def _assemble(
     def name_for(w: Weight) -> str:
         return names.get(w, render_weight_name(coord_names, w))
 
-    assert len(set(even_weights)) == len(even_weights)
-    assert len(set(odd_weights)) == len(odd_weights)
-    assert not set(even_weights) & set(odd_weights)
+    if len(set(even_weights)) != len(even_weights):
+        raise RootDataError(f"{case.text}: repeated even root")
+    if len(set(odd_weights)) != len(odd_weights):
+        raise RootDataError(f"{case.text}: repeated odd root")
+    if set(even_weights) & set(odd_weights):
+        raise RootDataError(f"{case.text}: a root is both even and odd")
 
     dummy = AlgebraData(
         case, coord_names, form_matrix, (), (), (), (), rho_closed,
@@ -381,7 +392,8 @@ def _assemble(
 
     def classify(w: Weight, odd: bool) -> str:
         if not odd:
-            assert dummy.norm(w) != 0, f"even root {w} must be nonisotropic"
+            if dummy.norm(w) == 0:
+                raise RootDataError(f"even root {w} must be nonisotropic")
             return EVEN
         return ODD_ISO if dummy.norm(w) == 0 else ODD_NONISO
 
@@ -398,14 +410,14 @@ def _assemble(
 
     # heights and decompositions over the simple basis
     dim = len(coord_names)
-    assert len(simple_weights) == dim, "simple roots must form a coordinate basis"
+    if len(simple_weights) != dim:
+        raise RootDataError("simple roots must form a coordinate basis")
     basis_cols = [[simple_weights[j][i] for j in range(dim)] for i in range(dim)]
     heights: List[int] = []
     for r in pos_roots:
         coeffs = solve_square(basis_cols, list(r.weight))
-        assert all(c.denominator == 1 and c >= 0 for c in coeffs), (
-            f"{r.name} is not a nonnegative integer combination of simple roots"
-        )
+        if not all(c.denominator == 1 and c >= 0 for c in coeffs):
+            raise RootDataError(f"{r.name} is not a nonnegative integer combination of simple roots")
         heights.append(int(sum(coeffs)))
     decomp: List[Optional[Tuple[int, int]]] = []
     for pos, r in enumerate(pos_roots):
@@ -418,8 +430,10 @@ def _assemble(
             if rest in index:
                 found = (k, index[rest])
                 break
-        assert found is not None, f"no simple-root decomposition for {r.name}"
-        assert heights[found[1]] == heights[pos] - 1
+        if found is None:
+            raise RootDataError(f"no simple-root decomposition for {r.name}")
+        if heights[found[1]] != heights[pos] - 1:
+            raise RootDataError(f"the decomposition of {r.name} skips a height")
         decomp.append(found)
 
     # Weyl vector invariants: the closed form must match the half-sum, pair
@@ -429,15 +443,18 @@ def _assemble(
     for r in pos_roots:
         contrib = wscale(Fraction(1, 2), r.weight)
         half_sum = wsum(half_sum, contrib) if not r.odd else wdiff(half_sum, contrib)
-    assert half_sum == rho_closed, f"rho mismatch: {half_sum} vs {rho_closed}"
+    if half_sum != rho_closed:
+        raise RootDataError(f"rho mismatch: {half_sum} vs {rho_closed}")
     for s in simple_system:
         if s.parity == ODD_ISO:
-            assert dummy.form(rho_closed, s.weight) == 0, f"(rho, {s.name}) != 0"
-        else:
-            assert dummy.coroot_pairing(rho_closed, s.weight) == 1, f"<rho, h_{s.name}> != 1"
+            if dummy.form(rho_closed, s.weight) != 0:
+                raise RootDataError(f"(rho, {s.name}) != 0")
+        elif dummy.coroot_pairing(rho_closed, s.weight) != 1:
+            raise RootDataError(f"<rho, h_{s.name}> != 1")
 
     gamma = pos_roots[index[gamma_weight]]
-    assert dummy.norm(gamma_weight) != 0, "gamma must be nonisotropic"
+    if dummy.norm(gamma_weight) == 0:
+        raise RootDataError("gamma must be nonisotropic")
 
     return AlgebraData(
         case=case,
@@ -597,4 +614,8 @@ def _check_counts(alg: AlgebraData) -> None:
         "F31": (10, 8),
         "G3": (7, 7),
     }[family]
-    assert (len(alg.pos_even), len(alg.pos_odd)) == expected, "positive root counts are off"
+    got = (len(alg.pos_even), len(alg.pos_odd))
+    if got != expected:
+        raise RootDataError(
+            f"{alg.case.text}: {got} positive even and odd roots, expected {expected}"
+        )

@@ -3,8 +3,8 @@
 For a case with distinguished root gamma and a weight lambda satisfying
 <lambda, h_gamma> = N, the candidate vector u lives in M(lambda) at weight
 lambda - rho - N*gamma.  It is built by applying an explicit product of
-odd raising generators and a lowering-generator power to v+.  The family
-dispatch below fixes those factor lists.
+odd raising generators and a lowering-generator power to v+.  One
+four-row table fixes those factor lists for the osp families.
 
 A Shapovalov element (beta, C, mu, theta) records theta in U(n^-) with
 theta v+ singular in M(mu) at weight mu - rho - C*beta.  Reflecting in an
@@ -25,20 +25,23 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .pbw import PBWEngine, UEAElement, make_order
+from .pbw import PBWEngine, UEAElement, WrongOrder, make_order
 from .rootdata import (
     AlgebraData,
     CaseId,
     InvalidParams,
     ParityViolation,
+    RootDataError,
     RootDatum,
     Weight,
     _unit,
     build_algebra_data,
     f31_sign_weight,
     wdiff,
+    wneg,
     wscale,
     wsum,
+    wzero,
 )
 from .superalgebra import BracketTable, build_structure_constants
 from .verma import VermaVector, act, highest_weight_vector, is_singular
@@ -54,12 +57,8 @@ class Context:
     table: BracketTable
     _engines: Dict[Tuple[int, ...], PBWEngine] = field(default_factory=dict)
 
-    def engine(
-        self,
-        tail: Sequence = (),
-        negative_sequence: Optional[Sequence] = None,
-    ) -> PBWEngine:
-        order = make_order(self.table, tail=tail, negative_sequence=negative_sequence)
+    def engine(self, tail: Sequence = ()) -> PBWEngine:
+        order = make_order(self.table, tail=tail)
         key = order.sequence
         if key not in self._engines:
             self._engines[key] = PBWEngine(self.table, order)
@@ -130,7 +129,8 @@ def default_lambda(case: CaseId, N: int, seed: int, alg: Optional[AlgebraData] =
     rest = alg.coroot_pairing(tuple(coords), gamma)
     coords[k] = (N - rest) / alg.coroot_pairing(_unit(alg.rank, k), gamma)
     lam = tuple(coords)
-    assert alg.coroot_pairing(lam, alg.gamma) == N
+    if alg.coroot_pairing(lam, alg.gamma) != N:
+        raise RootDataError(f"solving <lambda, h_gamma> = {N} for {case.text} failed")
     return lam
 
 
@@ -148,40 +148,48 @@ def _eps_w(alg: AlgebraData, j: int) -> Weight:
 
 F31_FACTOR_ORDER = ("+---", "+--+", "+-+-", "+-++", "++--", "++-+", "+++-", "++++")
 
+# osp family -> (pivot letter, pivot count).  gamma is made of the last
+# pivot-count vectors of that letter (the pivots); the other letter's
+# vectors b_1..b_K form the block, and the odd factors are p -+ b.
+_OSP_SHAPES = {"B-I": ("d", 1), "D-I": ("d", 1), "B-II": ("e", 1), "D-II": ("e", 2)}
+
+
+def _osp_shape(alg: AlgebraData) -> Tuple[List[Weight], List[Weight]]:
+    """The pivots, last first, and the block of an osp case."""
+    letter, count = _OSP_SHAPES[alg.case.family]
+    d = [_delta_w(alg, i) for i in range(1, alg.case.m + 1)]
+    e = [_eps_w(alg, j) for j in range(1, alg.case.n + 1)]
+    lead, block = (d, e) if letter == "d" else (e, d)
+    return lead[::-1][:count], block
+
+
+def _gamma_multiple(alg: AlgebraData, weights: Sequence[Weight]) -> int:
+    """The integer c with sum(weights) = c * gamma."""
+    total = wzero(alg.rank)
+    for w in weights:
+        total = wsum(total, w)
+    gamma = alg.gamma.weight
+    k = next(i for i, x in enumerate(gamma) if x)
+    c = total[k] / gamma[k]
+    if c.denominator != 1 or wscale(c, gamma) != total:
+        raise RootDataError(f"the odd factors of {alg.case.text} do not sum to a multiple of gamma")
+    return int(c)
+
 
 def candidate_factors(params: CaseParams, alg: AlgebraData):
     """Odd raising factors (in application order, leftmost first) and the
-    lowering tail as (root weight, exponent) pairs."""
-    case, N = params.case, params.N
-    family, m, n = case.family, case.m, case.n
-    if family == "B-I":
-        dm = _delta_w(alg, m)
-        odd = [w for i in range(1, n + 1) for w in (wdiff(dm, _eps_w(alg, i)), wsum(dm, _eps_w(alg, i)))]
-        tail = [(dm, N + 2 * n)]
-    elif family == "B-II":
-        en = _eps_w(alg, n)
-        odd = [w for i in range(1, m + 1) for w in (wdiff(en, _delta_w(alg, i)), wsum(en, _delta_w(alg, i)))]
-        tail = [(en, N + 2 * m)]
-    elif family == "D-I":
-        dm = _delta_w(alg, m)
-        odd = [w for i in range(1, n + 1) for w in (wdiff(dm, _eps_w(alg, i)), wsum(dm, _eps_w(alg, i)))]
-        tail = [(wscale(2, dm), N + n)]
-    elif family == "D-II":
-        en = _eps_w(alg, n)
-        en1 = _eps_w(alg, n - 1)
-        odd = [w for i in range(1, m + 1) for w in (wdiff(en, _delta_w(alg, i)), wsum(en, _delta_w(alg, i)))]
-        odd += [w for i in range(1, m + 1) for w in (wdiff(en1, _delta_w(alg, i)), wsum(en1, _delta_w(alg, i)))]
-        tail = [(wsum(en1, en), N + 2 * m)]
-    elif family == "F31":
+    lowering tail f_gamma^(N + c) as (root weight, exponent) pairs, where
+    the odd factors sum to c * gamma."""
+    family = params.case.family
+    if family == "F31":
         odd = [f31_sign_weight(s) for s in F31_FACTOR_ORDER]
-        tail = [(_unit(4, 0), N + 4)]
-    else:  # G3
-        D = _unit(3, 0)
-        e1, e2 = _unit(3, 1), _unit(3, 2)
-        e3 = tuple(-a - b for a, b in zip(e1, e2))
-        odd = [wdiff(D, e1), wsum(D, e1), wdiff(D, e2), wsum(D, e2), wdiff(D, e3), wsum(D, e3)]
-        tail = [(D, N + 6)]
-    return odd, tail
+    elif family == "G3":
+        D, e1, e2 = _unit(3, 0), _unit(3, 1), _unit(3, 2)
+        odd = [op(D, e) for e in (e1, e2, wneg(wsum(e1, e2))) for op in (wdiff, wsum)]
+    else:
+        pivots, block = _osp_shape(alg)
+        odd = [op(p, b) for p in pivots for b in block for op in (wdiff, wsum)]
+    return odd, [(alg.gamma.weight, params.N + _gamma_multiple(alg, odd))]
 
 
 def _apply_factors(
@@ -287,8 +295,10 @@ def orbit_propagate(shap: ShapovalovElement, kappa, ctx: Context) -> Tuple[Shapo
     nu = alg.reflect(shap.mu, kw)
     beta2 = alg.root_at(alg.reflect(shap.beta.weight, kw))
     image_ok = is_singular(VermaVector(theta2, nu), engine).ok
-    weight_ok = engine.element_weight(theta2) == wscale(-shap.C, beta2.weight)
-    assert alg.coroot_pairing(nu, beta2) == shap.C
+    weight_ok = (
+        engine.element_weight(theta2) == wscale(-shap.C, beta2.weight)
+        and alg.coroot_pairing(nu, beta2) == shap.C
+    )
     step = OrbitStep(
         kappa=kdatum.name,
         beta_from=shap.beta.name,
@@ -484,7 +494,7 @@ class WitnessStep:
 
 @dataclass(frozen=True)
 class WitnessSpec:
-    negative_sequence: Tuple[Weight, ...]
+    tail: Tuple[Weight, ...]
     steps: Tuple[WitnessStep, ...]
 
 
@@ -493,21 +503,34 @@ def _pair_desc(indices: Sequence[int]) -> List[Tuple[int, int]]:
     return sorted(pairs, key=lambda ij: (-(ij[0] + ij[1]), -ij[0]))
 
 
-def witness_spec(params: CaseParams, alg: AlgebraData) -> WitnessSpec:
-    case, N = params.case, params.N
-    family, m, n = case.family, case.m, case.n
-    M = (N - 1) // 2
+def _f_power(alg: AlgebraData, w: Weight, e: int) -> Tuple[Tuple[Weight, int], ...]:
+    """f_w^e as PBW exponents: an odd f_w squares into f_{2w}, so its power
+    is f_w^(e mod 2) f_{2w}^(e div 2)."""
+    if alg.root_at(w).odd:
+        return ((w, e % 2), (wscale(2, w), e // 2))
+    return ((w, e),)
 
-    if family == "F31":
+
+def witness_spec(params: CaseParams, alg: AlgebraData) -> WitnessSpec:
+    """The lowering generators to order last and the witness ladder.
+
+    In the osp families, step k applies the odd factors p -+ b_i with
+    i >= k to the tail; its monomial is a lowering path of weight gamma
+    times a power of f_gamma, and step K + 1 is the bare tail.
+    """
+    N = params.N
+    odd, ((gamma, top),) = candidate_factors(params, alg)
+    tail = _f_power(alg, gamma, top)
+
+    if params.case.family == "F31":
         e = [_unit(4, j) for j in (1, 2, 3)]
         D = _unit(4, 0)
-        c = [f31_sign_weight(s) for s in F31_FACTOR_ORDER]
+        c = odd
         seq = [e[2], e[1], e[0]]
         seq += [wsum(e[1], e[2]), wdiff(e[1], e[2]), wsum(e[0], e[2]), wdiff(e[0], e[2])]
         seq += [wsum(e[0], e[1]), wdiff(e[0], e[1])]
         seq += c
         seq += [D]
-        tail = ((D, N + 4),)
         v_monos = [
             ((e[2], 1), (wdiff(e[1], e[2]), 1), (wdiff(e[0], e[1]), 1), (c[0], 1), (c[3], 1), (D, N - 1)),
             ((wdiff(e[1], e[2]), 1), (wdiff(e[0], e[1]), 1), (c[0], 1), (c[1], 1), (c[3], 1), (D, N - 1)),
@@ -517,17 +540,18 @@ def witness_spec(params: CaseParams, alg: AlgebraData) -> WitnessSpec:
             (*((ci, 1) for ci in c[:3]), (D, N + 1)),
             (*((ci, 1) for ci in c[:2]), (D, N + 2)),
             ((c[0], 1), (D, N + 3)),
-            ((D, N + 4),),
+            tail,
         ]
         steps = tuple(
             WitnessStep(k, tuple(c[k:]), tail, v_monos[k]) for k in range(9)
         )
         return WitnessSpec(tuple(seq), steps)
 
-    if family == "G3":
+    if params.case.family == "G3":
         D = _unit(3, 0)
         e1, e2 = _unit(3, 1), _unit(3, 2)
-        e3 = tuple(-a - b for a, b in zip(e1, e2))
+        e3 = wneg(wsum(e1, e2))
+        M = (N - 1) // 2
         seq = [
             wsum(e1, e2), e2, e1,
             wsum(e1, wscale(2, e2)), wsum(wscale(2, e1), e2), wdiff(e2, e1),
@@ -537,7 +561,6 @@ def witness_spec(params: CaseParams, alg: AlgebraData) -> WitnessSpec:
         factors = (
             wsum(D, e1), wsum(D, e2), wdiff(D, e1), wdiff(D, e2), wsum(D, e3), wdiff(D, e3),
         )
-        tail = ((D, 1), (wscale(2, D), M + 3))
         v_monos = [
             ((e1, 2), (wdiff(e2, e1), 1), (wsum(D, e3), 1), (wscale(2, D), M)),
             ((e1, 2), (wsum(D, e3), 1), (wsum(D, e2), 1), (wscale(2, D), M)),
@@ -545,129 +568,43 @@ def witness_spec(params: CaseParams, alg: AlgebraData) -> WitnessSpec:
             ((wdiff(D, e3), 1), (wsum(D, e3), 1), (wsum(D, e2), 1), (D, 1), (wscale(2, D), M)),
             ((wdiff(D, e3), 1), (wsum(D, e3), 1), (D, 1), (wscale(2, D), M + 1)),
             ((wsum(D, e3), 1), (D, 1), (wscale(2, D), M + 2)),
-            ((D, 1), (wscale(2, D), M + 3)),
+            tail,
         ]
         steps = tuple(
             WitnessStep(k, tuple(factors[k:]), tail, v_monos[k]) for k in range(7)
         )
         return WitnessSpec(tuple(seq), steps)
 
-    # osp families share the scaffolding; step k of B-I, B-II and D-I
-    # applies the candidate's odd factors from pair k on
-    odd_factors = candidate_factors(params, alg)[0]
-    deltas = [_delta_w(alg, i) for i in range(1, m + 1)]
-    epss = [_eps_w(alg, j) for j in range(1, n + 1)]
-
-    if family == "B-I":
-        dm = deltas[-1]
-        covered: List[Weight] = [epss[q] for q in range(n - 1, -1, -1)]
-        for i, j in _pair_desc(range(1, n + 1)):
-            covered += [wsum(epss[i - 1], epss[j - 1]), wdiff(epss[i - 1], epss[j - 1])]
-        for q in range(n, 0, -1):
-            covered += [wdiff(dm, epss[q - 1]), wsum(dm, epss[q - 1])]
-        covered += [dm, wscale(2, dm)]
-        tail = ((dm, 1), (wscale(2, dm), M + n))
-        steps = []
-        for k in range(1, n + 2):
-            factors = tuple(odd_factors[2 * (k - 1):])
-            if k <= n:
-                mono = [(epss[n - 1], 1)]
-                mono += [(wdiff(epss[i - 1], epss[i]), 1) for i in range(n - 1, k - 1, -1)]
-                mono += [(wdiff(dm, epss[k - 1]), 1), (wscale(2, dm), M + k - 1)]
-            else:
-                mono = [(dm, 1), (wscale(2, dm), M + n)]
-            steps.append(WitnessStep(k, factors, tail, tuple(mono)))
-        return WitnessSpec(_with_uncovered(alg, covered), tuple(steps))
-
-    if family == "B-II":
-        en = epss[-1]
-        covered = [deltas[i] for i in range(m - 1, -1, -1)]
-        for i, j in _pair_desc(range(1, m + 1)):
-            covered += [wsum(deltas[i - 1], deltas[j - 1]), wdiff(deltas[i - 1], deltas[j - 1])]
-        for q in range(m, 0, -1):
-            covered += [wdiff(en, deltas[q - 1]), wsum(en, deltas[q - 1])]
-        covered += [en]
-        tail = ((en, N + 2 * m),)
-        steps = []
-        for k in range(1, m + 2):
-            factors = tuple(odd_factors[2 * (k - 1):])
-            if k <= m:
-                mono = [(deltas[m - 1], 1)]
-                mono += [(wdiff(deltas[i - 1], deltas[i]), 1) for i in range(m - 1, k - 1, -1)]
-                mono += [(wdiff(en, deltas[k - 1]), 1), (en, N + 2 * k - 3)]
-            else:
-                mono = [(en, N + 2 * m)]
-            steps.append(WitnessStep(k, factors, tail, tuple(mono)))
-        return WitnessSpec(_with_uncovered(alg, covered), tuple(steps))
-
-    if family == "D-I":
-        dm = deltas[-1]
-        covered = []
-        for i, j in _pair_desc(range(1, n + 1)):
-            covered += [wsum(epss[i - 1], epss[j - 1]), wdiff(epss[i - 1], epss[j - 1])]
-        for q in range(n, 0, -1):
-            covered += [wdiff(dm, epss[q - 1]), wsum(dm, epss[q - 1])]
-        covered += [wscale(2, dm)]
-        tail = ((wscale(2, dm), N + n),)
-        steps = []
-        for k in range(1, n + 2):
-            factors = tuple(odd_factors[2 * (k - 1):])
-            if k <= n:
-                mono = [(wdiff(epss[i - 1], epss[i]), 1) for i in range(n - 1, k - 1, -1)]
-                mono += [(wsum(dm, epss[n - 1]), 1), (wdiff(dm, epss[k - 1]), 1)]
-                mono += [(wscale(2, dm), N + k - 2)]
-            else:
-                mono = [(wscale(2, dm), N + n)]
-            steps.append(WitnessStep(k, factors, tail, tuple(mono)))
-        return WitnessSpec(_with_uncovered(alg, covered), tuple(steps))
-
-    if family == "D-II":
-        en, en1 = epss[-1], epss[-2]
-        covered = [wscale(2, deltas[i]) for i in range(m - 1, -1, -1)]
-        for i, j in _pair_desc(range(1, m + 1)):
-            covered += [wsum(deltas[i - 1], deltas[j - 1]), wdiff(deltas[i - 1], deltas[j - 1])]
-        for q in range(m, 0, -1):
-            covered += [
-                wdiff(en, deltas[q - 1]), wsum(en, deltas[q - 1]),
-                wdiff(en1, deltas[q - 1]), wsum(en1, deltas[q - 1]),
-            ]
-        covered += [wdiff(en1, en), wsum(en1, en)]
-        tail = ((wsum(en1, en), N + 2 * m),)
-        steps = []
-        for k in range(1, m + 2):
-            factors = tuple(
-                w
-                for i in range(k, m + 1)
-                for w in (
-                    wdiff(en, deltas[i - 1]), wsum(en, deltas[i - 1]),
-                    wdiff(en1, deltas[i - 1]), wsum(en1, deltas[i - 1]),
-                )
-            )
-            if k <= m:
-                mono = [(wscale(2, deltas[m - 1]), 1)]
-                mono += [(wdiff(deltas[i - 1], deltas[i]), 2) for i in range(m - 1, k - 1, -1)]
-                mono += [(wdiff(en, deltas[k - 1]), 1), (wdiff(en1, deltas[k - 1]), 1)]
-                mono += [(wsum(en1, en), N + 2 * k - 3)]
-            else:
-                mono = [(wsum(en1, en), N + 2 * m)]
-            steps.append(WitnessStep(k, factors, tail, tuple(mono)))
-        return WitnessSpec(_with_uncovered(alg, covered), tuple(steps))
-
-    raise InvalidParams(f"no witness data for {family}")
-
-
-def _with_uncovered(alg: AlgebraData, covered: Sequence[Weight]) -> Tuple[Weight, ...]:
-    """Prefix the default-ordered lowering generators that the witness
-    monomials never touch, keeping the printed block at the end."""
-    covered_idx = [alg.root_index(w) for w in covered]
-    seen = set(covered_idx)
-    assert len(seen) == len(covered_idx), "covered roots must be distinct"
-    rest = [
-        i
+    pivots, block = _osp_shape(alg)
+    K = len(block)
+    stride = (top - N) // K  # gamma multiple that one block index contributes
+    covered: List[Weight] = []
+    for b in reversed(block):
+        covered += [w for w in (b, wscale(2, b)) if w in alg.index][:1]
+    for i, j in _pair_desc(range(K)):
+        covered += [wsum(block[i], block[j]), wdiff(block[i], block[j])]
+    covered += [op(p, b) for b in reversed(block) for p in pivots for op in (wdiff, wsum)]
+    on_pivots = {k for p in pivots for k, x in enumerate(p) if x}
+    covered += [
+        alg.pos_roots[i].weight
         for i in sorted(range(len(alg.pos_roots)), key=lambda i: (alg.heights[i], i))
-        if i not in seen
+        if all(k in on_pivots for k, x in enumerate(alg.pos_roots[i].weight) if x)
     ]
-    return tuple(alg.pos_roots[i].weight for i in rest) + tuple(covered)
+    top_root = wscale(len(pivots), block[-1])
+    if top_root not in alg.index:
+        top_root = wsum(pivots[0], block[-1])
+    steps = []
+    for k in range(1, K + 2):
+        factors = tuple(op(p, b) for b in block[k - 1:] for p in pivots for op in (wdiff, wsum))
+        if k <= K:
+            mono = [(top_root, 1)]
+            mono += [(wdiff(block[i - 1], block[i]), len(pivots)) for i in range(K - 1, k - 1, -1)]
+            mono += [(wdiff(p, block[k - 1]), 1) for p in pivots]
+            mono += _f_power(alg, gamma, N + stride * (k - 1) - 1)
+        else:
+            mono = tail
+        steps.append(WitnessStep(k, factors, tail, tuple(mono)))
+    return WitnessSpec(tuple(covered), tuple(steps))
 
 
 @dataclass(frozen=True)
@@ -695,10 +632,12 @@ def witness_monomial(engine: PBWEngine, mono_spec: Sequence[Tuple[Weight, int]])
     Zero exponents are allowed in specs at small N and drop out here."""
     table = engine.table
     pairs = [(table.f_gen(w), e) for w, e in mono_spec if e]
-    assert all(e > 0 for _, e in pairs)
+    if any(e < 0 for _, e in pairs):
+        raise WrongOrder("negative exponent in witness monomial")
     pairs.sort(key=lambda ge: engine.order.rank[ge[0]])
     for (g1, _), (g2, _) in zip(pairs, pairs[1:]):
-        assert g1 != g2, "duplicate generator in witness monomial"
+        if g1 == g2:
+            raise WrongOrder("duplicate generator in witness monomial")
     return tuple(pairs)
 
 
@@ -710,7 +649,7 @@ def coefficient_witness(v: VermaVector, mono_spec, engine: PBWEngine) -> Fractio
 def run_witness(params: CaseParams, ctx: Context) -> WitnessReport:
     validate_params(params, ctx.alg)
     spec = witness_spec(params, ctx.alg)
-    engine = ctx.engine(negative_sequence=spec.negative_sequence)
+    engine = ctx.engine(tail=spec.tail)
     rows = []
     for step in spec.steps:
         u_k = _apply_factors(engine, params.lam, step.e_factors, step.tail)

@@ -187,8 +187,8 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
         entries[(x, y)] = val
         if x != y:
             entries[(y, x)] = _scaled(val, Fraction(-ksign(x, y)))
-        else:
-            assert not val or ksign(x, y) == -1, "even square bracket must vanish"
+        elif val and ksign(x, y) != -1:
+            raise ClosureFailure(f"even square bracket [{basis[x].name}, {basis[x].name}] must vanish")
 
     def get(x: int, y: int) -> Value:
         try:
@@ -251,9 +251,11 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
     def single_e(val: Value) -> Optional[Tuple[int, Fraction]]:
         if not val:
             return None
-        assert len(val) == 1, "root-graded bracket has one component"
+        if len(val) != 1:
+            raise ClosureFailure("a root-graded bracket has one component")
         ((bid, c),) = val.items()
-        assert basis[bid].kind == "e"
+        if basis[bid].kind != "e":
+            raise ClosureFailure(f"{basis[bid].name} is not a raising generator")
         return bid, c
 
     for h in sorted(by_height):
@@ -305,7 +307,8 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
                     rhs: Dict[int, Fraction] = {}
                     _merge(rhs, apply_right(get(f_id(spi[probe_e]), e_id(mu)), e_id(nu)))
                     _merge(rhs, apply_left(e_id(mu), get(f_id(spi[probe_e]), e_id(nu))), Fraction(smu))
-                    assert set(rhs) <= {pe_id}, "probe identity left the target line"
+                    if not set(rhs) <= {pe_id}:
+                        raise ClosureFailure("probe identity left the target line")
                     x = rhs.get(pe_id, Fraction(0)) / pe_c
                     set_entry(e_id(mu), e_id(nu), {e_id(s): x} if x else {})
                 smu = -1 if odd[e_id(spi[probe_f])] and odd[f_id(mu)] else 1
@@ -313,7 +316,8 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
                     rhs = {}
                     _merge(rhs, apply_right(get(e_id(spi[probe_f]), f_id(mu)), f_id(nu)))
                     _merge(rhs, apply_left(f_id(mu), get(e_id(spi[probe_f]), f_id(nu))), Fraction(smu))
-                    assert set(rhs) <= {pf_id}, "probe identity left the target line"
+                    if not set(rhs) <= {pf_id}:
+                        raise ClosureFailure("probe identity left the target line")
                     x = rhs.get(pf_id, Fraction(0)) / pf_c
                     set_entry(f_id(mu), f_id(nu), {f_id(s): x} if x else {})
 
@@ -359,7 +363,8 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
             _merge(out, combine_right(bracket_ids(e_id(a), f_id(spi[k])), f_id(t)))
             _merge(out, combine_left(f_id(spi[k]), bracket_ids(e_id(a), f_id(t))), Fraction(sign))
         else:
-            assert alg.heights[a] >= 2, "simple pairs are set in level 1"
+            if alg.heights[a] < 2:
+                raise ClosureFailure("simple pairs are set in level 1")
             l, p = alg.decomp[a]
             sign = -1 if odd[e_id(spi[l])] and odd[e_id(p)] else 1
             out = {}

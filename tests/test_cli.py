@@ -1,11 +1,17 @@
 """Command line behavior: grids, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import superverma
 from superverma import cli
 from superverma.cli import main, parse_grid
+from superverma.pbw import WrongOrder
 from superverma.rootdata import InvalidParams
 from superverma.verma import SingularityReport
 
@@ -122,6 +128,38 @@ def test_usage_errors(capsys):
     assert run(capsys, "orbit", "--case", "G3")[0] == 2
     assert run(capsys, "orbit", "--case", "B-I", "--m", "2", "--n", "1",
                "--target", "5")[0] == 2
+    code, _, err = run(capsys, "verify", "--case", "B-II", "--m", "1", "--n", "1",
+                       "--lambda", "1/0,1")
+    assert code == 2
+    assert "zero denominator" in err
+
+
+def test_internal_errors_exit_three(capsys, monkeypatch):
+    def broken(case):
+        raise WrongOrder("tail entries must be distinct")
+
+    monkeypatch.setattr(cli, "build_context", broken)
+    code, out, err = run(capsys, "verify", "--case", "G3", "--N", "1")
+    assert code == 3
+    assert err == "internal error: WrongOrder: tail entries must be distinct\n"
+
+
+def test_closed_stdout_exits_141_quietly():
+    """The reader of stdout is gone before the first write reaches it."""
+    src = str(Path(superverma.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "superverma", "selftest", "--case", "G3", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=600,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141, proc.stderr
+    assert b"Traceback" not in proc.stderr
 
 
 def test_orbit_json_chain(capsys):

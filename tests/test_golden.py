@@ -84,7 +84,7 @@ def witness_specs() -> str:
                     params = CaseParams(case, N, default_lambda(case, N, 0, alg))
                     odd, tail = candidate_factors(params, alg)
                     spec = witness_spec(params, alg)
-                    order = ctx.engine(negative_sequence=spec.negative_sequence).order
+                    order = ctx.engine(tail=spec.tail).order
                     lines.append(f"{case.text} N={N}")
                     lines.append("  candidate " + " ".join(alg.name_of(w) for w in odd)
                                  + " | " + _powers(alg, tail))

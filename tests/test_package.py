@@ -1,5 +1,6 @@
 """Package surface: the export table and optimized-mode behavior."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -18,6 +19,18 @@ def test_export_table_is_honest():
     namespace = {}
     exec("from superverma import *", namespace)
     assert set(names) <= set(namespace)
+
+
+def test_no_assert_statements():
+    """python -O strips asserts, so no check of the package may live in one."""
+    root = Path(superverma.__file__).resolve().parent
+    found = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found
 
 
 @pytest.mark.parametrize("argv", [

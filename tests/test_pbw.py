@@ -67,9 +67,7 @@ def test_tail_moves_generator_to_rightmost_slot():
 def test_order_validation():
     ctx = ctx_for("B-I:m=1,n=1")
     with pytest.raises(WrongOrder):
-        ctx.engine(negative_sequence=["e1", "e1", "d1", "d1+e1", "2d1"])
-    with pytest.raises(WrongOrder):
-        ctx.engine(negative_sequence=["e1", "d1"])
+        ctx.engine(tail=["e1", "e1", "d1", "d1+e1", "2d1"])
     with pytest.raises(WrongOrder):
         ctx.engine(tail=("e1", "e1"))
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superverma import rootdata
 from superverma.rootdata import (
     EVEN,
     ODD_ISO,
@@ -13,6 +14,7 @@ from superverma.rootdata import (
     CaseId,
     InvalidParams,
     IsotropicCoroot,
+    RootDataError,
     build_algebra_data,
     f31_sign_weight,
     f31_signs_of,
@@ -95,6 +97,17 @@ def test_rho_coroot_pairings():
                 assert alg.form(alg.rho, s.weight) == 0
             else:
                 assert alg.coroot_pairing(alg.rho, s.weight) == 1
+
+
+def test_bad_rho_is_a_root_data_error(monkeypatch):
+    assemble = rootdata._assemble
+
+    def doubled_rho(case, names, form, simples, even, odd, rho, *rest):
+        return assemble(case, names, form, simples, even, odd, wsum(rho, rho), *rest)
+
+    monkeypatch.setattr(rootdata, "_assemble", doubled_rho)
+    with pytest.raises(RootDataError, match="rho mismatch"):
+        build_algebra_data(CaseId.parse("B-II:m=1,n=1"))
 
 
 def test_parity_classification():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from superverma.pbw import Inhomogeneous, PBWEngine, el_add, el_scale, make_order
+from superverma.pbw import Inhomogeneous, PBWEngine, el_add, el_one, el_scale, make_order
 from superverma.rootdata import CaseId, build_algebra_data, wdiff, wscale, wsum
 from superverma.superalgebra import build_structure_constants
 from superverma.verma import (
@@ -49,8 +49,8 @@ def test_act_is_algebra_action():
     rng = random.Random(5)
     ids = list(range(table.dim))
     for _ in range(40):
-        x = eng.word([(rng.choice(ids), 1) for _ in range(rng.randint(1, 2))])
-        y = eng.word([(rng.choice(ids), 1) for _ in range(rng.randint(1, 2))])
+        x = eng.multiply(el_one(), {tuple((rng.choice(ids), 1) for _ in range(rng.randint(1, 2))): 1})
+        y = eng.multiply(el_one(), {tuple((rng.choice(ids), 1) for _ in range(rng.randint(1, 2))): 1})
         via_product = act(eng.multiply(x, y), v, eng)
         stepwise = act(x, act(y, v, eng), eng)
         assert via_product.body == stepwise.body

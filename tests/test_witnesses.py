@@ -63,7 +63,7 @@ def test_g3_partial_product_is_proportional_to_candidate():
     lam = default_lambda(case, 1, 2, ctx.alg)
     params = CaseParams(case, 1, lam)
     spec = witness_spec(params, ctx.alg)
-    engine = ctx.engine(negative_sequence=spec.negative_sequence)
+    engine = ctx.engine(tail=spec.tail)
     step = spec.steps[0]
     v = highest_weight_vector(lam)
     for w, exp in reversed(step.tail):
@@ -108,8 +108,13 @@ def test_witness_sequence_is_a_full_ordering():
         ctx = build_context(case)
         lam = default_lambda(case, 1, 0, ctx.alg)
         spec = witness_spec(CaseParams(case, 1, lam), ctx.alg)
-        idx = [ctx.alg.root_index(w) for w in spec.negative_sequence]
-        assert sorted(idx) == list(range(len(ctx.alg.pos_roots)))
+        order = ctx.engine(tail=spec.tail).order
+        lowering = order.sequence[:order.n_neg]
+        assert sorted(lowering) == list(range(len(ctx.alg.pos_roots)))
+        tail_ids = tuple(ctx.table.f_gen(w) for w in spec.tail)
+        assert lowering[len(lowering) - len(tail_ids):] == tail_ids
+        if case.family in ("F31", "G3"):
+            assert len(tail_ids) == len(lowering)
 
 
 def test_coefficient_witness_reads_single_monomial():
