@@ -1,6 +1,7 @@
 """Golden-output oracle: the standard-grid NDJSON, the orbit-chain NDJSON,
-the structure-constant dumps and the osp witness specs must stay
-byte-identical.
+the structure-constant dumps (in full for the smallest cases, as digests
+for every osp case with m, n <= 3 and F31, G3) and the osp witness specs
+must stay byte-identical.
 
 The files under ``tests/golden/`` are written by this module itself:
 
@@ -11,6 +12,7 @@ diff before committing it.
 """
 
 import contextlib
+import hashlib
 import io
 import sys
 from pathlib import Path
@@ -25,7 +27,7 @@ sys.path.insert(0, str(HERE.parent / "scripts"))
 import dump_structure_constants  # noqa: E402
 import run_grid  # noqa: E402
 from superverma.cli import SMALLEST_CASES, main as cli_main  # noqa: E402
-from superverma.rootdata import OSP_FAMILIES, CaseId  # noqa: E402
+from superverma.rootdata import OSP_FAMILIES, CaseId, build_algebra_data  # noqa: E402
 from superverma.singular import (  # noqa: E402
     CaseParams,
     build_context,
@@ -33,6 +35,7 @@ from superverma.singular import (  # noqa: E402
     default_lambda,
     witness_spec,
 )
+from superverma.superalgebra import build_structure_constants, dump_table  # noqa: E402
 from test_acceptance import CHAINS  # noqa: E402
 
 
@@ -65,6 +68,23 @@ def structure_constants() -> str:
     return "".join(_stdout(dump_structure_constants.main, [text]) for text in SMALLEST_CASES)
 
 
+def _small_osp_cases():
+    for family in OSP_FAMILIES:
+        for m in range(1, 4):
+            for n in range(2 if family.startswith("D") else 1, 4):
+                yield CaseId(family, m, n)
+
+
+def structure_constants_digests() -> str:
+    """SHA-256 of ``dump_table`` for every osp case with m, n <= 3, F31 and G3."""
+    lines = []
+    for case in [*_small_osp_cases(), CaseId("F31"), CaseId("G3")]:
+        table = build_structure_constants(build_algebra_data(case))
+        digest = hashlib.sha256(dump_table(table).encode()).hexdigest()
+        lines.append(f"{digest}  {case.text}\n")
+    return "".join(lines)
+
+
 def _powers(alg, pairs) -> str:
     return " ".join(f"{alg.name_of(w)}^{e}" for w, e in pairs)
 
@@ -74,28 +94,25 @@ def witness_specs() -> str:
     at the two lowest levels, with the lowering order the witness engine
     runs in.  Step monomials are listed sorted, zero exponents dropped."""
     lines = []
-    for family in OSP_FAMILIES:
-        for m in range(1, 4):
-            for n in range(2 if family.startswith("D") else 1, 4):
-                case = CaseId(family, m, n)
-                ctx = build_context(case)
-                alg = ctx.alg
-                for N in (1, 3) if family == "B-I" else (1, 2):
-                    params = CaseParams(case, N, default_lambda(case, N, 0, alg))
-                    odd, tail = candidate_factors(params, alg)
-                    spec = witness_spec(params, alg)
-                    order = ctx.engine(tail=spec.tail).order
-                    lines.append(f"{case.text} N={N}")
-                    lines.append("  candidate " + " ".join(alg.name_of(w) for w in odd)
-                                 + " | " + _powers(alg, tail))
-                    lines.append("  order " + " ".join(
-                        ctx.table.basis[b].name for b in order.sequence[:order.n_neg]))
-                    for step in spec.steps:
-                        mono = sorted(_powers(alg, [(w, e)]) for w, e in step.v_mono if e)
-                        lines.append(f"  step {step.label} "
-                                     + " ".join(alg.name_of(w) for w in step.e_factors)
-                                     + " | " + _powers(alg, step.tail)
-                                     + " | " + " ".join(mono))
+    for case in _small_osp_cases():
+        ctx = build_context(case)
+        alg = ctx.alg
+        for N in (1, 3) if case.family == "B-I" else (1, 2):
+            params = CaseParams(case, N, default_lambda(case, N, 0, alg))
+            odd, tail = candidate_factors(params, alg)
+            spec = witness_spec(params, alg)
+            order = ctx.engine(tail=spec.tail).order
+            lines.append(f"{case.text} N={N}")
+            lines.append("  candidate " + " ".join(alg.name_of(w) for w in odd)
+                         + " | " + _powers(alg, tail))
+            lines.append("  order " + " ".join(
+                ctx.table.basis[b].name for b in order.sequence[:order.n_neg]))
+            for step in spec.steps:
+                mono = sorted(_powers(alg, [(w, e)]) for w, e in step.v_mono if e)
+                lines.append(f"  step {step.label} "
+                             + " ".join(alg.name_of(w) for w in step.e_factors)
+                             + " | " + _powers(alg, step.tail)
+                             + " | " + " ".join(mono))
     return "".join(line + "\n" for line in lines)
 
 
@@ -103,6 +120,7 @@ GOLDEN_FILES = {
     "grid_seed0.ndjson": grid,
     "orbit_chains_seed0.ndjson": orbit_chains,
     "structure_constants.txt": structure_constants,
+    "structure_constants_digests.txt": structure_constants_digests,
     "witness_specs.txt": witness_specs,
 }
 
