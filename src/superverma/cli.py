@@ -28,11 +28,12 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .pbw import Inhomogeneous, RoundTripFailure, WrongOrder, el_one
+from .pbw import Inhomogeneous, NotDivisible, RoundTripFailure, WrongOrder, el_one
 from .rootdata import (
     CaseId,
     FAMILIES,
     InvalidParams,
+    IsotropicCoroot,
     OSP_FAMILIES,
     RootDataError,
     parse_weight,
@@ -66,6 +67,8 @@ INTERNAL_ERRORS = (
     WrongOrder,
     Inhomogeneous,
     ModuleMismatch,
+    NotDivisible,
+    IsotropicCoroot,
 )
 
 SMALLEST_CASES = (

@@ -277,9 +277,6 @@ class AlgebraData:
     def norm(self, a: Weight) -> Fraction:
         return self.form(a, a)
 
-    def is_root(self, w: Weight) -> bool:
-        return w in self.index or wneg(w) in self.index
-
     def root_index(self, w: Weight) -> int:
         try:
             return self.index[w]

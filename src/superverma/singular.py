@@ -91,18 +91,16 @@ class CaseParams:
     lam: Weight
 
 
-ODD_N_FAMILIES = ("B-I", "G3")
-
-
-def require_parity(case: CaseId, N: int) -> None:
-    if case.family in ODD_N_FAMILIES and N % 2 == 0:
-        raise ParityViolation(f"{case.family} needs an odd level, got N={N}")
+def require_parity(alg: AlgebraData, N: int) -> None:
+    """An odd gamma (B-I, G3) needs an odd level N."""
+    if alg.gamma.odd and N % 2 == 0:
+        raise ParityViolation(f"{alg.case.family} needs an odd level, got N={N}")
 
 
 def validate_params(params: CaseParams, alg: AlgebraData) -> None:
     if params.N < 1:
         raise InvalidParams(f"N must be a positive integer, got {params.N}")
-    require_parity(params.case, params.N)
+    require_parity(alg, params.N)
     if len(params.lam) != alg.rank:
         raise InvalidParams("lambda has the wrong number of coordinates")
     got = alg.coroot_pairing(params.lam, alg.gamma)
@@ -117,9 +115,9 @@ def default_lambda(case: CaseId, N: int, seed: int, alg: Optional[AlgebraData] =
     are small seeded integers."""
     if N < 1:
         raise InvalidParams(f"N must be a positive integer, got {N}")
-    require_parity(case, N)
     if alg is None:
         alg = build_context(case).alg
+    require_parity(alg, N)
     rng = random.Random(f"{case.text}:{N}:{seed}")
     coords = [Fraction(rng.randint(-3, 3)) for _ in range(alg.rank)]
     # the constraint is linear in lambda: solve it on gamma's last nonzero coordinate
@@ -148,19 +146,15 @@ def _eps_w(alg: AlgebraData, j: int) -> Weight:
 
 F31_FACTOR_ORDER = ("+---", "+--+", "+-+-", "+-++", "++--", "++-+", "+++-", "++++")
 
-# osp family -> (pivot letter, pivot count).  gamma is made of the last
-# pivot-count vectors of that letter (the pivots); the other letter's
-# vectors b_1..b_K form the block, and the odd factors are p -+ b.
-_OSP_SHAPES = {"B-I": ("d", 1), "D-I": ("d", 1), "B-II": ("e", 1), "D-II": ("e", 2)}
-
 
 def _osp_shape(alg: AlgebraData) -> Tuple[List[Weight], List[Weight]]:
-    """The pivots, last first, and the block of an osp case."""
-    letter, count = _OSP_SHAPES[alg.case.family]
-    d = [_delta_w(alg, i) for i in range(1, alg.case.m + 1)]
-    e = [_eps_w(alg, j) for j in range(1, alg.case.n + 1)]
-    lead, block = (d, e) if letter == "d" else (e, d)
-    return lead[::-1][:count], block
+    """The pivots and the block of an osp case: the pivots are the unit
+    vectors on gamma's support, last first; the block b_1..b_K is the other
+    letter's unit vectors, and the odd factors are p -+ b."""
+    m, rank = alg.case.m, alg.rank
+    support = [k for k, x in enumerate(alg.gamma.weight) if x]
+    block = range(m, rank) if support[0] < m else range(m)
+    return [_unit(rank, k) for k in reversed(support)], [_unit(rank, k) for k in block]
 
 
 def _gamma_multiple(alg: AlgebraData, weights: Sequence[Weight]) -> int:
@@ -379,7 +373,7 @@ def chain_weight(
     fails, and the seed is salted and retried."""
     if C < 1:
         raise InvalidParams(f"C must be a positive integer, got {C}")
-    require_parity(case, C)
+    require_parity(alg, C)
     if p_first is not None and p_first < 1:
         raise InvalidParams("p must be a positive integer")
     family, m, n = case.family, case.m, case.n

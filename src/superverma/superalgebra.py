@@ -9,9 +9,13 @@ per positive root.  The defining choices are
 
 for each non-simple positive root sigma, where sigma = alpha_k + tau is
 the stored decomposition.  Every other bracket is forced by the super
-Jacobi identity.  The builder fills the table level by level in the root
-height so that each step only reads entries that are already known; a
-gap in that schedule raises ClosureFailure instead of recursing blindly.
+Jacobi identity.  Each bracket has one derivation: a mixed bracket
+[e_a, f_b] is derived on demand by recursion on height through the
+decomposition of a or b, and the same-sign pairs [e_mu, e_nu], [f_mu, f_nu]
+are solved by probing with a simple generator, in increasing height of
+mu + nu, so that every step only reads brackets of lower height.  A gap in
+that schedule, or a probe that leaves the root grading, raises
+ClosureFailure instead of recursing blindly.
 
 Bracket values are dicts mapping basis ids to Fraction coefficients, so
 a value can be a root-vector multiple or a Cartan combination.
@@ -190,26 +194,6 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
         elif val and ksign(x, y) != -1:
             raise ClosureFailure(f"even square bracket [{basis[x].name}, {basis[x].name}] must vanish")
 
-    def get(x: int, y: int) -> Value:
-        try:
-            return entries[(x, y)]
-        except KeyError:
-            raise ClosureFailure(
-                f"bracket [{basis[x].name}, {basis[y].name}] needed before it was built"
-            ) from None
-
-    def apply_left(x: int, val: Value) -> Value:
-        out: Dict[int, Fraction] = {}
-        for z, c in val.items():
-            _merge(out, get(x, z), c)
-        return out
-
-    def apply_right(val: Value, y: int) -> Value:
-        out: Dict[int, Fraction] = {}
-        for z, c in val.items():
-            _merge(out, get(z, y), c)
-        return out
-
     pairing = [
         [alg.form(r.weight, duals[j]) for j in range(R)] for r in alg.pos_roots
     ]
@@ -242,86 +226,8 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
             if (f_id(mu), f_id(nu)) not in entries:
                 set_entry(f_id(mu), f_id(nu), {})
 
-    # levels 2..max: mixed brackets against simple generators, then the
-    # remaining same-sign pairs at that height
-    by_height: Dict[int, List[int]] = {}
-    for s in range(P):
-        by_height.setdefault(alg.heights[s], []).append(s)
-
-    def single_e(val: Value) -> Optional[Tuple[int, Fraction]]:
-        if not val:
-            return None
-        if len(val) != 1:
-            raise ClosureFailure("a root-graded bracket has one component")
-        ((bid, c),) = val.items()
-        if basis[bid].kind != "e":
-            raise ClosureFailure(f"{basis[bid].name} is not a raising generator")
-        return bid, c
-
-    for h in sorted(by_height):
-        if h == 1:
-            continue
-        level = by_height[h]
-        for s in level:
-            k, t = alg.decomp[s]
-            ok = odd[e_id(spi[k])]
-            for j in range(R):
-                sj = odd[f_id(spi[j])]
-                sign_jk = -1 if sj and ok else 1
-                # [f_j, e_s] with e_s = [e_k, e_t]
-                val: Dict[int, Fraction] = {}
-                if j == k:
-                    c = (1 if ok else -1) * pairing[t][k]
-                    if c:
-                        val[e_id(t)] = Fraction(c)
-                _merge(val, apply_left(e_id(spi[k]), get(f_id(spi[j]), e_id(t))), Fraction(sign_jk))
-                set_entry(f_id(spi[j]), e_id(s), val)
-                # [e_j, f_s] with f_s = [f_k, f_t]
-                val = {}
-                if j == k:
-                    c = -pairing[t][k]
-                    if c:
-                        val[f_id(t)] = Fraction(c)
-                _merge(val, apply_left(f_id(spi[k]), get(e_id(spi[j]), f_id(t))), Fraction(sign_jk))
-                set_entry(e_id(spi[j]), f_id(s), val)
-        for s in level:
-            sigma = alg.pos_roots[s].weight
-            probe_e = probe_f = None
-            for j in range(R):
-                if probe_e is None and entries[(f_id(spi[j]), e_id(s))]:
-                    probe_e = j
-                if probe_f is None and entries[(e_id(spi[j]), f_id(s))]:
-                    probe_f = j
-            if probe_e is None or probe_f is None:
-                raise ClosureFailure(f"no simple generator detects {alg.pos_roots[s].name}")
-            pe_id, pe_c = single_e(entries[(f_id(spi[probe_e]), e_id(s))])
-            pf_val = entries[(e_id(spi[probe_f]), f_id(s))]
-            ((pf_id, pf_c),) = pf_val.items()
-            for mu in range(P):
-                rest = wdiff(sigma, alg.pos_roots[mu].weight)
-                nu = alg.index.get(rest)
-                if nu is None:
-                    continue
-                smu = -1 if odd[f_id(spi[probe_e])] and odd[e_id(mu)] else 1
-                if (e_id(mu), e_id(nu)) not in entries:
-                    rhs: Dict[int, Fraction] = {}
-                    _merge(rhs, apply_right(get(f_id(spi[probe_e]), e_id(mu)), e_id(nu)))
-                    _merge(rhs, apply_left(e_id(mu), get(f_id(spi[probe_e]), e_id(nu))), Fraction(smu))
-                    if not set(rhs) <= {pe_id}:
-                        raise ClosureFailure("probe identity left the target line")
-                    x = rhs.get(pe_id, Fraction(0)) / pe_c
-                    set_entry(e_id(mu), e_id(nu), {e_id(s): x} if x else {})
-                smu = -1 if odd[e_id(spi[probe_f])] and odd[f_id(mu)] else 1
-                if (f_id(mu), f_id(nu)) not in entries:
-                    rhs = {}
-                    _merge(rhs, apply_right(get(e_id(spi[probe_f]), f_id(mu)), f_id(nu)))
-                    _merge(rhs, apply_left(f_id(mu), get(e_id(spi[probe_f]), f_id(nu))), Fraction(smu))
-                    if not set(rhs) <= {pf_id}:
-                        raise ClosureFailure("probe identity left the target line")
-                    x = rhs.get(pf_id, Fraction(0)) / pf_c
-                    set_entry(f_id(mu), f_id(nu), {f_id(s): x} if x else {})
-
-    # general mixed brackets [e_a, f_b], recursing on total height
+    # mixed brackets [e_a, f_b] on demand, recursing on height; they only
+    # read same-sign pairs below max(height a, height b)
     def bracket_ids(x: int, y: int) -> Value:
         if (x, y) in entries:
             return entries[(x, y)]
@@ -331,7 +237,7 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
         elif ex.kind == "f" and ey.kind == "e":
             ensure_mixed(ey.index, ex.index)
         else:
-            raise ClosureFailure(f"unexpected gap at [{ex.name}, {ey.name}]")
+            raise ClosureFailure(f"bracket [{ex.name}, {ey.name}] needed before it was built")
         return entries[(x, y)]
 
     def combine_left(x: int, val: Value) -> Value:
@@ -350,27 +256,59 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
         key = (e_id(a), f_id(b))
         if key in entries:
             return
-        wa = alg.pos_roots[a].weight
-        wb = alg.pos_roots[b].weight
-        diff = wdiff(wa, wb)
-        if a != b and diff not in alg.index and wneg(diff) not in alg.index:
-            set_entry(*key, {})
-            return
-        if alg.heights[b] >= 2:
+        # a - b has height ha - hb, so it is a root only if the higher
+        # minus the lower is a positive root; at equal heights it never is
+        ha, hb = alg.heights[a], alg.heights[b]
+        if a != b:
+            wa, wb = alg.pos_roots[a].weight, alg.pos_roots[b].weight
+            if ha == hb or (wdiff(wa, wb) if ha > hb else wdiff(wb, wa)) not in alg.index:
+                set_entry(*key, {})
+                return
+        if hb >= 2:
             k, t = alg.decomp[b]
-            sign = -1 if odd[e_id(a)] and odd[f_id(spi[k])] else 1
-            out: Dict[int, Fraction] = {}
-            _merge(out, combine_right(bracket_ids(e_id(a), f_id(spi[k])), f_id(t)))
-            _merge(out, combine_left(f_id(spi[k]), bracket_ids(e_id(a), f_id(t))), Fraction(sign))
+            out = combine_right(bracket_ids(e_id(a), f_id(spi[k])), f_id(t))
+            _merge(out, combine_left(f_id(spi[k]), bracket_ids(e_id(a), f_id(t))),
+                   Fraction(ksign(e_id(a), f_id(spi[k]))))
         else:
-            if alg.heights[a] < 2:
+            if ha < 2:
                 raise ClosureFailure("simple pairs are set in level 1")
             l, p = alg.decomp[a]
-            sign = -1 if odd[e_id(spi[l])] and odd[e_id(p)] else 1
-            out = {}
-            _merge(out, combine_left(e_id(spi[l]), bracket_ids(e_id(p), f_id(b))))
-            _merge(out, combine_left(e_id(p), bracket_ids(e_id(spi[l]), f_id(b))), Fraction(-sign))
+            out = combine_left(e_id(spi[l]), bracket_ids(e_id(p), f_id(b)))
+            _merge(out, combine_left(e_id(p), bracket_ids(e_id(spi[l]), f_id(b))),
+                   Fraction(-ksign(e_id(spi[l]), e_id(p))))
         set_entry(*key, out)
+
+    # same-sign pairs [X_mu, X_nu] with mu + nu = sigma, by height of sigma:
+    # a simple probe Y_j with [Y_j, X_sigma] = c X_target != 0 gives
+    # [Y_j, [X_mu, X_nu]] = [[Y_j, X_mu], X_nu] +- [X_mu, [Y_j, X_nu]]
+    for s in sorted(range(P), key=lambda s: alg.heights[s]):
+        if alg.heights[s] == 1:
+            continue
+        sigma = alg.pos_roots[s].weight
+        splits = [
+            (mu, nu) for mu in range(P)
+            if (nu := alg.index.get(wdiff(sigma, alg.pos_roots[mu].weight))) is not None
+        ]
+        for X, Y in ((e_id, f_id), (f_id, e_id)):
+            probe = next((Y(spi[j]) for j in range(R) if bracket_ids(Y(spi[j]), X(s))), None)
+            if probe is None:
+                raise ClosureFailure(f"no simple generator detects {alg.pos_roots[s].name}")
+            hit = bracket_ids(probe, X(s))
+            if len(hit) != 1:
+                raise ClosureFailure("a root-graded bracket has one component")
+            ((target, tc),) = hit.items()
+            if basis[target].kind != basis[X(s)].kind:
+                raise ClosureFailure(f"{basis[target].name} is not of the kind of {basis[X(s)].name}")
+            for mu, nu in splits:
+                if (X(mu), X(nu)) in entries:
+                    continue
+                rhs = combine_right(bracket_ids(probe, X(mu)), X(nu))
+                _merge(rhs, combine_left(X(mu), bracket_ids(probe, X(nu))),
+                       Fraction(ksign(probe, X(mu))))
+                if not set(rhs) <= {target}:
+                    raise ClosureFailure("probe identity left the target line")
+                x = rhs.get(target, Fraction(0)) / tc
+                set_entry(X(mu), X(nu), {X(s): x} if x else {})
 
     for a in range(P):
         for b in range(P):

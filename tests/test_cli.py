@@ -11,8 +11,8 @@ import pytest
 import superverma
 from superverma import cli
 from superverma.cli import main, parse_grid
-from superverma.pbw import WrongOrder
-from superverma.rootdata import InvalidParams
+from superverma.pbw import NotDivisible, WrongOrder
+from superverma.rootdata import InvalidParams, IsotropicCoroot
 from superverma.verma import SingularityReport
 
 
@@ -134,14 +134,16 @@ def test_usage_errors(capsys):
     assert "zero denominator" in err
 
 
-def test_internal_errors_exit_three(capsys, monkeypatch):
+@pytest.mark.parametrize("fault", [WrongOrder, NotDivisible, IsotropicCoroot],
+                         ids=lambda cls: cls.__name__)
+def test_internal_errors_exit_three(capsys, monkeypatch, fault):
     def broken(case):
-        raise WrongOrder("tail entries must be distinct")
+        raise fault("the program broke its own invariant")
 
     monkeypatch.setattr(cli, "build_context", broken)
     code, out, err = run(capsys, "verify", "--case", "G3", "--N", "1")
     assert code == 3
-    assert err == "internal error: WrongOrder: tail entries must be distinct\n"
+    assert err == f"internal error: {fault.__name__}: the program broke its own invariant\n"
 
 
 def test_closed_stdout_exits_141_quietly():

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -77,6 +78,29 @@ def test_antisymmetry_fault_detected():
     report = check_jacobi(broken)
     assert not report.ok
     assert "antisymmetry" in report.first_violation
+
+
+@pytest.mark.parametrize("text", ["B-I:m=1,n=1", "B-II:m=2,n=1", "D-II:m=1,n=2", "G3"])
+def test_every_stored_decomposition_is_checked(text):
+    # e_sigma := [e_k, e_tau] with alpha_k + tau != sigma breaks the grading
+    # and must fail the closure; a decomposition that adds up only changes
+    # the gauge, so the table must still satisfy Jacobi
+    alg = build_algebra_data(CaseId.parse(text))
+    for s, split in enumerate(alg.decomp):
+        if split is None:
+            continue
+        for k, simple in enumerate(alg.simple_system):
+            for t, tau in enumerate(alg.pos_roots):
+                if (k, t) == split or alg.heights[t] >= alg.heights[s]:
+                    continue
+                decomp = list(alg.decomp)
+                decomp[s] = (k, t)
+                other = dataclasses.replace(alg, decomp=tuple(decomp))
+                if wsum(simple.weight, tau.weight) == alg.pos_roots[s].weight:
+                    assert check_jacobi(build_structure_constants(other)).ok, (s, k, t)
+                else:
+                    with pytest.raises(ClosureFailure):
+                        build_structure_constants(other)
 
 
 def test_weight_grading():
