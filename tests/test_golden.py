@@ -1,7 +1,7 @@
 """Golden-output oracle: the standard-grid NDJSON, the orbit-chain NDJSON,
 the structure-constant dumps (in full for the smallest cases, as digests
-for every osp case with m, n <= 3 and F31, G3) and the osp witness specs
-must stay byte-identical.
+for every osp case with m, n <= 3 and F31, G3), the osp witness specs and
+the orbit-chain set-up digests must stay byte-identical.
 
 The files under ``tests/golden/`` are written by this module itself:
 
@@ -32,7 +32,10 @@ from superverma.singular import (  # noqa: E402
     CaseParams,
     build_context,
     candidate_factors,
+    chain_kappas,
+    chain_weight,
     default_lambda,
+    final_beta_weight,
     witness_spec,
 )
 from superverma.superalgebra import build_structure_constants, dump_table  # noqa: E402
@@ -68,10 +71,10 @@ def structure_constants() -> str:
     return "".join(_stdout(dump_structure_constants.main, [text]) for text in SMALLEST_CASES)
 
 
-def _small_osp_cases():
+def _small_osp_cases(top=3):
     for family in OSP_FAMILIES:
-        for m in range(1, 4):
-            for n in range(2 if family.startswith("D") else 1, 4):
+        for m in range(1, top + 1):
+            for n in range(2 if family.startswith("D") else 1, top + 1):
                 yield CaseId(family, m, n)
 
 
@@ -116,8 +119,46 @@ def witness_specs() -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _orbit_targets(case):
+    """Every valid orbit target: an index into gamma's block, a pair for D-II."""
+    if case.family == "D-II":
+        return [(i, j) for j in range(1, case.n + 1) for i in range(1, j)]
+    return list(range(1, (case.n if case.family == "B-II" else case.m) + 1))
+
+
+def _orbit_setup(case, alg, target, C, seed, p_first) -> str:
+    try:
+        kappas = chain_kappas(case, target, alg)
+        beta = final_beta_weight(case, target, alg)
+        mu = chain_weight(case, C, kappas, seed, alg, p_first=p_first)
+    except Exception as exc:  # the class is part of the frozen output
+        return type(exc).__name__
+    return " ".join(alg.name_of(k) for k in kappas) + " | " + alg.name_of(beta) + " | " + (
+        ",".join(map(str, mu)))
+
+
+def orbit_setup_digests() -> str:
+    """SHA-256 of the orbit-chain set-up (kappas, final beta and chain
+    weight mu, or the exception class) of every osp case with m, n <= 4,
+    over every valid target, C in {1, 2, 3}, seeds 0-2 and p in {None, 2}."""
+    lines = []
+    for case in _small_osp_cases(4):
+        alg = build_algebra_data(case)
+        records = [
+            f"{target} C={C} seed={seed} p={p}: {_orbit_setup(case, alg, target, C, seed, p)}\n"
+            for target in _orbit_targets(case)
+            for C in (1, 2, 3)
+            for seed in range(3)
+            for p in (None, 2)
+        ]
+        digest = hashlib.sha256("".join(records).encode()).hexdigest()
+        lines.append(f"{digest}  {case.text}\n")
+    return "".join(lines)
+
+
 GOLDEN_FILES = {
     "grid_seed0.ndjson": grid,
+    "orbit_setup_digests.txt": orbit_setup_digests,
     "orbit_chains_seed0.ndjson": orbit_chains,
     "structure_constants.txt": structure_constants,
     "structure_constants_digests.txt": structure_constants_digests,
