@@ -69,6 +69,7 @@ INTERNAL_ERRORS = (
     ModuleMismatch,
     NotDivisible,
     IsotropicCoroot,
+    RecursionError,  # mono_times_gen recurses once per unit of exponent
 )
 
 SMALLEST_CASES = (
@@ -278,14 +279,16 @@ def cmd_verify(args) -> int:
 # orbit
 
 
-def _parse_target(text: Optional[str], case: CaseId):
+def _parse_target(text: Optional[str], alg):
+    """An index or an i,j pair; by default 1..k for gamma's k nonzero coordinates."""
     if text is None:
-        return (1, 2) if case.family == "D-II" else 1
-    parts = [p.strip() for p in text.split(",") if p.strip()]
+        parts = list(range(1, 1 + sum(1 for x in alg.gamma.weight if x)))
+    else:
+        parts = [int(p) for p in text.split(",") if p.strip()]
     if len(parts) == 1:
-        return int(parts[0])
+        return parts[0]
     if len(parts) == 2:
-        return (int(parts[0]), int(parts[1]))
+        return tuple(parts)
     raise InvalidParams(f"cannot parse target {text!r}")
 
 
@@ -355,7 +358,7 @@ def cmd_orbit(args) -> int:
     if args.m is None or args.n is None:
         raise InvalidParams(f"{args.case} needs --m and --n")
     case = CaseId(args.case, int(args.m), int(args.n))
-    target = _parse_target(args.target, case)
+    target = _parse_target(args.target, build_context(case).alg)
     levels = parse_grid(args.C)
     seeds = parse_grid(args.seed)
     jobs = [(case.text, C, target, seed, args.p) for C in levels for seed in seeds]
@@ -462,8 +465,8 @@ def _st_string(ctx, seed):
 def _st_sl2(ctx, seed):
     case = ctx.alg.case
     alg = ctx.alg
-    kappas = chain_kappas(case, case.m - 1, alg)[:1]
-    mu = chain_weight(case, 1, kappas, seed, alg, p_first=2)
+    kappas = chain_kappas(case.m - 1, alg)[:1]
+    mu = chain_weight(1, kappas, seed, alg, p_first=2)
     kappa = kappas[0]
     p = int(alg.coroot_pairing(mu, kappa))
     a = int(-alg.coroot_pairing(alg.gamma.weight, kappa))

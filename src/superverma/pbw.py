@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, Sequence, Tuple, Union
 
 from .rootdata import Weight, wsum, wzero
-from .superalgebra import BracketTable, _merge, _scaled
+from .superalgebra import BracketTable, _merge, _scaled, _signed_sum
 
 Monomial = Tuple[Tuple[int, int], ...]
 UEAElement = Dict[Monomial, Fraction]
@@ -232,22 +232,10 @@ class PBWEngine:
         return " ".join(parts)
 
     def render(self, x: UEAElement, suffix: str = "") -> str:
-        if not x:
-            return "0"
-        keyed = sorted(x, key=lambda m: tuple((self.order.rank[g], e) for g, e in m))
-        parts = []
-        for m in keyed:
-            c = x[m]
+        terms = []
+        for m in sorted(x, key=lambda m: tuple((self.order.rank[g], e) for g, e in m)):
             body = self.render_monomial(m)
             if suffix:
                 body = f"{body} {suffix}" if m else suffix
-            if c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c} {body}")
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
+            terms.append((x[m], body))
+        return _signed_sum(terms, " ")

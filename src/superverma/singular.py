@@ -3,14 +3,18 @@
 For a case with distinguished root gamma and a weight lambda satisfying
 <lambda, h_gamma> = N, the candidate vector u lives in M(lambda) at weight
 lambda - rho - N*gamma.  It is built by applying an explicit product of
-odd raising generators and a lowering-generator power to v+.  One
-four-row table fixes those factor lists for the osp families.
+odd raising generators and a lowering-generator power to v+.  In the osp
+families those factors are read off gamma's support: the pivots are the
+unit vectors there, the block is the other letter's coordinates.
 
 A Shapovalov element (beta, C, mu, theta) records theta in U(n^-) with
 theta v+ singular in M(mu) at weight mu - rho - C*beta.  Reflecting in an
 even simple root kappa with p = <mu, h_kappa> a positive integer moves it
 to (s_kappa beta, C, s_kappa mu, theta') where theta' is the exact right
 quotient of f_kappa^(p + C*a) theta by f_kappa^p and a = -<beta, h_kappa>.
+In the osp families the chain of such kappas is derived from gamma as well:
+gamma's support moves down its own letter's coordinates, one place per
+reflection, until it sits on the target places.
 
 Witness data pins published basis presentations: a fixed ordering of the
 lowering generators per case and, for each step k of the evaluation chain,
@@ -37,6 +41,7 @@ from .rootdata import (
     _unit,
     build_algebra_data,
     f31_sign_weight,
+    format_weight,
     wdiff,
     wneg,
     wscale,
@@ -120,15 +125,18 @@ def default_lambda(case: CaseId, N: int, seed: int, alg: Optional[AlgebraData] =
     require_parity(alg, N)
     rng = random.Random(f"{case.text}:{N}:{seed}")
     coords = [Fraction(rng.randint(-3, 3)) for _ in range(alg.rank)]
-    # the constraint is linear in lambda: solve it on gamma's last nonzero coordinate
+    return _solve_level(alg, coords, N, max(k for k, x in enumerate(alg.gamma.weight) if x))
+
+
+def _solve_level(alg: AlgebraData, coords: List[Fraction], N, k: int) -> Weight:
+    """Set coords[k] so that <coords, h_gamma> = N (linear in coords)."""
     gamma = alg.gamma.weight
-    k = max(i for i, x in enumerate(gamma) if x)
     coords[k] = Fraction(0)
     rest = alg.coroot_pairing(tuple(coords), gamma)
     coords[k] = (N - rest) / alg.coroot_pairing(_unit(alg.rank, k), gamma)
     lam = tuple(coords)
-    if alg.coroot_pairing(lam, alg.gamma) != N:
-        raise RootDataError(f"solving <lambda, h_gamma> = {N} for {case.text} failed")
+    if alg.coroot_pairing(lam, gamma) != N:
+        raise RootDataError(f"solving <lambda, h_gamma> = {N} for {alg.case.text} failed")
     return lam
 
 
@@ -136,25 +144,26 @@ def default_lambda(case: CaseId, N: int, seed: int, alg: Optional[AlgebraData] =
 # candidate vectors
 
 
-def _delta_w(alg: AlgebraData, i: int) -> Weight:
-    return _unit(alg.rank, i - 1)
-
-
-def _eps_w(alg: AlgebraData, j: int) -> Weight:
-    return _unit(alg.rank, alg.case.m + j - 1)
-
-
 F31_FACTOR_ORDER = ("+---", "+--+", "+-+-", "+-++", "++--", "++-+", "+++-", "++++")
+
+
+def _letters(alg: AlgebraData) -> Tuple[List[int], range, range]:
+    """gamma's support (its nonzero coordinates), the coordinates of its
+    letter (d or e) and those of the other letter.  Only the osp cases have
+    letters; gamma's orbit in the others is a single point."""
+    if not alg.case.m:
+        raise InvalidParams(f"{alg.case.family} has a single-point orbit; nothing to propagate")
+    support = [k for k, x in enumerate(alg.gamma.weight) if x]
+    d, e = range(alg.case.m), range(alg.case.m, alg.rank)
+    return (support, d, e) if support[0] < alg.case.m else (support, e, d)
 
 
 def _osp_shape(alg: AlgebraData) -> Tuple[List[Weight], List[Weight]]:
     """The pivots and the block of an osp case: the pivots are the unit
     vectors on gamma's support, last first; the block b_1..b_K is the other
     letter's unit vectors, and the odd factors are p -+ b."""
-    m, rank = alg.case.m, alg.rank
-    support = [k for k, x in enumerate(alg.gamma.weight) if x]
-    block = range(m, rank) if support[0] < m else range(m)
-    return [_unit(rank, k) for k in reversed(support)], [_unit(rank, k) for k in block]
+    support, _, other = _letters(alg)
+    return [_unit(alg.rank, k) for k in reversed(support)], [_unit(alg.rank, k) for k in other]
 
 
 def _gamma_multiple(alg: AlgebraData, weights: Sequence[Weight]) -> int:
@@ -313,54 +322,44 @@ def orbit_propagate(shap: ShapovalovElement, kappa, ctx: Context) -> Tuple[Shapo
 OrbitTarget = Union[int, Tuple[int, int]]
 
 
-def chain_kappas(case: CaseId, target: OrbitTarget, alg: AlgebraData) -> List[Weight]:
-    family, m, n = case.family, case.m, case.n
-    if family in ("B-I", "D-I"):
-        if not isinstance(target, int) or not 1 <= target <= m:
-            raise InvalidParams(f"target must be an index in 1..{m}")
-        return [wdiff(_delta_w(alg, i - 1), _delta_w(alg, i)) for i in range(m, target, -1)]
-    if family == "B-II":
-        if not isinstance(target, int) or not 1 <= target <= n:
-            raise InvalidParams(f"target must be an index in 1..{n}")
-        return [wdiff(_eps_w(alg, i - 1), _eps_w(alg, i)) for i in range(n, target, -1)]
-    if family == "D-II":
-        if (
-            not isinstance(target, tuple)
-            or len(target) != 2
-            or not 1 <= target[0] < target[1] <= n
-        ):
-            raise InvalidParams(f"target must be a pair 1 <= i < j <= {n}")
-        ti, tj = target
-        i, j = n - 1, n
-        out = []
-        while (i, j) != (ti, tj):
-            if j > tj and j - 1 > i:
-                out.append(wdiff(_eps_w(alg, j - 1), _eps_w(alg, j)))
-                j -= 1
-            elif i > ti:
-                out.append(wdiff(_eps_w(alg, i - 1), _eps_w(alg, i)))
-                i -= 1
-            else:
-                raise InvalidParams(f"cannot reach target {target}")
-        return out
-    raise InvalidParams(f"{family} has a single-point orbit; nothing to propagate")
+def _target_places(target: OrbitTarget, alg: AlgebraData) -> Tuple[List[int], range, List[int]]:
+    """gamma's support, its block and the target: one strictly increasing
+    1-based place in the block per support coordinate (an int for one)."""
+    support, block, _ = _letters(alg)
+    k, K = len(support), len(block)
+    places = (target,) if k == 1 else target
+    ok = isinstance(places, tuple) and len(places) == k and all(isinstance(t, int) for t in places)
+    if not (ok and 1 <= places[0] and places[-1] <= K and all(a < b for a, b in zip(places, places[1:]))):
+        shape = f"an index in 1..{K}" if k == 1 else f"a pair 1 <= i < j <= {K}"
+        raise InvalidParams(f"target must be {shape}")
+    return support, block, list(places)
 
 
-def final_beta_weight(case: CaseId, target: OrbitTarget, alg: AlgebraData) -> Weight:
-    family = case.family
-    if family == "B-I":
-        return _delta_w(alg, target)
-    if family == "D-I":
-        return wscale(2, _delta_w(alg, target))
-    if family == "B-II":
-        return _eps_w(alg, target)
-    if family == "D-II":
-        return wsum(_eps_w(alg, target[0]), _eps_w(alg, target[1]))
-    raise InvalidParams(f"{family} has a single-point orbit")
+def chain_kappas(target: OrbitTarget, alg: AlgebraData) -> List[Weight]:
+    """The even simple roots x_(i-1) - x_i that walk gamma's support down its
+    block to the target: each moves the highest support coordinate that is
+    above its target and not directly above the next lower one."""
+    support, block, want = _target_places(target, alg)
+    here = [block.index(k) + 1 for k in support]
+    x = [_unit(alg.rank, k) for k in block]
+    out = []
+    while here != want:
+        s = max(s for s, i in enumerate(here) if i > want[s] and (s == 0 or i - 1 > here[s - 1]))
+        here[s] -= 1
+        out.append(wdiff(x[here[s] - 1], x[here[s]]))
+    return out
+
+
+def final_beta_weight(target: OrbitTarget, alg: AlgebraData) -> Weight:
+    """gamma's coefficients on the target places: d_t, 2d_t, e_t or e_i + e_j."""
+    support, block, want = _target_places(target, alg)
+    beta = [Fraction(0)] * alg.rank
+    for k, t in zip(support, want):
+        beta[block[t - 1]] = alg.gamma.weight[k]
+    return tuple(beta)
 
 
 def chain_weight(
-    case: CaseId,
     C: int,
     kappas: Sequence[Weight],
     seed: int,
@@ -368,58 +367,36 @@ def chain_weight(
     p_first: Optional[int] = None,
 ) -> Weight:
     """Seeded weight with <mu, h_gamma> = C whose chain pairings all come
-    out as positive integers.  The moving coordinate block is built
-    strictly decreasing; the simulation below rejects a draw that still
-    fails, and the seed is salted and retried."""
+    out as positive integers.  The level is solved on gamma's support (in
+    D-II after drawing its second coordinate -k), and the rest of gamma's
+    block rises from there by seeded gaps (p_first for the first kappa).
+    Each kappa then pairs a moving support coordinate with a larger one by
+    an integer gap, so a failed check is a fault of the program."""
     if C < 1:
         raise InvalidParams(f"C must be a positive integer, got {C}")
     require_parity(alg, C)
     if p_first is not None and p_first < 1:
         raise InvalidParams("p must be a positive integer")
-    family, m, n = case.family, case.m, case.n
-    if family in ("B-I", "D-I"):
-        block = list(range(m))
-        anchors = {m - 1: Fraction(C, 2) if family == "B-I" else Fraction(C)}
-    elif family == "B-II":
-        block = list(range(m, m + n))
-        anchors = {m + n - 1: Fraction(C, 2)}
-    else:  # D-II
-        block = list(range(m, m + n))
-        anchors = None  # drawn per attempt
+    support, block, _ = _letters(alg)
     forced_gap = None
     if p_first is not None and kappas:
         forced_gap = next(i for i, x in enumerate(kappas[0]) if x == 1)
-    for attempt in range(25):
-        rng = random.Random(f"chain:{case.text}:{C}:{seed}:{attempt}")
-        coords = [Fraction(rng.randint(-3, 3)) for _ in range(alg.rank)]
-        if family == "D-II":
-            k = rng.randint(1, 3)
-            vals = {m + n - 1: Fraction(-k), m + n - 2: Fraction(C + k)}
-        else:
-            vals = dict(anchors)
-        for idx in sorted(block, reverse=True):
-            if idx in vals:
-                continue
-            gap = p_first if forced_gap == idx else rng.randint(1, 3)
-            vals[idx] = vals[idx + 1] + gap
-        for idx, v in vals.items():
-            coords[idx] = v
-        mu = tuple(coords)
-        if alg.coroot_pairing(mu, alg.gamma) != C:
-            continue
-        cur = mu
-        good = True
-        for kw in kappas:
-            p = alg.coroot_pairing(cur, kw)
-            if p.denominator != 1 or p <= 0:
-                good = False
-                break
-            cur = alg.reflect(cur, kw)
-        if good and (p_first is None or not kappas or alg.coroot_pairing(mu, kappas[0]) == p_first):
-            return mu
-    raise InvalidParams(
-        f"no chain weight found for {case.text} with C={C}, seed={seed}"
-    )
+    rng = random.Random(f"chain:{alg.case.text}:{C}:{seed}:0")  # ":0" keeps the seeds in use
+    coords = [Fraction(rng.randint(-3, 3)) for _ in range(alg.rank)]
+    for k in support[1:]:
+        coords[k] = Fraction(-rng.randint(1, 3))
+    _solve_level(alg, coords, C, support[0])
+    for idx in reversed(block):
+        if idx not in support:
+            coords[idx] = coords[idx + 1] + (p_first if forced_gap == idx else rng.randint(1, 3))
+    mu = cur = tuple(coords)
+    for j, kw in enumerate(kappas):
+        p = alg.coroot_pairing(cur, kw)
+        if p.denominator != 1 or p <= 0 or (j == 0 and p_first is not None and p != p_first):
+            raise RootDataError(f"{alg.case.text}: chain weight {format_weight(mu)}"
+                                f" pairs to {p} with {alg.name_of(kw)}")
+        cur = alg.reflect(cur, kw)
+    return mu
 
 
 @dataclass(frozen=True)
@@ -449,8 +426,8 @@ def propagate_chain(
     p_first: Optional[int] = None,
 ) -> ChainReport:
     alg = ctx.alg
-    kappas = chain_kappas(case, target, alg)
-    mu = chain_weight(case, C, kappas, seed, alg, p_first=p_first)
+    kappas = chain_kappas(target, alg)
+    mu = chain_weight(C, kappas, seed, alg, p_first=p_first)
     params = CaseParams(case, C, mu)
     u = candidate_u(params, ctx)
     start_report = is_singular(u, ctx.default_engine)
@@ -459,7 +436,7 @@ def propagate_chain(
     for kw in kappas:
         shap, step = orbit_propagate(shap, kw, ctx)
         steps.append(step)
-    expected = final_beta_weight(case, target, alg)
+    expected = final_beta_weight(target, alg)
     return ChainReport(
         case=case,
         C=C,

@@ -77,6 +77,18 @@ def _merge(into: Dict, val: Dict, c: Fraction = Fraction(1)) -> None:
             into.pop(k, None)
 
 
+def _signed_sum(terms, joiner: str) -> str:
+    """Join (coefficient, text) pairs as "a - 2<joiner>b + c"; "0" if none."""
+    out = ""
+    for c, text in terms:
+        term = text if c == 1 else f"-{text}" if c == -1 else f"{c}{joiner}{text}"
+        if not out:
+            out = term
+        else:
+            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
+    return out or "0"
+
+
 @dataclass(eq=False)
 class BracketTable:
     alg: AlgebraData
@@ -119,13 +131,7 @@ class BracketTable:
 
     def h_value_pairing(self, val: Value, w: Weight) -> Fraction:
         """Pairing <w, h> for a Cartan-valued bracket result."""
-        total = Fraction(0)
-        for bid, c in val.items():
-            el = self.basis[bid]
-            if el.kind != "h":
-                raise ClosureFailure(f"{el.name} is not a Cartan generator")
-            total += c * self.cartan_pairing(el.index, w)
-        return total
+        return self.alg.form(w, self.h_value_dual(val))
 
     def h_value_dual(self, val: Value) -> Weight:
         """Weight nu with <w, h> = (w, nu) for a Cartan-valued result."""
@@ -138,23 +144,7 @@ class BracketTable:
         return out
 
     def render_value(self, val: Value) -> str:
-        if not val:
-            return "0"
-        parts = []
-        for bid in sorted(val):
-            c = val[bid]
-            name = self.basis[bid].name
-            if c == 1:
-                term = name
-            elif c == -1:
-                term = f"-{name}"
-            else:
-                term = f"{c}*{name}"
-            parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
+        return _signed_sum(((val[bid], self.basis[bid].name) for bid in sorted(val)), "*")
 
 
 def build_structure_constants(alg: AlgebraData) -> BracketTable:

@@ -192,9 +192,9 @@ def test_criterion_5_exact_identity_suite():
     case = CaseId.parse("D-I:m=2,n=2")
     ctx = build_context(case)
     alg = ctx.alg
-    kappa = chain_kappas(case, 1, alg)[0]
+    kappa = chain_kappas(1, alg)[0]
     for C, p in ((1, 2), (2, 4)):
-        mu = chain_weight(case, C, [kappa], seed=0, alg=alg, p_first=p)
+        mu = chain_weight(C, [kappa], seed=0, alg=alg, p_first=p)
         top = p + 2 * C
         assert top <= 8
         fk = ctx.table.f_gen(kappa)

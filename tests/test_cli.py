@@ -146,18 +146,29 @@ def test_internal_errors_exit_three(capsys, monkeypatch, fault):
     assert err == f"internal error: {fault.__name__}: the program broke its own invariant\n"
 
 
-def test_closed_stdout_exits_141_quietly():
-    """The reader of stdout is gone before the first write reaches it."""
+def run_cli_process(*argv, stdout=subprocess.DEVNULL):
+    """``python -m superverma argv`` in a fresh interpreter."""
     src = str(Path(superverma.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "superverma", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=600)
+
+
+def test_recursion_limit_is_an_internal_error():
+    """A lift exponent of 1500 runs past the straightening recursion."""
+    proc = run_cli_process("orbit", "--case", "B-I", "--m", "2", "--n", "1", "--p", "1500")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith(b"internal error: RecursionError: ")
+    assert b"Traceback" not in proc.stderr
+
+
+def test_closed_stdout_exits_141_quietly():
+    """The reader of stdout is gone before the first write reaches it."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "superverma", "selftest", "--case", "G3", "--json"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=600,
-        )
+        proc = run_cli_process("selftest", "--case", "G3", "--json", stdout=write_end)
     finally:
         os.close(write_end)
     assert proc.returncode == 141, proc.stderr
@@ -183,6 +194,9 @@ def test_orbit_default_target_and_p(capsys):
     rec = json.loads(out)
     assert rec["target"] == 1
     assert rec["steps"][0]["p"] == 3
+    code, out, _ = run(capsys, "orbit", "--case", "D-II", "--m", "1", "--n", "2", "--json")
+    assert code == 0
+    assert json.loads(out)["target"] == [1, 2]
 
 
 def test_orbit_grid_over_C(capsys):

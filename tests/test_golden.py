@@ -128,9 +128,9 @@ def _orbit_targets(case):
 
 def _orbit_setup(case, alg, target, C, seed, p_first) -> str:
     try:
-        kappas = chain_kappas(case, target, alg)
-        beta = final_beta_weight(case, target, alg)
-        mu = chain_weight(case, C, kappas, seed, alg, p_first=p_first)
+        kappas = chain_kappas(target, alg)
+        beta = final_beta_weight(target, alg)
+        mu = chain_weight(C, kappas, seed, alg, p_first=p_first)
     except Exception as exc:  # the class is part of the frozen output
         return type(exc).__name__
     return " ".join(alg.name_of(k) for k in kappas) + " | " + alg.name_of(beta) + " | " + (

@@ -45,9 +45,7 @@ def test_chain_configs_reach_target():
         report = propagate_chain(case, C, target, seed=0, ctx=ctx)
         assert report.ok, (text, report)
         assert report.final_beta == final_name
-        assert ctx.alg.root_named(final_name).weight == final_beta_weight(
-            case, target, ctx.alg
-        )
+        assert ctx.alg.root_named(final_name).weight == final_beta_weight(target, ctx.alg)
         assert all(s.p >= 1 for s in report.steps)
 
 
@@ -65,11 +63,11 @@ def test_sl2_commutation_identity_exact():
     case = CaseId.parse("D-I:m=2,n=2")
     ctx = build_context(case)
     alg = ctx.alg
-    kappas = chain_kappas(case, 1, alg)
+    kappas = chain_kappas(1, alg)
     assert len(kappas) == 1
     kappa = kappas[0]
     C, p = 1, 2
-    mu = chain_weight(case, C, kappas, seed=0, alg=alg, p_first=p)
+    mu = chain_weight(C, kappas, seed=0, alg=alg, p_first=p)
     assert alg.coroot_pairing(mu, kappa) == p
     a = int(-alg.coroot_pairing(alg.gamma.weight, kappa))
     assert a == 2 and p + C * a <= 8
@@ -95,9 +93,9 @@ def test_sl2_commutation_identity_exact():
 def test_chain_weight_honors_p_first():
     case = CaseId.parse("B-I:m=3,n=1")
     ctx = build_context(case)
-    kappas = chain_kappas(case, 1, ctx.alg)
+    kappas = chain_kappas(1, ctx.alg)
     for p in (1, 3):
-        mu = chain_weight(case, 1, kappas, seed=0, alg=ctx.alg, p_first=p)
+        mu = chain_weight(1, kappas, seed=0, alg=ctx.alg, p_first=p)
         assert ctx.alg.coroot_pairing(mu, kappas[0]) == p
 
 
@@ -105,8 +103,8 @@ def test_orbit_propagate_validation():
     case = CaseId.parse("B-I:m=2,n=1")
     ctx = build_context(case)
     alg = ctx.alg
-    kappas = chain_kappas(case, 1, alg)
-    mu = chain_weight(case, 1, kappas, seed=0, alg=alg)
+    kappas = chain_kappas(1, alg)
+    mu = chain_weight(1, kappas, seed=0, alg=alg)
     u = candidate_u(CaseParams(case, 1, mu), ctx)
     shap = ShapovalovElement(alg.gamma, 1, mu, u.body)
     with pytest.raises(InvalidParams):
@@ -123,7 +121,7 @@ def test_orbit_propagate_needs_integral_positive_pairing():
     case = CaseId.parse("B-I:m=2,n=1")
     ctx = build_context(case)
     alg = ctx.alg
-    lam = chain_weight(case, 1, chain_kappas(case, 1, alg), seed=0, alg=alg)
+    lam = chain_weight(1, chain_kappas(1, alg), seed=0, alg=alg)
     flat = (lam[1],) + lam[1:]  # pairing with d1-d2 becomes zero
     u = candidate_u(CaseParams(case, 1, flat), ctx)
     shap = ShapovalovElement(alg.gamma, 1, flat, u.body)
@@ -134,26 +132,27 @@ def test_orbit_propagate_needs_integral_positive_pairing():
 def test_chain_target_validation():
     alg_f31 = build_context(CaseId.parse("F31")).alg
     with pytest.raises(InvalidParams):
-        chain_kappas(CaseId.parse("F31"), 1, alg_f31)
-    case = CaseId.parse("D-II:m=1,n=3")
-    alg = build_context(case).alg
-    for bad in ((2, 2), (0, 1), (1, 4), 1):
-        with pytest.raises(InvalidParams):
-            chain_kappas(case, bad, alg)
-    case_b = CaseId.parse("B-I:m=2,n=1")
-    alg_b = build_context(case_b).alg
-    for bad in (0, 3, (1, 2)):
-        with pytest.raises(InvalidParams):
-            chain_kappas(case_b, bad, alg_b)
+        chain_kappas(1, alg_f31)
+    bad_targets = {
+        "D-II:m=1,n=3": ((2, 2), (0, 1), (1, 4), 1, (1, 2, 3)),
+        "B-I:m=2,n=1": (0, 3, (1, 2), (1, 2, 3)),
+        "B-II:m=1,n=3": (0, 4, (1, 2), (1, 2, 3)),
+        "D-I:m=3,n=2": (0, 4, (2, 1), (1, 2, 3)),
+    }
+    for text, targets in bad_targets.items():
+        alg = build_context(CaseId.parse(text)).alg
+        for bad in targets:
+            with pytest.raises(InvalidParams):
+                chain_kappas(bad, alg)
 
 
 def test_chain_weight_parity_and_failure():
     case = CaseId.parse("B-I:m=2,n=1")
     alg = build_context(case).alg
     with pytest.raises(ParityViolation):
-        chain_weight(case, 2, chain_kappas(case, 1, alg), seed=0, alg=alg)
+        chain_weight(2, chain_kappas(1, alg), seed=0, alg=alg)
     with pytest.raises(InvalidParams):
-        chain_weight(case, 0, [], seed=0, alg=alg)
+        chain_weight(0, [], seed=0, alg=alg)
 
 
 def test_empty_chain_when_target_is_start():
