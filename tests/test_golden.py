@@ -126,7 +126,7 @@ def _orbit_targets(case):
     return list(range(1, (case.n if case.family == "B-II" else case.m) + 1))
 
 
-def _orbit_setup(case, alg, target, C, seed, p_first) -> str:
+def _orbit_setup(alg, target, C, seed, p_first) -> str:
     try:
         kappas = chain_kappas(target, alg)
         beta = final_beta_weight(target, alg)
@@ -145,7 +145,7 @@ def orbit_setup_digests() -> str:
     for case in _small_osp_cases(4):
         alg = build_algebra_data(case)
         records = [
-            f"{target} C={C} seed={seed} p={p}: {_orbit_setup(case, alg, target, C, seed, p)}\n"
+            f"{target} C={C} seed={seed} p={p}: {_orbit_setup(alg, target, C, seed, p)}\n"
             for target in _orbit_targets(case)
             for C in (1, 2, 3)
             for seed in range(3)
