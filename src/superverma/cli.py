@@ -358,7 +358,13 @@ def cmd_orbit(args) -> int:
     if args.m is None or args.n is None:
         raise InvalidParams(f"{args.case} needs --m and --n")
     case = CaseId(args.case, int(args.m), int(args.n))
-    target = _parse_target(args.target, build_context(case).alg)
+    alg = build_context(case).alg
+    target = _parse_target(args.target, alg)
+    if args.p is not None and not chain_kappas(target, alg):
+        raise InvalidParams(
+            f"--p pins the first reflection, but the chain of {case.text}"
+            f" to target {target} has none"
+        )
     levels = parse_grid(args.C)
     seeds = parse_grid(args.seed)
     jobs = [(case.text, C, target, seed, args.p) for C in levels for seed in seeds]

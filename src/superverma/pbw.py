@@ -8,13 +8,16 @@ places lowering generators first, then Cartan generators, then raising
 generators.  The arrangement inside the lowering block is configurable:
 witness bases and orbit propagation both need a chosen generator in the
 rightmost slot, and right division is only defined against that slot.
+Left multiplication of U(n^-) monomials by lowering generators, cached apart
+from the right-multiplication cache, serves the Verma module action.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple, Union
+from math import comb
+from typing import Callable, Dict, Sequence, Tuple, Union
 
 from .rootdata import Weight, wsum, wzero
 from .superalgebra import BracketTable, _merge, _scaled, _signed_sum
@@ -112,6 +115,10 @@ class PBWEngine:
     table: BracketTable
     order: PBWOrder
     _cache: Dict[Tuple[Monomial, int], UEAElement] = field(default_factory=dict)
+    # g * m for a lowering generator g and a normal-form monomial m of U(n^-)
+    _left_cache: Dict[Tuple[int, Monomial], UEAElement] = field(default_factory=dict)
+    # verma's memo of g . (m v+) for one highest weight; replaced when it changes
+    module_memo: object = None
 
     def gen(self, spec: GenSpec, exp: int = 1) -> UEAElement:
         bid = spec if isinstance(spec, int) else self.table.f_gen(spec)
@@ -178,6 +185,105 @@ class PBWEngine:
                     _merge(res, self.mono_times_gen(base, z), c)
         self._cache[key] = res
         return res
+
+    def check_lowering(self, m: Monomial) -> None:
+        """Raise WrongOrder unless m is a normal-form monomial of U(n^-)."""
+        rank = self.order.rank
+        last = -1
+        for g, e in m:
+            pos = rank[g]
+            if not last < pos < self.order.n_neg or e < 1 or (e > 1 and self.table.basis[g].odd):
+                raise WrongOrder(
+                    f"{self.render_monomial(m)} is not a normal-form monomial of U(n^-)"
+                )
+            last = pos
+
+    def gen_times_mono(self, g: int, m: Monomial) -> UEAElement:
+        """g * m in normal form for a lowering generator g and a normal-form
+        monomial m of U(n^-); the mirror image of mono_times_gen."""
+        key = (g, m)
+        hit = self._left_cache.get(key)
+        if hit is not None:
+            return hit
+        if not m or self.order.rank[g] < self.order.rank[m[0][0]]:
+            res: UEAElement = {((g, 1),) + m: Fraction(1)}
+        elif g != m[0][0]:
+            res = self.commute_left(g, m, self.gen_times_mono)
+        elif not self.table.basis[g].odd:
+            res = {((g, m[0][1] + 1),) + m[1:]: Fraction(1)}
+        else:
+            # odd square: g*g = [g, g] / 2
+            if m[0][1] != 1:
+                raise WrongOrder("odd generators are exponent one in normal form")
+            res = {}
+            for z, c in self.table.bracket(g, g).items():
+                _merge(res, self.gen_times_mono(z, m[1:]), c / 2)
+        self._left_cache[key] = res
+        return res
+
+    def commute_left(
+        self, g: int, m: Monomial, times: Callable[[int, Monomial], UEAElement]
+    ) -> UEAElement:
+        """g * m for a generator g ranked above the leading power x^a of
+        m = x^a rest, where times(z, rest) is z * rest in normal form.
+
+        For an even x, g x^a = sum_k C(a, k) x^(a-k) (ad_R x)^k(g) with
+        (ad_R x)(y) = [y, x]; the sum stops where the root string through g
+        ends.  An odd x has a = 1 and g x = (-1)^(|g||x|) x g + [g, x].
+        """
+        table = self.table
+        x, a = m[0]
+        rest = m[1:]
+        x_odd = table.basis[x].odd
+        if x_odd and a != 1:
+            raise WrongOrder("odd generators are exponent one in normal form")
+        out: Dict[Monomial, Fraction] = {}
+        y: Dict[int, Fraction] = {g: Fraction(1)}
+        for k in range(a + 1):
+            inner: Dict[Monomial, Fraction] = {}
+            for z, c in y.items():
+                _merge(inner, times(z, rest), c)
+            coef = -1 if k == 0 and x_odd and table.basis[g].odd else comb(a, k)
+            _merge(out, self.power_times(x, a - k, inner), coef)
+            if k == a:
+                break
+            nxt: Dict[int, Fraction] = {}
+            for z, c in y.items():
+                _merge(nxt, table.bracket(z, x), c)
+            y = nxt
+            if not y:
+                break
+        return out
+
+    def power_times(self, x: int, j: int, el: UEAElement) -> UEAElement:
+        """x^j * el in normal form for a lowering generator x and el in U(n^-).
+
+        A monomial led by a generator ranked above x, or by the even x
+        itself, takes x^j in one step.  The others take one x at a time
+        until they are led that way.
+        """
+        x_rank = self.order.rank[x]
+        even = not self.table.basis[x].odd
+        out: Dict[Monomial, Fraction] = {}
+        while j and el:
+            slow: Dict[Monomial, Fraction] = {}
+            for mono, c in el.items():
+                if not mono or self.order.rank[mono[0][0]] > x_rank:
+                    key = ((x, j),) + mono
+                elif even and mono[0][0] == x:
+                    key = ((x, j + mono[0][1]),) + mono[1:]
+                else:
+                    _merge(slow, self.gen_times_mono(x, mono), c)
+                    continue
+                new = out.get(key, Fraction(0)) + c
+                if new:
+                    out[key] = new
+                else:
+                    del out[key]
+            el = slow
+            j -= 1
+        _merge(out, el)
+        return out
 
     def right_divide(self, x: UEAElement, g: GenSpec, p: int) -> UEAElement:
         """Divide by g^p on the right; every monomial must carry g^p."""

@@ -1,11 +1,22 @@
 """Verma modules with exact rational coefficients.
 
 A module M(lambda) has highest-weight vector v+ of weight lambda - rho.
-Vectors are stored through their U(n^-) body: v = body * v+.  Applying an
-algebra element straightens the product into normal form and then
-evaluates the tail against v+: raising generators kill it, Cartan
-generators turn into the scalar <lambda - rho, h>, and the surviving
-lowering monomials form the new body.
+Vectors are stored through their U(n^-) body: v = body * v+, with every
+monomial in the engine's normal form.  An algebra element acts one basis
+generator g at a time, from the right, on each monomial m of the body,
+without leaving the module:
+
+- a lowering g multiplies m on the left inside U(n^-) (the engine's
+  lambda-free gen_times_mono and power_times);
+- a Cartan g is the scalar <lambda - rho + wt(m), h>;
+- a raising g kills v+, and on m = x^a rest commutes past x^a by the
+  binomial rule of PBWEngine.commute_left, acting on rest v+ with each
+  generator of (ad_R x)^k(g).
+
+The values g . (m v+) for raising and Cartan g depend on lambda.  They are
+memoised in one slot per engine, which the next highest weight replaces: a
+point's candidate, its singularity check, its sign-flip rebuilds and its
+counterexample text share one memo, and an engine keeps at most one.
 """
 
 from __future__ import annotations
@@ -49,36 +60,77 @@ def highest_weight_vector(lam: Weight) -> VermaVector:
     return VermaVector({(): Fraction(1)}, lam)
 
 
-def act(x: UEAElement, v: VermaVector, engine: PBWEngine) -> VermaVector:
-    """Apply an enveloping-algebra element to a module vector."""
-    table = engine.table
-    shift = wdiff(v.highest_weight, table.alg.rho)
-    product = engine.multiply(x, v.body)
-    body: Dict[Monomial, Fraction] = {}
-    for mono, coef in product.items():
-        scalar = coef
-        cut = len(mono)
-        killed = False
-        for pos, (bid, exp) in enumerate(mono):
-            kind = table.basis[bid].kind
-            if kind == "f":
-                continue
-            if kind == "e":
-                killed = True
-                break
-            if cut == len(mono):
-                cut = pos
-            scalar *= table.cartan_pairing(table.basis[bid].index, shift) ** exp
-            if not scalar:
-                break
-        if killed or not scalar:
-            continue
-        rest = mono[:cut]
-        new = body.get(rest, Fraction(0)) + scalar
-        if new:
-            body[rest] = new
+class _Action:
+    """g . (m v+) in M(lam) for basis generators g and normal-form
+    monomials m of U(n^-), memoised for raising and Cartan g."""
+
+    def __init__(self, engine: PBWEngine, lam: Weight) -> None:
+        table = engine.table
+        self.engine = engine
+        self.lam = lam
+        self.basis = table.basis
+        shift = wdiff(lam, table.alg.rho)
+        cartans = range(table.n_cartan)
+        # <lambda - rho, h_j>, and <wt(f), h_j> per lowering generator f
+        self.shift = tuple(table.cartan_pairing(j, shift) for j in cartans)
+        self.pairings = [
+            tuple(table.cartan_pairing(j, table.basis[f].weight) for j in cartans)
+            for f in range(table.n_pos)
+        ]
+        self.memo: Dict[Tuple[int, Monomial], UEAElement] = {}
+
+    def gen(self, g: int, m: Monomial) -> UEAElement:
+        kind = self.basis[g].kind
+        if kind == "f":
+            return self.engine.gen_times_mono(g, m)
+        key = (g, m)
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
+        if kind == "h":
+            j = self.basis[g].index
+            scalar = self.shift[j] + sum(a * self.pairings[x][j] for x, a in m)
+            res: UEAElement = {m: scalar} if scalar else {}
+        elif m:
+            res = self.engine.commute_left(g, m, self.gen)
         else:
-            del body[rest]
+            res = {}
+        self.memo[key] = res
+        return res
+
+    def apply(self, g: int, body: UEAElement, e: int) -> UEAElement:
+        """g^e . (body v+) as a body."""
+        if self.basis[g].kind == "f":
+            return self.engine.power_times(g, e, body)
+        for _ in range(e):
+            out: Dict[Monomial, Fraction] = {}
+            for mono, coef in body.items():
+                _merge(out, self.gen(g, mono), coef)
+            body = out
+        return body
+
+
+def _action(engine: PBWEngine, lam: Weight) -> _Action:
+    """The engine's module memo for highest weight lam, replacing the slot
+    of any other highest weight."""
+    slot = engine.module_memo
+    if slot is None or slot.lam != lam:
+        slot = engine.module_memo = _Action(engine, lam)
+    return slot
+
+
+def act(x: UEAElement, v: VermaVector, engine: PBWEngine) -> VermaVector:
+    """Apply an enveloping-algebra element, in the engine's normal form, to
+    a module vector whose body is in the same normal form."""
+    for mono in v.body:
+        engine.check_lowering(mono)
+    action = _action(engine, v.highest_weight)
+    body: Dict[Monomial, Fraction] = {}
+    for mono, coef in x.items():
+        image = v.body
+        for g, e in reversed(mono):
+            image = action.apply(g, image, e)
+        _merge(body, image, coef)
     return VermaVector(body, v.highest_weight)
 
 

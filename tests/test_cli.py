@@ -132,6 +132,9 @@ def test_usage_errors(capsys):
                        "--lambda", "1/0,1")
     assert code == 2
     assert "zero denominator" in err
+    code, _, err = run(capsys, "orbit", "--case", "B-I", "--m", "1", "--n", "1", "--p", "5")
+    assert code == 2
+    assert "--p" in err
 
 
 @pytest.mark.parametrize("fault", [WrongOrder, NotDivisible, IsotropicCoroot],
@@ -161,6 +164,19 @@ def test_recursion_limit_is_an_internal_error():
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith(b"internal error: RecursionError: ")
     assert b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("--case", "B-I", "--m", "1", "--n", "1", "--N", "2001"),
+    ("--case", "D-II", "--m", "1", "--n", "2", "--N", "1500"),
+], ids=lambda argv: argv[1])
+def test_module_action_has_no_recursion_per_unit(argv):
+    """A level in the thousands puts f_gamma^N in the candidate; acting on it
+    must not recurse once per unit of the exponent."""
+    proc = run_cli_process("verify", *argv, "--check", "singular", "--json",
+                           stdout=subprocess.PIPE)
+    assert proc.returncode == 0, proc.stderr
+    assert b'"ok": true' in proc.stdout
 
 
 def test_closed_stdout_exits_141_quietly():

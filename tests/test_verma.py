@@ -3,8 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from superverma.pbw import Inhomogeneous, PBWEngine, el_add, el_one, el_scale, make_order
+from superverma.cli import SMALLEST_CASES
+from superverma.pbw import (
+    Inhomogeneous,
+    PBWEngine,
+    WrongOrder,
+    el_add,
+    el_one,
+    el_scale,
+    make_order,
+)
 from superverma.rootdata import CaseId, build_algebra_data, wdiff, wscale, wsum
+from superverma.singular import CaseParams, build_context, candidate_u, default_lambda
 from superverma.superalgebra import build_structure_constants
 from superverma.verma import (
     ModuleMismatch,
@@ -25,6 +35,30 @@ def setup(text: str, tail=()):
 
 def frac_weight(*xs):
     return tuple(Fraction(x) for x in xs)
+
+
+def straightening_act(x, v, engine):
+    """Reference action: straighten x * body in all of U(g), then let the
+    raising generators kill v+ and the Cartan generators act by
+    <lambda - rho, h>."""
+    table = engine.table
+    shift = wdiff(v.highest_weight, table.alg.rho)
+    body = {}
+    for mono, coef in engine.multiply(x, v.body).items():
+        scalar = coef
+        cut = len(mono)
+        for pos, (bid, exp) in enumerate(mono):
+            kind = table.basis[bid].kind
+            if kind == "e":
+                scalar = 0
+                break
+            if kind == "h":
+                cut = min(cut, pos)
+                scalar *= table.cartan_pairing(table.basis[bid].index, shift) ** exp
+        if scalar:
+            rest = mono[:cut]
+            body[rest] = body.get(rest, Fraction(0)) + scalar
+    return VermaVector({m: c for m, c in body.items() if c}, v.highest_weight)
 
 
 def test_highest_weight_vector_basics():
@@ -155,3 +189,42 @@ def test_plus_needs_one_module():
     assert v.plus(v).body == {(): Fraction(2)}
     with pytest.raises(ModuleMismatch):
         v.plus(highest_weight_vector(mu))
+
+
+@pytest.mark.parametrize("text", SMALLEST_CASES)
+def test_module_action_matches_straightening(text):
+    """Every basis generator at exponents 1 and 2, on the candidate body and
+    on random lowering bodies, under the default order and a tail order."""
+    case = CaseId.parse(text)
+    ctx = build_context(case)
+    table = ctx.table
+    lam = default_lambda(case, 1, 0, ctx.alg)
+    rng = random.Random(f"module-action:{text}")
+    tail = (table.f_gen(ctx.alg.gamma.weight),)
+    for eng in (ctx.default_engine, ctx.engine(tail=tail)):
+        reference = PBWEngine(table, eng.order)
+        bodies = [candidate_u(CaseParams(case, 1, lam), ctx, engine=eng).body]
+        for _ in range(2):
+            word = tuple((rng.randrange(table.n_pos), rng.randint(1, 2)) for _ in range(3))
+            bodies.append(eng.multiply(el_one(), {word: Fraction(rng.randint(1, 5))}))
+        for body in bodies:
+            v = VermaVector(body, lam)
+            for g in range(table.dim):
+                for e in (1, 2):
+                    x = eng.gen(g, e)
+                    got = act(x, v, eng).body
+                    assert got == straightening_act(x, v, reference).body, (
+                        text, eng.order.sequence[: table.n_pos], table.basis[g].name, e)
+
+
+def test_module_action_needs_a_normal_form_body():
+    alg, table, eng = setup("B-I:m=1,n=1")
+    lam = frac_weight("3/2", 2)
+    e = eng.gen(table.e_id(0))
+    f0, f1 = sorted(range(table.n_pos), key=eng.order.rank.get)[:2]
+    for body in (
+        {((f1, 1), (f0, 1)): Fraction(1)},  # out of order
+        {((f0, 1), (table.h_id(0), 1)): Fraction(1)},  # not in U(n^-)
+    ):
+        with pytest.raises(WrongOrder):
+            act(e, VermaVector(body, lam), eng)
