@@ -1,6 +1,8 @@
 """Exact PBW straightening in the universal enveloping algebra.
 
-Elements are dicts mapping normal-form monomials to Fraction coefficients.
+Elements are dicts mapping normal-form monomials to exact rational
+coefficients, in the canonical form of superalgebra: an int when integral,
+a Fraction otherwise.
 A monomial is a tuple of (basis id, exponent) pairs, strictly ascending in
 the engine's generator order; odd generators never carry an exponent above
 one because their squares rewrite through the bracket.  The order always
@@ -20,10 +22,10 @@ from math import comb
 from typing import Callable, Dict, Sequence, Tuple, Union
 
 from .rootdata import Weight, wsum, wzero
-from .superalgebra import BracketTable, _merge, _scaled, _signed_sum
+from .superalgebra import BracketTable, Coefficient, Value, _merge, _scaled, _signed_sum
 
 Monomial = Tuple[Tuple[int, int], ...]
-UEAElement = Dict[Monomial, Fraction]
+UEAElement = Dict[Monomial, Coefficient]
 GenSpec = Union[int, str, tuple]
 
 
@@ -49,7 +51,7 @@ def el_zero() -> UEAElement:
 
 
 def el_one() -> UEAElement:
-    return {(): Fraction(1)}
+    return {(): 1}
 
 
 el_scale = _scaled
@@ -63,7 +65,7 @@ def el_add(x: UEAElement, y: UEAElement) -> UEAElement:
 
 def el_sub(x: UEAElement, y: UEAElement) -> UEAElement:
     out = dict(x)
-    _merge(out, y, Fraction(-1))
+    _merge(out, y, -1)
     return out
 
 
@@ -127,13 +129,13 @@ class PBWEngine:
         if exp == 0:
             return el_one()
         if self.table.basis[bid].odd and exp > 1:
-            return self.multiply(el_one(), {((bid, exp),): Fraction(1)})
-        return {((bid, exp),): Fraction(1)}
+            return self.multiply(el_one(), {((bid, exp),): 1})
+        return {((bid, exp),): 1}
 
     def multiply(self, a: UEAElement, b: UEAElement) -> UEAElement:
         """a * b in normal form; the monomials of b are read as generator
         powers from left to right and need not be in normal form."""
-        out: Dict[Monomial, Fraction] = {}
+        out: UEAElement = {}
         for mono, coef in b.items():
             cur = a
             for bid, exp in mono:
@@ -147,7 +149,7 @@ class PBWEngine:
         return self.multiply(el_one(), x)
 
     def _el_times_gen(self, el: UEAElement, g: int) -> UEAElement:
-        out: Dict[Monomial, Fraction] = {}
+        out: UEAElement = {}
         for mono, coef in el.items():
             _merge(out, self.mono_times_gen(mono, g), coef)
         return out
@@ -160,14 +162,14 @@ class PBWEngine:
         table = self.table
         rank = self.order.rank
         if not m:
-            res: UEAElement = {((g, 1),): Fraction(1)}
+            res: UEAElement = {((g, 1),): 1}
         else:
             x, a = m[-1]
             if rank[x] < rank[g]:
-                res = {m + ((g, 1),): Fraction(1)}
+                res = {m + ((g, 1),): 1}
             elif x == g:
                 if not table.basis[g].odd:
-                    res = {m[:-1] + ((g, a + 1),): Fraction(1)}
+                    res = {m[:-1] + ((g, a + 1),): 1}
                 else:
                     # odd square: x*x = [x, x] / 2
                     if a != 1:
@@ -175,10 +177,10 @@ class PBWEngine:
                     head = m[:-1]
                     res = {}
                     for z, c in table.bracket(g, g).items():
-                        _merge(res, self.mono_times_gen(head, z), c / 2)
+                        _merge(res, self.mono_times_gen(head, z), Fraction(c, 2))
             else:
                 base = m[:-1] + ((x, a - 1),) if a > 1 else m[:-1]
-                sign = Fraction(-1 if table.basis[x].odd and table.basis[g].odd else 1)
+                sign = -1 if table.basis[x].odd and table.basis[g].odd else 1
                 res = {}
                 _merge(res, self._el_times_gen(self.mono_times_gen(base, g), x), sign)
                 for z, c in table.bracket(x, g).items():
@@ -206,18 +208,18 @@ class PBWEngine:
         if hit is not None:
             return hit
         if not m or self.order.rank[g] < self.order.rank[m[0][0]]:
-            res: UEAElement = {((g, 1),) + m: Fraction(1)}
+            res: UEAElement = {((g, 1),) + m: 1}
         elif g != m[0][0]:
             res = self.commute_left(g, m, self.gen_times_mono)
         elif not self.table.basis[g].odd:
-            res = {((g, m[0][1] + 1),) + m[1:]: Fraction(1)}
+            res = {((g, m[0][1] + 1),) + m[1:]: 1}
         else:
             # odd square: g*g = [g, g] / 2
             if m[0][1] != 1:
                 raise WrongOrder("odd generators are exponent one in normal form")
             res = {}
             for z, c in self.table.bracket(g, g).items():
-                _merge(res, self.gen_times_mono(z, m[1:]), c / 2)
+                _merge(res, self.gen_times_mono(z, m[1:]), Fraction(c, 2))
         self._left_cache[key] = res
         return res
 
@@ -237,17 +239,17 @@ class PBWEngine:
         x_odd = table.basis[x].odd
         if x_odd and a != 1:
             raise WrongOrder("odd generators are exponent one in normal form")
-        out: Dict[Monomial, Fraction] = {}
-        y: Dict[int, Fraction] = {g: Fraction(1)}
+        out: UEAElement = {}
+        y: Value = {g: 1}
         for k in range(a + 1):
-            inner: Dict[Monomial, Fraction] = {}
+            inner: UEAElement = {}
             for z, c in y.items():
                 _merge(inner, times(z, rest), c)
             coef = -1 if k == 0 and x_odd and table.basis[g].odd else comb(a, k)
             _merge(out, self.power_times(x, a - k, inner), coef)
             if k == a:
                 break
-            nxt: Dict[int, Fraction] = {}
+            nxt: Value = {}
             for z, c in y.items():
                 _merge(nxt, table.bracket(z, x), c)
             y = nxt
@@ -264,22 +266,19 @@ class PBWEngine:
         """
         x_rank = self.order.rank[x]
         even = not self.table.basis[x].odd
-        out: Dict[Monomial, Fraction] = {}
+        out: UEAElement = {}
         while j and el:
-            slow: Dict[Monomial, Fraction] = {}
+            # distinct monomials of el give distinct keys in one pass
+            fast: UEAElement = {}
+            slow: UEAElement = {}
             for mono, c in el.items():
                 if not mono or self.order.rank[mono[0][0]] > x_rank:
-                    key = ((x, j),) + mono
+                    fast[((x, j),) + mono] = c
                 elif even and mono[0][0] == x:
-                    key = ((x, j + mono[0][1]),) + mono[1:]
+                    fast[((x, j + mono[0][1]),) + mono[1:]] = c
                 else:
                     _merge(slow, self.gen_times_mono(x, mono), c)
-                    continue
-                new = out.get(key, Fraction(0)) + c
-                if new:
-                    out[key] = new
-                else:
-                    del out[key]
+            _merge(out, fast)
             el = slow
             j -= 1
         _merge(out, el)
@@ -298,7 +297,7 @@ class PBWEngine:
             raise ValueError("negative power")
         if p == 0:
             return dict(x)
-        out: Dict[Monomial, Fraction] = {}
+        out: UEAElement = {}
         for mono, coef in x.items():
             if not mono or mono[-1][0] != bid or mono[-1][1] < p:
                 raise NotDivisible(

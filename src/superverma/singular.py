@@ -48,7 +48,7 @@ from .rootdata import (
     wsum,
     wzero,
 )
-from .superalgebra import BracketTable, build_structure_constants
+from .superalgebra import BracketTable, Coefficient, build_structure_constants
 from .verma import VermaVector, act, highest_weight_vector, is_singular
 
 
@@ -581,7 +581,7 @@ def witness_spec(params: CaseParams, alg: AlgebraData) -> WitnessSpec:
 @dataclass(frozen=True)
 class WitnessRow:
     label: int
-    coefficient: Fraction
+    coefficient: Coefficient
     terms: int
     weight_ok: bool
 
@@ -589,7 +589,7 @@ class WitnessRow:
 @dataclass(frozen=True)
 class WitnessReport:
     rows: Tuple[WitnessRow, ...]
-    candidate_coefficient: Fraction
+    candidate_coefficient: Coefficient
 
     @property
     def ok(self) -> bool:
@@ -612,9 +612,9 @@ def witness_monomial(engine: PBWEngine, mono_spec: Sequence[Tuple[Weight, int]])
     return tuple(pairs)
 
 
-def coefficient_witness(v: VermaVector, mono_spec, engine: PBWEngine) -> Fraction:
+def coefficient_witness(v: VermaVector, mono_spec, engine: PBWEngine) -> Coefficient:
     """Coefficient of the given lowering monomial in the body of v."""
-    return v.body.get(witness_monomial(engine, mono_spec), Fraction(0))
+    return v.body.get(witness_monomial(engine, mono_spec), 0)
 
 
 def run_witness(params: CaseParams, ctx: Context) -> WitnessReport:
@@ -625,11 +625,11 @@ def run_witness(params: CaseParams, ctx: Context) -> WitnessReport:
     for step in spec.steps:
         u_k = _apply_factors(engine, params.lam, step.e_factors, step.tail)
         mono = witness_monomial(engine, step.v_mono)
-        coeff = u_k.body.get(mono, Fraction(0))
+        coeff = u_k.body.get(mono, 0)
         weight_ok = bool(u_k.body) and engine.monomial_weight(mono) == engine.element_weight(
             u_k.body
         )
         rows.append(WitnessRow(step.label, coeff, len(u_k.body), weight_ok))
     u = candidate_u(params, ctx, engine=engine)
-    cand = u.body.get(witness_monomial(engine, spec.steps[0].v_mono), Fraction(0))
+    cand = u.body.get(witness_monomial(engine, spec.steps[0].v_mono), 0)
     return WitnessReport(tuple(rows), cand)

@@ -17,8 +17,13 @@ mu + nu, so that every step only reads brackets of lower height.  A gap in
 that schedule, or a probe that leaves the root grading, raises
 ClosureFailure instead of recursing blindly.
 
-Bracket values are dicts mapping basis ids to Fraction coefficients, so
-a value can be a root-vector multiple or a Cartan combination.
+Bracket values are dicts mapping basis ids to exact rational coefficients,
+so a value can be a root-vector multiple or a Cartan combination.  Every
+coefficient is stored in one canonical form: an int when it is integral,
+a Fraction otherwise (never a float, never a Fraction with denominator 1).
+Most structure constants are integers, and int arithmetic is several times
+cheaper than Fraction arithmetic in the PBW and module layers that read
+them.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from .rootdata import (
     AlgebraData,
@@ -39,7 +44,9 @@ from .rootdata import (
     wzero,
 )
 
-Value = Dict[int, Fraction]
+# an exact rational: an int when integral, a Fraction otherwise
+Coefficient = Union[int, Fraction]
+Value = Dict[int, Coefficient]
 
 
 class ClosureFailure(RuntimeError):
@@ -56,25 +63,35 @@ class BasisElement:
     name: str
 
 
-# Sparse vectors (dicts from keys to nonzero Fractions) are shared by the
-# bracket table here and by U(g) elements in pbw and verma.
+# Sparse vectors (dicts from keys to nonzero coefficients in canonical
+# form) are shared by the bracket table here and by U(g) elements in pbw
+# and verma.  _exact, _scaled and _merge keep every stored value canonical.
 
 
-def _scaled(val: Dict, c) -> Dict:
+def _exact(c: Coefficient) -> Coefficient:
+    """c in canonical form: an int when integral, else the Fraction."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def _scaled(val: Dict, c: Coefficient) -> Dict:
     """c * val for an int or Fraction c."""
     if not c:
         return {}
-    return {k: c * v for k, v in val.items()}
+    return {k: _exact(c * v) for k, v in val.items()}
 
 
-def _merge(into: Dict, val: Dict, c: Fraction = Fraction(1)) -> None:
+def _merge(into: Dict, val: Dict, c: Coefficient = 1) -> None:
     """into += c * val, dropping keys that cancel."""
     for k, v in val.items():
-        new = into.get(k, Fraction(0)) + c * v
-        if new:
-            into[k] = new
-        else:
+        new = into.get(k, 0) + c * v
+        if not new:
             into.pop(k, None)
+        elif type(new) is Fraction and new.denominator == 1:
+            into[k] = new.numerator
+        else:
+            into[k] = new
 
 
 def _signed_sum(terms, joiner: str) -> str:
@@ -177,10 +194,10 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
         return -1 if odd[x] and odd[y] else 1
 
     def set_entry(x: int, y: int, val: Value) -> None:
-        val = {k: v for k, v in val.items() if v}
+        val = {k: _exact(v) for k, v in val.items() if v}
         entries[(x, y)] = val
         if x != y:
-            entries[(y, x)] = _scaled(val, Fraction(-ksign(x, y)))
+            entries[(y, x)] = _scaled(val, -ksign(x, y))
         elif val and ksign(x, y) != -1:
             raise ClosureFailure(f"even square bracket [{basis[x].name}, {basis[x].name}] must vanish")
 
@@ -200,13 +217,13 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
             set_entry(h_id(j), f_id(s), {f_id(s): -c} if c else {})
     for a in range(R):
         for b in range(R):
-            val: Value = {h_id(a): Fraction(1)} if a == b else {}
+            val: Value = {h_id(a): 1} if a == b else {}
             set_entry(e_id(spi[a]), f_id(spi[b]), val)
     for s in range(P):
         if alg.decomp[s] is not None:
             k, t = alg.decomp[s]
-            set_entry(e_id(spi[k]), e_id(t), {e_id(s): Fraction(1)})
-            set_entry(f_id(spi[k]), f_id(t), {f_id(s): Fraction(1)})
+            set_entry(e_id(spi[k]), e_id(t), {e_id(s): 1})
+            set_entry(f_id(spi[k]), f_id(t), {f_id(s): 1})
     for mu in range(P):
         for nu in range(mu, P):
             if wsum(alg.pos_roots[mu].weight, alg.pos_roots[nu].weight) in alg.index:
@@ -231,13 +248,13 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
         return entries[(x, y)]
 
     def combine_left(x: int, val: Value) -> Value:
-        out: Dict[int, Fraction] = {}
+        out: Value = {}
         for z, c in val.items():
             _merge(out, bracket_ids(x, z), c)
         return out
 
     def combine_right(val: Value, y: int) -> Value:
-        out: Dict[int, Fraction] = {}
+        out: Value = {}
         for z, c in val.items():
             _merge(out, bracket_ids(z, y), c)
         return out
@@ -258,14 +275,14 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
             k, t = alg.decomp[b]
             out = combine_right(bracket_ids(e_id(a), f_id(spi[k])), f_id(t))
             _merge(out, combine_left(f_id(spi[k]), bracket_ids(e_id(a), f_id(t))),
-                   Fraction(ksign(e_id(a), f_id(spi[k]))))
+                   ksign(e_id(a), f_id(spi[k])))
         else:
             if ha < 2:
                 raise ClosureFailure("simple pairs are set in level 1")
             l, p = alg.decomp[a]
             out = combine_left(e_id(spi[l]), bracket_ids(e_id(p), f_id(b)))
             _merge(out, combine_left(e_id(p), bracket_ids(e_id(spi[l]), f_id(b))),
-                   Fraction(-ksign(e_id(spi[l]), e_id(p))))
+                   -ksign(e_id(spi[l]), e_id(p)))
         set_entry(*key, out)
 
     # same-sign pairs [X_mu, X_nu] with mu + nu = sigma, by height of sigma:
@@ -294,10 +311,10 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
                     continue
                 rhs = combine_right(bracket_ids(probe, X(mu)), X(nu))
                 _merge(rhs, combine_left(X(mu), bracket_ids(probe, X(nu))),
-                       Fraction(ksign(probe, X(mu))))
+                       ksign(probe, X(mu)))
                 if not set(rhs) <= {target}:
                     raise ClosureFailure("probe identity left the target line")
-                x = rhs.get(target, Fraction(0)) / tc
+                x = Fraction(rhs.get(target, 0), tc)
                 set_entry(X(mu), X(nu), {X(s): x} if x else {})
 
     for a in range(P):
@@ -347,7 +364,7 @@ def check_jacobi(table: BracketTable) -> JacobiReport:
         for y in range(dim):
             pairs += 1
             lhs = entries[(x, y)]
-            rhs = _scaled(entries[(y, x)], Fraction(-ksign(x, y)))
+            rhs = _scaled(entries[(y, x)], -ksign(x, y))
             if lhs != rhs:
                 return JacobiReport(
                     False, pairs, 0,
@@ -355,7 +372,7 @@ def check_jacobi(table: BracketTable) -> JacobiReport:
                 )
 
     def adj(x: int, val: Value) -> Value:
-        out: Dict[int, Fraction] = {}
+        out: Value = {}
         for z, c in val.items():
             _merge(out, entries[(x, z)], c)
         return out
@@ -363,10 +380,10 @@ def check_jacobi(table: BracketTable) -> JacobiReport:
     triples = 0
     for x, y, z in combinations_with_replacement(range(dim), 3):
         triples += 1
-        acc: Dict[int, Fraction] = {}
-        _merge(acc, adj(x, entries[(y, z)]), Fraction(ksign(x, z)))
-        _merge(acc, adj(y, entries[(z, x)]), Fraction(ksign(y, x)))
-        _merge(acc, adj(z, entries[(x, y)]), Fraction(ksign(z, y)))
+        acc: Value = {}
+        _merge(acc, adj(x, entries[(y, z)]), ksign(x, z))
+        _merge(acc, adj(y, entries[(z, x)]), ksign(y, x))
+        _merge(acc, adj(z, entries[(x, y)]), ksign(z, y))
         if acc:
             return JacobiReport(
                 False, pairs, triples,

@@ -1,4 +1,5 @@
-"""Verma modules with exact rational coefficients.
+"""Verma modules with exact rational coefficients (an int when integral, a
+Fraction otherwise).
 
 A module M(lambda) has highest-weight vector v+ of weight lambda - rho.
 Vectors are stored through their U(n^-) body: v = body * v+, with every
@@ -22,12 +23,11 @@ counterexample text share one memo, and an engine keeps at most one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Tuple
 
 from .pbw import Monomial, PBWEngine, UEAElement
 from .rootdata import Weight, format_weight, wdiff, wsum
-from .superalgebra import _merge, _scaled
+from .superalgebra import _exact, _merge, _scaled
 
 
 class ModuleMismatch(ValueError):
@@ -57,7 +57,7 @@ class VermaVector:
 
 
 def highest_weight_vector(lam: Weight) -> VermaVector:
-    return VermaVector({(): Fraction(1)}, lam)
+    return VermaVector({(): 1}, lam)
 
 
 class _Action:
@@ -72,9 +72,9 @@ class _Action:
         shift = wdiff(lam, table.alg.rho)
         cartans = range(table.n_cartan)
         # <lambda - rho, h_j>, and <wt(f), h_j> per lowering generator f
-        self.shift = tuple(table.cartan_pairing(j, shift) for j in cartans)
+        self.shift = tuple(_exact(table.cartan_pairing(j, shift)) for j in cartans)
         self.pairings = [
-            tuple(table.cartan_pairing(j, table.basis[f].weight) for j in cartans)
+            tuple(_exact(table.cartan_pairing(j, table.basis[f].weight)) for j in cartans)
             for f in range(table.n_pos)
         ]
         self.memo: Dict[Tuple[int, Monomial], UEAElement] = {}
@@ -89,7 +89,7 @@ class _Action:
             return hit
         if kind == "h":
             j = self.basis[g].index
-            scalar = self.shift[j] + sum(a * self.pairings[x][j] for x, a in m)
+            scalar = _exact(self.shift[j] + sum(a * self.pairings[x][j] for x, a in m))
             res: UEAElement = {m: scalar} if scalar else {}
         elif m:
             res = self.engine.commute_left(g, m, self.gen)
@@ -103,7 +103,7 @@ class _Action:
         if self.basis[g].kind == "f":
             return self.engine.power_times(g, e, body)
         for _ in range(e):
-            out: Dict[Monomial, Fraction] = {}
+            out: UEAElement = {}
             for mono, coef in body.items():
                 _merge(out, self.gen(g, mono), coef)
             body = out
@@ -125,7 +125,7 @@ def act(x: UEAElement, v: VermaVector, engine: PBWEngine) -> VermaVector:
     for mono in v.body:
         engine.check_lowering(mono)
     action = _action(engine, v.highest_weight)
-    body: Dict[Monomial, Fraction] = {}
+    body: UEAElement = {}
     for mono, coef in x.items():
         image = v.body
         for g, e in reversed(mono):

@@ -30,6 +30,11 @@ def ctx_for(text: str):
     return build_context(CaseId.parse(text))
 
 
+def is_canonical(c) -> bool:
+    """An int when integral, a Fraction only otherwise."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
 def first_even_root(alg):
     return next(r.weight for r in alg.pos_roots if not r.odd)
 
@@ -243,3 +248,25 @@ def test_render_is_deterministic():
     assert engine.render(x) == engine.render(dict(reversed(list(x.items()))))
     assert engine.render(el_zero()) == "0"
     assert engine.render(el_one(), suffix="v+") == "v+"
+
+
+def test_el_sub_and_power_times_keep_canonical_form():
+    """Coefficients stay an int when integral and a Fraction otherwise:
+    through el_sub, el_scale, el_add and power_times' accumulator."""
+    ctx = ctx_for("B-I:m=2,n=1")
+    engine = ctx.default_engine
+    rng = random.Random("canonical")
+    x = random_lowering(engine, rng, 3)
+    assert el_sub(x, x) == {}
+    half = el_scale(x, Fraction(1, 2))
+    doubled = el_add(half, half)
+    assert doubled == x and all(map(is_canonical, doubled.values()))
+    evens = [g for g in range(ctx.table.n_pos) if not ctx.table.basis[g].odd]
+    for _ in range(40):
+        el = {}
+        for _ in range(3):
+            el = el_add(el, el_scale(random_lowering(engine, rng, 2), Fraction(rng.choice((-1, 1, 3)), 2)))
+        g, j = rng.choice(evens), rng.randint(1, 3)
+        got = engine.power_times(g, j, el)
+        assert got == engine.multiply(engine.gen(g, j), el)
+        assert all(map(is_canonical, got.values())), got

@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from superverma.cli import SMALLEST_CASES
 from superverma.rootdata import CaseId, build_algebra_data, wsum
 from superverma.superalgebra import (
     BracketTable,
     ClosureFailure,
+    _merge,
+    _scaled,
     build_structure_constants,
     check_jacobi,
     check_reference_scaling,
@@ -184,3 +187,35 @@ def test_dump_table_deterministic():
     assert a == b
     assert a.count("\n") > 20
     assert "[f_{d1}, e_{d1}] = " in a
+
+
+def is_canonical(c) -> bool:
+    """An int when integral, a Fraction only otherwise."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+@pytest.mark.parametrize("text", SMALLEST_CASES)
+def test_bracket_table_coefficients_are_canonical(text):
+    table = make(text)
+    bad = [
+        (table.basis[x].name, table.basis[y].name, c)
+        for (x, y), val in table.entries.items()
+        for c in val.values()
+        if not is_canonical(c)
+    ]
+    assert not bad, bad[:5]
+
+
+def test_merge_and_scale_keep_canonical_form():
+    half = Fraction(1, 2)
+    acc = {"a": half}
+    _merge(acc, {"a": half})
+    assert acc == {"a": 1} and type(acc["a"]) is int
+    _merge(acc, {"a": 1}, -1)
+    assert acc == {}
+    _merge(acc, {"a": 3, "b": half}, Fraction(2, 3))
+    assert acc == {"a": 2, "b": Fraction(1, 3)} and type(acc["a"]) is int
+    scaled = _scaled({"a": half, "b": 3}, Fraction(2))
+    assert scaled == {"a": 1, "b": 6}
+    assert all(type(c) is int for c in scaled.values())
+    assert _scaled({"a": half}, 0) == {}

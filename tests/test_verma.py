@@ -14,7 +14,16 @@ from superverma.pbw import (
     make_order,
 )
 from superverma.rootdata import CaseId, build_algebra_data, wdiff, wscale, wsum
-from superverma.singular import CaseParams, build_context, candidate_u, default_lambda
+from superverma.singular import (
+    CaseParams,
+    ShapovalovElement,
+    build_context,
+    candidate_u,
+    chain_kappas,
+    default_lambda,
+    orbit_propagate,
+    propagate_chain,
+)
 from superverma.superalgebra import build_structure_constants
 from superverma.verma import (
     ModuleMismatch,
@@ -35,6 +44,23 @@ def setup(text: str, tail=()):
 
 def frac_weight(*xs):
     return tuple(Fraction(x) for x in xs)
+
+
+def is_canonical(c) -> bool:
+    """An int when integral, a Fraction only otherwise."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+def non_canonical(values):
+    return [c for c in values if not is_canonical(c)]
+
+
+def engine_coefficients(eng):
+    """Every coefficient held by the engine's caches and its module memo."""
+    caches = [eng._cache, eng._left_cache]
+    if eng.module_memo is not None:
+        caches.append(eng.module_memo.memo)
+    return [c for cache in caches for el in cache.values() for c in el.values()]
 
 
 def straightening_act(x, v, engine):
@@ -215,6 +241,8 @@ def test_module_action_matches_straightening(text):
                     got = act(x, v, eng).body
                     assert got == straightening_act(x, v, reference).body, (
                         text, eng.order.sequence[: table.n_pos], table.basis[g].name, e)
+                    assert not non_canonical(got.values()), (text, table.basis[g].name, e)
+        assert not non_canonical(engine_coefficients(eng)), text
 
 
 def test_module_action_needs_a_normal_form_body():
@@ -228,3 +256,19 @@ def test_module_action_needs_a_normal_form_body():
     ):
         with pytest.raises(WrongOrder):
             act(e, VermaVector(body, lam), eng)
+
+
+def test_orbit_coefficients_are_canonical():
+    """The propagated theta and every engine cache of an orbit chain hold
+    each coefficient as an int, or as a Fraction only when it is not one."""
+    case = CaseId.parse("B-I:m=2,n=1")
+    ctx = build_context(case)
+    report = propagate_chain(case, 1, 1, seed=0, ctx=ctx)
+    assert report.ok
+    (kappa,) = chain_kappas(1, ctx.alg)
+    u = candidate_u(CaseParams(case, 1, report.mu0), ctx)
+    shap, _ = orbit_propagate(ShapovalovElement(ctx.alg.gamma, 1, report.mu0, u.body), kappa, ctx)
+    assert shap.theta and not non_canonical(shap.theta.values())
+    for eng in (ctx.default_engine, ctx.engine(tail=(ctx.table.f_gen(kappa),))):
+        assert eng._cache and eng.module_memo is not None
+        assert not non_canonical(engine_coefficients(eng))
