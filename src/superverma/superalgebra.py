@@ -21,9 +21,8 @@ Bracket values are dicts mapping basis ids to exact rational coefficients,
 so a value can be a root-vector multiple or a Cartan combination.  Every
 coefficient is stored in one canonical form: an int when it is integral,
 a Fraction otherwise (never a float, never a Fraction with denominator 1).
-Most structure constants are integers, and int arithmetic is several times
-cheaper than Fraction arithmetic in the PBW and module layers that read
-them.
+Most coefficients here and in the PBW and module layers are integers, and
+int arithmetic is much cheaper than Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -86,12 +85,10 @@ def _merge(into: Dict, val: Dict, c: Coefficient = 1) -> None:
     """into += c * val, dropping keys that cancel."""
     for k, v in val.items():
         new = into.get(k, 0) + c * v
-        if not new:
-            into.pop(k, None)
-        elif type(new) is Fraction and new.denominator == 1:
-            into[k] = new.numerator
+        if new:
+            into[k] = _exact(new)
         else:
-            into[k] = new
+            into.pop(k, None)
 
 
 def _signed_sum(terms, joiner: str) -> str:
