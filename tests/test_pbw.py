@@ -252,7 +252,7 @@ def test_render_is_deterministic():
 
 def test_el_sub_and_power_times_keep_canonical_form():
     """Coefficients stay an int when integral and a Fraction otherwise:
-    through el_sub, el_scale, el_add and power_times' accumulator."""
+    through el_sub, el_scale, el_add and power_times."""
     ctx = ctx_for("B-I:m=2,n=1")
     engine = ctx.default_engine
     rng = random.Random("canonical")
