@@ -69,7 +69,7 @@ INTERNAL_ERRORS = (
     ModuleMismatch,
     NotDivisible,
     IsotropicCoroot,
-    RecursionError,  # mono_times_gen recurses once per unit of exponent
+    RecursionError,  # straightening recurses along the generators of a monomial
 )
 
 SMALLEST_CASES = (
@@ -360,11 +360,6 @@ def cmd_orbit(args) -> int:
     case = CaseId(args.case, int(args.m), int(args.n))
     alg = build_context(case).alg
     target = _parse_target(args.target, alg)
-    if args.p is not None and not chain_kappas(target, alg):
-        raise InvalidParams(
-            f"--p pins the first reflection, but the chain of {case.text}"
-            f" to target {target} has none"
-        )
     levels = parse_grid(args.C)
     seeds = parse_grid(args.seed)
     jobs = [(case.text, C, target, seed, args.p) for C in levels for seed in seeds]

@@ -10,8 +10,10 @@ places lowering generators first, then Cartan generators, then raising
 generators.  The arrangement inside the lowering block is configurable:
 witness bases and orbit propagation both need a chosen generator in the
 rightmost slot, and right division is only defined against that slot.
-Left multiplication of U(n^-) monomials by lowering generators, cached apart
-from the right-multiplication cache, serves the Verma module action.
+
+One rule straightens every product, and the Verma module action too: left
+multiplication by a generator power x^j (power_times), in one lambda-free
+cache per engine.  No step recurses once per unit of an exponent.
 """
 
 from __future__ import annotations
@@ -116,9 +118,8 @@ def make_order(table: BracketTable, tail: Sequence[GenSpec] = ()) -> PBWOrder:
 class PBWEngine:
     table: BracketTable
     order: PBWOrder
-    _cache: Dict[Tuple[Monomial, int], UEAElement] = field(default_factory=dict)
-    # g * m for a lowering generator g and a normal-form monomial m of U(n^-)
-    _left_cache: Dict[Tuple[int, Monomial], UEAElement] = field(default_factory=dict)
+    # g * m keyed (g, m), and _power_past's x^j * m keyed (x, j, m)
+    _left_cache: Dict[tuple, UEAElement] = field(default_factory=dict)
     # verma's memo of g . (m v+) for one highest weight; replaced when it changes
     module_memo: object = None
 
@@ -126,67 +127,26 @@ class PBWEngine:
         bid = spec if isinstance(spec, int) else self.table.f_gen(spec)
         if exp < 0:
             raise ValueError("negative exponent")
-        if exp == 0:
-            return el_one()
-        if self.table.basis[bid].odd and exp > 1:
-            return self.multiply(el_one(), {((bid, exp),): 1})
-        return {((bid, exp),): 1}
+        return self.power_times(bid, exp, el_one())
 
     def multiply(self, a: UEAElement, b: UEAElement) -> UEAElement:
-        """a * b in normal form; the monomials of b are read as generator
-        powers from left to right and need not be in normal form."""
-        out: UEAElement = {}
-        for mono, coef in b.items():
-            cur = a
-            for bid, exp in mono:
-                for _ in range(exp):
-                    cur = self._el_times_gen(cur, bid)
-            _merge(out, cur, coef)
-        return out
+        """a * b in normal form; the monomials of a and b are read as
+        generator powers from left to right and need not be in normal form."""
+        return self._words_times(a, self.import_element(b))
 
     def import_element(self, x: UEAElement) -> UEAElement:
         """Re-straighten an element produced under another generator order."""
-        return self.multiply(el_one(), x)
+        return self._words_times(x, el_one())
 
-    def _el_times_gen(self, el: UEAElement, g: int) -> UEAElement:
+    def _words_times(self, a: UEAElement, el: UEAElement) -> UEAElement:
+        """a * el for el in normal form, each word of a applied from the right."""
         out: UEAElement = {}
-        for mono, coef in el.items():
-            _merge(out, self.mono_times_gen(mono, g), coef)
+        for mono, coef in a.items():
+            part = el
+            for g, e in reversed(mono):
+                part = self.power_times(g, e, part)
+            _merge(out, part, coef)
         return out
-
-    def mono_times_gen(self, m: Monomial, g: int) -> UEAElement:
-        key = (m, g)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        table = self.table
-        rank = self.order.rank
-        if not m:
-            res: UEAElement = {((g, 1),): 1}
-        else:
-            x, a = m[-1]
-            if rank[x] < rank[g]:
-                res = {m + ((g, 1),): 1}
-            elif x == g:
-                if not table.basis[g].odd:
-                    res = {m[:-1] + ((g, a + 1),): 1}
-                else:
-                    # odd square: x*x = [x, x] / 2
-                    if a != 1:
-                        raise WrongOrder("odd generators are exponent one in normal form")
-                    head = m[:-1]
-                    res = {}
-                    for z, c in table.bracket(g, g).items():
-                        _merge(res, self.mono_times_gen(head, z), Fraction(c, 2))
-            else:
-                base = m[:-1] + ((x, a - 1),) if a > 1 else m[:-1]
-                sign = -1 if table.basis[x].odd and table.basis[g].odd else 1
-                res = {}
-                _merge(res, self._el_times_gen(self.mono_times_gen(base, g), x), sign)
-                for z, c in table.bracket(x, g).items():
-                    _merge(res, self.mono_times_gen(base, z), c)
-        self._cache[key] = res
-        return res
 
     def check_lowering(self, m: Monomial) -> None:
         """Raise WrongOrder unless m is a normal-form monomial of U(n^-)."""
@@ -201,8 +161,8 @@ class PBWEngine:
             last = pos
 
     def gen_times_mono(self, g: int, m: Monomial) -> UEAElement:
-        """g * m in normal form for a lowering generator g and a normal-form
-        monomial m of U(n^-); the mirror image of mono_times_gen."""
+        """g * m in normal form for a basis generator g and a normal-form
+        monomial m."""
         key = (g, m)
         hit = self._left_cache.get(key)
         if hit is not None:
@@ -258,11 +218,11 @@ class PBWEngine:
         return out
 
     def power_times(self, x: int, j: int, el: UEAElement) -> UEAElement:
-        """x^j * el in normal form for a lowering generator x and el in U(n^-).
+        """x^j * el in normal form for a basis generator x and el in normal form.
 
-        A monomial led by a generator ranked above x, or by the even x
-        itself, takes x^j in one step.  The others take one x at a time
-        until they are led that way.
+        For an even x (or j = 1), a monomial led by a generator ranked above
+        x takes x^j in one step; so does, for an even x, one led by x itself
+        or by a generator of exponent one.  The others take one x at a time.
         """
         x_rank = self.order.rank[x]
         even = not self.table.basis[x].odd
@@ -272,10 +232,12 @@ class PBWEngine:
             fast: UEAElement = {}
             slow: UEAElement = {}
             for mono, c in el.items():
-                if not mono or self.order.rank[mono[0][0]] > x_rank:
+                if (even or j == 1) and (not mono or self.order.rank[mono[0][0]] > x_rank):
                     fast[((x, j),) + mono] = c
                 elif even and mono[0][0] == x:
                     fast[((x, j + mono[0][1]),) + mono[1:]] = c
+                elif even and j > 1 and mono[0][1] == 1:
+                    _merge(out, self._power_past(x, j, mono), c)
                 else:
                     _merge(slow, self.gen_times_mono(x, mono), c)
             _merge(out, fast)
@@ -283,6 +245,30 @@ class PBWEngine:
             j -= 1
         _merge(out, el)
         return out
+
+    def _power_past(self, x: int, j: int, m: Monomial) -> UEAElement:
+        """x^j * m for an even x ranked above the leading y^1 of m, by
+        x^j y = sum_k C(j, k) ((ad x)^k(y)) x^(j-k) with (ad x)(z) = [x, z],
+        the mirror of commute_left."""
+        key = (x, j, m)
+        hit = self._left_cache.get(key)
+        if hit is not None:
+            return hit
+        rest = {m[1:]: 1}
+        res: UEAElement = {}
+        y: Value = {m[0][0]: 1}
+        for k in range(j + 1):
+            inner = self.power_times(x, j - k, rest)
+            for z, c in y.items():
+                _merge(res, self.power_times(z, 1, inner), comb(j, k) * c)
+            nxt: Value = {}
+            for z, c in y.items():
+                _merge(nxt, self.table.bracket(x, z), c)
+            y = nxt
+            if not y:
+                break
+        self._left_cache[key] = res
+        return res
 
     def right_divide(self, x: UEAElement, g: GenSpec, p: int) -> UEAElement:
         """Divide by g^p on the right; every monomial must carry g^p."""

@@ -377,9 +377,13 @@ def chain_weight(
     require_parity(alg, C)
     if p_first is not None and p_first < 1:
         raise InvalidParams("p must be a positive integer")
+    if p_first is not None and not kappas:
+        raise InvalidParams(
+            f"p (--p) pins the first reflection, but this chain of {alg.case.text} has none"
+        )
     support, block, _ = _letters(alg)
     forced_gap = None
-    if p_first is not None and kappas:
+    if p_first is not None:
         forced_gap = next(i for i, x in enumerate(kappas[0]) if x == 1)
     rng = random.Random(f"chain:{alg.case.text}:{C}:{seed}:0")  # ":0" keeps the seeds in use
     coords = [Fraction(rng.randint(-3, 3)) for _ in range(alg.rank)]

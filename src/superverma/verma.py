@@ -7,8 +7,9 @@ monomial in the engine's normal form.  An algebra element acts one basis
 generator g at a time, from the right, on each monomial m of the body,
 without leaving the module:
 
-- a lowering g multiplies m on the left inside U(n^-) (the engine's
-  lambda-free gen_times_mono and power_times);
+- a lowering g multiplies m on the left (the engine's lambda-free
+  gen_times_mono and power_times, which serve all of U(g) and here stay
+  inside U(n^-));
 - a Cartan g is the scalar <lambda - rho + wt(m), h>;
 - a raising g kills v+, and on m = x^a rest commutes past x^a by the
   binomial rule of PBWEngine.commute_left, acting on rest v+ with each

@@ -132,9 +132,11 @@ def test_usage_errors(capsys):
                        "--lambda", "1/0,1")
     assert code == 2
     assert "zero denominator" in err
-    code, _, err = run(capsys, "orbit", "--case", "B-I", "--m", "1", "--n", "1", "--p", "5")
-    assert code == 2
-    assert "--p" in err
+    for jobs in (("--jobs", "1"), ("--jobs", "2", "--seed", "0,1")):
+        code, out, err = run(capsys, "orbit", "--case", "B-I", "--m", "1", "--n", "1",
+                             "--p", "5", *jobs)
+        assert (code, out) == (2, "")
+        assert "--p" in err
 
 
 @pytest.mark.parametrize("fault", [WrongOrder, NotDivisible, IsotropicCoroot],
@@ -149,18 +151,52 @@ def test_internal_errors_exit_three(capsys, monkeypatch, fault):
     assert err == f"internal error: {fault.__name__}: the program broke its own invariant\n"
 
 
-def run_cli_process(*argv, stdout=subprocess.DEVNULL):
-    """``python -m superverma argv`` in a fresh interpreter."""
+def run_python(*args, stdout=subprocess.DEVNULL):
+    """``python args`` in a fresh interpreter that imports this superverma."""
     src = str(Path(superverma.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "superverma", *argv],
+    return subprocess.run([sys.executable, *args],
                           stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=600)
 
 
+def run_cli_process(*argv, stdout=subprocess.DEVNULL):
+    """``python -m superverma argv`` in a fresh interpreter."""
+    return run_python("-m", "superverma", *argv, stdout=stdout)
+
+
+def test_orbit_lift_has_no_recursion_per_unit():
+    """A lift exponent of 1500 is straightened without recursing once per
+    unit of it."""
+    proc = run_cli_process("orbit", "--case", "B-I", "--m", "2", "--n", "1", "--p", "1500",
+                           "--json", stdout=subprocess.PIPE)
+    assert proc.returncode == 0, proc.stderr
+    rec = json.loads(proc.stdout)
+    assert rec["ok"]
+    assert [s["p"] for s in rec["steps"]] == [1500]
+
+
+# Runs the orbit command with the stack cut to a few frames above its entry.
+SHALLOW_ORBIT = """
+import sys
+from superverma import cli
+
+def shallow(args, run=cli.cmd_orbit):
+    frame, depth = sys._getframe(), 0
+    while frame:
+        frame, depth = frame.f_back, depth + 1
+    sys.setrecursionlimit(depth + 8)
+    return run(args)
+
+cli.cmd_orbit = shallow
+sys.exit(cli.main(["orbit", "--case", "B-I", "--m", "2", "--n", "1"]))
+"""
+
+
 def test_recursion_limit_is_an_internal_error():
-    """A lift exponent of 1500 runs past the straightening recursion."""
-    proc = run_cli_process("orbit", "--case", "B-I", "--m", "2", "--n", "1", "--p", "1500")
+    """Straightening recurses along a monomial's generators, so a stack that
+    runs out is a fault of the program: exit 3 and no traceback."""
+    proc = run_python("-c", SHALLOW_ORBIT)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith(b"internal error: RecursionError: ")
     assert b"Traceback" not in proc.stderr

@@ -99,6 +99,15 @@ def test_chain_weight_honors_p_first():
         assert ctx.alg.coroot_pairing(mu, kappas[0]) == p
 
 
+def test_chain_weight_refuses_p_first_without_a_chain():
+    """A pinned first pairing with no reflection to pin is a usage error."""
+    alg = build_context(CaseId.parse("B-I:m=2,n=1")).alg
+    assert chain_kappas(2, alg) == []
+    with pytest.raises(InvalidParams, match="--p"):
+        chain_weight(1, [], seed=0, alg=alg, p_first=5)
+    assert len(chain_weight(1, [], seed=0, alg=alg)) == alg.rank
+
+
 def test_orbit_propagate_validation():
     case = CaseId.parse("B-I:m=2,n=1")
     ctx = build_context(case)

@@ -270,3 +270,17 @@ def test_el_sub_and_power_times_keep_canonical_form():
         got = engine.power_times(g, j, el)
         assert got == engine.multiply(engine.gen(g, j), el)
         assert all(map(is_canonical, got.values())), got
+
+
+@pytest.mark.parametrize("name", ["e2-e1", "D+e1"])
+def test_deep_power_passes_a_commuting_generator(name):
+    """f_{2D}^2000 x in one call: [f_{2D}, x] = 0 and x ranks below f_{2D},
+    so the product is x f_{2D}^2000, reached without a step per unit of
+    the exponent."""
+    ctx = ctx_for("G3")
+    engine = ctx.default_engine
+    big, x = ctx.table.f_gen("2D"), ctx.table.f_gen(name)
+    assert not ctx.table.bracket(big, x)
+    assert engine.order.rank[x] < engine.order.rank[big]
+    got = engine.multiply(engine.gen(big, 2000), engine.gen(x))
+    assert got == {((x, 1), (big, 2000)): 1}

@@ -57,7 +57,7 @@ def non_canonical(values):
 
 def engine_coefficients(eng):
     """Every coefficient held by the engine's caches and its module memo."""
-    caches = [eng._cache, eng._left_cache]
+    caches = [eng._left_cache]
     if eng.module_memo is not None:
         caches.append(eng.module_memo.memo)
     return [c for cache in caches for el in cache.values() for c in el.values()]
@@ -270,5 +270,5 @@ def test_orbit_coefficients_are_canonical():
     shap, _ = orbit_propagate(ShapovalovElement(ctx.alg.gamma, 1, report.mu0, u.body), kappa, ctx)
     assert shap.theta and not non_canonical(shap.theta.values())
     for eng in (ctx.default_engine, ctx.engine(tail=(ctx.table.f_gen(kappa),))):
-        assert eng._cache and eng.module_memo is not None
+        assert eng._left_cache and eng.module_memo is not None
         assert not non_canonical(engine_coefficients(eng))
