@@ -199,22 +199,21 @@ class PBWEngine:
         x_odd = table.basis[x].odd
         if x_odd and a != 1:
             raise WrongOrder("odd generators are exponent one in normal form")
-        out: UEAElement = {}
         y: Value = {g: 1}
-        for k in range(a + 1):
-            inner: UEAElement = {}
-            for z, c in y.items():
-                _merge(inner, times(z, rest), c)
-            coef = -1 if k == 0 and x_odd and table.basis[g].odd else comb(a, k)
-            _merge(out, self.power_times(x, a - k, inner), coef)
-            if k == a:
-                break
+        out = self.power_times(x, a, times(g, rest))
+        if x_odd and table.basis[g].odd:
+            out = _scaled(out, -1)
+        for k in range(1, a + 1):
             nxt: Value = {}
             for z, c in y.items():
                 _merge(nxt, table.bracket(z, x), c)
             y = nxt
             if not y:
                 break
+            inner: UEAElement = {}
+            for z, c in y.items():
+                _merge(inner, times(z, rest), c)
+            _merge(out, self.power_times(x, a - k, inner), comb(a, k))
         return out
 
     def power_times(self, x: int, j: int, el: UEAElement) -> UEAElement:
@@ -240,7 +239,10 @@ class PBWEngine:
                     _merge(out, self._power_past(x, j, mono), c)
                 else:
                     _merge(slow, self.gen_times_mono(x, mono), c)
-            _merge(out, fast)
+            if out:
+                _merge(out, fast)
+            else:
+                out = fast
             el = slow
             j -= 1
         _merge(out, el)
