@@ -22,6 +22,7 @@ from superverma.pbw import (
 )
 from superverma.rootdata import CaseId, wsum
 from superverma.singular import build_context
+from superverma.superalgebra import _merge
 
 CASES = ["B-I:m=1,n=1", "B-II:m=1,n=1", "D-I:m=1,n=2", "D-II:m=1,n=2", "F31", "G3"]
 
@@ -104,6 +105,71 @@ def test_associativity_on_random_triples():
             left = engine.multiply(engine.multiply(x, y), z)
             right = engine.multiply(x, engine.multiply(y, z))
             assert left == right, (text, trial, ids)
+
+
+def right_product(engine, a, b):
+    """Reference a * b for a in normal form: right multiplication by one
+    generator at a time, the mirror of the engine's rule (small exponents
+    only, since it recurses once per unit of exponent)."""
+    table, rank = engine.table, engine.order.rank
+    cache = {}
+
+    def mono_times(m, g):
+        if (m, g) in cache:
+            return cache[(m, g)]
+        res = {}
+        if not m or rank[m[-1][0]] < rank[g]:
+            res = {m + ((g, 1),): 1}
+        elif m[-1][0] == g and not table.basis[g].odd:
+            res = {m[:-1] + ((g, m[-1][1] + 1),): 1}
+        elif m[-1][0] == g:  # odd square: g g = [g, g] / 2
+            for z, c in table.bracket(g, g).items():
+                _merge(res, mono_times(m[:-1], z), Fraction(c, 2))
+        else:  # x g = (-1)^(|x||g|) g x + [x, g]
+            x, e = m[-1]
+            base = m[:-1] + ((x, e - 1),) if e > 1 else m[:-1]
+            sign = -1 if table.basis[x].odd and table.basis[g].odd else 1
+            _merge(res, el_times(mono_times(base, g), x), sign)
+            for z, c in table.bracket(x, g).items():
+                _merge(res, mono_times(base, z), c)
+        cache[(m, g)] = res
+        return res
+
+    def el_times(el, g):
+        out = {}
+        for m, c in el.items():
+            _merge(out, mono_times(m, g), c)
+        return out
+
+    out = {}
+    for word, coef in b.items():
+        cur = a
+        for g, e in word:
+            for _ in range(e):
+                cur = el_times(cur, g)
+        _merge(out, cur, coef)
+    return out
+
+
+@pytest.mark.parametrize("text", CASES)
+def test_left_rule_matches_right_multiplication(text):
+    """multiply (left multiplication by generator powers) against the
+    independent right-multiplication reference, on random words of all of
+    U(g) under the default order and a tailed one."""
+    ctx = ctx_for(text)
+    table = ctx.table
+    rng = random.Random(f"right:{text}")
+
+    def word():
+        return tuple((g, 1 if table.basis[g].odd else rng.randint(1, 3))
+                     for g in (rng.randrange(table.dim) for _ in range(rng.randint(1, 3))))
+
+    for engine in (ctx.default_engine, ctx.engine(tail=(table.f_gen(first_even_root(ctx.alg)),))):
+        for _ in range(25):
+            a = engine.import_element({word(): rng.randint(1, 3)})
+            b = {word(): rng.randint(1, 3), word(): rng.choice((-1, Fraction(1, 2)))}
+            assert engine.multiply(a, b) == right_product(engine, a, b)
+            assert engine.import_element(b) == right_product(engine, el_one(), b)
 
 
 def test_products_stay_weight_homogeneous():
