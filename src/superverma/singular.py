@@ -2,10 +2,11 @@
 
 For a case with distinguished root gamma and a weight lambda satisfying
 <lambda, h_gamma> = N, the candidate vector u lives in M(lambda) at weight
-lambda - rho - N*gamma.  It is built by applying an explicit product of
-odd raising generators and a lowering-generator power to v+.  In the osp
-families those factors are read off gamma's support: the pivots are the
-unit vectors there, the block is the other letter's coordinates.
+lambda - rho - N*gamma: a product of odd raising generators summing to
+c*gamma, straightened once in U(n^+), acts once on f_gamma^(N + c) v+.
+In the osp families those factors are read off gamma's support: the
+pivots are the unit vectors there, the block is the other letter's
+coordinates.
 
 A Shapovalov element (beta, C, mu, theta) records theta in U(n^-) with
 theta v+ singular in M(mu) at weight mu - rho - C*beta.  Reflecting in an
@@ -49,7 +50,7 @@ from .rootdata import (
     wzero,
 )
 from .superalgebra import BracketTable, Coefficient, build_structure_constants
-from .verma import VermaVector, act, highest_weight_vector, is_singular
+from .verma import VermaVector, act, is_singular
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +202,11 @@ def _apply_factors(
     e_factors: Sequence[Weight],
     tail: Sequence[Tuple[Weight, int]],
 ) -> VermaVector:
+    """The word e_factors (leftmost first), straightened in U(n^+), acting once on tail v+."""
     table = engine.table
-    v = highest_weight_vector(lam)
-    for w, exp in reversed(list(tail)):
-        v = act(engine.gen(table.f_gen(w), exp), v, engine)
-    for w in reversed(list(e_factors)):
-        v = act(engine.gen(table.e_gen(w)), v, engine)
-    return v
+    tail_body = engine.import_element({tuple((table.f_gen(w), e) for w, e in tail): 1})
+    raising = engine.import_element({tuple((table.e_gen(w), 1) for w in e_factors): 1})
+    return act(raising, VermaVector(tail_body, lam), engine)
 
 
 def candidate_u(

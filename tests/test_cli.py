@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -329,6 +330,22 @@ def test_failed_check_exits_one(capsys, monkeypatch):
     assert code == 1
     assert "singular=FAIL" in out
     assert "counterexample" in out
+
+
+def test_failed_signflip_exits_one(capsys, monkeypatch):
+    """A permuted candidate that is not +-u fails the sign-flip check."""
+    real = cli.candidate_u
+
+    def doubled_when_permuted(params, ctx, perm=None, engine=None):
+        u = real(params, ctx, perm=perm, engine=engine)
+        return u if perm is None else u.scaled(2)
+
+    monkeypatch.setattr(cli, "candidate_u", doubled_when_permuted)
+    code, out, _ = run(capsys, "verify", "--case", "B-I", "--m", "1", "--n", "1",
+                       "--N", "1", "--check", "signflip")
+    assert code == 1
+    assert "signflip=FAIL" in out
+    assert re.search(r"counterexample: permutation \[\d+(, \d+)*\] is not a sign flip", out), out
 
 
 def test_selftest_failure_named(capsys, monkeypatch):

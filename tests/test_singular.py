@@ -5,17 +5,21 @@ from fractions import Fraction
 
 import pytest
 
+from superverma.cli import SMALLEST_CASES
+from superverma.pbw import el_scale
 from superverma.rootdata import CaseId, InvalidParams, ParityViolation, wdiff, wscale
 from superverma.singular import (
     CaseParams,
+    _apply_factors,
     build_context,
     candidate_factors,
     candidate_u,
     claimed_drop,
     default_lambda,
     validate_params,
+    witness_spec,
 )
-from superverma.verma import is_singular, weight_of
+from superverma.verma import act, highest_weight_vector, is_singular, weight_of
 
 SMALLEST = {
     "B-I:m=1,n=1": 1,
@@ -31,6 +35,24 @@ def params_for(text: str, N: int, seed: int = 0) -> CaseParams:
     case = CaseId.parse(text)
     ctx = build_context(case)
     return CaseParams(case, N, default_lambda(case, N, seed, ctx.alg)), ctx
+
+
+def apply_one_at_a_time(engine, lam, e_factors, tail):
+    """Reference for the candidate's construction: every lowering power and
+    then every odd raising factor acts on the growing module vector, one
+    act per factor, rightmost first."""
+    table = engine.table
+    v = highest_weight_vector(lam)
+    for w, exp in reversed(list(tail)):
+        v = act(engine.gen(table.f_gen(w), exp), v, engine)
+    for w in reversed(list(e_factors)):
+        v = act(engine.gen(table.e_gen(w)), v, engine)
+    return v
+
+
+def raising_product(engine, e_factors):
+    """The word of odd raising factors, straightened in U(n^+)."""
+    return engine.import_element({tuple((engine.table.e_gen(w), 1) for w in e_factors): 1})
 
 
 def test_default_lambda_frozen_values():
@@ -126,16 +148,23 @@ def test_factor_permutations_flip_sign_at_most():
         params, ctx = params_for(text, 1)
         u = candidate_u(params, ctx)
         neg = {m: -c for m, c in u.body.items()}
-        k = len(candidate_factors(params, ctx.alg)[0])
+        odd = candidate_factors(params, ctx.alg)[0]
+        k = len(odd)
+        engine = ctx.default_engine
+        y_id = raising_product(engine, odd)
         rng = random.Random(f"perm:{text}")
-        seen_minus = False
+        seen_minus = seen_other_product = False
         for _ in range(8):
             perm = list(range(k))
             rng.shuffle(perm)
             w = candidate_u(params, ctx, perm=perm)
             assert w.body in (u.body, neg)
             seen_minus = seen_minus or w.body == neg
+            y = raising_product(engine, [odd[i] for i in perm])
+            seen_other_product = seen_other_product or y not in (y_id, el_scale(y_id, -1))
         assert seen_minus
+        # some permuted product is not +-Y_id itself, so the flip is decided in the module
+        assert seen_other_product
     with pytest.raises(InvalidParams):
         candidate_u(params, ctx, perm=[0, 0, 1, 2, 3, 4, 5, 6])
 
@@ -147,3 +176,25 @@ def test_context_caches_engines():
     assert tailed is ctx.engine(tail=("e1",))
     assert tailed is not ctx.default_engine
     assert build_context(CaseId.parse("B-I:m=1,n=1")) is ctx
+
+
+@pytest.mark.parametrize("text", SMALLEST_CASES + ("D-II:m=2,n=2",))
+def test_straightened_factors_match_one_at_a_time(text):
+    """The raising word straightened in U(n^+) and acting once gives the
+    body of the factor-at-a-time reference exactly: for the candidate under
+    the default engine and the witness engine, and for every witness step
+    under the witness engine, each in its own order and five seeded
+    permutations."""
+    params, ctx = params_for(text, 1)
+    odd, tail = candidate_factors(params, ctx.alg)
+    spec = witness_spec(params, ctx.alg)
+    witness_engine = ctx.engine(tail=spec.tail)
+    jobs = [(ctx.default_engine, odd, tail), (witness_engine, odd, tail)]
+    jobs += [(witness_engine, step.e_factors, step.tail) for step in spec.steps]
+    rng = random.Random(f"straighten:{text}")
+    for engine, e_factors, tail in jobs:
+        orders = [list(e_factors)] + [rng.sample(e_factors, len(e_factors)) for _ in range(5)]
+        for factors in orders:
+            got = _apply_factors(engine, params.lam, factors, tail)
+            want = apply_one_at_a_time(engine, params.lam, factors, tail)
+            assert got.body == want.body, (text, engine.order.sequence, factors)
