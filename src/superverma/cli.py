@@ -36,6 +36,7 @@ from .rootdata import (
     IsotropicCoroot,
     OSP_FAMILIES,
     RootDataError,
+    format_weight,
     parse_weight,
     wdiff,
 )
@@ -191,10 +192,20 @@ def _verify_point(job):
         if not nonzero:
             counterexample = "u = 0"
     expected = wdiff(wdiff(lam, alg.rho), drop)
-    weight_ok = nonzero and weight_of(u, engine) == expected
+    weight_ok = False
+    if nonzero:
+        try:
+            weight = weight_of(u, engine)
+        except Inhomogeneous as exc:
+            problem = f"body of u: {exc}"
+        else:
+            weight_ok = weight == expected
+            problem = (
+                f"weight_of(u) = ({format_weight(weight)}), expected ({format_weight(expected)})"
+            )
     rec["weight_ok"] = weight_ok
     if nonzero and not weight_ok and counterexample is None:
-        counterexample = f"weight_of(u) = {weight_of(u, engine)}, expected {expected}"
+        counterexample = problem
     if "singular" in checks:
         report = is_singular(u, engine)
         rec["singular_ok"] = report.ok
@@ -424,8 +435,11 @@ def _st_candidate(ctx, seed):
         return False, "u = 0"
     engine = ctx.default_engine
     expected = wdiff(wdiff(lam, ctx.alg.rho), claimed_drop(params, ctx.alg))
-    if weight_of(u, engine) != expected:
-        return False, "wrong weight"
+    try:
+        if weight_of(u, engine) != expected:
+            return False, "wrong weight"
+    except Inhomogeneous as exc:
+        return False, f"body of u: {exc}"
     report = is_singular(u, engine)
     if not report.ok:
         bad = [name for name, count in report.residuals if count]

@@ -14,6 +14,9 @@ rightmost slot, and right division is only defined against that slot.
 One rule straightens every product, and the Verma module action too: left
 multiplication by a generator power x^j (power_times), in one lambda-free
 cache per engine.  No step recurses once per unit of an exponent.
+
+Weights are summed in ints on the bracket table's integer lattice (each
+basis weight times one common denominator) and returned as Fraction tuples.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Dict, Sequence, Tuple, Union
 
-from .rootdata import Weight, wsum, wzero
+from .rootdata import Weight, format_weight
 from .superalgebra import BracketTable, Coefficient, Value, _merge, _scaled, _signed_sum
 
 Monomial = Tuple[Tuple[int, int], ...]
@@ -301,19 +304,30 @@ class PBWEngine:
         return out
 
     def monomial_weight(self, m: Monomial) -> Weight:
-        out = wzero(self.table.alg.rank)
-        for bid, exp in m:
-            w = self.table.basis[bid].weight
-            out = wsum(out, tuple(exp * c for c in w))
-        return out
+        return self._from_lattice(self._lattice_weight(m))
 
     def element_weight(self, x: UEAElement) -> Weight:
+        """The weight every monomial of x shares; Inhomogeneous if there is none."""
         if not x:
             raise Inhomogeneous("the zero element has no weight")
-        weights = {self.monomial_weight(m) for m in x}
+        weights = {self._lattice_weight(m) for m in x}
         if len(weights) > 1:
-            raise Inhomogeneous(f"mixed weights {sorted(weights)}")
-        return weights.pop()
+            mixed = ", ".join(f"({format_weight(self._from_lattice(w))})" for w in sorted(weights))
+            raise Inhomogeneous(f"mixed weights {mixed}")
+        return self._from_lattice(weights.pop())
+
+    def _lattice_weight(self, m: Monomial) -> Tuple[int, ...]:
+        """weight_den times the weight of m, summed in ints on the table's lattice."""
+        lattice = self.table.lattice
+        out = [0] * self.table.alg.rank
+        for bid, exp in m:
+            for k, c in enumerate(lattice[bid]):
+                out[k] += exp * c
+        return tuple(out)
+
+    def _from_lattice(self, w: Tuple[int, ...]) -> Weight:
+        den = self.table.weight_den
+        return tuple(Fraction(c, den) for c in w)
 
     def render_monomial(self, m: Monomial) -> str:
         if not m:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .pbw import PBWEngine, UEAElement, WrongOrder, make_order
+from .pbw import Inhomogeneous, PBWEngine, UEAElement, WrongOrder, make_order
 from .rootdata import (
     AlgebraData,
     CaseId,
@@ -231,6 +231,14 @@ def claimed_drop(params: CaseParams, alg: AlgebraData) -> Weight:
     return wscale(params.N, alg.gamma.weight)
 
 
+def _has_weight(engine: PBWEngine, x: UEAElement, weight: Weight) -> bool:
+    """Whether x is nonzero and every monomial of x has the given weight."""
+    try:
+        return engine.element_weight(x) == weight
+    except Inhomogeneous:
+        return False
+
+
 # ---------------------------------------------------------------------------
 # orbit propagation
 
@@ -298,7 +306,7 @@ def orbit_propagate(shap: ShapovalovElement, kappa, ctx: Context) -> Tuple[Shapo
     beta2 = alg.root_at(alg.reflect(shap.beta.weight, kw))
     image_ok = is_singular(VermaVector(theta2, nu), engine).ok
     weight_ok = (
-        engine.element_weight(theta2) == wscale(-shap.C, beta2.weight)
+        _has_weight(engine, theta2, wscale(-shap.C, beta2.weight))
         and alg.coroot_pairing(nu, beta2) == shap.C
     )
     step = OrbitStep(
@@ -629,9 +637,7 @@ def run_witness(params: CaseParams, ctx: Context) -> WitnessReport:
         u_k = _apply_factors(engine, params.lam, step.e_factors, step.tail)
         mono = witness_monomial(engine, step.v_mono)
         coeff = u_k.body.get(mono, 0)
-        weight_ok = bool(u_k.body) and engine.monomial_weight(mono) == engine.element_weight(
-            u_k.body
-        )
+        weight_ok = _has_weight(engine, u_k.body, engine.monomial_weight(mono))
         rows.append(WitnessRow(step.label, coeff, len(u_k.body), weight_ok))
     u = candidate_u(params, ctx, engine=engine)
     cand = u.body.get(witness_monomial(engine, spec.steps[0].v_mono), 0)

@@ -27,9 +27,10 @@ int arithmetic is much cheaper than Fraction arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 from typing import Dict, List, Optional, Tuple, Union
 
 from .rootdata import (
@@ -109,6 +110,17 @@ class BracketTable:
     basis: Tuple[BasisElement, ...]
     entries: Dict[Tuple[int, int], Value]
     cartan_duals: Tuple[Weight, ...]
+    # the basis weights on one integer lattice, derived from basis:
+    # basis[b].weight == lattice[b] / weight_den, coordinate by coordinate
+    weight_den: int = field(init=False)
+    lattice: Tuple[Tuple[int, ...], ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        den = lcm(*(x.denominator for el in self.basis for x in el.weight))
+        self.weight_den = den
+        self.lattice = tuple(
+            tuple(x.numerator * (den // x.denominator) for x in el.weight) for el in self.basis
+        )
 
     @property
     def n_pos(self) -> int:

@@ -14,7 +14,7 @@ from superverma import cli
 from superverma.cli import main, parse_grid
 from superverma.pbw import NotDivisible, WrongOrder
 from superverma.rootdata import InvalidParams, IsotropicCoroot
-from superverma.verma import SingularityReport
+from superverma.verma import SingularityReport, VermaVector
 
 
 def run(capsys, *argv):
@@ -346,6 +346,47 @@ def test_failed_signflip_exits_one(capsys, monkeypatch):
     assert code == 1
     assert "signflip=FAIL" in out
     assert re.search(r"counterexample: permutation \[\d+(, \d+)*\] is not a sign flip", out), out
+
+
+@pytest.mark.parametrize("spoil", ["mixed", "shifted"])
+def test_failed_weight_exits_one(capsys, monkeypatch, spoil):
+    """A candidate body with a stray monomial of another weight, or shifted
+    by one lowering generator, fails the weight check with a readable
+    counterexample instead of an internal error."""
+    real = cli.candidate_u
+
+    def spoiled(params, ctx, perm=None, engine=None):
+        u = real(params, ctx, perm=perm, engine=engine)
+        eng = engine or ctx.default_engine
+        if spoil == "mixed":
+            body = {**u.body, (): 1}
+        else:
+            body = eng.multiply(eng.gen(0), u.body)
+        return VermaVector(body, u.highest_weight)
+
+    monkeypatch.setattr(cli, "candidate_u", spoiled)
+    code, out, err = run(capsys, "verify", "--case", "B-I", "--m", "1", "--n", "1",
+                         "--N", "1", "--check", "nonzero")
+    assert code == 1, err
+    assert "weight=FAIL" in out
+    if spoil == "mixed":
+        assert "counterexample: body of u: mixed weights (-1,0), (0,0)" in out, out
+    else:
+        assert re.search(r"counterexample: weight_of\(u\) = \([-\d/,]+\), expected \(", out), out
+    assert "Fraction" not in out
+
+
+def test_selftest_mixed_candidate_fails(capsys, monkeypatch):
+    real = cli.candidate_u
+
+    def with_stray(params, ctx, perm=None, engine=None):
+        u = real(params, ctx, perm=perm, engine=engine)
+        return VermaVector({**u.body, (): 1}, u.highest_weight)
+
+    monkeypatch.setattr(cli, "candidate_u", with_stray)
+    code, out, _ = run(capsys, "selftest", "--case", "B-I")
+    assert code == 1
+    assert "FAIL candidate      B-I:m=1,n=1  body of u: mixed weights (-1,0), (0,0)" in out, out
 
 
 def test_selftest_failure_named(capsys, monkeypatch):

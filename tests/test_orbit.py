@@ -2,6 +2,7 @@
 
 import pytest
 
+from superverma.pbw import PBWEngine, el_add, el_one
 from superverma.rootdata import CaseId, InvalidParams, ParityViolation, wdiff
 from superverma.singular import (
     CaseParams,
@@ -124,6 +125,31 @@ def test_orbit_propagate_validation():
     moved, _ = orbit_propagate(shap, kappas[0], ctx)
     with pytest.raises(InvalidParams):
         orbit_propagate(moved, kappas[0], ctx)
+
+
+@pytest.mark.parametrize("spoil", ["shifted", "mixed"])
+def test_orbit_weight_check_bites(monkeypatch, spoil):
+    """A theta' multiplied by one extra lowering generator, or with a stray
+    monomial of another weight, fails weight_ok instead of raising."""
+    case = CaseId.parse("B-I:m=2,n=1")
+    ctx = build_context(case)
+    alg = ctx.alg
+    kappas = chain_kappas(1, alg)
+    mu = chain_weight(1, kappas, seed=0, alg=alg)
+    shap = ShapovalovElement(alg.gamma, 1, mu, candidate_u(CaseParams(case, 1, mu), ctx).body)
+    assert orbit_propagate(shap, kappas[0], ctx)[1].weight_ok
+    real = PBWEngine.right_divide
+
+    def spoiled(self, x, g, p):
+        quotient = real(self, x, g, p)
+        if spoil == "shifted":
+            return self.multiply(self.gen(0), quotient)
+        return el_add(quotient, el_one())
+
+    monkeypatch.setattr(PBWEngine, "right_divide", spoiled)
+    _, step = orbit_propagate(shap, kappas[0], ctx)
+    assert not step.weight_ok
+    assert not step.ok
 
 
 def test_orbit_propagate_needs_integral_positive_pairing():

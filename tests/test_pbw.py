@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,8 @@ from superverma.pbw import (
     el_sub,
     el_zero,
 )
-from superverma.rootdata import CaseId, wsum
+from superverma.cli import SMALLEST_CASES
+from superverma.rootdata import CaseId, wsum, wzero
 from superverma.singular import build_context
 from superverma.superalgebra import _merge
 
@@ -299,11 +301,60 @@ def test_even_power_commutation_expands_binomially():
 def test_element_weight_rejects_mixtures_and_zero():
     ctx = ctx_for("B-I:m=1,n=1")
     engine = ctx.default_engine
-    with pytest.raises(Inhomogeneous):
+    with pytest.raises(Inhomogeneous, match="the zero element has no weight"):
         engine.element_weight(el_zero())
     mixed = el_add(engine.gen(ctx.table.f_gen("e1")), engine.gen(ctx.table.f_gen("d1")))
-    with pytest.raises(Inhomogeneous):
+    with pytest.raises(Inhomogeneous, match=re.escape("mixed weights (-1,0), (0,-1)")):
         engine.element_weight(mixed)
+
+
+def reference_monomial_weight(engine, m):
+    """The weight of m as a sum of Fraction tuples, one generator at a time."""
+    out = wzero(engine.table.alg.rank)
+    for bid, exp in m:
+        w = engine.table.basis[bid].weight
+        out = wsum(out, tuple(exp * c for c in w))
+    return out
+
+
+def random_normal_monomial(engine, rng):
+    """A random normal-form monomial over the whole basis: odd generators
+    at most once, even ones up to the cube."""
+    mono = []
+    for g in engine.order.sequence:
+        if rng.random() < 0.3:
+            mono.append((g, 1 if engine.table.basis[g].odd else rng.randint(1, 3)))
+    return tuple(mono)
+
+
+def is_fraction_weight(w) -> bool:
+    return type(w) is tuple and all(type(c) is Fraction for c in w)
+
+
+@pytest.mark.parametrize("text", SMALLEST_CASES)
+def test_lattice_weights_match_fraction_sums(text):
+    """monomial_weight and element_weight, summed on the table's integer
+    lattice, equal the Fraction sum exactly, under the default engine and
+    a tailed one; F31 is the case with weight_den 2."""
+    ctx = ctx_for(text)
+    table = ctx.table
+    assert table.weight_den == (2 if text == "F31" else 1)
+    for bid, el in enumerate(table.basis):
+        assert tuple(Fraction(c, table.weight_den) for c in table.lattice[bid]) == el.weight
+    rng = random.Random(f"lattice:{text}")
+    for engine in (ctx.default_engine, ctx.engine(tail=(first_even_root(ctx.alg),))):
+        for _ in range(40):
+            m = random_normal_monomial(engine, rng)
+            got = engine.monomial_weight(m)
+            assert got == reference_monomial_weight(engine, m) and is_fraction_weight(got)
+        for _ in range(8):
+            x = random_lowering(engine, rng, 3)
+            x = engine.multiply(engine.gen(table.e_id(rng.randrange(table.n_pos))), x) or x
+            if not x:
+                continue
+            got = engine.element_weight(x)
+            assert {reference_monomial_weight(engine, m) for m in x} == {got}
+            assert is_fraction_weight(got)
 
 
 def test_render_is_deterministic():

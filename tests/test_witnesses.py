@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from superverma import singular
 from superverma.rootdata import CaseId, InvalidParams
 from superverma.singular import (
     CaseParams,
@@ -21,7 +22,7 @@ from superverma.singular import (
     witness_monomial,
     witness_spec,
 )
-from superverma.verma import act, highest_weight_vector
+from superverma.verma import VermaVector, act, highest_weight_vector
 
 
 def report_for(text: str, N: int, seed: int = 1):
@@ -134,3 +135,18 @@ def test_witness_monomial_drops_zero_exponents():
     engine = ctx.default_engine
     mono = witness_monomial(engine, [("e1", 1), ("2d1", 0)])
     assert mono == ((ctx.table.f_gen("e1"), 1),)
+
+
+def test_mixed_witness_step_fails_its_weight_check(monkeypatch):
+    """A step product with a stray monomial of another weight gives
+    weight_ok false in its row instead of raising."""
+    real = singular._apply_factors
+
+    def with_stray(*args):
+        u = real(*args)
+        return VermaVector({**u.body, (): 1}, u.highest_weight)
+
+    monkeypatch.setattr(singular, "_apply_factors", with_stray)
+    report, _, _ = report_for("B-I:m=1,n=1", 1)
+    assert report.rows and not any(r.weight_ok for r in report.rows)
+    assert not report.ok
