@@ -1,7 +1,8 @@
 """Golden-output oracle: the standard-grid NDJSON, the orbit-chain NDJSON,
 the structure-constant dumps (in full for the smallest cases, as digests
-for every osp case with m, n <= 3 and F31, G3), the osp witness specs and
-the orbit-chain set-up digests must stay byte-identical.
+for every osp case with m, n <= 3 and F31, G3), the osp witness specs,
+the orbit-chain set-up digests and the selftest NDJSON must stay
+byte-identical.
 
 The files under ``tests/golden/`` are written by this module itself:
 
@@ -64,6 +65,11 @@ def orbit_chains() -> str:
                 "--C", str(C), "--target", target_text, "--seed", "0", "--json"]
         out += _stdout(cli_main, argv)
     return out
+
+
+def selftest() -> str:
+    """``superverma selftest --json`` at the default seed 0."""
+    return _stdout(cli_main, ["selftest", "--json"])
 
 
 def structure_constants() -> str:
@@ -160,6 +166,7 @@ GOLDEN_FILES = {
     "grid_seed0.ndjson": grid,
     "orbit_setup_digests.txt": orbit_setup_digests,
     "orbit_chains_seed0.ndjson": orbit_chains,
+    "selftest_seed0.ndjson": selftest,
     "structure_constants.txt": structure_constants,
     "structure_constants_digests.txt": structure_constants_digests,
     "witness_specs.txt": witness_specs,
