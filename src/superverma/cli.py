@@ -8,7 +8,8 @@ Three subcommands:
 * ``orbit``    propagates a Shapovalov element along a reflection chain
   and reports every intermediate check.
 * ``selftest`` runs the invariant suite at the smallest parameters of
-  each case.
+  each case; its candidate check is verify's point check (nonzero, weight
+  and singular) at level 1, with verify's counterexample.
 
 Reports are deterministic for fixed flags: all randomness is seeded, grid
 points are emitted in canonical order, and JSON lines carry no timing.
@@ -25,7 +26,7 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
+from contextlib import nullcontext
 from typing import List, Optional, Sequence, Tuple
 
 from .pbw import Inhomogeneous, NotDivisible, RoundTripFailure, WrongOrder, el_one
@@ -54,7 +55,7 @@ from .singular import (
     validate_params,
 )
 from .superalgebra import ClosureFailure, check_jacobi, check_reference_scaling
-from .verma import ModuleMismatch, VermaVector, act, highest_weight_vector, is_singular, weight_of
+from .verma import VermaVector, act, highest_weight_vector, is_singular, weight_of
 
 CHECK_NAMES = ("nonzero", "singular", "signflip", "witness")
 SIGNFLIP_SAMPLES = 20
@@ -67,7 +68,6 @@ INTERNAL_ERRORS = (
     RoundTripFailure,
     WrongOrder,
     Inhomogeneous,
-    ModuleMismatch,
     NotDivisible,
     IsotropicCoroot,
     RecursionError,  # straightening recurses along the generators of a monomial
@@ -134,24 +134,21 @@ def _level_grid(args) -> List[int]:
 
 def _run_grid(point, jobs, args, text_line, noun: str) -> int:
     """Run ``point`` on every job and print one report line per job, in job
-    order, then a summary in text mode.  Worker processes are bounded by
-    the number of jobs and of CPUs."""
+    order and as soon as it completes, then a summary in text mode.  Worker
+    processes are bounded by the number of jobs and of CPUs."""
     if args.jobs < 1:
         raise InvalidParams(f"--jobs must be at least 1, got {args.jobs}")
     workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
     t0 = time.monotonic()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(point, jobs))
-    else:
-        results = [point(job) for job in jobs]
     failures = 0
-    for rec, elapsed in results:
-        if not rec["ok"]:
-            failures += 1
-        print(json.dumps(rec, sort_keys=True) if args.json else text_line(rec, elapsed))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for rec, elapsed in (pool.map if pool else map)(point, jobs):
+            if not rec["ok"]:
+                failures += 1
+            line = json.dumps(rec, sort_keys=True) if args.json else text_line(rec, elapsed)
+            print(line, flush=True)
     if not args.json:
-        print(f"{len(results)} {noun}, {failures} failed, {time.monotonic() - t0:.2f}s total")
+        print(f"{len(jobs)} {noun}, {failures} failed, {time.monotonic() - t0:.2f}s total")
     return 1 if failures else 0
 
 
@@ -210,14 +207,9 @@ def _verify_point(job):
         report = is_singular(u, engine)
         rec["singular_ok"] = report.ok
         rec["residuals"] = [[name, count] for name, count in report.residuals]
-        if nonzero and not report.ok and counterexample is None:
-            for j, (name, count) in enumerate(report.residuals):
-                if count:
-                    image = act(
-                        engine.gen(ctx.table.e_id(alg.simple_pos_index[j])), u, engine
-                    )
-                    counterexample = f"e_{{{name}}} u = {engine.render(image.body, 'v+')}"
-                    break
+        if report.failure is not None and counterexample is None:
+            name, image = report.failure
+            counterexample = f"e_{{{name}}} u = {engine.render(image, 'v+')}"
     if "signflip" in checks:
         neg = {mono: -c for mono, c in u.body.items()}
         k = len(candidate_factors(params, alg)[0])
@@ -366,9 +358,12 @@ def cmd_orbit(args) -> int:
             f"orbit propagation applies to {', '.join(OSP_FAMILIES)};"
             f" {args.case} has a single-point orbit"
         )
-    if args.m is None or args.n is None:
-        raise InvalidParams(f"{args.case} needs --m and --n")
-    case = CaseId(args.case, int(args.m), int(args.n))
+    cases = _case_grid(args)
+    if len(cases) > 1:
+        raise InvalidParams(
+            f"orbit takes a single case, but --m {args.m} --n {args.n} give {len(cases)}"
+        )
+    case = cases[0]
     alg = build_context(case).alg
     target = _parse_target(args.target, alg)
     levels = parse_grid(args.C)
@@ -427,24 +422,8 @@ def _st_division(ctx, seed):
 
 
 def _st_candidate(ctx, seed):
-    case = ctx.alg.case
-    lam = default_lambda(case, 1, seed, ctx.alg)
-    params = CaseParams(case, 1, lam)
-    u = candidate_u(params, ctx)
-    if u.is_zero():
-        return False, "u = 0"
-    engine = ctx.default_engine
-    expected = wdiff(wdiff(lam, ctx.alg.rho), claimed_drop(params, ctx.alg))
-    try:
-        if weight_of(u, engine) != expected:
-            return False, "wrong weight"
-    except Inhomogeneous as exc:
-        return False, f"body of u: {exc}"
-    report = is_singular(u, engine)
-    if not report.ok:
-        bad = [name for name, count in report.residuals if count]
-        return False, f"residuals on {', '.join(bad)}"
-    return True, None
+    rec, _ = _verify_point((ctx.alg.case.text, 1, seed, None, ("nonzero", "singular")))
+    return rec["ok"], rec["counterexample"]
 
 
 def _st_scaling(ctx, seed):

@@ -135,19 +135,25 @@ class PBWEngine:
     def multiply(self, a: UEAElement, b: UEAElement) -> UEAElement:
         """a * b in normal form; the monomials of a and b are read as
         generator powers from left to right and need not be in normal form."""
-        return self._words_times(a, self.import_element(b))
+        return self._words_times(a, self.import_element(b), self.power_times)
 
     def import_element(self, x: UEAElement) -> UEAElement:
         """Re-straighten an element produced under another generator order."""
-        return self._words_times(x, el_one())
+        return self._words_times(x, el_one(), self.power_times)
 
-    def _words_times(self, a: UEAElement, el: UEAElement) -> UEAElement:
-        """a * el for el in normal form, each word of a applied from the right."""
+    @staticmethod
+    def _words_times(
+        a: UEAElement, el: UEAElement, power: Callable[[int, int, UEAElement], UEAElement]
+    ) -> UEAElement:
+        """Sum over the words of a of each word applied to el from the right,
+        one generator power at a time: power(g, e, part) is g^e . part.
+        With power_times this is a * el in U(g); verma's module action
+        passes its own power step."""
         out: UEAElement = {}
         for mono, coef in a.items():
             part = el
             for g, e in reversed(mono):
-                part = self.power_times(g, e, part)
+                part = power(g, e, part)
             _merge(out, part, coef)
         return out
 

@@ -623,11 +623,6 @@ def witness_monomial(engine: PBWEngine, mono_spec: Sequence[Tuple[Weight, int]])
     return tuple(pairs)
 
 
-def coefficient_witness(v: VermaVector, mono_spec, engine: PBWEngine) -> Coefficient:
-    """Coefficient of the given lowering monomial in the body of v."""
-    return v.body.get(witness_monomial(engine, mono_spec), 0)
-
-
 def run_witness(params: CaseParams, ctx: Context) -> WitnessReport:
     validate_params(params, ctx.alg)
     spec = witness_spec(params, ctx.alg)

@@ -31,11 +31,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .rootdata import (
     AlgebraData,
-    RootDatum,
     RootSpec,
     Weight,
     wdiff,
@@ -90,6 +89,11 @@ def _merge(into: Dict, val: Dict, c: Coefficient = 1) -> None:
             into[k] = _exact(new)
         else:
             into.pop(k, None)
+
+
+def _ksign(basis: Sequence[BasisElement], x: int, y: int) -> int:
+    """The sign of swapping basis elements x and y: -1 when both are odd."""
+    return -1 if basis[x].odd and basis[y].odd else 1
 
 
 def _signed_sum(terms, joiner: str) -> str:
@@ -186,28 +190,16 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
     duals = tuple(
         s.weight if s.isotropic else alg.coroot_dual(s.weight) for s in alg.simple_system
     )
-
-    def f_id(i):
-        return i
-
-    def h_id(j):
-        return P + j
-
-    def e_id(i):
-        return P + R + i
-
-    entries: Dict[Tuple[int, int], Value] = {}
-    odd = [el.odd for el in basis]
-
-    def ksign(x: int, y: int) -> int:
-        return -1 if odd[x] and odd[y] else 1
+    table = BracketTable(alg=alg, basis=tuple(basis), entries={}, cartan_duals=duals)
+    entries = table.entries
+    f_id, h_id, e_id = table.f_id, table.h_id, table.e_id
 
     def set_entry(x: int, y: int, val: Value) -> None:
         val = {k: _exact(v) for k, v in val.items() if v}
         entries[(x, y)] = val
         if x != y:
-            entries[(y, x)] = _scaled(val, -ksign(x, y))
-        elif val and ksign(x, y) != -1:
+            entries[(y, x)] = _scaled(val, -_ksign(basis, x, y))
+        elif val and _ksign(basis, x, y) != -1:
             raise ClosureFailure(f"even square bracket [{basis[x].name}, {basis[x].name}] must vanish")
 
     pairing = [
@@ -284,14 +276,14 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
             k, t = alg.decomp[b]
             out = combine_right(bracket_ids(e_id(a), f_id(spi[k])), f_id(t))
             _merge(out, combine_left(f_id(spi[k]), bracket_ids(e_id(a), f_id(t))),
-                   ksign(e_id(a), f_id(spi[k])))
+                   _ksign(basis, e_id(a), f_id(spi[k])))
         else:
             if ha < 2:
                 raise ClosureFailure("simple pairs are set in level 1")
             l, p = alg.decomp[a]
             out = combine_left(e_id(spi[l]), bracket_ids(e_id(p), f_id(b)))
             _merge(out, combine_left(e_id(p), bracket_ids(e_id(spi[l]), f_id(b))),
-                   -ksign(e_id(spi[l]), e_id(p)))
+                   -_ksign(basis, e_id(spi[l]), e_id(p)))
         set_entry(*key, out)
 
     # same-sign pairs [X_mu, X_nu] with mu + nu = sigma, by height of sigma:
@@ -320,7 +312,7 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
                     continue
                 rhs = combine_right(bracket_ids(probe, X(mu)), X(nu))
                 _merge(rhs, combine_left(X(mu), bracket_ids(probe, X(nu))),
-                       ksign(probe, X(mu)))
+                       _ksign(basis, probe, X(mu)))
                 if not set(rhs) <= {target}:
                     raise ClosureFailure("probe identity left the target line")
                 x = Fraction(rhs.get(target, 0), tc)
@@ -331,9 +323,8 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
             ensure_mixed(a, b)
 
     # anything still missing is zero by the root grading
-    dim = 2 * P + R
-    for x in range(dim):
-        for y in range(dim):
+    for x in range(table.dim):
+        for y in range(table.dim):
             if (x, y) in entries:
                 continue
             total = wsum(basis[x].weight, basis[y].weight)
@@ -344,7 +335,7 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
                     f"no value derived for [{basis[x].name}, {basis[y].name}]"
                 )
 
-    return BracketTable(alg=alg, basis=tuple(basis), entries=entries, cartan_duals=duals)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -365,15 +356,12 @@ def check_jacobi(table: BracketTable) -> JacobiReport:
     entries = table.entries
     dim = len(basis)
 
-    def ksign(x, y):
-        return -1 if basis[x].odd and basis[y].odd else 1
-
     pairs = 0
     for x in range(dim):
         for y in range(dim):
             pairs += 1
             lhs = entries[(x, y)]
-            rhs = _scaled(entries[(y, x)], -ksign(x, y))
+            rhs = _scaled(entries[(y, x)], -_ksign(basis, x, y))
             if lhs != rhs:
                 return JacobiReport(
                     False, pairs, 0,
@@ -390,9 +378,9 @@ def check_jacobi(table: BracketTable) -> JacobiReport:
     for x, y, z in combinations_with_replacement(range(dim), 3):
         triples += 1
         acc: Value = {}
-        _merge(acc, adj(x, entries[(y, z)]), ksign(x, z))
-        _merge(acc, adj(y, entries[(z, x)]), ksign(y, x))
-        _merge(acc, adj(z, entries[(x, y)]), ksign(z, y))
+        _merge(acc, adj(x, entries[(y, z)]), _ksign(basis, x, z))
+        _merge(acc, adj(y, entries[(z, x)]), _ksign(basis, y, x))
+        _merge(acc, adj(z, entries[(x, y)]), _ksign(basis, z, y))
         if acc:
             return JacobiReport(
                 False, pairs, triples,

@@ -15,24 +15,24 @@ without leaving the module:
   binomial rule of PBWEngine.commute_left, acting on rest v+ with each
   generator of (ad_R x)^k(g).
 
+act applies each word of an element with the engine's word loop, one
+generator power at a time, as PBWEngine.multiply does in U(g).
+
 The values g . (m v+) for raising and Cartan g depend on lambda.  They are
 memoised in one slot per engine, which the next highest weight replaces: a
-point's candidate, its singularity check, its sign-flip rebuilds and its
-counterexample text share one memo, and an engine keeps at most one.
+point's candidate, its singularity check and its sign-flip rebuilds share
+one memo, and an engine keeps at most one.  The singularity check keeps the
+first image that fails, so a counterexample needs no second action.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from .pbw import Monomial, PBWEngine, UEAElement
-from .rootdata import Weight, format_weight, wdiff, wsum
+from .rootdata import Weight, wdiff, wsum
 from .superalgebra import _exact, _merge, _scaled
-
-
-class ModuleMismatch(ValueError):
-    """Vectors of Verma modules with different highest weights were combined."""
 
 
 @dataclass(eq=False)
@@ -45,16 +45,6 @@ class VermaVector:
 
     def scaled(self, c) -> "VermaVector":
         return VermaVector(_scaled(self.body, c), self.highest_weight)
-
-    def plus(self, other: "VermaVector") -> "VermaVector":
-        if self.highest_weight != other.highest_weight:
-            raise ModuleMismatch(
-                f"vector of M({format_weight(other.highest_weight)}) added to one of"
-                f" M({format_weight(self.highest_weight)})"
-            )
-        out = dict(self.body)
-        _merge(out, other.body)
-        return VermaVector(out, self.highest_weight)
 
 
 def highest_weight_vector(lam: Weight) -> VermaVector:
@@ -99,7 +89,7 @@ class _Action:
         self.memo[key] = res
         return res
 
-    def apply(self, g: int, body: UEAElement, e: int) -> UEAElement:
+    def apply(self, g: int, e: int, body: UEAElement) -> UEAElement:
         """g^e . (body v+) as a body."""
         if self.basis[g].kind == "f":
             return self.engine.power_times(g, e, body)
@@ -125,13 +115,7 @@ def act(x: UEAElement, v: VermaVector, engine: PBWEngine) -> VermaVector:
     a module vector whose body is in the same normal form."""
     for mono in v.body:
         engine.check_lowering(mono)
-    action = _action(engine, v.highest_weight)
-    body: UEAElement = {}
-    for mono, coef in x.items():
-        image = v.body
-        for g, e in reversed(mono):
-            image = action.apply(g, image, e)
-        _merge(body, image, coef)
+    body = engine._words_times(x, v.body, _action(engine, v.highest_weight).apply)
     return VermaVector(body, v.highest_weight)
 
 
@@ -145,21 +129,30 @@ class SingularityReport:
     ok: bool
     nonzero: bool
     residuals: Tuple[Tuple[str, int], ...]
+    # the first simple root whose raising generator leaves a residual, and
+    # that image's body; None when every image vanishes
+    failure: Optional[Tuple[str, UEAElement]]
 
 
 def is_singular(v: VermaVector, engine: PBWEngine) -> SingularityReport:
     """Check that v is nonzero and killed by every raising simple generator.
 
     The residual list names each simple root together with the number of
-    surviving terms, so a failure is attributable.
+    surviving terms, so a failure is attributable; the first nonzero image
+    is kept as the failure.
     """
     table = engine.table
-    nonzero = not v.is_zero()
     residuals = []
-    ok = nonzero
+    failure = None
     for j, s in enumerate(table.alg.simple_system):
         image = act(engine.gen(table.e_id(table.alg.simple_pos_index[j])), v, engine)
         residuals.append((s.name, len(image.body)))
-        if image.body:
-            ok = False
-    return SingularityReport(ok=ok, nonzero=nonzero, residuals=tuple(residuals))
+        if image.body and failure is None:
+            failure = (s.name, image.body)
+    nonzero = not v.is_zero()
+    return SingularityReport(
+        ok=nonzero and failure is None,
+        nonzero=nonzero,
+        residuals=tuple(residuals),
+        failure=failure,
+    )

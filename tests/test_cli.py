@@ -129,6 +129,9 @@ def test_usage_errors(capsys):
     assert run(capsys, "orbit", "--case", "G3")[0] == 2
     assert run(capsys, "orbit", "--case", "B-I", "--m", "2", "--n", "1",
                "--target", "5")[0] == 2
+    code, out, err = run(capsys, "orbit", "--case", "B-I", "--m", "1..2", "--n", "1")
+    assert (code, out) == (2, "")
+    assert "orbit takes a single case, but --m 1..2 --n 1 give 2" in err
     code, _, err = run(capsys, "verify", "--case", "B-II", "--m", "1", "--n", "1",
                        "--lambda", "1/0,1")
     assert code == 2
@@ -309,6 +312,24 @@ def test_jobs_are_bounded_by_points_and_cpus(capsys, monkeypatch):
     assert RecordingPool.sizes == [2, 2]
 
 
+def test_grid_prints_each_record_as_it_completes(capsys, monkeypatch):
+    """A point that breaks ends the run, after the points before it were
+    printed."""
+    real = cli._verify_point
+
+    def second_breaks(job):
+        if job[2] == 1:
+            raise WrongOrder("the second point broke")
+        return real(job)
+
+    monkeypatch.setattr(cli, "_verify_point", second_breaks)
+    code, out, err = run(capsys, "verify", "--case", "G3", "--N", "1", "--seed", "0,1",
+                         "--check", "nonzero", "--json")
+    assert code == 3
+    assert err == "internal error: WrongOrder: the second point broke\n"
+    assert [json.loads(line)["seed"] for line in out.splitlines()] == [0]
+
+
 def test_selftest_passes(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
@@ -323,13 +344,15 @@ def test_selftest_passes(capsys):
 
 
 def test_failed_check_exits_one(capsys, monkeypatch):
-    fake = SingularityReport(ok=False, nonzero=True, residuals=(("e1", 2),))
+    fake = SingularityReport(
+        ok=False, nonzero=True, residuals=(("e1", 2),), failure=("e1", {(): 1})
+    )
     monkeypatch.setattr(cli, "is_singular", lambda v, engine: fake)
     code, out, _ = run(capsys, "verify", "--case", "B-I", "--m", "1", "--n", "1",
                        "--N", "1", "--check", "singular")
     assert code == 1
     assert "singular=FAIL" in out
-    assert "counterexample" in out
+    assert "counterexample: e_{e1} u = v+" in out
 
 
 def test_failed_signflip_exits_one(capsys, monkeypatch):

@@ -26,7 +26,6 @@ from superverma.singular import (
 )
 from superverma.superalgebra import build_structure_constants
 from superverma.verma import (
-    ModuleMismatch,
     VermaVector,
     act,
     highest_weight_vector,
@@ -202,19 +201,14 @@ def test_singularity_certificate_names_failures():
     assert report.nonzero
     failing = [name for name, count in report.residuals if count]
     assert failing == ["e1"]
+    image = act(eng.gen(table.e_gen("e1")), v, eng)
+    assert report.failure == ("e1", image.body) and image.body
     zero = VermaVector({}, lam)
     report = is_singular(zero, eng)
     assert not report.ok
     assert not report.nonzero
-
-
-def test_plus_needs_one_module():
-    lam, mu = frac_weight("1/2", 1), frac_weight("3/2", 1)
-    v = highest_weight_vector(lam)
-    assert v.plus(v.scaled(-1)).is_zero()
-    assert v.plus(v).body == {(): Fraction(2)}
-    with pytest.raises(ModuleMismatch):
-        v.plus(highest_weight_vector(mu))
+    assert report.failure is None
+    assert is_singular(highest_weight_vector(lam), eng).failure is None
 
 
 @pytest.mark.parametrize("text", SMALLEST_CASES)

@@ -16,7 +16,6 @@ from superverma.singular import (
     CaseParams,
     build_context,
     candidate_u,
-    coefficient_witness,
     default_lambda,
     run_witness,
     witness_monomial,
@@ -125,8 +124,8 @@ def test_coefficient_witness_reads_single_monomial():
     engine = ctx.default_engine
     v = highest_weight_vector(lam)
     v = act(engine.gen(ctx.table.f_gen("2d1"), 2), v, engine)
-    assert coefficient_witness(v, [("2d1", 2)], engine) == 1
-    assert coefficient_witness(v, [("2d1", 1)], engine) == 0
+    assert v.body.get(witness_monomial(engine, [("2d1", 2)]), 0) == 1
+    assert v.body.get(witness_monomial(engine, [("2d1", 1)]), 0) == 0
 
 
 def test_witness_monomial_drops_zero_exponents():
