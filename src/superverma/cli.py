@@ -55,7 +55,14 @@ from .singular import (
     validate_params,
 )
 from .superalgebra import ClosureFailure, check_jacobi, check_reference_scaling
-from .verma import VermaVector, act, highest_weight_vector, is_singular, weight_of
+from .verma import (
+    UnexpectedRaising,
+    VermaVector,
+    act,
+    highest_weight_vector,
+    is_singular,
+    weight_of,
+)
 
 CHECK_NAMES = ("nonzero", "singular", "signflip", "witness")
 SIGNFLIP_SAMPLES = 20
@@ -70,6 +77,7 @@ INTERNAL_ERRORS = (
     Inhomogeneous,
     NotDivisible,
     IsotropicCoroot,
+    UnexpectedRaising,
     RecursionError,  # straightening recurses along the generators of a monomial
 )
 
@@ -182,12 +190,11 @@ def _verify_point(job):
         "drop": [str(x) for x in drop],
         "u_terms": len(u.body),
     }
-    counterexample = None
     nonzero = not u.is_zero()
+    # a zero u fails the weight check, which always runs, so it is always named
+    counterexample = None if nonzero else "u = 0"
     if "nonzero" in checks:
         rec["nonzero_ok"] = nonzero
-        if not nonzero:
-            counterexample = "u = 0"
     expected = wdiff(wdiff(lam, alg.rho), drop)
     weight_ok = False
     if nonzero:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Callable, Dict, Sequence, Tuple, Union
+from typing import Callable, Dict, Sequence, Tuple, TypeVar, Union
 
 from .rootdata import Weight, format_weight
 from .superalgebra import BracketTable, Coefficient, Value, _merge, _scaled, _signed_sum
@@ -32,6 +32,7 @@ from .superalgebra import BracketTable, Coefficient, Value, _merge, _scaled, _si
 Monomial = Tuple[Tuple[int, int], ...]
 UEAElement = Dict[Monomial, Coefficient]
 GenSpec = Union[int, str, tuple]
+Rest = TypeVar("Rest")
 
 
 class NotDivisible(ArithmeticError):
@@ -171,15 +172,17 @@ class PBWEngine:
 
     def gen_times_mono(self, g: int, m: Monomial) -> UEAElement:
         """g * m in normal form for a basis generator g and a normal-form
-        monomial m."""
+        monomial m.  A g ranked below m's leading generator is prepended
+        and not cached: one tuple concatenation rebuilds it."""
+        if not m or self.order.rank[g] < self.order.rank[m[0][0]]:
+            return {((g, 1),) + m: 1}
         key = (g, m)
         hit = self._left_cache.get(key)
         if hit is not None:
             return hit
-        if not m or self.order.rank[g] < self.order.rank[m[0][0]]:
-            res: UEAElement = {((g, 1),) + m: 1}
-        elif g != m[0][0]:
-            res = self.commute_left(g, m, self.gen_times_mono)
+        if g != m[0][0]:
+            x, a = m[0]
+            res = self.commute_left(g, x, a, m[1:], self.gen_times_mono)
         elif not self.table.basis[g].odd:
             res = {((g, m[0][1] + 1),) + m[1:]: 1}
         else:
@@ -193,18 +196,25 @@ class PBWEngine:
         return res
 
     def commute_left(
-        self, g: int, m: Monomial, times: Callable[[int, Monomial], UEAElement]
+        self,
+        g: int,
+        x: int,
+        a: int,
+        rest: Rest,
+        times: Callable[[int, Rest], UEAElement],
     ) -> UEAElement:
-        """g * m for a generator g ranked above the leading power x^a of
-        m = x^a rest, where times(z, rest) is z * rest in normal form.
+        """g * x^a * rest for a generator g ranked above x, where times(z,
+        rest) is z * rest in normal form.
 
         For an even x, g x^a = sum_k C(a, k) x^(a-k) (ad_R x)^k(g) with
         (ad_R x)(y) = [y, x]; the sum stops where the root string through g
         ends.  An odd x has a = 1 and g x = (-1)^(|g||x|) x g + [g, x].
+        Only times reads rest: gen_times_mono and verma's memoised action
+        pass one monomial, with their own caches as times, and verma's
+        singularity check passes the element that follows x^a in a
+        leading-power group.
         """
         table = self.table
-        x, a = m[0]
-        rest = m[1:]
         x_odd = table.basis[x].odd
         if x_odd and a != 1:
             raise WrongOrder("odd generators are exponent one in normal form")

@@ -18,11 +18,18 @@ without leaving the module:
 act applies each word of an element with the engine's word loop, one
 generator power at a time, as PBWEngine.multiply does in U(g).
 
-The values g . (m v+) for raising and Cartan g depend on lambda.  They are
-memoised in one slot per engine, which the next highest weight replaces: a
-point's candidate, its singularity check and its sign-flip rebuilds share
-one memo, and an engine keeps at most one.  The singularity check keeps the
-first image that fails, so a counterexample needs no second action.
+The values g . (m v+) for raising and Cartan g depend on lambda.  act
+memoises them in one slot per engine, which the next highest weight
+replaces, and an engine keeps at most one.  Only a point's candidate and
+its sign-flip rebuilds share that memo: the rebuilds re-read it.
+
+The singularity check is_singular writes nothing into the memo; it only
+reads lambda - rho and the Cartan pairings from the slot.  It raises the
+whole body at once, grouped by leading power, body = sum x^a R: each
+group goes through the same commute_left with its rest R, recursing only
+for e on R, and a Cartan generator on the homogeneous R is one scalar.
+It keeps the first image that fails, so a counterexample needs no second
+action.
 """
 
 from __future__ import annotations
@@ -51,9 +58,16 @@ def highest_weight_vector(lam: Weight) -> VermaVector:
     return VermaVector({(): 1}, lam)
 
 
+class UnexpectedRaising(RuntimeError):
+    """A raising generator came out of (ad_R x)^k(e_j) for a simple raising
+    e_j and a lowering x, where only lowering and Cartan generators can:
+    the bracket table or the check is broken."""
+
+
 class _Action:
     """g . (m v+) in M(lam) for basis generators g and normal-form
-    monomials m of U(n^-), memoised for raising and Cartan g."""
+    monomials m of U(n^-), memoised for raising and Cartan g; raise_body
+    acts on a whole body without the memo."""
 
     def __init__(self, engine: PBWEngine, lam: Weight) -> None:
         table = engine.table
@@ -70,6 +84,10 @@ class _Action:
         ]
         self.memo: Dict[Tuple[int, Monomial], UEAElement] = {}
 
+    def scalar(self, j: int, m: Monomial):
+        """<lambda - rho + wt(m), h_j>: the Cartan h_j on m v+."""
+        return _exact(self.shift[j] + sum(a * self.pairings[x][j] for x, a in m))
+
     def gen(self, g: int, m: Monomial) -> UEAElement:
         kind = self.basis[g].kind
         if kind == "f":
@@ -79,11 +97,11 @@ class _Action:
         if hit is not None:
             return hit
         if kind == "h":
-            j = self.basis[g].index
-            scalar = _exact(self.shift[j] + sum(a * self.pairings[x][j] for x, a in m))
+            scalar = self.scalar(self.basis[g].index, m)
             res: UEAElement = {m: scalar} if scalar else {}
         elif m:
-            res = self.engine.commute_left(g, m, self.gen)
+            x, a = m[0]
+            res = self.engine.commute_left(g, x, a, m[1:], self.gen)
         else:
             res = {}
         self.memo[key] = res
@@ -99,6 +117,49 @@ class _Action:
                 _merge(out, self.gen(g, mono), coef)
             body = out
         return body
+
+    def raise_body(self, e: int, body: UEAElement) -> UEAElement:
+        """e . (body v+) for a simple raising e and a homogeneous body,
+        writing nothing into the memo.
+
+        The body is grouped by leading power, body = sum x^a R, and each
+        group goes through commute_left with its whole rest R: e on R is
+        the only recursion, a lowering z acts by power_times(z, 1, R), and
+        a Cartan h_j by the one scalar <lambda - rho + wt(R), h_j>, since R
+        is homogeneous.  For a simple e, [e, n^-] lies in n^- + h, so no
+        other raising generator can come out of (ad_R x)^k(e).
+        """
+        basis = self.basis
+
+        def times(z: int, rest: UEAElement) -> UEAElement:
+            kind = basis[z].kind
+            if kind == "f":
+                return self.engine.power_times(z, 1, rest)
+            if kind == "h":
+                return _scaled(rest, self.scalar(basis[z].index, next(iter(rest))))
+            if z != e:
+                raise UnexpectedRaising(
+                    f"{basis[z].name} came out of commuting {basis[e].name} "
+                    "past a lowering generator"
+                )
+            return grouped(rest)
+
+        def grouped(el: UEAElement) -> UEAElement:
+            groups: Dict[Tuple[int, int], UEAElement] = {}
+            for m, c in el.items():
+                if m:
+                    groups.setdefault(m[0], {})[m[1:]] = c
+            # commute_left returns a new dict, so the first group's is kept
+            out: Optional[UEAElement] = None
+            for (x, a), rest in groups.items():
+                part = self.engine.commute_left(e, x, a, rest, times)
+                if out is None:
+                    out = part
+                else:
+                    _merge(out, part)
+            return {} if out is None else out
+
+        return grouped(body)
 
 
 def _action(engine: PBWEngine, lam: Weight) -> _Action:
@@ -139,16 +200,26 @@ def is_singular(v: VermaVector, engine: PBWEngine) -> SingularityReport:
 
     The residual list names each simple root together with the number of
     surviving terms, so a failure is attributable; the first nonzero image
-    is kept as the failure.
+    is kept as the failure.  Each weight component of the body is raised
+    on its own (one, for a homogeneous body), by _Action.raise_body.
     """
+    for mono in v.body:
+        engine.check_lowering(mono)
     table = engine.table
+    slot = _action(engine, v.highest_weight)
+    components: Dict[Tuple[int, ...], UEAElement] = {}
+    for mono, coef in v.body.items():
+        components.setdefault(engine._lattice_weight(mono), {})[mono] = coef
     residuals = []
     failure = None
     for j, s in enumerate(table.alg.simple_system):
-        image = act(engine.gen(table.e_id(table.alg.simple_pos_index[j])), v, engine)
-        residuals.append((s.name, len(image.body)))
-        if image.body and failure is None:
-            failure = (s.name, image.body)
+        e = table.e_id(table.alg.simple_pos_index[j])
+        image: UEAElement = {}
+        for part in components.values():
+            _merge(image, slot.raise_body(e, part))
+        residuals.append((s.name, len(image)))
+        if image and failure is None:
+            failure = (s.name, image)
     nonzero = not v.is_zero()
     return SingularityReport(
         ok=nonzero and failure is None,

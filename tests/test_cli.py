@@ -14,7 +14,7 @@ from superverma import cli
 from superverma.cli import main, parse_grid
 from superverma.pbw import NotDivisible, WrongOrder
 from superverma.rootdata import InvalidParams, IsotropicCoroot
-from superverma.verma import SingularityReport, VermaVector
+from superverma.verma import SingularityReport, UnexpectedRaising, VermaVector
 
 
 def run(capsys, *argv):
@@ -143,7 +143,7 @@ def test_usage_errors(capsys):
         assert "--p" in err
 
 
-@pytest.mark.parametrize("fault", [WrongOrder, NotDivisible, IsotropicCoroot],
+@pytest.mark.parametrize("fault", [WrongOrder, NotDivisible, IsotropicCoroot, UnexpectedRaising],
                          ids=lambda cls: cls.__name__)
 def test_internal_errors_exit_three(capsys, monkeypatch, fault):
     def broken(case):
@@ -353,6 +353,19 @@ def test_failed_check_exits_one(capsys, monkeypatch):
     assert code == 1
     assert "singular=FAIL" in out
     assert "counterexample: e_{e1} u = v+" in out
+
+
+@pytest.mark.parametrize("check", ["singular", "signflip", "witness"])
+def test_zero_candidate_is_the_counterexample(capsys, monkeypatch, check):
+    """A zero u fails whichever checks run, and always names u = 0."""
+    monkeypatch.setattr(cli, "candidate_u",
+                        lambda params, ctx, perm=None, engine=None: VermaVector({}, params.lam))
+    code, out, _ = run(capsys, "verify", "--case", "B-I", "--m", "1", "--n", "1",
+                       "--N", "1", "--check", check, "--json")
+    rec = json.loads(out)
+    assert code == 1
+    assert not rec["ok"]
+    assert rec["counterexample"] == "u = 0"
 
 
 def test_failed_signflip_exits_one(capsys, monkeypatch):

@@ -26,6 +26,8 @@ from superverma.singular import (
 )
 from superverma.superalgebra import build_structure_constants
 from superverma.verma import (
+    SingularityReport,
+    UnexpectedRaising,
     VermaVector,
     act,
     highest_weight_vector,
@@ -84,6 +86,21 @@ def straightening_act(x, v, engine):
             rest = mono[:cut]
             body[rest] = body.get(rest, Fraction(0)) + scalar
     return VermaVector({m: c for m, c in body.items() if c}, v.highest_weight)
+
+
+def act_is_singular(v, engine):
+    """Reference singularity check: each simple raising generator acts on v
+    through act and its module memo, one monomial at a time."""
+    table = engine.table
+    residuals = []
+    failure = None
+    for j, s in enumerate(table.alg.simple_system):
+        image = act(engine.gen(table.e_id(table.alg.simple_pos_index[j])), v, engine).body
+        residuals.append((s.name, len(image)))
+        if image and failure is None:
+            failure = (s.name, image)
+    nonzero = not v.is_zero()
+    return SingularityReport(nonzero and failure is None, nonzero, tuple(residuals), failure)
 
 
 def test_highest_weight_vector_basics():
@@ -266,3 +283,81 @@ def test_orbit_coefficients_are_canonical():
     for eng in (ctx.default_engine, ctx.engine(tail=(ctx.table.f_gen(kappa),))):
         assert eng._left_cache and eng.module_memo is not None
         assert not non_canonical(engine_coefficients(eng))
+
+
+def random_homogeneous_body(eng, rng):
+    """Several orderings of one random multiset of lowering generator
+    powers, straightened, with random coefficients: one weight, many terms."""
+    table = eng.table
+    word = [(rng.randrange(table.n_pos), rng.randint(1, 2)) for _ in range(rng.randint(2, 5))]
+    body = {}
+    for _ in range(3):
+        rng.shuffle(word)
+        coef = Fraction(rng.randint(1, 7), rng.randint(1, 3))
+        body = el_add(body, eng.multiply(el_one(), {tuple(word): coef}))
+    return body
+
+
+@pytest.mark.parametrize("text", SMALLEST_CASES)
+def test_grouped_singularity_check_matches_act(text):
+    """is_singular agrees with the act-based reference, residual counts and
+    failure image alike, on the candidate, on random homogeneous bodies and
+    on a body of two weights, under the default order and a tail order."""
+    case = CaseId.parse(text)
+    ctx = build_context(case)
+    table = ctx.table
+    rng = random.Random(f"grouped-check:{text}")
+    tail = (table.f_gen(ctx.alg.gamma.weight),)
+    failures = 0
+    for eng in (ctx.default_engine, ctx.engine(tail=tail)):
+        reference = PBWEngine(table, eng.order)
+        for seed in (0, 1):
+            lam = default_lambda(case, 1, seed, ctx.alg)
+            bodies = [candidate_u(CaseParams(case, 1, lam), ctx, engine=eng).body]
+            bodies += [random_homogeneous_body(eng, rng) for _ in range(4)]
+            # f_j (B + 1): a leading-power group whose rest has two weights
+            f = min((table.f_id(i) for i in ctx.alg.simple_pos_index), key=eng.order.rank.get)
+            bodies.append(eng.multiply(eng.gen(f), el_add(bodies[1], el_one())))
+            for body in bodies:
+                v = VermaVector(body, lam)
+                report = is_singular(v, eng)
+                assert report == act_is_singular(v, reference), (
+                    text, eng.order.sequence[: table.n_pos], sorted(body))
+                failures += report.failure is not None
+    assert failures
+
+
+def test_singularity_check_writes_no_module_memo():
+    """The check reads lambda - rho from the engine's slot and leaves its
+    memo as the candidate left it; the sign-flip rebuilds still share it."""
+    case = CaseId.parse("D-II:m=2,n=2")
+    ctx = build_context(case)
+    eng = ctx.default_engine
+    lam = default_lambda(case, 2, 0, ctx.alg)
+    u = candidate_u(CaseParams(case, 2, lam), ctx)
+    slot = eng.module_memo
+    size = len(slot.memo)
+    assert size
+    assert is_singular(u, eng).ok
+    assert eng.module_memo is slot and len(slot.memo) == size
+    other = default_lambda(case, 2, 1, ctx.alg)
+    assert other != lam
+    is_singular(VermaVector(u.body, other), eng)
+    assert eng.module_memo.lam == other and not eng.module_memo.memo
+
+
+def test_raising_generator_out_of_a_bracket_is_an_internal_error(monkeypatch):
+    """[e_j, x] for a simple e_j and a lowering x has no raising part; a
+    table that says otherwise stops the check with a named error."""
+    alg, table, eng = setup("B-I:m=1,n=1")
+    lam = frac_weight("3/2", 2)
+    e = table.e_id(alg.simple_pos_index[0])
+    f = table.f_id(alg.simple_pos_index[0])
+    v = act(eng.gen(f), highest_weight_vector(lam), eng)
+    other = next(table.e_id(i) for i in range(table.n_pos) if table.e_id(i) != e)
+    real = table.bracket
+    monkeypatch.setattr(
+        table, "bracket", lambda y, x: {other: 1} if (y, x) == (e, f) else real(y, x)
+    )
+    with pytest.raises(UnexpectedRaising, match=table.basis[other].name):
+        is_singular(v, eng)
