@@ -35,6 +35,8 @@ action.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from typing import Dict, Optional, Tuple
 
 from .pbw import Monomial, PBWEngine, UEAElement
@@ -207,9 +209,12 @@ def is_singular(v: VermaVector, engine: PBWEngine) -> SingularityReport:
         engine.check_lowering(mono)
     table = engine.table
     slot = _action(engine, v.highest_weight)
+    # raise den * body, whose coefficients are ints: a Fraction coefficient
+    # would be carried through every group and level of the recursion
+    den = lcm(*(c.denominator for c in v.body.values()))
     components: Dict[Tuple[int, ...], UEAElement] = {}
     for mono, coef in v.body.items():
-        components.setdefault(engine._lattice_weight(mono), {})[mono] = coef
+        components.setdefault(engine._lattice_weight(mono), {})[mono] = _exact(den * coef)
     residuals = []
     failure = None
     for j, s in enumerate(table.alg.simple_system):
@@ -219,7 +224,7 @@ def is_singular(v: VermaVector, engine: PBWEngine) -> SingularityReport:
             _merge(image, slot.raise_body(e, part))
         residuals.append((s.name, len(image)))
         if image and failure is None:
-            failure = (s.name, image)
+            failure = (s.name, _scaled(image, Fraction(1, den)))
     nonzero = not v.is_zero()
     return SingularityReport(
         ok=nonzero and failure is None,
