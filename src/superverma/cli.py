@@ -44,7 +44,6 @@ from .rootdata import (
 from .singular import (
     CaseParams,
     build_context,
-    candidate_factors,
     candidate_u,
     chain_kappas,
     chain_weight,
@@ -52,6 +51,7 @@ from .singular import (
     default_lambda,
     propagate_chain,
     run_witness,
+    signflip_counterexample,
     validate_params,
 )
 from .superalgebra import ClosureFailure, check_jacobi, check_reference_scaling
@@ -91,21 +91,29 @@ SMALLEST_CASES = (
 )
 
 
-def parse_grid(text: str) -> List[int]:
-    """Integer grid values: "2", "1,3", or "1..4" (and mixtures)."""
+def _int(text: str, flag: str, value: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidParams(f"cannot parse {flag} {value!r}") from None
+
+
+def parse_grid(text: str, flag: str) -> List[int]:
+    """Integer grid values: "2", "1,3", or "1..4" (and mixtures).  Errors
+    name the flag the text came from."""
     out = set()
     for part in text.split(","):
         part = part.strip()
         if ".." in part:
             lo, _, hi = part.partition("..")
-            a, b = int(lo), int(hi)
+            a, b = _int(lo, flag, text), _int(hi, flag, text)
             if b < a:
-                raise InvalidParams(f"empty range {part!r}")
+                raise InvalidParams(f"empty range {part!r} in {flag}")
             out.update(range(a, b + 1))
         elif part:
-            out.add(int(part))
+            out.add(_int(part, flag, text))
     if not out:
-        raise InvalidParams(f"empty grid {text!r}")
+        raise InvalidParams(f"empty grid {text!r} in {flag}")
     return sorted(out)
 
 
@@ -124,8 +132,8 @@ def _case_grid(args) -> List[CaseId]:
             raise InvalidParams(f"{family} needs --m and --n")
         return [
             CaseId(family, m, n)
-            for m in parse_grid(args.m)
-            for n in parse_grid(args.n)
+            for m in parse_grid(args.m, "--m")
+            for n in parse_grid(args.n, "--n")
         ]
     if args.m is not None or args.n is not None:
         raise InvalidParams(f"{family} takes no --m or --n")
@@ -136,8 +144,8 @@ def _level_grid(args) -> List[int]:
     if args.M is not None:
         if args.N is not None:
             raise InvalidParams("give either --N or --M, not both")
-        return [2 * M + 1 for M in parse_grid(args.M)]
-    return parse_grid(args.N if args.N is not None else "1")
+        return [2 * M + 1 for M in parse_grid(args.M, "--M")]
+    return parse_grid(args.N if args.N is not None else "1", "--N")
 
 
 def _run_grid(point, jobs, args, text_line, noun: str) -> int:
@@ -218,20 +226,10 @@ def _verify_point(job):
             name, image = report.failure
             counterexample = f"e_{{{name}}} u = {engine.render(image, 'v+')}"
     if "signflip" in checks:
-        neg = {mono: -c for mono, c in u.body.items()}
-        k = len(candidate_factors(params, alg)[0])
-        flip_ok = nonzero
-        for trial in range(SIGNFLIP_SAMPLES):
-            rng = random.Random(f"signflip:{case.text}:{N}:{seed}:{trial}")
-            perm = list(range(k))
-            rng.shuffle(perm)
-            w = candidate_u(params, ctx, perm=perm)
-            if w.body != u.body and w.body != neg:
-                flip_ok = False
-                if counterexample is None:
-                    counterexample = f"permutation {perm} is not a sign flip"
-                break
-        rec["signflip_ok"] = flip_ok
+        perm = signflip_counterexample(params, ctx, u, seed, SIGNFLIP_SAMPLES)
+        rec["signflip_ok"] = nonzero and perm is None
+        if perm is not None and counterexample is None:
+            counterexample = f"permutation {perm} is not a sign flip"
     if "witness" in checks:
         wrep = run_witness(params, ctx)
         rec["witness_ok"] = wrep.ok
@@ -272,7 +270,7 @@ def _verify_text_line(rec, elapsed: float) -> str:
 def cmd_verify(args) -> int:
     cases = _case_grid(args)
     levels = _level_grid(args)
-    seeds = parse_grid(args.seed)
+    seeds = parse_grid(args.seed, "--seed")
     checks = _expand_checks(args.check)
     if args.lam is not None and (len(cases) > 1 or len(levels) > 1 or len(seeds) > 1):
         raise InvalidParams("an explicit lambda needs a single grid point")
@@ -294,12 +292,12 @@ def _parse_target(text: Optional[str], alg):
     if text is None:
         parts = list(range(1, 1 + sum(1 for x in alg.gamma.weight if x)))
     else:
-        parts = [int(p) for p in text.split(",") if p.strip()]
+        parts = [_int(p, "--target", text) for p in text.split(",") if p.strip()]
     if len(parts) == 1:
         return parts[0]
     if len(parts) == 2:
         return tuple(parts)
-    raise InvalidParams(f"cannot parse target {text!r}")
+    raise InvalidParams(f"cannot parse --target {text!r}")
 
 
 def _orbit_point(job):
@@ -373,8 +371,8 @@ def cmd_orbit(args) -> int:
     case = cases[0]
     alg = build_context(case).alg
     target = _parse_target(args.target, alg)
-    levels = parse_grid(args.C)
-    seeds = parse_grid(args.seed)
+    levels = parse_grid(args.C, "--C")
+    seeds = parse_grid(args.seed, "--seed")
     jobs = [(case.text, C, target, seed, args.p) for C in levels for seed in seeds]
     return _run_grid(_orbit_point, jobs, args, _orbit_text_line, "chains")
 

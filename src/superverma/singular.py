@@ -49,7 +49,7 @@ from .rootdata import (
     wsum,
     wzero,
 )
-from .superalgebra import BracketTable, Coefficient, build_structure_constants
+from .superalgebra import BracketTable, Coefficient, _scaled, build_structure_constants
 from .verma import VermaVector, act, is_singular
 
 
@@ -196,17 +196,23 @@ def candidate_factors(params: CaseParams, alg: AlgebraData):
     return odd, [(alg.gamma.weight, params.N + _gamma_multiple(alg, odd))]
 
 
-def _apply_factors(
-    engine: PBWEngine,
-    lam: Weight,
-    e_factors: Sequence[Weight],
-    tail: Sequence[Tuple[Weight, int]],
-) -> VermaVector:
-    """The word e_factors (leftmost first), straightened in U(n^+), acting once on tail v+."""
+def _resolve_factors(
+    engine: PBWEngine, e_factors: Sequence[Weight], tail: Sequence[Tuple[Weight, int]]
+) -> Tuple[List[int], UEAElement]:
+    """The raising generator ids of e_factors, and the body of tail v+ in
+    the engine's normal form."""
     table = engine.table
     tail_body = engine.import_element({tuple((table.f_gen(w), e) for w, e in tail): 1})
-    raising = engine.import_element({tuple((table.e_gen(w), 1) for w in e_factors): 1})
-    return act(raising, VermaVector(tail_body, lam), engine)
+    return [table.e_gen(w) for w in e_factors], tail_body
+
+
+def _apply_factors(
+    engine: PBWEngine, lam: Weight, raising: Sequence[int], tail_body: UEAElement
+) -> VermaVector:
+    """The word of raising generators (ids, leftmost first), straightened in
+    U(n^+), acting once on tail_body v+."""
+    word = engine.import_element({tuple((g, 1) for g in raising): 1})
+    return act(word, VermaVector(tail_body, lam), engine)
 
 
 def candidate_u(
@@ -224,7 +230,7 @@ def candidate_u(
         odd = [odd[i] for i in perm]
     if engine is None:
         engine = ctx.default_engine
-    return _apply_factors(engine, params.lam, odd, tail)
+    return _apply_factors(engine, params.lam, *_resolve_factors(engine, odd, tail))
 
 
 def claimed_drop(params: CaseParams, alg: AlgebraData) -> Weight:
@@ -629,7 +635,8 @@ def run_witness(params: CaseParams, ctx: Context) -> WitnessReport:
     engine = ctx.engine(tail=spec.tail)
     rows = []
     for step in spec.steps:
-        u_k = _apply_factors(engine, params.lam, step.e_factors, step.tail)
+        raising, tail_body = _resolve_factors(engine, step.e_factors, step.tail)
+        u_k = _apply_factors(engine, params.lam, raising, tail_body)
         mono = witness_monomial(engine, step.v_mono)
         coeff = u_k.body.get(mono, 0)
         weight_ok = _has_weight(engine, u_k.body, engine.monomial_weight(mono))
@@ -637,3 +644,28 @@ def run_witness(params: CaseParams, ctx: Context) -> WitnessReport:
     u = candidate_u(params, ctx, engine=engine)
     cand = u.body.get(witness_monomial(engine, spec.steps[0].v_mono), 0)
     return WitnessReport(tuple(rows), cand)
+
+
+def signflip_counterexample(
+    params: CaseParams, ctx: Context, u: VermaVector, seed: int, samples: int
+) -> Optional[List[int]]:
+    """The first of `samples` seeded orders of the odd factors whose
+    candidate is neither u nor -u, or None.
+
+    The params are validated, and the factors derived and resolved to
+    generator ids, once; each rebuild is only its permuted word acting
+    through _apply_factors on the default engine, as the candidate does.
+    """
+    validate_params(params, ctx.alg)
+    engine = ctx.default_engine
+    odd, tail = candidate_factors(params, ctx.alg)
+    raising, tail_body = _resolve_factors(engine, odd, tail)
+    neg = _scaled(u.body, -1)
+    for trial in range(samples):
+        rng = random.Random(f"signflip:{params.case.text}:{params.N}:{seed}:{trial}")
+        perm = list(range(len(raising)))
+        rng.shuffle(perm)
+        w = _apply_factors(engine, params.lam, [raising[i] for i in perm], tail_body)
+        if w.body != u.body and w.body != neg:
+            return perm
+    return None

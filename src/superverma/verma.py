@@ -21,7 +21,13 @@ generator power at a time, as PBWEngine.multiply does in U(g).
 The values g . (m v+) for raising and Cartan g depend on lambda.  act
 memoises them in one slot per engine, which the next highest weight
 replaces, and an engine keeps at most one.  Only a point's candidate and
-its sign-flip rebuilds share that memo: the rebuilds re-read it.
+its sign-flip rebuilds share that memo: the rebuilds re-read it, and the
+point validates its params and derives its odd factors once for all of
+them (singular.signflip_counterexample).
+
+A slot holds <lambda - rho, h_j>, one form per Cartan generator, and the
+lambda-free pairings <wt(f), h_j> of the lowering generators, which it
+reads from the bracket table: [h_j, f] = <wt(f), h_j> f.
 
 The singularity check is_singular writes nothing into the memo; it only
 reads lambda - rho and the Cartan pairings from the slot.  It raises the
@@ -79,10 +85,11 @@ class _Action:
         shift = wdiff(lam, table.alg.rho)
         cartans = range(table.n_cartan)
         # <lambda - rho, h_j>, and <wt(f), h_j> per lowering generator f
+        # as the coefficient of f in [h_j, f]
         self.shift = tuple(_exact(table.cartan_pairing(j, shift)) for j in cartans)
+        hs = [table.h_id(j) for j in cartans]
         self.pairings = [
-            tuple(_exact(table.cartan_pairing(j, table.basis[f].weight)) for j in cartans)
-            for f in range(table.n_pos)
+            tuple(table.bracket(h, f).get(f, 0) for h in hs) for f in range(table.n_pos)
         ]
         self.memo: Dict[Tuple[int, Monomial], UEAElement] = {}
 

@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 
 import superverma
-from superverma import cli
+from superverma import cli, singular
 from superverma.cli import main, parse_grid
 from superverma.pbw import NotDivisible, WrongOrder
-from superverma.rootdata import InvalidParams, IsotropicCoroot
+from superverma.rootdata import AlgebraData, CaseId, InvalidParams, IsotropicCoroot
+from superverma.singular import CaseParams, build_context, candidate_factors, default_lambda
 from superverma.verma import SingularityReport, UnexpectedRaising, VermaVector
 
 
@@ -24,16 +25,16 @@ def run(capsys, *argv):
 
 
 def test_parse_grid_forms():
-    assert parse_grid("2") == [2]
-    assert parse_grid("1..3") == [1, 2, 3]
-    assert parse_grid("3,1") == [1, 3]
-    assert parse_grid("1,1..2") == [1, 2]
+    assert parse_grid("2", "--N") == [2]
+    assert parse_grid("1..3", "--N") == [1, 2, 3]
+    assert parse_grid("3,1", "--N") == [1, 3]
+    assert parse_grid("1,1..2", "--N") == [1, 2]
     with pytest.raises(InvalidParams):
-        parse_grid("3..1")
+        parse_grid("3..1", "--N")
     with pytest.raises(InvalidParams):
-        parse_grid("")
+        parse_grid("", "--N")
     with pytest.raises(ValueError):
-        parse_grid("x")
+        parse_grid("x", "--N")
 
 
 def test_verify_json_is_deterministic(capsys):
@@ -141,6 +142,29 @@ def test_usage_errors(capsys):
                              "--p", "5", *jobs)
         assert (code, out) == (2, "")
         assert "--p" in err
+
+
+BAD_NUMBERS = [  # (flag, value, argv with the bad value in it)
+    ("--m", "a", ("verify", "--case", "B-I", "--m", "a", "--n", "1")),
+    ("--n", "1..b", ("verify", "--case", "B-I", "--m", "1", "--n", "1..b")),
+    ("--N", "x", ("verify", "--case", "G3", "--N", "x")),
+    ("--M", "1,y", ("verify", "--case", "G3", "--M", "1,y")),
+    ("--seed", "x", ("verify", "--case", "G3", "--seed", "x")),
+    ("--C", "c", ("orbit", "--case", "B-I", "--m", "2", "--n", "1", "--C", "c")),
+    ("--seed", "0..z", ("orbit", "--case", "B-I", "--m", "2", "--n", "1", "--seed", "0..z")),
+    ("--target", "a", ("orbit", "--case", "B-I", "--m", "2", "--n", "1", "--target", "a")),
+    ("--target", "1,b", ("orbit", "--case", "D-II", "--m", "2", "--n", "2", "--target", "1,b")),
+]
+
+
+@pytest.mark.parametrize("flag,value,argv", BAD_NUMBERS,
+                         ids=[f"{argv[0]}{flag}={value}" for flag, value, argv in BAD_NUMBERS])
+def test_unparsable_number_names_its_flag(capsys, flag, value, argv):
+    """A value that is not an integer is a usage error naming the flag and
+    the value, not a bare int() message."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot parse {flag} {value!r}\n"
 
 
 @pytest.mark.parametrize("fault", [WrongOrder, NotDivisible, IsotropicCoroot, UnexpectedRaising],
@@ -369,19 +393,51 @@ def test_zero_candidate_is_the_counterexample(capsys, monkeypatch, check):
 
 
 def test_failed_signflip_exits_one(capsys, monkeypatch):
-    """A permuted candidate that is not +-u fails the sign-flip check."""
-    real = cli.candidate_u
+    """A permuted candidate that is not +-u fails the sign-flip check.  The
+    rebuilds run through singular._apply_factors, as the candidate does, so
+    every word other than the candidate's own comes out doubled."""
+    case = CaseId.parse("B-I:m=1,n=1")
+    ctx = build_context(case)
+    params = CaseParams(case, 1, default_lambda(case, 1, 0, ctx.alg))
+    own = [ctx.table.e_gen(w) for w in candidate_factors(params, ctx.alg)[0]]
+    real = singular._apply_factors
 
-    def doubled_when_permuted(params, ctx, perm=None, engine=None):
-        u = real(params, ctx, perm=perm, engine=engine)
-        return u if perm is None else u.scaled(2)
+    def doubled_when_permuted(engine, lam, raising, tail_body):
+        u = real(engine, lam, raising, tail_body)
+        return u if list(raising) == own else u.scaled(2)
 
-    monkeypatch.setattr(cli, "candidate_u", doubled_when_permuted)
+    monkeypatch.setattr(singular, "_apply_factors", doubled_when_permuted)
     code, out, _ = run(capsys, "verify", "--case", "B-I", "--m", "1", "--n", "1",
                        "--N", "1", "--check", "signflip")
     assert code == 1
     assert "signflip=FAIL" in out
     assert re.search(r"counterexample: permutation \[\d+(, \d+)*\] is not a sign flip", out), out
+
+
+def test_signflip_rebuilds_add_no_forms(capsys, monkeypatch):
+    """A point validates its params and derives its odd factors once for all
+    of its sign-flip rebuilds, and each module slot reads its Cartan
+    pairings from the bracket table: the number of AlgebraData.form calls
+    in one point does not grow with the number of rebuilds."""
+    argv = ("verify", "--case", "B-I", "--m", "2", "--n", "1", "--N", "1",
+            "--check", "signflip", "--json")
+    assert run(capsys, *argv)[0] == 0  # the context and the slot are warm from here on
+    real = AlgebraData.form
+    calls = []
+
+    def counted(self, a, b):
+        calls.append(None)
+        return real(self, a, b)
+
+    monkeypatch.setattr(AlgebraData, "form", counted)
+    counts = {}
+    for samples in (20, 40):
+        monkeypatch.setattr(cli, "SIGNFLIP_SAMPLES", samples)
+        calls.clear()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["signflip_ok"]
+        counts[samples] = len(calls)
+    assert counts[40] <= counts[20], counts
 
 
 @pytest.mark.parametrize("spoil", ["mixed", "shifted"])

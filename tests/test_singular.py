@@ -11,6 +11,7 @@ from superverma.rootdata import CaseId, InvalidParams, ParityViolation, wdiff, w
 from superverma.singular import (
     CaseParams,
     _apply_factors,
+    _resolve_factors,
     build_context,
     candidate_factors,
     candidate_u,
@@ -195,6 +196,6 @@ def test_straightened_factors_match_one_at_a_time(text):
     for engine, e_factors, tail in jobs:
         orders = [list(e_factors)] + [rng.sample(e_factors, len(e_factors)) for _ in range(5)]
         for factors in orders:
-            got = _apply_factors(engine, params.lam, factors, tail)
+            got = _apply_factors(engine, params.lam, *_resolve_factors(engine, factors, tail))
             want = apply_one_at_a_time(engine, params.lam, factors, tail)
             assert got.body == want.body, (text, engine.order.sequence, factors)

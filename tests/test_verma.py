@@ -13,7 +13,7 @@ from superverma.pbw import (
     el_scale,
     make_order,
 )
-from superverma.rootdata import CaseId, build_algebra_data, wdiff, wscale, wsum
+from superverma.rootdata import OSP_FAMILIES, CaseId, build_algebra_data, wdiff, wscale, wsum
 from superverma.singular import (
     CaseParams,
     ShapovalovElement,
@@ -24,11 +24,12 @@ from superverma.singular import (
     orbit_propagate,
     propagate_chain,
 )
-from superverma.superalgebra import build_structure_constants
+from superverma.superalgebra import _exact, build_structure_constants
 from superverma.verma import (
     SingularityReport,
     UnexpectedRaising,
     VermaVector,
+    _Action,
     act,
     highest_weight_vector,
     is_singular,
@@ -361,3 +362,39 @@ def test_raising_generator_out_of_a_bracket_is_an_internal_error(monkeypatch):
     )
     with pytest.raises(UnexpectedRaising, match=table.basis[other].name):
         is_singular(v, eng)
+
+
+def reference_pairings(table):
+    """<wt(f), h_j> for every lowering generator f and Cartan generator h_j,
+    one form per pair: how a slot computed them before it read them from
+    the bracket table."""
+    return [
+        tuple(_exact(table.cartan_pairing(j, table.basis[f].weight)) for j in range(table.n_cartan))
+        for f in range(table.n_pos)
+    ]
+
+
+SMALL_CASES = [
+    CaseId(family, m, n)
+    for family in OSP_FAMILIES
+    for m in range(1, 4)
+    for n in range(2 if family.startswith("D") else 1, 4)
+] + [CaseId("F31"), CaseId("G3")]
+
+
+def test_slot_pairings_come_from_the_bracket_table():
+    """[h_j, f] is <wt(f), h_j> f and nothing else, and the slot's pairings
+    equal the forms, value and type, for every case with m, n <= 3."""
+    pairs = 0
+    for case in SMALL_CASES:
+        ctx = build_context(case)
+        table = ctx.table
+        for f in range(table.n_pos):
+            for j in range(table.n_cartan):
+                assert set(table.bracket(table.h_id(j), f)) <= {f}, (case.text, f, j)
+        slot = _Action(ctx.default_engine, default_lambda(case, 1, 0, ctx.alg))
+        want = reference_pairings(table)
+        assert slot.pairings == want, case.text
+        assert not non_canonical(c for row in slot.pairings for c in row), case.text
+        pairs += sum(map(len, want))
+    assert len(SMALL_CASES) == 32 and pairs == 2814
