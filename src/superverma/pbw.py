@@ -124,8 +124,8 @@ class PBWEngine:
     order: PBWOrder
     # g * m keyed (g, m), and _power_past's x^j * m keyed (x, j, m)
     _left_cache: Dict[tuple, UEAElement] = field(default_factory=dict)
-    # verma's memo of g . (m v+) for one highest weight; replaced when it changes
-    module_memo: object = None
+    # verma's module slot: the lambda-constants of the last highest weight
+    module_slot: object = None
 
     def gen(self, spec: GenSpec, exp: int = 1) -> UEAElement:
         bid = spec if isinstance(spec, int) else self.table.f_gen(spec)
@@ -172,10 +172,13 @@ class PBWEngine:
 
     def gen_times_mono(self, g: int, m: Monomial) -> UEAElement:
         """g * m in normal form for a basis generator g and a normal-form
-        monomial m.  A g ranked below m's leading generator is prepended
-        and not cached: one tuple concatenation rebuilds it."""
+        monomial m.  A g ranked below m's leading generator is prepended,
+        and an even g equal to it raises its exponent; neither is cached:
+        one tuple concatenation rebuilds it."""
         if not m or self.order.rank[g] < self.order.rank[m[0][0]]:
             return {((g, 1),) + m: 1}
+        if g == m[0][0] and not self.table.basis[g].odd:
+            return {((g, m[0][1] + 1),) + m[1:]: 1}
         key = (g, m)
         hit = self._left_cache.get(key)
         if hit is not None:
@@ -183,8 +186,6 @@ class PBWEngine:
         if g != m[0][0]:
             x, a = m[0]
             res = self.commute_left(g, x, a, m[1:], self.gen_times_mono)
-        elif not self.table.basis[g].odd:
-            res = {((g, m[0][1] + 1),) + m[1:]: 1}
         else:
             # odd square: g*g = [g, g] / 2
             if m[0][1] != 1:
@@ -209,10 +210,9 @@ class PBWEngine:
         For an even x, g x^a = sum_k C(a, k) x^(a-k) (ad_R x)^k(g) with
         (ad_R x)(y) = [y, x]; the sum stops where the root string through g
         ends.  An odd x has a = 1 and g x = (-1)^(|g||x|) x g + [g, x].
-        Only times reads rest: gen_times_mono and verma's memoised action
-        pass one monomial, with their own caches as times, and verma's
-        singularity check passes the element that follows x^a in a
-        leading-power group.
+        Only times reads rest: gen_times_mono passes one monomial, with
+        itself and its cache as times, and verma's module action passes the
+        element that follows x^a in a leading-power group.
         """
         table = self.table
         x_odd = table.basis[x].odd

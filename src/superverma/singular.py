@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .pbw import Inhomogeneous, PBWEngine, UEAElement, WrongOrder, make_order
+from .pbw import Inhomogeneous, Monomial, PBWEngine, UEAElement, WrongOrder, make_order
 from .rootdata import (
     AlgebraData,
     CaseId,
@@ -49,7 +49,7 @@ from .rootdata import (
     wsum,
     wzero,
 )
-from .superalgebra import BracketTable, Coefficient, _scaled, build_structure_constants
+from .superalgebra import BracketTable, Coefficient, _merge, _scaled, build_structure_constants
 from .verma import VermaVector, act, is_singular
 
 
@@ -207,12 +207,25 @@ def _resolve_factors(
 
 
 def _apply_factors(
-    engine: PBWEngine, lam: Weight, raising: Sequence[int], tail_body: UEAElement
+    engine: PBWEngine, lam: Weight, raising: Sequence[int], tail_body: UEAElement,
+    bodies: Dict[Monomial, UEAElement],
 ) -> VermaVector:
     """The word of raising generators (ids, leftmost first), straightened in
-    U(n^+), acting once on tail_body v+."""
+    U(n^+), acting once on tail_body v+.  bodies maps U(n^+) monomials to
+    their images on tail_body v+: each monomial of the word acts from its
+    longest suffix there, one generator power at a time, adding the rest."""
     word = engine.import_element({tuple((g, 1) for g in raising): 1})
-    return act(word, VermaVector(tail_body, lam), engine)
+    bodies.setdefault((), tail_body)
+    body: UEAElement = {}
+    for mono, coef in word.items():
+        i = 0
+        while mono[i:] not in bodies:
+            i += 1
+        for j in reversed(range(i)):
+            tail = VermaVector(bodies[mono[j + 1 :]], lam)
+            bodies[mono[j:]] = act({mono[j : j + 1]: 1}, tail, engine).body
+        _merge(body, bodies[mono], coef)
+    return VermaVector(body, lam)
 
 
 def candidate_u(
@@ -230,7 +243,7 @@ def candidate_u(
         odd = [odd[i] for i in perm]
     if engine is None:
         engine = ctx.default_engine
-    return _apply_factors(engine, params.lam, *_resolve_factors(engine, odd, tail))
+    return _apply_factors(engine, params.lam, *_resolve_factors(engine, odd, tail), {})
 
 
 def claimed_drop(params: CaseParams, alg: AlgebraData) -> Weight:
@@ -633,10 +646,12 @@ def run_witness(params: CaseParams, ctx: Context) -> WitnessReport:
     validate_params(params, ctx.alg)
     spec = witness_spec(params, ctx.alg)
     engine = ctx.engine(tail=spec.tail)
+    bodies: Dict[tuple, Dict[Monomial, UEAElement]] = {}  # one dict of images per tail
     rows = []
     for step in spec.steps:
         raising, tail_body = _resolve_factors(engine, step.e_factors, step.tail)
-        u_k = _apply_factors(engine, params.lam, raising, tail_body)
+        images = bodies.setdefault(step.tail, {})
+        u_k = _apply_factors(engine, params.lam, raising, tail_body, images)
         mono = witness_monomial(engine, step.v_mono)
         coeff = u_k.body.get(mono, 0)
         weight_ok = _has_weight(engine, u_k.body, engine.monomial_weight(mono))
@@ -654,18 +669,19 @@ def signflip_counterexample(
 
     The params are validated, and the factors derived and resolved to
     generator ids, once; each rebuild is only its permuted word acting
-    through _apply_factors on the default engine, as the candidate does.
+    through _apply_factors on the default engine, with one dict of images.
     """
     validate_params(params, ctx.alg)
     engine = ctx.default_engine
     odd, tail = candidate_factors(params, ctx.alg)
     raising, tail_body = _resolve_factors(engine, odd, tail)
+    bodies: Dict[Monomial, UEAElement] = {}
     neg = _scaled(u.body, -1)
     for trial in range(samples):
         rng = random.Random(f"signflip:{params.case.text}:{params.N}:{seed}:{trial}")
         perm = list(range(len(raising)))
         rng.shuffle(perm)
-        w = _apply_factors(engine, params.lam, [raising[i] for i in perm], tail_body)
+        w = _apply_factors(engine, params.lam, [raising[i] for i in perm], tail_body, bodies)
         if w.body != u.body and w.body != neg:
             return perm
     return None

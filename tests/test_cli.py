@@ -402,8 +402,8 @@ def test_failed_signflip_exits_one(capsys, monkeypatch):
     own = [ctx.table.e_gen(w) for w in candidate_factors(params, ctx.alg)[0]]
     real = singular._apply_factors
 
-    def doubled_when_permuted(engine, lam, raising, tail_body):
-        u = real(engine, lam, raising, tail_body)
+    def doubled_when_permuted(engine, lam, raising, tail_body, bodies):
+        u = real(engine, lam, raising, tail_body, bodies)
         return u if list(raising) == own else u.scaled(2)
 
     monkeypatch.setattr(singular, "_apply_factors", doubled_when_permuted)

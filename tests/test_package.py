@@ -36,6 +36,7 @@ def test_no_assert_statements():
 @pytest.mark.parametrize("argv", [
     ("selftest", "--json"),
     ("orbit", "--case", "B-I", "--m", "2", "--n", "1", "--json"),
+    ("verify", "--case", "D-II", "--m", "2", "--n", "2", "--N", "2", "--json"),
 ])
 def test_optimized_mode_prints_the_same_bytes(argv):
     """No check may live in an assert that python -O strips."""

@@ -185,7 +185,7 @@ def test_straightened_factors_match_one_at_a_time(text):
     body of the factor-at-a-time reference exactly: for the candidate under
     the default engine and the witness engine, and for every witness step
     under the witness engine, each in its own order and five seeded
-    permutations."""
+    permutations that share one dict of monomial images."""
     params, ctx = params_for(text, 1)
     odd, tail = candidate_factors(params, ctx.alg)
     spec = witness_spec(params, ctx.alg)
@@ -195,7 +195,8 @@ def test_straightened_factors_match_one_at_a_time(text):
     rng = random.Random(f"straighten:{text}")
     for engine, e_factors, tail in jobs:
         orders = [list(e_factors)] + [rng.sample(e_factors, len(e_factors)) for _ in range(5)]
+        bodies = {}  # shared by the orders of one job, as by sign-flip rebuilds
         for factors in orders:
-            got = _apply_factors(engine, params.lam, *_resolve_factors(engine, factors, tail))
+            got = _apply_factors(engine, params.lam, *_resolve_factors(engine, factors, tail), bodies)
             want = apply_one_at_a_time(engine, params.lam, factors, tail)
             assert got.body == want.body, (text, engine.order.sequence, factors)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -58,11 +59,8 @@ def non_canonical(values):
 
 
 def engine_coefficients(eng):
-    """Every coefficient held by the engine's caches and its module memo."""
-    caches = [eng._left_cache]
-    if eng.module_memo is not None:
-        caches.append(eng.module_memo.memo)
-    return [c for cache in caches for el in cache.values() for c in el.values()]
+    """Every coefficient held by the engine's straightening cache."""
+    return [c for el in eng._left_cache.values() for c in el.values()]
 
 
 def straightening_act(x, v, engine):
@@ -89,14 +87,15 @@ def straightening_act(x, v, engine):
     return VermaVector({m: c for m, c in body.items() if c}, v.highest_weight)
 
 
-def act_is_singular(v, engine):
+def straightening_is_singular(v, engine):
     """Reference singularity check: each simple raising generator acts on v
-    through act and its module memo, one monomial at a time."""
+    through straightening_act, in all of U(g)."""
     table = engine.table
     residuals = []
     failure = None
     for j, s in enumerate(table.alg.simple_system):
-        image = act(engine.gen(table.e_id(table.alg.simple_pos_index[j])), v, engine).body
+        e = engine.gen(table.e_id(table.alg.simple_pos_index[j]))
+        image = straightening_act(e, v, engine).body
         residuals.append((s.name, len(image)))
         if image and failure is None:
             failure = (s.name, image)
@@ -282,7 +281,7 @@ def test_orbit_coefficients_are_canonical():
     shap, _ = orbit_propagate(ShapovalovElement(ctx.alg.gamma, 1, report.mu0, u.body), kappa, ctx)
     assert shap.theta and not non_canonical(shap.theta.values())
     for eng in (ctx.default_engine, ctx.engine(tail=(ctx.table.f_gen(kappa),))):
-        assert eng._left_cache and eng.module_memo is not None
+        assert eng._left_cache and eng.module_slot is not None
         assert not non_canonical(engine_coefficients(eng))
 
 
@@ -301,8 +300,8 @@ def random_homogeneous_body(eng, rng):
 
 @pytest.mark.parametrize("text", SMALLEST_CASES)
 def test_grouped_singularity_check_matches_act(text):
-    """is_singular agrees with the act-based reference, residual counts and
-    failure image alike, on the candidate, on random homogeneous bodies and
+    """is_singular agrees with the straightening reference, residual counts
+    and failure image alike, on the candidate, on random homogeneous bodies and
     on a body of two weights, under the default order and a tail order."""
     case = CaseId.parse(text)
     ctx = build_context(case)
@@ -322,29 +321,36 @@ def test_grouped_singularity_check_matches_act(text):
             for body in bodies:
                 v = VermaVector(body, lam)
                 report = is_singular(v, eng)
-                assert report == act_is_singular(v, reference), (
+                assert report == straightening_is_singular(v, reference), (
                     text, eng.order.sequence[: table.n_pos], sorted(body))
                 failures += report.failure is not None
     assert failures
 
 
-def test_singularity_check_writes_no_module_memo():
-    """The check reads lambda - rho from the engine's slot and leaves its
-    memo as the candidate left it; the sign-flip rebuilds still share it."""
+def test_alternating_highest_weights_match_fresh_engines():
+    """One engine that alternates two highest weights gives, for act and
+    is_singular, what a fresh engine gives for each weight: the module slot
+    keeps nothing of a weight it replaces."""
     case = CaseId.parse("D-II:m=2,n=2")
     ctx = build_context(case)
-    eng = ctx.default_engine
-    lam = default_lambda(case, 2, 0, ctx.alg)
-    u = candidate_u(CaseParams(case, 2, lam), ctx)
-    slot = eng.module_memo
-    size = len(slot.memo)
-    assert size
-    assert is_singular(u, eng).ok
-    assert eng.module_memo is slot and len(slot.memo) == size
-    other = default_lambda(case, 2, 1, ctx.alg)
-    assert other != lam
-    is_singular(VermaVector(u.body, other), eng)
-    assert eng.module_memo.lam == other and not eng.module_memo.memo
+    table = ctx.table
+    eng = PBWEngine(table, ctx.default_engine.order)
+    lams = [default_lambda(case, 2, seed, ctx.alg) for seed in (0, 1)]
+    assert lams[0] != lams[1]
+    body = candidate_u(CaseParams(case, 2, lams[0]), ctx).body
+    rng = random.Random("alternate")
+    ids = list(range(table.dim))
+    x = {}
+    for _ in range(6):
+        word = tuple((rng.choice(ids), 1) for _ in range(rng.randint(1, 2)))
+        x = el_add(x, eng.multiply(el_one(), {word: rng.randint(1, 5)}))
+    for lam in lams * 2:
+        v = VermaVector(body, lam)
+        fresh = PBWEngine(table, eng.order)
+        assert act(x, v, eng).body == act(x, v, fresh).body
+        assert is_singular(v, eng) == is_singular(v, fresh)
+        assert eng.module_slot.lam == lam
+    assert is_singular(VermaVector(body, lams[0]), eng).ok
 
 
 def test_raising_generator_out_of_a_bracket_is_an_internal_error(monkeypatch):
@@ -362,6 +368,30 @@ def test_raising_generator_out_of_a_bracket_is_an_internal_error(monkeypatch):
     )
     with pytest.raises(UnexpectedRaising, match=table.basis[other].name):
         is_singular(v, eng)
+
+
+def test_equal_height_raising_out_of_a_bracket_is_an_internal_error(monkeypatch):
+    """Commuting a raising g past a lowering x leaves only raising
+    generators of lower roots; a table whose [g, x] holds another raising
+    generator of g's height stops act with a named error."""
+    case = CaseId.parse("D-II:m=2,n=2")
+    alg, table, eng = setup(case.text)
+    heights = alg.heights
+    g, z = next(
+        (table.e_id(a), table.e_id(b))
+        for a in range(table.n_pos)
+        for b in range(table.n_pos)
+        if a != b and heights[a] == heights[b] > 1
+    )
+    f = table.f_id(alg.simple_pos_index[0])
+    v = act(eng.gen(f), highest_weight_vector(default_lambda(case, 1, 0, alg)), eng)
+    real = table.bracket
+    monkeypatch.setattr(
+        table, "bracket", lambda y, x: {z: 1} if (y, x) == (g, f) else real(y, x)
+    )
+    names = [re.escape(table.basis[b].name) for b in (z, g)]
+    with pytest.raises(UnexpectedRaising, match="^{} came out of commuting {} ".format(*names)):
+        act(eng.gen(g), v, eng)
 
 
 def reference_pairings(table):
