@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Callable, Dict, Sequence, Tuple, TypeVar, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 from .rootdata import Weight, format_weight
 from .superalgebra import BracketTable, Coefficient, Value, _merge, _scaled, _signed_sum
@@ -32,7 +32,6 @@ from .superalgebra import BracketTable, Coefficient, Value, _merge, _scaled, _si
 Monomial = Tuple[Tuple[int, int], ...]
 UEAElement = Dict[Monomial, Coefficient]
 GenSpec = Union[int, str, tuple]
-Rest = TypeVar("Rest")
 
 
 class NotDivisible(ArithmeticError):
@@ -124,6 +123,8 @@ class PBWEngine:
     order: PBWOrder
     # g * m keyed (g, m), and _power_past's x^j * m keyed (x, j, m)
     _left_cache: Dict[tuple, UEAElement] = field(default_factory=dict)
+    # ad_chain's (ad_R x)^k(g), keyed g, then x where [g, x] != 0
+    _ad_cache: Dict[int, Dict[int, List[Value]]] = field(default_factory=dict)
     # verma's module slot: the lambda-constants of the last highest weight
     module_slot: object = None
 
@@ -185,7 +186,7 @@ class PBWEngine:
             return hit
         if g != m[0][0]:
             x, a = m[0]
-            res = self.commute_left(g, x, a, m[1:], self.gen_times_mono)
+            res = self.commute_left(g, x, a, m[1:])
         else:
             # odd square: g*g = [g, g] / 2
             if m[0][1] != 1:
@@ -196,44 +197,56 @@ class PBWEngine:
         self._left_cache[key] = res
         return res
 
-    def commute_left(
-        self,
-        g: int,
-        x: int,
-        a: int,
-        rest: Rest,
-        times: Callable[[int, Rest], UEAElement],
-    ) -> UEAElement:
-        """g * x^a * rest for a generator g ranked above x, where times(z,
-        rest) is z * rest in normal form.
+    def commute_left(self, g: int, x: int, a: int, rest: Monomial) -> UEAElement:
+        """g * x^a * rest in normal form for a generator g ranked above x and
+        a normal-form monomial x^a rest.
 
-        For an even x, g x^a = sum_k C(a, k) x^(a-k) (ad_R x)^k(g) with
-        (ad_R x)(y) = [y, x]; the sum stops where the root string through g
-        ends.  An odd x has a = 1 and g x = (-1)^(|g||x|) x g + [g, x].
-        Only times reads rest: gen_times_mono passes one monomial, with
-        itself and its cache as times, and verma's module action passes the
-        element that follows x^a in a leading-power group.
+        For an even x, g x^a = sum_k C(a, k) x^(a-k) (ad_R x)^k(g), with the
+        chain (ad_R x)^k(g) of ad_chain; it stops where the root string
+        through g ends.  An odd x has a = 1 and g x = (-1)^(|g||x|) x g +
+        [g, x].  Each generator of the chain acts on rest by gen_times_mono.
         """
-        table = self.table
-        x_odd = table.basis[x].odd
+        x_odd = self.table.basis[x].odd
         if x_odd and a != 1:
             raise WrongOrder("odd generators are exponent one in normal form")
-        y: Value = {g: 1}
-        out = self.power_times(x, a, times(g, rest))
-        if x_odd and table.basis[g].odd:
+        out = self.power_times(x, a, self.gen_times_mono(g, rest))
+        if x_odd and self.table.basis[g].odd:
             out = _scaled(out, -1)
-        for k in range(1, a + 1):
-            nxt: Value = {}
-            for z, c in y.items():
-                _merge(nxt, table.bracket(z, x), c)
-            y = nxt
+        for k, y in enumerate(self.ad_chain(g, x, a)[:a], 1):
             if not y:
                 break
             inner: UEAElement = {}
             for z, c in y.items():
-                _merge(inner, times(z, rest), c)
+                _merge(inner, self.gen_times_mono(z, rest), c)
             _merge(out, self.power_times(x, a - k, inner), comb(a, k))
         return out
+
+    def ad_row(self, g: int) -> Dict[int, List[Value]]:
+        """For each generator x with [g, x] != 0, ad_chain's list for (g, x)
+        as far as it is grown: the engine's cache row of g."""
+        row = self._ad_cache.get(g)
+        if row is None:
+            bracket = self.table.bracket
+            row = self._ad_cache[g] = {
+                x: [y] for x in range(self.table.dim) if (y := bracket(g, x))
+            }
+        return row
+
+    def ad_chain(self, g: int, x: int, a: int) -> List[Value]:
+        """[(ad_R x)^k(g) for k = 1, 2, ...] with (ad_R x)(y) = [y, x]: at
+        least up to k = a, or up to the first zero, where the root string
+        through g ends.  Cached per (g, x), so at most dim^2 lists, each
+        grown on demand; the caller applies the binomials and must not
+        change the list."""
+        chain = self.ad_row(g).get(x)
+        if chain is None:
+            return []
+        while len(chain) < a and chain[-1]:
+            nxt: Value = {}
+            for z, c in chain[-1].items():
+                _merge(nxt, self.table.bracket(z, x), c)
+            chain.append(nxt)
+        return chain
 
     def power_times(self, x: int, j: int, el: UEAElement) -> UEAElement:
         """x^j * el in normal form for a basis generator x and el in normal form.

@@ -201,9 +201,14 @@ def _resolve_factors(
 ) -> Tuple[List[int], UEAElement]:
     """The raising generator ids of e_factors, and the body of tail v+ in
     the engine's normal form."""
+    return [engine.table.e_gen(w) for w in e_factors], _tail_body(engine, tail)
+
+
+def _tail_body(engine: PBWEngine, tail: Sequence[Tuple[Weight, int]]) -> UEAElement:
+    """The body of tail v+, for lowering root weights with exponents, in the
+    engine's normal form."""
     table = engine.table
-    tail_body = engine.import_element({tuple((table.f_gen(w), e) for w, e in tail): 1})
-    return [table.e_gen(w) for w in e_factors], tail_body
+    return engine.import_element({tuple((table.f_gen(w), e) for w, e in tail): 1})
 
 
 def _apply_factors(
@@ -489,13 +494,15 @@ def propagate_chain(
 class WitnessStep:
     label: int
     e_factors: Tuple[Weight, ...]
-    tail: Tuple[Tuple[Weight, int], ...]
     v_mono: Tuple[Tuple[Weight, int], ...]
 
 
 @dataclass(frozen=True)
 class WitnessSpec:
-    tail: Tuple[Weight, ...]
+    # the lowering generators the witness engine orders last
+    order_tail: Tuple[Weight, ...]
+    # the lowering tail f_gamma^(N + c), as PBW exponents, that every step acts on
+    tail: Tuple[Tuple[Weight, int], ...]
     steps: Tuple[WitnessStep, ...]
 
 
@@ -544,9 +551,9 @@ def witness_spec(params: CaseParams, alg: AlgebraData) -> WitnessSpec:
             tail,
         ]
         steps = tuple(
-            WitnessStep(k, tuple(c[k:]), tail, v_monos[k]) for k in range(9)
+            WitnessStep(k, tuple(c[k:]), v_monos[k]) for k in range(9)
         )
-        return WitnessSpec(tuple(seq), steps)
+        return WitnessSpec(tuple(seq), tail, steps)
 
     if params.case.family == "G3":
         D = _unit(3, 0)
@@ -572,9 +579,9 @@ def witness_spec(params: CaseParams, alg: AlgebraData) -> WitnessSpec:
             tail,
         ]
         steps = tuple(
-            WitnessStep(k, tuple(factors[k:]), tail, v_monos[k]) for k in range(7)
+            WitnessStep(k, tuple(factors[k:]), v_monos[k]) for k in range(7)
         )
-        return WitnessSpec(tuple(seq), steps)
+        return WitnessSpec(tuple(seq), tail, steps)
 
     pivots, block = _osp_shape(alg)
     K = len(block)
@@ -604,8 +611,8 @@ def witness_spec(params: CaseParams, alg: AlgebraData) -> WitnessSpec:
             mono += _f_power(alg, gamma, N + stride * (k - 1) - 1)
         else:
             mono = tail
-        steps.append(WitnessStep(k, factors, tail, tuple(mono)))
-    return WitnessSpec(tuple(covered), tuple(steps))
+        steps.append(WitnessStep(k, factors, tuple(mono)))
+    return WitnessSpec(tuple(covered), tail, tuple(steps))
 
 
 @dataclass(frozen=True)
@@ -645,12 +652,13 @@ def witness_monomial(engine: PBWEngine, mono_spec: Sequence[Tuple[Weight, int]])
 def run_witness(params: CaseParams, ctx: Context) -> WitnessReport:
     validate_params(params, ctx.alg)
     spec = witness_spec(params, ctx.alg)
-    engine = ctx.engine(tail=spec.tail)
-    bodies: Dict[tuple, Dict[Monomial, UEAElement]] = {}  # one dict of images per tail
+    engine = ctx.engine(tail=spec.order_tail)
+    # the steps act on one tail, so they share one dict of monomial images
+    tail_body = _tail_body(engine, spec.tail)
+    images: Dict[Monomial, UEAElement] = {}
     rows = []
     for step in spec.steps:
-        raising, tail_body = _resolve_factors(engine, step.e_factors, step.tail)
-        images = bodies.setdefault(step.tail, {})
+        raising = [engine.table.e_gen(w) for w in step.e_factors]
         u_k = _apply_factors(engine, params.lam, raising, tail_body, images)
         mono = witness_monomial(engine, step.v_mono)
         coeff = u_k.body.get(mono, 0)

@@ -10,10 +10,12 @@ one basis generator power at a time, from the right, inside the module:
 - a lowering g multiplies on the left by the engine's lambda-free
   power_times, which serves all of U(g) and here stays inside U(n^-);
 - a Cartan h_j is one scalar <lambda - rho + wt, h_j> on a homogeneous body;
-- a raising g kills v+ and raises the whole body at once, grouped by
-  leading power, body = sum x^a R: each group goes through the binomial
-  rule of PBWEngine.commute_left, and each generator of (ad_R x)^k(g)
-  acts on R by the same step.
+- a raising g kills v+ and walks through each monomial m of the body, with
+  the prefix of m it has passed attached.  Past x^a with rest R it leaves
+  C(a, k) (ad_R x)^k(g) from PBWEngine.ad_chain, and each generator of that
+  acts on R by its kind: a Cartan one is a scalar, a lowering one goes
+  through the engine's cached gen_times_mono and gets the prefix prepended,
+  and a raising one walks on over R.  Every term lands in one output dict.
 
 act applies each word of an element with the engine's word loop, as
 PBWEngine.multiply does in U(g); is_singular applies each simple raising
@@ -29,13 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from math import lcm
+from math import comb, lcm
 from typing import Dict, List, Optional, Tuple
 
 from .pbw import Monomial, PBWEngine, UEAElement
 from .rootdata import Weight, wdiff, wsum
-from .superalgebra import _exact, _merge, _scaled
+from .superalgebra import Coefficient, _exact, _merge, _scaled
 
 
 @dataclass(eq=False)
@@ -62,13 +63,17 @@ class UnexpectedRaising(RuntimeError):
 
 class _Action:
     """The lambda-constants of M(lam) on one engine, and g^e . (body v+) for
-    a basis generator g and a homogeneous body."""
+    a basis generator g and a homogeneous body.  A raising g acts monomial
+    by monomial through _walk, so no image is rebuilt once per generator
+    of a prefix."""
 
     def __init__(self, engine: PBWEngine, lam: Weight) -> None:
         table = engine.table
         self.engine = engine
         self.lam = lam
         self.basis = table.basis
+        self.kinds = [b.kind for b in table.basis]
+        self.odd = [b.odd for b in table.basis]
         self.heights = table.alg.heights
         shift = wdiff(lam, table.alg.rho)
         cartans = range(table.n_cartan)
@@ -86,43 +91,105 @@ class _Action:
 
     def apply(self, g: int, e: int, body: UEAElement) -> UEAElement:
         """g^e . (body v+) as a body, for a homogeneous body."""
-        if self.basis[g].kind == "f":
+        kind = self.kinds[g]
+        if kind == "f":
             return self.engine.power_times(g, e, body)
+        if not body:
+            return {}
+        if kind == "h":
+            return _scaled(body, self.scalar(self.basis[g].index, next(iter(body))) ** e)
         for _ in range(e):
-            body = self._times(g, g, body)
+            out: Dict[Monomial, Coefficient] = {}
+            for m, c in body.items():
+                self._walk(g, m, 0, (), c, out)
+            body = {k: _exact(c) for k, c in out.items() if c}
         return body
 
-    def _times(self, g: int, z: int, rest: UEAElement) -> UEAElement:
-        """z . (rest v+) for a homogeneous rest, where z is g or came out of
-        commuting the raising g past a lowering generator, and so has a
-        lower root than g's if it is another raising generator.  A raising
-        z goes through commute_left once per leading-power group x^a R of
-        rest, and this step acts on the shorter R."""
+    def _walk(self, z: int, m: Monomial, start: int, base: Monomial, c, out) -> None:
+        """Add c * z . (base m[start:] v+) to out, for a raising z, where
+        base is a normal-form monomial whose generators rank below those of
+        m[start:].
+
+        z moves right past each x^a = m[i] with rest R = m[i+1:], and the
+        sign flips when an odd z passes an odd x.  Each term C(a, k)
+        (ad_R x)^k(z) with k >= 1 leaves the prefix P = base m[start:i]
+        x^(a-k) in front of R: a Cartan h is one scalar on R v+, a lowering
+        w acts on R by gen_times_mono and P is prepended to the result, and
+        a raising w walks on over R with base P.  Only the x with [z, x] !=
+        0 leave terms; z itself kills v+ at the end."""
+        engine = self.engine
+        row = engine.ad_row(z)
+        odd = self.odd
+        kinds = self.kinds
+        z_odd = odd[z]
+        passed = start
+        for i in [i for i in range(start, len(m)) if m[i][0] in row]:
+            x, a = m[i]
+            if z_odd:
+                for p, _ in m[passed:i]:
+                    if odd[p]:
+                        c = -c
+                passed = i
+            chain = row[x]
+            if len(chain) < a and chain[-1]:
+                chain = engine.ad_chain(z, x, a)
+            rest = m[i + 1 :]
+            for k in range(1, min(a, len(chain)) + 1):
+                y = chain[k - 1]
+                if not y:
+                    break
+                head = base + m[start:i] + ((x, a - k),) if a > k else base + m[start:i]
+                ck = c * comb(a, k)
+                for w, cw in y.items():
+                    kind = kinds[w]
+                    if kind == "f":
+                        self._prepend(head, engine.gen_times_mono(w, rest), ck * cw, out)
+                    elif kind == "h":
+                        key = head + rest
+                        out[key] = out.get(key, 0) + ck * cw * self.scalar(
+                            self.basis[w].index, rest
+                        )
+                    else:
+                        self._check_raising(z, w)
+                        self._walk(w, m, i + 1, head, ck * cw, out)
+
+    def _check_raising(self, z: int, w: int) -> None:
+        """UnexpectedRaising unless the raising w, out of commuting the
+        raising z past a lowering generator, has a lower root than z."""
         basis = self.basis
-        kind = basis[z].kind
-        if kind == "f":
-            return self.engine.power_times(z, 1, rest)
-        if kind == "h":
-            return _scaled(rest, self.scalar(basis[z].index, next(iter(rest)))) if rest else {}
-        if z != g and self.heights[basis[z].index] >= self.heights[basis[g].index]:
+        if self.heights[basis[w].index] >= self.heights[basis[z].index]:
             raise UnexpectedRaising(
-                f"{basis[z].name} came out of commuting {basis[g].name} "
+                f"{basis[w].name} came out of commuting {basis[z].name} "
                 "past a lowering generator"
             )
-        groups: Dict[Tuple[int, int], UEAElement] = {}
-        for m, c in rest.items():
-            if m:
-                groups.setdefault(m[0], {})[m[1:]] = c
-        times = partial(self._times, z)
-        # commute_left returns a new dict, so the first group's is kept
-        out: Optional[UEAElement] = None
-        for (x, a), part in groups.items():
-            image = self.engine.commute_left(z, x, a, part, times)
-            if out is None:
-                out = image
+
+    def _prepend(self, head: Monomial, terms: UEAElement, coef, out) -> None:
+        """Add coef * head * terms to out.  A term led by a generator ranked
+        above the last one of what is left of head takes that part in one
+        concatenation; the others take its last generator power, from the
+        right, and are split again."""
+        rank = self.engine.order.rank
+        n = len(head)
+        while True:
+            bound = rank[head[n - 1][0]] if n else -1
+            slow: UEAElement = {}
+            for t, c in terms.items():
+                if not t or rank[t[0][0]] > bound:
+                    key = head[:n] + t
+                    out[key] = out.get(key, 0) + coef * c
+                else:
+                    slow[t] = c
+            if not slow:
+                return
+            n -= 1
+            g, e = head[n]
+            if e == 1 and len(slow) == 1:
+                # the common case, one cached product and no dict to merge
+                ((t, c),) = slow.items()
+                terms = self.engine.gen_times_mono(g, t)
+                coef = coef * c
             else:
-                _merge(out, image)
-        return {} if out is None else out
+                terms = self.engine.power_times(g, e, slow)
 
 
 def _action(engine: PBWEngine, lam: Weight) -> _Action:

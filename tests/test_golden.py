@@ -110,7 +110,7 @@ def witness_specs() -> str:
             params = CaseParams(case, N, default_lambda(case, N, 0, alg))
             odd, tail = candidate_factors(params, alg)
             spec = witness_spec(params, alg)
-            order = ctx.engine(tail=spec.tail).order
+            order = ctx.engine(tail=spec.order_tail).order
             lines.append(f"{case.text} N={N}")
             lines.append("  candidate " + " ".join(alg.name_of(w) for w in odd)
                          + " | " + _powers(alg, tail))
@@ -120,7 +120,7 @@ def witness_specs() -> str:
                 mono = sorted(_powers(alg, [(w, e)]) for w, e in step.v_mono if e)
                 lines.append(f"  step {step.label} "
                              + " ".join(alg.name_of(w) for w in step.e_factors)
-                             + " | " + _powers(alg, step.tail)
+                             + " | " + _powers(alg, spec.tail)
                              + " | " + " ".join(mono))
     return "".join(line + "\n" for line in lines)
 

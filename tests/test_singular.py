@@ -189,9 +189,9 @@ def test_straightened_factors_match_one_at_a_time(text):
     params, ctx = params_for(text, 1)
     odd, tail = candidate_factors(params, ctx.alg)
     spec = witness_spec(params, ctx.alg)
-    witness_engine = ctx.engine(tail=spec.tail)
+    witness_engine = ctx.engine(tail=spec.order_tail)
     jobs = [(ctx.default_engine, odd, tail), (witness_engine, odd, tail)]
-    jobs += [(witness_engine, step.e_factors, step.tail) for step in spec.steps]
+    jobs += [(witness_engine, step.e_factors, spec.tail) for step in spec.steps]
     rng = random.Random(f"straighten:{text}")
     for engine, e_factors, tail in jobs:
         orders = [list(e_factors)] + [rng.sample(e_factors, len(e_factors)) for _ in range(5)]

@@ -63,10 +63,10 @@ def test_g3_partial_product_is_proportional_to_candidate():
     lam = default_lambda(case, 1, 2, ctx.alg)
     params = CaseParams(case, 1, lam)
     spec = witness_spec(params, ctx.alg)
-    engine = ctx.engine(tail=spec.tail)
+    engine = ctx.engine(tail=spec.order_tail)
     step = spec.steps[0]
     v = highest_weight_vector(lam)
-    for w, exp in reversed(step.tail):
+    for w, exp in reversed(spec.tail):
         v = act(engine.gen(engine.table.f_gen(w), exp), v, engine)
     for w in reversed(step.e_factors):
         v = act(engine.gen(engine.table.e_gen(w)), v, engine)
@@ -108,10 +108,10 @@ def test_witness_sequence_is_a_full_ordering():
         ctx = build_context(case)
         lam = default_lambda(case, 1, 0, ctx.alg)
         spec = witness_spec(CaseParams(case, 1, lam), ctx.alg)
-        order = ctx.engine(tail=spec.tail).order
+        order = ctx.engine(tail=spec.order_tail).order
         lowering = order.sequence[:order.n_neg]
         assert sorted(lowering) == list(range(len(ctx.alg.pos_roots)))
-        tail_ids = tuple(ctx.table.f_gen(w) for w in spec.tail)
+        tail_ids = tuple(ctx.table.f_gen(w) for w in spec.order_tail)
         assert lowering[len(lowering) - len(tail_ids):] == tail_ids
         if case.family in ("F31", "G3"):
             assert len(tail_ids) == len(lowering)
