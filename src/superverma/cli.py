@@ -44,6 +44,7 @@ from .rootdata import (
 from .singular import (
     CaseParams,
     build_context,
+    candidate,
     candidate_u,
     chain_kappas,
     chain_weight,
@@ -52,7 +53,6 @@ from .singular import (
     propagate_chain,
     run_witness,
     signflip_counterexample,
-    validate_params,
 )
 from .superalgebra import ClosureFailure, check_jacobi, check_reference_scaling
 from .verma import (
@@ -183,9 +183,9 @@ def _verify_point(job):
     else:
         lam = parse_weight(lam_text, alg.rank)
     params = CaseParams(case, N, lam)
-    validate_params(params, alg)
+    cand = candidate(params, alg)
     engine = ctx.default_engine
-    u = candidate_u(params, ctx)
+    u = cand.build(engine)
     drop = claimed_drop(params, alg)
     rec = {
         "case": case.text,
@@ -226,12 +226,12 @@ def _verify_point(job):
             name, image = report.failure
             counterexample = f"e_{{{name}}} u = {engine.render(image, 'v+')}"
     if "signflip" in checks:
-        perm = signflip_counterexample(params, ctx, u, seed, SIGNFLIP_SAMPLES)
+        perm = signflip_counterexample(cand, ctx, u, seed, SIGNFLIP_SAMPLES)
         rec["signflip_ok"] = nonzero and perm is None
         if perm is not None and counterexample is None:
             counterexample = f"permutation {perm} is not a sign flip"
     if "witness" in checks:
-        wrep = run_witness(params, ctx)
+        wrep = run_witness(cand, ctx)
         rec["witness_ok"] = wrep.ok
         rec["witness_coefficients"] = [str(r.coefficient) for r in wrep.rows]
         rec["candidate_coefficient"] = str(wrep.candidate_coefficient)

@@ -13,7 +13,10 @@ rightmost slot, and right division is only defined against that slot.
 
 One rule straightens every product, and the Verma module action too: left
 multiplication by a generator power x^j (power_times), in one lambda-free
-cache per engine.  No step recurses once per unit of an exponent.
+cache per engine.  A generator walks right through a monomial, leaving the
+(ad_R x)^k chains of ad_chain behind it with their head prepended
+(gen_times_mono, prepend); verma's raising walk is the same walk inside
+the module.  No step recurses once per unit of an exponent.
 
 Weights are summed in ints on the bracket table's integer lattice (each
 basis weight times one common denominator) and returned as Fraction tuples.
@@ -27,7 +30,7 @@ from math import comb
 from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 from .rootdata import Weight, format_weight
-from .superalgebra import BracketTable, Coefficient, Value, _merge, _scaled, _signed_sum
+from .superalgebra import BracketTable, Coefficient, Value, _exact, _merge, _scaled, _signed_sum
 
 Monomial = Tuple[Tuple[int, int], ...]
 UEAElement = Dict[Monomial, Coefficient]
@@ -175,51 +178,88 @@ class PBWEngine:
         """g * m in normal form for a basis generator g and a normal-form
         monomial m.  A g ranked below m's leading generator is prepended,
         and an even g equal to it raises its exponent; neither is cached:
-        one tuple concatenation rebuilds it."""
-        if not m or self.order.rank[g] < self.order.rank[m[0][0]]:
+        one tuple concatenation rebuilds it.
+
+        Otherwise g walks right through m.  Past each x^a = m[i] ranked
+        below g, with rest R = m[i+1:], it leaves C(a, k) m[:i] x^(a-k)
+        (ad_R x)^k(g) R for the chain of ad_chain: each generator of the
+        chain acts on R by gen_times_mono, and the head is prepended.  The
+        sign flips when an odd g passes an odd x.  Where g stops, at m[i:],
+        gen_times_mono(g, m[i:]) concatenates it, raises an exponent or
+        squares an odd generator."""
+        rank = self.order.rank
+        if not m or rank[g] < rank[m[0][0]]:
             return {((g, 1),) + m: 1}
-        if g == m[0][0] and not self.table.basis[g].odd:
+        basis = self.table.basis
+        if g == m[0][0] and not basis[g].odd:
             return {((g, m[0][1] + 1),) + m[1:]: 1}
         key = (g, m)
         hit = self._left_cache.get(key)
         if hit is not None:
             return hit
-        if g != m[0][0]:
-            x, a = m[0]
-            res = self.commute_left(g, x, a, m[1:])
-        else:
+        out: Dict[Monomial, Coefficient] = {}
+        if g == m[0][0]:
             # odd square: g*g = [g, g] / 2
             if m[0][1] != 1:
                 raise WrongOrder("odd generators are exponent one in normal form")
-            res = {}
             for z, c in self.table.bracket(g, g).items():
-                _merge(res, self.gen_times_mono(z, m[1:]), Fraction(c, 2))
-        self._left_cache[key] = res
-        return res
-
-    def commute_left(self, g: int, x: int, a: int, rest: Monomial) -> UEAElement:
-        """g * x^a * rest in normal form for a generator g ranked above x and
-        a normal-form monomial x^a rest.
-
-        For an even x, g x^a = sum_k C(a, k) x^(a-k) (ad_R x)^k(g), with the
-        chain (ad_R x)^k(g) of ad_chain; it stops where the root string
-        through g ends.  An odd x has a = 1 and g x = (-1)^(|g||x|) x g +
-        [g, x].  Each generator of the chain acts on rest by gen_times_mono.
-        """
-        x_odd = self.table.basis[x].odd
-        if x_odd and a != 1:
-            raise WrongOrder("odd generators are exponent one in normal form")
-        out = self.power_times(x, a, self.gen_times_mono(g, rest))
-        if x_odd and self.table.basis[g].odd:
-            out = _scaled(out, -1)
-        for k, y in enumerate(self.ad_chain(g, x, a)[:a], 1):
-            if not y:
-                break
-            inner: UEAElement = {}
-            for z, c in y.items():
-                _merge(inner, self.gen_times_mono(z, rest), c)
-            _merge(out, self.power_times(x, a - k, inner), comb(a, k))
+                self.prepend((), self.gen_times_mono(z, m[1:]), Fraction(c, 2), out)
+        else:
+            row = self.ad_row(g)
+            g_odd = basis[g].odd
+            sign = 1
+            i = 0
+            while i < len(m) and rank[m[i][0]] < rank[g]:
+                x, a = m[i]
+                x_odd = basis[x].odd
+                if x_odd and a != 1:
+                    raise WrongOrder("odd generators are exponent one in normal form")
+                if x in row:
+                    rest = m[i + 1 :]
+                    for k, y in enumerate(self.ad_chain(g, x, a)[:a], 1):
+                        if not y:
+                            break
+                        head = m[:i] + ((x, a - k),) if a > k else m[:i]
+                        ck = sign * comb(a, k)
+                        for z, c in y.items():
+                            self.prepend(head, self.gen_times_mono(z, rest), ck * c, out)
+                if g_odd and x_odd:
+                    sign = -sign
+                i += 1
+            self.prepend(m[:i], self.gen_times_mono(g, m[i:]), sign, out)
+        out = {t: _exact(c) for t, c in out.items() if c}
+        self._left_cache[key] = out
         return out
+
+    def prepend(self, head: Monomial, terms: UEAElement, coef, out) -> None:
+        """Add coef * head * terms to out, for a normal-form monomial head
+        and terms in normal form, without dropping zeros or normalising the
+        coefficients.  A term led by a generator ranked above the last one
+        of what is left of head takes that part in one concatenation; the
+        others take its last generator power, from the right, and are split
+        again."""
+        rank = self.order.rank
+        n = len(head)
+        while True:
+            bound = rank[head[n - 1][0]] if n else -1
+            slow: UEAElement = {}
+            for t, c in terms.items():
+                if not t or rank[t[0][0]] > bound:
+                    key = head[:n] + t
+                    out[key] = out.get(key, 0) + coef * c
+                else:
+                    slow[t] = c
+            if not slow:
+                return
+            n -= 1
+            g, e = head[n]
+            if e == 1 and len(slow) == 1:
+                # the common case, one cached product and no dict to merge
+                ((t, c),) = slow.items()
+                terms = self.gen_times_mono(g, t)
+                coef = coef * c
+            else:
+                terms = self.power_times(g, e, slow)
 
     def ad_row(self, g: int) -> Dict[int, List[Value]]:
         """For each generator x with [g, x] != 0, ad_chain's list for (g, x)
@@ -282,8 +322,9 @@ class PBWEngine:
 
     def _power_past(self, x: int, j: int, m: Monomial) -> UEAElement:
         """x^j * m for an even x ranked above the leading y^1 of m, by
-        x^j y = sum_k C(j, k) ((ad x)^k(y)) x^(j-k) with (ad x)(z) = [x, z],
-        the mirror of commute_left."""
+        x^j y = sum_k C(j, k) ((ad x)^k(y)) x^(j-k) with (ad x)(z) = [x, z]:
+        all j copies of x pass y at once, where gen_times_mono would walk
+        them past it one at a time."""
         key = (x, j, m)
         hit = self._left_cache.get(key)
         if hit is not None:

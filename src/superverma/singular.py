@@ -180,10 +180,56 @@ def _gamma_multiple(alg: AlgebraData, weights: Sequence[Weight]) -> int:
     return int(c)
 
 
-def candidate_factors(params: CaseParams, alg: AlgebraData):
-    """Odd raising factors (in application order, leftmost first) and the
-    lowering tail f_gamma^(N + c) as (root weight, exponent) pairs, where
-    the odd factors sum to c * gamma."""
+@dataclass(eq=False)
+class Candidate:
+    """One point's candidate, validated and derived once: the odd raising
+    factors (root weights in application order, leftmost first), which sum
+    to c * gamma, and the lowering tail f_gamma^(N + c) as (root weight,
+    exponent) pairs."""
+
+    params: CaseParams
+    odd: Tuple[Weight, ...]
+    tail: Tuple[Tuple[Weight, int], ...]
+    # U(n^+) monomials to their images on tail v+, per (engine order, tail):
+    # images of one tail are never read for another, even a scalar multiple
+    _images: Dict[tuple, Dict[Monomial, UEAElement]] = field(default_factory=dict, repr=False)
+
+    def build(
+        self,
+        engine: PBWEngine,
+        factors: Optional[Sequence[Weight]] = None,
+        tail: Optional[Tuple[Tuple[Weight, int], ...]] = None,
+    ) -> VermaVector:
+        """The word of raising factors (the odd factors by default),
+        straightened in U(n^+), acting once on tail v+ (the candidate's
+        tail by default).  Each monomial of the word acts from its longest
+        suffix with a known image, one generator power at a time, adding
+        the rest to the images."""
+        table = engine.table
+        lam = self.params.lam
+        factors = self.odd if factors is None else factors
+        tail = self.tail if tail is None else tail
+        images = self._images.get((engine.order.sequence, tail))
+        if images is None:
+            tail_mono = tuple((table.f_gen(w), e) for w, e in tail)
+            images = {(): engine.import_element({tail_mono: 1})}
+            self._images[(engine.order.sequence, tail)] = images
+        word = engine.import_element({tuple((table.e_gen(w), 1) for w in factors): 1})
+        body: UEAElement = {}
+        for mono, coef in word.items():
+            i = 0
+            while mono[i:] not in images:
+                i += 1
+            for j in reversed(range(i)):
+                below = VermaVector(images[mono[j + 1 :]], lam)
+                images[mono[j:]] = act({mono[j : j + 1]: 1}, below, engine).body
+            _merge(body, images[mono], coef)
+        return VermaVector(body, lam)
+
+
+def candidate(params: CaseParams, alg: AlgebraData) -> Candidate:
+    """The validated params with their odd factors and tail."""
+    validate_params(params, alg)
     family = params.case.family
     if family == "F31":
         odd = [f31_sign_weight(s) for s in F31_FACTOR_ORDER]
@@ -193,62 +239,13 @@ def candidate_factors(params: CaseParams, alg: AlgebraData):
     else:
         pivots, block = _osp_shape(alg)
         odd = [op(p, b) for p in pivots for b in block for op in (wdiff, wsum)]
-    return odd, [(alg.gamma.weight, params.N + _gamma_multiple(alg, odd))]
+    top = params.N + _gamma_multiple(alg, odd)
+    return Candidate(params, tuple(odd), ((alg.gamma.weight, top),))
 
 
-def _resolve_factors(
-    engine: PBWEngine, e_factors: Sequence[Weight], tail: Sequence[Tuple[Weight, int]]
-) -> Tuple[List[int], UEAElement]:
-    """The raising generator ids of e_factors, and the body of tail v+ in
-    the engine's normal form."""
-    return [engine.table.e_gen(w) for w in e_factors], _tail_body(engine, tail)
-
-
-def _tail_body(engine: PBWEngine, tail: Sequence[Tuple[Weight, int]]) -> UEAElement:
-    """The body of tail v+, for lowering root weights with exponents, in the
-    engine's normal form."""
-    table = engine.table
-    return engine.import_element({tuple((table.f_gen(w), e) for w, e in tail): 1})
-
-
-def _apply_factors(
-    engine: PBWEngine, lam: Weight, raising: Sequence[int], tail_body: UEAElement,
-    bodies: Dict[Monomial, UEAElement],
-) -> VermaVector:
-    """The word of raising generators (ids, leftmost first), straightened in
-    U(n^+), acting once on tail_body v+.  bodies maps U(n^+) monomials to
-    their images on tail_body v+: each monomial of the word acts from its
-    longest suffix there, one generator power at a time, adding the rest."""
-    word = engine.import_element({tuple((g, 1) for g in raising): 1})
-    bodies.setdefault((), tail_body)
-    body: UEAElement = {}
-    for mono, coef in word.items():
-        i = 0
-        while mono[i:] not in bodies:
-            i += 1
-        for j in reversed(range(i)):
-            tail = VermaVector(bodies[mono[j + 1 :]], lam)
-            bodies[mono[j:]] = act({mono[j : j + 1]: 1}, tail, engine).body
-        _merge(body, bodies[mono], coef)
-    return VermaVector(body, lam)
-
-
-def candidate_u(
-    params: CaseParams,
-    ctx: Context,
-    perm: Optional[Sequence[int]] = None,
-    engine: Optional[PBWEngine] = None,
-) -> VermaVector:
+def candidate_u(params: CaseParams, ctx: Context) -> VermaVector:
     """The candidate singular vector of weight lambda - rho - N*gamma."""
-    validate_params(params, ctx.alg)
-    odd, tail = candidate_factors(params, ctx.alg)
-    if perm is not None:
-        if sorted(perm) != list(range(len(odd))):
-            raise InvalidParams("perm must permute the odd factor positions")
-        odd = [odd[i] for i in perm]
-    if engine is None:
-        engine = ctx.default_engine
-    return _apply_factors(engine, params.lam, *_resolve_factors(engine, odd, tail), {})
+    return candidate(params, ctx.alg).build(ctx.default_engine)
 
 
 def claimed_drop(params: CaseParams, alg: AlgebraData) -> Weight:
@@ -519,21 +516,21 @@ def _f_power(alg: AlgebraData, w: Weight, e: int) -> Tuple[Tuple[Weight, int], .
     return ((w, e),)
 
 
-def witness_spec(params: CaseParams, alg: AlgebraData) -> WitnessSpec:
+def witness_spec(cand: Candidate, alg: AlgebraData) -> WitnessSpec:
     """The lowering generators to order last and the witness ladder.
 
     In the osp families, step k applies the odd factors p -+ b_i with
     i >= k to the tail; its monomial is a lowering path of weight gamma
     times a power of f_gamma, and step K + 1 is the bare tail.
     """
-    N = params.N
-    odd, ((gamma, top),) = candidate_factors(params, alg)
+    N = cand.params.N
+    ((gamma, top),) = cand.tail
     tail = _f_power(alg, gamma, top)
 
-    if params.case.family == "F31":
+    if cand.params.case.family == "F31":
         e = [_unit(4, j) for j in (1, 2, 3)]
         D = _unit(4, 0)
-        c = odd
+        c = cand.odd
         seq = [e[2], e[1], e[0]]
         seq += [wsum(e[1], e[2]), wdiff(e[1], e[2]), wsum(e[0], e[2]), wdiff(e[0], e[2])]
         seq += [wsum(e[0], e[1]), wdiff(e[0], e[1])]
@@ -555,7 +552,7 @@ def witness_spec(params: CaseParams, alg: AlgebraData) -> WitnessSpec:
         )
         return WitnessSpec(tuple(seq), tail, steps)
 
-    if params.case.family == "G3":
+    if cand.params.case.family == "G3":
         D = _unit(3, 0)
         e1, e2 = _unit(3, 1), _unit(3, 2)
         e3 = wneg(wsum(e1, e2))
@@ -649,47 +646,35 @@ def witness_monomial(engine: PBWEngine, mono_spec: Sequence[Tuple[Weight, int]])
     return tuple(pairs)
 
 
-def run_witness(params: CaseParams, ctx: Context) -> WitnessReport:
-    validate_params(params, ctx.alg)
-    spec = witness_spec(params, ctx.alg)
+def run_witness(cand: Candidate, ctx: Context) -> WitnessReport:
+    spec = witness_spec(cand, ctx.alg)
     engine = ctx.engine(tail=spec.order_tail)
-    # the steps act on one tail, so they share one dict of monomial images
-    tail_body = _tail_body(engine, spec.tail)
-    images: Dict[Monomial, UEAElement] = {}
     rows = []
     for step in spec.steps:
-        raising = [engine.table.e_gen(w) for w in step.e_factors]
-        u_k = _apply_factors(engine, params.lam, raising, tail_body, images)
+        u_k = cand.build(engine, step.e_factors, spec.tail)
         mono = witness_monomial(engine, step.v_mono)
         coeff = u_k.body.get(mono, 0)
         weight_ok = _has_weight(engine, u_k.body, engine.monomial_weight(mono))
         rows.append(WitnessRow(step.label, coeff, len(u_k.body), weight_ok))
-    u = candidate_u(params, ctx, engine=engine)
-    cand = u.body.get(witness_monomial(engine, spec.steps[0].v_mono), 0)
-    return WitnessReport(tuple(rows), cand)
+    u = cand.build(engine)
+    first = u.body.get(witness_monomial(engine, spec.steps[0].v_mono), 0)
+    return WitnessReport(tuple(rows), first)
 
 
 def signflip_counterexample(
-    params: CaseParams, ctx: Context, u: VermaVector, seed: int, samples: int
+    cand: Candidate, ctx: Context, u: VermaVector, seed: int, samples: int
 ) -> Optional[List[int]]:
     """The first of `samples` seeded orders of the odd factors whose
-    candidate is neither u nor -u, or None.
-
-    The params are validated, and the factors derived and resolved to
-    generator ids, once; each rebuild is only its permuted word acting
-    through _apply_factors on the default engine, with one dict of images.
-    """
-    validate_params(params, ctx.alg)
+    candidate is neither u nor -u, or None.  Each rebuild is only its
+    permuted word acting through Candidate.build on the default engine."""
+    params = cand.params
     engine = ctx.default_engine
-    odd, tail = candidate_factors(params, ctx.alg)
-    raising, tail_body = _resolve_factors(engine, odd, tail)
-    bodies: Dict[Monomial, UEAElement] = {}
     neg = _scaled(u.body, -1)
     for trial in range(samples):
         rng = random.Random(f"signflip:{params.case.text}:{params.N}:{seed}:{trial}")
-        perm = list(range(len(raising)))
+        perm = list(range(len(cand.odd)))
         rng.shuffle(perm)
-        w = _apply_factors(engine, params.lam, [raising[i] for i in perm], tail_body, bodies)
+        w = cand.build(engine, [cand.odd[i] for i in perm])
         if w.body != u.body and w.body != neg:
             return perm
     return None

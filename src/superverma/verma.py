@@ -3,19 +3,20 @@ Fraction otherwise).
 
 A module M(lambda) has highest-weight vector v+ of weight lambda - rho.
 Vectors are stored through their U(n^-) body: v = body * v+, with every
-monomial in the engine's normal form.  act and is_singular split the body
-into weight components, scaled to integral coefficients, and act on each
-one basis generator power at a time, from the right, inside the module:
+monomial in the engine's normal form.  act and is_singular scale the body
+to integral coefficients and act on it whole, one basis generator power at
+a time, from the right, inside the module:
 
 - a lowering g multiplies on the left by the engine's lambda-free
   power_times, which serves all of U(g) and here stays inside U(n^-);
-- a Cartan h_j is one scalar <lambda - rho + wt, h_j> on a homogeneous body;
+- a Cartan h_j scales each monomial m by its own <lambda - rho + wt(m), h_j>;
 - a raising g kills v+ and walks through each monomial m of the body, with
-  the prefix of m it has passed attached.  Past x^a with rest R it leaves
-  C(a, k) (ad_R x)^k(g) from PBWEngine.ad_chain, and each generator of that
-  acts on R by its kind: a Cartan one is a scalar, a lowering one goes
-  through the engine's cached gen_times_mono and gets the prefix prepended,
-  and a raising one walks on over R.  Every term lands in one output dict.
+  the prefix of m it has passed attached, as PBWEngine.gen_times_mono walks
+  in U(g).  Past x^a with rest R it leaves C(a, k) (ad_R x)^k(g) from
+  PBWEngine.ad_chain, and each generator of that acts on R by its kind: a
+  Cartan one is a scalar, a lowering one goes through the engine's cached
+  gen_times_mono and gets the prefix prepended (PBWEngine.prepend), and a
+  raising one walks on over R.  Every term lands in one output dict.
 
 act applies each word of an element with the engine's word loop, as
 PBWEngine.multiply does in U(g); is_singular applies each simple raising
@@ -32,11 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .pbw import Monomial, PBWEngine, UEAElement
 from .rootdata import Weight, wdiff, wsum
-from .superalgebra import Coefficient, _exact, _merge, _scaled
+from .superalgebra import Coefficient, _exact, _scaled
 
 
 @dataclass(eq=False)
@@ -63,9 +64,9 @@ class UnexpectedRaising(RuntimeError):
 
 class _Action:
     """The lambda-constants of M(lam) on one engine, and g^e . (body v+) for
-    a basis generator g and a homogeneous body.  A raising g acts monomial
-    by monomial through _walk, so no image is rebuilt once per generator
-    of a prefix."""
+    a basis generator g and any body.  A Cartan g scales each monomial by
+    its own scalar, and a raising g acts monomial by monomial through
+    _walk, so no image is rebuilt once per generator of a prefix."""
 
     def __init__(self, engine: PBWEngine, lam: Weight) -> None:
         table = engine.table
@@ -90,14 +91,14 @@ class _Action:
         return _exact(self.shift[j] + sum(a * self.pairings[x][j] for x, a in m))
 
     def apply(self, g: int, e: int, body: UEAElement) -> UEAElement:
-        """g^e . (body v+) as a body, for a homogeneous body."""
+        """g^e . (body v+) as a body."""
         kind = self.kinds[g]
         if kind == "f":
             return self.engine.power_times(g, e, body)
-        if not body:
-            return {}
         if kind == "h":
-            return _scaled(body, self.scalar(self.basis[g].index, next(iter(body))) ** e)
+            j = self.basis[g].index
+            scaled = ((m, c * self.scalar(j, m) ** e) for m, c in body.items())
+            return {m: _exact(c) for m, c in scaled if c}
         for _ in range(e):
             out: Dict[Monomial, Coefficient] = {}
             for m, c in body.items():
@@ -143,7 +144,7 @@ class _Action:
                 for w, cw in y.items():
                     kind = kinds[w]
                     if kind == "f":
-                        self._prepend(head, engine.gen_times_mono(w, rest), ck * cw, out)
+                        engine.prepend(head, engine.gen_times_mono(w, rest), ck * cw, out)
                     elif kind == "h":
                         key = head + rest
                         out[key] = out.get(key, 0) + ck * cw * self.scalar(
@@ -163,34 +164,6 @@ class _Action:
                 "past a lowering generator"
             )
 
-    def _prepend(self, head: Monomial, terms: UEAElement, coef, out) -> None:
-        """Add coef * head * terms to out.  A term led by a generator ranked
-        above the last one of what is left of head takes that part in one
-        concatenation; the others take its last generator power, from the
-        right, and are split again."""
-        rank = self.engine.order.rank
-        n = len(head)
-        while True:
-            bound = rank[head[n - 1][0]] if n else -1
-            slow: UEAElement = {}
-            for t, c in terms.items():
-                if not t or rank[t[0][0]] > bound:
-                    key = head[:n] + t
-                    out[key] = out.get(key, 0) + coef * c
-                else:
-                    slow[t] = c
-            if not slow:
-                return
-            n -= 1
-            g, e = head[n]
-            if e == 1 and len(slow) == 1:
-                # the common case, one cached product and no dict to merge
-                ((t, c),) = slow.items()
-                terms = self.engine.gen_times_mono(g, t)
-                coef = coef * c
-            else:
-                terms = self.engine.power_times(g, e, slow)
-
 
 def _action(engine: PBWEngine, lam: Weight) -> _Action:
     """The engine's module slot for highest weight lam, replacing the slot
@@ -201,26 +174,22 @@ def _action(engine: PBWEngine, lam: Weight) -> _Action:
     return slot
 
 
-def _components(v: VermaVector, engine: PBWEngine) -> Tuple[int, List[UEAElement]]:
-    """den and the weight components of den * body, whose coefficients are
-    ints: a Fraction coefficient would be carried through every step of the
-    action.  WrongOrder unless each monomial is in U(n^-) normal form."""
-    den = lcm(*(c.denominator for c in v.body.values()))
-    components: Dict[Tuple[int, ...], UEAElement] = {}
-    for mono, coef in v.body.items():
+def _integral(v: VermaVector, engine: PBWEngine) -> Tuple[int, UEAElement]:
+    """den and den * body, whose coefficients are ints: a Fraction
+    coefficient would be carried through every step of the action.
+    WrongOrder unless each monomial is in U(n^-) normal form."""
+    for mono in v.body:
         engine.check_lowering(mono)
-        components.setdefault(engine._lattice_weight(mono), {})[mono] = _exact(den * coef)
-    return den, list(components.values())
+    den = lcm(*(c.denominator for c in v.body.values()))
+    return den, {mono: _exact(den * coef) for mono, coef in v.body.items()}
 
 
 def act(x: UEAElement, v: VermaVector, engine: PBWEngine) -> VermaVector:
     """Apply an enveloping-algebra element, in the engine's normal form, to
     a module vector whose body is in the same normal form."""
     slot = _action(engine, v.highest_weight)
-    den, components = _components(v, engine)
-    body: UEAElement = {}
-    for part in components:
-        _merge(body, engine._words_times(x, part, slot.apply))
+    den, body = _integral(v, engine)
+    body = engine._words_times(x, body, slot.apply)
     if den != 1:
         body = _scaled(body, Fraction(1, den))
     return VermaVector(body, v.highest_weight)
@@ -246,19 +215,16 @@ def is_singular(v: VermaVector, engine: PBWEngine) -> SingularityReport:
 
     The residual list names each simple root together with the number of
     surviving terms, so a failure is attributable; the first nonzero image
-    is kept as the failure.  Each weight component of the body is raised
-    on its own (one, for a homogeneous body), as act raises it.
+    is kept as the failure.  The body is raised whole, scaled to integral
+    coefficients, as act raises it.
     """
     table = engine.table
     slot = _action(engine, v.highest_weight)
-    den, components = _components(v, engine)
+    den, body = _integral(v, engine)
     residuals = []
     failure = None
     for j, s in enumerate(table.alg.simple_system):
-        e = table.e_id(table.alg.simple_pos_index[j])
-        image: UEAElement = {}
-        for part in components:
-            _merge(image, slot.apply(e, 1, part))
+        image = slot.apply(table.e_id(table.alg.simple_pos_index[j]), 1, body)
         residuals.append((s.name, len(image)))
         if image and failure is None:
             failure = (s.name, _scaled(image, Fraction(1, den)))

@@ -18,7 +18,7 @@ from superverma.rootdata import CaseId, ParityViolation, wdiff, wsum
 from superverma.singular import (
     CaseParams,
     build_context,
-    candidate_factors,
+    candidate,
     candidate_u,
     chain_kappas,
     chain_weight,
@@ -98,7 +98,7 @@ def test_criterion_2_witness_coefficients():
         ctx = build_context(case)
         for N in levels:
             lam = default_lambda(case, N, 0, ctx.alg)
-            report = run_witness(CaseParams(case, N, lam), ctx)
+            report = run_witness(candidate(CaseParams(case, N, lam), ctx.alg), ctx)
             assert report.candidate_coefficient != 0, (text, N)
             for row in report.rows:
                 assert row.coefficient != 0, (text, N, row.label)
@@ -116,12 +116,13 @@ def test_criterion_3_odd_factor_permutations():
         params = CaseParams(case, N, lam)
         u = candidate_u(params, ctx)
         neg = {mono: -c for mono, c in u.body.items()}
-        k = len(candidate_factors(params, ctx.alg)[0])
+        cand = candidate(params, ctx.alg)
+        k = len(cand.odd)
         for trial in range(20):
             rng = random.Random(f"acceptance:flip:{text}:{trial}")
             perm = list(range(k))
             rng.shuffle(perm)
-            w = candidate_u(params, ctx, perm=perm)
+            w = cand.build(ctx.default_engine, [cand.odd[i] for i in perm])
             assert w.body == u.body or w.body == neg, (text, perm)
             trials += 1
     print(f"criterion 3 PASS: {trials} permutations each changed u by a factor in {{+1, -1}}")

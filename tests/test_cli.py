@@ -10,11 +10,11 @@ from pathlib import Path
 import pytest
 
 import superverma
-from superverma import cli, singular
+from superverma import cli
 from superverma.cli import main, parse_grid
 from superverma.pbw import NotDivisible, WrongOrder
 from superverma.rootdata import AlgebraData, CaseId, InvalidParams, IsotropicCoroot
-from superverma.singular import CaseParams, build_context, candidate_factors, default_lambda
+from superverma.singular import Candidate, CaseParams, build_context, candidate, default_lambda
 from superverma.verma import SingularityReport, UnexpectedRaising, VermaVector
 
 
@@ -379,11 +379,24 @@ def test_failed_check_exits_one(capsys, monkeypatch):
     assert "counterexample: e_{e1} u = v+" in out
 
 
+def spoil_candidate(monkeypatch, spoil):
+    """Patch the CLI's candidate so that every vector it builds is passed
+    through spoil(u, engine)."""
+    real = cli.candidate
+
+    def spoiled(params, alg):
+        cand = real(params, alg)
+        build = cand.build
+        cand.build = lambda engine, *args: spoil(build(engine, *args), engine)
+        return cand
+
+    monkeypatch.setattr(cli, "candidate", spoiled)
+
+
 @pytest.mark.parametrize("check", ["singular", "signflip", "witness"])
 def test_zero_candidate_is_the_counterexample(capsys, monkeypatch, check):
     """A zero u fails whichever checks run, and always names u = 0."""
-    monkeypatch.setattr(cli, "candidate_u",
-                        lambda params, ctx, perm=None, engine=None: VermaVector({}, params.lam))
+    spoil_candidate(monkeypatch, lambda u, engine: VermaVector({}, u.highest_weight))
     code, out, _ = run(capsys, "verify", "--case", "B-I", "--m", "1", "--n", "1",
                        "--N", "1", "--check", check, "--json")
     rec = json.loads(out)
@@ -394,19 +407,19 @@ def test_zero_candidate_is_the_counterexample(capsys, monkeypatch, check):
 
 def test_failed_signflip_exits_one(capsys, monkeypatch):
     """A permuted candidate that is not +-u fails the sign-flip check.  The
-    rebuilds run through singular._apply_factors, as the candidate does, so
-    every word other than the candidate's own comes out doubled."""
+    rebuilds run through Candidate.build, as the candidate does, so every
+    word other than the candidate's own comes out doubled."""
     case = CaseId.parse("B-I:m=1,n=1")
     ctx = build_context(case)
     params = CaseParams(case, 1, default_lambda(case, 1, 0, ctx.alg))
-    own = [ctx.table.e_gen(w) for w in candidate_factors(params, ctx.alg)[0]]
-    real = singular._apply_factors
+    own = candidate(params, ctx.alg).odd
+    real = Candidate.build
 
-    def doubled_when_permuted(engine, lam, raising, tail_body, bodies):
-        u = real(engine, lam, raising, tail_body, bodies)
-        return u if list(raising) == own else u.scaled(2)
+    def doubled_when_permuted(self, engine, factors=None, tail=None):
+        u = real(self, engine, factors, tail)
+        return u if factors is None or tuple(factors) == own else u.scaled(2)
 
-    monkeypatch.setattr(singular, "_apply_factors", doubled_when_permuted)
+    monkeypatch.setattr(Candidate, "build", doubled_when_permuted)
     code, out, _ = run(capsys, "verify", "--case", "B-I", "--m", "1", "--n", "1",
                        "--N", "1", "--check", "signflip")
     assert code == 1
@@ -445,18 +458,15 @@ def test_failed_weight_exits_one(capsys, monkeypatch, spoil):
     """A candidate body with a stray monomial of another weight, or shifted
     by one lowering generator, fails the weight check with a readable
     counterexample instead of an internal error."""
-    real = cli.candidate_u
 
-    def spoiled(params, ctx, perm=None, engine=None):
-        u = real(params, ctx, perm=perm, engine=engine)
-        eng = engine or ctx.default_engine
+    def spoiled(u, engine):
         if spoil == "mixed":
             body = {**u.body, (): 1}
         else:
-            body = eng.multiply(eng.gen(0), u.body)
+            body = engine.multiply(engine.gen(0), u.body)
         return VermaVector(body, u.highest_weight)
 
-    monkeypatch.setattr(cli, "candidate_u", spoiled)
+    spoil_candidate(monkeypatch, spoiled)
     code, out, err = run(capsys, "verify", "--case", "B-I", "--m", "1", "--n", "1",
                          "--N", "1", "--check", "nonzero")
     assert code == 1, err
@@ -469,13 +479,7 @@ def test_failed_weight_exits_one(capsys, monkeypatch, spoil):
 
 
 def test_selftest_mixed_candidate_fails(capsys, monkeypatch):
-    real = cli.candidate_u
-
-    def with_stray(params, ctx, perm=None, engine=None):
-        u = real(params, ctx, perm=perm, engine=engine)
-        return VermaVector({**u.body, (): 1}, u.highest_weight)
-
-    monkeypatch.setattr(cli, "candidate_u", with_stray)
+    spoil_candidate(monkeypatch, lambda u, engine: VermaVector({**u.body, (): 1}, u.highest_weight))
     code, out, _ = run(capsys, "selftest", "--case", "B-I")
     assert code == 1
     assert "FAIL candidate      B-I:m=1,n=1  body of u: mixed weights (-1,0), (0,0)" in out, out

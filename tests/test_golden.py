@@ -32,7 +32,7 @@ from superverma.rootdata import OSP_FAMILIES, CaseId, build_algebra_data  # noqa
 from superverma.singular import (  # noqa: E402
     CaseParams,
     build_context,
-    candidate_factors,
+    candidate,
     chain_kappas,
     chain_weight,
     default_lambda,
@@ -108,8 +108,9 @@ def witness_specs() -> str:
         alg = ctx.alg
         for N in (1, 3) if case.family == "B-I" else (1, 2):
             params = CaseParams(case, N, default_lambda(case, N, 0, alg))
-            odd, tail = candidate_factors(params, alg)
-            spec = witness_spec(params, alg)
+            cand = candidate(params, alg)
+            odd, tail = cand.odd, cand.tail
+            spec = witness_spec(cand, alg)
             order = ctx.engine(tail=spec.order_tail).order
             lines.append(f"{case.text} N={N}")
             lines.append("  candidate " + " ".join(alg.name_of(w) for w in odd)

@@ -172,6 +172,15 @@ def test_left_rule_matches_right_multiplication(text):
             b = {word(): rng.randint(1, 3), word(): rng.choice((-1, Fraction(1, 2)))}
             assert engine.multiply(a, b) == right_product(engine, a, b)
             assert engine.import_element(b) == right_product(engine, el_one(), b)
+        # every generator times a longer normal-form monomial with odd
+        # generators in the lowering and raising blocks and a Cartan one
+        seq, basis = engine.order.sequence, table.basis
+        odd = [g for g in seq if basis[g].odd]
+        picks = set(odd[:3] + odd[-2:]) | {seq[engine.order.n_neg], seq[0]}
+        long = tuple((g, 1 if basis[g].odd else 2) for g in sorted(picks, key=engine.order.rank.get))
+        for g in range(table.dim):
+            a = {((g, 1),): 1}
+            assert engine.multiply(a, {long: 1}) == right_product(engine, a, {long: 1})
 
 
 def test_products_stay_weight_homogeneous():

@@ -10,10 +10,8 @@ from superverma.pbw import el_scale
 from superverma.rootdata import CaseId, InvalidParams, ParityViolation, wdiff, wscale
 from superverma.singular import (
     CaseParams,
-    _apply_factors,
-    _resolve_factors,
     build_context,
-    candidate_factors,
+    candidate,
     candidate_u,
     claimed_drop,
     default_lambda,
@@ -113,7 +111,8 @@ def test_candidate_factor_shapes():
     }
     for text, N in SMALLEST.items():
         params, ctx = params_for(text, N)
-        odd, tail = candidate_factors(params, ctx.alg)
+        cand = candidate(params, ctx.alg)
+        odd, tail = cand.odd, cand.tail
         n_odd, tail_exp = expected_counts[text]
         assert len(odd) == n_odd
         assert len(tail) == 1 and tail[0][1] == tail_exp
@@ -149,7 +148,8 @@ def test_factor_permutations_flip_sign_at_most():
         params, ctx = params_for(text, 1)
         u = candidate_u(params, ctx)
         neg = {m: -c for m, c in u.body.items()}
-        odd = candidate_factors(params, ctx.alg)[0]
+        cand = candidate(params, ctx.alg)
+        odd = cand.odd
         k = len(odd)
         engine = ctx.default_engine
         y_id = raising_product(engine, odd)
@@ -158,7 +158,7 @@ def test_factor_permutations_flip_sign_at_most():
         for _ in range(8):
             perm = list(range(k))
             rng.shuffle(perm)
-            w = candidate_u(params, ctx, perm=perm)
+            w = cand.build(engine, [odd[i] for i in perm])
             assert w.body in (u.body, neg)
             seen_minus = seen_minus or w.body == neg
             y = raising_product(engine, [odd[i] for i in perm])
@@ -166,8 +166,6 @@ def test_factor_permutations_flip_sign_at_most():
         assert seen_minus
         # some permuted product is not +-Y_id itself, so the flip is decided in the module
         assert seen_other_product
-    with pytest.raises(InvalidParams):
-        candidate_u(params, ctx, perm=[0, 0, 1, 2, 3, 4, 5, 6])
 
 
 def test_context_caches_engines():
@@ -185,18 +183,19 @@ def test_straightened_factors_match_one_at_a_time(text):
     body of the factor-at-a-time reference exactly: for the candidate under
     the default engine and the witness engine, and for every witness step
     under the witness engine, each in its own order and five seeded
-    permutations that share one dict of monomial images."""
+    permutations, all through one Candidate, whose dict of monomial images
+    each (engine, tail) shares."""
     params, ctx = params_for(text, 1)
-    odd, tail = candidate_factors(params, ctx.alg)
-    spec = witness_spec(params, ctx.alg)
+    cand = candidate(params, ctx.alg)
+    odd, tail = cand.odd, cand.tail
+    spec = witness_spec(cand, ctx.alg)
     witness_engine = ctx.engine(tail=spec.order_tail)
     jobs = [(ctx.default_engine, odd, tail), (witness_engine, odd, tail)]
     jobs += [(witness_engine, step.e_factors, spec.tail) for step in spec.steps]
     rng = random.Random(f"straighten:{text}")
     for engine, e_factors, tail in jobs:
         orders = [list(e_factors)] + [rng.sample(e_factors, len(e_factors)) for _ in range(5)]
-        bodies = {}  # shared by the orders of one job, as by sign-flip rebuilds
         for factors in orders:
-            got = _apply_factors(engine, params.lam, *_resolve_factors(engine, factors, tail), bodies)
+            got = cand.build(engine, factors, tail)
             want = apply_one_at_a_time(engine, params.lam, factors, tail)
             assert got.body == want.body, (text, engine.order.sequence, factors)

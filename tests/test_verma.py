@@ -19,6 +19,7 @@ from superverma.singular import (
     CaseParams,
     ShapovalovElement,
     build_context,
+    candidate,
     candidate_u,
     chain_kappas,
     default_lambda,
@@ -230,8 +231,9 @@ def test_singularity_certificate_names_failures():
 
 @pytest.mark.parametrize("text", SMALLEST_CASES)
 def test_module_action_matches_straightening(text):
-    """Every basis generator at exponents 1 and 2, on the candidate body and
-    on random lowering bodies, under the default order and a tail order."""
+    """Every basis generator at exponents 1 and 2, on the candidate body, on
+    random lowering bodies and on a body of two weights, under the default
+    order and a tail order."""
     case = CaseId.parse(text)
     ctx = build_context(case)
     table = ctx.table
@@ -240,10 +242,12 @@ def test_module_action_matches_straightening(text):
     tail = (table.f_gen(ctx.alg.gamma.weight),)
     for eng in (ctx.default_engine, ctx.engine(tail=tail)):
         reference = PBWEngine(table, eng.order)
-        bodies = [candidate_u(CaseParams(case, 1, lam), ctx, engine=eng).body]
+        bodies = [candidate(CaseParams(case, 1, lam), ctx.alg).build(eng).body]
         for _ in range(2):
             word = tuple((rng.randrange(table.n_pos), rng.randint(1, 2)) for _ in range(3))
             bodies.append(eng.multiply(el_one(), {word: Fraction(rng.randint(1, 5))}))
+        # a Cartan generator scales each monomial by its own scalar
+        bodies.append(el_add(bodies[1], el_one()))
         for body in bodies:
             v = VermaVector(body, lam)
             for g in range(table.dim):
@@ -313,7 +317,7 @@ def test_grouped_singularity_check_matches_act(text):
         reference = PBWEngine(table, eng.order)
         for seed in (0, 1):
             lam = default_lambda(case, 1, seed, ctx.alg)
-            bodies = [candidate_u(CaseParams(case, 1, lam), ctx, engine=eng).body]
+            bodies = [candidate(CaseParams(case, 1, lam), ctx.alg).build(eng).body]
             bodies += [random_homogeneous_body(eng, rng) for _ in range(4)]
             # f_j (B + 1): a leading-power group whose rest has two weights
             f = min((table.f_id(i) for i in ctx.alg.simple_pos_index), key=eng.order.rank.get)

@@ -13,9 +13,10 @@ import pytest
 from superverma import singular
 from superverma.rootdata import CaseId, InvalidParams
 from superverma.singular import (
+    Candidate,
     CaseParams,
     build_context,
-    candidate_u,
+    candidate,
     default_lambda,
     run_witness,
     witness_monomial,
@@ -29,7 +30,7 @@ def report_for(text: str, N: int, seed: int = 1):
     ctx = build_context(case)
     lam = default_lambda(case, N, seed, ctx.alg)
     params = CaseParams(case, N, lam)
-    return run_witness(params, ctx), params, ctx
+    return run_witness(candidate(params, ctx.alg), ctx), params, ctx
 
 
 def test_f31_witness_chain():
@@ -61,8 +62,8 @@ def test_g3_partial_product_is_proportional_to_candidate():
     case = CaseId.parse("G3")
     ctx = build_context(case)
     lam = default_lambda(case, 1, 2, ctx.alg)
-    params = CaseParams(case, 1, lam)
-    spec = witness_spec(params, ctx.alg)
+    cand = candidate(CaseParams(case, 1, lam), ctx.alg)
+    spec = witness_spec(cand, ctx.alg)
     engine = ctx.engine(tail=spec.order_tail)
     step = spec.steps[0]
     v = highest_weight_vector(lam)
@@ -70,7 +71,7 @@ def test_g3_partial_product_is_proportional_to_candidate():
         v = act(engine.gen(engine.table.f_gen(w), exp), v, engine)
     for w in reversed(step.e_factors):
         v = act(engine.gen(engine.table.e_gen(w)), v, engine)
-    u = candidate_u(params, ctx, engine=engine)
+    u = cand.build(engine)
     mono = witness_monomial(engine, step.v_mono)
     ratio = u.body[mono] / v.body[mono]
     assert ratio != 0
@@ -107,7 +108,7 @@ def test_witness_sequence_is_a_full_ordering():
         case = CaseId.parse(text)
         ctx = build_context(case)
         lam = default_lambda(case, 1, 0, ctx.alg)
-        spec = witness_spec(CaseParams(case, 1, lam), ctx.alg)
+        spec = witness_spec(candidate(CaseParams(case, 1, lam), ctx.alg), ctx.alg)
         order = ctx.engine(tail=spec.order_tail).order
         lowering = order.sequence[:order.n_neg]
         assert sorted(lowering) == list(range(len(ctx.alg.pos_roots)))
@@ -139,13 +140,13 @@ def test_witness_monomial_drops_zero_exponents():
 def test_mixed_witness_step_fails_its_weight_check(monkeypatch):
     """A step product with a stray monomial of another weight gives
     weight_ok false in its row instead of raising."""
-    real = singular._apply_factors
+    real = Candidate.build
 
-    def with_stray(*args):
-        u = real(*args)
+    def with_stray(self, *args):
+        u = real(self, *args)
         return VermaVector({**u.body, (): 1}, u.highest_weight)
 
-    monkeypatch.setattr(singular, "_apply_factors", with_stray)
+    monkeypatch.setattr(Candidate, "build", with_stray)
     report, _, _ = report_for("B-I:m=1,n=1", 1)
     assert report.rows and not any(r.weight_ok for r in report.rows)
     assert not report.ok
