@@ -181,7 +181,10 @@ def _verify_point(job):
     if lam_text is None:
         lam = default_lambda(case, N, seed, alg)
     else:
-        lam = parse_weight(lam_text, alg.rank)
+        try:
+            lam = parse_weight(lam_text, alg.rank)
+        except ValueError as exc:
+            raise InvalidParams(f"cannot parse --lambda {lam_text!r}: {exc}") from None
     params = CaseParams(case, N, lam)
     cand = candidate(params, alg)
     engine = ctx.default_engine

@@ -13,10 +13,12 @@ rightmost slot, and right division is only defined against that slot.
 
 One rule straightens every product, and the Verma module action too: left
 multiplication by a generator power x^j (power_times), in one lambda-free
-cache per engine.  A generator walks right through a monomial, leaving the
-(ad_R x)^k chains of ad_chain behind it with their head prepended
-(gen_times_mono, prepend); verma's raising walk is the same walk inside
-the module.  No step recurses once per unit of an exponent.
+cache per engine.  One walk (walk) moves a generator right through a
+monomial and hands each generator of the (ad_R x)^k chains it leaves to
+its caller's step: gen_times_mono acts with it on the rest and prepends
+the head (prepend), and verma's module action is the other caller.  Every
+chain, _power_past's too, comes from ad_chain.  No step recurses once per
+unit of an exponent.
 
 Weights are summed in ints on the bracket table's integer lattice (each
 basis weight times one common denominator) and returned as Fraction tuples.
@@ -180,13 +182,10 @@ class PBWEngine:
         and an even g equal to it raises its exponent; neither is cached:
         one tuple concatenation rebuilds it.
 
-        Otherwise g walks right through m.  Past each x^a = m[i] ranked
-        below g, with rest R = m[i+1:], it leaves C(a, k) m[:i] x^(a-k)
-        (ad_R x)^k(g) R for the chain of ad_chain: each generator of the
-        chain acts on R by gen_times_mono, and the head is prepended.  The
-        sign flips when an odd g passes an odd x.  Where g stops, at m[i:],
-        gen_times_mono(g, m[i:]) concatenates it, raises an exponent or
-        squares an odd generator."""
+        Otherwise g walks right through m (walk), and each generator w of a
+        chain it leaves acts on the rest R by gen_times_mono, with the head
+        prepended.  Where g stops, at m[i:], gen_times_mono(g, m[i:])
+        concatenates it, raises an exponent or squares an odd generator."""
         rank = self.order.rank
         if not m or rank[g] < rank[m[0][0]]:
             return {((g, 1),) + m: 1}
@@ -205,31 +204,50 @@ class PBWEngine:
             for z, c in self.table.bracket(g, g).items():
                 self.prepend((), self.gen_times_mono(z, m[1:]), Fraction(c, 2), out)
         else:
-            row = self.ad_row(g)
-            g_odd = basis[g].odd
-            sign = 1
-            i = 0
-            while i < len(m) and rank[m[i][0]] < rank[g]:
-                x, a = m[i]
-                x_odd = basis[x].odd
-                if x_odd and a != 1:
-                    raise WrongOrder("odd generators are exponent one in normal form")
-                if x in row:
-                    rest = m[i + 1 :]
-                    for k, y in enumerate(self.ad_chain(g, x, a)[:a], 1):
-                        if not y:
-                            break
-                        head = m[:i] + ((x, a - k),) if a > k else m[:i]
-                        ck = sign * comb(a, k)
-                        for z, c in y.items():
-                            self.prepend(head, self.gen_times_mono(z, rest), ck * c, out)
-                if g_odd and x_odd:
-                    sign = -sign
-                i += 1
+            i, sign = self.walk(g, m, (), 1, out, self._prepend_term)
             self.prepend(m[:i], self.gen_times_mono(g, m[i:]), sign, out)
         out = {t: _exact(c) for t, c in out.items() if c}
         self._left_cache[key] = out
         return out
+
+    def _prepend_term(self, g: int, w: int, head: Monomial, rest: Monomial, coef, out) -> None:
+        """walk's step in U(g): add coef * head * (w rest) to out."""
+        self.prepend(head, self.gen_times_mono(w, rest), coef, out)
+
+    def walk(self, g: int, m: Monomial, base: Monomial, c, out, term) -> Tuple[int, Coefficient]:
+        """Move a basis generator g right past each x^a = m[i] ranked below
+        it, by g x^a = sum_k C(a, k) x^(a-k) (ad_R x)^k(g), k = 0..a, with
+        the chain of ad_chain.  Each generator w of a term with k >= 1 goes
+        to term(g, w, head, rest, coef, out), with head = base m[:i]
+        x^(a-k), rest = m[i+1:] and coef its coefficient times c; the sign
+        of c flips when an odd g passes an odd x.  Returns where g stopped
+        and c with its sign there.  Each caller supplies its own term, as
+        _words_times takes its own power step."""
+        rank = self.order.rank
+        basis = self.table.basis
+        row = self.ad_row(g)
+        g_rank = rank[g]
+        g_odd = basis[g].odd
+        i = 0
+        while i < len(m) and rank[m[i][0]] < g_rank:
+            x, a = m[i]
+            x_odd = basis[x].odd
+            if x_odd and a != 1:
+                raise WrongOrder("odd generators are exponent one in normal form")
+            if x in row:
+                rest = m[i + 1 :]
+                prefix = base + m[:i]
+                for k, y in enumerate(self.ad_chain(g, x, a)[:a], 1):
+                    if not y:
+                        break
+                    head = prefix + ((x, a - k),) if a > k else prefix
+                    ck = c * comb(a, k)
+                    for w, cw in y.items():
+                        term(g, w, head, rest, ck * cw, out)
+            if g_odd and x_odd:
+                c = -c
+            i += 1
+        return i, c
 
     def prepend(self, head: Monomial, terms: UEAElement, coef, out) -> None:
         """Add coef * head * terms to out, for a normal-form monomial head
@@ -322,26 +340,23 @@ class PBWEngine:
 
     def _power_past(self, x: int, j: int, m: Monomial) -> UEAElement:
         """x^j * m for an even x ranked above the leading y^1 of m, by
-        x^j y = sum_k C(j, k) ((ad x)^k(y)) x^(j-k) with (ad x)(z) = [x, z]:
-        all j copies of x pass y at once, where gen_times_mono would walk
-        them past it one at a time."""
+        x^j y = sum_k C(j, k) ((ad x)^k(y)) x^(j-k), k = 0..j: all j copies
+        of x pass y at once, where gen_times_mono would walk them past it
+        one at a time.  As x is even, (ad x)(z) = [x, z] = -[z, x], so the
+        chain is ad_chain(y, x, j) with sign (-1)^k."""
         key = (x, j, m)
         hit = self._left_cache.get(key)
         if hit is not None:
             return hit
+        y = m[0][0]
         rest = {m[1:]: 1}
         res: UEAElement = {}
-        y: Value = {m[0][0]: 1}
-        for k in range(j + 1):
-            inner = self.power_times(x, j - k, rest)
-            for z, c in y.items():
-                _merge(res, self.power_times(z, 1, inner), comb(j, k) * c)
-            nxt: Value = {}
-            for z, c in y.items():
-                _merge(nxt, self.table.bracket(x, z), c)
-            y = nxt
-            if not y:
+        for k, yk in enumerate([{y: 1}] + self.ad_chain(y, x, j)[:j]):
+            if not yk:
                 break
+            inner = self.power_times(x, j - k, rest)
+            for z, c in yk.items():
+                _merge(res, self.power_times(z, 1, inner), (-1) ** k * comb(j, k) * c)
         self._left_cache[key] = res
         return res
 

@@ -89,7 +89,7 @@ def parse_weight(text: str, dim: int) -> Weight:
     try:
         return tuple(Fraction(p) for p in parts)
     except ZeroDivisionError:
-        raise InvalidParams(f"zero denominator in weight {text!r}") from None
+        raise InvalidParams("zero denominator") from None
 
 
 def format_weight(w: Weight) -> str:

@@ -197,24 +197,24 @@ class Candidate:
     def build(
         self,
         engine: PBWEngine,
-        factors: Optional[Sequence[Weight]] = None,
+        factors: Optional[Sequence[int]] = None,
         tail: Optional[Tuple[Tuple[Weight, int], ...]] = None,
     ) -> VermaVector:
-        """The word of raising factors (the odd factors by default),
-        straightened in U(n^+), acting once on tail v+ (the candidate's
-        tail by default).  Each monomial of the word acts from its longest
-        suffix with a known image, one generator power at a time, adding
-        the rest to the images."""
+        """The word of raising factors, as generator ids (the odd factors
+        by default), straightened in U(n^+), acting once on tail v+ (the
+        candidate's tail by default).  Each monomial of the word acts from
+        its longest suffix with a known image, one generator power at a
+        time, adding the rest to the images."""
         table = engine.table
         lam = self.params.lam
-        factors = self.odd if factors is None else factors
+        factors = [table.e_gen(w) for w in self.odd] if factors is None else factors
         tail = self.tail if tail is None else tail
         images = self._images.get((engine.order.sequence, tail))
         if images is None:
             tail_mono = tuple((table.f_gen(w), e) for w, e in tail)
             images = {(): engine.import_element({tail_mono: 1})}
             self._images[(engine.order.sequence, tail)] = images
-        word = engine.import_element({tuple((table.e_gen(w), 1) for w in factors): 1})
+        word = engine.import_element({tuple((g, 1) for g in factors): 1})
         body: UEAElement = {}
         for mono, coef in word.items():
             i = 0
@@ -651,7 +651,8 @@ def run_witness(cand: Candidate, ctx: Context) -> WitnessReport:
     engine = ctx.engine(tail=spec.order_tail)
     rows = []
     for step in spec.steps:
-        u_k = cand.build(engine, step.e_factors, spec.tail)
+        ids = [ctx.table.e_gen(w) for w in step.e_factors]
+        u_k = cand.build(engine, ids, spec.tail)
         mono = witness_monomial(engine, step.v_mono)
         coeff = u_k.body.get(mono, 0)
         weight_ok = _has_weight(engine, u_k.body, engine.monomial_weight(mono))
@@ -666,15 +667,17 @@ def signflip_counterexample(
 ) -> Optional[List[int]]:
     """The first of `samples` seeded orders of the odd factors whose
     candidate is neither u nor -u, or None.  Each rebuild is only its
-    permuted word acting through Candidate.build on the default engine."""
+    permuted word of generator ids acting through Candidate.build on the
+    default engine."""
     params = cand.params
     engine = ctx.default_engine
+    ids = [ctx.table.e_gen(w) for w in cand.odd]
     neg = _scaled(u.body, -1)
     for trial in range(samples):
         rng = random.Random(f"signflip:{params.case.text}:{params.N}:{seed}:{trial}")
         perm = list(range(len(cand.odd)))
         rng.shuffle(perm)
-        w = cand.build(engine, [cand.odd[i] for i in perm])
+        w = cand.build(engine, [ids[i] for i in perm])
         if w.body != u.body and w.body != neg:
             return perm
     return None

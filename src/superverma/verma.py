@@ -10,13 +10,13 @@ a time, from the right, inside the module:
 - a lowering g multiplies on the left by the engine's lambda-free
   power_times, which serves all of U(g) and here stays inside U(n^-);
 - a Cartan h_j scales each monomial m by its own <lambda - rho + wt(m), h_j>;
-- a raising g kills v+ and walks through each monomial m of the body, with
-  the prefix of m it has passed attached, as PBWEngine.gen_times_mono walks
-  in U(g).  Past x^a with rest R it leaves C(a, k) (ad_R x)^k(g) from
-  PBWEngine.ad_chain, and each generator of that acts on R by its kind: a
-  Cartan one is a scalar, a lowering one goes through the engine's cached
-  gen_times_mono and gets the prefix prepended (PBWEngine.prepend), and a
-  raising one walks on over R.  Every term lands in one output dict.
+- a raising g kills v+ and walks through each monomial m of the body by
+  PBWEngine.walk, the walk gen_times_mono takes in U(g), with the module's
+  own step: each generator of a chain it leaves, with the head P it has
+  passed and the rest R, acts on R by its kind.  A Cartan one is a scalar,
+  a lowering one goes through the engine's cached gen_times_mono and gets
+  P prepended (PBWEngine.prepend), and a raising one walks on over R with
+  base P.  Every term lands in one output dict.
 
 act applies each word of an element with the engine's word loop, as
 PBWEngine.multiply does in U(g); is_singular applies each simple raising
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 from typing import Dict, Optional, Tuple
 
 from .pbw import Monomial, PBWEngine, UEAElement
@@ -65,8 +65,9 @@ class UnexpectedRaising(RuntimeError):
 class _Action:
     """The lambda-constants of M(lam) on one engine, and g^e . (body v+) for
     a basis generator g and any body.  A Cartan g scales each monomial by
-    its own scalar, and a raising g acts monomial by monomial through
-    _walk, so no image is rebuilt once per generator of a prefix."""
+    its own scalar, and a raising g walks each monomial by PBWEngine.walk
+    with _term as its step, so no image is rebuilt once per generator of
+    a prefix."""
 
     def __init__(self, engine: PBWEngine, lam: Weight) -> None:
         table = engine.table
@@ -74,7 +75,6 @@ class _Action:
         self.lam = lam
         self.basis = table.basis
         self.kinds = [b.kind for b in table.basis]
-        self.odd = [b.odd for b in table.basis]
         self.heights = table.alg.heights
         shift = wdiff(lam, table.alg.rho)
         cartans = range(table.n_cartan)
@@ -102,57 +102,26 @@ class _Action:
         for _ in range(e):
             out: Dict[Monomial, Coefficient] = {}
             for m, c in body.items():
-                self._walk(g, m, 0, (), c, out)
+                self.engine.walk(g, m, (), c, out, self._term)
             body = {k: _exact(c) for k, c in out.items() if c}
         return body
 
-    def _walk(self, z: int, m: Monomial, start: int, base: Monomial, c, out) -> None:
-        """Add c * z . (base m[start:] v+) to out, for a raising z, where
-        base is a normal-form monomial whose generators rank below those of
-        m[start:].
-
-        z moves right past each x^a = m[i] with rest R = m[i+1:], and the
-        sign flips when an odd z passes an odd x.  Each term C(a, k)
-        (ad_R x)^k(z) with k >= 1 leaves the prefix P = base m[start:i]
-        x^(a-k) in front of R: a Cartan h is one scalar on R v+, a lowering
-        w acts on R by gen_times_mono and P is prepended to the result, and
-        a raising w walks on over R with base P.  Only the x with [z, x] !=
-        0 leave terms; z itself kills v+ at the end."""
+    def _term(self, z: int, w: int, head: Monomial, rest: Monomial, c, out) -> None:
+        """PBWEngine.walk's step in the module: add c * head * w . (rest v+)
+        to out, for a generator w of a chain the raising z leaves.  A
+        lowering w acts on rest by gen_times_mono and head is prepended, a
+        Cartan w is one scalar on rest, and a raising w walks on over rest
+        with head as its base."""
         engine = self.engine
-        row = engine.ad_row(z)
-        odd = self.odd
-        kinds = self.kinds
-        z_odd = odd[z]
-        passed = start
-        for i in [i for i in range(start, len(m)) if m[i][0] in row]:
-            x, a = m[i]
-            if z_odd:
-                for p, _ in m[passed:i]:
-                    if odd[p]:
-                        c = -c
-                passed = i
-            chain = row[x]
-            if len(chain) < a and chain[-1]:
-                chain = engine.ad_chain(z, x, a)
-            rest = m[i + 1 :]
-            for k in range(1, min(a, len(chain)) + 1):
-                y = chain[k - 1]
-                if not y:
-                    break
-                head = base + m[start:i] + ((x, a - k),) if a > k else base + m[start:i]
-                ck = c * comb(a, k)
-                for w, cw in y.items():
-                    kind = kinds[w]
-                    if kind == "f":
-                        engine.prepend(head, engine.gen_times_mono(w, rest), ck * cw, out)
-                    elif kind == "h":
-                        key = head + rest
-                        out[key] = out.get(key, 0) + ck * cw * self.scalar(
-                            self.basis[w].index, rest
-                        )
-                    else:
-                        self._check_raising(z, w)
-                        self._walk(w, m, i + 1, head, ck * cw, out)
+        kind = self.kinds[w]
+        if kind == "f":
+            engine.prepend(head, engine.gen_times_mono(w, rest), c, out)
+        elif kind == "h":
+            key = head + rest
+            out[key] = out.get(key, 0) + c * self.scalar(self.basis[w].index, rest)
+        else:
+            self._check_raising(z, w)
+            engine.walk(w, rest, head, c, out, self._term)
 
     def _check_raising(self, z: int, w: int) -> None:
         """UnexpectedRaising unless the raising w, out of commuting the

@@ -117,12 +117,12 @@ def test_criterion_3_odd_factor_permutations():
         u = candidate_u(params, ctx)
         neg = {mono: -c for mono, c in u.body.items()}
         cand = candidate(params, ctx.alg)
-        k = len(cand.odd)
+        ids = [ctx.table.e_gen(w) for w in cand.odd]
         for trial in range(20):
             rng = random.Random(f"acceptance:flip:{text}:{trial}")
-            perm = list(range(k))
+            perm = list(range(len(ids)))
             rng.shuffle(perm)
-            w = cand.build(ctx.default_engine, [cand.odd[i] for i in perm])
+            w = cand.build(ctx.default_engine, [ids[i] for i in perm])
             assert w.body == u.body or w.body == neg, (text, perm)
             trials += 1
     print(f"criterion 3 PASS: {trials} permutations each changed u by a factor in {{+1, -1}}")

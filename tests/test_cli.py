@@ -115,6 +115,12 @@ def test_explicit_lambda(capsys):
     code, _, err = run(capsys, "verify", "--case", "B-II", "--m", "1", "--n", "1",
                        "--N", "1", "--lambda", "1/2")
     assert code == 2
+    assert "--lambda '1/2'" in err
+    for bad in ("x,2", "1,2,3"):
+        code, out, err = run(capsys, "verify", "--case", "B-I", "--m", "1", "--n", "1",
+                             "--lambda", bad)
+        assert (code, out) == (2, "")
+        assert "--lambda" in err and repr(bad) in err
     code, _, err = run(capsys, "verify", "--case", "B-II", "--m", "1", "--n", "1",
                        "--N", "1,2", "--lambda", "3,1/2")
     assert code == 2
@@ -137,6 +143,7 @@ def test_usage_errors(capsys):
                        "--lambda", "1/0,1")
     assert code == 2
     assert "zero denominator" in err
+    assert "--lambda" in err and "'1/0,1'" in err
     for jobs in (("--jobs", "1"), ("--jobs", "2", "--seed", "0,1")):
         code, out, err = run(capsys, "orbit", "--case", "B-I", "--m", "1", "--n", "1",
                              "--p", "5", *jobs)

@@ -38,20 +38,20 @@ def params_for(text: str, N: int, seed: int = 0) -> CaseParams:
 
 def apply_one_at_a_time(engine, lam, e_factors, tail):
     """Reference for the candidate's construction: every lowering power and
-    then every odd raising factor acts on the growing module vector, one
-    act per factor, rightmost first."""
+    then every odd raising factor (a generator id) acts on the growing
+    module vector, one act per factor, rightmost first."""
     table = engine.table
     v = highest_weight_vector(lam)
     for w, exp in reversed(list(tail)):
         v = act(engine.gen(table.f_gen(w), exp), v, engine)
-    for w in reversed(list(e_factors)):
-        v = act(engine.gen(table.e_gen(w)), v, engine)
+    for g in reversed(list(e_factors)):
+        v = act(engine.gen(g), v, engine)
     return v
 
 
 def raising_product(engine, e_factors):
-    """The word of odd raising factors, straightened in U(n^+)."""
-    return engine.import_element({tuple((engine.table.e_gen(w), 1) for w in e_factors): 1})
+    """The word of odd raising factors (generator ids), straightened in U(n^+)."""
+    return engine.import_element({tuple((g, 1) for g in e_factors): 1})
 
 
 def test_default_lambda_frozen_values():
@@ -149,7 +149,7 @@ def test_factor_permutations_flip_sign_at_most():
         u = candidate_u(params, ctx)
         neg = {m: -c for m, c in u.body.items()}
         cand = candidate(params, ctx.alg)
-        odd = cand.odd
+        odd = [ctx.table.e_gen(w) for w in cand.odd]
         k = len(odd)
         engine = ctx.default_engine
         y_id = raising_product(engine, odd)
@@ -187,11 +187,14 @@ def test_straightened_factors_match_one_at_a_time(text):
     each (engine, tail) shares."""
     params, ctx = params_for(text, 1)
     cand = candidate(params, ctx.alg)
-    odd, tail = cand.odd, cand.tail
+    odd, tail = [ctx.table.e_gen(w) for w in cand.odd], cand.tail
     spec = witness_spec(cand, ctx.alg)
     witness_engine = ctx.engine(tail=spec.order_tail)
     jobs = [(ctx.default_engine, odd, tail), (witness_engine, odd, tail)]
-    jobs += [(witness_engine, step.e_factors, spec.tail) for step in spec.steps]
+    jobs += [
+        (witness_engine, [ctx.table.e_gen(w) for w in step.e_factors], spec.tail)
+        for step in spec.steps
+    ]
     rng = random.Random(f"straighten:{text}")
     for engine, e_factors, tail in jobs:
         orders = [list(e_factors)] + [rng.sample(e_factors, len(e_factors)) for _ in range(5)]
