@@ -17,7 +17,7 @@ import contextlib
 import io
 import sys
 
-from superverma.cli import main as cli_main
+from superverma.cli import CHECK_NAMES, main as cli_main
 
 # (family, m grid, n grid, N grid); m/n are None for the exceptional cases.
 STANDARD_GRID = (
@@ -47,7 +47,7 @@ def main(argv=None):
     parser.add_argument("--seed", default="0..2",
                         help="seed grid passed through to verify (default 0..2)")
     parser.add_argument("--check", action="append",
-                        choices=("nonzero", "singular", "signflip", "witness", "all"),
+                        choices=CHECK_NAMES + ("all",),
                         help="checks to run at each point (repeatable; default all)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes per family run")

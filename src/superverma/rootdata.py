@@ -99,9 +99,11 @@ def format_weight(w: Weight) -> str:
 def solve_square(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> List[Fraction]:
     """Solve A x = b over Fraction by Gaussian elimination.
 
-    Raises ValueError when A is singular.
+    Raises ValueError when A is not square or is singular.
     """
     n = len(rhs)
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise ValueError("not a square system")
     aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
@@ -115,6 +117,16 @@ def solve_square(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) ->
                 factor = aug[r][col]
                 aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
     return [aug[i][n] for i in range(n)]
+
+
+def _form(form_matrix: Matrix, a: Weight, b: Weight) -> Fraction:
+    """The bilinear form (a, b) with the given Gram matrix."""
+    total = Fraction(0)
+    for i, x in enumerate(a):
+        if x:
+            row = form_matrix[i]
+            total += x * sum(row[j] * y for j, y in enumerate(b) if y)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +279,7 @@ class AlgebraData:
         return root
 
     def form(self, a: Weight, b: Weight) -> Fraction:
-        total = Fraction(0)
-        for i, x in enumerate(a):
-            if x:
-                row = self.form_matrix[i]
-                total += x * sum(row[j] * y for j, y in enumerate(b) if y)
-        return total
+        return _form(self.form_matrix, a, b)
 
     def norm(self, a: Weight) -> Fraction:
         return self.form(a, a)
@@ -382,17 +389,13 @@ def _assemble(
     if set(even_weights) & set(odd_weights):
         raise RootDataError(f"{case.text}: a root is both even and odd")
 
-    dummy = AlgebraData(
-        case, coord_names, form_matrix, (), (), (), (), rho_closed,
-        RootDatum(gamma_weight, EVEN, "", True), (), (), (), {},
-    )
-
     def classify(w: Weight, odd: bool) -> str:
+        isotropic = _form(form_matrix, w, w) == 0
         if not odd:
-            if dummy.norm(w) == 0:
+            if isotropic:
                 raise RootDataError(f"even root {w} must be nonisotropic")
             return EVEN
-        return ODD_ISO if dummy.norm(w) == 0 else ODD_NONISO
+        return ODD_ISO if isotropic else ODD_NONISO
 
     even = sorted(even_weights)
     odd = sorted(odd_weights)
@@ -405,20 +408,22 @@ def _assemble(
     simple_system = tuple(pos_roots[index[w]] for w in simple_weights)
     simple_pos_index = tuple(index[w] for w in simple_weights)
 
-    # heights and decompositions over the simple basis
+    # The one basis check: the height functional phi takes the value 1 on
+    # every simple root, and it exists only when they form a basis.
     dim = len(coord_names)
-    if len(simple_weights) != dim:
-        raise RootDataError("simple roots must form a coordinate basis")
-    basis_cols = [[simple_weights[j][i] for j in range(dim)] for i in range(dim)]
-    heights: List[int] = []
-    for r in pos_roots:
-        coeffs = solve_square(basis_cols, list(r.weight))
-        if not all(c.denominator == 1 and c >= 0 for c in coeffs):
-            raise RootDataError(f"{r.name} is not a nonnegative integer combination of simple roots")
-        heights.append(int(sum(coeffs)))
+    try:
+        phi = solve_square(simple_weights, [Fraction(1)] * dim)
+    except ValueError:
+        raise RootDataError(f"{case.text}: the simple roots are not a basis") from None
+    heights = tuple(int(sum(p * x for p, x in zip(phi, r.weight))) for r in pos_roots)
+
+    # A root sigma outside the simple system is alpha_k + tau for the first
+    # simple root alpha_k whose difference tau is a positive root.  As
+    # phi(tau) = phi(sigma) - 1, these steps end at a simple root, so every
+    # positive root sigma is a sum of phi(sigma) simple roots, repeats allowed.
     decomp: List[Optional[Tuple[int, int]]] = []
     for pos, r in enumerate(pos_roots):
-        if heights[pos] == 1:
+        if pos in simple_pos_index:
             decomp.append(None)
             continue
         found = None
@@ -429,9 +434,23 @@ def _assemble(
                 break
         if found is None:
             raise RootDataError(f"no simple-root decomposition for {r.name}")
-        if heights[found[1]] != heights[pos] - 1:
-            raise RootDataError(f"the decomposition of {r.name} skips a height")
         decomp.append(found)
+
+    alg = AlgebraData(
+        case=case,
+        coord_names=coord_names,
+        form_matrix=form_matrix,
+        simple_system=simple_system,
+        pos_even=pos_roots[: len(even)],
+        pos_odd=pos_roots[len(even):],
+        pos_roots=pos_roots,
+        rho=rho_closed,
+        gamma=pos_roots[index[gamma_weight]],
+        heights=heights,
+        decomp=tuple(decomp),
+        simple_pos_index=simple_pos_index,
+        index=index,
+    )
 
     # Weyl vector invariants: the closed form must match the half-sum, pair
     # to 1 with every nonisotropic simple coroot, and be orthogonal to every
@@ -444,30 +463,14 @@ def _assemble(
         raise RootDataError(f"rho mismatch: {half_sum} vs {rho_closed}")
     for s in simple_system:
         if s.parity == ODD_ISO:
-            if dummy.form(rho_closed, s.weight) != 0:
+            if alg.form(rho_closed, s.weight) != 0:
                 raise RootDataError(f"(rho, {s.name}) != 0")
-        elif dummy.coroot_pairing(rho_closed, s.weight) != 1:
+        elif alg.coroot_pairing(rho_closed, s.weight) != 1:
             raise RootDataError(f"<rho, h_{s.name}> != 1")
 
-    gamma = pos_roots[index[gamma_weight]]
-    if dummy.norm(gamma_weight) == 0:
+    if alg.gamma.isotropic:
         raise RootDataError("gamma must be nonisotropic")
-
-    return AlgebraData(
-        case=case,
-        coord_names=coord_names,
-        form_matrix=form_matrix,
-        simple_system=simple_system,
-        pos_even=pos_roots[: len(even)],
-        pos_odd=pos_roots[len(even):],
-        pos_roots=pos_roots,
-        rho=rho_closed,
-        gamma=gamma,
-        heights=tuple(heights),
-        decomp=tuple(decomp),
-        simple_pos_index=simple_pos_index,
-        index=index,
-    )
+    return alg
 
 
 # family -> (coordinate block that leads the simple system, B or D type);

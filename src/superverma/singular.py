@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .pbw import Inhomogeneous, Monomial, PBWEngine, UEAElement, WrongOrder, make_order
+from .pbw import Inhomogeneous, Monomial, PBWEngine, UEAElement, make_order
 from .rootdata import (
     AlgebraData,
     CaseId,
@@ -97,16 +97,16 @@ class CaseParams:
     lam: Weight
 
 
-def require_parity(alg: AlgebraData, N: int) -> None:
-    """An odd gamma (B-I, G3) needs an odd level N."""
-    if alg.gamma.odd and N % 2 == 0:
-        raise ParityViolation(f"{alg.case.family} needs an odd level, got N={N}")
+def require_parity(alg: AlgebraData, level: int, name: str) -> None:
+    """An odd gamma (B-I, G3) needs an odd level: N for verify, C for orbit."""
+    if alg.gamma.odd and level % 2 == 0:
+        raise ParityViolation(f"{alg.case.family} needs an odd level, got {name}={level}")
 
 
 def validate_params(params: CaseParams, alg: AlgebraData) -> None:
     if params.N < 1:
         raise InvalidParams(f"N must be a positive integer, got {params.N}")
-    require_parity(alg, params.N)
+    require_parity(alg, params.N, "N")
     if len(params.lam) != alg.rank:
         raise InvalidParams("lambda has the wrong number of coordinates")
     got = alg.coroot_pairing(params.lam, alg.gamma)
@@ -123,7 +123,7 @@ def default_lambda(case: CaseId, N: int, seed: int, alg: Optional[AlgebraData] =
         raise InvalidParams(f"N must be a positive integer, got {N}")
     if alg is None:
         alg = build_context(case).alg
-    require_parity(alg, N)
+    require_parity(alg, N, "N")
     rng = random.Random(f"{case.text}:{N}:{seed}")
     coords = [Fraction(rng.randint(-3, 3)) for _ in range(alg.rank)]
     return _solve_level(alg, coords, N, max(k for k, x in enumerate(alg.gamma.weight) if x))
@@ -402,7 +402,7 @@ def chain_weight(
     an integer gap, so a failed check is a fault of the program."""
     if C < 1:
         raise InvalidParams(f"C must be a positive integer, got {C}")
-    require_parity(alg, C)
+    require_parity(alg, C, "C")
     if p_first is not None and p_first < 1:
         raise InvalidParams("p must be a positive integer")
     if p_first is not None and not kappas:
@@ -616,7 +616,6 @@ def witness_spec(cand: Candidate, alg: AlgebraData) -> WitnessSpec:
 class WitnessRow:
     label: int
     coefficient: Coefficient
-    terms: int
     weight_ok: bool
 
 
@@ -634,16 +633,14 @@ class WitnessReport:
 
 def witness_monomial(engine: PBWEngine, mono_spec: Sequence[Tuple[Weight, int]]):
     """Normalize a (root weight, exponent) list into an engine monomial.
-    Zero exponents are allowed in specs at small N and drop out here."""
+    Zero exponents are allowed in specs at small N and drop out here; what
+    is left must be a normal-form monomial (WrongOrder otherwise)."""
     table = engine.table
     pairs = [(table.f_gen(w), e) for w, e in mono_spec if e]
-    if any(e < 0 for _, e in pairs):
-        raise WrongOrder("negative exponent in witness monomial")
     pairs.sort(key=lambda ge: engine.order.rank[ge[0]])
-    for (g1, _), (g2, _) in zip(pairs, pairs[1:]):
-        if g1 == g2:
-            raise WrongOrder("duplicate generator in witness monomial")
-    return tuple(pairs)
+    mono = tuple(pairs)
+    engine.check_lowering(mono)
+    return mono
 
 
 def run_witness(cand: Candidate, ctx: Context) -> WitnessReport:
@@ -656,7 +653,7 @@ def run_witness(cand: Candidate, ctx: Context) -> WitnessReport:
         mono = witness_monomial(engine, step.v_mono)
         coeff = u_k.body.get(mono, 0)
         weight_ok = _has_weight(engine, u_k.body, engine.monomial_weight(mono))
-        rows.append(WitnessRow(step.label, coeff, len(u_k.body), weight_ok))
+        rows.append(WitnessRow(step.label, coeff, weight_ok))
     u = cand.build(engine)
     first = u.body.get(witness_monomial(engine, spec.steps[0].v_mono), 0)
     return WitnessReport(tuple(rows), first)

@@ -13,9 +13,9 @@ Jacobi identity.  Each bracket has one derivation: a mixed bracket
 [e_a, f_b] is derived on demand by recursion on height through the
 decomposition of a or b, and the same-sign pairs [e_mu, e_nu], [f_mu, f_nu]
 are solved by probing with a simple generator, in increasing height of
-mu + nu, so that every step only reads brackets of lower height.  A gap in
-that schedule, or a probe that leaves the root grading, raises
-ClosureFailure instead of recursing blindly.
+mu + nu, so that every step only reads brackets of lower height.  These
+derivations set every pair; a gap in that schedule, a probe that leaves the
+root grading, or a pair still unset at the end raises ClosureFailure.
 
 Bracket values are dicts mapping basis ids to exact rational coefficients,
 so a value can be a root-vector multiple or a Cartan combination.  Every
@@ -322,15 +322,11 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
         for b in range(P):
             ensure_mixed(a, b)
 
-    # anything still missing is zero by the root grading
+    # level 1 sets the Cartan pairs and the same-sign pairs of no root weight,
+    # the probes the other same-sign pairs, the mixed pass every [e_a, f_b]
     for x in range(table.dim):
         for y in range(table.dim):
-            if (x, y) in entries:
-                continue
-            total = wsum(basis[x].weight, basis[y].weight)
-            if any(total) and total not in alg.index and wneg(total) not in alg.index:
-                set_entry(x, y, {})
-            else:
+            if (x, y) not in entries:
                 raise ClosureFailure(
                     f"no value derived for [{basis[x].name}, {basis[y].name}]"
                 )

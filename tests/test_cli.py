@@ -136,6 +136,9 @@ def test_usage_errors(capsys):
     assert run(capsys, "orbit", "--case", "G3")[0] == 2
     assert run(capsys, "orbit", "--case", "B-I", "--m", "2", "--n", "1",
                "--target", "5")[0] == 2
+    code, _, err = run(capsys, "orbit", "--case", "B-I", "--m", "2", "--n", "1", "--C", "2")
+    assert code == 2
+    assert "C=2" in err
     code, out, err = run(capsys, "orbit", "--case", "B-I", "--m", "1..2", "--n", "1")
     assert (code, out) == (2, "")
     assert "orbit takes a single case, but --m 1..2 --n 1 give 2" in err

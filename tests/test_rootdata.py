@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superverma import rootdata
+from superverma import cli, rootdata, singular
 from superverma.rootdata import (
     EVEN,
     ODD_ISO,
@@ -108,6 +108,21 @@ def test_bad_rho_is_a_root_data_error(monkeypatch):
     monkeypatch.setattr(rootdata, "_assemble", doubled_rho)
     with pytest.raises(RootDataError, match="rho mismatch"):
         build_algebra_data(CaseId.parse("B-II:m=1,n=1"))
+
+
+def test_dependent_simple_roots_are_a_root_data_error(monkeypatch, capsys):
+    assemble = rootdata._assemble
+
+    def dependent(case, names, form, simples, *rest):
+        simples = list(simples[:-1]) + [wsum(simples[0], simples[1])]
+        return assemble(case, names, form, simples, *rest)
+
+    monkeypatch.setattr(rootdata, "_assemble", dependent)
+    with pytest.raises(RootDataError, match="the simple roots are not a basis"):
+        build_algebra_data(CaseId.parse("B-II:m=2,n=2"))
+    monkeypatch.setattr(singular, "_CONTEXTS", {})
+    assert cli.main(["verify", "--case", "B-II", "--m", "2", "--n", "2", "--N", "1"]) == 3
+    assert "internal error: RootDataError" in capsys.readouterr().err
 
 
 def test_parity_classification():
@@ -250,10 +265,28 @@ def test_weight_serialization_roundtrip():
         parse_weight("1,2", 3)
 
 
+OSP_UP_TO_4 = [
+    f"{family}:m={m},n={n}"
+    for family in ("B-I", "B-II", "D-I", "D-II")
+    for m in range(1, 5)
+    for n in range(2 if family.startswith("D") else 1, 5)
+]
+
+
+def simple_coordinates(alg: AlgebraData, w) -> list:
+    """Coordinates of w in the simple basis by elimination: the reference
+    the heights read off the decompositions are checked against."""
+    cols = [[s.weight[i] for s in alg.simple_system] for i in range(alg.rank)]
+    return rootdata.solve_square(cols, list(w))
+
+
 def test_decompositions_consistent():
-    for text in SMALLEST + ["B-II:m=2,n=3", "D-II:m=2,n=3"]:
+    for text in OSP_UP_TO_4 + ["F31", "G3"]:
         alg = build(text)
         for pos, r in enumerate(alg.pos_roots):
+            coords = simple_coordinates(alg, r.weight)
+            assert all(c.denominator == 1 and c >= 0 for c in coords), (text, r.name)
+            assert sum(coords) == alg.heights[pos], (text, r.name)
             if alg.heights[pos] == 1:
                 assert alg.decomp[pos] is None
                 assert pos in alg.simple_pos_index

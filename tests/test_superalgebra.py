@@ -106,6 +106,18 @@ def test_every_stored_decomposition_is_checked(text):
                         build_structure_constants(other)
 
 
+def test_unset_pair_is_a_closure_failure():
+    # an index that claims a sum mu + nu of positive roots is a root keeps
+    # level 1 from zeroing [X_mu, X_nu], and no probe sets it either
+    alg = build_algebra_data(CaseId.parse("B-II:m=1,n=1"))
+    roots = [r.weight for r in alg.pos_roots]
+    fakes = {wsum(mu, nu) for i, mu in enumerate(roots) for nu in roots[i:]} - set(alg.index)
+    for fake in sorted(fakes):
+        other = dataclasses.replace(alg, index={**alg.index, fake: 0})
+        with pytest.raises(ClosureFailure, match=r"no value derived for \["):
+            build_structure_constants(other)
+
+
 def test_weight_grading():
     for text in ("B-II:m=2,n=1", "G3"):
         table = make(text)

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from superverma import singular
+from superverma.pbw import WrongOrder
 from superverma.rootdata import CaseId, InvalidParams
 from superverma.singular import (
     Candidate,
@@ -135,6 +136,10 @@ def test_witness_monomial_drops_zero_exponents():
     engine = ctx.default_engine
     mono = witness_monomial(engine, [("e1", 1), ("2d1", 0)])
     assert mono == ((ctx.table.f_gen("e1"), 1),)
+    with pytest.raises(WrongOrder):
+        witness_monomial(engine, [("e1", 1), ("2d1", 1), ("e1", 2)])
+    with pytest.raises(WrongOrder):
+        witness_monomial(engine, [("e1", -1)])
 
 
 def test_mixed_witness_step_fails_its_weight_check(monkeypatch):
