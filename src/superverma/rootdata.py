@@ -405,8 +405,13 @@ def _assemble(
     )
     index = {r.weight: i for i, r in enumerate(pos_roots)}
 
-    simple_system = tuple(pos_roots[index[w]] for w in simple_weights)
-    simple_pos_index = tuple(index[w] for w in simple_weights)
+    def position(w: Weight, role: str) -> int:
+        if w not in index:
+            raise RootDataError(f"{case.text}: {role} {name_for(w)} is not a positive root")
+        return index[w]
+
+    simple_pos_index = tuple(position(w, "simple root") for w in simple_weights)
+    simple_system = tuple(pos_roots[i] for i in simple_pos_index)
 
     # The one basis check: the height functional phi takes the value 1 on
     # every simple root, and it exists only when they form a basis.
@@ -445,7 +450,7 @@ def _assemble(
         pos_odd=pos_roots[len(even):],
         pos_roots=pos_roots,
         rho=rho_closed,
-        gamma=pos_roots[index[gamma_weight]],
+        gamma=pos_roots[position(gamma_weight, "gamma")],
         heights=heights,
         decomp=tuple(decomp),
         simple_pos_index=simple_pos_index,

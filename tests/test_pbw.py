@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superverma import cli, pbw, singular
 from superverma.pbw import (
     Inhomogeneous,
     NotDivisible,
@@ -23,8 +24,18 @@ from superverma.pbw import (
 )
 from superverma.cli import SMALLEST_CASES
 from superverma.rootdata import CaseId, wsum, wzero
-from superverma.singular import build_context
+from superverma.singular import (
+    CaseParams,
+    ShapovalovElement,
+    build_context,
+    candidate_u,
+    chain_kappas,
+    default_lambda,
+    orbit_propagate,
+    propagate_chain,
+)
 from superverma.superalgebra import _merge
+from superverma.verma import VermaVector, act, is_singular
 
 CASES = ["B-I:m=1,n=1", "B-II:m=1,n=1", "D-I:m=1,n=2", "D-II:m=1,n=2", "F31", "G3"]
 
@@ -410,3 +421,88 @@ def test_deep_power_passes_a_commuting_generator(name):
     assert engine.order.rank[x] < engine.order.rank[big]
     got = engine.multiply(engine.gen(big, 2000), engine.gen(x))
     assert got == {((x, 1), (big, 2000)): 1}
+
+
+def random_word_element(rng, dim):
+    """A few random words over the first dim basis generators, with
+    exponents up to 2, read as products (not in normal form)."""
+    return {
+        tuple((rng.randrange(dim), rng.randint(1, 2)) for _ in range(rng.randint(1, 4))):
+            Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3))
+        for _ in range(3)
+    }
+
+
+def assert_generations_within(ctx, bound):
+    for eng in ctx._engines.values():
+        assert len(eng._left_cache) <= bound and len(eng._left_old) <= bound
+
+
+def cache_workout(monkeypatch):
+    """Products over all of U(g), imports, right divisions, module actions
+    and singularity checks on random bodies, and one orbit chain, on fresh
+    contexts.  Returns the results, after checking every engine's two
+    generations against CACHE_GENERATION after every call, and the engines
+    that did the random work."""
+    monkeypatch.setattr(singular, "_CONTEXTS", {})
+    bound = pbw.CACHE_GENERATION
+    results, engines = [], []
+
+    def record(ctx, value):
+        assert_generations_within(ctx, bound)
+        results.append(value)
+
+    for text in ("B-I:m=2,n=1", "D-II:m=1,n=2", "G3"):
+        ctx = ctx_for(text)
+        table, eng = ctx.table, ctx.default_engine
+        bid = table.f_gen(first_even_root(ctx.alg))
+        tailed = ctx.engine(tail=(bid,))
+        engines += [eng, tailed]
+        rng = random.Random(f"generations:{text}")
+        for engine in (eng, tailed):
+            for _ in range(4):
+                a, b = (random_word_element(rng, table.dim) for _ in range(2))
+                record(ctx, engine.multiply(a, b))
+        for p in (1, 2):
+            x = random_lowering(eng, rng, 4)
+            record(ctx, tailed.import_element(x))
+            theta = random_lowering(tailed, rng, 3)
+            record(ctx, tailed.right_divide(tailed.multiply(theta, tailed.gen(bid, p)), bid, p))
+        lam = default_lambda(ctx.alg.case, 1, 0, ctx.alg)
+        for _ in range(3):
+            v = VermaVector(random_lowering(eng, rng, 3), lam)
+            record(ctx, act(eng.multiply(el_one(), random_word_element(rng, table.dim)), v, eng).body)
+            record(ctx, is_singular(v, eng))
+    case = CaseId.parse("B-I:m=2,n=1")
+    ctx = build_context(case)
+    report = propagate_chain(case, 1, 1, seed=0, ctx=ctx)
+    record(ctx, report)
+    (kappa,) = chain_kappas(1, ctx.alg)
+    u = candidate_u(CaseParams(case, 1, report.mu0), ctx)
+    shap, step = orbit_propagate(ShapovalovElement(ctx.alg.gamma, 1, report.mu0, u.body), kappa, ctx)
+    record(ctx, (shap.theta, step))
+    return results, engines
+
+
+def test_tiny_cache_generations_change_no_result(monkeypatch):
+    """With generations of 8 products, engines rotate all the time and give
+    the results of engines of the default size; no generation ever holds
+    more than 8 products."""
+    expected, _ = cache_workout(monkeypatch)
+    monkeypatch.setattr(pbw, "CACHE_GENERATION", 8)
+    got, engines = cache_workout(monkeypatch)
+    assert got == expected
+    assert all(len(eng._left_old) == 8 for eng in engines)
+
+
+def test_cache_generations_bound_a_real_run(monkeypatch, capsys):
+    """verify D-II m=3 n=3 N=2 stores more products than one generation
+    holds, so its default engine rotates, and each generation stays within
+    CACHE_GENERATION."""
+    monkeypatch.setattr(singular, "_CONTEXTS", {})
+    assert cli.main(["verify", "--case", "D-II", "--m", "3", "--n", "3", "--N", "2",
+                     "--seed", "1", "--json"]) == 0
+    assert '"ok": true' in capsys.readouterr().out
+    ctx = build_context(CaseId.parse("D-II:m=3,n=3"))
+    assert len(ctx.default_engine._left_old) == pbw.CACHE_GENERATION == 4096
+    assert_generations_within(ctx, pbw.CACHE_GENERATION)

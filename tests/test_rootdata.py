@@ -125,6 +125,28 @@ def test_dependent_simple_roots_are_a_root_data_error(monkeypatch, capsys):
     assert "internal error: RootDataError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("role", ["gamma", "simple root"])
+def test_weight_off_the_roots_is_a_root_data_error(monkeypatch, capsys, role):
+    """A builder whose gamma or simple weight is not a positive root: twice
+    gamma, or the negative of the first simple root."""
+    assemble = rootdata._assemble
+
+    def spoiled(case, names, form, simples, even, odd, rho, gamma, *rest):
+        if role == "gamma":
+            gamma = wsum(gamma, gamma)
+        else:
+            simples = [wneg(simples[0])] + list(simples[1:])
+        return assemble(case, names, form, simples, even, odd, rho, gamma, *rest)
+
+    monkeypatch.setattr(rootdata, "_assemble", spoiled)
+    with pytest.raises(RootDataError, match=f"^B-II:m=1,n=1: {role} .* is not a positive root$"):
+        build_algebra_data(CaseId.parse("B-II:m=1,n=1"))
+    monkeypatch.setattr(singular, "_CONTEXTS", {})
+    assert cli.main(["verify", "--case", "B-II", "--m", "1", "--n", "1", "--N", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "internal error: RootDataError" in err and "is not a positive root" in err
+
+
 def test_parity_classification():
     alg = build("B-I:m=2,n=2")
     assert alg.root_named("d1").parity == ODD_NONISO

@@ -60,8 +60,11 @@ def non_canonical(values):
 
 
 def engine_coefficients(eng):
-    """Every coefficient held by the engine's straightening cache."""
-    return [c for el in eng._left_cache.values() for c in el.values()]
+    """Every coefficient held by the engine's straightening cache, in both
+    of its generations."""
+    return [
+        c for gen in (eng._left_cache, eng._left_old) for el in gen.values() for c in el.values()
+    ]
 
 
 def straightening_act(x, v, engine):
