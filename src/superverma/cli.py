@@ -27,7 +27,8 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from typing import List, Optional, Sequence, Tuple
+from math import prod
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .pbw import Inhomogeneous, NotDivisible, RoundTripFailure, WrongOrder, el_one
 from .rootdata import (
@@ -66,6 +67,8 @@ from .verma import (
 
 CHECK_NAMES = ("nonzero", "singular", "signflip", "witness")
 SIGNFLIP_SAMPLES = 20
+# the most grid points one verify or orbit run may span
+MAX_GRID_POINTS = 100_000
 
 # Faults of the program rather than of its input or of a checked claim.
 # Some subclass ValueError, so they are caught before the usage errors.
@@ -100,8 +103,9 @@ def _int(text: str, flag: str, value: str) -> int:
 
 def parse_grid(text: str, flag: str) -> List[int]:
     """Integer grid values: "2", "1,3", or "1..4" (and mixtures).  Errors
-    name the flag the text came from."""
-    out = set()
+    name the flag the text came from; the ranges are sized against
+    MAX_GRID_POINTS before they are expanded."""
+    ranges = []
     for part in text.split(","):
         part = part.strip()
         if ".." in part:
@@ -109,12 +113,23 @@ def parse_grid(text: str, flag: str) -> List[int]:
             a, b = _int(lo, flag, text), _int(hi, flag, text)
             if b < a:
                 raise InvalidParams(f"empty range {part!r} in {flag}")
-            out.update(range(a, b + 1))
+            ranges.append(range(a, b + 1))
         elif part:
-            out.add(_int(part, flag, text))
-    if not out:
+            n = _int(part, flag, text)
+            ranges.append(range(n, n + 1))
+    if not ranges:
         raise InvalidParams(f"empty grid {text!r} in {flag}")
-    return sorted(out)
+    _check_run_size({flag: sum(map(len, ranges))})
+    return sorted({x for r in ranges for x in r})
+
+
+def _check_run_size(sizes: Dict[str, int]) -> None:
+    """A usage error, naming the flags, when the grids of the given sizes
+    span more than MAX_GRID_POINTS points together."""
+    total = prod(sizes.values())
+    if total > MAX_GRID_POINTS:
+        flags = ", ".join(flag for flag, n in sizes.items() if n > 1)
+        raise InvalidParams(f"{total} grid points from {flags}, more than the {MAX_GRID_POINTS} a run may span")
 
 
 def _expand_checks(values: Optional[List[str]]) -> Tuple[str, ...]:
@@ -130,11 +145,9 @@ def _case_grid(args) -> List[CaseId]:
     if family in OSP_FAMILIES:
         if args.m is None or args.n is None:
             raise InvalidParams(f"{family} needs --m and --n")
-        return [
-            CaseId(family, m, n)
-            for m in parse_grid(args.m, "--m")
-            for n in parse_grid(args.n, "--n")
-        ]
+        ms, ns = parse_grid(args.m, "--m"), parse_grid(args.n, "--n")
+        _check_run_size({"--m": len(ms), "--n": len(ns)})
+        return [CaseId(family, m, n) for m in ms for n in ns]
     if args.m is not None or args.n is not None:
         raise InvalidParams(f"{family} takes no --m or --n")
     return [CaseId(family)]
@@ -274,6 +287,8 @@ def cmd_verify(args) -> int:
     cases = _case_grid(args)
     levels = _level_grid(args)
     seeds = parse_grid(args.seed, "--seed")
+    level_flag = "--N" if args.M is None else "--M"
+    _check_run_size({"--m, --n": len(cases), level_flag: len(levels), "--seed": len(seeds)})
     checks = _expand_checks(args.check)
     if args.lam is not None and (len(cases) > 1 or len(levels) > 1 or len(seeds) > 1):
         raise InvalidParams("an explicit lambda needs a single grid point")
@@ -376,6 +391,7 @@ def cmd_orbit(args) -> int:
     target = _parse_target(args.target, alg)
     levels = parse_grid(args.C, "--C")
     seeds = parse_grid(args.seed, "--seed")
+    _check_run_size({"--C": len(levels), "--seed": len(seeds)})
     jobs = [(case.text, C, target, seed, args.p) for C in levels for seed in seeds]
     return _run_grid(_orbit_point, jobs, args, _orbit_text_line, "chains")
 

@@ -13,11 +13,9 @@ rightmost slot, and right division is only defined against that slot.
 
 One rule straightens every product, and the Verma module action too: left
 multiplication by a generator power x^j (power_times), in one lambda-free
-cache per engine.  That cache keeps two generations of at most
-CACHE_GENERATION products each, so an engine never holds more than twice
-that.  Reuse is local: a product read again is mostly read soon.  A hit in
-the old generation is copied into the young one, and when the young one
-fills up, it becomes the old one and the old one is dropped.
+cache per engine of at most CACHE_SIZE products.  A store into a full cache
+clears it first: reuse is local, so a product read again is mostly read
+soon, and what a clear drops is built again on demand.
 
 One walk (walk) moves a generator right through a monomial and hands each
 generator of the (ad_R x)^k chains it leaves to its caller's step:
@@ -34,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 from .rootdata import Weight, format_weight
 from .superalgebra import BracketTable, Coefficient, Value, _exact, _merge, _scaled, _signed_sum
@@ -43,8 +41,8 @@ Monomial = Tuple[Tuple[int, int], ...]
 UEAElement = Dict[Monomial, Coefficient]
 GenSpec = Union[int, str, tuple]
 
-# products per generation of an engine's straightening cache
-CACHE_GENERATION = 4096
+# products an engine's straightening cache holds at most
+CACHE_SIZE = 8192
 
 
 class NotDivisible(ArithmeticError):
@@ -134,14 +132,11 @@ def make_order(table: BracketTable, tail: Sequence[GenSpec] = ()) -> PBWOrder:
 class PBWEngine:
     table: BracketTable
     order: PBWOrder
-    # g * m keyed (g, m), and _power_past's x^j * m keyed (x, j, m): the
-    # young generation, below CACHE_GENERATION products, and the old one
+    # g * m keyed (g, m), and _power_past's x^j * m keyed (x, j, m): at most
+    # CACHE_SIZE products
     _left_cache: Dict[tuple, UEAElement] = field(default_factory=dict)
-    _left_old: Dict[tuple, UEAElement] = field(default_factory=dict)
     # ad_chain's (ad_R x)^k(g), keyed g, then x where [g, x] != 0
     _ad_cache: Dict[int, Dict[int, List[Value]]] = field(default_factory=dict)
-    # verma's module slot: the lambda-constants of the last highest weight
-    module_slot: object = None
 
     def gen(self, spec: GenSpec, exp: int = 1) -> UEAElement:
         bid = spec if isinstance(spec, int) else self.table.f_gen(spec)
@@ -203,7 +198,7 @@ class PBWEngine:
         if g == m[0][0] and not basis[g].odd:
             return {((g, m[0][1] + 1),) + m[1:]: 1}
         key = (g, m)
-        hit = self._cached(key)
+        hit = self._left_cache.get(key)
         if hit is not None:
             return hit
         out: Dict[Monomial, Coefficient] = {}
@@ -220,24 +215,12 @@ class PBWEngine:
         self._store(key, out)
         return out
 
-    def _cached(self, key: tuple) -> Optional[UEAElement]:
-        """The cached product under key, or None; a hit in the old
-        generation is copied into the young one."""
-        hit = self._left_cache.get(key)
-        if hit is None:
-            hit = self._left_old.get(key)
-            if hit is not None:
-                self._store(key, hit)
-        return hit
-
     def _store(self, key: tuple, product: UEAElement) -> None:
-        """Cache a product in the young generation; once that holds
-        CACHE_GENERATION products it becomes the old one."""
-        young = self._left_cache
-        young[key] = product
-        if len(young) >= CACHE_GENERATION:
-            self._left_old = young
-            self._left_cache = {}
+        """Cache a product, clearing a full cache first."""
+        cache = self._left_cache
+        if len(cache) >= CACHE_SIZE:
+            cache.clear()
+        cache[key] = product
 
     def _prepend_term(self, g: int, w: int, head: Monomial, rest: Monomial, coef, out) -> None:
         """walk's step in U(g): add coef * head * (w rest) to out."""
@@ -374,7 +357,7 @@ class PBWEngine:
         one at a time.  As x is even, (ad x)(z) = [x, z] = -[z, x], so the
         chain is ad_chain(y, x, j) with sign (-1)^k."""
         key = (x, j, m)
-        hit = self._cached(key)
+        hit = self._left_cache.get(key)
         if hit is not None:
             return hit
         y = m[0][0]

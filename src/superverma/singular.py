@@ -50,7 +50,7 @@ from .rootdata import (
     wzero,
 )
 from .superalgebra import BracketTable, Coefficient, _merge, _scaled, build_structure_constants
-from .verma import VermaVector, act, is_singular
+from .verma import VermaVector, _Action, is_singular
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +190,11 @@ class Candidate:
     params: CaseParams
     odd: Tuple[Weight, ...]
     tail: Tuple[Tuple[Weight, int], ...]
-    # U(n^+) monomials to their images on tail v+, per (engine order, tail):
-    # images of one tail are never read for another, even a scalar multiple
-    _images: Dict[tuple, Dict[Monomial, UEAElement]] = field(default_factory=dict, repr=False)
+    # per (engine, tail), the action of M(lambda) and the U(n^+) monomials'
+    # images on tail v+, never read for another tail, even a scalar multiple
+    _images: Dict[tuple, Tuple[_Action, Dict[Monomial, UEAElement]]] = field(
+        default_factory=dict, repr=False
+    )
 
     def build(
         self,
@@ -209,11 +211,11 @@ class Candidate:
         lam = self.params.lam
         factors = [table.e_gen(w) for w in self.odd] if factors is None else factors
         tail = self.tail if tail is None else tail
-        images = self._images.get((engine.order.sequence, tail))
-        if images is None:
+        if (engine, tail) not in self._images:
             tail_mono = tuple((table.f_gen(w), e) for w, e in tail)
             images = {(): engine.import_element({tail_mono: 1})}
-            self._images[(engine.order.sequence, tail)] = images
+            self._images[(engine, tail)] = (_Action(engine, lam), images)
+        action, images = self._images[(engine, tail)]
         word = engine.import_element({tuple((g, 1) for g in factors): 1})
         body: UEAElement = {}
         for mono, coef in word.items():
@@ -221,8 +223,8 @@ class Candidate:
             while mono[i:] not in images:
                 i += 1
             for j in reversed(range(i)):
-                below = VermaVector(images[mono[j + 1 :]], lam)
-                images[mono[j:]] = act({mono[j : j + 1]: 1}, below, engine).body
+                g, e = mono[j]
+                images[mono[j:]] = action.apply(g, e, images[mono[j + 1 :]])
             _merge(body, images[mono], coef)
         return VermaVector(body, lam)
 
@@ -320,7 +322,7 @@ def orbit_propagate(shap: ShapovalovElement, kappa, ctx: Context) -> Tuple[Shapo
     engine = ctx.engine(tail=(fk,))
     theta = engine.import_element(shap.theta)
     start_ok = is_singular(VermaVector(theta, shap.mu), engine).ok
-    lifted = engine.multiply(engine.gen(fk, L), theta)
+    lifted = engine.power_times(fk, L, theta)
     lifted_ok = is_singular(VermaVector(lifted, shap.mu), engine).ok
     theta2 = engine.right_divide(lifted, fk, p)
     nu = alg.reflect(shap.mu, kw)

@@ -118,12 +118,20 @@ class BracketTable:
     # basis[b].weight == lattice[b] / weight_den, coordinate by coordinate
     weight_den: int = field(init=False)
     lattice: Tuple[Tuple[int, ...], ...] = field(init=False)
+    # the form applied to each Cartan dual, nonzero entries only: <w, h_j>
+    # is the sum of w[i] * c over the (i, c) of cartan_rows[j]
+    cartan_rows: Tuple[Tuple[Tuple[int, Coefficient], ...], ...] = field(init=False)
 
     def __post_init__(self) -> None:
         den = lcm(*(x.denominator for el in self.basis for x in el.weight))
         self.weight_den = den
         self.lattice = tuple(
             tuple(x.numerator * (den // x.denominator) for x in el.weight) for el in self.basis
+        )
+        self.cartan_rows = tuple(
+            tuple((i, _exact(c)) for i, row in enumerate(self.alg.form_matrix)
+                  if (c := sum(x * d for x, d in zip(row, dual) if x and d)))
+            for dual in self.cartan_duals
         )
 
     @property
@@ -156,8 +164,9 @@ class BracketTable:
     def bracket(self, x: int, y: int) -> Value:
         return self.entries[(x, y)]
 
-    def cartan_pairing(self, simple_index: int, w: Weight) -> Fraction:
-        return self.alg.form(w, self.cartan_duals[simple_index])
+    def cartan_pairing(self, simple_index: int, w: Weight) -> Coefficient:
+        """<w, h_j> in canonical form, read from cartan_rows."""
+        return _exact(sum(w[i] * c for i, c in self.cartan_rows[simple_index]))
 
     def h_value_pairing(self, val: Value, w: Weight) -> Fraction:
         """Pairing <w, h> for a Cartan-valued bracket result."""

@@ -22,10 +22,10 @@ act applies each word of an element with the engine's word loop, as
 PBWEngine.multiply does in U(g); is_singular applies each simple raising
 generator and keeps the first image that fails as the counterexample.
 
-Nothing keyed on lambda outlives a call.  The engine's module slot holds
-<lambda - rho, h_j>, one form per Cartan generator, and the lambda-free
-pairings <wt(f), h_j>, read from the bracket table as [h_j, f] =
-<wt(f), h_j> f; the next highest weight replaces it.
+Nothing keyed on lambda outlives a call: each call builds its own _Action
+of <lambda - rho, h_j>, a few products each on the bracket table's
+cartan_rows, and the lambda-free <wt(f), h_j>, read as [h_j, f] =
+<wt(f), h_j> f.  singular.Candidate keeps one _Action beside its images.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ class _Action:
     def __init__(self, engine: PBWEngine, lam: Weight) -> None:
         table = engine.table
         self.engine = engine
-        self.lam = lam
         self.basis = table.basis
         self.kinds = [b.kind for b in table.basis]
         self.heights = table.alg.heights
@@ -80,7 +79,7 @@ class _Action:
         cartans = range(table.n_cartan)
         # <lambda - rho, h_j>, and <wt(f), h_j> per lowering generator f
         # as the coefficient of f in [h_j, f]
-        self.shift = tuple(_exact(table.cartan_pairing(j, shift)) for j in cartans)
+        self.shift = tuple(table.cartan_pairing(j, shift) for j in cartans)
         hs = [table.h_id(j) for j in cartans]
         self.pairings = [
             tuple(table.bracket(h, f).get(f, 0) for h in hs) for f in range(table.n_pos)
@@ -134,15 +133,6 @@ class _Action:
             )
 
 
-def _action(engine: PBWEngine, lam: Weight) -> _Action:
-    """The engine's module slot for highest weight lam, replacing the slot
-    of any other highest weight."""
-    slot = engine.module_slot
-    if slot is None or slot.lam != lam:
-        slot = engine.module_slot = _Action(engine, lam)
-    return slot
-
-
 def _integral(v: VermaVector, engine: PBWEngine) -> Tuple[int, UEAElement]:
     """den and den * body, whose coefficients are ints: a Fraction
     coefficient would be carried through every step of the action.
@@ -156,9 +146,8 @@ def _integral(v: VermaVector, engine: PBWEngine) -> Tuple[int, UEAElement]:
 def act(x: UEAElement, v: VermaVector, engine: PBWEngine) -> VermaVector:
     """Apply an enveloping-algebra element, in the engine's normal form, to
     a module vector whose body is in the same normal form."""
-    slot = _action(engine, v.highest_weight)
     den, body = _integral(v, engine)
-    body = engine._words_times(x, body, slot.apply)
+    body = engine._words_times(x, body, _Action(engine, v.highest_weight).apply)
     if den != 1:
         body = _scaled(body, Fraction(1, den))
     return VermaVector(body, v.highest_weight)
@@ -188,12 +177,12 @@ def is_singular(v: VermaVector, engine: PBWEngine) -> SingularityReport:
     coefficients, as act raises it.
     """
     table = engine.table
-    slot = _action(engine, v.highest_weight)
+    action = _Action(engine, v.highest_weight)
     den, body = _integral(v, engine)
     residuals = []
     failure = None
     for j, s in enumerate(table.alg.simple_system):
-        image = slot.apply(table.e_id(table.alg.simple_pos_index[j]), 1, body)
+        image = action.apply(table.e_id(table.alg.simple_pos_index[j]), 1, body)
         residuals.append((s.name, len(image)))
         if image and failure is None:
             failure = (s.name, _scaled(image, Fraction(1, den)))

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -175,6 +176,36 @@ def test_unparsable_number_names_its_flag(capsys, flag, value, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: cannot parse {flag} {value!r}\n"
+
+
+OVERSIZED_RUNS = [
+    ("--seed", ("verify", "--case", "G3", "--seed", "0..10000000000")),
+    ("--m, --n", ("verify", "--case", "B-I", "--m", "1..400", "--n", "1..400")),
+    ("--N, --seed", ("verify", "--case", "G3", "--N", "1..999", "--seed", "0..999")),
+    ("--C, --seed", ("orbit", "--case", "B-I", "--m", "2", "--n", "1",
+                     "--C", "1..999", "--seed", "0..999")),
+]
+
+
+@pytest.mark.parametrize("flags,argv", OVERSIZED_RUNS, ids=[flags for flags, _ in OVERSIZED_RUNS])
+def test_oversized_grid_is_refused_at_once(capsys, flags, argv):
+    """A run of more than MAX_GRID_POINTS grid points is a usage error
+    naming its flags, given before any range is expanded or any point runs."""
+    t0 = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - t0 < 5
+    assert (code, out) == (2, "")
+    assert re.fullmatch(
+        rf"error: \d+ grid points from {flags}, more than the {cli.MAX_GRID_POINTS} a run may span\n",
+        err,
+    )
+
+
+def test_grid_size_bound_is_inclusive():
+    bound = cli.MAX_GRID_POINTS
+    assert len(parse_grid(f"1..{bound}", "--seed")) == bound
+    with pytest.raises(InvalidParams, match="--seed"):
+        parse_grid(f"0..{bound}", "--seed")
 
 
 @pytest.mark.parametrize("fault", [WrongOrder, NotDivisible, IsotropicCoroot, UnexpectedRaising],

@@ -1,5 +1,6 @@
 """Straightening engine: orders, products, division, commutation identities."""
 
+import collections
 import math
 import random
 import re
@@ -433,23 +434,36 @@ def random_word_element(rng, dim):
     }
 
 
-def assert_generations_within(ctx, bound):
+def assert_cache_within(ctx, bound):
     for eng in ctx._engines.values():
-        assert len(eng._left_cache) <= bound and len(eng._left_old) <= bound
+        assert len(eng._left_cache) <= bound
+
+
+def count_stores(monkeypatch):
+    """Count the products each engine stores, keyed by engine."""
+    stores = collections.Counter()
+    store = pbw.PBWEngine._store
+
+    def counted(self, key, product):
+        stores[self] += 1
+        store(self, key, product)
+
+    monkeypatch.setattr(pbw.PBWEngine, "_store", counted)
+    return stores
 
 
 def cache_workout(monkeypatch):
     """Products over all of U(g), imports, right divisions, module actions
     and singularity checks on random bodies, and one orbit chain, on fresh
-    contexts.  Returns the results, after checking every engine's two
-    generations against CACHE_GENERATION after every call, and the engines
-    that did the random work."""
+    contexts.  Returns the results, after checking every engine's cache
+    against CACHE_SIZE after every call, and the engines that did the
+    random work."""
     monkeypatch.setattr(singular, "_CONTEXTS", {})
-    bound = pbw.CACHE_GENERATION
+    bound = pbw.CACHE_SIZE
     results, engines = [], []
 
     def record(ctx, value):
-        assert_generations_within(ctx, bound)
+        assert_cache_within(ctx, bound)
         results.append(value)
 
     for text in ("B-I:m=2,n=1", "D-II:m=1,n=2", "G3"):
@@ -484,25 +498,27 @@ def cache_workout(monkeypatch):
     return results, engines
 
 
-def test_tiny_cache_generations_change_no_result(monkeypatch):
-    """With generations of 8 products, engines rotate all the time and give
-    the results of engines of the default size; no generation ever holds
-    more than 8 products."""
+def test_tiny_cache_changes_no_result(monkeypatch):
+    """With a cache of 8 products, engines clear it all the time and give
+    the results of engines of the default size; no cache ever holds more
+    than 8 products."""
     expected, _ = cache_workout(monkeypatch)
-    monkeypatch.setattr(pbw, "CACHE_GENERATION", 8)
+    monkeypatch.setattr(pbw, "CACHE_SIZE", 8)
+    stores = count_stores(monkeypatch)
     got, engines = cache_workout(monkeypatch)
     assert got == expected
-    assert all(len(eng._left_old) == 8 for eng in engines)
+    assert all(stores[eng] > 8 >= len(eng._left_cache) for eng in engines)
 
 
-def test_cache_generations_bound_a_real_run(monkeypatch, capsys):
-    """verify D-II m=3 n=3 N=2 stores more products than one generation
-    holds, so its default engine rotates, and each generation stays within
-    CACHE_GENERATION."""
+def test_cache_bound_holds_on_a_real_run(monkeypatch, capsys):
+    """verify D-II m=3 n=3 N=4 stores more products than the cache holds,
+    so its default engine clears it, and every engine ends within
+    CACHE_SIZE."""
     monkeypatch.setattr(singular, "_CONTEXTS", {})
-    assert cli.main(["verify", "--case", "D-II", "--m", "3", "--n", "3", "--N", "2",
+    stores = count_stores(monkeypatch)
+    assert cli.main(["verify", "--case", "D-II", "--m", "3", "--n", "3", "--N", "4",
                      "--seed", "1", "--json"]) == 0
     assert '"ok": true' in capsys.readouterr().out
     ctx = build_context(CaseId.parse("D-II:m=3,n=3"))
-    assert len(ctx.default_engine._left_old) == pbw.CACHE_GENERATION == 4096
-    assert_generations_within(ctx, pbw.CACHE_GENERATION)
+    assert stores[ctx.default_engine] > pbw.CACHE_SIZE == 8192
+    assert_cache_within(ctx, pbw.CACHE_SIZE)

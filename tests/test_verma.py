@@ -60,11 +60,8 @@ def non_canonical(values):
 
 
 def engine_coefficients(eng):
-    """Every coefficient held by the engine's straightening cache, in both
-    of its generations."""
-    return [
-        c for gen in (eng._left_cache, eng._left_old) for el in gen.values() for c in el.values()
-    ]
+    """Every coefficient held by the engine's straightening cache."""
+    return [c for el in eng._left_cache.values() for c in el.values()]
 
 
 def straightening_act(x, v, engine):
@@ -84,7 +81,7 @@ def straightening_act(x, v, engine):
                 break
             if kind == "h":
                 cut = min(cut, pos)
-                scalar *= table.cartan_pairing(table.basis[bid].index, shift) ** exp
+                scalar *= table.alg.form(shift, table.cartan_duals[table.basis[bid].index]) ** exp
         if scalar:
             rest = mono[:cut]
             body[rest] = body.get(rest, Fraction(0)) + scalar
@@ -118,7 +115,7 @@ def test_highest_weight_vector_basics():
         assert image.is_zero()
     for j in range(table.n_cartan):
         image = act(eng.gen(table.h_id(j)), v, eng)
-        expected = table.cartan_pairing(j, wdiff(lam, alg.rho))
+        expected = alg.form(wdiff(lam, alg.rho), table.cartan_duals[j])
         assert image.body == el_scale(v.body, expected)
 
 
@@ -288,7 +285,7 @@ def test_orbit_coefficients_are_canonical():
     shap, _ = orbit_propagate(ShapovalovElement(ctx.alg.gamma, 1, report.mu0, u.body), kappa, ctx)
     assert shap.theta and not non_canonical(shap.theta.values())
     for eng in (ctx.default_engine, ctx.engine(tail=(ctx.table.f_gen(kappa),))):
-        assert eng._left_cache and eng.module_slot is not None
+        assert eng._left_cache
         assert not non_canonical(engine_coefficients(eng))
 
 
@@ -336,8 +333,8 @@ def test_grouped_singularity_check_matches_act(text):
 
 def test_alternating_highest_weights_match_fresh_engines():
     """One engine that alternates two highest weights gives, for act and
-    is_singular, what a fresh engine gives for each weight: the module slot
-    keeps nothing of a weight it replaces."""
+    is_singular, what a fresh engine gives for each weight: the engine
+    keeps nothing keyed on a highest weight."""
     case = CaseId.parse("D-II:m=2,n=2")
     ctx = build_context(case)
     table = ctx.table
@@ -356,8 +353,33 @@ def test_alternating_highest_weights_match_fresh_engines():
         fresh = PBWEngine(table, eng.order)
         assert act(x, v, eng).body == act(x, v, fresh).body
         assert is_singular(v, eng) == is_singular(v, fresh)
-        assert eng.module_slot.lam == lam
     assert is_singular(VermaVector(body, lams[0]), eng).ok
+
+
+def test_candidates_at_two_weights_share_an_engine():
+    """Two candidates at different highest weights, built suffix by suffix
+    on one shared engine, with act and is_singular at the other weight in
+    between, equal what fresh engines give: each candidate keeps its own
+    action, and the engine keeps nothing keyed on a highest weight."""
+    case = CaseId.parse("D-II:m=2,n=2")
+    ctx = build_context(case)
+    table = ctx.table
+    shared = PBWEngine(table, ctx.default_engine.order)
+    lams = [default_lambda(case, 2, seed, ctx.alg) for seed in (0, 1)]
+    assert lams[0] != lams[1]
+    cands = [candidate(CaseParams(case, 2, lam), ctx.alg) for lam in lams]
+    ids = [table.e_gen(w) for w in cands[0].odd]
+    f = table.f_id(ctx.alg.simple_pos_index[0])
+    for k in reversed(range(len(ids) + 1)):
+        for cand, other in zip(cands, reversed(lams)):
+            u = cand.build(shared, ids[k:]).body
+            fresh = PBWEngine(table, shared.order)
+            assert u == candidate(cand.params, ctx.alg).build(fresh, ids[k:]).body
+            v = VermaVector(u, other)
+            x = shared.gen(f)
+            assert act(x, v, shared).body == act(x, v, PBWEngine(table, shared.order)).body
+            assert is_singular(v, shared) == is_singular(v, PBWEngine(table, shared.order))
+    assert all(is_singular(cand.build(shared), shared).ok for cand in cands)
 
 
 def test_raising_generator_out_of_a_bracket_is_an_internal_error(monkeypatch):
@@ -403,10 +425,13 @@ def test_equal_height_raising_out_of_a_bracket_is_an_internal_error(monkeypatch)
 
 def reference_pairings(table):
     """<wt(f), h_j> for every lowering generator f and Cartan generator h_j,
-    one form per pair: how a slot computed them before it read them from
-    the bracket table."""
+    one form per pair, independent of the bracket table and its
+    cartan_rows."""
     return [
-        tuple(_exact(table.cartan_pairing(j, table.basis[f].weight)) for j in range(table.n_cartan))
+        tuple(
+            _exact(table.alg.form(table.basis[f].weight, table.cartan_duals[j]))
+            for j in range(table.n_cartan)
+        )
         for f in range(table.n_pos)
     ]
 
@@ -419,9 +444,10 @@ SMALL_CASES = [
 ] + [CaseId("F31"), CaseId("G3")]
 
 
-def test_slot_pairings_come_from_the_bracket_table():
-    """[h_j, f] is <wt(f), h_j> f and nothing else, and the slot's pairings
-    equal the forms, value and type, for every case with m, n <= 3."""
+def test_action_pairings_come_from_the_bracket_table():
+    """[h_j, f] is <wt(f), h_j> f and nothing else, and the action's
+    pairings and its <lambda - rho, h_j> equal the forms, value and type,
+    for every case with m, n <= 3."""
     pairs = 0
     for case in SMALL_CASES:
         ctx = build_context(case)
@@ -429,9 +455,13 @@ def test_slot_pairings_come_from_the_bracket_table():
         for f in range(table.n_pos):
             for j in range(table.n_cartan):
                 assert set(table.bracket(table.h_id(j), f)) <= {f}, (case.text, f, j)
-        slot = _Action(ctx.default_engine, default_lambda(case, 1, 0, ctx.alg))
+        lam = default_lambda(case, 1, 0, ctx.alg)
+        action = _Action(ctx.default_engine, lam)
         want = reference_pairings(table)
-        assert slot.pairings == want, case.text
-        assert not non_canonical(c for row in slot.pairings for c in row), case.text
+        assert action.pairings == want, case.text
+        assert not non_canonical(c for row in action.pairings for c in row), case.text
+        shift = wdiff(lam, ctx.alg.rho)
+        forms = [_exact(ctx.alg.form(shift, dual)) for dual in table.cartan_duals]
+        assert list(action.shift) == forms and not non_canonical(action.shift), case.text
         pairs += sum(map(len, want))
     assert len(SMALL_CASES) == 32 and pairs == 2814
