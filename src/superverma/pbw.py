@@ -17,6 +17,14 @@ cache per engine of at most CACHE_SIZE products.  A store into a full cache
 clears it first: reuse is local, so a product read again is mostly read
 soon, and what a clear drops is built again on demand.
 
+The one place where a power passes a whole element at once is lift, the
+orbit step's f^L theta = sum_k C(L, k) (ad f)^k(theta) f^(L-k).  It is an
+identity of U(g), not an approximation: left and right multiplication by an
+even f commute, so f^L = (ad f + right f)^L expands binomially.  Each ad f
+costs one power_times by f; f^(L-k) is appended on the right without
+straightening, as f is ranked last in U(n^-); and ad f is locally
+nilpotent, so the sum ends after a few terms however large L is.
+
 One walk (walk) moves a generator right through a monomial and hands each
 generator of the (ad_R x)^k chains it leaves to its caller's step:
 gen_times_mono acts with it on the rest and prepends the head (prepend),
@@ -349,6 +357,53 @@ class PBWEngine:
             j -= 1
         _merge(out, el)
         return out
+
+    def lift(self, f: int, L: int, theta: UEAElement) -> UEAElement:
+        """f^L * theta in normal form, for f the even rightmost lowering
+        generator and theta in normal form in U(n^-), by
+        f^L X = sum_k C(L, k) (ad f)^k(X) f^(L-k), (ad f)(X) = f X - X f.
+        As f is ranked last in U(n^-), X f^j is one concatenation or one
+        exponent bump per monomial; ad f is locally nilpotent, so the sum
+        stops at the first zero (ad f)^k(theta) or at k = L."""
+        if f != self.order.rightmost_negative or self.table.basis[f].odd:
+            raise WrongOrder(
+                f"{self.table.basis[f].name} is not the even rightmost lowering generator"
+            )
+        if L < 0:
+            raise ValueError("negative exponent")
+        rank = self.order.rank
+        n_neg = self.order.n_neg
+        for m in theta:
+            if m and rank[m[-1][0]] >= n_neg:
+                raise WrongOrder(f"{self.render_monomial(m)} is not in U(n^-)")
+
+        def times_f(m: Monomial, j: int) -> Monomial:
+            if m and m[-1][0] == f:
+                return m[:-1] + ((f, m[-1][1] + j),)
+            return m + ((f, j),)
+
+        out: UEAElement = {}
+        term = theta  # (ad f)^k(theta)
+        for k in range(L + 1):
+            ck = comb(L, k)
+            for m, c in term.items():
+                key = times_f(m, L - k) if k < L else m
+                out[key] = out.get(key, 0) + ck * c
+            if k == L:
+                break
+            # power_times returns a fresh dict: take X f from it in place
+            nxt = self.power_times(f, 1, term)
+            for m, c in term.items():
+                key = times_f(m, 1)
+                v = nxt.get(key, 0) - c
+                if v:
+                    nxt[key] = _exact(v)
+                else:
+                    nxt.pop(key, None)
+            term = nxt
+            if not term:
+                break
+        return {m: _exact(c) for m, c in out.items() if c}
 
     def _power_past(self, x: int, j: int, m: Monomial) -> UEAElement:
         """x^j * m for an even x ranked above the leading y^1 of m, by

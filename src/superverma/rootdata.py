@@ -157,6 +157,16 @@ class CaseId:
             return f"{self.family}:m={self.m},n={self.n}"
         return self.family
 
+    @property
+    def dim(self) -> int:
+        """The superalgebra's dimension, known before anything is built:
+        osp(M|2m) with M = 2n + 1 (B) or 2n (D) has so(M) + sp(2m) even
+        and M * 2m odd basis elements; F(4) has 40, G(3) 31."""
+        if self.family not in OSP_FAMILIES:
+            return {"F31": 40, "G3": 31}[self.family]
+        M = 2 * self.n + (1 if self.family.startswith("B") else 0)
+        return M * (M - 1) // 2 + self.m * (2 * self.m + 1) + 2 * self.m * M
+
     @staticmethod
     def parse(text: str) -> "CaseId":
         text = text.strip()

@@ -322,7 +322,7 @@ def orbit_propagate(shap: ShapovalovElement, kappa, ctx: Context) -> Tuple[Shapo
     engine = ctx.engine(tail=(fk,))
     theta = engine.import_element(shap.theta)
     start_ok = is_singular(VermaVector(theta, shap.mu), engine).ok
-    lifted = engine.power_times(fk, L, theta)
+    lifted = engine.lift(fk, L, theta)
     lifted_ok = is_singular(VermaVector(lifted, shap.mu), engine).ok
     theta2 = engine.right_divide(lifted, fk, p)
     nu = alg.reflect(shap.mu, kw)

@@ -6,12 +6,13 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import superverma
-from superverma import cli
+from superverma import cli, singular
 from superverma.cli import main, parse_grid
 from superverma.pbw import NotDivisible, WrongOrder
 from superverma.rootdata import AlgebraData, CaseId, InvalidParams, IsotropicCoroot
@@ -220,6 +221,64 @@ def test_internal_errors_exit_three(capsys, monkeypatch, fault):
     assert err == f"internal error: {fault.__name__}: the program broke its own invariant\n"
 
 
+def test_unlisted_exception_is_an_internal_error(capsys, monkeypatch):
+    """Only InvalidParams and ParityViolation are usage errors: any other
+    exception, here a KeyError deep in the witness check, exits 3 and
+    names its class."""
+    def broken(cand, alg):
+        raise KeyError("no witness")
+
+    monkeypatch.setattr(singular, "witness_spec", broken)
+    code, out, err = run(capsys, "verify", "--case", "G3", "--N", "1", "--check", "witness")
+    assert (code, out) == (3, "")
+    assert err == "internal error: KeyError: 'no witness'\n"
+
+
+def test_exact_numbers_of_any_size_print_in_full(capsys):
+    """G3 at N = 100001 has witness coefficients of more than 4300 digits,
+    Python's default cap on int to str conversion."""
+    code, out, err = run(capsys, "verify", "--case", "G3", "--N", "100001", "--json")
+    assert (code, err) == (0, "")
+    rec = json.loads(out)
+    assert rec["ok"]
+    coefficient = Fraction(rec["candidate_coefficient"])
+    assert len(str(coefficient.denominator)) > 4300
+    assert str(coefficient) == rec["candidate_coefficient"]
+
+
+OVERSIZED_CASES = [
+    ("verify", "--case", "D-II", "--m", "300", "--n", "300", "--N", "1"),
+    ("verify", "--case", "B-I", "--m", "1..20", "--n", "1", "--N", "1"),
+    ("orbit", "--case", "D-I", "--m", "11", "--n", "10"),
+]
+
+
+@pytest.mark.parametrize("argv", OVERSIZED_CASES, ids=lambda argv: f"{argv[0]}-{argv[4]}-{argv[6]}")
+def test_oversized_case_is_refused_before_set_up(capsys, monkeypatch, argv):
+    """A case above MAX_CASE_DIM is a usage error naming --m and --n, given
+    before any context is built."""
+    def never(case):
+        raise AssertionError(f"built {case.text}")
+
+    monkeypatch.setattr(cli, "build_context", never)
+    t0 = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - t0 < 5
+    assert (code, out) == (2, "")
+    assert re.fullmatch(
+        rf"error: --m \d+ --n \d+ give \S+ of dimension \d+, more than the {cli.MAX_CASE_DIM} a case may have\n",
+        err,
+    )
+
+
+def test_case_size_bound_is_inclusive():
+    args = cli.build_parser().parse_args(["verify", "--case", "D-II", "--m", "10", "--n", "10"])
+    assert [c.dim for c in cli._case_grid(args)] == [cli.MAX_CASE_DIM]
+    args.m = "11"
+    with pytest.raises(InvalidParams, match="--m 11 --n 10"):
+        cli._case_grid(args)
+
+
 def run_python(*args, stdout=subprocess.DEVNULL):
     """``python args`` in a fresh interpreter that imports this superverma."""
     src = str(Path(superverma.__file__).resolve().parent.parent)
@@ -342,7 +401,7 @@ class RecordingPool:
 
     sizes = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None):
         self.sizes.append(max_workers)
 
     def __enter__(self):

@@ -16,6 +16,7 @@ from superverma.singular import (
     propagate_chain,
 )
 from superverma.verma import VermaVector, act, is_singular
+from test_acceptance import CHAINS
 
 CHAIN_CONFIGS = [
     ("D-I:m=3,n=2", 1, 1, "2d1"),
@@ -48,6 +49,28 @@ def test_chain_configs_reach_target():
         assert report.final_beta == final_name
         assert ctx.alg.root_named(final_name).weight == final_beta_weight(target, ctx.alg)
         assert all(s.p >= 1 for s in report.steps)
+
+
+def test_lift_equals_power_times_on_every_golden_chain(monkeypatch):
+    """At every step of every chain in tests/golden, the adjoint-expansion
+    lift gives what walking f_kappa through theta L times gives."""
+    real = PBWEngine.lift
+    lifts = []
+
+    def checked(self, f, L, theta):
+        got = real(self, f, L, theta)
+        assert got == self.power_times(f, L, theta), (f, L)
+        lifts.append(L)
+        return got
+
+    monkeypatch.setattr(PBWEngine, "lift", checked)
+    steps = 0
+    for text, C, target, _ in CHAINS:
+        case = CaseId.parse(text)
+        report = propagate_chain(case, C, target, seed=0, ctx=build_context(case))
+        assert report.ok, (text, C)
+        steps += len(report.steps)
+    assert len(lifts) == steps and steps >= len(CHAINS)
 
 
 def test_dii_chain_visits_expected_roots():

@@ -319,6 +319,60 @@ def test_even_power_commutation_expands_binomially():
         assert lhs == rhs, l
 
 
+def tailed_engine(ctx):
+    """An engine with the first even lowering generator in the rightmost slot."""
+    f = ctx.table.f_gen(first_even_root(ctx.alg))
+    return ctx.engine(tail=(f,)), f
+
+
+@pytest.mark.parametrize("text", CASES)
+def test_lift_matches_power_times(text):
+    """The adjoint expansion of f^L theta equals f^L theta walked one copy
+    of f at a time, with canonical coefficients, on random elements of
+    U(n^-) with rational coefficients."""
+    ctx = ctx_for(text)
+    engine, f = tailed_engine(ctx)
+    rng = random.Random(f"lift:{text}")
+    for _ in range(8):
+        theta = {}
+        for _ in range(3):
+            part = random_lowering(engine, rng, rng.randint(1, 4))
+            theta = el_add(theta, el_scale(part, Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 3)))))
+        for L in (0, 1, 2, 5):
+            got = engine.lift(f, L, theta)
+            assert got == engine.power_times(f, L, theta), (L, theta)
+            assert all(map(is_canonical, got.values())), got
+
+
+def test_lift_edge_cases():
+    ctx = ctx_for("B-I:m=2,n=1")
+    engine, f = tailed_engine(ctx)
+    theta = el_scale(random_lowering(engine, random.Random("lift-edges"), 3), Fraction(3, 2))
+    assert theta
+    assert engine.lift(f, 0, theta) == theta
+    assert engine.lift(f, 4, el_zero()) == {}
+    assert engine.lift(f, 3, el_one()) == engine.gen(f, 3)
+    with pytest.raises(ValueError, match="negative exponent"):
+        engine.lift(f, -1, theta)
+
+
+def test_lift_refuses_the_wrong_generator_or_element():
+    """The expansion needs X f^j to be a concatenation: f must be even and
+    rightmost, and theta must lie in U(n^-)."""
+    ctx = ctx_for("B-II:m=1,n=1")
+    table = ctx.table
+    odd_last = ctx.default_engine.order.rightmost_negative
+    assert table.basis[odd_last].odd
+    with pytest.raises(WrongOrder):
+        ctx.default_engine.lift(odd_last, 2, el_one())
+    engine, f = tailed_engine(ctx)
+    other = next(g for g in range(table.n_pos) if g != f and not table.basis[g].odd)
+    with pytest.raises(WrongOrder):
+        engine.lift(other, 2, el_one())
+    with pytest.raises(WrongOrder, match="not in U"):
+        engine.lift(f, 2, engine.gen(table.e_gen("d1")))
+
+
 def test_element_weight_rejects_mixtures_and_zero():
     ctx = ctx_for("B-I:m=1,n=1")
     engine = ctx.default_engine

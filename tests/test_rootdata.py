@@ -323,3 +323,14 @@ def test_dimension_counts():
     assert build("F31").dim == 40
     assert build("G3").dim == 31
     assert build("B-I:m=1,n=1").dim == 2 * 5 + 2
+
+
+def test_case_dim_matches_the_built_algebra():
+    """CaseId.dim, which bounds a case before set-up, is the dimension
+    the built algebra has."""
+    for family in rootdata.FAMILIES:
+        shapes = [(0, 0)] if family not in rootdata.OSP_FAMILIES else [(1, 2), (2, 2), (2, 3), (3, 2), (4, 2)]
+        for m, n in shapes:
+            case = CaseId(family, m, n)
+            assert case.dim == build(case.text).dim, case.text
+    assert CaseId("D-II", 10, 10).dim == 800
