@@ -39,6 +39,7 @@ from .rootdata import (
     ParityViolation,
     format_weight,
     parse_weight,
+    rho_violation,
     wdiff,
 )
 from .singular import (
@@ -406,14 +407,8 @@ def _st_jacobi(ctx, seed):
 
 
 def _st_rho(ctx, seed):
-    alg = ctx.alg
-    for s in alg.simple_system:
-        if s.isotropic:
-            if alg.form(alg.rho, s.weight) != 0:
-                return False, f"(rho, {s.name}) is not zero"
-        elif alg.coroot_pairing(alg.rho, s.weight) != 1:
-            return False, f"<rho, h_{s.name}> is not one"
-    return True, None
+    problem = rho_violation(ctx.alg)
+    return problem is None, problem
 
 
 def _st_associativity(ctx, seed):
@@ -493,16 +488,10 @@ def _st_sl2(ctx, seed):
     engine = ctx.engine(tail=(fk,))
     theta = engine.import_element(candidate_u(CaseParams(case, 1, mu), ctx).body)
     ek = engine.gen(ctx.table.e_gen(kappa))
-    for l in range(top + 1):
-        lifted = VermaVector(engine.multiply(engine.gen(fk, l), theta), mu)
-        got = act(ek, lifted, engine)
-        want = (
-            VermaVector(engine.multiply(engine.gen(fk, l - 1), theta), mu).scaled(
-                l * (top - l)
-            )
-            if l
-            else VermaVector({}, mu)
-        )
+    lifts = [engine.lift(fk, l, theta) for l in range(top + 1)]
+    for l, lifted in enumerate(lifts):
+        got = act(ek, VermaVector(lifted, mu), engine)
+        want = VermaVector(lifts[l - 1] if l else {}, mu).scaled(l * (top - l))
         if got.body != want.body:
             return False, f"commutation fails at l={l}"
     return True, None

@@ -29,7 +29,9 @@ One walk (walk) moves a generator right through a monomial and hands each
 generator of the (ad_R x)^k chains it leaves to its caller's step:
 gen_times_mono acts with it on the rest and prepends the head (prepend),
 and verma's module action is the other caller.  Every chain, _power_past's
-too, comes from ad_chain.  No step recurses once per unit of an exponent.
+too, comes from the bracket table's ad_chain, which every engine of a case
+shares; an engine caches only products.  No step recurses once per unit of
+an exponent.
 
 Weights are summed in ints on the bracket table's integer lattice (each
 basis weight times one common denominator) and returned as Fraction tuples.
@@ -40,10 +42,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, Sequence, Tuple, Union
 
 from .rootdata import Weight, format_weight
-from .superalgebra import BracketTable, Coefficient, Value, _exact, _merge, _scaled, _signed_sum
+from .superalgebra import BracketTable, Coefficient, _exact, _merge, _scaled, _signed_sum
 
 Monomial = Tuple[Tuple[int, int], ...]
 UEAElement = Dict[Monomial, Coefficient]
@@ -143,8 +145,6 @@ class PBWEngine:
     # g * m keyed (g, m), and _power_past's x^j * m keyed (x, j, m): at most
     # CACHE_SIZE products
     _left_cache: Dict[tuple, UEAElement] = field(default_factory=dict)
-    # ad_chain's (ad_R x)^k(g), keyed g, then x where [g, x] != 0
-    _ad_cache: Dict[int, Dict[int, List[Value]]] = field(default_factory=dict)
 
     def gen(self, spec: GenSpec, exp: int = 1) -> UEAElement:
         bid = spec if isinstance(spec, int) else self.table.f_gen(spec)
@@ -237,15 +237,16 @@ class PBWEngine:
     def walk(self, g: int, m: Monomial, base: Monomial, c, out, term) -> Tuple[int, Coefficient]:
         """Move a basis generator g right past each x^a = m[i] ranked below
         it, by g x^a = sum_k C(a, k) x^(a-k) (ad_R x)^k(g), k = 0..a, with
-        the chain of ad_chain.  Each generator w of a term with k >= 1 goes
+        the table's ad_chain.  Each generator w of a term with k >= 1 goes
         to term(g, w, head, rest, coef, out), with head = base m[:i]
         x^(a-k), rest = m[i+1:] and coef its coefficient times c; the sign
         of c flips when an odd g passes an odd x.  Returns where g stopped
         and c with its sign there.  Each caller supplies its own term, as
         _words_times takes its own power step."""
+        table = self.table
         rank = self.order.rank
-        basis = self.table.basis
-        row = self.ad_row(g)
+        basis = table.basis
+        row = table.ad_row(g)
         g_rank = rank[g]
         g_odd = basis[g].odd
         i = 0
@@ -257,7 +258,7 @@ class PBWEngine:
             if x in row:
                 rest = m[i + 1 :]
                 prefix = base + m[:i]
-                for k, y in enumerate(self.ad_chain(g, x, a)[:a], 1):
+                for k, y in enumerate(table.ad_chain(g, x, a)[:a], 1):
                     if not y:
                         break
                     head = prefix + ((x, a - k),) if a > k else prefix
@@ -298,33 +299,6 @@ class PBWEngine:
                 coef = coef * c
             else:
                 terms = self.power_times(g, e, slow)
-
-    def ad_row(self, g: int) -> Dict[int, List[Value]]:
-        """For each generator x with [g, x] != 0, ad_chain's list for (g, x)
-        as far as it is grown: the engine's cache row of g."""
-        row = self._ad_cache.get(g)
-        if row is None:
-            bracket = self.table.bracket
-            row = self._ad_cache[g] = {
-                x: [y] for x in range(self.table.dim) if (y := bracket(g, x))
-            }
-        return row
-
-    def ad_chain(self, g: int, x: int, a: int) -> List[Value]:
-        """[(ad_R x)^k(g) for k = 1, 2, ...] with (ad_R x)(y) = [y, x]: at
-        least up to k = a, or up to the first zero, where the root string
-        through g ends.  Cached per (g, x), so at most dim^2 lists, each
-        grown on demand; the caller applies the binomials and must not
-        change the list."""
-        chain = self.ad_row(g).get(x)
-        if chain is None:
-            return []
-        while len(chain) < a and chain[-1]:
-            nxt: Value = {}
-            for z, c in chain[-1].items():
-                _merge(nxt, self.table.bracket(z, x), c)
-            chain.append(nxt)
-        return chain
 
     def power_times(self, x: int, j: int, el: UEAElement) -> UEAElement:
         """x^j * el in normal form for a basis generator x and el in normal form.
@@ -410,7 +384,7 @@ class PBWEngine:
         x^j y = sum_k C(j, k) ((ad x)^k(y)) x^(j-k), k = 0..j: all j copies
         of x pass y at once, where gen_times_mono would walk them past it
         one at a time.  As x is even, (ad x)(z) = [x, z] = -[z, x], so the
-        chain is ad_chain(y, x, j) with sign (-1)^k."""
+        chain is the table's ad_chain(y, x, j) with sign (-1)^k."""
         key = (x, j, m)
         hit = self._left_cache.get(key)
         if hit is not None:
@@ -418,7 +392,7 @@ class PBWEngine:
         y = m[0][0]
         rest = {m[1:]: 1}
         res: UEAElement = {}
-        for k, yk in enumerate([{y: 1}] + self.ad_chain(y, x, j)[:j]):
+        for k, yk in enumerate([{y: 1}] + self.table.ad_chain(y, x, j)[:j]):
             if not yk:
                 break
             inner = self.power_times(x, j - k, rest)
@@ -428,7 +402,9 @@ class PBWEngine:
         return res
 
     def right_divide(self, x: UEAElement, g: GenSpec, p: int) -> UEAElement:
-        """Divide by g^p on the right; every monomial must carry g^p."""
+        """Divide by g^p on the right; every monomial must carry g^p.  Each
+        quotient monomial is multiplied back by g^p through multiply as it
+        is stripped, and must give its own term of x again."""
         bid = _resolve_f(self.table, g)
         if bid != self.order.rightmost_negative:
             raise WrongOrder(
@@ -440,6 +416,7 @@ class PBWEngine:
             raise ValueError("negative power")
         if p == 0:
             return dict(x)
+        divisor = self.gen(bid, p)
         out: UEAElement = {}
         for mono, coef in x.items():
             if not mono or mono[-1][0] != bid or mono[-1][1] < p:
@@ -448,11 +425,13 @@ class PBWEngine:
                     f"{self.table.basis[bid].name}^{p}"
                 )
             e = mono[-1][1] - p
-            out[mono[:-1] + ((bid, e),) if e else mono[:-1]] = coef
-        if self.multiply(out, self.gen(bid, p)) != x:
-            raise RoundTripFailure(
-                f"quotient times {self.table.basis[bid].name}^{p} differs from the dividend"
-            )
+            q = mono[:-1] + ((bid, e),) if e else mono[:-1]
+            if self.multiply({q: coef}, divisor) != {mono: coef}:
+                raise RoundTripFailure(
+                    f"{self.render_monomial(q)} times {self.table.basis[bid].name}^{p}"
+                    f" does not give back {self.render_monomial(mono)}"
+                )
+            out[q] = coef
         return out
 
     def monomial_weight(self, m: Monomial) -> Weight:

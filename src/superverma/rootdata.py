@@ -83,6 +83,10 @@ def wzero(dim: int) -> Weight:
 
 
 def parse_weight(text: str, dim: int) -> Weight:
+    """Integers, p/q or decimals, comma-separated.  Exponent notation is
+    refused: a few characters of it name a number of any length."""
+    if any(c in "eE" for c in text):
+        raise InvalidParams("exponent notation is not accepted")
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != dim:
         raise InvalidParams(f"expected {dim} coordinates, got {len(parts)}")
@@ -164,8 +168,15 @@ class CaseId:
         and M * 2m odd basis elements; F(4) has 40, G(3) 31."""
         if self.family not in OSP_FAMILIES:
             return {"F31": 40, "G3": 31}[self.family]
-        M = 2 * self.n + (1 if self.family.startswith("B") else 0)
-        return M * (M - 1) // 2 + self.m * (2 * self.m + 1) + 2 * self.m * M
+        M = self.odd_dim // (2 * self.m)
+        return M * (M - 1) // 2 + self.m * (2 * self.m + 1) + self.odd_dim
+
+    @property
+    def odd_dim(self) -> int:
+        """The number of odd basis elements, M * 2m for osp(M|2m)."""
+        if self.family not in OSP_FAMILIES:
+            return {"F31": 16, "G3": 14}[self.family]
+        return (2 * self.n + (1 if self.family.startswith("B") else 0)) * 2 * self.m
 
     @staticmethod
     def parse(text: str) -> "CaseId":
@@ -360,6 +371,25 @@ def wprime_orbit(beta: RootSpec, alg: AlgebraData) -> Tuple[RootDatum, ...]:
     return tuple(alg.pos_roots[alg.index[w]] for w in sorted(reps))
 
 
+def rho_violation(alg: AlgebraData) -> Optional[str]:
+    """The first Weyl vector invariant alg.rho breaks, or None: rho is the
+    even half-sum less the odd one, pairs to 1 with every nonisotropic
+    simple coroot, and is orthogonal to every isotropic simple root."""
+    half_sum = wzero(alg.rank)
+    for r in alg.pos_roots:
+        contrib = wscale(Fraction(1, 2), r.weight)
+        half_sum = wsum(half_sum, contrib) if not r.odd else wdiff(half_sum, contrib)
+    if half_sum != alg.rho:
+        return f"rho mismatch: ({format_weight(alg.rho)}) is not the half-sum ({format_weight(half_sum)})"
+    for s in alg.simple_system:
+        if s.isotropic:
+            if alg.form(alg.rho, s.weight) != 0:
+                return f"(rho, {s.name}) is not zero"
+        elif alg.coroot_pairing(alg.rho, s.weight) != 1:
+            return f"<rho, h_{s.name}> is not one"
+    return None
+
+
 # ---------------------------------------------------------------------------
 # construction
 
@@ -467,22 +497,9 @@ def _assemble(
         index=index,
     )
 
-    # Weyl vector invariants: the closed form must match the half-sum, pair
-    # to 1 with every nonisotropic simple coroot, and be orthogonal to every
-    # isotropic simple root.
-    half_sum = wzero(dim)
-    for r in pos_roots:
-        contrib = wscale(Fraction(1, 2), r.weight)
-        half_sum = wsum(half_sum, contrib) if not r.odd else wdiff(half_sum, contrib)
-    if half_sum != rho_closed:
-        raise RootDataError(f"rho mismatch: {half_sum} vs {rho_closed}")
-    for s in simple_system:
-        if s.parity == ODD_ISO:
-            if alg.form(rho_closed, s.weight) != 0:
-                raise RootDataError(f"(rho, {s.name}) != 0")
-        elif alg.coroot_pairing(rho_closed, s.weight) != 1:
-            raise RootDataError(f"<rho, h_{s.name}> != 1")
-
+    problem = rho_violation(alg)
+    if problem is not None:
+        raise RootDataError(f"{case.text}: {problem}")
     if alg.gamma.isotropic:
         raise RootDataError("gamma must be nonisotropic")
     return alg
@@ -613,24 +630,10 @@ _BUILDERS = {**dict.fromkeys(_OSP_SHAPES, _build_osp), "F31": _build_f31, "G3": 
 
 
 def build_algebra_data(case: CaseId) -> AlgebraData:
+    """The case's root data, checked against the dimensions CaseId knows:
+    every positive root gives two basis elements and every simple root one."""
     alg = _BUILDERS[case.family](case)
-    _check_counts(alg)
+    got, want = (alg.dim, 2 * len(alg.pos_odd)), (case.dim, case.odd_dim)
+    if got != want:
+        raise RootDataError(f"{case.text}: dimension and odd dimension {got}, expected {want}")
     return alg
-
-
-def _check_counts(alg: AlgebraData) -> None:
-    m, n = alg.case.m, alg.case.n
-    family = alg.case.family
-    expected = {
-        "B-I": (m * m + n * n, m * (2 * n + 1)),
-        "B-II": (m * m + n * n, m * (2 * n + 1)),
-        "D-I": (m * m + n * n - n, 2 * m * n),
-        "D-II": (m * m + n * n - n, 2 * m * n),
-        "F31": (10, 8),
-        "G3": (7, 7),
-    }[family]
-    got = (len(alg.pos_even), len(alg.pos_odd))
-    if got != expected:
-        raise RootDataError(
-            f"{alg.case.text}: {got} positive even and odd roots, expected {expected}"
-        )

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .pbw import Inhomogeneous, Monomial, PBWEngine, UEAElement, make_order
+from .pbw import Inhomogeneous, Monomial, PBWEngine, UEAElement, _resolve_f, make_order
 from .rootdata import (
     AlgebraData,
     CaseId,
@@ -61,13 +61,13 @@ from .verma import VermaVector, _Action, is_singular
 class Context:
     alg: AlgebraData
     table: BracketTable
+    # keyed by the tail's lowering generator ids, so an order is made once
     _engines: Dict[Tuple[int, ...], PBWEngine] = field(default_factory=dict)
 
     def engine(self, tail: Sequence = ()) -> PBWEngine:
-        order = make_order(self.table, tail=tail)
-        key = order.sequence
+        key = tuple(_resolve_f(self.table, s) for s in tail)
         if key not in self._engines:
-            self._engines[key] = PBWEngine(self.table, order)
+            self._engines[key] = PBWEngine(self.table, make_order(self.table, tail=key))
         return self._engines[key]
 
     @property

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .rootdata import (
     AlgebraData,
@@ -121,6 +121,12 @@ class BracketTable:
     # the form applied to each Cartan dual, nonzero entries only: <w, h_j>
     # is the sum of w[i] * c over the (i, c) of cartan_rows[j]
     cartan_rows: Tuple[Tuple[Tuple[int, Coefficient], ...], ...] = field(init=False)
+    # <wt(b), h_j> for every basis id b, read from cartan_rows: [h_j, b] is
+    # pairings[b][j] * b
+    pairings: Tuple[Tuple[Coefficient, ...], ...] = field(init=False)
+    # ad_chain's (ad_R x)^k(g), keyed g, then x where [g, x] != 0; every
+    # engine on this table reads the same lists
+    _ad_cache: Dict[int, Dict[int, List[Value]]] = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         den = lcm(*(x.denominator for el in self.basis for x in el.weight))
@@ -132,6 +138,10 @@ class BracketTable:
             tuple((i, _exact(c)) for i, row in enumerate(self.alg.form_matrix)
                   if (c := sum(x * d for x, d in zip(row, dual) if x and d)))
             for dual in self.cartan_duals
+        )
+        self.pairings = tuple(
+            tuple(self.cartan_pairing(j, el.weight) for j in range(self.n_cartan))
+            for el in self.basis
         )
 
     @property
@@ -168,19 +178,49 @@ class BracketTable:
         """<w, h_j> in canonical form, read from cartan_rows."""
         return _exact(sum(w[i] * c for i, c in self.cartan_rows[simple_index]))
 
-    def h_value_pairing(self, val: Value, w: Weight) -> Fraction:
-        """Pairing <w, h> for a Cartan-valued bracket result."""
-        return self.alg.form(w, self.h_value_dual(val))
+    def h_value_pairing(self, val: Value, w: Weight) -> Coefficient:
+        """Pairing <w, h> for a Cartan-valued bracket result h."""
+        return _exact(sum(c * self.cartan_pairing(j, w) for j, c in self._cartan_terms(val)))
+
+    def ad_row(self, g: int) -> Dict[int, List[Value]]:
+        """For each generator x with [g, x] != 0, ad_chain's list for (g, x)
+        as far as it is grown: the cache row of g."""
+        row = self._ad_cache.get(g)
+        if row is None:
+            bracket = self.bracket
+            row = self._ad_cache[g] = {x: [y] for x in range(self.dim) if (y := bracket(g, x))}
+        return row
+
+    def ad_chain(self, g: int, x: int, a: int) -> List[Value]:
+        """[(ad_R x)^k(g) for k = 1, 2, ...] with (ad_R x)(y) = [y, x]: at
+        least up to k = a, or up to the first zero, where the root string
+        through g ends.  Cached per (g, x), so at most dim^2 lists, each
+        grown on demand; the caller applies the binomials and must not
+        change the list."""
+        chain = self.ad_row(g).get(x)
+        if chain is None:
+            return []
+        while len(chain) < a and chain[-1]:
+            nxt: Value = {}
+            for z, c in chain[-1].items():
+                _merge(nxt, self.bracket(z, x), c)
+            chain.append(nxt)
+        return chain
 
     def h_value_dual(self, val: Value) -> Weight:
         """Weight nu with <w, h> = (w, nu) for a Cartan-valued result."""
         out = wzero(self.alg.rank)
+        for j, c in self._cartan_terms(val):
+            out = wsum(out, tuple(c * x for x in self.cartan_duals[j]))
+        return out
+
+    def _cartan_terms(self, val: Value) -> Iterator[Tuple[int, Coefficient]]:
+        """(simple index j, coefficient of h_j) for each term of a Cartan-valued result."""
         for bid, c in val.items():
             el = self.basis[bid]
             if el.kind != "h":
                 raise ClosureFailure(f"{el.name} is not a Cartan generator")
-            out = wsum(out, tuple(c * x for x in self.cartan_duals[el.index]))
-        return out
+            yield el.index, c
 
     def render_value(self, val: Value) -> str:
         return _signed_sum(((val[bid], self.basis[bid].name) for bid in sorted(val)), "*")
@@ -211,20 +251,12 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
         elif val and _ksign(basis, x, y) != -1:
             raise ClosureFailure(f"even square bracket [{basis[x].name}, {basis[x].name}] must vanish")
 
-    pairing = [
-        [alg.form(r.weight, duals[j]) for j in range(R)] for r in alg.pos_roots
-    ]
     spi = alg.simple_pos_index
 
     # level 1: Cartan action, simple mixed pairs, and the defining ladder
-    for a in range(R):
-        for b in range(R):
-            set_entry(h_id(a), h_id(b), {})
-    for s in range(P):
-        for j in range(R):
-            c = pairing[s][j]
-            set_entry(h_id(j), e_id(s), {e_id(s): c} if c else {})
-            set_entry(h_id(j), f_id(s), {f_id(s): -c} if c else {})
+    for x in range(table.dim):
+        for j, c in enumerate(table.pairings[x]):
+            set_entry(h_id(j), x, {x: c} if c else {})
     for a in range(R):
         for b in range(R):
             val: Value = {h_id(a): 1} if a == b else {}

@@ -22,10 +22,10 @@ act applies each word of an element with the engine's word loop, as
 PBWEngine.multiply does in U(g); is_singular applies each simple raising
 generator and keeps the first image that fails as the counterexample.
 
-Nothing keyed on lambda outlives a call: each call builds its own _Action
-of <lambda - rho, h_j>, a few products each on the bracket table's
-cartan_rows, and the lambda-free <wt(f), h_j>, read as [h_j, f] =
-<wt(f), h_j> f.  singular.Candidate keeps one _Action beside its images.
+Nothing keyed on lambda outlives a call: each call builds its own _Action,
+which derives only <lambda - rho, h_j> from the bracket table's cartan_rows
+and reads the lambda-free <wt(f), h_j> from the table's pairings.
+singular.Candidate keeps one _Action beside its images.
 """
 
 from __future__ import annotations
@@ -70,32 +70,24 @@ class _Action:
     a prefix."""
 
     def __init__(self, engine: PBWEngine, lam: Weight) -> None:
-        table = engine.table
         self.engine = engine
-        self.basis = table.basis
-        self.kinds = [b.kind for b in table.basis]
-        self.heights = table.alg.heights
+        self.table = table = engine.table
+        # <lambda - rho, h_j>, the action's one lambda-constant
         shift = wdiff(lam, table.alg.rho)
-        cartans = range(table.n_cartan)
-        # <lambda - rho, h_j>, and <wt(f), h_j> per lowering generator f
-        # as the coefficient of f in [h_j, f]
-        self.shift = tuple(table.cartan_pairing(j, shift) for j in cartans)
-        hs = [table.h_id(j) for j in cartans]
-        self.pairings = [
-            tuple(table.bracket(h, f).get(f, 0) for h in hs) for f in range(table.n_pos)
-        ]
+        self.shift = tuple(table.cartan_pairing(j, shift) for j in range(table.n_cartan))
 
     def scalar(self, j: int, m: Monomial):
         """<lambda - rho + wt(m), h_j>: the Cartan h_j on m v+."""
-        return _exact(self.shift[j] + sum(a * self.pairings[x][j] for x, a in m))
+        pairings = self.table.pairings
+        return _exact(self.shift[j] + sum(a * pairings[x][j] for x, a in m))
 
     def apply(self, g: int, e: int, body: UEAElement) -> UEAElement:
         """g^e . (body v+) as a body."""
-        kind = self.kinds[g]
-        if kind == "f":
+        el = self.table.basis[g]
+        if el.kind == "f":
             return self.engine.power_times(g, e, body)
-        if kind == "h":
-            j = self.basis[g].index
+        if el.kind == "h":
+            j = el.index
             scaled = ((m, c * self.scalar(j, m) ** e) for m, c in body.items())
             return {m: _exact(c) for m, c in scaled if c}
         for _ in range(e):
@@ -112,12 +104,12 @@ class _Action:
         Cartan w is one scalar on rest, and a raising w walks on over rest
         with head as its base."""
         engine = self.engine
-        kind = self.kinds[w]
-        if kind == "f":
+        el = self.table.basis[w]
+        if el.kind == "f":
             engine.prepend(head, engine.gen_times_mono(w, rest), c, out)
-        elif kind == "h":
+        elif el.kind == "h":
             key = head + rest
-            out[key] = out.get(key, 0) + c * self.scalar(self.basis[w].index, rest)
+            out[key] = out.get(key, 0) + c * self.scalar(el.index, rest)
         else:
             self._check_raising(z, w)
             engine.walk(w, rest, head, c, out, self._term)
@@ -125,8 +117,9 @@ class _Action:
     def _check_raising(self, z: int, w: int) -> None:
         """UnexpectedRaising unless the raising w, out of commuting the
         raising z past a lowering generator, has a lower root than z."""
-        basis = self.basis
-        if self.heights[basis[w].index] >= self.heights[basis[z].index]:
+        basis = self.table.basis
+        heights = self.table.alg.heights
+        if heights[basis[w].index] >= heights[basis[z].index]:
             raise UnexpectedRaising(
                 f"{basis[w].name} came out of commuting {basis[z].name} "
                 "past a lowering generator"

@@ -1,5 +1,7 @@
 """Command line behavior: grids, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -10,12 +12,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import superverma
 from superverma import cli, singular
 from superverma.cli import main, parse_grid
 from superverma.pbw import NotDivisible, WrongOrder
-from superverma.rootdata import AlgebraData, CaseId, InvalidParams, IsotropicCoroot
+from superverma.rootdata import FAMILIES, OSP_FAMILIES, AlgebraData, CaseId, InvalidParams, IsotropicCoroot
 from superverma.singular import Candidate, CaseParams, build_context, candidate, default_lambda
 from superverma.verma import SingularityReport, UnexpectedRaising, VermaVector
 
@@ -118,11 +122,12 @@ def test_explicit_lambda(capsys):
                        "--N", "1", "--lambda", "1/2")
     assert code == 2
     assert "--lambda '1/2'" in err
-    for bad in ("x,2", "1,2,3"):
+    for bad in ("x,2", "1,2,3", "1e5,2", "2,1E300000"):
         code, out, err = run(capsys, "verify", "--case", "B-I", "--m", "1", "--n", "1",
                              "--lambda", bad)
         assert (code, out) == (2, "")
         assert "--lambda" in err and repr(bad) in err
+        assert ("exponent notation" in err) == ("e" in bad.lower())
     code, _, err = run(capsys, "verify", "--case", "B-II", "--m", "1", "--n", "1",
                        "--N", "1,2", "--lambda", "3,1/2")
     assert code == 2
@@ -593,3 +598,89 @@ def test_selftest_failure_named(capsys, monkeypatch):
     assert code == 1
     assert "FAIL jacobi" in out
     assert "first failure: jacobi" in out
+
+
+# the CLI grammar: small valid values, so that every accepted run stays
+# small, and at most one spoilt token per argv, often an exponent form
+VALID = {
+    "verify": {
+        "--N": ("1", "2", "3", "1..2"),
+        "--M": ("0", "1"),
+        "--seed": ("0", "1", "0..1"),
+        "--check": cli.CHECK_NAMES + ("all",),
+        "--jobs": ("1",),
+    },
+    "orbit": {
+        "--C": ("1", "2", "3", "1..2"),
+        "--target": ("1", "2", "1,2"),
+        "--p": ("1", "2", "3"),
+        "--seed": ("0", "1", "0..1"),
+        "--jobs": ("1",),
+    },
+    "selftest": {"--seed": ("0", "1")},
+}
+INVALID = ("0", "-1", "x", "", "1e1", "2E0", "1e300000", "2..1", "1,e")
+LAMBDA_COORDS = ("0", "1", "-1", "1/2", "3/2", "-5/2", "0.5", "1e5", "2E3", "3/0", "x")
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(VALID)))
+    argv = [command]
+    rank = 0
+    if command != "selftest" or draw(st.booleans()):
+        case = draw(st.sampled_from(FAMILIES))
+        argv += ["--case", case]
+        rank = {"F31": 4, "G3": 3}.get(case, 0)
+        if case in OSP_FAMILIES and command != "selftest":
+            m, n = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+            argv += ["--m", str(m), "--n", str(n)]
+            rank = m + n
+    flags = dict(VALID[command])
+    if command == "verify":
+        del flags[draw(st.sampled_from(("--N", "--M")))]
+    for flag, values in flags.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(values))]
+    if command == "verify" and draw(st.booleans()):
+        size = draw(st.sampled_from((rank, rank, 1)))
+        argv += ["--lambda", ",".join(draw(st.lists(st.sampled_from(LAMBDA_COORDS), min_size=size, max_size=size)))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    spoil = draw(st.sampled_from(("none", "none", "value", "value", "drop", "extra")))
+    values = [i for i in range(2, len(argv)) if argv[i - 1].startswith("--")]
+    if spoil == "value" and values:
+        argv[draw(st.sampled_from(values))] = draw(st.sampled_from(INVALID))
+    elif spoil == "drop" and len(argv) > 1:
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    elif spoil == "extra":
+        argv.append(draw(st.sampled_from(("--bogus", "1", "--N", "--case"))))
+    return argv
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(argv=argvs())
+def test_any_argv_exits_with_a_documented_code(argv):
+    """Whatever argv the grammar gives, main exits 0, 1, 2 (argparse's exit
+    counted) or 3, never with a traceback, and exits 1 only with the
+    failed record and, for verify, its counterexample."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err, (argv, err)
+    if code == 2:
+        assert err.startswith(("error: ", "usage: ")), (argv, err)
+    if code != 1:
+        return
+    if "--json" not in argv:
+        assert "FAIL" in out, (argv, out)
+        assert argv[0] != "verify" or "counterexample: " in out, (argv, out)
+        return
+    failed = [r for r in map(json.loads, out.splitlines()) if not r["ok"]]
+    assert failed, (argv, out)
+    assert argv[0] != "verify" or all(r["counterexample"] for r in failed), (argv, out)

@@ -283,14 +283,17 @@ def test_right_division_raises():
 
 
 def test_right_division_round_trip_failure_is_named(monkeypatch):
-    """The quotient is certified by multiplying back, also under python -O."""
+    """Each quotient monomial is certified by multiplying back, also under
+    python -O, and a failure names the monomial of the dividend."""
     ctx = ctx_for("D-I:m=1,n=2")
     bid = ctx.table.f_gen(first_even_root(ctx.alg))
     engine = PBWEngine(ctx.table, ctx.engine(tail=(bid,)).order)
     x = engine.multiply(random_lowering(engine, random.Random(3), 2), engine.gen(bid, 2))
     monkeypatch.setattr(engine, "multiply", lambda a, b: el_zero())
-    with pytest.raises(RoundTripFailure):
+    with pytest.raises(RoundTripFailure) as info:
         engine.right_divide(x, bid, 2)
+    named = [m for m in x if str(info.value).endswith(f" does not give back {engine.render_monomial(m)}")]
+    assert len(named) == 1, str(info.value)
 
 
 def test_even_power_commutation_expands_binomially():

@@ -1,5 +1,7 @@
+import dataclasses
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -108,6 +110,18 @@ def test_bad_rho_is_a_root_data_error(monkeypatch):
     monkeypatch.setattr(rootdata, "_assemble", doubled_rho)
     with pytest.raises(RootDataError, match="rho mismatch"):
         build_algebra_data(CaseId.parse("B-II:m=1,n=1"))
+
+
+def test_selftest_rho_check_is_the_set_up_check():
+    """The selftest's rho check and the set-up read one rule, so the
+    selftest names what the set-up would refuse."""
+    alg = build("B-II:m=1,n=1")
+    assert rootdata.rho_violation(alg) is None
+    assert cli._st_rho(SimpleNamespace(alg=alg), 0) == (True, None)
+    bad = dataclasses.replace(alg, rho=wsum(alg.rho, alg.rho))
+    ok, detail = cli._st_rho(SimpleNamespace(alg=bad), 0)
+    assert not ok and detail == rootdata.rho_violation(bad)
+    assert detail == "rho mismatch: (1,-1) is not the half-sum (1/2,-1/2)"
 
 
 def test_dependent_simple_roots_are_a_root_data_error(monkeypatch, capsys):

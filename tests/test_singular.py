@@ -8,8 +8,10 @@ import pytest
 from superverma.cli import SMALLEST_CASES
 from superverma.pbw import el_scale
 from superverma.rootdata import CaseId, InvalidParams, ParityViolation, wdiff, wscale
+from superverma import singular
 from superverma.singular import (
     CaseParams,
+    Context,
     build_context,
     candidate,
     candidate_u,
@@ -175,6 +177,37 @@ def test_context_caches_engines():
     assert tailed is ctx.engine(tail=("e1",))
     assert tailed is not ctx.default_engine
     assert build_context(CaseId.parse("B-I:m=1,n=1")) is ctx
+
+
+def test_engines_of_a_case_share_the_table_and_make_each_order_once(monkeypatch):
+    """A context makes each engine's order once, however often the engine is
+    looked up, an engine keeps only its products, and two engines of a case
+    read the same ad chain objects from the bracket table."""
+    made = []
+    real_order = singular.make_order
+    monkeypatch.setattr(singular, "make_order",
+                        lambda table, tail=(): made.append(tail) or real_order(table, tail))
+    case = CaseId.parse("B-I:m=2,n=1")
+    shared = build_context(case)
+    ctx = Context(shared.alg, shared.table)
+    kappa = ctx.table.f_gen("d1-d2")
+    for _ in range(3):
+        default, tailed = ctx.default_engine, ctx.engine(tail=(kappa,))
+        assert ctx.engine(tail=("d1-d2",)) is tailed
+    assert len(made) == len(ctx._engines) == 2
+    assert all(set(vars(e)) == {"table", "order", "_left_cache"} for e in (default, tailed))
+    chains = []
+    real_chain = ctx.table.ad_chain
+    monkeypatch.setattr(ctx.table, "ad_chain",
+                        lambda g, x, a: chains.append(((g, x), real_chain(g, x, a))) or chains[-1][1])
+    cand = candidate(CaseParams(case, 1, default_lambda(case, 1, 0, ctx.alg)), ctx.alg)
+    read = {}
+    for engine in (default, tailed):
+        chains.clear()
+        assert is_singular(cand.build(engine), engine).ok
+        read[engine] = dict(chains)
+    common = read[default].keys() & read[tailed].keys()
+    assert common and all(read[default][k] is read[tailed][k] for k in common)
 
 
 @pytest.mark.parametrize("text", SMALLEST_CASES + ("D-II:m=2,n=2",))

@@ -424,16 +424,12 @@ def test_equal_height_raising_out_of_a_bracket_is_an_internal_error(monkeypatch)
 
 
 def reference_pairings(table):
-    """<wt(f), h_j> for every lowering generator f and Cartan generator h_j,
-    one form per pair, independent of the bracket table and its
-    cartan_rows."""
-    return [
-        tuple(
-            _exact(table.alg.form(table.basis[f].weight, table.cartan_duals[j]))
-            for j in range(table.n_cartan)
-        )
-        for f in range(table.n_pos)
-    ]
+    """<wt(b), h_j> for every basis id b and Cartan generator h_j, one form
+    per pair, independent of the bracket table and its cartan_rows."""
+    return tuple(
+        tuple(_exact(table.alg.form(el.weight, dual)) for dual in table.cartan_duals)
+        for el in table.basis
+    )
 
 
 SMALL_CASES = [
@@ -445,23 +441,24 @@ SMALL_CASES = [
 
 
 def test_action_pairings_come_from_the_bracket_table():
-    """[h_j, f] is <wt(f), h_j> f and nothing else, and the action's
-    pairings and its <lambda - rho, h_j> equal the forms, value and type,
-    for every case with m, n <= 3."""
+    """The table's pairings equal the forms, value and type, [h_j, b] is
+    pairings[b][j] b and nothing else, and the action, which reads them,
+    holds a <lambda - rho, h_j> equal to the forms, for every case with
+    m, n <= 3."""
     pairs = 0
     for case in SMALL_CASES:
         ctx = build_context(case)
         table = ctx.table
-        for f in range(table.n_pos):
-            for j in range(table.n_cartan):
-                assert set(table.bracket(table.h_id(j), f)) <= {f}, (case.text, f, j)
+        want = reference_pairings(table)
+        assert table.pairings == want, case.text
+        assert not non_canonical(c for row in table.pairings for c in row), case.text
+        for b in range(table.dim):
+            for j, c in enumerate(table.pairings[b]):
+                assert table.bracket(table.h_id(j), b) == ({b: c} if c else {}), (case.text, b, j)
         lam = default_lambda(case, 1, 0, ctx.alg)
         action = _Action(ctx.default_engine, lam)
-        want = reference_pairings(table)
-        assert action.pairings == want, case.text
-        assert not non_canonical(c for row in action.pairings for c in row), case.text
         shift = wdiff(lam, ctx.alg.rho)
         forms = [_exact(ctx.alg.form(shift, dual)) for dual in table.cartan_duals]
         assert list(action.shift) == forms and not non_canonical(action.shift), case.text
-        pairs += sum(map(len, want))
+        pairs += table.n_pos * table.n_cartan
     assert len(SMALL_CASES) == 32 and pairs == 2814
