@@ -20,6 +20,7 @@ error, 141 stdout closed early (broken pipe).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -43,6 +44,7 @@ from .rootdata import (
     wdiff,
 )
 from .singular import (
+    MAX_CASE_DIM,
     CaseParams,
     build_context,
     candidate,
@@ -68,10 +70,6 @@ CHECK_NAMES = ("nonzero", "singular", "signflip", "witness")
 SIGNFLIP_SAMPLES = 20
 # the most grid points one verify or orbit run may span
 MAX_GRID_POINTS = 100_000
-
-# the largest superalgebra a case may have, by dimension: set-up grows about
-# as dim^2.5, and D-II m=n=10 (dim 800) takes about 22 s on a 2-core VM
-MAX_CASE_DIM = 800
 
 SMALLEST_CASES = (
     "B-I:m=1,n=1",
@@ -569,7 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--jobs", type=int, default=1, help="worker processes")
     verify.add_argument("--json", action="store_true", help="newline-delimited JSON records")
-    verify.set_defaults(func=cmd_verify)
 
     orbit = sub.add_parser("orbit", help="propagate a singular vector along a reflection chain")
     orbit.add_argument("--case", required=True)
@@ -581,13 +578,11 @@ def build_parser() -> argparse.ArgumentParser:
     orbit.add_argument("--seed", default="0", help="grid of seeds for weight generation")
     orbit.add_argument("--jobs", type=int, default=1, help="worker processes")
     orbit.add_argument("--json", action="store_true", help="newline-delimited JSON records")
-    orbit.set_defaults(func=cmd_orbit)
 
     selftest = sub.add_parser("selftest", help="run the invariant suite")
     selftest.add_argument("--case", help="restrict to one family")
     selftest.add_argument("--seed", type=int, default=0)
     selftest.add_argument("--json", action="store_true")
-    selftest.set_defaults(func=cmd_selftest)
     return parser
 
 
@@ -598,12 +593,21 @@ def _lift_digit_limit() -> None:
         sys.set_int_max_str_digits(0)
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process: it binds no command function and no
+    mutable default (--check starts each parse from None), so parses share
+    nothing."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     _lift_digit_limit()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so a command replaced at run time is the one run
+    command = {"verify": cmd_verify, "orbit": cmd_orbit, "selftest": cmd_selftest}[args.command]
     try:
-        code = args.func(args)
+        code = command(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except BrokenPipeError:

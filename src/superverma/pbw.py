@@ -26,12 +26,17 @@ straightening, as f is ranked last in U(n^-); and ad f is locally
 nilpotent, so the sum ends after a few terms however large L is.
 
 One walk (walk) moves a generator right through a monomial and hands each
-generator of the (ad_R x)^k chains it leaves to its caller's step:
-gen_times_mono acts with it on the rest and prepends the head (prepend),
-and verma's module action is the other caller.  Every chain, _power_past's
-too, comes from the bracket table's ad_chain, which every engine of a case
-shares; an engine caches only products.  No step recurses once per unit of
-an exponent.
+generator w of the (ad_R x)^k chains it leaves, with the head it has passed
+and the rest, to its caller's step: gen_times_mono's, and verma's module
+action.  Both put a lowering w, and gen_times_mono any w, between head and
+rest by insert.  A w ranked below rest goes straight to its slot in the
+head: in one tuple past generators it supercommutes with, or through the
+cached product of the part of the head it passes and w.  A w ranked at or
+above rest's first generator walks into rest from the head.  Only what
+neither covers prepends the head to gen_times_mono(w, rest) one generator
+power at a time (prepend).  Every chain, _power_past's too, comes from the
+bracket table's ad_chain, which every engine of a case shares; an engine
+caches only products.  No step recurses once per unit of an exponent.
 
 Weights are summed in ints on the bracket table's integer lattice (each
 basis weight times one common denominator) and returned as Fraction tuples.
@@ -142,8 +147,8 @@ def make_order(table: BracketTable, tail: Sequence[GenSpec] = ()) -> PBWOrder:
 class PBWEngine:
     table: BracketTable
     order: PBWOrder
-    # g * m keyed (g, m), and _power_past's x^j * m keyed (x, j, m): at most
-    # CACHE_SIZE products
+    # g * m keyed (g, m), _power_past's x^j * m keyed (x, j, m) and
+    # insert's passed * w keyed (passed, w): at most CACHE_SIZE products
     _left_cache: Dict[tuple, UEAElement] = field(default_factory=dict)
 
     def gen(self, spec: GenSpec, exp: int = 1) -> UEAElement:
@@ -195,10 +200,9 @@ class PBWEngine:
         and an even g equal to it raises its exponent; neither is cached:
         one tuple concatenation rebuilds it.
 
-        Otherwise g walks right through m (walk), and each generator w of a
-        chain it leaves acts on the rest R by gen_times_mono, with the head
-        prepended.  Where g stops, at m[i:], gen_times_mono(g, m[i:])
-        concatenates it, raises an exponent or squares an odd generator."""
+        Otherwise g walks right through m from an empty head (insert), and
+        each generator w of a chain it leaves goes between the head and the
+        rest by insert too."""
         rank = self.order.rank
         if not m or rank[g] < rank[m[0][0]]:
             return {((g, 1),) + m: 1}
@@ -215,10 +219,9 @@ class PBWEngine:
             if m[0][1] != 1:
                 raise WrongOrder("odd generators are exponent one in normal form")
             for z, c in self.table.bracket(g, g).items():
-                self.prepend((), self.gen_times_mono(z, m[1:]), Fraction(c, 2), out)
+                self.insert((), z, m[1:], Fraction(c, 2), out)
         else:
-            i, sign = self.walk(g, m, (), 1, out, self._prepend_term)
-            self.prepend(m[:i], self.gen_times_mono(g, m[i:]), sign, out)
+            self.insert((), g, m, 1, out)
         out = {t: _exact(c) for t, c in out.items() if c}
         self._store(key, out)
         return out
@@ -230,9 +233,9 @@ class PBWEngine:
             cache.clear()
         cache[key] = product
 
-    def _prepend_term(self, g: int, w: int, head: Monomial, rest: Monomial, coef, out) -> None:
-        """walk's step in U(g): add coef * head * (w rest) to out."""
-        self.prepend(head, self.gen_times_mono(w, rest), coef, out)
+    def _insert_term(self, g: int, w: int, head: Monomial, rest: Monomial, coef, out) -> None:
+        """walk's step in U(g): add coef * head * w * rest to out."""
+        self.insert(head, w, rest, coef, out)
 
     def walk(self, g: int, m: Monomial, base: Monomial, c, out, term) -> Tuple[int, Coefficient]:
         """Move a basis generator g right past each x^a = m[i] ranked below
@@ -245,30 +248,121 @@ class PBWEngine:
         _words_times takes its own power step."""
         table = self.table
         rank = self.order.rank
-        basis = table.basis
+        odd = table.odd
         row = table.ad_row(g)
         g_rank = rank[g]
-        g_odd = basis[g].odd
-        i = 0
-        while i < len(m) and rank[m[i][0]] < g_rank:
-            x, a = m[i]
-            x_odd = basis[x].odd
-            if x_odd and a != 1:
-                raise WrongOrder("odd generators are exponent one in normal form")
+        g_odd = odd[g]
+        for i, (x, a) in enumerate(m):
+            if rank[x] >= g_rank:
+                return i, c
+            sign = c
+            if odd[x]:
+                if a != 1:
+                    raise WrongOrder("odd generators are exponent one in normal form")
+                if g_odd:
+                    c = -c
             if x in row:
                 rest = m[i + 1 :]
                 prefix = base + m[:i]
-                for k, y in enumerate(table.ad_chain(g, x, a)[:a], 1):
-                    if not y:
+                if a == 1:
+                    # (ad_R x)(g) = [g, x], the first entry of every chain
+                    for w, cw in row[x][0].items():
+                        term(g, w, prefix, rest, sign * cw, out)
+                else:
+                    for k, y in enumerate(table.ad_chain(g, x, a)[:a], 1):
+                        if not y:
+                            break
+                        head = prefix + ((x, a - k),) if a > k else prefix
+                        ck = sign * comb(a, k)
+                        for w, cw in y.items():
+                            term(g, w, head, rest, ck * cw, out)
+        return len(m), c
+
+    def insert(self, head: Monomial, w: int, rest: Monomial, coef, out) -> None:
+        """Add coef * head * w * rest to out, for a basis generator w and
+        normal-form monomials head and rest, without dropping zeros or
+        normalising the coefficients, as prepend adds.
+
+        When w ranks below rest, w goes straight to its slot in head, past
+        the generators head[j:] ranked above it: in one tuple when it
+        passes none, or only ones whose bracket with it is zero (an odd w
+        flips the sign once per odd one it passes, and an even w that meets
+        its own power in head raises it); otherwise through the cached
+        product head[j:] * w, each of whose monomials goes between head[:j]
+        and rest when their ranks fit.  When w ranks at or above rest's
+        first generator and head * rest is one monomial, w walks into rest
+        from head, as gen_times_mono walks it from the start, or raises an
+        even power of itself there.  Every other term (an odd w meeting
+        itself, a product that does not fit, or head * rest no monomial)
+        prepends head to gen_times_mono(w, rest)."""
+        rank = self.order.rank
+        w_rank = rank[w]
+        hi = rank[rest[0][0]] if rest else len(rank)
+        if w_rank < hi:
+            if not head or rank[head[-1][0]] < w_rank:
+                key = head + ((w, 1),) + rest
+                out[key] = out.get(key, 0) + coef
+                return
+            table = self.table
+            j = len(head)
+            while j and rank[head[j - 1][0]] > w_rank:
+                j -= 1
+            passed = head[j:]
+            meets = j and head[j - 1][0] == w
+            if rank[head[-1][0]] < hi and not (meets and table.odd[w]):
+                entries = table.entries
+                for x, _ in passed:
+                    if entries[(x, w)]:
                         break
-                    head = prefix + ((x, a - k),) if a > k else prefix
-                    ck = c * comb(a, k)
-                    for w, cw in y.items():
-                        term(g, w, head, rest, ck * cw, out)
-            if g_odd and x_odd:
-                c = -c
-            i += 1
-        return i, c
+                else:
+                    # w supercommutes with every generator it passes
+                    if meets:
+                        key = head[: j - 1] + ((w, head[j - 1][1] + 1),) + passed + rest
+                    else:
+                        odd = table.odd
+                        if odd[w]:
+                            for x, _ in passed:
+                                if odd[x]:
+                                    coef = -coef
+                        key = head[:j] + ((w, 1),) + passed + rest
+                    out[key] = out.get(key, 0) + coef
+                    return
+            if not meets:
+                product = self._passed_times(passed, w)
+                lo = rank[head[j - 1][0]] if j else -1
+                for t in product:
+                    if not (t and lo < rank[t[0][0]] and rank[t[-1][0]] < hi):
+                        break
+                else:
+                    base = head[:j]
+                    for t, c in product.items():
+                        key = base + t + rest
+                        out[key] = out.get(key, 0) + coef * c
+                    return
+        elif not head or rank[head[-1][0]] < hi:
+            if rest[0][0] != w:
+                i, sign = self.walk(w, rest, head, coef, out, self._insert_term)
+                self.insert(head + rest[:i], w, rest[i:], sign, out)
+                return
+            if not self.table.odd[w]:
+                key = head + ((w, rest[0][1] + 1),) + rest[1:]
+                out[key] = out.get(key, 0) + coef
+                return
+        self.prepend(head, self.gen_times_mono(w, rest), coef, out)
+
+    def _passed_times(self, passed: Monomial, w: int) -> UEAElement:
+        """passed * w in normal form, for a normal-form monomial passed whose
+        generators all rank above the basis generator w; cached keyed
+        (passed, w)."""
+        key = (passed, w)
+        hit = self._left_cache.get(key)
+        if hit is not None:
+            return hit
+        res: UEAElement = {}
+        self.prepend(passed, {((w, 1),): 1}, 1, res)
+        res = {t: _exact(c) for t, c in res.items() if c}
+        self._store(key, res)
+        return res
 
     def prepend(self, head: Monomial, terms: UEAElement, coef, out) -> None:
         """Add coef * head * terms to out, for a normal-form monomial head

@@ -75,15 +75,33 @@ class Context:
         return self.engine()
 
 
+# the largest superalgebra a case may have, by dimension: set-up grows about
+# as dim^2.5, and D-II m=n=10 (dim 800) takes about 22 s on a 2-core VM
+MAX_CASE_DIM = 800
+# the contexts held at once, by the sum of their tables' dim^2: a bracket
+# table holds about dim^2 entries, so this is one largest case
+CONTEXT_BUDGET = MAX_CASE_DIM ** 2
+
+# by case text, least recently used first
 _CONTEXTS: Dict[str, Context] = {}
 
 
 def build_context(case: CaseId) -> Context:
+    """The case's shared context, built on first use.  Building one drops
+    the least recently used others until the tables held fit in
+    CONTEXT_BUDGET; the new one is always kept."""
     key = case.text
-    if key not in _CONTEXTS:
-        alg = build_algebra_data(case)
-        _CONTEXTS[key] = Context(alg=alg, table=build_structure_constants(alg))
-    return _CONTEXTS[key]
+    ctx = _CONTEXTS.pop(key, None)
+    if ctx is not None:
+        _CONTEXTS[key] = ctx
+        return ctx
+    alg = build_algebra_data(case)
+    ctx = Context(alg=alg, table=build_structure_constants(alg))
+    held = ctx.table.dim ** 2 + sum(c.table.dim ** 2 for c in _CONTEXTS.values())
+    while _CONTEXTS and held > CONTEXT_BUDGET:
+        held -= _CONTEXTS.pop(next(iter(_CONTEXTS))).table.dim ** 2
+    _CONTEXTS[key] = ctx
+    return ctx
 
 
 # ---------------------------------------------------------------------------

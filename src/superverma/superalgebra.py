@@ -124,6 +124,8 @@ class BracketTable:
     # <wt(b), h_j> for every basis id b, read from cartan_rows: [h_j, b] is
     # pairings[b][j] * b
     pairings: Tuple[Tuple[Coefficient, ...], ...] = field(init=False)
+    # basis[b].odd for every basis id b, for the straightening loops
+    odd: Tuple[bool, ...] = field(init=False)
     # ad_chain's (ad_R x)^k(g), keyed g, then x where [g, x] != 0; every
     # engine on this table reads the same lists
     _ad_cache: Dict[int, Dict[int, List[Value]]] = field(init=False, default_factory=dict, repr=False)
@@ -143,6 +145,7 @@ class BracketTable:
             tuple(self.cartan_pairing(j, el.weight) for j in range(self.n_cartan))
             for el in self.basis
         )
+        self.odd = tuple(el.odd for el in self.basis)
 
     @property
     def n_pos(self) -> int:

@@ -14,9 +14,10 @@ a time, from the right, inside the module:
   PBWEngine.walk, the walk gen_times_mono takes in U(g), with the module's
   own step: each generator of a chain it leaves, with the head P it has
   passed and the rest R, acts on R by its kind.  A Cartan one is a scalar,
-  a lowering one goes through the engine's cached gen_times_mono and gets
-  P prepended (PBWEngine.prepend), and a raising one walks on over R with
-  base P.  Every term lands in one output dict.
+  a lowering one goes between P and R by the engine's insert (straight to
+  its slot in P when it ranks below R, walking into R from P otherwise),
+  and a raising one walks on over R with base P.  Every term lands in one
+  output dict.
 
 act applies each word of an element with the engine's word loop, as
 PBWEngine.multiply does in U(g); is_singular applies each simple raising
@@ -100,13 +101,13 @@ class _Action:
     def _term(self, z: int, w: int, head: Monomial, rest: Monomial, c, out) -> None:
         """PBWEngine.walk's step in the module: add c * head * w . (rest v+)
         to out, for a generator w of a chain the raising z leaves.  A
-        lowering w acts on rest by gen_times_mono and head is prepended, a
-        Cartan w is one scalar on rest, and a raising w walks on over rest
-        with head as its base."""
+        lowering w goes between head and rest by insert, a Cartan w is one
+        scalar on rest, and a raising w walks on over rest with head as its
+        base."""
         engine = self.engine
         el = self.table.basis[w]
         if el.kind == "f":
-            engine.prepend(head, engine.gen_times_mono(w, rest), c, out)
+            engine.insert(head, w, rest, c, out)
         elif el.kind == "h":
             key = head + rest
             out[key] = out.get(key, 0) + c * self.scalar(el.index, rest)

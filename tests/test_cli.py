@@ -30,6 +30,25 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_parser_is_built_once_and_parses_share_nothing(monkeypatch):
+    """main builds its parser once per process, runs the command bound to
+    its name at call time, and one parse leaves nothing to the next: a
+    repeated --check starts from a fresh list."""
+    built, ran = [], []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "cmd_selftest", lambda args: ran.append(args) or 0)
+    assert main(["selftest", "--case", "G3"]) == 0 == main(["selftest"])
+    assert len(built) == 1
+    assert [a.case for a in ran] == ["G3", None]
+    first = cli._parser().parse_args(["verify", "--case", "G3", "--check", "nonzero"])
+    second = cli._parser().parse_args(["verify", "--case", "G3", "--check", "witness"])
+    third = cli._parser().parse_args(["verify", "--case", "G3"])
+    assert (first.check, second.check, third.check) == (["nonzero"], ["witness"], None)
+    assert len(built) == 1
+
+
 def test_parse_grid_forms():
     assert parse_grid("2", "--N") == [2]
     assert parse_grid("1..3", "--N") == [1, 2, 3]

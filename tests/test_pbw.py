@@ -405,6 +405,81 @@ def random_normal_monomial(engine, rng):
     return tuple(mono)
 
 
+def short_monomial(engine, rng, pool, length):
+    """A normal-form monomial of at most length generators drawn from pool:
+    odd ones once, even ones up to the square."""
+    gens = sorted({rng.choice(pool) for _ in range(length)}, key=engine.order.rank.__getitem__)
+    return tuple((g, 1 if engine.table.basis[g].odd else rng.randint(1, 2)) for g in gens)
+
+
+def insert_way(engine, head, w, rest):
+    """How insert places w between head and rest, told from the monomials:
+    "top" when w ranks between them; "commuting" or "odd signs" when every
+    generator of head ranked above w has a zero bracket with it (and an
+    odd w passes an odd one); "product" or "unfit" when head[j:] * w
+    straightened fits between head[:j] and rest or does not; "walks" when
+    w ranks at or above rest[0] and walks into rest from head; "raises"
+    when an even w meets its own power in head or at rest[0]; "falls back"
+    for an odd w meeting itself, or head * rest no monomial."""
+    rank, basis = engine.order.rank, engine.table.basis
+
+    def normal(m):
+        return all(rank[a[0]] < rank[b[0]] for a, b in zip(m, m[1:]))
+
+    odd = basis[w].odd
+    if rest and rank[w] >= rank[rest[0][0]]:
+        if not normal(head + rest):
+            return "falls back"
+        if rest[0][0] != w:
+            return "walks"
+        return "falls back" if odd else "raises"
+    meets = any(g == w for g, _ in head)
+    passed = tuple((g, e) for g, e in head if rank[g] > rank[w])
+    if not passed and not meets:
+        return "top"
+    if meets and odd:
+        return "falls back"
+    if normal(head + rest) and not any(engine.table.bracket(x, w) for x, _ in passed):
+        if meets:
+            return "raises"
+        return "odd signs" if odd and any(basis[x].odd for x, _ in passed) else "commuting"
+    if meets:
+        return "falls back"
+    base = head[: len(head) - len(passed)]
+    product = engine.multiply({passed: 1}, {((w, 1),): 1})
+    return "product" if all(normal(base + t + rest) for t in product) else "unfit"
+
+
+@pytest.mark.parametrize("text", SMALLEST_CASES)
+def test_insert_matches_prepending_the_product(text):
+    """insert(head, w, rest) adds what prepending head to w * rest adds, and
+    what the right-multiplication reference gives for head * w * rest, on
+    random normal-form triples over the whole basis and over U(n^-), in the
+    default and the tailed orders, with every way insert can place w drawn:
+    among them the cached product that fits and the one that does not, an
+    odd w passing odd generators, and an even w raising its own power."""
+    ctx = ctx_for(text)
+    rng = random.Random(f"insert:{text}")
+    ways = collections.Counter()
+    for engine in (ctx.default_engine, tailed_engine(ctx)[0]):
+        lowering = engine.order.sequence[: engine.order.n_neg]
+        for _ in range(500):
+            pool = lowering if rng.random() < 0.5 else range(ctx.table.dim)
+            head = short_monomial(engine, rng, pool, rng.randint(0, 4))
+            rest = short_monomial(engine, rng, pool, rng.randint(0, 3))
+            w = rng.choice(pool)
+            coef = Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 3)))
+            seed = {rest: 1, head: Fraction(1, 2)}
+            got, want, ref = dict(seed), dict(seed), dict(seed)
+            engine.insert(head, w, rest, coef, got)
+            engine.prepend(head, engine.gen_times_mono(w, rest), coef, want)
+            _merge(ref, right_product(engine, {head: 1}, {((w, 1),) + rest: 1}), coef)
+            got = {m: c for m, c in got.items() if c}
+            assert got == {m: c for m, c in want.items() if c} == ref, (head, w, rest)
+            ways[insert_way(engine, head, w, rest)] += 1
+    assert set(ways) == {"top", "commuting", "odd signs", "product", "unfit", "walks", "raises", "falls back"}, ways
+
+
 def is_fraction_weight(w) -> bool:
     return type(w) is tuple and all(type(c) is Fraction for c in w)
 
@@ -496,13 +571,23 @@ def assert_cache_within(ctx, bound):
         assert len(eng._left_cache) <= bound
 
 
+def key_kind(key):
+    """The product a cache key names: gen_times_mono's (g, m), insert's
+    (passed, w) or _power_past's (x, j, m)."""
+    if len(key) == 3:
+        return "power"
+    return "passed" if isinstance(key[0], tuple) else "gen"
+
+
 def count_stores(monkeypatch):
-    """Count the products each engine stores, keyed by engine."""
+    """Count the products each engine stores, keyed by engine, and by the
+    kind of its key."""
     stores = collections.Counter()
     store = pbw.PBWEngine._store
 
     def counted(self, key, product):
         stores[self] += 1
+        stores[key_kind(key)] += 1
         store(self, key, product)
 
     monkeypatch.setattr(pbw.PBWEngine, "_store", counted)
@@ -558,13 +643,14 @@ def cache_workout(monkeypatch):
 def test_tiny_cache_changes_no_result(monkeypatch):
     """With a cache of 8 products, engines clear it all the time and give
     the results of engines of the default size; no cache ever holds more
-    than 8 products."""
+    than 8 products, and every kind of key is stored."""
     expected, _ = cache_workout(monkeypatch)
     monkeypatch.setattr(pbw, "CACHE_SIZE", 8)
     stores = count_stores(monkeypatch)
     got, engines = cache_workout(monkeypatch)
     assert got == expected
     assert all(stores[eng] > 8 >= len(eng._left_cache) for eng in engines)
+    assert all(stores[kind] > 8 for kind in ("gen", "passed", "power"))
 
 
 def test_cache_bound_holds_on_a_real_run(monkeypatch, capsys):

@@ -8,7 +8,7 @@ import pytest
 from superverma.cli import SMALLEST_CASES
 from superverma.pbw import el_scale
 from superverma.rootdata import CaseId, InvalidParams, ParityViolation, wdiff, wscale
-from superverma import singular
+from superverma import cli, singular
 from superverma.singular import (
     CaseParams,
     Context,
@@ -179,10 +179,43 @@ def test_context_caches_engines():
     assert build_context(CaseId.parse("B-I:m=1,n=1")) is ctx
 
 
+def test_context_budget_drops_the_least_recently_used(monkeypatch, capsys):
+    """With a budget of one D-II m=2 n=3 table, a case grid run twice drops
+    and rebuilds contexts, prints what an unbounded run prints, and never
+    holds tables above the budget."""
+    argv = ["verify", "--case", "D-II", "--m", "1,2", "--n", "2,3", "--seed", "0,1",
+            "--check", "nonzero", "--check", "singular", "--json"]
+
+    class Watched(dict):
+        def __setitem__(self, key, ctx):
+            super().__setitem__(key, ctx)
+            held.append(sum(c.table.dim ** 2 for c in self.values()))
+
+    def run_twice():
+        monkeypatch.setattr(singular, "_CONTEXTS", Watched())
+        out = []
+        for _ in range(2):
+            assert cli.main(argv) == 0
+            out.append(capsys.readouterr().out)
+        return out
+
+    held, built = [], []
+    expected = run_twice()
+    assert len(singular._CONTEXTS) == 4
+    budget = CaseId.parse("D-II:m=2,n=3").dim ** 2
+    monkeypatch.setattr(singular, "CONTEXT_BUDGET", budget)
+    real = singular.build_algebra_data
+    monkeypatch.setattr(singular, "build_algebra_data", lambda case: built.append(case.text) or real(case))
+    held.clear()
+    assert run_twice() == expected
+    assert len(built) > 4 and max(held) <= budget
+
+
 def test_engines_of_a_case_share_the_table_and_make_each_order_once(monkeypatch):
     """A context makes each engine's order once, however often the engine is
     looked up, an engine keeps only its products, and two engines of a case
-    read the same ad chain objects from the bracket table."""
+    read the same ad chain rows, and so the same chain lists, from the
+    bracket table."""
     made = []
     real_order = singular.make_order
     monkeypatch.setattr(singular, "make_order",
@@ -196,18 +229,18 @@ def test_engines_of_a_case_share_the_table_and_make_each_order_once(monkeypatch)
         assert ctx.engine(tail=("d1-d2",)) is tailed
     assert len(made) == len(ctx._engines) == 2
     assert all(set(vars(e)) == {"table", "order", "_left_cache"} for e in (default, tailed))
-    chains = []
-    real_chain = ctx.table.ad_chain
-    monkeypatch.setattr(ctx.table, "ad_chain",
-                        lambda g, x, a: chains.append(((g, x), real_chain(g, x, a))) or chains[-1][1])
+    rows = []
+    real_row = ctx.table.ad_row
+    monkeypatch.setattr(ctx.table, "ad_row", lambda g: rows.append((g, real_row(g))) or rows[-1][1])
     cand = candidate(CaseParams(case, 1, default_lambda(case, 1, 0, ctx.alg)), ctx.alg)
     read = {}
     for engine in (default, tailed):
-        chains.clear()
+        rows.clear()
         assert is_singular(cand.build(engine), engine).ok
-        read[engine] = dict(chains)
+        read[engine] = dict(rows)
     common = read[default].keys() & read[tailed].keys()
-    assert common and all(read[default][k] is read[tailed][k] for k in common)
+    assert common and all(read[default][g] is read[tailed][g] for g in common)
+    assert any(read[default][g] for g in common)
 
 
 @pytest.mark.parametrize("text", SMALLEST_CASES + ("D-II:m=2,n=2",))
