@@ -29,14 +29,16 @@ One walk (walk) moves a generator right through a monomial and hands each
 generator w of the (ad_R x)^k chains it leaves, with the head it has passed
 and the rest, to its caller's step: gen_times_mono's, and verma's module
 action.  Both put a lowering w, and gen_times_mono any w, between head and
-rest by insert.  A w ranked below rest goes straight to its slot in the
-head: in one tuple past generators it supercommutes with, or through the
-cached product of the part of the head it passes and w.  A w ranked at or
-above rest's first generator walks into rest from the head.  Only what
-neither covers prepends the head to gen_times_mono(w, rest) one generator
-power at a time (prepend).  Every chain, _power_past's too, comes from the
-bracket table's ad_chain, which every engine of a case shares; an engine
-caches only products.  No step recurses once per unit of an exponent.
+rest by insert, one rule for every term, which needs head * rest to be one
+normal-form monomial.  A w ranked at or above rest's first generator walks
+into rest from the head; any other w moves left through the head, past an
+even y^b by the chain of (ad y)^k(w) and past an odd y with a sign and one
+bracket, and each generator of a bracket goes between the two parts of the
+head by insert in turn.  Where w meets itself, an even w raises its power
+and an odd one rewrites through [w, w] / 2.  Every chain, _power_past's
+too, comes from the bracket table's ad_chain, which every engine of a case
+shares; an engine caches only products.  No step recurses once per unit of
+an exponent.
 
 Weights are summed in ints on the bracket table's integer lattice (each
 basis weight times one common denominator) and returned as Fraction tuples.
@@ -147,8 +149,8 @@ def make_order(table: BracketTable, tail: Sequence[GenSpec] = ()) -> PBWOrder:
 class PBWEngine:
     table: BracketTable
     order: PBWOrder
-    # g * m keyed (g, m), _power_past's x^j * m keyed (x, j, m) and
-    # insert's passed * w keyed (passed, w): at most CACHE_SIZE products
+    # g * m keyed (g, m) and _power_past's x^j * m keyed (x, j, m): at
+    # most CACHE_SIZE products
     _left_cache: Dict[tuple, UEAElement] = field(default_factory=dict)
 
     def gen(self, spec: GenSpec, exp: int = 1) -> UEAElement:
@@ -198,30 +200,19 @@ class PBWEngine:
         """g * m in normal form for a basis generator g and a normal-form
         monomial m.  A g ranked below m's leading generator is prepended,
         and an even g equal to it raises its exponent; neither is cached:
-        one tuple concatenation rebuilds it.
-
-        Otherwise g walks right through m from an empty head (insert), and
-        each generator w of a chain it leaves goes between the head and the
-        rest by insert too."""
+        one tuple concatenation rebuilds it.  Every other product is
+        insert((), g, m), cached keyed (g, m)."""
         rank = self.order.rank
         if not m or rank[g] < rank[m[0][0]]:
             return {((g, 1),) + m: 1}
-        basis = self.table.basis
-        if g == m[0][0] and not basis[g].odd:
+        if g == m[0][0] and not self.table.odd[g]:
             return {((g, m[0][1] + 1),) + m[1:]: 1}
         key = (g, m)
         hit = self._left_cache.get(key)
         if hit is not None:
             return hit
-        out: Dict[Monomial, Coefficient] = {}
-        if g == m[0][0]:
-            # odd square: g*g = [g, g] / 2
-            if m[0][1] != 1:
-                raise WrongOrder("odd generators are exponent one in normal form")
-            for z, c in self.table.bracket(g, g).items():
-                self.insert((), z, m[1:], Fraction(c, 2), out)
-        else:
-            self.insert((), g, m, 1, out)
+        out: UEAElement = {}
+        self.insert((), g, m, 1, out)
         out = {t: _exact(c) for t, c in out.items() if c}
         self._store(key, out)
         return out
@@ -280,119 +271,73 @@ class PBWEngine:
 
     def insert(self, head: Monomial, w: int, rest: Monomial, coef, out) -> None:
         """Add coef * head * w * rest to out, for a basis generator w and
-        normal-form monomials head and rest, without dropping zeros or
-        normalising the coefficients, as prepend adds.
+        monomials head and rest whose product head * rest is one normal-form
+        monomial (WrongOrder otherwise), without dropping zeros or
+        normalising the coefficients.
 
-        When w ranks below rest, w goes straight to its slot in head, past
-        the generators head[j:] ranked above it: in one tuple when it
-        passes none, or only ones whose bracket with it is zero (an odd w
-        flips the sign once per odd one it passes, and an even w that meets
-        its own power in head raises it); otherwise through the cached
-        product head[j:] * w, each of whose monomials goes between head[:j]
-        and rest when their ranks fit.  When w ranks at or above rest's
-        first generator and head * rest is one monomial, w walks into rest
-        from head, as gen_times_mono walks it from the start, or raises an
-        even power of itself there.  Every other term (an odd w meeting
-        itself, a product that does not fit, or head * rest no monomial)
-        prepends head to gen_times_mono(w, rest)."""
+        A w ranked at or above rest's first generator walks into rest from
+        head.  Then w moves left through what lies before it, from the
+        right: past an even y^b by y^b w = sum_k C(b, k) (ad y)^k(w)
+        y^(b-k), the table's ad_chain(w, y, b) with sign (-1)^k as in
+        _power_past, and past an odd y by y w = s w y - s [w, y], with
+        s = -1 when w is odd too.  Each generator z of a bracket term is
+        inserted in turn, between the part left of y and y^(b-k) times the
+        part w has passed and rest.  w takes the first slot it reaches
+        above a generator ranked below it; where it meets itself, an even w
+        raises the power and an odd one rewrites w w = [w, w] / 2."""
+        table = self.table
         rank = self.order.rank
+        odd = table.odd
         w_rank = rank[w]
-        hi = rank[rest[0][0]] if rest else len(rank)
-        if w_rank < hi:
-            if not head or rank[head[-1][0]] < w_rank:
-                key = head + ((w, 1),) + rest
-                out[key] = out.get(key, 0) + coef
-                return
-            table = self.table
-            j = len(head)
-            while j and rank[head[j - 1][0]] > w_rank:
-                j -= 1
-            passed = head[j:]
-            meets = j and head[j - 1][0] == w
-            if rank[head[-1][0]] < hi and not (meets and table.odd[w]):
-                entries = table.entries
-                for x, _ in passed:
-                    if entries[(x, w)]:
-                        break
-                else:
-                    # w supercommutes with every generator it passes
-                    if meets:
-                        key = head[: j - 1] + ((w, head[j - 1][1] + 1),) + passed + rest
-                    else:
-                        odd = table.odd
-                        if odd[w]:
-                            for x, _ in passed:
-                                if odd[x]:
-                                    coef = -coef
-                        key = head[:j] + ((w, 1),) + passed + rest
+        if rest:
+            hi = rank[rest[0][0]]
+            if head and rank[head[-1][0]] >= hi:
+                raise WrongOrder(
+                    f"{self.render_monomial(head)} times {self.render_monomial(rest)}"
+                    " is not a normal-form monomial"
+                )
+            if w_rank >= hi:
+                i, coef = self.walk(w, rest, head, coef, out, self._insert_term)
+                if i < len(rest) and rest[i][0] == w:
+                    i += 1  # w meets itself: the left pass below raises or squares it
+                head, rest = head + rest[:i], rest[i:]
+        j = len(head)
+        entries = table.entries
+        while j:
+            y, b = head[j - 1]
+            if rank[y] < w_rank:
+                break
+            if odd[y] and b != 1:
+                raise WrongOrder("odd generators are exponent one in normal form")
+            j -= 1
+            if y == w:
+                if not odd[w]:
+                    key = head[:j] + ((w, b + 1),) + head[j + 1 :] + rest
                     out[key] = out.get(key, 0) + coef
                     return
-            if not meets:
-                product = self._passed_times(passed, w)
-                lo = rank[head[j - 1][0]] if j else -1
-                for t in product:
-                    if not (t and lo < rank[t[0][0]] and rank[t[-1][0]] < hi):
+                base, after = head[:j], head[j + 1 :] + rest
+                for z, c in entries[(w, w)].items():
+                    self.insert(base, z, after, coef * _exact(Fraction(c, 2)), out)
+                return
+            flip = odd[w] and odd[y]
+            bracket = entries[(w, y)]
+            if bracket:
+                base, after = head[:j], head[j + 1 :] + rest
+                sign = 1 if flip else -1  # -s (-1)^k at k = 1
+                # a b = 1 chain is the bracket itself, and builds no ad_row for w
+                chain = table.ad_chain(w, y, b)[:b] if b > 1 else (bracket,)
+                for k, yk in enumerate(chain, 1):
+                    if not yk:
                         break
-                else:
-                    base = head[:j]
-                    for t, c in product.items():
-                        key = base + t + rest
-                        out[key] = out.get(key, 0) + coef * c
-                    return
-        elif not head or rank[head[-1][0]] < hi:
-            if rest[0][0] != w:
-                i, sign = self.walk(w, rest, head, coef, out, self._insert_term)
-                self.insert(head + rest[:i], w, rest[i:], sign, out)
-                return
-            if not self.table.odd[w]:
-                key = head + ((w, rest[0][1] + 1),) + rest[1:]
-                out[key] = out.get(key, 0) + coef
-                return
-        self.prepend(head, self.gen_times_mono(w, rest), coef, out)
-
-    def _passed_times(self, passed: Monomial, w: int) -> UEAElement:
-        """passed * w in normal form, for a normal-form monomial passed whose
-        generators all rank above the basis generator w; cached keyed
-        (passed, w)."""
-        key = (passed, w)
-        hit = self._left_cache.get(key)
-        if hit is not None:
-            return hit
-        res: UEAElement = {}
-        self.prepend(passed, {((w, 1),): 1}, 1, res)
-        res = {t: _exact(c) for t, c in res.items() if c}
-        self._store(key, res)
-        return res
-
-    def prepend(self, head: Monomial, terms: UEAElement, coef, out) -> None:
-        """Add coef * head * terms to out, for a normal-form monomial head
-        and terms in normal form, without dropping zeros or normalising the
-        coefficients.  A term led by a generator ranked above the last one
-        of what is left of head takes that part in one concatenation; the
-        others take its last generator power, from the right, and are split
-        again."""
-        rank = self.order.rank
-        n = len(head)
-        while True:
-            bound = rank[head[n - 1][0]] if n else -1
-            slow: UEAElement = {}
-            for t, c in terms.items():
-                if not t or rank[t[0][0]] > bound:
-                    key = head[:n] + t
-                    out[key] = out.get(key, 0) + coef * c
-                else:
-                    slow[t] = c
-            if not slow:
-                return
-            n -= 1
-            g, e = head[n]
-            if e == 1 and len(slow) == 1:
-                # the common case, one cached product and no dict to merge
-                ((t, c),) = slow.items()
-                terms = self.gen_times_mono(g, t)
-                coef = coef * c
-            else:
-                terms = self.power_times(g, e, slow)
+                    ck = sign * comb(b, k)
+                    tail = ((y, b - k),) + after if b > k else after
+                    for z, c in yk.items():
+                        self.insert(base, z, tail, coef * (ck * c), out)
+                    sign = -sign
+            if flip:
+                coef = -coef
+        key = head[:j] + ((w, 1),) + head[j:] + rest
+        out[key] = out.get(key, 0) + coef
 
     def power_times(self, x: int, j: int, el: UEAElement) -> UEAElement:
         """x^j * el in normal form for a basis generator x and el in normal form.

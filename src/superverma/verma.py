@@ -14,8 +14,8 @@ a time, from the right, inside the module:
   PBWEngine.walk, the walk gen_times_mono takes in U(g), with the module's
   own step: each generator of a chain it leaves, with the head P it has
   passed and the rest R, acts on R by its kind.  A Cartan one is a scalar,
-  a lowering one goes between P and R by the engine's insert (straight to
-  its slot in P when it ranks below R, walking into R from P otherwise),
+  a lowering one goes between P and R by the engine's insert (moving left
+  through P when it ranks below R, walking into R from P otherwise),
   and a raising one walks on over R with base P.  Every term lands in one
   output dict.
 

@@ -414,50 +414,37 @@ def short_monomial(engine, rng, pool, length):
 
 def insert_way(engine, head, w, rest):
     """How insert places w between head and rest, told from the monomials:
-    "top" when w ranks between them; "commuting" or "odd signs" when every
-    generator of head ranked above w has a zero bracket with it (and an
-    odd w passes an odd one); "product" or "unfit" when head[j:] * w
-    straightened fits between head[:j] and rest or does not; "walks" when
-    w ranks at or above rest[0] and walks into rest from head; "raises"
-    when an even w meets its own power in head or at rest[0]; "falls back"
-    for an odd w meeting itself, or head * rest no monomial."""
+    "raises" or "odd square" when an even or odd w meets itself in head or
+    rest; "walks" when w ranks above rest[0]; otherwise by the generators
+    of head ranked above w that it passes: "top" for none, "bracket" or
+    "bracket power" when one of them, y^b, has a nonzero bracket with w
+    (b > 1 for the power), and "commuting" or "odd signs" when none has (an
+    odd w passing an odd one for the signs)."""
     rank, basis = engine.order.rank, engine.table.basis
-
-    def normal(m):
-        return all(rank[a[0]] < rank[b[0]] for a, b in zip(m, m[1:]))
-
     odd = basis[w].odd
-    if rest and rank[w] >= rank[rest[0][0]]:
-        if not normal(head + rest):
-            return "falls back"
-        if rest[0][0] != w:
-            return "walks"
-        return "falls back" if odd else "raises"
-    meets = any(g == w for g, _ in head)
-    passed = tuple((g, e) for g, e in head if rank[g] > rank[w])
-    if not passed and not meets:
+    if any(g == w for g, _ in head + rest):
+        return "odd square" if odd else "raises"
+    if rest and rank[w] > rank[rest[0][0]]:
+        return "walks"
+    passed = [(g, e) for g, e in head if rank[g] > rank[w]]
+    if not passed:
         return "top"
-    if meets and odd:
-        return "falls back"
-    if normal(head + rest) and not any(engine.table.bracket(x, w) for x, _ in passed):
-        if meets:
-            return "raises"
-        return "odd signs" if odd and any(basis[x].odd for x, _ in passed) else "commuting"
-    if meets:
-        return "falls back"
-    base = head[: len(head) - len(passed)]
-    product = engine.multiply({passed: 1}, {((w, 1),): 1})
-    return "product" if all(normal(base + t + rest) for t in product) else "unfit"
+    brackets = [e for g, e in passed if engine.table.bracket(g, w)]
+    if brackets:
+        return "bracket power" if max(brackets) > 1 else "bracket"
+    return "odd signs" if odd and any(basis[g].odd for g, _ in passed) else "commuting"
+
+
+INSERT_WAYS = {"top", "commuting", "odd signs", "bracket", "bracket power", "walks", "raises", "odd square"}
 
 
 @pytest.mark.parametrize("text", SMALLEST_CASES)
 def test_insert_matches_prepending_the_product(text):
-    """insert(head, w, rest) adds what prepending head to w * rest adds, and
-    what the right-multiplication reference gives for head * w * rest, on
-    random normal-form triples over the whole basis and over U(n^-), in the
-    default and the tailed orders, with every way insert can place w drawn:
-    among them the cached product that fits and the one that does not, an
-    odd w passing odd generators, and an even w raising its own power."""
+    """insert(head, w, rest) adds head times the product w * rest, as the
+    right-multiplication reference gives it, where head and rest split one
+    random normal-form monomial over the whole basis or over U(n^-), in
+    the default and the tailed orders, with every way insert can place w
+    drawn."""
     ctx = ctx_for(text)
     rng = random.Random(f"insert:{text}")
     ways = collections.Counter()
@@ -465,19 +452,34 @@ def test_insert_matches_prepending_the_product(text):
         lowering = engine.order.sequence[: engine.order.n_neg]
         for _ in range(500):
             pool = lowering if rng.random() < 0.5 else range(ctx.table.dim)
-            head = short_monomial(engine, rng, pool, rng.randint(0, 4))
-            rest = short_monomial(engine, rng, pool, rng.randint(0, 3))
+            mono = short_monomial(engine, rng, pool, rng.randint(0, 6))
+            cut = rng.randint(0, len(mono))
+            head, rest = mono[:cut], mono[cut:]
             w = rng.choice(pool)
             coef = Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 3)))
             seed = {rest: 1, head: Fraction(1, 2)}
-            got, want, ref = dict(seed), dict(seed), dict(seed)
+            got, ref = dict(seed), dict(seed)
             engine.insert(head, w, rest, coef, got)
-            engine.prepend(head, engine.gen_times_mono(w, rest), coef, want)
             _merge(ref, right_product(engine, {head: 1}, {((w, 1),) + rest: 1}), coef)
-            got = {m: c for m, c in got.items() if c}
-            assert got == {m: c for m, c in want.items() if c} == ref, (head, w, rest)
+            assert {m: c for m, c in got.items() if c} == ref, (head, w, rest)
             ways[insert_way(engine, head, w, rest)] += 1
-    assert set(ways) == {"top", "commuting", "odd signs", "product", "unfit", "walks", "raises", "falls back"}, ways
+    assert set(ways) == INSERT_WAYS, ways
+
+
+def test_insert_refuses_what_is_no_normal_form():
+    """insert needs head * rest to be one normal-form monomial, and an odd
+    generator it passes or meets to carry exponent one, as walk does."""
+    ctx = ctx_for("B-I:m=1,n=1")
+    engine = ctx.default_engine
+    seq, basis = engine.order.sequence, ctx.table.basis
+    low, high = seq[0], seq[-1]
+    for head, rest in ((((high, 1),), ((low, 1),)), (((low, 1),), ((low, 1),))):
+        with pytest.raises(WrongOrder, match="is not a normal-form monomial"):
+            engine.insert(head, seq[1], rest, 1, {})
+    odd = next(g for g in seq[1:] if basis[g].odd)
+    for w in (low, odd):
+        with pytest.raises(WrongOrder, match="exponent one"):
+            engine.insert(((odd, 2),), w, (), 1, {})
 
 
 def is_fraction_weight(w) -> bool:
@@ -572,11 +574,9 @@ def assert_cache_within(ctx, bound):
 
 
 def key_kind(key):
-    """The product a cache key names: gen_times_mono's (g, m), insert's
-    (passed, w) or _power_past's (x, j, m)."""
-    if len(key) == 3:
-        return "power"
-    return "passed" if isinstance(key[0], tuple) else "gen"
+    """The product a cache key names: gen_times_mono's (g, m) or
+    _power_past's (x, j, m)."""
+    return "power" if len(key) == 3 else "gen"
 
 
 def count_stores(monkeypatch):
@@ -650,18 +650,19 @@ def test_tiny_cache_changes_no_result(monkeypatch):
     got, engines = cache_workout(monkeypatch)
     assert got == expected
     assert all(stores[eng] > 8 >= len(eng._left_cache) for eng in engines)
-    assert all(stores[kind] > 8 for kind in ("gen", "passed", "power"))
+    assert {k for k in stores if isinstance(k, str)} == {"gen", "power"}
+    assert all(stores[kind] > 8 for kind in ("gen", "power"))
 
 
 def test_cache_bound_holds_on_a_real_run(monkeypatch, capsys):
-    """verify D-II m=3 n=3 N=4 stores more products than the cache holds,
-    so its default engine clears it, and every engine ends within
-    CACHE_SIZE."""
+    """orbit D-II m=3 n=3 C=2 target 1,2 stores more products in one engine
+    than the cache holds, so that engine clears it, and every engine ends
+    within CACHE_SIZE."""
     monkeypatch.setattr(singular, "_CONTEXTS", {})
     stores = count_stores(monkeypatch)
-    assert cli.main(["verify", "--case", "D-II", "--m", "3", "--n", "3", "--N", "4",
-                     "--seed", "1", "--json"]) == 0
+    assert cli.main(["orbit", "--case", "D-II", "--m", "3", "--n", "3", "--C", "2",
+                     "--target", "1,2", "--json"]) == 0
     assert '"ok": true' in capsys.readouterr().out
     ctx = build_context(CaseId.parse("D-II:m=3,n=3"))
-    assert stores[ctx.default_engine] > pbw.CACHE_SIZE == 8192
+    assert max(stores[eng] for eng in ctx._engines.values()) > pbw.CACHE_SIZE == 8192
     assert_cache_within(ctx, pbw.CACHE_SIZE)
