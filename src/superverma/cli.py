@@ -151,7 +151,10 @@ def _level_grid(args) -> List[int]:
     if args.M is not None:
         if args.N is not None:
             raise InvalidParams("give either --N or --M, not both")
-        return [2 * M + 1 for M in parse_grid(args.M, "--M")]
+        levels = parse_grid(args.M, "--M")
+        if levels[0] < 0:  # sorted
+            raise InvalidParams(f"--M must be a nonnegative integer, got {levels[0]}")
+        return [2 * M + 1 for M in levels]
     return parse_grid(args.N if args.N is not None else "1", "--N")
 
 

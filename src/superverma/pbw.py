@@ -12,10 +12,8 @@ witness bases and orbit propagation both need a chosen generator in the
 rightmost slot, and right division is only defined against that slot.
 
 One rule straightens every product, and the Verma module action too: left
-multiplication by a generator power x^j (power_times), in one lambda-free
-cache per engine of at most CACHE_SIZE products.  A store into a full cache
-clears it first: reuse is local, so a product read again is mostly read
-soon, and what a clear drops is built again on demand.
+multiplication by a generator power x^j (power_times).  An engine holds
+only its bracket table and its order, and caches nothing.
 
 The one place where a power passes a whole element at once is lift, the
 orbit step's f^L theta = sum_k C(L, k) (ad f)^k(theta) f^(L-k).  It is an
@@ -27,18 +25,18 @@ nilpotent, so the sum ends after a few terms however large L is.
 
 One walk (walk) moves a generator right through a monomial and hands each
 generator w of the (ad_R x)^k chains it leaves, with the head it has passed
-and the rest, to its caller's step: gen_times_mono's, and verma's module
-action.  Both put a lowering w, and gen_times_mono any w, between head and
-rest by insert, one rule for every term, which needs head * rest to be one
-normal-form monomial.  A w ranked at or above rest's first generator walks
+and the rest, to its caller's step: insert's own, and verma's module
+action.  Both put w between head and rest by insert (the module only a
+lowering w), one rule for every term, which needs head * rest to be one
+normal-form monomial; power_times puts each x into a monomial m as
+insert((), x, m).  A w ranked at or above rest's first generator walks
 into rest from the head; any other w moves left through the head, past an
 even y^b by the chain of (ad y)^k(w) and past an odd y with a sign and one
 bracket, and each generator of a bracket goes between the two parts of the
 head by insert in turn.  Where w meets itself, an even w raises its power
-and an odd one rewrites through [w, w] / 2.  Every chain, _power_past's
-too, comes from the bracket table's ad_chain, which every engine of a case
-shares; an engine caches only products.  No step recurses once per unit of
-an exponent.
+and an odd one rewrites through [w, w] / 2.  Every chain comes from the
+bracket table's ad_chain, which every engine of a case shares.  No step
+recurses once per unit of an exponent.
 
 Weights are summed in ints on the bracket table's integer lattice (each
 basis weight times one common denominator) and returned as Fraction tuples.
@@ -46,7 +44,7 @@ basis weight times one common denominator) and returned as Fraction tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Callable, Dict, Sequence, Tuple, Union
@@ -57,9 +55,6 @@ from .superalgebra import BracketTable, Coefficient, _exact, _merge, _scaled, _s
 Monomial = Tuple[Tuple[int, int], ...]
 UEAElement = Dict[Monomial, Coefficient]
 GenSpec = Union[int, str, tuple]
-
-# products an engine's straightening cache holds at most
-CACHE_SIZE = 8192
 
 
 class NotDivisible(ArithmeticError):
@@ -149,9 +144,6 @@ def make_order(table: BracketTable, tail: Sequence[GenSpec] = ()) -> PBWOrder:
 class PBWEngine:
     table: BracketTable
     order: PBWOrder
-    # g * m keyed (g, m) and _power_past's x^j * m keyed (x, j, m): at
-    # most CACHE_SIZE products
-    _left_cache: Dict[tuple, UEAElement] = field(default_factory=dict)
 
     def gen(self, spec: GenSpec, exp: int = 1) -> UEAElement:
         bid = spec if isinstance(spec, int) else self.table.f_gen(spec)
@@ -195,34 +187,6 @@ class PBWEngine:
                     f"{self.render_monomial(m)} is not a normal-form monomial of U(n^-)"
                 )
             last = pos
-
-    def gen_times_mono(self, g: int, m: Monomial) -> UEAElement:
-        """g * m in normal form for a basis generator g and a normal-form
-        monomial m.  A g ranked below m's leading generator is prepended,
-        and an even g equal to it raises its exponent; neither is cached:
-        one tuple concatenation rebuilds it.  Every other product is
-        insert((), g, m), cached keyed (g, m)."""
-        rank = self.order.rank
-        if not m or rank[g] < rank[m[0][0]]:
-            return {((g, 1),) + m: 1}
-        if g == m[0][0] and not self.table.odd[g]:
-            return {((g, m[0][1] + 1),) + m[1:]: 1}
-        key = (g, m)
-        hit = self._left_cache.get(key)
-        if hit is not None:
-            return hit
-        out: UEAElement = {}
-        self.insert((), g, m, 1, out)
-        out = {t: _exact(c) for t, c in out.items() if c}
-        self._store(key, out)
-        return out
-
-    def _store(self, key: tuple, product: UEAElement) -> None:
-        """Cache a product, clearing a full cache first."""
-        cache = self._left_cache
-        if len(cache) >= CACHE_SIZE:
-            cache.clear()
-        cache[key] = product
 
     def _insert_term(self, g: int, w: int, head: Monomial, rest: Monomial, coef, out) -> None:
         """walk's step in U(g): add coef * head * w * rest to out."""
@@ -278,13 +242,13 @@ class PBWEngine:
         A w ranked at or above rest's first generator walks into rest from
         head.  Then w moves left through what lies before it, from the
         right: past an even y^b by y^b w = sum_k C(b, k) (ad y)^k(w)
-        y^(b-k), the table's ad_chain(w, y, b) with sign (-1)^k as in
-        _power_past, and past an odd y by y w = s w y - s [w, y], with
-        s = -1 when w is odd too.  Each generator z of a bracket term is
-        inserted in turn, between the part left of y and y^(b-k) times the
-        part w has passed and rest.  w takes the first slot it reaches
-        above a generator ranked below it; where it meets itself, an even w
-        raises the power and an odd one rewrites w w = [w, w] / 2."""
+        y^(b-k), the table's ad_chain(w, y, b) with sign (-1)^k, and past
+        an odd y by y w = s w y - s [w, y], with s = -1 when w is odd too.
+        Each generator z of a bracket term is inserted in turn, between the
+        part left of y and y^(b-k) times the part w has passed and rest.  w
+        takes the first slot it reaches above a generator ranked below it;
+        where it meets itself, an even w raises the power and an odd one
+        rewrites w w = [w, w] / 2."""
         table = self.table
         rank = self.order.rank
         odd = table.odd
@@ -342,9 +306,12 @@ class PBWEngine:
     def power_times(self, x: int, j: int, el: UEAElement) -> UEAElement:
         """x^j * el in normal form for a basis generator x and el in normal form.
 
-        For an even x (or j = 1), a monomial led by a generator ranked above
-        x takes x^j in one step; so does, for an even x, one led by x itself
-        or by a generator of exponent one.  The others take one x at a time.
+        Two kinds of monomial take x^j whole: one led by a generator ranked
+        above x, which x^j is prepended to when x is even or j = 1, and one
+        led by an even x itself, whose power rises by j.  Every other
+        monomial takes one x per pass: insert((), x, mono) adds x * mono
+        straight into the pass's one dict, which is normalised once, zeros
+        dropped, and is the next pass's el.
         """
         x_rank = self.order.rank[x]
         even = not self.table.basis[x].odd
@@ -358,15 +325,13 @@ class PBWEngine:
                     fast[((x, j),) + mono] = c
                 elif even and mono[0][0] == x:
                     fast[((x, j + mono[0][1]),) + mono[1:]] = c
-                elif even and j > 1 and mono[0][1] == 1:
-                    _merge(out, self._power_past(x, j, mono), c)
                 else:
-                    _merge(slow, self.gen_times_mono(x, mono), c)
+                    self.insert((), x, mono, c, slow)
             if out:
                 _merge(out, fast)
             else:
                 out = fast
-            el = slow
+            el = {m: _exact(c) for m, c in slow.items() if c}
             j -= 1
         _merge(out, el)
         return out
@@ -417,28 +382,6 @@ class PBWEngine:
             if not term:
                 break
         return {m: _exact(c) for m, c in out.items() if c}
-
-    def _power_past(self, x: int, j: int, m: Monomial) -> UEAElement:
-        """x^j * m for an even x ranked above the leading y^1 of m, by
-        x^j y = sum_k C(j, k) ((ad x)^k(y)) x^(j-k), k = 0..j: all j copies
-        of x pass y at once, where gen_times_mono would walk them past it
-        one at a time.  As x is even, (ad x)(z) = [x, z] = -[z, x], so the
-        chain is the table's ad_chain(y, x, j) with sign (-1)^k."""
-        key = (x, j, m)
-        hit = self._left_cache.get(key)
-        if hit is not None:
-            return hit
-        y = m[0][0]
-        rest = {m[1:]: 1}
-        res: UEAElement = {}
-        for k, yk in enumerate([{y: 1}] + self.table.ad_chain(y, x, j)[:j]):
-            if not yk:
-                break
-            inner = self.power_times(x, j - k, rest)
-            for z, c in yk.items():
-                _merge(res, self.power_times(z, 1, inner), (-1) ** k * comb(j, k) * c)
-        self._store(key, res)
-        return res
 
     def right_divide(self, x: UEAElement, g: GenSpec, p: int) -> UEAElement:
         """Divide by g^p on the right; every monomial must carry g^p.  Each

@@ -11,7 +11,7 @@ a time, from the right, inside the module:
   power_times, which serves all of U(g) and here stays inside U(n^-);
 - a Cartan h_j scales each monomial m by its own <lambda - rho + wt(m), h_j>;
 - a raising g kills v+ and walks through each monomial m of the body by
-  PBWEngine.walk, the walk gen_times_mono takes in U(g), with the module's
+  PBWEngine.walk, the walk insert takes in U(g), with the module's
   own step: each generator of a chain it leaves, with the head P it has
   passed and the rest R, acts on R by its kind.  A Cartan one is a scalar,
   a lowering one goes between P and R by the engine's insert (moving left

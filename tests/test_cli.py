@@ -168,6 +168,9 @@ def test_usage_errors(capsys):
     code, out, err = run(capsys, "orbit", "--case", "B-I", "--m", "1..2", "--n", "1")
     assert (code, out) == (2, "")
     assert "orbit takes a single case, but --m 1..2 --n 1 give 2" in err
+    code, out, err = run(capsys, "verify", "--case", "B-I", "--m", "1", "--n", "1", "--M", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --M must be a nonnegative integer, got -1\n"
     code, _, err = run(capsys, "verify", "--case", "B-II", "--m", "1", "--n", "1",
                        "--lambda", "1/0,1")
     assert code == 2

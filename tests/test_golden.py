@@ -46,7 +46,9 @@ from test_acceptance import CHAINS  # noqa: E402
 def _stdout(entry, argv) -> str:
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        assert entry(argv) == 0, argv
+        code = entry(argv)
+    if code != 0:
+        raise RuntimeError(f"{argv} exited with {code}")
     return buffer.getvalue()
 
 

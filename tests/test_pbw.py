@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superverma import cli, pbw, singular
 from superverma.pbw import (
     Inhomogeneous,
     NotDivisible,
@@ -25,18 +24,8 @@ from superverma.pbw import (
 )
 from superverma.cli import SMALLEST_CASES
 from superverma.rootdata import CaseId, wsum, wzero
-from superverma.singular import (
-    CaseParams,
-    ShapovalovElement,
-    build_context,
-    candidate_u,
-    chain_kappas,
-    default_lambda,
-    orbit_propagate,
-    propagate_chain,
-)
+from superverma.singular import build_context
 from superverma.superalgebra import _merge
-from superverma.verma import VermaVector, act, is_singular
 
 CASES = ["B-I:m=1,n=1", "B-II:m=1,n=1", "D-I:m=1,n=2", "D-II:m=1,n=2", "F31", "G3"]
 
@@ -193,6 +182,17 @@ def test_left_rule_matches_right_multiplication(text):
         for g in range(table.dim):
             a = {((g, 1),): 1}
             assert engine.multiply(a, {long: 1}) == right_product(engine, a, {long: 1})
+        # a high even power past one generator ranked below it that it does
+        # not commute with, above the random words' exponents
+        rank = engine.order.rank
+        for x in range(table.dim):
+            if basis[x].odd:
+                continue
+            for y in range(table.dim):
+                if rank[y] < rank[x] and table.bracket(x, y):
+                    for j in (4, 7):
+                        a, b = engine.gen(x, j), engine.gen(y)
+                        assert engine.multiply(a, b) == right_product(engine, a, b), (x, y, j)
 
 
 def test_products_stay_weight_homogeneous():
@@ -542,13 +542,22 @@ def test_el_sub_and_power_times_keep_canonical_form():
         got = engine.power_times(g, j, el)
         assert got == right_product(engine, engine.gen(g, j), el)
         assert all(map(is_canonical, got.values())), got
+    # every generator power times half of every generator of G3, where a
+    # half can meet a bracket constant that clears its denominator
+    g3 = ctx_for("G3").default_engine
+    for x in range(g3.table.dim):
+        for y in range(g3.table.dim):
+            for j in range(1, 6):
+                got = g3.power_times(x, j, {((y, 1),): Fraction(1, 2)})
+                assert all(map(is_canonical, got.values())), (x, y, j)
 
 
 @pytest.mark.parametrize("name", ["e2-e1", "D+e1"])
 def test_deep_power_passes_a_commuting_generator(name):
     """f_{2D}^2000 x in one call: [f_{2D}, x] = 0 and x ranks below f_{2D},
-    so the product is x f_{2D}^2000, reached without a step per unit of
-    the exponent."""
+    so the product is x f_{2D}^2000.  power_times takes one pass per copy
+    of f_{2D}, each one insert, and nothing recurses once per unit of the
+    exponent."""
     ctx = ctx_for("G3")
     engine = ctx.default_engine
     big, x = ctx.table.f_gen("2D"), ctx.table.f_gen(name)
@@ -556,113 +565,3 @@ def test_deep_power_passes_a_commuting_generator(name):
     assert engine.order.rank[x] < engine.order.rank[big]
     got = engine.multiply(engine.gen(big, 2000), engine.gen(x))
     assert got == {((x, 1), (big, 2000)): 1}
-
-
-def random_word_element(rng, dim):
-    """A few random words over the first dim basis generators, with
-    exponents up to 2, read as products (not in normal form)."""
-    return {
-        tuple((rng.randrange(dim), rng.randint(1, 2)) for _ in range(rng.randint(1, 4))):
-            Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3))
-        for _ in range(3)
-    }
-
-
-def assert_cache_within(ctx, bound):
-    for eng in ctx._engines.values():
-        assert len(eng._left_cache) <= bound
-
-
-def key_kind(key):
-    """The product a cache key names: gen_times_mono's (g, m) or
-    _power_past's (x, j, m)."""
-    return "power" if len(key) == 3 else "gen"
-
-
-def count_stores(monkeypatch):
-    """Count the products each engine stores, keyed by engine, and by the
-    kind of its key."""
-    stores = collections.Counter()
-    store = pbw.PBWEngine._store
-
-    def counted(self, key, product):
-        stores[self] += 1
-        stores[key_kind(key)] += 1
-        store(self, key, product)
-
-    monkeypatch.setattr(pbw.PBWEngine, "_store", counted)
-    return stores
-
-
-def cache_workout(monkeypatch):
-    """Products over all of U(g), imports, right divisions, module actions
-    and singularity checks on random bodies, and one orbit chain, on fresh
-    contexts.  Returns the results, after checking every engine's cache
-    against CACHE_SIZE after every call, and the engines that did the
-    random work."""
-    monkeypatch.setattr(singular, "_CONTEXTS", {})
-    bound = pbw.CACHE_SIZE
-    results, engines = [], []
-
-    def record(ctx, value):
-        assert_cache_within(ctx, bound)
-        results.append(value)
-
-    for text in ("B-I:m=2,n=1", "D-II:m=1,n=2", "G3"):
-        ctx = ctx_for(text)
-        table, eng = ctx.table, ctx.default_engine
-        bid = table.f_gen(first_even_root(ctx.alg))
-        tailed = ctx.engine(tail=(bid,))
-        engines += [eng, tailed]
-        rng = random.Random(f"generations:{text}")
-        for engine in (eng, tailed):
-            for _ in range(4):
-                a, b = (random_word_element(rng, table.dim) for _ in range(2))
-                record(ctx, engine.multiply(a, b))
-        for p in (1, 2):
-            x = random_lowering(eng, rng, 4)
-            record(ctx, tailed.import_element(x))
-            theta = random_lowering(tailed, rng, 3)
-            record(ctx, tailed.right_divide(tailed.multiply(theta, tailed.gen(bid, p)), bid, p))
-        lam = default_lambda(ctx.alg.case, 1, 0, ctx.alg)
-        for _ in range(3):
-            v = VermaVector(random_lowering(eng, rng, 3), lam)
-            record(ctx, act(eng.multiply(el_one(), random_word_element(rng, table.dim)), v, eng).body)
-            record(ctx, is_singular(v, eng))
-    case = CaseId.parse("B-I:m=2,n=1")
-    ctx = build_context(case)
-    report = propagate_chain(case, 1, 1, seed=0, ctx=ctx)
-    record(ctx, report)
-    (kappa,) = chain_kappas(1, ctx.alg)
-    u = candidate_u(CaseParams(case, 1, report.mu0), ctx)
-    shap, step = orbit_propagate(ShapovalovElement(ctx.alg.gamma, 1, report.mu0, u.body), kappa, ctx)
-    record(ctx, (shap.theta, step))
-    return results, engines
-
-
-def test_tiny_cache_changes_no_result(monkeypatch):
-    """With a cache of 8 products, engines clear it all the time and give
-    the results of engines of the default size; no cache ever holds more
-    than 8 products, and every kind of key is stored."""
-    expected, _ = cache_workout(monkeypatch)
-    monkeypatch.setattr(pbw, "CACHE_SIZE", 8)
-    stores = count_stores(monkeypatch)
-    got, engines = cache_workout(monkeypatch)
-    assert got == expected
-    assert all(stores[eng] > 8 >= len(eng._left_cache) for eng in engines)
-    assert {k for k in stores if isinstance(k, str)} == {"gen", "power"}
-    assert all(stores[kind] > 8 for kind in ("gen", "power"))
-
-
-def test_cache_bound_holds_on_a_real_run(monkeypatch, capsys):
-    """orbit D-II m=3 n=3 C=2 target 1,2 stores more products in one engine
-    than the cache holds, so that engine clears it, and every engine ends
-    within CACHE_SIZE."""
-    monkeypatch.setattr(singular, "_CONTEXTS", {})
-    stores = count_stores(monkeypatch)
-    assert cli.main(["orbit", "--case", "D-II", "--m", "3", "--n", "3", "--C", "2",
-                     "--target", "1,2", "--json"]) == 0
-    assert '"ok": true' in capsys.readouterr().out
-    ctx = build_context(CaseId.parse("D-II:m=3,n=3"))
-    assert max(stores[eng] for eng in ctx._engines.values()) > pbw.CACHE_SIZE == 8192
-    assert_cache_within(ctx, pbw.CACHE_SIZE)

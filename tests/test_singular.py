@@ -213,9 +213,9 @@ def test_context_budget_drops_the_least_recently_used(monkeypatch, capsys):
 
 def test_engines_of_a_case_share_the_table_and_make_each_order_once(monkeypatch):
     """A context makes each engine's order once, however often the engine is
-    looked up, an engine keeps only its products, and two engines of a case
-    read the same ad chain rows, and so the same chain lists, from the
-    bracket table."""
+    looked up, an engine keeps only its table and its order, and two
+    engines of a case read the same ad chain rows, and so the same chain
+    lists, from the bracket table."""
     made = []
     real_order = singular.make_order
     monkeypatch.setattr(singular, "make_order",
@@ -228,7 +228,7 @@ def test_engines_of_a_case_share_the_table_and_make_each_order_once(monkeypatch)
         default, tailed = ctx.default_engine, ctx.engine(tail=(kappa,))
         assert ctx.engine(tail=("d1-d2",)) is tailed
     assert len(made) == len(ctx._engines) == 2
-    assert all(set(vars(e)) == {"table", "order", "_left_cache"} for e in (default, tailed))
+    assert all(set(vars(e)) == {"table", "order"} for e in (default, tailed))
     rows = []
     real_row = ctx.table.ad_row
     monkeypatch.setattr(ctx.table, "ad_row", lambda g: rows.append((g, real_row(g))) or rows[-1][1])

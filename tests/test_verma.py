@@ -59,11 +59,6 @@ def non_canonical(values):
     return [c for c in values if not is_canonical(c)]
 
 
-def engine_coefficients(eng):
-    """Every coefficient held by the engine's straightening cache."""
-    return [c for el in eng._left_cache.values() for c in el.values()]
-
-
 def straightening_act(x, v, engine):
     """Reference action: straighten x * body in all of U(g), then let the
     raising generators kill v+ and the Cartan generators act by
@@ -257,7 +252,7 @@ def test_module_action_matches_straightening(text):
                     assert got == straightening_act(x, v, reference).body, (
                         text, eng.order.sequence[: table.n_pos], table.basis[g].name, e)
                     assert not non_canonical(got.values()), (text, table.basis[g].name, e)
-        assert not non_canonical(engine_coefficients(eng)), text
+        assert not non_canonical(c for body in bodies for c in body.values()), text
 
 
 def test_module_action_needs_a_normal_form_body():
@@ -274,19 +269,21 @@ def test_module_action_needs_a_normal_form_body():
 
 
 def test_orbit_coefficients_are_canonical():
-    """The propagated theta and every engine cache of an orbit chain hold
-    each coefficient as an int, or as a Fraction only when it is not one."""
+    """The candidate body, theta imported into the step's order and lifted,
+    and the propagated theta of an orbit step hold each coefficient as an
+    int, or as a Fraction only when it is not one."""
     case = CaseId.parse("B-I:m=2,n=1")
     ctx = build_context(case)
     report = propagate_chain(case, 1, 1, seed=0, ctx=ctx)
     assert report.ok
     (kappa,) = chain_kappas(1, ctx.alg)
     u = candidate_u(CaseParams(case, 1, report.mu0), ctx)
-    shap, _ = orbit_propagate(ShapovalovElement(ctx.alg.gamma, 1, report.mu0, u.body), kappa, ctx)
-    assert shap.theta and not non_canonical(shap.theta.values())
-    for eng in (ctx.default_engine, ctx.engine(tail=(ctx.table.f_gen(kappa),))):
-        assert eng._left_cache
-        assert not non_canonical(engine_coefficients(eng))
+    shap, step = orbit_propagate(ShapovalovElement(ctx.alg.gamma, 1, report.mu0, u.body), kappa, ctx)
+    f = ctx.table.f_gen(kappa)
+    eng = ctx.engine(tail=(f,))
+    theta = eng.import_element(u.body)
+    for el in (u.body, theta, eng.lift(f, step.exponent, theta), shap.theta):
+        assert el and not non_canonical(el.values())
 
 
 def random_homogeneous_body(eng, rng):
