@@ -51,6 +51,7 @@ from .singular import (
     candidate_u,
     chain_kappas,
     chain_weight,
+    check_case_size,
     claimed_drop,
     default_lambda,
     propagate_chain,
@@ -136,11 +137,7 @@ def _case_grid(args) -> List[CaseId]:
         _check_run_size({"--m": len(ms), "--n": len(ns)})
         cases = [CaseId(family, m, n) for m in ms for n in ns]
         big = max(cases, key=lambda c: c.dim)
-        if big.dim > MAX_CASE_DIM:
-            raise InvalidParams(
-                f"--m {big.m} --n {big.n} give {big.text} of dimension {big.dim},"
-                f" more than the {MAX_CASE_DIM} a case may have"
-            )
+        check_case_size(big, f"--m {big.m} --n {big.n} give")
         return cases
     if args.m is not None or args.n is not None:
         raise InvalidParams(f"{family} takes no --m or --n")
@@ -158,10 +155,15 @@ def _level_grid(args) -> List[int]:
     return parse_grid(args.N if args.N is not None else "1", "--N")
 
 
-def _run_grid(point, jobs, args, text_line, noun: str) -> int:
+class PointFault(Exception):
+    """An internal error out of one grid point: "<point>: <class>: <message>"."""
+
+
+def _run_grid(point, where: str, jobs, args, text_line, noun: str) -> int:
     """Run ``point`` on every job and print one report line per job, in job
-    order and as soon as it completes, then a summary in text mode.  Worker
-    processes are bounded by the number of jobs and of CPUs."""
+    order and as soon as it completes, then a summary in text mode; an
+    internal error out of a job is a PointFault named ``where.format(*job)``.
+    Worker processes are bounded by the number of jobs and of CPUs."""
     if args.jobs < 1:
         raise InvalidParams(f"--jobs must be at least 1, got {args.jobs}")
     workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
@@ -173,7 +175,14 @@ def _run_grid(point, jobs, args, text_line, noun: str) -> int:
         else nullcontext()
     )
     with executor as pool:
-        for rec, elapsed in (pool.map if pool else map)(point, jobs):
+        results = (pool.map if pool else map)(point, jobs)
+        for job in jobs:
+            try:
+                rec, elapsed = next(results)
+            except (InvalidParams, ParityViolation):
+                raise
+            except Exception as exc:
+                raise PointFault(f"{where.format(*job)}: {type(exc).__name__}: {exc}") from exc
             if not rec["ok"]:
                 failures += 1
             line = json.dumps(rec, sort_keys=True) if args.json else text_line(rec, elapsed)
@@ -300,7 +309,7 @@ def cmd_verify(args) -> int:
         for N in levels
         for seed in seeds
     ]
-    return _run_grid(_verify_point, jobs, args, _verify_text_line, "grid points")
+    return _run_grid(_verify_point, "{} N={} seed={}", jobs, args, _verify_text_line, "grid points")
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +404,7 @@ def cmd_orbit(args) -> int:
     seeds = parse_grid(args.seed, "--seed")
     _check_run_size({"--C": len(levels), "--seed": len(seeds)})
     jobs = [(case.text, C, target, seed, args.p) for C in levels for seed in seeds]
-    return _run_grid(_orbit_point, jobs, args, _orbit_text_line, "chains")
+    return _run_grid(_orbit_point, "{} C={} target={} seed={}", jobs, args, _orbit_text_line, "chains")
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +629,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (InvalidParams, ParityViolation) as exc:  # the only usage errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except PointFault as exc:
+        print(f"internal error at {exc}", file=sys.stderr)
+        return 3
     except Exception as exc:  # anything else is a fault of the program
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -18,15 +18,17 @@ only its bracket table and its order, and caches nothing.
 The one place where a power passes a whole element at once is lift, the
 orbit step's f^L theta = sum_k C(L, k) (ad f)^k(theta) f^(L-k).  It is an
 identity of U(g), not an approximation: left and right multiplication by an
-even f commute, so f^L = (ad f + right f)^L expands binomially.  Each ad f
-costs one power_times by f; f^(L-k) is appended on the right without
-straightening, as f is ranked last in U(n^-); and ad f is locally
+even f commute, so f^L = (ad f + right f)^L expands binomially.  Each
+(ad f)(X) = [f, X] is commutator(f, X): walking f through X, without the
+term where f comes to rest at the end.  f^(L-k) is appended on the right
+without straightening, as f is ranked last in U(n^-); and ad f is locally
 nilpotent, so the sum ends after a few terms however large L is.
 
 One walk (walk) moves a generator right through a monomial and hands each
 generator w of the (ad_R x)^k chains it leaves, with the head it has passed
 and the rest, to its caller's step: insert's own, and verma's module
-action.  Both put w between head and rest by insert (the module only a
+action, whose raising image e X v+ = [e, X] v+ is commutator(e, X) with
+that step.  Both put w between head and rest by insert (the module only a
 lowering w), one rule for every term, which needs head * rest to be one
 normal-form monomial; power_times puts each x into a monomial m as
 insert((), x, m).  A w ranked at or above rest's first generator walks
@@ -233,6 +235,16 @@ class PBWEngine:
                             term(g, w, head, rest, ck * cw, out)
         return len(m), c
 
+    def commutator(self, g: int, el: UEAElement, term) -> UEAElement:
+        """[g, el] in normal form, for a generator g ranked above every one
+        of el (at or above them when g is even), unchecked: lift and verma's
+        _integral check it.  walk hands each chain term to term and drops
+        the one where g rests at the end, (-1)^(|g||m|) m g (0 on v+)."""
+        out: UEAElement = {}
+        for m, c in el.items():
+            self.walk(g, m, (), c, out, term)
+        return {k: _exact(c) for k, c in out.items() if c}
+
     def insert(self, head: Monomial, w: int, rest: Monomial, coef, out) -> None:
         """Add coef * head * w * rest to out, for a basis generator w and
         monomials head and rest whose product head * rest is one normal-form
@@ -339,10 +351,11 @@ class PBWEngine:
     def lift(self, f: int, L: int, theta: UEAElement) -> UEAElement:
         """f^L * theta in normal form, for f the even rightmost lowering
         generator and theta in normal form in U(n^-), by
-        f^L X = sum_k C(L, k) (ad f)^k(X) f^(L-k), (ad f)(X) = f X - X f.
-        As f is ranked last in U(n^-), X f^j is one concatenation or one
-        exponent bump per monomial; ad f is locally nilpotent, so the sum
-        stops at the first zero (ad f)^k(theta) or at k = L."""
+        f^L X = sum_k C(L, k) (ad f)^k(X) f^(L-k), with (ad f)(X) = [f, X]
+        from commutator.  As f is ranked last in U(n^-), X f^j is one
+        concatenation or one exponent bump per monomial; ad f is locally
+        nilpotent, so the sum stops at the first zero (ad f)^k(theta) or at
+        k = L."""
         if f != self.order.rightmost_negative or self.table.basis[f].odd:
             raise WrongOrder(
                 f"{self.table.basis[f].name} is not the even rightmost lowering generator"
@@ -369,16 +382,7 @@ class PBWEngine:
                 out[key] = out.get(key, 0) + ck * c
             if k == L:
                 break
-            # power_times returns a fresh dict: take X f from it in place
-            nxt = self.power_times(f, 1, term)
-            for m, c in term.items():
-                key = times_f(m, 1)
-                v = nxt.get(key, 0) - c
-                if v:
-                    nxt[key] = _exact(v)
-                else:
-                    nxt.pop(key, None)
-            term = nxt
+            term = self.commutator(f, term, self._insert_term)
             if not term:
                 break
         return {m: _exact(c) for m, c in out.items() if c}

@@ -28,6 +28,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 Weight = Tuple[Fraction, ...]
@@ -217,28 +218,18 @@ def render_weight_name(coord_names: Sequence[str], w: Weight) -> str:
     """Render a weight as a signed combination of coordinate names.
 
     Positive terms come first (in coordinate order), then negative terms.
-    Half-integral weights are rendered as "(...)/2".
+    A weight with fractional coordinates is rendered over the least common
+    denominator, as "(...)/2" or "(2a+b)/4".
     """
-    den = 1
-    for x in w:
-        if x.denominator not in (1, den):
-            den = x.denominator if den == 1 else den * x.denominator
-    scaled = [x * den for x in w]
-    terms = [(c, name) for c, name in zip(scaled, coord_names) if c != 0]
-    ordered = [t for t in terms if t[0] > 0] + [t for t in terms if t[0] < 0]
-    if not ordered:
-        return "0"
+    den = lcm(*(x.denominator for x in w))
+    terms = [(x * den, name) for x, name in zip(w, coord_names) if x]
     out = ""
-    for coeff, name in ordered:
-        sign = "+" if coeff > 0 else "-"
-        mag = abs(coeff)
-        body = name if mag == 1 else f"{mag}{name}"
-        if out or sign == "-":
-            out += sign
-        out += body
-    if den != 1:
-        out = f"({out})/{den}"
-    return out
+    for c, name in sorted(terms, key=lambda t: t[0] < 0):  # stable: positives first
+        sign = "-" if c < 0 else "+" if out else ""
+        out += sign + (name if abs(c) == 1 else f"{abs(c)}{name}")
+    if not out:
+        return "0"
+    return f"({out})/{den}" if den != 1 else out
 
 
 F31_SIGN_CHARS = {"+": Fraction(1, 2), "-": Fraction(-1, 2)}

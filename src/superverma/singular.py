@@ -86,15 +86,22 @@ CONTEXT_BUDGET = MAX_CASE_DIM ** 2
 _CONTEXTS: Dict[str, Context] = {}
 
 
+def check_case_size(case: CaseId, lead: str) -> None:
+    """InvalidParams, led by lead, when case is larger than MAX_CASE_DIM."""
+    if case.dim > MAX_CASE_DIM:
+        raise InvalidParams(f"{lead} {case.text} of dimension {case.dim}, more than the {MAX_CASE_DIM} a case may have")
+
+
 def build_context(case: CaseId) -> Context:
-    """The case's shared context, built on first use.  Building one drops
-    the least recently used others until the tables held fit in
-    CONTEXT_BUDGET; the new one is always kept."""
+    """The case's shared context, built on first use (InvalidParams above
+    MAX_CASE_DIM, before anything is built).  Building one drops the least
+    recently used others until the tables held fit in CONTEXT_BUDGET."""
     key = case.text
     ctx = _CONTEXTS.pop(key, None)
     if ctx is not None:
         _CONTEXTS[key] = ctx
         return ctx
+    check_case_size(case, "cannot build")
     alg = build_algebra_data(case)
     ctx = Context(alg=alg, table=build_structure_constants(alg))
     held = ctx.table.dim ** 2 + sum(c.table.dim ** 2 for c in _CONTEXTS.values())

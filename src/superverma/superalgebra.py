@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .rootdata import (
     AlgebraData,
@@ -89,6 +89,22 @@ def _merge(into: Dict, val: Dict, c: Coefficient = 1) -> None:
             into[k] = _exact(new)
         else:
             into.pop(k, None)
+
+
+def _left_bracket(bracket: Callable[[int, int], Value], x: int, val: Value) -> Value:
+    """[x, val] = sum of c * [x, z] over the terms c * z of val."""
+    out: Value = {}
+    for z, c in val.items():
+        _merge(out, bracket(x, z), c)
+    return out
+
+
+def _right_bracket(bracket: Callable[[int, int], Value], val: Value, y: int) -> Value:
+    """[val, y] = sum of c * [z, y] over the terms c * z of val."""
+    out: Value = {}
+    for z, c in val.items():
+        _merge(out, bracket(z, y), c)
+    return out
 
 
 def _ksign(basis: Sequence[BasisElement], x: int, y: int) -> int:
@@ -204,10 +220,7 @@ class BracketTable:
         if chain is None:
             return []
         while len(chain) < a and chain[-1]:
-            nxt: Value = {}
-            for z, c in chain[-1].items():
-                _merge(nxt, self.bracket(z, x), c)
-            chain.append(nxt)
+            chain.append(_right_bracket(self.bracket, chain[-1], x))
         return chain
 
     def h_value_dual(self, val: Value) -> Weight:
@@ -292,18 +305,6 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
             raise ClosureFailure(f"bracket [{ex.name}, {ey.name}] needed before it was built")
         return entries[(x, y)]
 
-    def combine_left(x: int, val: Value) -> Value:
-        out: Value = {}
-        for z, c in val.items():
-            _merge(out, bracket_ids(x, z), c)
-        return out
-
-    def combine_right(val: Value, y: int) -> Value:
-        out: Value = {}
-        for z, c in val.items():
-            _merge(out, bracket_ids(z, y), c)
-        return out
-
     def ensure_mixed(a: int, b: int) -> None:
         key = (e_id(a), f_id(b))
         if key in entries:
@@ -318,15 +319,15 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
                 return
         if hb >= 2:
             k, t = alg.decomp[b]
-            out = combine_right(bracket_ids(e_id(a), f_id(spi[k])), f_id(t))
-            _merge(out, combine_left(f_id(spi[k]), bracket_ids(e_id(a), f_id(t))),
+            out = _right_bracket(bracket_ids, bracket_ids(e_id(a), f_id(spi[k])), f_id(t))
+            _merge(out, _left_bracket(bracket_ids, f_id(spi[k]), bracket_ids(e_id(a), f_id(t))),
                    _ksign(basis, e_id(a), f_id(spi[k])))
         else:
             if ha < 2:
                 raise ClosureFailure("simple pairs are set in level 1")
             l, p = alg.decomp[a]
-            out = combine_left(e_id(spi[l]), bracket_ids(e_id(p), f_id(b)))
-            _merge(out, combine_left(e_id(p), bracket_ids(e_id(spi[l]), f_id(b))),
+            out = _left_bracket(bracket_ids, e_id(spi[l]), bracket_ids(e_id(p), f_id(b)))
+            _merge(out, _left_bracket(bracket_ids, e_id(p), bracket_ids(e_id(spi[l]), f_id(b))),
                    -_ksign(basis, e_id(spi[l]), e_id(p)))
         set_entry(*key, out)
 
@@ -354,8 +355,8 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
             for mu, nu in splits:
                 if (X(mu), X(nu)) in entries:
                     continue
-                rhs = combine_right(bracket_ids(probe, X(mu)), X(nu))
-                _merge(rhs, combine_left(X(mu), bracket_ids(probe, X(nu))),
+                rhs = _right_bracket(bracket_ids, bracket_ids(probe, X(mu)), X(nu))
+                _merge(rhs, _left_bracket(bracket_ids, X(mu), bracket_ids(probe, X(nu))),
                        _ksign(basis, probe, X(mu)))
                 if not set(rhs) <= {target}:
                     raise ClosureFailure("probe identity left the target line")
@@ -408,19 +409,13 @@ def check_jacobi(table: BracketTable) -> JacobiReport:
                     f"antisymmetry fails for [{basis[x].name}, {basis[y].name}]",
                 )
 
-    def adj(x: int, val: Value) -> Value:
-        out: Value = {}
-        for z, c in val.items():
-            _merge(out, entries[(x, z)], c)
-        return out
-
     triples = 0
     for x, y, z in combinations_with_replacement(range(dim), 3):
         triples += 1
         acc: Value = {}
-        _merge(acc, adj(x, entries[(y, z)]), _ksign(basis, x, z))
-        _merge(acc, adj(y, entries[(z, x)]), _ksign(basis, y, x))
-        _merge(acc, adj(z, entries[(x, y)]), _ksign(basis, z, y))
+        _merge(acc, _left_bracket(table.bracket, x, entries[(y, z)]), _ksign(basis, x, z))
+        _merge(acc, _left_bracket(table.bracket, y, entries[(z, x)]), _ksign(basis, y, x))
+        _merge(acc, _left_bracket(table.bracket, z, entries[(x, y)]), _ksign(basis, z, y))
         if acc:
             return JacobiReport(
                 False, pairs, triples,

@@ -10,14 +10,14 @@ a time, from the right, inside the module:
 - a lowering g multiplies on the left by the engine's lambda-free
   power_times, which serves all of U(g) and here stays inside U(n^-);
 - a Cartan h_j scales each monomial m by its own <lambda - rho + wt(m), h_j>;
-- a raising g kills v+ and walks through each monomial m of the body by
-  PBWEngine.walk, the walk insert takes in U(g), with the module's
-  own step: each generator of a chain it leaves, with the head P it has
-  passed and the rest R, acts on R by its kind.  A Cartan one is a scalar,
-  a lowering one goes between P and R by the engine's insert (moving left
-  through P when it ranks below R, walking into R from P otherwise),
-  and a raising one walks on over R with base P.  Every term lands in one
-  output dict.
+- a raising g kills v+, so g (X v+) = [g, X] v+, which
+  PBWEngine.commutator gives with the module's own step (the orbit lift
+  takes the same commutator in U(g)).  Each generator of a chain g leaves
+  in its walk, with the head P it has passed and the rest R, acts on R by
+  its kind.  A Cartan one is a scalar, a lowering one goes
+  between P and R by the engine's insert (moving left through P when it
+  ranks below R, walking into R from P otherwise), and a raising one walks
+  on over R with base P.  Every term lands in one output dict.
 
 act applies each word of an element with the engine's word loop, as
 PBWEngine.multiply does in U(g); is_singular applies each simple raising
@@ -34,11 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from .pbw import Monomial, PBWEngine, UEAElement
 from .rootdata import Weight, wdiff, wsum
-from .superalgebra import Coefficient, _exact, _scaled
+from .superalgebra import _exact, _scaled
 
 
 @dataclass(eq=False)
@@ -66,9 +66,8 @@ class UnexpectedRaising(RuntimeError):
 class _Action:
     """The lambda-constants of M(lam) on one engine, and g^e . (body v+) for
     a basis generator g and any body.  A Cartan g scales each monomial by
-    its own scalar, and a raising g walks each monomial by PBWEngine.walk
-    with _term as its step, so no image is rebuilt once per generator of
-    a prefix."""
+    its own scalar, and a raising g is PBWEngine.commutator with _term as
+    its step, so no image is rebuilt once per generator of a prefix."""
 
     def __init__(self, engine: PBWEngine, lam: Weight) -> None:
         self.engine = engine
@@ -92,18 +91,15 @@ class _Action:
             scaled = ((m, c * self.scalar(j, m) ** e) for m, c in body.items())
             return {m: _exact(c) for m, c in scaled if c}
         for _ in range(e):
-            out: Dict[Monomial, Coefficient] = {}
-            for m, c in body.items():
-                self.engine.walk(g, m, (), c, out, self._term)
-            body = {k: _exact(c) for k, c in out.items() if c}
+            body = self.engine.commutator(g, body, self._term)
         return body
 
     def _term(self, z: int, w: int, head: Monomial, rest: Monomial, c, out) -> None:
         """PBWEngine.walk's step in the module: add c * head * w . (rest v+)
         to out, for a generator w of a chain the raising z leaves.  A
         lowering w goes between head and rest by insert, a Cartan w is one
-        scalar on rest, and a raising w walks on over rest with head as its
-        base."""
+        scalar on rest, and a raising w, whose root must be lower than z's
+        (UnexpectedRaising otherwise), walks on over rest from head."""
         engine = self.engine
         el = self.table.basis[w]
         if el.kind == "f":
@@ -112,19 +108,12 @@ class _Action:
             key = head + rest
             out[key] = out.get(key, 0) + c * self.scalar(el.index, rest)
         else:
-            self._check_raising(z, w)
+            heights = self.table.alg.heights
+            if heights[el.index] >= heights[self.table.basis[z].index]:
+                raise UnexpectedRaising(
+                    f"{el.name} came out of commuting {self.table.basis[z].name} past a lowering generator"
+                )
             engine.walk(w, rest, head, c, out, self._term)
-
-    def _check_raising(self, z: int, w: int) -> None:
-        """UnexpectedRaising unless the raising w, out of commuting the
-        raising z past a lowering generator, has a lower root than z."""
-        basis = self.table.basis
-        heights = self.table.alg.heights
-        if heights[basis[w].index] >= heights[basis[z].index]:
-            raise UnexpectedRaising(
-                f"{basis[w].name} came out of commuting {basis[z].name} "
-                "past a lowering generator"
-            )
 
 
 def _integral(v: VermaVector, engine: PBWEngine) -> Tuple[int, UEAElement]:

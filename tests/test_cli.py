@@ -1,6 +1,7 @@
 """Command line behavior: grids, determinism, exit codes."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -245,7 +246,7 @@ def test_internal_errors_exit_three(capsys, monkeypatch, fault):
     monkeypatch.setattr(cli, "build_context", broken)
     code, out, err = run(capsys, "verify", "--case", "G3", "--N", "1")
     assert code == 3
-    assert err == f"internal error: {fault.__name__}: the program broke its own invariant\n"
+    assert err == f"internal error at G3 N=1 seed=0: {fault.__name__}: the program broke its own invariant\n"
 
 
 def test_unlisted_exception_is_an_internal_error(capsys, monkeypatch):
@@ -258,7 +259,7 @@ def test_unlisted_exception_is_an_internal_error(capsys, monkeypatch):
     monkeypatch.setattr(singular, "witness_spec", broken)
     code, out, err = run(capsys, "verify", "--case", "G3", "--N", "1", "--check", "witness")
     assert (code, out) == (3, "")
-    assert err == "internal error: KeyError: 'no witness'\n"
+    assert err == "internal error at G3 N=1 seed=0: KeyError: 'no witness'\n"
 
 
 def test_exact_numbers_of_any_size_print_in_full(capsys):
@@ -304,6 +305,26 @@ def test_case_size_bound_is_inclusive():
     args.m = "11"
     with pytest.raises(InvalidParams, match="--m 11 --n 10"):
         cli._case_grid(args)
+
+
+def test_dump_script_refuses_an_oversized_case_before_set_up(capsys, monkeypatch):
+    """build_context refuses a case above MAX_CASE_DIM before it builds any
+    root data, so the structure-constant dump exits 2 at once."""
+    def never(case):
+        raise AssertionError(f"built {case.text}")
+
+    monkeypatch.setattr(singular, "build_algebra_data", never)
+    path = Path(__file__).resolve().parent.parent / "scripts" / "dump_structure_constants.py"
+    spec = importlib.util.spec_from_file_location("dump_structure_constants", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    t0 = time.monotonic()
+    assert script.main(["D-II:m=12,n=12"]) == 2
+    assert time.monotonic() - t0 < 1
+    assert capsys.readouterr() == ("", (
+        "error: cannot build D-II:m=12,n=12 of dimension 1152,"
+        f" more than the {cli.MAX_CASE_DIM} a case may have\n"
+    ))
 
 
 def run_python(*args, stdout=subprocess.DEVNULL):
@@ -477,8 +498,42 @@ def test_grid_prints_each_record_as_it_completes(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--case", "G3", "--N", "1", "--seed", "0,1",
                          "--check", "nonzero", "--json")
     assert code == 3
-    assert err == "internal error: WrongOrder: the second point broke\n"
+    assert err == "internal error at G3 N=1 seed=1: WrongOrder: the second point broke\n"
     assert [json.loads(line)["seed"] for line in out.splitlines()] == [0]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_an_error_out_of_a_point_names_it(capsys, monkeypatch, jobs):
+    """An internal error out of one grid point names the point before the
+    class and message, in the worker processes too; the exit code stays 3
+    and the points before it are printed."""
+    build = Candidate.build
+
+    def third_level_breaks(self, engine, *args, **kwargs):
+        if self.params.N == 3:
+            raise KeyError(99)
+        return build(self, engine, *args, **kwargs)
+
+    monkeypatch.setattr(Candidate, "build", third_level_breaks)
+    code, out, err = run(capsys, "verify", "--case", "D-II", "--m", "1..2", "--n", "2",
+                         "--N", "1,3", "--jobs", jobs, "--json")
+    assert code == 3
+    assert err == "internal error at D-II:m=1,n=2 N=3 seed=0: KeyError: 99\n"
+    assert [json.loads(line)["N"] for line in out.splitlines()] == [1]
+
+    propagate = cli.propagate_chain
+
+    def second_level_breaks(case, C, *args, **kwargs):
+        if C == 2:
+            raise KeyError(99)
+        return propagate(case, C, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "propagate_chain", second_level_breaks)
+    code, out, err = run(capsys, "orbit", "--case", "D-II", "--m", "1", "--n", "2",
+                         "--C", "1,2", "--target", "1,2", "--jobs", jobs, "--json")
+    assert code == 3
+    assert err == "internal error at D-II:m=1,n=2 C=2 target=(1, 2) seed=0: KeyError: 99\n"
+    assert [json.loads(line)["C"] for line in out.splitlines()] == [1]
 
 
 def test_selftest_passes(capsys):

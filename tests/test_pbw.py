@@ -347,6 +347,42 @@ def test_lift_matches_power_times(text):
             assert all(map(is_canonical, got.values())), got
 
 
+def parity(table, m) -> int:
+    """The parity of a monomial: the number of its odd generators, mod 2."""
+    return sum(e for g, e in m if table.basis[g].odd) % 2
+
+
+@pytest.mark.parametrize("text", CASES)
+def test_commutator_matches_its_definition(text):
+    """commutator(g, X) = g X - sum_m (-1)^(|g||m|) c_m m g for X in U(n^-)
+    with rational coefficients, g any raising generator or the even
+    rightmost lowering generator of a tailed order, in the default and the
+    tailed order, with canonical coefficients."""
+    ctx = ctx_for(text)
+    table = ctx.table
+    tailed, f = tailed_engine(ctx)
+    raising = [table.e_id(i) for i in range(table.n_pos)]
+    rng = random.Random(f"commutator:{text}")
+    odd_draws = 0
+    for engine, gens in ((ctx.default_engine, raising), (tailed, raising + [f])):
+        for g in gens:
+            for _ in range(2):
+                x = {}
+                for _ in range(3):
+                    part = random_lowering(engine, rng, rng.randint(1, 3))
+                    x = el_add(x, el_scale(part, Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 3)))))
+                want = engine.multiply(engine.gen(g), x)
+                for m, c in x.items():
+                    sign = -1 if table.basis[g].odd and parity(table, m) else 1
+                    _merge(want, engine.multiply({m: 1}, engine.gen(g)), -sign * c)
+                got = engine.commutator(g, x, engine._insert_term)
+                assert got == want, (table.basis[g].name, x)
+                assert all(map(is_canonical, got.values())), got
+                if table.basis[g].odd:
+                    odd_draws += sum(parity(table, m) for m in x)
+    assert odd_draws, "no draw paired an odd g with an odd monomial"
+
+
 def test_lift_edge_cases():
     ctx = ctx_for("B-I:m=2,n=1")
     engine, f = tailed_engine(ctx)

@@ -22,6 +22,7 @@ from superverma.rootdata import (
     f31_signs_of,
     format_weight,
     parse_weight,
+    render_weight_name,
     wdiff,
     wneg,
     wprime_orbit,
@@ -136,7 +137,7 @@ def test_dependent_simple_roots_are_a_root_data_error(monkeypatch, capsys):
         build_algebra_data(CaseId.parse("B-II:m=2,n=2"))
     monkeypatch.setattr(singular, "_CONTEXTS", {})
     assert cli.main(["verify", "--case", "B-II", "--m", "2", "--n", "2", "--N", "1"]) == 3
-    assert "internal error: RootDataError" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("internal error at B-II:m=2,n=2 N=1 seed=0: RootDataError: ")
 
 
 @pytest.mark.parametrize("role", ["gamma", "simple root"])
@@ -158,7 +159,8 @@ def test_weight_off_the_roots_is_a_root_data_error(monkeypatch, capsys, role):
     monkeypatch.setattr(singular, "_CONTEXTS", {})
     assert cli.main(["verify", "--case", "B-II", "--m", "1", "--n", "1", "--N", "1"]) == 3
     err = capsys.readouterr().err
-    assert "internal error: RootDataError" in err and "is not a positive root" in err
+    assert err.startswith("internal error at B-II:m=1,n=1 N=1 seed=0: RootDataError: ")
+    assert "is not a positive root" in err
 
 
 def test_parity_classification():
@@ -183,6 +185,12 @@ def test_g3_names_frozen():
         "e2-e1", "e2", "e1", "e1+e2", "e1+2e2", "2e1+e2", "2D",
         "D+e3", "D-e1", "D-e2", "D", "D+e2", "D+e1", "D-e3",
     ]
+    # mixed denominators render over their least common multiple
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    assert render_weight_name(("a", "b"), (half, quarter)) == "(2a+b)/4"
+    assert render_weight_name(("a", "b"), (quarter, half)) == "(a+2b)/4"
+    assert render_weight_name(("a", "b"), (half, Fraction(-1, 3))) == "(3a-2b)/6"
+    assert render_weight_name(("a", "b"), (half, half)) == "(a+b)/2"
 
 
 def test_f31_odd_names_are_sign_tuples():
