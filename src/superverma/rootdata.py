@@ -15,6 +15,14 @@ Weights are tuples of Fraction over a fixed coordinate basis per case:
 (D, e1, e2) for G3, where e3 := -e1-e2 is eliminated at the coordinate
 level.  All arithmetic is exact.
 
+Roots are looked up two ways.  AlgebraData.index maps a Fraction weight to
+its positive-root index, for lookups by weight (root_at, name_of).  Set-up
+instead reads AlgebraData.sums, built once per case on integers: the
+positive roots on one integer lattice (lattice over weight_den) give, for
+every ordered pair of positive-root indices (mu, nu) whose sum is a positive
+root sigma, sums[(mu, nu)] = sigma.  The simple-root decompositions and the
+bracket closure in superalgebra read only that table.
+
 The bilinear form is normalized so that (d_i, d_j) = +delta_ij and
 (e_k, e_l) = -delta_kl in the osp families; forms for F31 and G3 are
 fixed by requiring (rho, alpha) = 0 for the isotropic simple root.
@@ -274,6 +282,13 @@ class AlgebraData:
     decomp: Tuple[Optional[Tuple[int, int]], ...]
     simple_pos_index: Tuple[int, ...]
     index: Dict[Weight, int]
+    # the positive roots on one integer lattice: pos_roots[i].weight is
+    # lattice[i] / weight_den, coordinate by coordinate
+    weight_den: int
+    lattice: Tuple[Tuple[int, ...], ...]
+    # sums[(mu, nu)] = sigma when pos_roots mu + nu = sigma, for every
+    # ordered pair of positive-root indices whose sum is a positive root
+    sums: Dict[Tuple[int, int], int]
 
     @property
     def dim(self) -> int:
@@ -453,24 +468,36 @@ def _assemble(
         raise RootDataError(f"{case.text}: the simple roots are not a basis") from None
     heights = tuple(int(sum(p * x for p, x in zip(phi, r.weight))) for r in pos_roots)
 
+    # Each root on the lattice, then each lattice point as one int whose
+    # base-B digits (signed) are its coordinates: B exceeds twice the
+    # largest coordinate of a sum of two roots, so the int of mu + nu is
+    # the sum of the ints of mu and nu, and two points of that box meet as
+    # ints only when they meet as vectors.
+    den = lcm(*(x.denominator for r in pos_roots for x in r.weight))
+    lattice = tuple(tuple(x.numerator * (den // x.denominator) for x in r.weight) for r in pos_roots)
+    base = 4 * max(abs(c) for point in lattice for c in point) + 1
+    keys = [sum(c * base ** i for i, c in enumerate(point)) for point in lattice]
+    at = {key: i for i, key in enumerate(keys)}
+    sums = {
+        (mu, nu): sigma
+        for mu, a in enumerate(keys)
+        for nu, b in enumerate(keys)
+        if (sigma := at.get(a + b)) is not None
+    }
+
     # A root sigma outside the simple system is alpha_k + tau for the first
     # simple root alpha_k whose difference tau is a positive root.  As
     # phi(tau) = phi(sigma) - 1, these steps end at a simple root, so every
     # positive root sigma is a sum of phi(sigma) simple roots, repeats allowed.
-    decomp: List[Optional[Tuple[int, int]]] = []
+    decomp: List[Optional[Tuple[int, int]]] = [None] * len(pos_roots)
+    for k, s in enumerate(simple_pos_index):
+        for tau in range(len(pos_roots)):
+            sigma = sums.get((s, tau))
+            if sigma is not None and decomp[sigma] is None and sigma not in simple_pos_index:
+                decomp[sigma] = (k, tau)
     for pos, r in enumerate(pos_roots):
-        if pos in simple_pos_index:
-            decomp.append(None)
-            continue
-        found = None
-        for k, s in enumerate(simple_system):
-            rest = wdiff(r.weight, s.weight)
-            if rest in index:
-                found = (k, index[rest])
-                break
-        if found is None:
+        if decomp[pos] is None and pos not in simple_pos_index:
             raise RootDataError(f"no simple-root decomposition for {r.name}")
-        decomp.append(found)
 
     alg = AlgebraData(
         case=case,
@@ -486,6 +513,9 @@ def _assemble(
         decomp=tuple(decomp),
         simple_pos_index=simple_pos_index,
         index=index,
+        weight_den=den,
+        lattice=lattice,
+        sums=sums,
     )
 
     problem = rho_violation(alg)

@@ -76,7 +76,8 @@ class Context:
 
 
 # the largest superalgebra a case may have, by dimension: set-up grows about
-# as dim^2.5, and D-II m=n=10 (dim 800) takes about 22 s on a 2-core VM
+# as dim^2 to dim^2.5, and D-II m=n=10 (dim 800) takes about 1.5 s and holds
+# 640,000 bracket entries on a 2-core VM
 MAX_CASE_DIM = 800
 # the contexts held at once, by the sum of their tables' dim^2: a bracket
 # table holds about dim^2 entries, so this is one largest case

@@ -16,6 +16,9 @@ are solved by probing with a simple generator, in increasing height of
 mu + nu, so that every step only reads brackets of lower height.  These
 derivations set every pair; a gap in that schedule, a probe that leaves the
 root grading, or a pair still unset at the end raises ClosureFailure.
+Which pairs of roots add up to a root is read from the root data's integer
+table alg.sums, by positive-root index; the closure does no weight
+arithmetic.
 
 Bracket values are dicts mapping basis ids to exact rational coefficients,
 so a value can be a root-vector multiple or a Cartan combination.  Every
@@ -30,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import lcm
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .rootdata import (
@@ -130,7 +132,12 @@ class BracketTable:
     basis: Tuple[BasisElement, ...]
     entries: Dict[Tuple[int, int], Value]
     cartan_duals: Tuple[Weight, ...]
-    # the basis weights on one integer lattice, derived from basis:
+    # the basis is f_0..f_{P-1}, h_0..h_{R-1}, e_0..e_{P-1}: P = n_pos
+    # positive roots and R = n_cartan simple roots
+    n_pos: int = field(init=False)
+    n_cartan: int = field(init=False)
+    _e_base: int = field(init=False, repr=False)
+    # the basis weights on the root data's integer lattice:
     # basis[b].weight == lattice[b] / weight_den, coordinate by coordinate
     weight_den: int = field(init=False)
     lattice: Tuple[Tuple[int, ...], ...] = field(init=False)
@@ -147,29 +154,25 @@ class BracketTable:
     _ad_cache: Dict[int, Dict[int, List[Value]]] = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        den = lcm(*(x.denominator for el in self.basis for x in el.weight))
-        self.weight_den = den
-        self.lattice = tuple(
-            tuple(x.numerator * (den // x.denominator) for x in el.weight) for el in self.basis
+        alg = self.alg
+        P = self.n_pos = len(alg.pos_roots)
+        R = self.n_cartan = len(alg.simple_system)
+        self._e_base = P + R
+        # f_sigma has weight -sigma, h_j weight 0 and e_sigma weight sigma
+        self.weight_den = alg.weight_den
+        self.lattice = (
+            tuple(tuple(-c for c in point) for point in alg.lattice)
+            + ((0,) * alg.rank,) * R
+            + alg.lattice
         )
         self.cartan_rows = tuple(
-            tuple((i, _exact(c)) for i, row in enumerate(self.alg.form_matrix)
+            tuple((i, _exact(c)) for i, row in enumerate(alg.form_matrix)
                   if (c := sum(x * d for x, d in zip(row, dual) if x and d)))
             for dual in self.cartan_duals
         )
-        self.pairings = tuple(
-            tuple(self.cartan_pairing(j, el.weight) for j in range(self.n_cartan))
-            for el in self.basis
-        )
+        pos = tuple(tuple(self.cartan_pairing(j, r.weight) for j in range(R)) for r in alg.pos_roots)
+        self.pairings = tuple(tuple(-c for c in row) for row in pos) + ((0,) * R,) * R + pos
         self.odd = tuple(el.odd for el in self.basis)
-
-    @property
-    def n_pos(self) -> int:
-        return len(self.alg.pos_roots)
-
-    @property
-    def n_cartan(self) -> int:
-        return len(self.alg.simple_system)
 
     @property
     def dim(self) -> int:
@@ -182,7 +185,7 @@ class BracketTable:
         return self.n_pos + simple_index
 
     def e_id(self, pos_index: int) -> int:
-        return self.n_pos + self.n_cartan + pos_index
+        return self._e_base + pos_index
 
     def f_gen(self, root: RootSpec) -> int:
         return self.f_id(self.alg.root_index(self.alg.as_weight(root)))
@@ -282,14 +285,20 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
             k, t = alg.decomp[s]
             set_entry(e_id(spi[k]), e_id(t), {e_id(s): 1})
             set_entry(f_id(spi[k]), f_id(t), {f_id(s): 1})
+    sums = alg.sums
     for mu in range(P):
         for nu in range(mu, P):
-            if wsum(alg.pos_roots[mu].weight, alg.pos_roots[nu].weight) in alg.index:
+            if (mu, nu) in sums:
                 continue
             if (e_id(mu), e_id(nu)) not in entries:
                 set_entry(e_id(mu), e_id(nu), {})
             if (f_id(mu), f_id(nu)) not in entries:
                 set_entry(f_id(mu), f_id(nu), {})
+
+    # parts[sigma] maps mu to nu for each split mu + nu = sigma
+    parts: List[Dict[int, int]] = [{} for _ in range(P)]
+    for (mu, nu), s in sums.items():
+        parts[s][mu] = nu
 
     # mixed brackets [e_a, f_b] on demand, recursing on height; they only
     # read same-sign pairs below max(height a, height b)
@@ -310,11 +319,11 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
         if key in entries:
             return
         # a - b has height ha - hb, so it is a root only if the higher
-        # minus the lower is a positive root; at equal heights it never is
+        # minus the lower is a positive root, that is, the lower is a part
+        # of the higher; at equal heights it never is
         ha, hb = alg.heights[a], alg.heights[b]
         if a != b:
-            wa, wb = alg.pos_roots[a].weight, alg.pos_roots[b].weight
-            if ha == hb or (wdiff(wa, wb) if ha > hb else wdiff(wb, wa)) not in alg.index:
+            if ha == hb or (b not in parts[a] if ha > hb else a not in parts[b]):
                 set_entry(*key, {})
                 return
         if hb >= 2:
@@ -337,11 +346,7 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
     for s in sorted(range(P), key=lambda s: alg.heights[s]):
         if alg.heights[s] == 1:
             continue
-        sigma = alg.pos_roots[s].weight
-        splits = [
-            (mu, nu) for mu in range(P)
-            if (nu := alg.index.get(wdiff(sigma, alg.pos_roots[mu].weight))) is not None
-        ]
+        splits = sorted(parts[s].items())
         for X, Y in ((e_id, f_id), (f_id, e_id)):
             probe = next((Y(spi[j]) for j in range(R) if bracket_ids(Y(spi[j]), X(s))), None)
             if probe is None:
@@ -376,6 +381,9 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
                     f"no value derived for [{basis[x].name}, {basis[y].name}]"
                 )
 
+    # bracket_ids and ensure_mixed call each other; ending that cycle frees
+    # this call's locals on return, not at the next full collection
+    del ensure_mixed
     return table
 
 

@@ -1,6 +1,6 @@
 """Golden-output oracle: the standard-grid NDJSON, the orbit-chain NDJSON,
 the structure-constant dumps (in full for the smallest cases, as digests
-for every osp case with m, n <= 3 and F31, G3), the osp witness specs,
+for every osp case with m, n <= 4 and F31, G3), the osp witness specs,
 the orbit-chain set-up digests and the selftest NDJSON must stay
 byte-identical.
 
@@ -87,9 +87,9 @@ def _small_osp_cases(top=3):
 
 
 def structure_constants_digests() -> str:
-    """SHA-256 of ``dump_table`` for every osp case with m, n <= 3, F31 and G3."""
+    """SHA-256 of ``dump_table`` for every osp case with m, n <= 4, F31 and G3."""
     lines = []
-    for case in [*_small_osp_cases(), CaseId("F31"), CaseId("G3")]:
+    for case in [*_small_osp_cases(4), CaseId("F31"), CaseId("G3")]:
         table = build_structure_constants(build_algebra_data(case))
         digest = hashlib.sha256(dump_table(table).encode()).hexdigest()
         lines.append(f"{digest}  {case.text}\n")

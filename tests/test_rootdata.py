@@ -340,6 +340,37 @@ def test_decompositions_consistent():
                 assert alg.heights[rest] == alg.heights[pos] - 1
 
 
+def fraction_decomp(alg: AlgebraData) -> tuple:
+    """The decompositions by Fraction weights, the reference for alg.decomp:
+    a root outside the simple system is alpha_k + tau for the first simple
+    alpha_k whose difference tau is a positive root."""
+    out = []
+    for pos, r in enumerate(alg.pos_roots):
+        if pos in alg.simple_pos_index:
+            out.append(None)
+            continue
+        out.append(next(
+            (k, alg.index[rest]) for k, s in enumerate(alg.simple_system)
+            if (rest := wdiff(r.weight, s.weight)) in alg.index
+        ))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("text", OSP_UP_TO_4 + ["F31", "G3"])
+def test_root_sums_match_fraction_arithmetic(text):
+    """alg.sums, alg.lattice and alg.decomp, built on integers, agree with
+    Fraction arithmetic on the weights; F31 has half-integer weights and G3
+    eliminates e3."""
+    alg = build(text)
+    weights = [r.weight for r in alg.pos_roots]
+    for w, point in zip(weights, alg.lattice):
+        assert tuple(Fraction(c, alg.weight_den) for c in point) == w
+    for mu, a in enumerate(weights):
+        for nu, b in enumerate(weights):
+            assert alg.sums.get((mu, nu)) == alg.index.get(wsum(a, b)), (mu, nu)
+    assert alg.decomp == fraction_decomp(alg)
+
+
 def test_dimension_counts():
     # superdimension check: dim g = 2 * #(positive roots) + rank of the Cartan
     assert build("F31").dim == 40
