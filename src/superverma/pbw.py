@@ -13,7 +13,8 @@ rightmost slot, and right division is only defined against that slot.
 
 One rule straightens every product, and the Verma module action too: left
 multiplication by a generator power x^j (power_times).  An engine holds
-only its bracket table and its order, and caches nothing.
+only its bracket table, its tail of lowering generators and the order
+derived from them, and caches nothing.
 
 The one place where a power passes a whole element at once is lift, the
 orbit step's f^L theta = sum_k C(L, k) (ad f)^k(theta) f^(L-k).  It is an
@@ -46,17 +47,16 @@ basis weight times one common denominator) and returned as Fraction tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Callable, Dict, Sequence, Tuple, Union
+from typing import Callable, Dict, Tuple
 
 from .rootdata import Weight, format_weight
 from .superalgebra import BracketTable, Coefficient, _exact, _merge, _scaled, _signed_sum
 
 Monomial = Tuple[Tuple[int, int], ...]
 UEAElement = Dict[Monomial, Coefficient]
-GenSpec = Union[int, str, tuple]
 
 
 class NotDivisible(ArithmeticError):
@@ -100,58 +100,45 @@ def el_sub(x: UEAElement, y: UEAElement) -> UEAElement:
 
 
 @dataclass(eq=False)
-class PBWOrder:
-    sequence: Tuple[int, ...]
-    rank: Dict[int, int]
-    n_neg: int
-
-    @property
-    def rightmost_negative(self) -> int:
-        return self.sequence[self.n_neg - 1]
-
-
-def _resolve_f(table: BracketTable, spec: GenSpec) -> int:
-    if isinstance(spec, int):
-        if not 0 <= spec < table.n_pos:
-            raise WrongOrder(f"{spec} is not a lowering generator id")
-        return spec
-    return table.f_gen(spec)
-
-
-def make_order(table: BracketTable, tail: Sequence[GenSpec] = ()) -> PBWOrder:
-    """Build a generator order.
+class PBWEngine:
+    """Straightening under one generator order, built from the table and a
+    tail of lowering generator ids.
 
     The lowering generators are sorted by root height and then by
     enumeration index, except that `tail` moves the listed generators to
     the end of the lowering block, in the given order.  A tail that lists
     every lowering generator prescribes the whole block.
     """
-    alg = table.alg
-    P = table.n_pos
-    tail_ids = [_resolve_f(table, s) for s in tail]
-    if len(set(tail_ids)) != len(tail_ids):
-        raise WrongOrder("tail entries must be distinct")
-    negs = [i for i in sorted(range(P), key=lambda i: (alg.heights[i], i)) if i not in tail_ids]
-    negs.extend(tail_ids)
-    seq = negs + [table.h_id(j) for j in range(table.n_cartan)]
-    seq += [
-        table.e_id(i)
-        for i in sorted(range(P), key=lambda i: (alg.heights[i], i))
-    ]
-    rank = {bid: pos for pos, bid in enumerate(seq)}
-    return PBWOrder(sequence=tuple(seq), rank=rank, n_neg=P)
 
-
-@dataclass(eq=False)
-class PBWEngine:
     table: BracketTable
-    order: PBWOrder
+    tail: Tuple[int, ...] = ()
+    sequence: Tuple[int, ...] = field(init=False)
+    rank: Dict[int, int] = field(init=False)
 
-    def gen(self, spec: GenSpec, exp: int = 1) -> UEAElement:
-        bid = spec if isinstance(spec, int) else self.table.f_gen(spec)
+    def __post_init__(self) -> None:
+        table = self.table
+        P = table.n_pos
+        self.tail = tail = tuple(self.tail)
+        for g in tail:
+            if not 0 <= g < P:
+                raise WrongOrder(f"{g} is not a lowering generator id")
+        if len(set(tail)) != len(tail):
+            raise WrongOrder("tail entries must be distinct")
+        by_height = sorted(range(P), key=lambda i: (table.alg.heights[i], i))
+        seq = [i for i in by_height if i not in tail] + list(tail)
+        seq += [table.h_id(j) for j in range(table.n_cartan)]
+        seq += [table.e_id(i) for i in by_height]
+        self.sequence = tuple(seq)
+        self.rank = {bid: pos for pos, bid in enumerate(seq)}
+
+    @property
+    def rightmost_negative(self) -> int:
+        return self.sequence[self.table.n_pos - 1]
+
+    def gen(self, g: int, exp: int = 1) -> UEAElement:
         if exp < 0:
             raise ValueError("negative exponent")
-        return self.power_times(bid, exp, el_one())
+        return self.power_times(g, exp, el_one())
 
     def multiply(self, a: UEAElement, b: UEAElement) -> UEAElement:
         """a * b in normal form; the monomials of a and b are read as
@@ -180,11 +167,11 @@ class PBWEngine:
 
     def check_lowering(self, m: Monomial) -> None:
         """Raise WrongOrder unless m is a normal-form monomial of U(n^-)."""
-        rank = self.order.rank
+        rank = self.rank
         last = -1
         for g, e in m:
             pos = rank[g]
-            if not last < pos < self.order.n_neg or e < 1 or (e > 1 and self.table.basis[g].odd):
+            if not last < pos < self.table.n_pos or e < 1 or (e > 1 and self.table.basis[g].odd):
                 raise WrongOrder(
                     f"{self.render_monomial(m)} is not a normal-form monomial of U(n^-)"
                 )
@@ -204,7 +191,7 @@ class PBWEngine:
         and c with its sign there.  Each caller supplies its own term, as
         _words_times takes its own power step."""
         table = self.table
-        rank = self.order.rank
+        rank = self.rank
         odd = table.odd
         row = table.ad_row(g)
         g_rank = rank[g]
@@ -262,7 +249,7 @@ class PBWEngine:
         where it meets itself, an even w raises the power and an odd one
         rewrites w w = [w, w] / 2."""
         table = self.table
-        rank = self.order.rank
+        rank = self.rank
         odd = table.odd
         w_rank = rank[w]
         if rest:
@@ -325,7 +312,7 @@ class PBWEngine:
         straight into the pass's one dict, which is normalised once, zeros
         dropped, and is the next pass's el.
         """
-        x_rank = self.order.rank[x]
+        x_rank = self.rank[x]
         even = not self.table.basis[x].odd
         out: UEAElement = {}
         while j and el:
@@ -333,7 +320,7 @@ class PBWEngine:
             fast: UEAElement = {}
             slow: UEAElement = {}
             for mono, c in el.items():
-                if (even or j == 1) and (not mono or self.order.rank[mono[0][0]] > x_rank):
+                if (even or j == 1) and (not mono or self.rank[mono[0][0]] > x_rank):
                     fast[((x, j),) + mono] = c
                 elif even and mono[0][0] == x:
                     fast[((x, j + mono[0][1]),) + mono[1:]] = c
@@ -348,6 +335,12 @@ class PBWEngine:
         _merge(out, el)
         return out
 
+    def _check_rightmost_even(self, f: int) -> None:
+        """Raise WrongOrder unless f is the even rightmost lowering
+        generator, the one lift and right_divide act by."""
+        if f != self.rightmost_negative or self.table.odd[f]:
+            raise WrongOrder(f"{self.table.basis[f].name} is not the even rightmost lowering generator")
+
     def lift(self, f: int, L: int, theta: UEAElement) -> UEAElement:
         """f^L * theta in normal form, for f the even rightmost lowering
         generator and theta in normal form in U(n^-), by
@@ -356,17 +349,11 @@ class PBWEngine:
         concatenation or one exponent bump per monomial; ad f is locally
         nilpotent, so the sum stops at the first zero (ad f)^k(theta) or at
         k = L."""
-        if f != self.order.rightmost_negative or self.table.basis[f].odd:
-            raise WrongOrder(
-                f"{self.table.basis[f].name} is not the even rightmost lowering generator"
-            )
+        self._check_rightmost_even(f)
         if L < 0:
             raise ValueError("negative exponent")
-        rank = self.order.rank
-        n_neg = self.order.n_neg
         for m in theta:
-            if m and rank[m[-1][0]] >= n_neg:
-                raise WrongOrder(f"{self.render_monomial(m)} is not in U(n^-)")
+            self.check_lowering(m)
 
         def times_f(m: Monomial, j: int) -> Monomial:
             if m and m[-1][0] == f:
@@ -387,17 +374,12 @@ class PBWEngine:
                 break
         return {m: _exact(c) for m, c in out.items() if c}
 
-    def right_divide(self, x: UEAElement, g: GenSpec, p: int) -> UEAElement:
-        """Divide by g^p on the right; every monomial must carry g^p.  Each
-        quotient monomial is multiplied back by g^p through multiply as it
-        is stripped, and must give its own term of x again."""
-        bid = _resolve_f(self.table, g)
-        if bid != self.order.rightmost_negative:
-            raise WrongOrder(
-                f"{self.table.basis[bid].name} is not the rightmost lowering generator"
-            )
-        if self.table.basis[bid].odd:
-            raise WrongOrder("right division needs an even generator")
+    def right_divide(self, x: UEAElement, bid: int, p: int) -> UEAElement:
+        """Divide by bid^p on the right, for bid the even rightmost lowering
+        generator; every monomial must carry bid^p.  Each quotient monomial
+        is multiplied back by bid^p through multiply as it is stripped, and
+        must give its own term of x again."""
+        self._check_rightmost_even(bid)
         if p < 0:
             raise ValueError("negative power")
         if p == 0:
@@ -457,7 +439,7 @@ class PBWEngine:
 
     def render(self, x: UEAElement, suffix: str = "") -> str:
         terms = []
-        for m in sorted(x, key=lambda m: tuple((self.order.rank[g], e) for g, e in m)):
+        for m in sorted(x, key=lambda m: tuple((self.rank[g], e) for g, e in m)):
             body = self.render_monomial(m)
             if suffix:
                 body = f"{body} {suffix}" if m else suffix

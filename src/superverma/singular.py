@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .pbw import Inhomogeneous, Monomial, PBWEngine, UEAElement, _resolve_f, make_order
+from .pbw import Inhomogeneous, Monomial, PBWEngine, UEAElement
 from .rootdata import (
     AlgebraData,
     CaseId,
@@ -38,6 +38,7 @@ from .rootdata import (
     ParityViolation,
     RootDataError,
     RootDatum,
+    RootSpec,
     Weight,
     _unit,
     build_algebra_data,
@@ -61,13 +62,16 @@ from .verma import VermaVector, _Action, is_singular
 class Context:
     alg: AlgebraData
     table: BracketTable
-    # keyed by the tail's lowering generator ids, so an order is made once
+    # keyed by the tail's lowering generator ids, so each engine is built once
     _engines: Dict[Tuple[int, ...], PBWEngine] = field(default_factory=dict)
 
-    def engine(self, tail: Sequence = ()) -> PBWEngine:
-        key = tuple(_resolve_f(self.table, s) for s in tail)
+    def engine(self, tail: Sequence[Union[int, RootSpec]] = ()) -> PBWEngine:
+        """The engine whose order ends the lowering block with tail.  Each
+        entry is a lowering generator id or a root (datum, weight or name),
+        resolved once here; PBWEngine checks the ids (WrongOrder)."""
+        key = tuple(s if isinstance(s, int) else self.table.f_gen(s) for s in tail)
         if key not in self._engines:
-            self._engines[key] = PBWEngine(self.table, make_order(self.table, tail=key))
+            self._engines[key] = PBWEngine(self.table, key)
         return self._engines[key]
 
     @property
@@ -665,7 +669,7 @@ def witness_monomial(engine: PBWEngine, mono_spec: Sequence[Tuple[Weight, int]])
     is left must be a normal-form monomial (WrongOrder otherwise)."""
     table = engine.table
     pairs = [(table.f_gen(w), e) for w, e in mono_spec if e]
-    pairs.sort(key=lambda ge: engine.order.rank[ge[0]])
+    pairs.sort(key=lambda ge: engine.rank[ge[0]])
     mono = tuple(pairs)
     engine.check_lowering(mono)
     return mono

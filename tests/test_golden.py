@@ -113,12 +113,12 @@ def witness_specs() -> str:
             cand = candidate(params, alg)
             odd, tail = cand.odd, cand.tail
             spec = witness_spec(cand, alg)
-            order = ctx.engine(tail=spec.order_tail).order
+            engine = ctx.engine(tail=spec.order_tail)
             lines.append(f"{case.text} N={N}")
             lines.append("  candidate " + " ".join(alg.name_of(w) for w in odd)
                          + " | " + _powers(alg, tail))
             lines.append("  order " + " ".join(
-                ctx.table.basis[b].name for b in order.sequence[:order.n_neg]))
+                ctx.table.basis[b].name for b in engine.sequence[:ctx.table.n_pos]))
             for step in spec.steps:
                 mono = sorted(_powers(alg, [(w, e)]) for w, e in step.v_mono if e)
                 lines.append(f"  step {step.label} "

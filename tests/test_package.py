@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,13 @@ def test_export_table_is_honest():
     namespace = {}
     exec("from superverma import *", namespace)
     assert set(names) <= set(namespace)
+
+
+def test_readme_library_example_runs():
+    """The README's Library example runs as written against the package."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    (example,) = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    exec(compile(example, "README.md", "exec"), {})
 
 
 def test_no_assert_statements():

@@ -53,14 +53,14 @@ def random_lowering(engine, rng, nfactors: int):
 def test_default_order_layout():
     for text in CASES:
         ctx = ctx_for(text)
-        order = ctx.default_engine.order
+        engine = ctx.default_engine
         P = ctx.table.n_pos
-        assert order.n_neg == P
-        negs = order.sequence[:P]
+        assert engine.tail == () and engine.rightmost_negative == engine.sequence[P - 1]
+        negs = engine.sequence[:P]
         assert sorted(negs) == list(range(P))
         hts = [ctx.alg.heights[i] for i in negs]
         assert hts == sorted(hts)
-        assert order.sequence[P : P + ctx.table.n_cartan] == tuple(
+        assert engine.sequence[P : P + ctx.table.n_cartan] == tuple(
             ctx.table.h_id(j) for j in range(ctx.table.n_cartan)
         )
 
@@ -69,8 +69,8 @@ def test_tail_moves_generator_to_rightmost_slot():
     ctx = ctx_for("B-I:m=1,n=1")
     bid = ctx.table.f_gen("e1")
     engine = ctx.engine(tail=(bid,))
-    assert engine.order.rightmost_negative == bid
-    assert ctx.default_engine.order.rightmost_negative == ctx.table.f_gen("2d1")
+    assert engine.rightmost_negative == bid
+    assert ctx.default_engine.rightmost_negative == ctx.table.f_gen("2d1")
 
 
 def test_order_validation():
@@ -114,7 +114,7 @@ def right_product(engine, a, b):
     """Reference a * b for a in normal form: right multiplication by one
     generator at a time, the mirror of the engine's rule (small exponents
     only, since it recurses once per unit of exponent)."""
-    table, rank = engine.table, engine.order.rank
+    table, rank = engine.table, engine.rank
     cache = {}
 
     def mono_times(m, g):
@@ -175,16 +175,16 @@ def test_left_rule_matches_right_multiplication(text):
             assert engine.import_element(b) == right_product(engine, el_one(), b)
         # every generator times a longer normal-form monomial with odd
         # generators in the lowering and raising blocks and a Cartan one
-        seq, basis = engine.order.sequence, table.basis
+        seq, basis = engine.sequence, table.basis
         odd = [g for g in seq if basis[g].odd]
-        picks = set(odd[:3] + odd[-2:]) | {seq[engine.order.n_neg], seq[0]}
-        long = tuple((g, 1 if basis[g].odd else 2) for g in sorted(picks, key=engine.order.rank.get))
+        picks = set(odd[:3] + odd[-2:]) | {seq[engine.table.n_pos], seq[0]}
+        long = tuple((g, 1 if basis[g].odd else 2) for g in sorted(picks, key=engine.rank.get))
         for g in range(table.dim):
             a = {((g, 1),): 1}
             assert engine.multiply(a, {long: 1}) == right_product(engine, a, {long: 1})
         # a high even power past one generator ranked below it that it does
         # not commute with, above the random words' exponents
-        rank = engine.order.rank
+        rank = engine.rank
         for x in range(table.dim):
             if basis[x].odd:
                 continue
@@ -268,7 +268,7 @@ def test_right_division_round_trip(p, pick):
 def test_right_division_raises():
     ctx = ctx_for("B-II:m=1,n=1")
     engine = ctx.default_engine
-    odd_last = engine.order.rightmost_negative
+    odd_last = engine.rightmost_negative
     assert ctx.table.basis[odd_last].odd
     with pytest.raises(WrongOrder):
         engine.right_divide(engine.gen(odd_last), odd_last, 1)
@@ -287,7 +287,7 @@ def test_right_division_round_trip_failure_is_named(monkeypatch):
     python -O, and a failure names the monomial of the dividend."""
     ctx = ctx_for("D-I:m=1,n=2")
     bid = ctx.table.f_gen(first_even_root(ctx.alg))
-    engine = PBWEngine(ctx.table, ctx.engine(tail=(bid,)).order)
+    engine = PBWEngine(ctx.table, (bid,))
     x = engine.multiply(random_lowering(engine, random.Random(3), 2), engine.gen(bid, 2))
     monkeypatch.setattr(engine, "multiply", lambda a, b: el_zero())
     with pytest.raises(RoundTripFailure) as info:
@@ -397,10 +397,10 @@ def test_lift_edge_cases():
 
 def test_lift_refuses_the_wrong_generator_or_element():
     """The expansion needs X f^j to be a concatenation: f must be even and
-    rightmost, and theta must lie in U(n^-)."""
+    rightmost, and theta must be in normal form in U(n^-)."""
     ctx = ctx_for("B-II:m=1,n=1")
     table = ctx.table
-    odd_last = ctx.default_engine.order.rightmost_negative
+    odd_last = ctx.default_engine.rightmost_negative
     assert table.basis[odd_last].odd
     with pytest.raises(WrongOrder):
         ctx.default_engine.lift(odd_last, 2, el_one())
@@ -408,8 +408,15 @@ def test_lift_refuses_the_wrong_generator_or_element():
     other = next(g for g in range(table.n_pos) if g != f and not table.basis[g].odd)
     with pytest.raises(WrongOrder):
         engine.lift(other, 2, el_one())
-    with pytest.raises(WrongOrder, match="not in U"):
+    with pytest.raises(WrongOrder, match="is not a normal-form monomial of U"):
         engine.lift(f, 2, engine.gen(table.e_gen("d1")))
+    # every generator of a theta monomial is checked, not only the last
+    ctx = ctx_for("B-I:m=2,n=1")
+    engine, f = ctx.engine(tail=("d1-d2",)), ctx.table.f_gen("d1-d2")
+    mono = ((ctx.table.f_gen("2d2"), 1), (ctx.table.f_gen("e1"), 1))
+    assert [engine.rank[g] for g, _ in mono] == [6, 0]
+    with pytest.raises(WrongOrder, match="is not a normal-form monomial of U"):
+        engine.lift(f, 2, {mono: 1})
 
 
 def test_element_weight_rejects_mixtures_and_zero():
@@ -435,7 +442,7 @@ def random_normal_monomial(engine, rng):
     """A random normal-form monomial over the whole basis: odd generators
     at most once, even ones up to the cube."""
     mono = []
-    for g in engine.order.sequence:
+    for g in engine.sequence:
         if rng.random() < 0.3:
             mono.append((g, 1 if engine.table.basis[g].odd else rng.randint(1, 3)))
     return tuple(mono)
@@ -444,7 +451,7 @@ def random_normal_monomial(engine, rng):
 def short_monomial(engine, rng, pool, length):
     """A normal-form monomial of at most length generators drawn from pool:
     odd ones once, even ones up to the square."""
-    gens = sorted({rng.choice(pool) for _ in range(length)}, key=engine.order.rank.__getitem__)
+    gens = sorted({rng.choice(pool) for _ in range(length)}, key=engine.rank.__getitem__)
     return tuple((g, 1 if engine.table.basis[g].odd else rng.randint(1, 2)) for g in gens)
 
 
@@ -456,7 +463,7 @@ def insert_way(engine, head, w, rest):
     "bracket power" when one of them, y^b, has a nonzero bracket with w
     (b > 1 for the power), and "commuting" or "odd signs" when none has (an
     odd w passing an odd one for the signs)."""
-    rank, basis = engine.order.rank, engine.table.basis
+    rank, basis = engine.rank, engine.table.basis
     odd = basis[w].odd
     if any(g == w for g, _ in head + rest):
         return "odd square" if odd else "raises"
@@ -485,7 +492,7 @@ def test_insert_matches_prepending_the_product(text):
     rng = random.Random(f"insert:{text}")
     ways = collections.Counter()
     for engine in (ctx.default_engine, tailed_engine(ctx)[0]):
-        lowering = engine.order.sequence[: engine.order.n_neg]
+        lowering = engine.sequence[: engine.table.n_pos]
         for _ in range(500):
             pool = lowering if rng.random() < 0.5 else range(ctx.table.dim)
             mono = short_monomial(engine, rng, pool, rng.randint(0, 6))
@@ -507,7 +514,7 @@ def test_insert_refuses_what_is_no_normal_form():
     generator it passes or meets to carry exponent one, as walk does."""
     ctx = ctx_for("B-I:m=1,n=1")
     engine = ctx.default_engine
-    seq, basis = engine.order.sequence, ctx.table.basis
+    seq, basis = engine.sequence, ctx.table.basis
     low, high = seq[0], seq[-1]
     for head, rest in ((((high, 1),), ((low, 1),)), (((low, 1),), ((low, 1),))):
         with pytest.raises(WrongOrder, match="is not a normal-form monomial"):
@@ -598,6 +605,6 @@ def test_deep_power_passes_a_commuting_generator(name):
     engine = ctx.default_engine
     big, x = ctx.table.f_gen("2D"), ctx.table.f_gen(name)
     assert not ctx.table.bracket(big, x)
-    assert engine.order.rank[x] < engine.order.rank[big]
+    assert engine.rank[x] < engine.rank[big]
     got = engine.multiply(engine.gen(big, 2000), engine.gen(x))
     assert got == {((x, 1), (big, 2000)): 1}

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from superverma.cli import SMALLEST_CASES
-from superverma.pbw import el_scale
+from superverma.pbw import WrongOrder, el_scale
 from superverma.rootdata import CaseId, InvalidParams, ParityViolation, wdiff, wscale
 from superverma import cli, singular
 from superverma.singular import (
@@ -212,14 +212,16 @@ def test_context_budget_drops_the_least_recently_used(monkeypatch, capsys):
 
 
 def test_engines_of_a_case_share_the_table_and_make_each_order_once(monkeypatch):
-    """A context makes each engine's order once, however often the engine is
-    looked up, an engine keeps only its table and its order, and two
-    engines of a case read the same ad chain rows, and so the same chain
-    lists, from the bracket table."""
+    """A context builds each engine once, however often the engine is
+    looked up and whether its tail names a generator by id or by root, and
+    refuses a tail that is no order; an engine keeps only its table, its
+    tail and the order derived from them, and two engines of a case read
+    the same ad chain rows, and so the same chain lists, from the bracket
+    table."""
     made = []
-    real_order = singular.make_order
-    monkeypatch.setattr(singular, "make_order",
-                        lambda table, tail=(): made.append(tail) or real_order(table, tail))
+    real_engine = singular.PBWEngine
+    monkeypatch.setattr(singular, "PBWEngine",
+                        lambda table, tail=(): made.append(tail) or real_engine(table, tail))
     case = CaseId.parse("B-I:m=2,n=1")
     shared = build_context(case)
     ctx = Context(shared.alg, shared.table)
@@ -227,8 +229,18 @@ def test_engines_of_a_case_share_the_table_and_make_each_order_once(monkeypatch)
     for _ in range(3):
         default, tailed = ctx.default_engine, ctx.engine(tail=(kappa,))
         assert ctx.engine(tail=("d1-d2",)) is tailed
-    assert len(made) == len(ctx._engines) == 2
-    assert all(set(vars(e)) == {"table", "order"} for e in (default, tailed))
+    assert made == [(), (kappa,)] and len(ctx._engines) == 2
+    assert all(set(vars(e)) == {"table", "tail", "sequence", "rank"} for e in (default, tailed))
+    # a tail entry must be a lowering generator, given once, by id or by root
+    for tail, message in (
+        ((ctx.table.e_gen("d1-d2"),), "is not a lowering generator id"),
+        ((ctx.table.dim,), "is not a lowering generator id"),
+        ((-1,), "is not a lowering generator id"),
+        ((kappa, "d1-d2"), "tail entries must be distinct"),
+    ):
+        with pytest.raises(WrongOrder, match=message):
+            ctx.engine(tail=tail)
+    assert len(ctx._engines) == 2
     rows = []
     real_row = ctx.table.ad_row
     monkeypatch.setattr(ctx.table, "ad_row", lambda g: rows.append((g, real_row(g))) or rows[-1][1])
@@ -267,4 +279,4 @@ def test_straightened_factors_match_one_at_a_time(text):
         for factors in orders:
             got = cand.build(engine, factors, tail)
             want = apply_one_at_a_time(engine, params.lam, factors, tail)
-            assert got.body == want.body, (text, engine.order.sequence, factors)
+            assert got.body == want.body, (text, engine.sequence, factors)

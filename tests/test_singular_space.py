@@ -35,7 +35,7 @@ def weight_space(engine, N):
     choosing exponents in the engine's order within the height N*ht(gamma)."""
     table = engine.table
     alg = table.alg
-    gens = engine.order.sequence[: engine.order.n_neg]
+    gens = engine.sequence[: engine.table.n_pos]
     gamma = alg.index[alg.gamma.weight]
     target = tuple(-N * c for c in table.lattice[table.e_id(gamma)])
     out = []

@@ -12,7 +12,6 @@ from superverma.pbw import (
     el_add,
     el_one,
     el_scale,
-    make_order,
 )
 from superverma.rootdata import OSP_FAMILIES, CaseId, build_algebra_data, wdiff, wscale, wsum
 from superverma.singular import (
@@ -39,10 +38,10 @@ from superverma.verma import (
 )
 
 
-def setup(text: str, tail=()):
+def setup(text: str):
     alg = build_algebra_data(CaseId.parse(text))
     table = build_structure_constants(alg)
-    engine = PBWEngine(table, make_order(table, tail=tail))
+    engine = PBWEngine(table)
     return alg, table, engine
 
 
@@ -236,7 +235,7 @@ def test_module_action_matches_straightening(text):
     rng = random.Random(f"module-action:{text}")
     tail = (table.f_gen(ctx.alg.gamma.weight),)
     for eng in (ctx.default_engine, ctx.engine(tail=tail)):
-        reference = PBWEngine(table, eng.order)
+        reference = PBWEngine(table, eng.tail)
         bodies = [candidate(CaseParams(case, 1, lam), ctx.alg).build(eng).body]
         for _ in range(2):
             word = tuple((rng.randrange(table.n_pos), rng.randint(1, 2)) for _ in range(3))
@@ -250,7 +249,7 @@ def test_module_action_matches_straightening(text):
                     x = eng.gen(g, e)
                     got = act(x, v, eng).body
                     assert got == straightening_act(x, v, reference).body, (
-                        text, eng.order.sequence[: table.n_pos], table.basis[g].name, e)
+                        text, eng.sequence[: table.n_pos], table.basis[g].name, e)
                     assert not non_canonical(got.values()), (text, table.basis[g].name, e)
         assert not non_canonical(c for body in bodies for c in body.values()), text
 
@@ -259,7 +258,7 @@ def test_module_action_needs_a_normal_form_body():
     alg, table, eng = setup("B-I:m=1,n=1")
     lam = frac_weight("3/2", 2)
     e = eng.gen(table.e_id(0))
-    f0, f1 = sorted(range(table.n_pos), key=eng.order.rank.get)[:2]
+    f0, f1 = sorted(range(table.n_pos), key=eng.rank.get)[:2]
     for body in (
         {((f1, 1), (f0, 1)): Fraction(1)},  # out of order
         {((f0, 1), (table.h_id(0), 1)): Fraction(1)},  # not in U(n^-)
@@ -311,19 +310,19 @@ def test_grouped_singularity_check_matches_act(text):
     tail = (table.f_gen(ctx.alg.gamma.weight),)
     failures = 0
     for eng in (ctx.default_engine, ctx.engine(tail=tail)):
-        reference = PBWEngine(table, eng.order)
+        reference = PBWEngine(table, eng.tail)
         for seed in (0, 1):
             lam = default_lambda(case, 1, seed, ctx.alg)
             bodies = [candidate(CaseParams(case, 1, lam), ctx.alg).build(eng).body]
             bodies += [random_homogeneous_body(eng, rng) for _ in range(4)]
             # f_j (B + 1): a leading-power group whose rest has two weights
-            f = min((table.f_id(i) for i in ctx.alg.simple_pos_index), key=eng.order.rank.get)
+            f = min((table.f_id(i) for i in ctx.alg.simple_pos_index), key=eng.rank.get)
             bodies.append(eng.multiply(eng.gen(f), el_add(bodies[1], el_one())))
             for body in bodies:
                 v = VermaVector(body, lam)
                 report = is_singular(v, eng)
                 assert report == straightening_is_singular(v, reference), (
-                    text, eng.order.sequence[: table.n_pos], sorted(body))
+                    text, eng.sequence[: table.n_pos], sorted(body))
                 failures += report.failure is not None
     assert failures
 
@@ -335,7 +334,7 @@ def test_alternating_highest_weights_match_fresh_engines():
     case = CaseId.parse("D-II:m=2,n=2")
     ctx = build_context(case)
     table = ctx.table
-    eng = PBWEngine(table, ctx.default_engine.order)
+    eng = PBWEngine(table)
     lams = [default_lambda(case, 2, seed, ctx.alg) for seed in (0, 1)]
     assert lams[0] != lams[1]
     body = candidate_u(CaseParams(case, 2, lams[0]), ctx).body
@@ -347,7 +346,7 @@ def test_alternating_highest_weights_match_fresh_engines():
         x = el_add(x, eng.multiply(el_one(), {word: rng.randint(1, 5)}))
     for lam in lams * 2:
         v = VermaVector(body, lam)
-        fresh = PBWEngine(table, eng.order)
+        fresh = PBWEngine(table, eng.tail)
         assert act(x, v, eng).body == act(x, v, fresh).body
         assert is_singular(v, eng) == is_singular(v, fresh)
     assert is_singular(VermaVector(body, lams[0]), eng).ok
@@ -361,7 +360,7 @@ def test_candidates_at_two_weights_share_an_engine():
     case = CaseId.parse("D-II:m=2,n=2")
     ctx = build_context(case)
     table = ctx.table
-    shared = PBWEngine(table, ctx.default_engine.order)
+    shared = PBWEngine(table)
     lams = [default_lambda(case, 2, seed, ctx.alg) for seed in (0, 1)]
     assert lams[0] != lams[1]
     cands = [candidate(CaseParams(case, 2, lam), ctx.alg) for lam in lams]
@@ -370,12 +369,12 @@ def test_candidates_at_two_weights_share_an_engine():
     for k in reversed(range(len(ids) + 1)):
         for cand, other in zip(cands, reversed(lams)):
             u = cand.build(shared, ids[k:]).body
-            fresh = PBWEngine(table, shared.order)
+            fresh = PBWEngine(table, shared.tail)
             assert u == candidate(cand.params, ctx.alg).build(fresh, ids[k:]).body
             v = VermaVector(u, other)
             x = shared.gen(f)
-            assert act(x, v, shared).body == act(x, v, PBWEngine(table, shared.order)).body
-            assert is_singular(v, shared) == is_singular(v, PBWEngine(table, shared.order))
+            assert act(x, v, shared).body == act(x, v, PBWEngine(table, shared.tail)).body
+            assert is_singular(v, shared) == is_singular(v, PBWEngine(table, shared.tail))
     assert all(is_singular(cand.build(shared), shared).ok for cand in cands)
 
 

@@ -110,8 +110,8 @@ def test_witness_sequence_is_a_full_ordering():
         ctx = build_context(case)
         lam = default_lambda(case, 1, 0, ctx.alg)
         spec = witness_spec(candidate(CaseParams(case, 1, lam), ctx.alg), ctx.alg)
-        order = ctx.engine(tail=spec.order_tail).order
-        lowering = order.sequence[:order.n_neg]
+        engine = ctx.engine(tail=spec.order_tail)
+        lowering = engine.sequence[:ctx.table.n_pos]
         assert sorted(lowering) == list(range(len(ctx.alg.pos_roots)))
         tail_ids = tuple(ctx.table.f_gen(w) for w in spec.order_tail)
         assert lowering[len(lowering) - len(tail_ids):] == tail_ids
