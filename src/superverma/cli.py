@@ -210,7 +210,7 @@ def _verify_point(job):
         except ValueError as exc:
             raise InvalidParams(f"cannot parse --lambda {lam_text!r}: {exc}") from None
     params = CaseParams(case, N, lam)
-    cand = candidate(params, alg)
+    cand = candidate(params, ctx)
     engine = ctx.default_engine
     u = cand.build(engine)
     drop = claimed_drop(params, alg)

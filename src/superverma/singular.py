@@ -215,14 +215,17 @@ class Candidate:
     """One point's candidate, validated and derived once: the odd raising
     factors (root weights in application order, leftmost first), which sum
     to c * gamma, and the lowering tail f_gamma^(N + c) as (root weight,
-    exponent) pairs."""
+    exponent) pairs, each also resolved once to generator ids."""
 
     params: CaseParams
     odd: Tuple[Weight, ...]
     tail: Tuple[Tuple[Weight, int], ...]
-    # per (engine, tail), the action of M(lambda) and the U(n^+) monomials'
-    # images on tail v+, never read for another tail, even a scalar multiple
-    _images: Dict[tuple, Tuple[_Action, Dict[Monomial, UEAElement]]] = field(
+    odd_ids: Tuple[int, ...]
+    tail_ids: Monomial
+    # per (engine, tail as a generator-id monomial), the action of
+    # M(lambda) and the U(n^+) monomials' images on tail v+, never read
+    # for another tail, even a scalar multiple
+    _images: Dict[Tuple[PBWEngine, Monomial], Tuple[_Action, Dict[Monomial, UEAElement]]] = field(
         default_factory=dict, repr=False
     )
 
@@ -230,22 +233,20 @@ class Candidate:
         self,
         engine: PBWEngine,
         factors: Optional[Sequence[int]] = None,
-        tail: Optional[Tuple[Tuple[Weight, int], ...]] = None,
+        tail: Optional[Monomial] = None,
     ) -> VermaVector:
         """The word of raising factors, as generator ids (the odd factors
-        by default), straightened in U(n^+), acting once on tail v+ (the
-        candidate's tail by default).  Each monomial of the word acts from
-        its longest suffix with a known image, one generator power at a
-        time, adding the rest to the images."""
-        table = engine.table
+        by default), straightened in U(n^+), acting once on tail v+, with
+        tail a monomial of lowering generator ids (the candidate's tail by
+        default).  Each monomial of the word acts from its longest suffix
+        with a known image, one generator power at a time, adding the rest
+        to the images."""
         lam = self.params.lam
-        factors = [table.e_gen(w) for w in self.odd] if factors is None else factors
-        tail = self.tail if tail is None else tail
-        if (engine, tail) not in self._images:
-            tail_mono = tuple((table.f_gen(w), e) for w, e in tail)
-            images = {(): engine.import_element({tail_mono: 1})}
-            self._images[(engine, tail)] = (_Action(engine, lam), images)
-        action, images = self._images[(engine, tail)]
+        factors = self.odd_ids if factors is None else factors
+        key = (engine, self.tail_ids if tail is None else tail)
+        if key not in self._images:
+            self._images[key] = (_Action(engine, lam), {(): engine.import_element({key[1]: 1})})
+        action, images = self._images[key]
         word = engine.import_element({tuple((g, 1) for g in factors): 1})
         body: UEAElement = {}
         for mono, coef in word.items():
@@ -259,8 +260,10 @@ class Candidate:
         return VermaVector(body, lam)
 
 
-def candidate(params: CaseParams, alg: AlgebraData) -> Candidate:
-    """The validated params with their odd factors and tail."""
+def candidate(params: CaseParams, ctx: Context) -> Candidate:
+    """The validated params with their odd factors and tail, as root
+    weights and as the context's generator ids."""
+    alg, table = ctx.alg, ctx.table
     validate_params(params, alg)
     family = params.case.family
     if family == "F31":
@@ -272,12 +275,18 @@ def candidate(params: CaseParams, alg: AlgebraData) -> Candidate:
         pivots, block = _osp_shape(alg)
         odd = [op(p, b) for p in pivots for b in block for op in (wdiff, wsum)]
     top = params.N + _gamma_multiple(alg, odd)
-    return Candidate(params, tuple(odd), ((alg.gamma.weight, top),))
+    return Candidate(
+        params,
+        tuple(odd),
+        ((alg.gamma.weight, top),),
+        tuple(table.e_gen(w) for w in odd),
+        ((table.f_gen(alg.gamma.weight), top),),
+    )
 
 
 def candidate_u(params: CaseParams, ctx: Context) -> VermaVector:
     """The candidate singular vector of weight lambda - rho - N*gamma."""
-    return candidate(params, ctx.alg).build(ctx.default_engine)
+    return candidate(params, ctx).build(ctx.default_engine)
 
 
 def claimed_drop(params: CaseParams, alg: AlgebraData) -> Weight:
@@ -678,10 +687,12 @@ def witness_monomial(engine: PBWEngine, mono_spec: Sequence[Tuple[Weight, int]])
 def run_witness(cand: Candidate, ctx: Context) -> WitnessReport:
     spec = witness_spec(cand, ctx.alg)
     engine = ctx.engine(tail=spec.order_tail)
+    table = ctx.table
+    tail = tuple((table.f_gen(w), e) for w, e in spec.tail)
     rows = []
     for step in spec.steps:
-        ids = [ctx.table.e_gen(w) for w in step.e_factors]
-        u_k = cand.build(engine, ids, spec.tail)
+        ids = [table.e_gen(w) for w in step.e_factors]
+        u_k = cand.build(engine, ids, tail)
         mono = witness_monomial(engine, step.v_mono)
         coeff = u_k.body.get(mono, 0)
         weight_ok = _has_weight(engine, u_k.body, engine.monomial_weight(mono))
@@ -696,15 +707,15 @@ def signflip_counterexample(
 ) -> Optional[List[int]]:
     """The first of `samples` seeded orders of the odd factors whose
     candidate is neither u nor -u, or None.  Each rebuild is only its
-    permuted word of generator ids acting through Candidate.build on the
-    default engine."""
+    permuted word of the candidate's factor ids acting through
+    Candidate.build on the default engine."""
     params = cand.params
     engine = ctx.default_engine
-    ids = [ctx.table.e_gen(w) for w in cand.odd]
+    ids = cand.odd_ids
     neg = _scaled(u.body, -1)
     for trial in range(samples):
         rng = random.Random(f"signflip:{params.case.text}:{params.N}:{seed}:{trial}")
-        perm = list(range(len(cand.odd)))
+        perm = list(range(len(ids)))
         rng.shuffle(perm)
         w = cand.build(engine, [ids[i] for i in perm])
         if w.body != u.body and w.body != neg:

@@ -67,6 +67,9 @@ class BasisElement:
 # Sparse vectors (dicts from keys to nonzero coefficients in canonical
 # form) are shared by the bracket table here and by U(g) elements in pbw
 # and verma.  _exact, _scaled and _merge keep every stored value canonical.
+# Exact arithmetic happens only where two terms meet: a merge stores c * v
+# on a key new to its target (v itself when c = 1, -v when c = -1) and adds
+# only on a key already there.
 
 
 def _exact(c: Coefficient) -> Coefficient:
@@ -77,20 +80,31 @@ def _exact(c: Coefficient) -> Coefficient:
 
 
 def _scaled(val: Dict, c: Coefficient) -> Dict:
-    """c * val for an int or Fraction c."""
+    """c * val for an int or Fraction c; c = 1 copies and c = -1 negates
+    each value, with no multiplication."""
     if not c:
         return {}
+    if c == 1:
+        return {k: _exact(v) for k, v in val.items()}
+    if c == -1:
+        return {k: _exact(-v) for k, v in val.items()}
     return {k: _exact(c * v) for k, v in val.items()}
 
 
 def _merge(into: Dict, val: Dict, c: Coefficient = 1) -> None:
-    """into += c * val, dropping keys that cancel."""
+    """into += c * val, dropping keys that cancel.  A key not yet in into
+    gets c * v (v itself when c = 1, -v when c = -1), or nothing when that
+    is 0; only a key already there is added to."""
+    one, minus = c == 1, c == -1
+    get = into.get
     for k, v in val.items():
-        new = into.get(k, 0) + c * v
+        cv = v if one else -v if minus else c * v
+        old = get(k)
+        new = cv if old is None else old + cv
         if new:
             into[k] = _exact(new)
-        else:
-            into.pop(k, None)
+        elif old is not None:
+            del into[k]
 
 
 def _left_bracket(bracket: Callable[[int, int], Value], x: int, val: Value) -> Value:

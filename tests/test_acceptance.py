@@ -98,7 +98,7 @@ def test_criterion_2_witness_coefficients():
         ctx = build_context(case)
         for N in levels:
             lam = default_lambda(case, N, 0, ctx.alg)
-            report = run_witness(candidate(CaseParams(case, N, lam), ctx.alg), ctx)
+            report = run_witness(candidate(CaseParams(case, N, lam), ctx), ctx)
             assert report.candidate_coefficient != 0, (text, N)
             for row in report.rows:
                 assert row.coefficient != 0, (text, N, row.label)
@@ -116,8 +116,8 @@ def test_criterion_3_odd_factor_permutations():
         params = CaseParams(case, N, lam)
         u = candidate_u(params, ctx)
         neg = {mono: -c for mono, c in u.body.items()}
-        cand = candidate(params, ctx.alg)
-        ids = [ctx.table.e_gen(w) for w in cand.odd]
+        cand = candidate(params, ctx)
+        ids = cand.odd_ids
         for trial in range(20):
             rng = random.Random(f"acceptance:flip:{text}:{trial}")
             perm = list(range(len(ids)))

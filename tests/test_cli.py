@@ -594,7 +594,7 @@ def test_failed_signflip_exits_one(capsys, monkeypatch):
     case = CaseId.parse("B-I:m=1,n=1")
     ctx = build_context(case)
     params = CaseParams(case, 1, default_lambda(case, 1, 0, ctx.alg))
-    own = candidate(params, ctx.alg).odd
+    own = candidate(params, ctx).odd_ids
     real = Candidate.build
 
     def doubled_when_permuted(self, engine, factors=None, tail=None):

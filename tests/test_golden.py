@@ -110,7 +110,7 @@ def witness_specs() -> str:
         alg = ctx.alg
         for N in (1, 3) if case.family == "B-I" else (1, 2):
             params = CaseParams(case, N, default_lambda(case, N, 0, alg))
-            cand = candidate(params, alg)
+            cand = candidate(params, ctx)
             odd, tail = cand.odd, cand.tail
             spec = witness_spec(cand, alg)
             engine = ctx.engine(tail=spec.order_tail)

@@ -7,9 +7,10 @@ import pytest
 
 from superverma.cli import SMALLEST_CASES
 from superverma.pbw import WrongOrder, el_scale
-from superverma.rootdata import CaseId, InvalidParams, ParityViolation, wdiff, wscale
+from superverma.rootdata import AlgebraData, CaseId, InvalidParams, ParityViolation, wdiff, wscale
 from superverma import cli, singular
 from superverma.singular import (
+    Candidate,
     CaseParams,
     Context,
     build_context,
@@ -17,6 +18,8 @@ from superverma.singular import (
     candidate_u,
     claimed_drop,
     default_lambda,
+    run_witness,
+    signflip_counterexample,
     validate_params,
     witness_spec,
 )
@@ -41,11 +44,11 @@ def params_for(text: str, N: int, seed: int = 0) -> CaseParams:
 def apply_one_at_a_time(engine, lam, e_factors, tail):
     """Reference for the candidate's construction: every lowering power and
     then every odd raising factor (a generator id) acts on the growing
-    module vector, one act per factor, rightmost first."""
-    table = engine.table
+    module vector, one act per factor, rightmost first; tail is (lowering
+    generator id, exponent) pairs."""
     v = highest_weight_vector(lam)
-    for w, exp in reversed(list(tail)):
-        v = act(engine.gen(table.f_gen(w), exp), v, engine)
+    for g, exp in reversed(list(tail)):
+        v = act(engine.gen(g, exp), v, engine)
     for g in reversed(list(e_factors)):
         v = act(engine.gen(g), v, engine)
     return v
@@ -113,7 +116,7 @@ def test_candidate_factor_shapes():
     }
     for text, N in SMALLEST.items():
         params, ctx = params_for(text, N)
-        cand = candidate(params, ctx.alg)
+        cand = candidate(params, ctx)
         odd, tail = cand.odd, cand.tail
         n_odd, tail_exp = expected_counts[text]
         assert len(odd) == n_odd
@@ -150,8 +153,8 @@ def test_factor_permutations_flip_sign_at_most():
         params, ctx = params_for(text, 1)
         u = candidate_u(params, ctx)
         neg = {m: -c for m, c in u.body.items()}
-        cand = candidate(params, ctx.alg)
-        odd = [ctx.table.e_gen(w) for w in cand.odd]
+        cand = candidate(params, ctx)
+        odd = cand.odd_ids
         k = len(odd)
         engine = ctx.default_engine
         y_id = raising_product(engine, odd)
@@ -244,7 +247,7 @@ def test_engines_of_a_case_share_the_table_and_make_each_order_once(monkeypatch)
     rows = []
     real_row = ctx.table.ad_row
     monkeypatch.setattr(ctx.table, "ad_row", lambda g: rows.append((g, real_row(g))) or rows[-1][1])
-    cand = candidate(CaseParams(case, 1, default_lambda(case, 1, 0, ctx.alg)), ctx.alg)
+    cand = candidate(CaseParams(case, 1, default_lambda(case, 1, 0, ctx.alg)), ctx)
     read = {}
     for engine in (default, tailed):
         rows.clear()
@@ -264,13 +267,14 @@ def test_straightened_factors_match_one_at_a_time(text):
     permutations, all through one Candidate, whose dict of monomial images
     each (engine, tail) shares."""
     params, ctx = params_for(text, 1)
-    cand = candidate(params, ctx.alg)
-    odd, tail = [ctx.table.e_gen(w) for w in cand.odd], cand.tail
+    cand = candidate(params, ctx)
+    odd, tail = cand.odd_ids, cand.tail_ids
     spec = witness_spec(cand, ctx.alg)
     witness_engine = ctx.engine(tail=spec.order_tail)
+    spec_tail = tuple((ctx.table.f_gen(w), e) for w, e in spec.tail)
     jobs = [(ctx.default_engine, odd, tail), (witness_engine, odd, tail)]
     jobs += [
-        (witness_engine, [ctx.table.e_gen(w) for w in step.e_factors], spec.tail)
+        (witness_engine, [ctx.table.e_gen(w) for w in step.e_factors], spec_tail)
         for step in spec.steps
     ]
     rng = random.Random(f"straighten:{text}")
@@ -280,3 +284,51 @@ def test_straightened_factors_match_one_at_a_time(text):
             got = cand.build(engine, factors, tail)
             want = apply_one_at_a_time(engine, params.lam, factors, tail)
             assert got.body == want.body, (text, engine.sequence, factors)
+
+
+@pytest.mark.parametrize("text", ["B-I:m=1,n=1", "G3", "D-II:m=2,n=2", "F31"])
+def test_rebuilds_resolve_no_roots(text, monkeypatch):
+    """The candidate's factors and tail are generator ids from the start, so
+    no build, neither a sign-flip rebuild nor a witness step, looks up a
+    root weight (AlgebraData.root_index).  The candidate keeps one image
+    dict per (engine, tail): the witness engine keeps the spec's tail and,
+    for an odd gamma, the candidate's own, a scalar multiple of it that it
+    never shares."""
+    params, ctx = params_for(text, 1)
+    cand = candidate(params, ctx)
+    lookups = []
+    real_index, real_build = AlgebraData.root_index, Candidate.build
+
+    def counted_index(self, w):
+        lookups.append(w)
+        return real_index(self, w)
+
+    per_build = []
+
+    def counted_build(self, *args):
+        before = len(lookups)
+        u = real_build(self, *args)
+        per_build.append(len(lookups) - before)
+        return u
+
+    monkeypatch.setattr(AlgebraData, "root_index", counted_index)
+    monkeypatch.setattr(Candidate, "build", counted_build)
+    engine = ctx.default_engine
+    u = cand.build(engine)
+    del lookups[:]
+    assert signflip_counterexample(cand, ctx, u, 0, 20) is None
+    assert lookups == []
+    assert run_witness(cand, ctx).ok
+    spec = witness_spec(cand, ctx.alg)
+    assert per_build == [0] * (1 + 20 + len(spec.steps) + 1)
+
+    witness_engine = ctx.engine(tail=spec.order_tail)
+    spec_tail = tuple((ctx.table.f_gen(w), e) for w, e in spec.tail)
+    assert (spec_tail != cand.tail_ids) == ctx.alg.gamma.odd
+    assert set(cand._images) == {
+        (engine, cand.tail_ids), (witness_engine, spec_tail), (witness_engine, cand.tail_ids),
+    }
+    if ctx.alg.gamma.odd:
+        own = cand._images[(witness_engine, cand.tail_ids)][1]
+        split = cand._images[(witness_engine, spec_tail)][1]
+        assert own is not split and own[()] != split[()]

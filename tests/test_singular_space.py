@@ -95,7 +95,7 @@ def test_candidate_spans_the_singular_space(text, N):
     for mono in monos:
         v = VermaVector({mono: 1}, lam)
         columns.append({(j, m): c for j, e in enumerate(raising) for m, c in act(e, v, engine).body.items()})
-    u = candidate(CaseParams(case, N, lam), ctx.alg).build(engine)
+    u = candidate(CaseParams(case, N, lam), ctx).build(engine)
     assert u.body and set(u.body) <= set(monos)
     image = {}
     for mono, coef in u.body.items():

@@ -3,6 +3,8 @@ import gc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superverma.cli import SMALLEST_CASES
 from superverma.rootdata import CaseId, build_algebra_data, wsum
@@ -248,3 +250,48 @@ def test_merge_and_scale_keep_canonical_form():
     assert scaled == {"a": 1, "b": 6}
     assert all(type(c) is int for c in scaled.values())
     assert _scaled({"a": half}, 0) == {}
+
+
+# values as the kernel may meet them: ints (some large), Fractions, zeros in
+# both types and integral Fractions such as Fraction(3, 1)
+COEFFICIENTS = st.one_of(
+    st.integers(-(10 ** 20), 10 ** 20),
+    st.fractions(max_denominator=12),
+    st.sampled_from([0, Fraction(0)]),
+    st.integers(-5, 5).map(Fraction),
+)
+VECTORS = st.dictionaries(st.integers(0, 7), COEFFICIENTS, max_size=8)
+FACTORS = st.sampled_from([1, -1, 0, 3, Fraction(1, 2), Fraction(-3, 2)])
+
+
+def _canonical_ref(x):
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
+def _typed(d):
+    return {k: (type(v), v) for k, v in d.items()}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(into=VECTORS, val=VECTORS, c=FACTORS)
+def test_merge_and_scale_match_the_reference_formula(into, val, c):
+    """_merge stores into.get(k, 0) + c * v for every key of val, canonical,
+    and drops it when that is 0; _scaled is c * v per key.  A new key adds
+    nothing, so with c = 1 a canonical value is stored as the same object."""
+    want = dict(into)
+    for k, v in val.items():
+        new = into.get(k, 0) + c * v
+        if new:
+            want[k] = _canonical_ref(new)
+        else:
+            want.pop(k, None)
+    got = dict(into)
+    _merge(got, val, c)
+    assert _typed(got) == _typed(want)
+    assert all(got[k] and is_canonical(got[k]) for k in val if k in got)
+    if c == 1:
+        for k, v in val.items():
+            if k not in into and v and v is _canonical_ref(v):
+                assert got[k] is v
+    want_scaled = {k: _canonical_ref(c * v) for k, v in val.items()} if c else {}
+    assert _typed(_scaled(val, c)) == _typed(want_scaled)

@@ -236,7 +236,7 @@ def test_module_action_matches_straightening(text):
     tail = (table.f_gen(ctx.alg.gamma.weight),)
     for eng in (ctx.default_engine, ctx.engine(tail=tail)):
         reference = PBWEngine(table, eng.tail)
-        bodies = [candidate(CaseParams(case, 1, lam), ctx.alg).build(eng).body]
+        bodies = [candidate(CaseParams(case, 1, lam), ctx).build(eng).body]
         for _ in range(2):
             word = tuple((rng.randrange(table.n_pos), rng.randint(1, 2)) for _ in range(3))
             bodies.append(eng.multiply(el_one(), {word: Fraction(rng.randint(1, 5))}))
@@ -313,7 +313,7 @@ def test_grouped_singularity_check_matches_act(text):
         reference = PBWEngine(table, eng.tail)
         for seed in (0, 1):
             lam = default_lambda(case, 1, seed, ctx.alg)
-            bodies = [candidate(CaseParams(case, 1, lam), ctx.alg).build(eng).body]
+            bodies = [candidate(CaseParams(case, 1, lam), ctx).build(eng).body]
             bodies += [random_homogeneous_body(eng, rng) for _ in range(4)]
             # f_j (B + 1): a leading-power group whose rest has two weights
             f = min((table.f_id(i) for i in ctx.alg.simple_pos_index), key=eng.rank.get)
@@ -363,14 +363,14 @@ def test_candidates_at_two_weights_share_an_engine():
     shared = PBWEngine(table)
     lams = [default_lambda(case, 2, seed, ctx.alg) for seed in (0, 1)]
     assert lams[0] != lams[1]
-    cands = [candidate(CaseParams(case, 2, lam), ctx.alg) for lam in lams]
-    ids = [table.e_gen(w) for w in cands[0].odd]
+    cands = [candidate(CaseParams(case, 2, lam), ctx) for lam in lams]
+    ids = cands[0].odd_ids
     f = table.f_id(ctx.alg.simple_pos_index[0])
     for k in reversed(range(len(ids) + 1)):
         for cand, other in zip(cands, reversed(lams)):
             u = cand.build(shared, ids[k:]).body
             fresh = PBWEngine(table, shared.tail)
-            assert u == candidate(cand.params, ctx.alg).build(fresh, ids[k:]).body
+            assert u == candidate(cand.params, ctx).build(fresh, ids[k:]).body
             v = VermaVector(u, other)
             x = shared.gen(f)
             assert act(x, v, shared).body == act(x, v, PBWEngine(table, shared.tail)).body

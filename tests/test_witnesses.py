@@ -31,7 +31,7 @@ def report_for(text: str, N: int, seed: int = 1):
     ctx = build_context(case)
     lam = default_lambda(case, N, seed, ctx.alg)
     params = CaseParams(case, N, lam)
-    return run_witness(candidate(params, ctx.alg), ctx), params, ctx
+    return run_witness(candidate(params, ctx), ctx), params, ctx
 
 
 def test_f31_witness_chain():
@@ -63,7 +63,7 @@ def test_g3_partial_product_is_proportional_to_candidate():
     case = CaseId.parse("G3")
     ctx = build_context(case)
     lam = default_lambda(case, 1, 2, ctx.alg)
-    cand = candidate(CaseParams(case, 1, lam), ctx.alg)
+    cand = candidate(CaseParams(case, 1, lam), ctx)
     spec = witness_spec(cand, ctx.alg)
     engine = ctx.engine(tail=spec.order_tail)
     step = spec.steps[0]
@@ -109,7 +109,7 @@ def test_witness_sequence_is_a_full_ordering():
         case = CaseId.parse(text)
         ctx = build_context(case)
         lam = default_lambda(case, 1, 0, ctx.alg)
-        spec = witness_spec(candidate(CaseParams(case, 1, lam), ctx.alg), ctx.alg)
+        spec = witness_spec(candidate(CaseParams(case, 1, lam), ctx), ctx.alg)
         engine = ctx.engine(tail=spec.order_tail)
         lowering = engine.sequence[:ctx.table.n_pos]
         assert sorted(lowering) == list(range(len(ctx.alg.pos_roots)))
