@@ -222,7 +222,7 @@ def _verify_point(job):
         "seed": seed,
         "lambda": [str(x) for x in lam],
         "gamma": alg.gamma.name,
-        "drop": [str(x) for x in drop],
+        "drop": [str(x) for x in alg.from_lattice(drop)],
         "u_terms": len(u.body),
     }
     nonzero = not u.is_zero()
@@ -230,20 +230,20 @@ def _verify_point(job):
     counterexample = None if nonzero else "u = 0"
     if "nonzero" in checks:
         rec["nonzero_ok"] = nonzero
-    expected = wdiff(wdiff(lam, alg.rho), drop)
-    weight_ok = False
+    # weight_of(u) is lambda - rho - drop exactly when the body's weight is -drop
+    weight_ok, problem = False, None
     if nonzero:
         try:
-            weight = weight_of(u, engine)
+            weight_ok = engine.element_lattice(u.body) == tuple(-c for c in drop)
         except Inhomogeneous as exc:
             problem = f"body of u: {exc}"
-        else:
-            weight_ok = weight == expected
+        if not weight_ok and problem is None:
+            expected = wdiff(wdiff(lam, alg.rho), alg.from_lattice(drop))
             problem = (
-                f"weight_of(u) = ({format_weight(weight)}), expected ({format_weight(expected)})"
+                f"weight_of(u) = ({format_weight(weight_of(u, engine))}), expected ({format_weight(expected)})"
             )
     rec["weight_ok"] = weight_ok
-    if nonzero and not weight_ok and counterexample is None:
+    if problem is not None and counterexample is None:
         counterexample = problem
     if "singular" in checks:
         report = is_singular(u, engine)

@@ -41,8 +41,11 @@ and an odd one rewrites through [w, w] / 2.  Every chain comes from the
 bracket table's ad_chain, which every engine of a case shares.  No step
 recurses once per unit of an exponent.
 
-Weights are summed in ints on the bracket table's integer lattice (each
-basis weight times one common denominator) and returned as Fraction tuples.
+Weights are lambda-free, so they are ints: a monomial's weight is the sum of
+its generators' packed keys times their exponents (BracketTable.keys), one
+int operation per generator, read back as a point of the root data's
+integer lattice (each weight times one common denominator).  Weights are
+compared as lattice points and become Fraction tuples only for output.
 """
 
 from __future__ import annotations
@@ -50,10 +53,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Callable, Dict, Tuple
+from typing import Callable, Collection, Dict, Set, Tuple
 
 from .rootdata import Weight, format_weight
-from .superalgebra import BracketTable, Coefficient, _exact, _merge, _scaled, _signed_sum
+from .superalgebra import BracketTable, Coefficient, _exact, _merge, _signed_sum
 
 Monomial = Tuple[Tuple[int, int], ...]
 UEAElement = Dict[Monomial, Coefficient]
@@ -76,27 +79,8 @@ class RoundTripFailure(RuntimeError):
     """A right quotient times the divisor did not give back the dividend."""
 
 
-def el_zero() -> UEAElement:
-    return {}
-
-
 def el_one() -> UEAElement:
     return {(): 1}
-
-
-el_scale = _scaled
-
-
-def el_add(x: UEAElement, y: UEAElement) -> UEAElement:
-    out = dict(x)
-    _merge(out, y)
-    return out
-
-
-def el_sub(x: UEAElement, y: UEAElement) -> UEAElement:
-    out = dict(x)
-    _merge(out, y, -1)
-    return out
 
 
 @dataclass(eq=False)
@@ -377,7 +361,7 @@ class PBWEngine:
     def right_divide(self, x: UEAElement, bid: int, p: int) -> UEAElement:
         """Divide by bid^p on the right, for bid the even rightmost lowering
         generator; every monomial must carry bid^p.  Each quotient monomial
-        is multiplied back by bid^p through multiply as it is stripped, and
+        is multiplied back by bid^p, imported once, as it is stripped, and
         must give its own term of x again."""
         self._check_rightmost_even(bid)
         if p < 0:
@@ -394,7 +378,7 @@ class PBWEngine:
                 )
             e = mono[-1][1] - p
             q = mono[:-1] + ((bid, e),) if e else mono[:-1]
-            if self.multiply({q: coef}, divisor) != {mono: coef}:
+            if self._words_times({q: coef}, divisor, self.power_times) != {mono: coef}:
                 raise RoundTripFailure(
                     f"{self.render_monomial(q)} times {self.table.basis[bid].name}^{p}"
                     f" does not give back {self.render_monomial(mono)}"
@@ -402,31 +386,41 @@ class PBWEngine:
             out[q] = coef
         return out
 
+    def monomial_lattice(self, m: Monomial) -> Tuple[int, ...]:
+        """weight_den times the weight of m, on the lattice."""
+        (point,) = self._lattice_points((m,))
+        return point
+
+    def element_lattice(self, x: UEAElement) -> Tuple[int, ...]:
+        """weight_den times the weight every monomial of x shares, on the
+        lattice; Inhomogeneous if there is none."""
+        if not x:
+            raise Inhomogeneous("the zero element has no weight")
+        points = self._lattice_points(x)
+        if len(points) > 1:
+            mixed = ", ".join(f"({format_weight(self.table.alg.from_lattice(w))})" for w in sorted(points))
+            raise Inhomogeneous(f"mixed weights {mixed}")
+        return points.pop()
+
     def monomial_weight(self, m: Monomial) -> Weight:
-        return self._from_lattice(self._lattice_weight(m))
+        return self.table.alg.from_lattice(self.monomial_lattice(m))
 
     def element_weight(self, x: UEAElement) -> Weight:
         """The weight every monomial of x shares; Inhomogeneous if there is none."""
-        if not x:
-            raise Inhomogeneous("the zero element has no weight")
-        weights = {self._lattice_weight(m) for m in x}
-        if len(weights) > 1:
-            mixed = ", ".join(f"({format_weight(self._from_lattice(w))})" for w in sorted(weights))
-            raise Inhomogeneous(f"mixed weights {mixed}")
-        return self._from_lattice(weights.pop())
+        return self.table.alg.from_lattice(self.element_lattice(x))
 
-    def _lattice_weight(self, m: Monomial) -> Tuple[int, ...]:
-        """weight_den times the weight of m, summed in ints on the table's lattice."""
-        lattice = self.table.lattice
-        out = [0] * self.table.alg.rank
-        for bid, exp in m:
-            for k, c in enumerate(lattice[bid]):
-                out[k] += exp * c
-        return tuple(out)
-
-    def _from_lattice(self, w: Tuple[int, ...]) -> Weight:
-        den = self.table.weight_den
-        return tuple(Fraction(c, den) for c in w)
+    def _lattice_points(self, monomials: Collection[Monomial]) -> Set[Tuple[int, ...]]:
+        """The distinct lattice weights of the monomials, each summed as one
+        packed int, at double the width while a sum is too large to read."""
+        table = self.table
+        width, keys = table.key_width, table.keys
+        while True:
+            sums = {sum([e * keys[g] for g, e in m]) for m in monomials}
+            points = {table.unpack(k, width) for k in sums}
+            if None not in points:
+                return points
+            width *= 2
+            keys = table.packed_keys(width)
 
     def render_monomial(self, m: Monomial) -> str:
         if not m:

@@ -15,13 +15,19 @@ Weights are tuples of Fraction over a fixed coordinate basis per case:
 (D, e1, e2) for G3, where e3 := -e1-e2 is eliminated at the coordinate
 level.  All arithmetic is exact.
 
-Roots are looked up two ways.  AlgebraData.index maps a Fraction weight to
-its positive-root index, for lookups by weight (root_at, name_of).  Set-up
-instead reads AlgebraData.sums, built once per case on integers: the
-positive roots on one integer lattice (lattice over weight_den) give, for
-every ordered pair of positive-root indices (mu, nu) whose sum is a positive
-root sigma, sums[(mu, nu)] = sigma.  The simple-root decompositions and the
-bracket closure in superalgebra read only that table.
+Roots are named by their positive-root index wherever lambda is not
+involved.  The positive roots lie on one integer lattice (lattice over
+weight_den), and each lattice point packs into one int (keys), so a root
+built from others by integer steps is found by one int lookup (at):
+AlgebraData.sums, for every ordered pair of positive-root indices (mu, nu)
+whose sum is a positive root sigma, holds sums[(mu, nu)] = sigma, and the
+simple-root decompositions and the bracket closure in superalgebra read only
+that table.  AlgebraData.index maps a Fraction weight to its index, for a
+root given by weight at parse and print (root_at, name_of).
+
+Every coroot pairing <lambda, h_sigma> is one dot product of lambda with a
+row stored per positive root (coroot_rows), so lambda's coordinates may be
+of any exact type: nothing converts them.
 
 The bilinear form is normalized so that (d_i, d_j) = +delta_ij and
 (e_k, e_l) = -delta_kl in the osp families; forms for F31 and G3 are
@@ -83,7 +89,6 @@ def wneg(a: Weight) -> Weight:
 
 
 def wscale(c, a: Weight) -> Weight:
-    c = Fraction(c)
     return tuple(c * x for x in a)
 
 
@@ -130,6 +135,23 @@ def solve_square(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) ->
                 factor = aug[r][col]
                 aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
     return [aug[i][n] for i in range(n)]
+
+
+# a coroot's row: the (i, c) with c != 0, by i, with <w, h> = sum of w[i] * c
+Row = Tuple[Tuple[int, Union[int, Fraction]], ...]
+
+
+def pairing(row: Row, w: Weight):
+    """<w, h> for the coroot h whose row is row: one dot product, in
+    whatever exact type w's coordinates have."""
+    return sum(w[i] * c for i, c in row)
+
+
+def _exact(c):
+    """c in canonical form: an int when integral, else the Fraction."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
 
 
 def _form(form_matrix: Matrix, a: Weight, b: Weight) -> Fraction:
@@ -204,7 +226,8 @@ class RootDatum:
     weight: Weight
     parity: str
     name: str
-    positive: bool = True
+    # the root's position in AlgebraData.pos_roots
+    index: int
 
     @property
     def odd(self) -> bool:
@@ -215,7 +238,8 @@ class RootDatum:
         return self.parity == ODD_ISO
 
 
-RootSpec = Union[RootDatum, Weight, str]
+# a positive root as its index, its datum, its weight or its name
+RootSpec = Union[int, RootDatum, Weight, str]
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +280,6 @@ def f31_sign_weight(signs: str) -> Weight:
     return tuple(F31_SIGN_CHARS[ch] for ch in signs)
 
 
-def f31_signs_of(w: Weight) -> Optional[str]:
-    """Inverse of f31_sign_weight; None when w is not a sign-tuple weight."""
-    if len(w) != 4 or any(abs(x) != Fraction(1, 2) for x in w):
-        return None
-    return "".join("+" if x > 0 else "-" for x in w)
-
-
 # ---------------------------------------------------------------------------
 # algebra data
 
@@ -282,13 +299,26 @@ class AlgebraData:
     decomp: Tuple[Optional[Tuple[int, int]], ...]
     simple_pos_index: Tuple[int, ...]
     index: Dict[Weight, int]
+    names: Dict[str, int]
     # the positive roots on one integer lattice: pos_roots[i].weight is
     # lattice[i] / weight_den, coordinate by coordinate
     weight_den: int
     lattice: Tuple[Tuple[int, ...], ...]
+    # each lattice point c packed as the int sum of c[i] * base**i: keys[i]
+    # is the key of pos_roots[i], and at maps a key back to its index.  The
+    # key of a sum is the sum of the keys, and two points with coordinates
+    # of at most twice the largest root coordinate meet as keys only when
+    # they meet as points, so at answers for any such point
+    base: int
+    keys: Tuple[int, ...]
+    at: Dict[int, int]
     # sums[(mu, nu)] = sigma when pos_roots mu + nu = sigma, for every
     # ordered pair of positive-root indices whose sum is a positive root
     sums: Dict[Tuple[int, int], int]
+    # per positive root sigma, the row of its coroot: <w, h_sigma> is
+    # pairing(coroot_rows[sigma], w), 2 (w, sigma) / (sigma, sigma); for an
+    # isotropic sigma, which has no coroot pairing, the row of (w, sigma)
+    coroot_rows: Tuple[Row, ...]
 
     @property
     def dim(self) -> int:
@@ -298,12 +328,33 @@ class AlgebraData:
     def rank(self) -> int:
         return len(self.coord_names)
 
-    def as_weight(self, root: RootSpec) -> Weight:
+    def as_index(self, root: RootSpec) -> int:
+        """The positive-root index of a root given any way RootSpec allows."""
+        if isinstance(root, int):
+            if not 0 <= root < len(self.pos_roots):
+                raise InvalidParams(f"{root} is not a positive-root index")
+            return root
         if isinstance(root, RootDatum):
-            return root.weight
+            return root.index
         if isinstance(root, str):
-            return self.root_named(root).weight
-        return root
+            return self.root_named(root).index
+        return self.root_index(root)
+
+    def as_weight(self, root: RootSpec) -> Weight:
+        if isinstance(root, tuple):
+            return root
+        return self.pos_roots[self.as_index(root)].weight
+
+    def from_lattice(self, point: Sequence[int]) -> Weight:
+        """The weight of a lattice point, for output."""
+        return tuple(Fraction(c, self.weight_den) for c in point)
+
+    def root_of(self, key: int) -> int:
+        """The positive-root index whose key is key (InvalidParams if none)."""
+        try:
+            return self.at[key]
+        except KeyError:
+            raise InvalidParams(f"no positive root has lattice key {key}") from None
 
     def form(self, a: Weight, b: Weight) -> Fraction:
         return _form(self.form_matrix, a, b)
@@ -321,17 +372,17 @@ class AlgebraData:
         return self.pos_roots[self.root_index(w)]
 
     def root_named(self, name: str) -> RootDatum:
-        for r in self.pos_roots:
-            if r.name == name:
-                return r
-        raise InvalidParams(f"no positive root named {name!r}")
+        try:
+            return self.pos_roots[self.names[name]]
+        except KeyError:
+            raise InvalidParams(f"no positive root named {name!r}") from None
 
-    def coroot_pairing(self, lam: Weight, beta: RootSpec) -> Fraction:
-        b = self.as_weight(beta)
-        nn = self.norm(b)
-        if nn == 0:
-            raise IsotropicCoroot(f"root {b} is isotropic")
-        return 2 * self.form(lam, b) / nn
+    def coroot_pairing(self, lam: Weight, beta: RootSpec):
+        """<lam, h_beta>, one dot product with beta's stored row."""
+        i = self.as_index(beta)
+        if self.pos_roots[i].isotropic:
+            raise IsotropicCoroot(f"root {self.pos_roots[i].weight} is isotropic")
+        return pairing(self.coroot_rows[i], lam)
 
     def coroot_dual(self, beta: RootSpec) -> Weight:
         """Weight nu with <mu, h_beta> = (mu, nu) for all mu."""
@@ -342,8 +393,8 @@ class AlgebraData:
         return wscale(Fraction(2) / nn, b)
 
     def reflect(self, lam: Weight, beta: RootSpec) -> Weight:
-        b = self.as_weight(beta)
-        return wdiff(lam, wscale(self.coroot_pairing(lam, b), b))
+        i = self.as_index(beta)
+        return wdiff(lam, wscale(self.coroot_pairing(lam, i), self.pos_roots[i].weight))
 
     def name_of(self, w: Weight) -> str:
         if w in self.index:
@@ -358,7 +409,7 @@ def wprime_orbit(beta: RootSpec, alg: AlgebraData) -> Tuple[RootDatum, ...]:
     """
     start = alg.as_weight(beta)
     alg.root_index(start)
-    mirrors = [s.weight for s in alg.simple_system if s.parity != ODD_ISO]
+    mirrors = [s for s in alg.simple_system if s.parity != ODD_ISO]
     seen = {start}
     frontier = [start]
     while frontier:
@@ -391,7 +442,7 @@ def rho_violation(alg: AlgebraData) -> Optional[str]:
         if s.isotropic:
             if alg.form(alg.rho, s.weight) != 0:
                 return f"(rho, {s.name}) is not zero"
-        elif alg.coroot_pairing(alg.rho, s.weight) != 1:
+        elif alg.coroot_pairing(alg.rho, s) != 1:
             return f"<rho, h_{s.name}> is not one"
     return None
 
@@ -435,21 +486,39 @@ def _assemble(
     if set(even_weights) & set(odd_weights):
         raise RootDataError(f"{case.text}: a root is both even and odd")
 
-    def classify(w: Weight, odd: bool) -> str:
-        isotropic = _form(form_matrix, w, w) == 0
+    # each weight w paired by the (symmetric) form, sparsely: form_row(w)[i] = (e_i, w)
+    nonzero_form = [[(j, g) for j, g in enumerate(row) if g] for row in form_matrix]
+
+    def form_row(w: Weight) -> Dict[int, Fraction]:
+        out: Dict[int, Fraction] = {}
+        for j, x in enumerate(w):
+            if x:
+                for i, g in nonzero_form[j]:
+                    out[i] = out.get(i, 0) + g * x
+        return out
+
+    def classify(w: Weight, odd: bool, norm: Fraction) -> str:
         if not odd:
-            if isotropic:
+            if norm == 0:
                 raise RootDataError(f"even root {w} must be nonisotropic")
             return EVEN
-        return ODD_ISO if isotropic else ODD_NONISO
+        return ODD_ISO if norm == 0 else ODD_NONISO
 
     even = sorted(even_weights)
     odd = sorted(odd_weights)
-    pos_roots = tuple(
-        [RootDatum(w, classify(w, False), name_for(w)) for w in even]
-        + [RootDatum(w, classify(w, True), name_for(w)) for w in odd]
-    )
+    pos_roots = []
+    coroot_rows: List[Row] = []
+    for w, is_odd in [(w, False) for w in even] + [(w, True) for w in odd]:
+        fw = form_row(w)
+        norm = sum(x * fw.get(i, 0) for i, x in enumerate(w) if x)
+        scale = Fraction(2) / norm if norm else 1
+        coroot_rows.append(tuple((i, _exact(scale * c)) for i, c in sorted(fw.items()) if c))
+        pos_roots.append(RootDatum(w, classify(w, is_odd, norm), name_for(w), len(pos_roots)))
+    pos_roots = tuple(pos_roots)
     index = {r.weight: i for i, r in enumerate(pos_roots)}
+    names = {r.name: i for i, r in enumerate(pos_roots)}
+    if len(names) != len(pos_roots):
+        raise RootDataError(f"{case.text}: two positive roots share a name")
 
     def position(w: Weight, role: str) -> int:
         if w not in index:
@@ -513,9 +582,14 @@ def _assemble(
         decomp=tuple(decomp),
         simple_pos_index=simple_pos_index,
         index=index,
+        names=names,
         weight_den=den,
         lattice=lattice,
+        base=base,
+        keys=tuple(keys),
+        at=at,
         sums=sums,
+        coroot_rows=tuple(coroot_rows),
     )
 
     problem = rho_violation(alg)

@@ -6,7 +6,10 @@ lambda - rho - N*gamma: a product of odd raising generators summing to
 c*gamma, straightened once in U(n^+), acts once on f_gamma^(N + c) v+.
 In the osp families those factors are read off gamma's support: the
 pivots are the unit vectors there, the block is the other letter's
-coordinates.
+coordinates.  Everything but lambda is lambda-free and named by
+positive-root index: the factors, the tail and the witness ladder are found
+by int steps on the root data's packed lattice (AlgebraData.keys and at),
+and weights are compared as lattice points.
 
 A Shapovalov element (beta, C, mu, theta) records theta in U(n^-) with
 theta v+ singular in M(mu) at weight mu - rho - C*beta.  Reflecting in an
@@ -42,13 +45,9 @@ from .rootdata import (
     Weight,
     _unit,
     build_algebra_data,
-    f31_sign_weight,
     format_weight,
+    pairing,
     wdiff,
-    wneg,
-    wscale,
-    wsum,
-    wzero,
 )
 from .superalgebra import BracketTable, Coefficient, _merge, _scaled, build_structure_constants
 from .verma import VermaVector, _Action, is_singular
@@ -156,17 +155,18 @@ def default_lambda(case: CaseId, N: int, seed: int, alg: Optional[AlgebraData] =
     require_parity(alg, N, "N")
     rng = random.Random(f"{case.text}:{N}:{seed}")
     coords = [Fraction(rng.randint(-3, 3)) for _ in range(alg.rank)]
-    return _solve_level(alg, coords, N, max(k for k, x in enumerate(alg.gamma.weight) if x))
+    return _solve_level(alg, coords, N, max(_support(alg)))
 
 
 def _solve_level(alg: AlgebraData, coords: List[Fraction], N, k: int) -> Weight:
-    """Set coords[k] so that <coords, h_gamma> = N (linear in coords)."""
-    gamma = alg.gamma.weight
+    """Set coords[k] so that <coords, h_gamma> = N, one dot product with
+    gamma's coroot row, which is linear in coords."""
+    row = alg.coroot_rows[alg.gamma.index]
     coords[k] = Fraction(0)
-    rest = alg.coroot_pairing(tuple(coords), gamma)
-    coords[k] = (N - rest) / alg.coroot_pairing(_unit(alg.rank, k), gamma)
+    rest = pairing(row, coords)
+    coords[k] = (N - rest) / Fraction(dict(row)[k])
     lam = tuple(coords)
-    if alg.coroot_pairing(lam, gamma) != N:
+    if alg.coroot_pairing(lam, alg.gamma) != N:
         raise RootDataError(f"solving <lambda, h_gamma> = {N} for {alg.case.text} failed")
     return lam
 
@@ -178,48 +178,52 @@ def _solve_level(alg: AlgebraData, coords: List[Fraction], N, k: int) -> Weight:
 F31_FACTOR_ORDER = ("+---", "+--+", "+-+-", "+-++", "++--", "++-+", "+++-", "++++")
 
 
+def _support(alg: AlgebraData) -> List[int]:
+    """gamma's support: the coordinates where it is nonzero."""
+    return [k for k, c in enumerate(alg.lattice[alg.gamma.index]) if c]
+
+
 def _letters(alg: AlgebraData) -> Tuple[List[int], range, range]:
-    """gamma's support (its nonzero coordinates), the coordinates of its
-    letter (d or e) and those of the other letter.  Only the osp cases have
-    letters; gamma's orbit in the others is a single point."""
+    """gamma's support, the coordinates of its letter (d or e) and those of
+    the other letter.  Only the osp cases have letters; gamma's orbit in the
+    others is a single point."""
     if not alg.case.m:
         raise InvalidParams(f"{alg.case.family} has a single-point orbit; nothing to propagate")
-    support = [k for k, x in enumerate(alg.gamma.weight) if x]
+    support = _support(alg)
     d, e = range(alg.case.m), range(alg.case.m, alg.rank)
     return (support, d, e) if support[0] < alg.case.m else (support, e, d)
 
 
-def _osp_shape(alg: AlgebraData) -> Tuple[List[Weight], List[Weight]]:
-    """The pivots and the block of an osp case: the pivots are the unit
-    vectors on gamma's support, last first; the block b_1..b_K is the other
-    letter's unit vectors, and the odd factors are p -+ b."""
+def _osp_shape(alg: AlgebraData) -> Tuple[List[int], List[int]]:
+    """The pivots and the block of an osp case, as keys on the packed
+    lattice: the pivots are the unit vectors on gamma's support, last first;
+    the block b_1..b_K is the other letter's unit vectors, and the odd
+    factors are p -+ b."""
     support, _, other = _letters(alg)
-    return [_unit(alg.rank, k) for k in reversed(support)], [_unit(alg.rank, k) for k in other]
+    unit = [alg.weight_den * alg.base ** k for k in range(alg.rank)]
+    return [unit[k] for k in reversed(support)], [unit[k] for k in other]
 
 
-def _gamma_multiple(alg: AlgebraData, weights: Sequence[Weight]) -> int:
-    """The integer c with sum(weights) = c * gamma."""
-    total = wzero(alg.rank)
-    for w in weights:
-        total = wsum(total, w)
-    gamma = alg.gamma.weight
+def _gamma_multiple(alg: AlgebraData, roots: Sequence[int]) -> int:
+    """The integer c with the sum of the roots (positive-root indices) c * gamma."""
+    total = [sum(c) for c in zip(*(alg.lattice[i] for i in roots))]
+    gamma = alg.lattice[alg.gamma.index]
     k = next(i for i, x in enumerate(gamma) if x)
-    c = total[k] / gamma[k]
-    if c.denominator != 1 or wscale(c, gamma) != total:
+    c, r = divmod(total[k], gamma[k])
+    if r or [c * x for x in gamma] != total:
         raise RootDataError(f"the odd factors of {alg.case.text} do not sum to a multiple of gamma")
-    return int(c)
+    return c
 
 
 @dataclass(eq=False)
 class Candidate:
     """One point's candidate, validated and derived once: the odd raising
-    factors (root weights in application order, leftmost first), which sum
-    to c * gamma, and the lowering tail f_gamma^(N + c) as (root weight,
-    exponent) pairs, each also resolved once to generator ids."""
+    factors (positive-root indices in application order, leftmost first),
+    which sum to c * gamma, and as raising generator ids, and the lowering
+    tail f_gamma^(N + c) as a monomial of lowering generator ids."""
 
     params: CaseParams
-    odd: Tuple[Weight, ...]
-    tail: Tuple[Tuple[Weight, int], ...]
+    odd: Tuple[int, ...]
     odd_ids: Tuple[int, ...]
     tail_ids: Monomial
     # per (engine, tail as a generator-id monomial), the action of
@@ -260,27 +264,28 @@ class Candidate:
         return VermaVector(body, lam)
 
 
+# the F31 and G3 odd factors, by root name, in application order
+F31_FACTOR_ORDER = ("+---", "+--+", "+-+-", "+-++", "++--", "++-+", "+++-", "++++")
+G3_FACTOR_ORDER = ("D-e1", "D+e1", "D-e2", "D+e2", "D-e3", "D+e3")
+
+
 def candidate(params: CaseParams, ctx: Context) -> Candidate:
-    """The validated params with their odd factors and tail, as root
-    weights and as the context's generator ids."""
+    """The validated params with their odd factors and tail, as
+    positive-root indices and as the context's generator ids."""
     alg, table = ctx.alg, ctx.table
     validate_params(params, alg)
     family = params.case.family
-    if family == "F31":
-        odd = [f31_sign_weight(s) for s in F31_FACTOR_ORDER]
-    elif family == "G3":
-        D, e1, e2 = _unit(3, 0), _unit(3, 1), _unit(3, 2)
-        odd = [op(D, e) for e in (e1, e2, wneg(wsum(e1, e2))) for op in (wdiff, wsum)]
+    if family in ("F31", "G3"):
+        odd = [alg.as_index(name) for name in (F31_FACTOR_ORDER if family == "F31" else G3_FACTOR_ORDER)]
     else:
         pivots, block = _osp_shape(alg)
-        odd = [op(p, b) for p in pivots for b in block for op in (wdiff, wsum)]
+        odd = [alg.root_of(p + s * b) for p in pivots for b in block for s in (-1, 1)]
     top = params.N + _gamma_multiple(alg, odd)
     return Candidate(
         params,
         tuple(odd),
-        ((alg.gamma.weight, top),),
-        tuple(table.e_gen(w) for w in odd),
-        ((table.f_gen(alg.gamma.weight), top),),
+        tuple(table.e_id(i) for i in odd),
+        ((table.f_id(alg.gamma.index), top),),
     )
 
 
@@ -289,14 +294,15 @@ def candidate_u(params: CaseParams, ctx: Context) -> VermaVector:
     return candidate(params, ctx).build(ctx.default_engine)
 
 
-def claimed_drop(params: CaseParams, alg: AlgebraData) -> Weight:
-    return wscale(params.N, alg.gamma.weight)
+def claimed_drop(params: CaseParams, alg: AlgebraData) -> Tuple[int, ...]:
+    """N * gamma on the lattice (alg.from_lattice gives the weight)."""
+    return tuple(params.N * c for c in alg.lattice[alg.gamma.index])
 
 
-def _has_weight(engine: PBWEngine, x: UEAElement, weight: Weight) -> bool:
-    """Whether x is nonzero and every monomial of x has the given weight."""
+def _has_weight(engine: PBWEngine, x: UEAElement, point: Tuple[int, ...]) -> bool:
+    """Whether x is nonzero and every monomial of x has the lattice weight point."""
     try:
-        return engine.element_weight(x) == weight
+        return engine.element_lattice(x) == point
     except Inhomogeneous:
         return False
 
@@ -340,35 +346,35 @@ class OrbitStep:
 
 def orbit_propagate(shap: ShapovalovElement, kappa, ctx: Context) -> Tuple[ShapovalovElement, OrbitStep]:
     alg = ctx.alg
-    kw = alg.as_weight(kappa)
-    kdatum = alg.root_at(kw)
-    if kdatum.odd or kw not in {s.weight for s in alg.simple_system}:
+    kdatum = alg.pos_roots[alg.as_index(kappa)]
+    if kdatum.odd or kdatum.index not in alg.simple_pos_index:
         raise InvalidParams(f"{kdatum.name} is not an even simple root")
-    p_frac = alg.coroot_pairing(shap.mu, kw)
+    p_frac = alg.coroot_pairing(shap.mu, kdatum)
     if p_frac.denominator != 1 or p_frac <= 0:
         raise InvalidParams(
             f"<mu, h_{kdatum.name}> = {p_frac} must be a positive integer"
         )
     p = int(p_frac)
-    a_frac = -alg.coroot_pairing(shap.beta.weight, kw)
+    a_frac = -alg.coroot_pairing(shap.beta.weight, kdatum)
     if a_frac.denominator != 1 or a_frac < 1:
         raise InvalidParams(
             f"reflection in {kdatum.name} does not move {shap.beta.name} up"
         )
     a = int(a_frac)
     L = p + shap.C * a
-    fk = ctx.table.f_gen(kw)
+    fk = ctx.table.f_id(kdatum.index)
     engine = ctx.engine(tail=(fk,))
     theta = engine.import_element(shap.theta)
     start_ok = is_singular(VermaVector(theta, shap.mu), engine).ok
     lifted = engine.lift(fk, L, theta)
     lifted_ok = is_singular(VermaVector(lifted, shap.mu), engine).ok
     theta2 = engine.right_divide(lifted, fk, p)
-    nu = alg.reflect(shap.mu, kw)
-    beta2 = alg.root_at(alg.reflect(shap.beta.weight, kw))
+    nu = alg.reflect(shap.mu, kdatum)
+    # s_kappa beta = beta + a kappa, a positive root, found by its key
+    beta2 = alg.pos_roots[alg.root_of(alg.keys[shap.beta.index] + a * alg.keys[kdatum.index])]
     image_ok = is_singular(VermaVector(theta2, nu), engine).ok
     weight_ok = (
-        _has_weight(engine, theta2, wscale(-shap.C, beta2.weight))
+        _has_weight(engine, theta2, tuple(-shap.C * c for c in alg.lattice[beta2.index]))
         and alg.coroot_pairing(nu, beta2) == shap.C
     )
     step = OrbitStep(
@@ -531,16 +537,18 @@ def propagate_chain(
 @dataclass(frozen=True)
 class WitnessStep:
     label: int
-    e_factors: Tuple[Weight, ...]
-    v_mono: Tuple[Tuple[Weight, int], ...]
+    # positive-root indices of the raising factors, and (index, exponent)
+    # pairs of the lowering monomial
+    e_factors: Tuple[int, ...]
+    v_mono: Tuple[Tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
 class WitnessSpec:
-    # the lowering generators the witness engine orders last
-    order_tail: Tuple[Weight, ...]
+    # the lowering generators the witness engine orders last, as positive-root indices
+    order_tail: Tuple[int, ...]
     # the lowering tail f_gamma^(N + c), as PBW exponents, that every step acts on
-    tail: Tuple[Tuple[Weight, int], ...]
+    tail: Tuple[Tuple[int, int], ...]
     steps: Tuple[WitnessStep, ...]
 
 
@@ -549,12 +557,23 @@ def _pair_desc(indices: Sequence[int]) -> List[Tuple[int, int]]:
     return sorted(pairs, key=lambda ij: (-(ij[0] + ij[1]), -ij[0]))
 
 
-def _f_power(alg: AlgebraData, w: Weight, e: int) -> Tuple[Tuple[Weight, int], ...]:
-    """f_w^e as PBW exponents: an odd f_w squares into f_{2w}, so its power
-    is f_w^(e mod 2) f_{2w}^(e div 2)."""
-    if alg.root_at(w).odd:
-        return ((w, e % 2), (wscale(2, w), e // 2))
-    return ((w, e),)
+def _f_power(alg: AlgebraData, i: int, e: int) -> Tuple[Tuple[int, int], ...]:
+    """f_i^e as PBW exponents: an odd f_i squares into f_{2i}, so its power
+    is f_i^(e mod 2) f_{2i}^(e div 2)."""
+    if alg.pos_roots[i].odd:
+        return ((i, e % 2), (alg.root_of(2 * alg.keys[i]), e // 2))
+    return ((i, e),)
+
+
+def _named_spec(alg: AlgebraData, order, tail, factors, v_monos) -> WitnessSpec:
+    """A hand-written spec, its roots given by name or index, resolved once:
+    step k, from 0, applies factors[k:] and reads v_monos[k]."""
+    ix = alg.as_index
+    steps = tuple(
+        WitnessStep(k, tuple(ix(r) for r in factors[k:]), tuple((ix(r), e) for r, e in mono))
+        for k, mono in enumerate(v_monos)
+    )
+    return WitnessSpec(tuple(ix(r) for r in order), tail, steps)
 
 
 def witness_spec(cand: Candidate, alg: AlgebraData) -> WitnessSpec:
@@ -565,88 +584,71 @@ def witness_spec(cand: Candidate, alg: AlgebraData) -> WitnessSpec:
     times a power of f_gamma, and step K + 1 is the bare tail.
     """
     N = cand.params.N
-    ((gamma, top),) = cand.tail
-    tail = _f_power(alg, gamma, top)
+    ((_, top),) = cand.tail_ids
+    g = alg.gamma.index
+    tail = _f_power(alg, g, top)
 
     if cand.params.case.family == "F31":
-        e = [_unit(4, j) for j in (1, 2, 3)]
-        D = _unit(4, 0)
         c = cand.odd
-        seq = [e[2], e[1], e[0]]
-        seq += [wsum(e[1], e[2]), wdiff(e[1], e[2]), wsum(e[0], e[2]), wdiff(e[0], e[2])]
-        seq += [wsum(e[0], e[1]), wdiff(e[0], e[1])]
-        seq += c
-        seq += [D]
+        order = ["e3", "e2", "e1", "e2+e3", "e2-e3", "e1+e3", "e1-e3", "e1+e2", "e1-e2", *c, "D"]
         v_monos = [
-            ((e[2], 1), (wdiff(e[1], e[2]), 1), (wdiff(e[0], e[1]), 1), (c[0], 1), (c[3], 1), (D, N - 1)),
-            ((wdiff(e[1], e[2]), 1), (wdiff(e[0], e[1]), 1), (c[0], 1), (c[1], 1), (c[3], 1), (D, N - 1)),
-            ((wdiff(e[0], e[1]), 1), (c[0], 1), (c[1], 1), (c[2], 1), (c[3], 1), (D, N - 1)),
-            (*((ci, 1) for ci in c[:5]), (D, N - 1)),
-            (*((ci, 1) for ci in c[:4]), (D, N)),
-            (*((ci, 1) for ci in c[:3]), (D, N + 1)),
-            (*((ci, 1) for ci in c[:2]), (D, N + 2)),
-            ((c[0], 1), (D, N + 3)),
+            (("e3", 1), ("e2-e3", 1), ("e1-e2", 1), (c[0], 1), (c[3], 1), ("D", N - 1)),
+            (("e2-e3", 1), ("e1-e2", 1), (c[0], 1), (c[1], 1), (c[3], 1), ("D", N - 1)),
+            (("e1-e2", 1), (c[0], 1), (c[1], 1), (c[2], 1), (c[3], 1), ("D", N - 1)),
+            (*((ci, 1) for ci in c[:5]), ("D", N - 1)),
+            (*((ci, 1) for ci in c[:4]), ("D", N)),
+            (*((ci, 1) for ci in c[:3]), ("D", N + 1)),
+            (*((ci, 1) for ci in c[:2]), ("D", N + 2)),
+            ((c[0], 1), ("D", N + 3)),
             tail,
         ]
-        steps = tuple(
-            WitnessStep(k, tuple(c[k:]), v_monos[k]) for k in range(9)
-        )
-        return WitnessSpec(tuple(seq), tail, steps)
+        return _named_spec(alg, order, tail, c, v_monos)
 
     if cand.params.case.family == "G3":
-        D = _unit(3, 0)
-        e1, e2 = _unit(3, 1), _unit(3, 2)
-        e3 = wneg(wsum(e1, e2))
         M = (N - 1) // 2
-        seq = [
-            wsum(e1, e2), e2, e1,
-            wsum(e1, wscale(2, e2)), wsum(wscale(2, e1), e2), wdiff(e2, e1),
-            wdiff(D, e3), wsum(D, e3), wdiff(D, e2), wsum(D, e2),
-            wdiff(D, e1), wsum(D, e1), D, wscale(2, D),
+        order = [
+            "e1+e2", "e2", "e1", "e1+2e2", "2e1+e2", "e2-e1",
+            "D-e3", "D+e3", "D-e2", "D+e2", "D-e1", "D+e1", "D", "2D",
         ]
-        factors = (
-            wsum(D, e1), wsum(D, e2), wdiff(D, e1), wdiff(D, e2), wsum(D, e3), wdiff(D, e3),
-        )
+        factors = ("D+e1", "D+e2", "D-e1", "D-e2", "D+e3", "D-e3")
         v_monos = [
-            ((e1, 2), (wdiff(e2, e1), 1), (wsum(D, e3), 1), (wscale(2, D), M)),
-            ((e1, 2), (wsum(D, e3), 1), (wsum(D, e2), 1), (wscale(2, D), M)),
-            ((e1, 1), (wdiff(D, e3), 1), (wsum(D, e3), 1), (wsum(D, e2), 1), (wscale(2, D), M)),
-            ((wdiff(D, e3), 1), (wsum(D, e3), 1), (wsum(D, e2), 1), (D, 1), (wscale(2, D), M)),
-            ((wdiff(D, e3), 1), (wsum(D, e3), 1), (D, 1), (wscale(2, D), M + 1)),
-            ((wsum(D, e3), 1), (D, 1), (wscale(2, D), M + 2)),
+            (("e1", 2), ("e2-e1", 1), ("D+e3", 1), ("2D", M)),
+            (("e1", 2), ("D+e3", 1), ("D+e2", 1), ("2D", M)),
+            (("e1", 1), ("D-e3", 1), ("D+e3", 1), ("D+e2", 1), ("2D", M)),
+            (("D-e3", 1), ("D+e3", 1), ("D+e2", 1), ("D", 1), ("2D", M)),
+            (("D-e3", 1), ("D+e3", 1), ("D", 1), ("2D", M + 1)),
+            (("D+e3", 1), ("D", 1), ("2D", M + 2)),
             tail,
         ]
-        steps = tuple(
-            WitnessStep(k, tuple(factors[k:]), v_monos[k]) for k in range(7)
-        )
-        return WitnessSpec(tuple(seq), tail, steps)
+        return _named_spec(alg, order, tail, factors, v_monos)
 
     pivots, block = _osp_shape(alg)
+    root, at = alg.root_of, alg.at
     K = len(block)
     stride = (top - N) // K  # gamma multiple that one block index contributes
-    covered: List[Weight] = []
+    covered: List[int] = []
     for b in reversed(block):
-        covered += [w for w in (b, wscale(2, b)) if w in alg.index][:1]
+        covered += [at[w] for w in (b, 2 * b) if w in at][:1]
     for i, j in _pair_desc(range(K)):
-        covered += [wsum(block[i], block[j]), wdiff(block[i], block[j])]
-    covered += [op(p, b) for b in reversed(block) for p in pivots for op in (wdiff, wsum)]
-    on_pivots = {k for p in pivots for k, x in enumerate(p) if x}
+        covered += [root(block[i] + block[j]), root(block[i] - block[j])]
+    covered += [root(p + s * b) for b in reversed(block) for p in pivots for s in (-1, 1)]
+    on_pivots = set(_support(alg))
     covered += [
-        alg.pos_roots[i].weight
+        i
         for i in sorted(range(len(alg.pos_roots)), key=lambda i: (alg.heights[i], i))
-        if all(k in on_pivots for k, x in enumerate(alg.pos_roots[i].weight) if x)
+        if all(k in on_pivots for k, c in enumerate(alg.lattice[i]) if c)
     ]
-    top_root = wscale(len(pivots), block[-1])
-    if top_root not in alg.index:
-        top_root = wsum(pivots[0], block[-1])
+    top_root = at.get(len(pivots) * block[-1])
+    if top_root is None:
+        top_root = root(pivots[0] + block[-1])
     steps = []
     for k in range(1, K + 2):
-        factors = tuple(op(p, b) for b in block[k - 1:] for p in pivots for op in (wdiff, wsum))
+        factors = tuple(root(p + s * b) for b in block[k - 1:] for p in pivots for s in (-1, 1))
         if k <= K:
             mono = [(top_root, 1)]
-            mono += [(wdiff(block[i - 1], block[i]), len(pivots)) for i in range(K - 1, k - 1, -1)]
-            mono += [(wdiff(p, block[k - 1]), 1) for p in pivots]
-            mono += _f_power(alg, gamma, N + stride * (k - 1) - 1)
+            mono += [(root(block[i - 1] - block[i]), len(pivots)) for i in range(K - 1, k - 1, -1)]
+            mono += [(root(p - block[k - 1]), 1) for p in pivots]
+            mono += _f_power(alg, g, N + stride * (k - 1) - 1)
         else:
             mono = tail
         steps.append(WitnessStep(k, factors, tuple(mono)))
@@ -672,12 +674,13 @@ class WitnessReport:
         )
 
 
-def witness_monomial(engine: PBWEngine, mono_spec: Sequence[Tuple[Weight, int]]):
-    """Normalize a (root weight, exponent) list into an engine monomial.
-    Zero exponents are allowed in specs at small N and drop out here; what
-    is left must be a normal-form monomial (WrongOrder otherwise)."""
+def witness_monomial(engine: PBWEngine, mono_spec: Sequence[Tuple[RootSpec, int]]):
+    """Normalize a (root, exponent) list, each root a positive-root index or
+    any other RootSpec, into an engine monomial.  Zero exponents are allowed
+    in specs at small N and drop out here; what is left must be a
+    normal-form monomial (WrongOrder otherwise)."""
     table = engine.table
-    pairs = [(table.f_gen(w), e) for w, e in mono_spec if e]
+    pairs = [(table.f_gen(r), e) for r, e in mono_spec if e]
     pairs.sort(key=lambda ge: engine.rank[ge[0]])
     mono = tuple(pairs)
     engine.check_lowering(mono)
@@ -686,16 +689,16 @@ def witness_monomial(engine: PBWEngine, mono_spec: Sequence[Tuple[Weight, int]])
 
 def run_witness(cand: Candidate, ctx: Context) -> WitnessReport:
     spec = witness_spec(cand, ctx.alg)
-    engine = ctx.engine(tail=spec.order_tail)
     table = ctx.table
-    tail = tuple((table.f_gen(w), e) for w, e in spec.tail)
+    engine = ctx.engine(tail=[table.f_id(i) for i in spec.order_tail])
+    tail = tuple((table.f_id(i), e) for i, e in spec.tail)
     rows = []
     for step in spec.steps:
-        ids = [table.e_gen(w) for w in step.e_factors]
+        ids = [table.e_id(i) for i in step.e_factors]
         u_k = cand.build(engine, ids, tail)
         mono = witness_monomial(engine, step.v_mono)
         coeff = u_k.body.get(mono, 0)
-        weight_ok = _has_weight(engine, u_k.body, engine.monomial_weight(mono))
+        weight_ok = _has_weight(engine, u_k.body, engine.monomial_lattice(mono))
         rows.append(WitnessRow(step.label, coeff, weight_ok))
     u = cand.build(engine)
     first = u.body.get(witness_monomial(engine, spec.steps[0].v_mono), 0)

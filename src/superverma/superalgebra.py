@@ -39,6 +39,8 @@ from .rootdata import (
     AlgebraData,
     RootSpec,
     Weight,
+    _exact,
+    pairing,
     wdiff,
     wneg,
     wsum,
@@ -70,13 +72,6 @@ class BasisElement:
 # Exact arithmetic happens only where two terms meet: a merge stores c * v
 # on a key new to its target (v itself when c = 1, -v when c = -1) and adds
 # only on a key already there.
-
-
-def _exact(c: Coefficient) -> Coefficient:
-    """c in canonical form: an int when integral, else the Fraction."""
-    if type(c) is Fraction and c.denominator == 1:
-        return c.numerator
-    return c
 
 
 def _scaled(val: Dict, c: Coefficient) -> Dict:
@@ -155,9 +150,18 @@ class BracketTable:
     # basis[b].weight == lattice[b] / weight_den, coordinate by coordinate
     weight_den: int = field(init=False)
     lattice: Tuple[Tuple[int, ...], ...] = field(init=False)
-    # the form applied to each Cartan dual, nonzero entries only: <w, h_j>
-    # is the sum of w[i] * c over the (i, c) of cartan_rows[j]
+    # each basis weight packed into one int, key_width bits a field: the
+    # lattice coordinates as signed fields, then a top field, the largest
+    # lattice coordinate of a root times the height of b's root (0 for h),
+    # which no coordinate exceeds.  A monomial's weight is the sum of its
+    # keys times exponents, and unpack reads it back exactly (see there)
+    key_width: int = field(init=False)
+    keys: Tuple[int, ...] = field(init=False)
+    # the simple roots' coroot rows from the root data, nonzero entries
+    # only: <w, h_j> is pairing(cartan_rows[j], w)
     cartan_rows: Tuple[Tuple[Tuple[int, Coefficient], ...], ...] = field(init=False)
+    # <rho, h_j>, so that <lambda - rho, h_j> is one dot product less it
+    rho_pairings: Tuple[Coefficient, ...] = field(init=False)
     # <wt(b), h_j> for every basis id b, read from cartan_rows: [h_j, b] is
     # pairings[b][j] * b
     pairings: Tuple[Tuple[Coefficient, ...], ...] = field(init=False)
@@ -179,14 +183,42 @@ class BracketTable:
             + ((0,) * alg.rank,) * R
             + alg.lattice
         )
-        self.cartan_rows = tuple(
-            tuple((i, _exact(c)) for i, row in enumerate(alg.form_matrix)
-                  if (c := sum(x * d for x, d in zip(row, dual) if x and d)))
-            for dual in self.cartan_duals
-        )
+        # 32 bits a field read back every weight whose top field is below
+        # 2**30; a larger sum is taken again at double the width
+        self.key_width = 32
+        self.keys = self.packed_keys(self.key_width)
+        self.cartan_rows = tuple(alg.coroot_rows[i] for i in alg.simple_pos_index)
+        self.rho_pairings = tuple(_exact(pairing(row, alg.rho)) for row in self.cartan_rows)
         pos = tuple(tuple(self.cartan_pairing(j, r.weight) for j in range(R)) for r in alg.pos_roots)
         self.pairings = tuple(tuple(-c for c in row) for row in pos) + ((0,) * R,) * R + pos
         self.odd = tuple(el.odd for el in self.basis)
+
+    def packed_keys(self, width: int) -> Tuple[int, ...]:
+        """keys at width bits a field."""
+        alg = self.alg
+        top = max(abs(c) for point in alg.lattice for c in point)
+        sizes = tuple(top * h for h in alg.heights)
+        sizes = sizes + (0,) * self.n_cartan + sizes
+        return tuple(
+            sum(c << (width * i) for i, c in enumerate(point)) + (size << (width * alg.rank))
+            for point, size in zip(self.lattice, sizes)
+        )
+
+    def unpack(self, key: int, width: int) -> Optional[Tuple[int, ...]]:
+        """The lattice point of a sum of keys packed at width, or None when
+        its top field says the coordinates may not read back.  With every
+        |coordinate| at most the true top field S, each signed field reads
+        back exactly when S < 2**(width-1); when S is larger, the top field
+        read exceeds 2**(width-1) - 2.  So a top field read below
+        2**(width-2) proves the point exact."""
+        half = 1 << (width - 1)
+        mask = (1 << width) - 1
+        point = []
+        for _ in range(self.alg.rank):
+            c = ((key + half) & mask) - half
+            point.append(c)
+            key = (key - c) >> width
+        return tuple(point) if key < half >> 1 else None
 
     @property
     def dim(self) -> int:
@@ -202,17 +234,17 @@ class BracketTable:
         return self._e_base + pos_index
 
     def f_gen(self, root: RootSpec) -> int:
-        return self.f_id(self.alg.root_index(self.alg.as_weight(root)))
+        return self.f_id(self.alg.as_index(root))
 
     def e_gen(self, root: RootSpec) -> int:
-        return self.e_id(self.alg.root_index(self.alg.as_weight(root)))
+        return self.e_id(self.alg.as_index(root))
 
     def bracket(self, x: int, y: int) -> Value:
         return self.entries[(x, y)]
 
     def cartan_pairing(self, simple_index: int, w: Weight) -> Coefficient:
         """<w, h_j> in canonical form, read from cartan_rows."""
-        return _exact(sum(w[i] * c for i, c in self.cartan_rows[simple_index]))
+        return _exact(pairing(self.cartan_rows[simple_index], w))
 
     def h_value_pairing(self, val: Value, w: Weight) -> Coefficient:
         """Pairing <w, h> for a Cartan-valued bracket result h."""

@@ -24,9 +24,11 @@ PBWEngine.multiply does in U(g); is_singular applies each simple raising
 generator and keeps the first image that fails as the counterexample.
 
 Nothing keyed on lambda outlives a call: each call builds its own _Action,
-which derives only <lambda - rho, h_j> from the bracket table's cartan_rows
-and reads the lambda-free <wt(f), h_j> from the table's pairings.
-singular.Candidate keeps one _Action beside its images.
+which derives only <lambda - rho, h_j>, one dot product of lambda with the
+bracket table's cartan_rows[j] less its stored <rho, h_j>, and reads the
+lambda-free <wt(f), h_j> from the table's pairings.  lambda's coordinates
+may be of any exact type; nothing converts them.  singular.Candidate keeps
+one _Action beside its images.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from math import lcm
 from typing import Optional, Tuple
 
 from .pbw import Monomial, PBWEngine, UEAElement
-from .rootdata import Weight, wdiff, wsum
+from .rootdata import Weight, pairing, wdiff, wsum
 from .superalgebra import _exact, _scaled
 
 
@@ -73,8 +75,9 @@ class _Action:
         self.engine = engine
         self.table = table = engine.table
         # <lambda - rho, h_j>, the action's one lambda-constant
-        shift = wdiff(lam, table.alg.rho)
-        self.shift = tuple(table.cartan_pairing(j, shift) for j in range(table.n_cartan))
+        self.shift = tuple(
+            _exact(pairing(row, lam) - r) for row, r in zip(table.cartan_rows, table.rho_pairings)
+        )
 
     def scalar(self, j: int, m: Monomial):
         """<lambda - rho + wt(m), h_j>: the Cartan h_j on m v+."""

@@ -13,7 +13,8 @@ from fractions import Fraction
 import pytest
 
 from superverma.cli import main as cli_main
-from superverma.pbw import el_add, el_one, el_scale, el_sub, el_zero
+from superverma.pbw import el_one
+from helpers import el_add, el_scale, el_sub, el_zero
 from superverma.rootdata import CaseId, ParityViolation, wdiff, wsum
 from superverma.singular import (
     CaseParams,
@@ -81,7 +82,7 @@ def test_criterion_1_candidates_on_full_grid():
             params = CaseParams(case, N, lam)
             u = candidate_u(params, ctx)
             assert not u.is_zero(), (text, N, seed)
-            expected = wdiff(wdiff(lam, ctx.alg.rho), claimed_drop(params, ctx.alg))
+            expected = wdiff(wdiff(lam, ctx.alg.rho), ctx.alg.from_lattice(claimed_drop(params, ctx.alg)))
             assert weight_of(u, engine) == expected, (text, N, seed)
             report = is_singular(u, engine)
             assert report.ok, (text, N, seed, report.residuals)

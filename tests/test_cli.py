@@ -1,14 +1,17 @@
 """Command line behavior: grids, determinism, exit codes."""
 
 import contextlib
+import functools
 import importlib.util
 import io
 import json
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -327,18 +330,30 @@ def test_dump_script_refuses_an_oversized_case_before_set_up(capsys, monkeypatch
     ))
 
 
-def run_python(*args, stdout=subprocess.DEVNULL):
-    """``python args`` in a fresh interpreter that imports this superverma."""
+def run_python(*args, stdout=subprocess.DEVNULL, first=()):
+    """``python args`` in a fresh interpreter that imports this superverma,
+    with the directories first ahead of it on the path."""
     src = str(Path(superverma.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        p for p in (*map(str, first), src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, *args],
                           stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=600)
 
 
-def run_cli_process(*argv, stdout=subprocess.DEVNULL):
+def run_cli_process(*argv, stdout=subprocess.DEVNULL, first=()):
     """``python -m superverma argv`` in a fresh interpreter."""
-    return run_python("-m", "superverma", *argv, stdout=stdout)
+    return run_python("-m", "superverma", *argv, stdout=stdout, first=first)
+
+
+# the ways a worker process can start; "fork" is the default on Linux up to
+# Python 3.13 and "forkserver" from 3.14
+START_METHODS = ("spawn", "forkserver")
+
+
+def start_workers_by(monkeypatch, method):
+    """Make --jobs start its workers by method, for this test only."""
+    context = multiprocessing.get_context(method)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=context))
 
 
 def test_orbit_lift_has_no_recursion_per_unit():
@@ -436,12 +451,24 @@ def test_orbit_grid_over_C(capsys):
     assert all(r["ok"] for r in recs)
 
 
-def test_parallel_jobs_match_serial(capsys):
-    args = ("verify", "--case", "B-I", "--m", "1..2", "--n", "1", "--N", "1",
-            "--check", "singular", "--json")
-    _, serial, _ = run(capsys, *args)
-    _, parallel, _ = run(capsys, *args, "--jobs", "2")
-    assert serial == parallel
+def test_parallel_jobs_match_serial(capsys, monkeypatch):
+    """--jobs 2 prints what --jobs 1 prints, and a usage error out of a
+    worker stays one, with workers started the default way and by each of
+    START_METHODS."""
+    verify = ("verify", "--case", "B-I", "--m", "1..2", "--n", "1", "--N", "1",
+              "--check", "singular", "--json")
+    orbit = ("orbit", "--case", "D-I", "--m", "2", "--n", "2", "--C", "1,2", "--json")
+    _, serial, _ = run(capsys, *verify)
+    _, chains, _ = run(capsys, *orbit)
+    for method in (None, *START_METHODS):
+        with monkeypatch.context() as patch:
+            if method is not None:
+                start_workers_by(patch, method)
+            assert run(capsys, *verify, "--jobs", "2") == (0, serial, ""), method
+            assert run(capsys, *orbit, "--jobs", "2") == (0, chains, ""), method
+            code, out, err = run(capsys, "orbit", "--case", "B-I", "--m", "1", "--n", "1",
+                                 "--p", "5", "--jobs", "2", "--seed", "0,1")
+            assert (code, out) == (2, "") and "--p" in err, method
 
 
 class RecordingPool:
@@ -502,38 +529,63 @@ def test_grid_prints_each_record_as_it_completes(capsys, monkeypatch):
     assert [json.loads(line)["seed"] for line in out.splitlines()] == [0]
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_an_error_out_of_a_point_names_it(capsys, monkeypatch, jobs):
+# installs a fault at N=3 and C=2 in every interpreter that finds it first on
+# the path, worker processes included however they start; START_METHOD, if
+# set, is how --jobs starts them
+FAULTS = """
+import functools
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
+from superverma import cli
+from superverma.singular import Candidate
+
+START_METHOD = {method!r}
+build, propagate = Candidate.build, cli.propagate_chain
+
+
+def third_level_breaks(self, engine, *args, **kwargs):
+    if self.params.N == 3:
+        raise KeyError(99)
+    return build(self, engine, *args, **kwargs)
+
+
+def second_level_breaks(case, C, *args, **kwargs):
+    if C == 2:
+        raise KeyError(99)
+    return propagate(case, C, *args, **kwargs)
+
+
+Candidate.build = third_level_breaks
+cli.propagate_chain = second_level_breaks
+if START_METHOD is not None:
+    context = multiprocessing.get_context(START_METHOD)
+    cli.ProcessPoolExecutor = functools.partial(ProcessPoolExecutor, mp_context=context)
+"""
+
+
+@pytest.mark.parametrize("jobs", ["1", "2", *(f"2:{m}" for m in START_METHODS)])
+def test_an_error_out_of_a_point_names_it(tmp_path, jobs):
     """An internal error out of one grid point names the point before the
-    class and message, in the worker processes too; the exit code stays 3
-    and the points before it are printed."""
-    build = Candidate.build
+    class and message, in the worker processes too, however they start; the
+    exit code stays 3 and the points before it are printed.  The fault comes
+    from a sitecustomize module, which every interpreter of the run imports,
+    so workers that import the package afresh have it as well."""
+    jobs, _, method = jobs.partition(":")
+    (tmp_path / "sitecustomize.py").write_text(FAULTS.format(method=method or None))
+    proc = run_cli_process("verify", "--case", "D-II", "--m", "1..2", "--n", "2",
+                           "--N", "1,3", "--jobs", jobs, "--json",
+                           stdout=subprocess.PIPE, first=[tmp_path])
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == b"internal error at D-II:m=1,n=2 N=3 seed=0: KeyError: 99\n"
+    assert [json.loads(line)["N"] for line in proc.stdout.splitlines()] == [1]
 
-    def third_level_breaks(self, engine, *args, **kwargs):
-        if self.params.N == 3:
-            raise KeyError(99)
-        return build(self, engine, *args, **kwargs)
-
-    monkeypatch.setattr(Candidate, "build", third_level_breaks)
-    code, out, err = run(capsys, "verify", "--case", "D-II", "--m", "1..2", "--n", "2",
-                         "--N", "1,3", "--jobs", jobs, "--json")
-    assert code == 3
-    assert err == "internal error at D-II:m=1,n=2 N=3 seed=0: KeyError: 99\n"
-    assert [json.loads(line)["N"] for line in out.splitlines()] == [1]
-
-    propagate = cli.propagate_chain
-
-    def second_level_breaks(case, C, *args, **kwargs):
-        if C == 2:
-            raise KeyError(99)
-        return propagate(case, C, *args, **kwargs)
-
-    monkeypatch.setattr(cli, "propagate_chain", second_level_breaks)
-    code, out, err = run(capsys, "orbit", "--case", "D-II", "--m", "1", "--n", "2",
-                         "--C", "1,2", "--target", "1,2", "--jobs", jobs, "--json")
-    assert code == 3
-    assert err == "internal error at D-II:m=1,n=2 C=2 target=(1, 2) seed=0: KeyError: 99\n"
-    assert [json.loads(line)["C"] for line in out.splitlines()] == [1]
+    proc = run_cli_process("orbit", "--case", "D-II", "--m", "1", "--n", "2",
+                           "--C", "1,2", "--target", "1,2", "--jobs", jobs, "--json",
+                           stdout=subprocess.PIPE, first=[tmp_path])
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == b"internal error at D-II:m=1,n=2 C=2 target=(1, 2) seed=0: KeyError: 99\n"
+    assert [json.loads(line)["C"] for line in proc.stdout.splitlines()] == [1]
 
 
 def test_selftest_passes(capsys):

@@ -97,7 +97,8 @@ def structure_constants_digests() -> str:
 
 
 def _powers(alg, pairs) -> str:
-    return " ".join(f"{alg.name_of(w)}^{e}" for w, e in pairs)
+    """(positive-root index, exponent) pairs by root name."""
+    return " ".join(f"{alg.pos_roots[i].name}^{e}" for i, e in pairs)
 
 
 def witness_specs() -> str:
@@ -111,18 +112,19 @@ def witness_specs() -> str:
         for N in (1, 3) if case.family == "B-I" else (1, 2):
             params = CaseParams(case, N, default_lambda(case, N, 0, alg))
             cand = candidate(params, ctx)
-            odd, tail = cand.odd, cand.tail
+            # lowering generator ids are positive-root indices
+            odd, tail = cand.odd, cand.tail_ids
             spec = witness_spec(cand, alg)
             engine = ctx.engine(tail=spec.order_tail)
             lines.append(f"{case.text} N={N}")
-            lines.append("  candidate " + " ".join(alg.name_of(w) for w in odd)
+            lines.append("  candidate " + " ".join(alg.pos_roots[i].name for i in odd)
                          + " | " + _powers(alg, tail))
             lines.append("  order " + " ".join(
                 ctx.table.basis[b].name for b in engine.sequence[:ctx.table.n_pos]))
             for step in spec.steps:
-                mono = sorted(_powers(alg, [(w, e)]) for w, e in step.v_mono if e)
+                mono = sorted(_powers(alg, [(i, e)]) for i, e in step.v_mono if e)
                 lines.append(f"  step {step.label} "
-                             + " ".join(alg.name_of(w) for w in step.e_factors)
+                             + " ".join(alg.pos_roots[i].name for i in step.e_factors)
                              + " | " + _powers(alg, spec.tail)
                              + " | " + " ".join(mono))
     return "".join(line + "\n" for line in lines)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from superverma.pbw import PBWEngine, el_add, el_one
+from superverma.pbw import PBWEngine, el_one
+from helpers import el_add
 from superverma.rootdata import CaseId, InvalidParams, ParityViolation, wdiff
 from superverma.singular import (
     CaseParams,

@@ -19,7 +19,6 @@ from superverma.rootdata import (
     RootDataError,
     build_algebra_data,
     f31_sign_weight,
-    f31_signs_of,
     format_weight,
     parse_weight,
     render_weight_name,
@@ -29,6 +28,7 @@ from superverma.rootdata import (
     wsum,
     wzero,
 )
+from helpers import f31_signs_of
 
 SMALLEST = ["B-I:m=1,n=1", "B-II:m=1,n=1", "D-I:m=1,n=2", "D-II:m=1,n=2", "F31", "G3"]
 

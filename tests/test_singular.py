@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from superverma.cli import SMALLEST_CASES
-from superverma.pbw import WrongOrder, el_scale
+from superverma.pbw import WrongOrder
+from helpers import el_scale
 from superverma.rootdata import AlgebraData, CaseId, InvalidParams, ParityViolation, wdiff, wscale
 from superverma import cli, singular
 from superverma.singular import (
@@ -117,15 +118,16 @@ def test_candidate_factor_shapes():
     for text, N in SMALLEST.items():
         params, ctx = params_for(text, N)
         cand = candidate(params, ctx)
-        odd, tail = cand.odd, cand.tail
+        odd, tail = cand.odd, cand.tail_ids
         n_odd, tail_exp = expected_counts[text]
         assert len(odd) == n_odd
-        assert len(tail) == 1 and tail[0][1] == tail_exp
-        for w in odd:
-            assert ctx.alg.root_at(w).odd
-        total = wscale(-tail[0][1], tail[0][0])
-        for w in odd:
-            total = tuple(a + b for a, b in zip(total, w))
+        assert tail == ((ctx.table.f_gen(ctx.alg.gamma), tail_exp),)
+        assert cand.odd_ids == tuple(ctx.table.e_gen(i) for i in odd)
+        roots = [ctx.alg.pos_roots[i] for i in odd]
+        assert all(r.odd for r in roots)
+        total = wscale(-tail_exp, ctx.alg.gamma.weight)
+        for r in roots:
+            total = tuple(a + b for a, b in zip(total, r.weight))
         assert total == wscale(-N, ctx.alg.gamma.weight)
 
 
@@ -135,7 +137,7 @@ def test_candidates_are_singular_of_claimed_weight():
         u = candidate_u(params, ctx)
         assert not u.is_zero()
         engine = ctx.default_engine
-        expected = wdiff(wdiff(params.lam, ctx.alg.rho), claimed_drop(params, ctx.alg))
+        expected = wdiff(wdiff(params.lam, ctx.alg.rho), ctx.alg.from_lattice(claimed_drop(params, ctx.alg)))
         assert weight_of(u, engine) == expected
         report = is_singular(u, engine)
         assert report.ok, (text, report.residuals)

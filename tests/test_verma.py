@@ -9,9 +9,7 @@ from superverma.pbw import (
     Inhomogeneous,
     PBWEngine,
     WrongOrder,
-    el_add,
     el_one,
-    el_scale,
 )
 from superverma.rootdata import OSP_FAMILIES, CaseId, build_algebra_data, wdiff, wscale, wsum
 from superverma.singular import (
@@ -26,6 +24,7 @@ from superverma.singular import (
     propagate_chain,
 )
 from superverma.superalgebra import _exact, build_structure_constants
+from helpers import el_add, el_scale
 from superverma.verma import (
     SingularityReport,
     UnexpectedRaising,
