@@ -1,8 +1,9 @@
 """Golden-output oracle: the standard-grid NDJSON, the orbit-chain NDJSON,
 the structure-constant dumps (in full for the smallest cases, as digests
 for every osp case with m, n <= 4 and F31, G3), the osp witness specs,
-the orbit-chain set-up digests and the selftest NDJSON must stay
-byte-identical.
+the orbit-chain set-up digests, the selftest NDJSON and the digests of
+verify and orbit output beyond the standard grid (every osp case with
+m, n <= 3) must stay byte-identical.
 
 The files under ``tests/golden/`` are written by this module itself:
 
@@ -57,14 +58,18 @@ def grid() -> str:
     return _stdout(run_grid.main, ["--seed", "0"])
 
 
+def _target_text(target) -> str:
+    """An orbit target as --target takes it: an index, or i,j for D-II."""
+    return ",".join(map(str, target)) if isinstance(target, tuple) else str(target)
+
+
 def orbit_chains() -> str:
     """``superverma orbit --json`` for every acceptance chain at seed 0."""
     out = ""
     for text, C, target, _ in CHAINS:
         case = CaseId.parse(text)
-        target_text = ",".join(map(str, target)) if isinstance(target, tuple) else str(target)
         argv = ["orbit", "--case", case.family, "--m", str(case.m), "--n", str(case.n),
-                "--C", str(C), "--target", target_text, "--seed", "0", "--json"]
+                "--C", str(C), "--target", _target_text(target), "--seed", "0", "--json"]
         out += _stdout(cli_main, argv)
     return out
 
@@ -167,6 +172,37 @@ def orbit_setup_digests() -> str:
     return "".join(lines)
 
 
+def _digest_line(text: str, label: str) -> str:
+    return f"{hashlib.sha256(text.encode()).hexdigest()}  {label}\n"
+
+
+def wide_digests() -> str:
+    """SHA-256 of ``superverma verify --json`` at seed 0 per case, over
+    N = 1..3 (1 and 3 for B-I) for every osp case with m, n <= 3 and over
+    the standard grid's levels for F31 and G3; then of ``superverma orbit
+    --json`` at seed 0 per osp case with m, n <= 3, over every valid
+    target and C in {1, 2} ({1, 3} for B-I)."""
+    lines = []
+    for case in _small_osp_cases():
+        levels = "1,3" if case.family == "B-I" else "1..3"
+        argv = ["verify", "--case", case.family, "--m", str(case.m), "--n", str(case.n),
+                "--N", levels, "--json"]
+        lines.append(_digest_line(_stdout(cli_main, argv), f"verify {case.text}"))
+    for family, _, _, levels in run_grid.STANDARD_GRID:
+        if family in ("F31", "G3"):
+            argv = ["verify", "--case", family, "--N", levels, "--json"]
+            lines.append(_digest_line(_stdout(cli_main, argv), f"verify {family}"))
+    for case in _small_osp_cases():
+        levels = "1,3" if case.family == "B-I" else "1,2"
+        out = ""
+        for target in _orbit_targets(case):
+            argv = ["orbit", "--case", case.family, "--m", str(case.m), "--n", str(case.n),
+                    "--C", levels, "--target", _target_text(target), "--json"]
+            out += _stdout(cli_main, argv)
+        lines.append(_digest_line(out, f"orbit {case.text}"))
+    return "".join(lines)
+
+
 GOLDEN_FILES = {
     "grid_seed0.ndjson": grid,
     "orbit_setup_digests.txt": orbit_setup_digests,
@@ -175,6 +211,7 @@ GOLDEN_FILES = {
     "structure_constants.txt": structure_constants,
     "structure_constants_digests.txt": structure_constants_digests,
     "witness_specs.txt": witness_specs,
+    "wide_digests.txt": wide_digests,
 }
 
 
