@@ -1,0 +1,138 @@
+#!/usr/bin/env python3
+"""Run the mutation table: each entry breaks the package in one known way,
+and the tests it names must catch it.
+
+An entry names a file of src/superverma, an exact text that occurs there
+once, its replacement, and the pytest node ids that must fail.  For each
+entry the script copies src/, tests/, scripts/ and pyproject.toml to a
+temporary directory, makes the replacement in the copy, and runs the
+entry's nodes there with -x.  The entry is killed when pytest exits with
+1 (tests failed).  A text that does not occur exactly once is an error, so
+a refactor that rewrites a mutated line has to re-home its entry; an entry
+that survives (pytest exits with anything but 1) is an error too.  The exit
+status is 1 if any entry errs, else 0.
+
+Usage:
+    python3 scripts/mutants.py
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple, Optional, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "scripts", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    text: str
+    replacement: str
+    nodes: Tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "weight-exponent-dropped",
+        "pbw.py",
+        "point[i] += e * c",
+        "point[i] += c",
+        ("tests/test_lattice.py::test_weights_stay_exact_for_large_exponents",),
+    ),
+    Mutant(
+        "weight-f-rows-sign",
+        "superalgebra.py",
+        "tuple(tuple((i, -c) for i, c in row) for row in pos_rows)",
+        "tuple(tuple((i, c) for i, c in row) for row in pos_rows)",
+        ("tests/test_pbw.py::test_lattice_weights_match_fraction_sums",),
+    ),
+    Mutant(
+        "walk-odd-sign",
+        "pbw.py",
+        "                if g_odd:\n                    c = -c\n",
+        "",
+        ("tests/test_pbw.py::test_commutator_matches_its_definition",),
+    ),
+    Mutant(
+        "insert-b1-bracket-sign",
+        "pbw.py",
+        "if b > 1 else (bracket,)",
+        "if b > 1 else ({z: -c for z, c in bracket.items()},)",
+        ("tests/test_pbw.py::test_insert_matches_prepending_the_product",),
+    ),
+    Mutant(
+        "insert-odd-square-half",
+        "pbw.py",
+        "Fraction(c, 2)",
+        "Fraction(c, 1)",
+        ("tests/test_pbw.py::test_odd_square_rewrites_through_bracket",),
+    ),
+    Mutant(
+        "merge-zero-guard",
+        "superalgebra.py",
+        "        if new:\n            into[k] = _exact(new)",
+        "        if True:\n            into[k] = _exact(new)",
+        ("tests/test_superalgebra.py::test_merge_and_scale_keep_canonical_form",),
+    ),
+    Mutant(
+        "lift-unchecked",
+        "pbw.py",
+        "        for m in theta:\n            self.check_lowering(m)\n",
+        "",
+        ("tests/test_pbw.py::test_lift_refuses_the_wrong_generator_or_element",),
+    ),
+    Mutant(
+        "tail-range-check",
+        "pbw.py",
+        "if not 0 <= g < P:",
+        "if False:",
+        ("tests/test_singular.py::test_engines_of_a_case_share_the_table_and_make_each_order_once",),
+    ),
+)
+
+
+def run(mutant: Mutant) -> Optional[str]:
+    """None when the mutant is killed, else what went wrong."""
+    with tempfile.TemporaryDirectory(prefix="superverma-mutant-") as tmp:
+        for part in COPIED:
+            source, target = ROOT / part, Path(tmp) / part
+            if source.is_dir():
+                shutil.copytree(source, target, ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy2(source, target)
+        path = Path(tmp) / "src" / "superverma" / mutant.file
+        text = path.read_text()
+        count = text.count(mutant.text)
+        if count != 1:
+            return f"its text occurs {count} times in {mutant.file}, not once"
+        path.write_text(text.replace(mutant.text, mutant.replacement))
+        env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"), PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.nodes],
+            cwd=tmp, env=env, capture_output=True, text=True,
+        )
+        if proc.returncode != 1:
+            tail = "\n".join(proc.stdout.splitlines()[-5:])
+            return f"not killed: pytest exited with {proc.returncode}, not 1\n{tail}"
+    return None
+
+
+def main() -> int:
+    failed = 0
+    for mutant in MUTANTS:
+        t0 = time.monotonic()
+        problem = run(mutant)
+        status = "killed" if problem is None else f"ERROR: {problem}"
+        print(f"{mutant.name}: {status} [{time.monotonic() - t0:.1f}s]", flush=True)
+        failed += problem is not None
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -41,11 +41,11 @@ and an odd one rewrites through [w, w] / 2.  Every chain comes from the
 bracket table's ad_chain, which every engine of a case shares.  No step
 recurses once per unit of an exponent.
 
-Weights are lambda-free, so they are ints: a monomial's weight is the sum of
-its generators' packed keys times their exponents (BracketTable.keys), one
-int operation per generator, read back as a point of the root data's
-integer lattice (each weight times one common denominator).  Weights are
-compared as lattice points and become Fraction tuples only for output.
+Weights are lambda-free, so they are ints: a monomial's weight is a point
+of the root data's integer lattice (each weight times one common
+denominator), the sum of its generators' weight rows times their exponents
+(BracketTable.weight_rows), exact for any exponent.  Weights are compared
+as lattice points and become Fraction tuples only for output.
 """
 
 from __future__ import annotations
@@ -410,17 +410,18 @@ class PBWEngine:
         return self.table.alg.from_lattice(self.element_lattice(x))
 
     def _lattice_points(self, monomials: Collection[Monomial]) -> Set[Tuple[int, ...]]:
-        """The distinct lattice weights of the monomials, each summed as one
-        packed int, at double the width while a sum is too large to read."""
-        table = self.table
-        width, keys = table.key_width, table.keys
-        while True:
-            sums = {sum([e * keys[g] for g, e in m]) for m in monomials}
-            points = {table.unpack(k, width) for k in sums}
-            if None not in points:
-                return points
-            width *= 2
-            keys = table.packed_keys(width)
+        """The distinct lattice weights of the monomials, each the sum of its
+        generators' weight rows times their exponents."""
+        rows = self.table.weight_rows
+        rank = self.table.alg.rank
+        points = set()
+        for m in monomials:
+            point = [0] * rank
+            for g, e in m:
+                for i, c in rows[g]:
+                    point[i] += e * c
+            points.add(tuple(point))
+        return points
 
     def render_monomial(self, m: Monomial) -> str:
         if not m:

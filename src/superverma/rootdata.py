@@ -17,7 +17,8 @@ level.  All arithmetic is exact.
 
 Roots are named by their positive-root index wherever lambda is not
 involved.  The positive roots lie on one integer lattice (lattice over
-weight_den), and each lattice point packs into one int (keys), so a root
+weight_den), where weights are summed coordinate by coordinate.  For root
+lookups only, each lattice point also packs into one int (keys), so a root
 built from others by integer steps is found by one int lookup (at):
 AlgebraData.sums, for every ordered pair of positive-root indices (mu, nu)
 whose sum is a positive root sigma, holds sums[(mu, nu)] = sigma, and the
@@ -137,7 +138,8 @@ def solve_square(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) ->
     return [aug[i][n] for i in range(n)]
 
 
-# a coroot's row: the (i, c) with c != 0, by i, with <w, h> = sum of w[i] * c
+# a sparse row: the (i, c) with c != 0, by i; for a coroot h, <w, h> is the
+# sum of w[i] * c
 Row = Tuple[Tuple[int, Union[int, Fraction]], ...]
 
 

@@ -175,9 +175,6 @@ def _solve_level(alg: AlgebraData, coords: List[Fraction], N, k: int) -> Weight:
 # candidate vectors
 
 
-F31_FACTOR_ORDER = ("+---", "+--+", "+-+-", "+-++", "++--", "++-+", "+++-", "++++")
-
-
 def _support(alg: AlgebraData) -> List[int]:
     """gamma's support: the coordinates where it is nonzero."""
     return [k for k, c in enumerate(alg.lattice[alg.gamma.index]) if c]

@@ -38,6 +38,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Un
 from .rootdata import (
     AlgebraData,
     RootSpec,
+    Row,
     Weight,
     _exact,
     pairing,
@@ -146,20 +147,13 @@ class BracketTable:
     n_pos: int = field(init=False)
     n_cartan: int = field(init=False)
     _e_base: int = field(init=False, repr=False)
-    # the basis weights on the root data's integer lattice:
-    # basis[b].weight == lattice[b] / weight_den, coordinate by coordinate
-    weight_den: int = field(init=False)
-    lattice: Tuple[Tuple[int, ...], ...] = field(init=False)
-    # each basis weight packed into one int, key_width bits a field: the
-    # lattice coordinates as signed fields, then a top field, the largest
-    # lattice coordinate of a root times the height of b's root (0 for h),
-    # which no coordinate exceeds.  A monomial's weight is the sum of its
-    # keys times exponents, and unpack reads it back exactly (see there)
-    key_width: int = field(init=False)
-    keys: Tuple[int, ...] = field(init=False)
+    # weight_den times each basis weight, as a row of its nonzero lattice
+    # coordinates: f_sigma at -sigma, h_j empty, e_sigma at sigma.  A
+    # monomial's lattice point is the sum of its rows times the exponents
+    weight_rows: Tuple[Row, ...] = field(init=False)
     # the simple roots' coroot rows from the root data, nonzero entries
     # only: <w, h_j> is pairing(cartan_rows[j], w)
-    cartan_rows: Tuple[Tuple[Tuple[int, Coefficient], ...], ...] = field(init=False)
+    cartan_rows: Tuple[Row, ...] = field(init=False)
     # <rho, h_j>, so that <lambda - rho, h_j> is one dot product less it
     rho_pairings: Tuple[Coefficient, ...] = field(init=False)
     # <wt(b), h_j> for every basis id b, read from cartan_rows: [h_j, b] is
@@ -176,49 +170,13 @@ class BracketTable:
         P = self.n_pos = len(alg.pos_roots)
         R = self.n_cartan = len(alg.simple_system)
         self._e_base = P + R
-        # f_sigma has weight -sigma, h_j weight 0 and e_sigma weight sigma
-        self.weight_den = alg.weight_den
-        self.lattice = (
-            tuple(tuple(-c for c in point) for point in alg.lattice)
-            + ((0,) * alg.rank,) * R
-            + alg.lattice
-        )
-        # 32 bits a field read back every weight whose top field is below
-        # 2**30; a larger sum is taken again at double the width
-        self.key_width = 32
-        self.keys = self.packed_keys(self.key_width)
+        pos_rows = tuple(tuple((i, c) for i, c in enumerate(point) if c) for point in alg.lattice)
+        self.weight_rows = tuple(tuple((i, -c) for i, c in row) for row in pos_rows) + ((),) * R + pos_rows
         self.cartan_rows = tuple(alg.coroot_rows[i] for i in alg.simple_pos_index)
         self.rho_pairings = tuple(_exact(pairing(row, alg.rho)) for row in self.cartan_rows)
         pos = tuple(tuple(self.cartan_pairing(j, r.weight) for j in range(R)) for r in alg.pos_roots)
         self.pairings = tuple(tuple(-c for c in row) for row in pos) + ((0,) * R,) * R + pos
         self.odd = tuple(el.odd for el in self.basis)
-
-    def packed_keys(self, width: int) -> Tuple[int, ...]:
-        """keys at width bits a field."""
-        alg = self.alg
-        top = max(abs(c) for point in alg.lattice for c in point)
-        sizes = tuple(top * h for h in alg.heights)
-        sizes = sizes + (0,) * self.n_cartan + sizes
-        return tuple(
-            sum(c << (width * i) for i, c in enumerate(point)) + (size << (width * alg.rank))
-            for point, size in zip(self.lattice, sizes)
-        )
-
-    def unpack(self, key: int, width: int) -> Optional[Tuple[int, ...]]:
-        """The lattice point of a sum of keys packed at width, or None when
-        its top field says the coordinates may not read back.  With every
-        |coordinate| at most the true top field S, each signed field reads
-        back exactly when S < 2**(width-1); when S is larger, the top field
-        read exceeds 2**(width-1) - 2.  So a top field read below
-        2**(width-2) proves the point exact."""
-        half = 1 << (width - 1)
-        mask = (1 << width) - 1
-        point = []
-        for _ in range(self.alg.rank):
-            c = ((key + half) & mask) - half
-            point.append(c)
-            key = (key - c) >> width
-        return tuple(point) if key < half >> 1 else None
 
     @property
     def dim(self) -> int:

@@ -529,14 +529,18 @@ def is_fraction_weight(w) -> bool:
 
 @pytest.mark.parametrize("text", SMALLEST_CASES)
 def test_lattice_weights_match_fraction_sums(text):
-    """monomial_weight and element_weight, summed on the table's integer
-    lattice, equal the Fraction sum exactly, under the default engine and
-    a tailed one; F31 is the case with weight_den 2."""
+    """Each basis weight's row holds weight_den times its nonzero
+    coordinates as ints, and monomial_weight and element_weight, summed
+    from the rows, equal the Fraction sum exactly, under the default engine
+    and a tailed one; F31 is the case with weight_den 2."""
     ctx = ctx_for(text)
     table = ctx.table
-    assert table.weight_den == (2 if text == "F31" else 1)
+    den = table.alg.weight_den
+    assert den == (2 if text == "F31" else 1)
     for bid, el in enumerate(table.basis):
-        assert tuple(Fraction(c, table.weight_den) for c in table.lattice[bid]) == el.weight
+        row = table.weight_rows[bid]
+        assert row == tuple((i, c * den) for i, c in enumerate(el.weight) if c)
+        assert all(type(c) is int for _, c in row)
     rng = random.Random(f"lattice:{text}")
     for engine in (ctx.default_engine, ctx.engine(tail=(first_even_root(ctx.alg),))):
         for _ in range(40):

@@ -37,7 +37,7 @@ def weight_space(engine, N):
     alg = table.alg
     gens = engine.sequence[: engine.table.n_pos]
     gamma = alg.index[alg.gamma.weight]
-    target = tuple(-N * c for c in table.lattice[table.e_id(gamma)])
+    target = tuple(-N * c for c in alg.lattice[gamma])
     out = []
 
     def grow(i, mono, left, weight):
@@ -55,7 +55,7 @@ def weight_space(engine, N):
             if e * h > left:
                 break
             grow(i + 1, mono + ((g, e),), left - e * h,
-                 tuple(w + e * c for w, c in zip(weight, table.lattice[g])))
+                 tuple(w - e * c for w, c in zip(weight, alg.lattice[g])))
 
     grow(0, (), N * alg.heights[gamma], (0,) * alg.rank)
     return out
