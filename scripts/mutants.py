@@ -88,6 +88,27 @@ MUTANTS = (
         ("tests/test_pbw.py::test_lift_refuses_the_wrong_generator_or_element",),
     ),
     Mutant(
+        "cartan-zero-stored",
+        "superalgebra.py",
+        "            if c:\n                set_entry(h_id(j), x, {x: c})",
+        "            set_entry(h_id(j), x, {x: c})",
+        ("tests/test_superalgebra.py::test_table_is_complete",),
+    ),
+    Mutant(
+        "derived-bracket-dropped",
+        "superalgebra.py",
+        "    del ensure_mixed\n    return table",
+        "    del ensure_mixed\n    del entries[next(iter(entries))]\n    return table",
+        ("tests/test_superalgebra.py::test_table_is_complete",),
+    ),
+    Mutant(
+        "odd-power-scalar",
+        "pbw.py",
+        "half ** k",
+        "half ** (k + 1)",
+        ("tests/test_pbw.py::test_odd_powers_match_one_unit_per_pass",),
+    ),
+    Mutant(
         "tail-range-check",
         "pbw.py",
         "if not 0 <= g < P:",

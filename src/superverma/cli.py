@@ -26,7 +26,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -163,17 +162,22 @@ def _run_grid(point, where: str, jobs, args, text_line, noun: str) -> int:
     """Run ``point`` on every job and print one report line per job, in job
     order and as soon as it completes, then a summary in text mode; an
     internal error out of a job is a PointFault named ``where.format(*job)``.
-    Worker processes are bounded by the number of jobs and of CPUs."""
+    Worker processes are bounded by the number of jobs and of CPUs; the
+    process pool, and multiprocessing with it, is imported only when more
+    than one would start."""
     if args.jobs < 1:
         raise InvalidParams(f"--jobs must be at least 1, got {args.jobs}")
-    workers = min(args.jobs, len(jobs), os.cpu_count() or 1)
+    workers = min(args.jobs, len(jobs))
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
     t0 = time.monotonic()
     failures = 0
-    executor = (
-        ProcessPoolExecutor(max_workers=workers, initializer=_lift_digit_limit)
-        if workers > 1
-        else nullcontext()
-    )
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        executor = ProcessPoolExecutor(max_workers=workers, initializer=_lift_digit_limit)
+    else:
+        executor = nullcontext()
     with executor as pool:
         results = (pool.map if pool else map)(point, jobs)
         for job in jobs:

@@ -12,9 +12,11 @@ witness bases and orbit propagation both need a chosen generator in the
 rightmost slot, and right division is only defined against that slot.
 
 One rule straightens every product, and the Verma module action too: left
-multiplication by a generator power x^j (power_times).  An engine holds
-only its bracket table, its tail of lowering generators and the order
-derived from them, and caches nothing.
+multiplication by a generator power x^j (power_times).  An odd x takes
+x^j, j >= 2, through x^2 = [x, x] / 2, so an odd f_gamma^(N + c) on 1 is
+one power of f_2gamma and at most one f_gamma, not N passes.  An engine holds only its bracket table,
+its tail of lowering generators and the order derived from them, and
+caches nothing.
 
 The one place where a power passes a whole element at once is lift, the
 orbit step's f^L theta = sum_k C(L, k) (ad f)^k(theta) f^(L-k).  It is an
@@ -56,7 +58,7 @@ from math import comb
 from typing import Callable, Collection, Dict, Set, Tuple
 
 from .rootdata import Weight, format_weight
-from .superalgebra import BracketTable, Coefficient, _exact, _merge, _signed_sum
+from .superalgebra import EMPTY, BracketTable, Coefficient, _exact, _merge, _scaled, _signed_sum
 
 Monomial = Tuple[Tuple[int, int], ...]
 UEAElement = Dict[Monomial, Coefficient]
@@ -249,7 +251,7 @@ class PBWEngine:
                     i += 1  # w meets itself: the left pass below raises or squares it
                 head, rest = head + rest[:i], rest[i:]
         j = len(head)
-        entries = table.entries
+        get = table.entries.get
         while j:
             y, b = head[j - 1]
             if rank[y] < w_rank:
@@ -263,11 +265,11 @@ class PBWEngine:
                     out[key] = out.get(key, 0) + coef
                     return
                 base, after = head[:j], head[j + 1 :] + rest
-                for z, c in entries[(w, w)].items():
+                for z, c in get((w, w), EMPTY).items():
                     self.insert(base, z, after, coef * _exact(Fraction(c, 2)), out)
                 return
             flip = odd[w] and odd[y]
-            bracket = entries[(w, y)]
+            bracket = get((w, y), EMPTY)
             if bracket:
                 base, after = head[:j], head[j + 1 :] + rest
                 sign = 1 if flip else -1  # -s (-1)^k at k = 1
@@ -289,15 +291,30 @@ class PBWEngine:
     def power_times(self, x: int, j: int, el: UEAElement) -> UEAElement:
         """x^j * el in normal form for a basis generator x and el in normal form.
 
-        Two kinds of monomial take x^j whole: one led by a generator ranked
-        above x, which x^j is prepended to when x is even or j = 1, and one
-        led by an even x itself, whose power rises by j.  Every other
-        monomial takes one x per pass: insert((), x, mono) adds x * mono
-        straight into the pass's one dict, which is normalised once, zeros
-        dropped, and is the next pass's el.
+        An odd x with j >= 2 squares through the bracket: x^2 = [x, x] / 2
+        is 0 when [x, x] is, and (c/2) z when [x, x] = c z, an even z that
+        commutes with x (as [x, [x, x]] = 0), so x^j el = (c/2)^k x^r (z^k el)
+        with k = j div 2 and r = j mod 2: one power of the even z, at most
+        one x and one scalar.  Any other [x, x] takes the passes below.
+
+        Otherwise two kinds of monomial take x^j whole: one led by a
+        generator ranked above x, which x^j is prepended to when x is even
+        or j = 1, and one led by an even x itself, whose power rises by j.
+        Every other monomial takes one x per pass: insert((), x, mono) adds
+        x * mono straight into the pass's one dict, which is normalised
+        once, zeros dropped, and is the next pass's el.
         """
         x_rank = self.rank[x]
-        even = not self.table.basis[x].odd
+        even = not self.table.odd[x]
+        if not even and j > 1:
+            square = self.table.bracket(x, x)
+            if not square:
+                return {}
+            if len(square) == 1:
+                ((z, c),) = square.items()
+                k, r = divmod(j, 2)
+                half = Fraction(c) / 2
+                return _scaled(self.power_times(x, r, self.power_times(z, k, el)), half ** k)
         out: UEAElement = {}
         while j and el:
             # distinct monomials of el give distinct keys in one pass

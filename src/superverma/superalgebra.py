@@ -13,12 +13,20 @@ Jacobi identity.  Each bracket has one derivation: a mixed bracket
 [e_a, f_b] is derived on demand by recursion on height through the
 decomposition of a or b, and the same-sign pairs [e_mu, e_nu], [f_mu, f_nu]
 are solved by probing with a simple generator, in increasing height of
-mu + nu, so that every step only reads brackets of lower height.  These
-derivations set every pair; a gap in that schedule, a probe that leaves the
-root grading, or a pair still unset at the end raises ClosureFailure.
-Which pairs of roots add up to a root is read from the root data's integer
-table alg.sums, by positive-root index; the closure does no weight
-arithmetic.
+mu + nu, so that every step only reads brackets of lower height.  Which
+pairs of roots add up to a root is read from the root data's integer table
+alg.sums, by positive-root index; the closure does no weight arithmetic.
+
+The table stores nonzero brackets only, and every other pair reads as one
+shared, read-only empty value, EMPTY.  Most pairs are zero by the root
+grading alone (31% of them are nonzero at D-II m=n=3, 12% at m=n=8): a
+pair with a Cartan generator whose pairing vanishes, a mixed pair [e_a, f_b]
+whose a - b is no root, and a same-sign pair whose sum is no root.  The
+closure knows those by the grading, without storing them, and records the
+few zeros it derives by computation while it runs.  A pair its schedule
+reads before deriving it, a probe that leaves the root grading, or a
+same-sign pair of root sum still underived at the end raises
+ClosureFailure.
 
 Bracket values are dicts mapping basis ids to exact rational coefficients,
 so a value can be a root-vector multiple or a Cartan combination.  Every
@@ -33,7 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .rootdata import (
     AlgebraData,
@@ -51,6 +60,8 @@ from .rootdata import (
 # an exact rational: an int when integral, a Fraction otherwise
 Coefficient = Union[int, Fraction]
 Value = Dict[int, Coefficient]
+# the value of every zero bracket: one shared mapping that refuses mutation
+EMPTY: Value = MappingProxyType({})
 
 
 class ClosureFailure(RuntimeError):
@@ -140,6 +151,8 @@ def _signed_sum(terms, joiner: str) -> str:
 class BracketTable:
     alg: AlgebraData
     basis: Tuple[BasisElement, ...]
+    # the nonzero brackets only, keyed (x, y); a pair not here is zero and
+    # reads as EMPTY through bracket
     entries: Dict[Tuple[int, int], Value]
     cartan_duals: Tuple[Weight, ...]
     # the basis is f_0..f_{P-1}, h_0..h_{R-1}, e_0..e_{P-1}: P = n_pos
@@ -156,6 +169,9 @@ class BracketTable:
     cartan_rows: Tuple[Row, ...] = field(init=False)
     # <rho, h_j>, so that <lambda - rho, h_j> is one dot product less it
     rho_pairings: Tuple[Coefficient, ...] = field(init=False)
+    # the last lambda lambda_shift was asked for, held so its id is not
+    # reused, with its shifts
+    _shift: Optional[Tuple[Weight, Tuple[Coefficient, ...]]] = field(init=False, default=None, repr=False)
     # <wt(b), h_j> for every basis id b, read from cartan_rows: [h_j, b] is
     # pairings[b][j] * b
     pairings: Tuple[Tuple[Coefficient, ...], ...] = field(init=False)
@@ -198,7 +214,17 @@ class BracketTable:
         return self.e_id(self.alg.as_index(root))
 
     def bracket(self, x: int, y: int) -> Value:
-        return self.entries[(x, y)]
+        return self.entries.get((x, y), EMPTY)
+
+    def lambda_shift(self, lam: Weight) -> Tuple[Coefficient, ...]:
+        """<lambda - rho, h_j> for each simple index j: one dot product of
+        lambda with cartan_rows[j] less rho_pairings[j], in lambda's own
+        exact type.  The last lambda's are kept, by identity, as the module
+        actions of one grid point all read the same lambda object."""
+        if self._shift is None or self._shift[0] is not lam:
+            rows = zip(self.cartan_rows, self.rho_pairings)
+            self._shift = (lam, tuple(_exact(pairing(row, lam) - r) for row, r in rows))
+        return self._shift[1]
 
     def cartan_pairing(self, simple_index: int, w: Weight) -> Coefficient:
         """<w, h_j> in canonical form, read from cartan_rows."""
@@ -266,7 +292,12 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
     entries = table.entries
     f_id, h_id, e_id = table.f_id, table.h_id, table.e_id
 
+    # the pairs whose zero was derived by computation, both ways round;
+    # every other zero is known by the grading (zero_by_grading)
+    zeros: Set[Tuple[int, int]] = set()
+
     def set_entry(x: int, y: int, val: Value) -> None:
+        """Store a bracket and its transpose; callers pass nonzero values."""
         val = {k: _exact(v) for k, v in val.items() if v}
         entries[(x, y)] = val
         if x != y:
@@ -274,30 +305,35 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
         elif val and _ksign(basis, x, y) != -1:
             raise ClosureFailure(f"even square bracket [{basis[x].name}, {basis[x].name}] must vanish")
 
+    def set_derived(x: int, y: int, val: Value) -> None:
+        """Store a computed bracket, or record it in zeros if it is 0."""
+        if val:
+            set_entry(x, y, val)
+        else:
+            zeros.update(((x, y), (y, x)))
+
     spi = alg.simple_pos_index
+    sums = alg.sums
+
+    def zero_by_grading(x: int, y: int) -> bool:
+        """Whether (x, y), not mixed, is zero before any derivation: a pair
+        with a Cartan generator is set in level 1, and a same-sign pair
+        [X_mu, X_nu] is 0 when mu + nu is no root (read with mu <= nu)."""
+        ex, ey = basis[x], basis[y]
+        return "h" in (ex.kind, ey.kind) or (min(ex.index, ey.index), max(ex.index, ey.index)) not in sums
 
     # level 1: Cartan action, simple mixed pairs, and the defining ladder
     for x in range(table.dim):
         for j, c in enumerate(table.pairings[x]):
-            set_entry(h_id(j), x, {x: c} if c else {})
+            if c:
+                set_entry(h_id(j), x, {x: c})
     for a in range(R):
-        for b in range(R):
-            val: Value = {h_id(a): 1} if a == b else {}
-            set_entry(e_id(spi[a]), f_id(spi[b]), val)
+        set_entry(e_id(spi[a]), f_id(spi[a]), {h_id(a): 1})
     for s in range(P):
         if alg.decomp[s] is not None:
             k, t = alg.decomp[s]
             set_entry(e_id(spi[k]), e_id(t), {e_id(s): 1})
             set_entry(f_id(spi[k]), f_id(t), {f_id(s): 1})
-    sums = alg.sums
-    for mu in range(P):
-        for nu in range(mu, P):
-            if (mu, nu) in sums:
-                continue
-            if (e_id(mu), e_id(nu)) not in entries:
-                set_entry(e_id(mu), e_id(nu), {})
-            if (f_id(mu), f_id(nu)) not in entries:
-                set_entry(f_id(mu), f_id(nu), {})
 
     # parts[sigma] maps mu to nu for each split mu + nu = sigma
     parts: List[Dict[int, int]] = [{} for _ in range(P)]
@@ -307,28 +343,28 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
     # mixed brackets [e_a, f_b] on demand, recursing on height; they only
     # read same-sign pairs below max(height a, height b)
     def bracket_ids(x: int, y: int) -> Value:
-        if (x, y) in entries:
-            return entries[(x, y)]
+        val = entries.get((x, y))
+        if val is not None:
+            return val
         ex, ey = basis[x], basis[y]
         if ex.kind == "e" and ey.kind == "f":
             ensure_mixed(ex.index, ey.index)
         elif ex.kind == "f" and ey.kind == "e":
             ensure_mixed(ey.index, ex.index)
-        else:
+        elif not ((x, y) in zeros or zero_by_grading(x, y)):
             raise ClosureFailure(f"bracket [{ex.name}, {ey.name}] needed before it was built")
-        return entries[(x, y)]
+        return entries.get((x, y), EMPTY)
 
     def ensure_mixed(a: int, b: int) -> None:
         key = (e_id(a), f_id(b))
-        if key in entries:
+        if key in entries or key in zeros:
             return
         # a - b has height ha - hb, so it is a root only if the higher
         # minus the lower is a positive root, that is, the lower is a part
-        # of the higher; at equal heights it never is
+        # of the higher; at equal heights it never is, and [e_a, f_b] is 0
         ha, hb = alg.heights[a], alg.heights[b]
         if a != b:
             if ha == hb or (b not in parts[a] if ha > hb else a not in parts[b]):
-                set_entry(*key, {})
                 return
         if hb >= 2:
             k, t = alg.decomp[b]
@@ -342,7 +378,7 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
             out = _left_bracket(bracket_ids, e_id(spi[l]), bracket_ids(e_id(p), f_id(b)))
             _merge(out, _left_bracket(bracket_ids, e_id(p), bracket_ids(e_id(spi[l]), f_id(b))),
                    -_ksign(basis, e_id(spi[l]), e_id(p)))
-        set_entry(*key, out)
+        set_derived(*key, out)
 
     # same-sign pairs [X_mu, X_nu] with mu + nu = sigma, by height of sigma:
     # a simple probe Y_j with [Y_j, X_sigma] = c X_target != 0 gives
@@ -362,7 +398,7 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
             if basis[target].kind != basis[X(s)].kind:
                 raise ClosureFailure(f"{basis[target].name} is not of the kind of {basis[X(s)].name}")
             for mu, nu in splits:
-                if (X(mu), X(nu)) in entries:
+                if (X(mu), X(nu)) in entries or (X(mu), X(nu)) in zeros:
                     continue
                 rhs = _right_bracket(bracket_ids, bracket_ids(probe, X(mu)), X(nu))
                 _merge(rhs, _left_bracket(bracket_ids, X(mu), bracket_ids(probe, X(nu))),
@@ -370,17 +406,18 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
                 if not set(rhs) <= {target}:
                     raise ClosureFailure("probe identity left the target line")
                 x = Fraction(rhs.get(target, 0), tc)
-                set_entry(X(mu), X(nu), {X(s): x} if x else {})
+                set_derived(X(mu), X(nu), {X(s): x} if x else {})
 
     for a in range(P):
         for b in range(P):
             ensure_mixed(a, b)
 
-    # level 1 sets the Cartan pairs and the same-sign pairs of no root weight,
-    # the probes the other same-sign pairs, the mixed pass every [e_a, f_b]
-    for x in range(table.dim):
-        for y in range(table.dim):
-            if (x, y) not in entries:
+    # level 1 sets the Cartan pairs, the grading zeroes the same-sign pairs
+    # of no root sum, the mixed pass derives every [e_a, f_b], and the
+    # probes must have derived every other same-sign pair
+    for X in (f_id, e_id):
+        for x, y in sorted((X(mu), X(nu)) for mu, nu in sums):
+            if (x, y) not in entries and (x, y) not in zeros and not zero_by_grading(x, y):
                 raise ClosureFailure(
                     f"no value derived for [{basis[x].name}, {basis[y].name}]"
                 )
@@ -406,15 +443,15 @@ class JacobiReport:
 def check_jacobi(table: BracketTable) -> JacobiReport:
     """Exhaustive super antisymmetry and Jacobi sweep over the whole basis."""
     basis = table.basis
-    entries = table.entries
+    bracket = table.bracket
     dim = len(basis)
 
     pairs = 0
     for x in range(dim):
         for y in range(dim):
             pairs += 1
-            lhs = entries[(x, y)]
-            rhs = _scaled(entries[(y, x)], -_ksign(basis, x, y))
+            lhs = bracket(x, y)
+            rhs = _scaled(bracket(y, x), -_ksign(basis, x, y))
             if lhs != rhs:
                 return JacobiReport(
                     False, pairs, 0,
@@ -425,9 +462,9 @@ def check_jacobi(table: BracketTable) -> JacobiReport:
     for x, y, z in combinations_with_replacement(range(dim), 3):
         triples += 1
         acc: Value = {}
-        _merge(acc, _left_bracket(table.bracket, x, entries[(y, z)]), _ksign(basis, x, z))
-        _merge(acc, _left_bracket(table.bracket, y, entries[(z, x)]), _ksign(basis, y, x))
-        _merge(acc, _left_bracket(table.bracket, z, entries[(x, y)]), _ksign(basis, z, y))
+        _merge(acc, _left_bracket(bracket, x, bracket(y, z)), _ksign(basis, x, z))
+        _merge(acc, _left_bracket(bracket, y, bracket(z, x)), _ksign(basis, y, x))
+        _merge(acc, _left_bracket(bracket, z, bracket(x, y)), _ksign(basis, z, y))
         if acc:
             return JacobiReport(
                 False, pairs, triples,
@@ -539,11 +576,7 @@ def _relation_mismatch(table: BracketTable, x: int, y: int, val: Value) -> str:
 def dump_table(table: BracketTable) -> str:
     """Deterministic text dump of all nonzero brackets, one per line."""
     lines = [f"# {table.alg.case.text}: dim {table.dim}, {table.n_pos} positive roots"]
-    for x in range(table.dim):
-        for y in range(table.dim):
-            val = table.entries[(x, y)]
-            if val:
-                lines.append(
-                    f"[{table.basis[x].name}, {table.basis[y].name}] = {table.render_value(val)}"
-                )
+    for (x, y), val in sorted(table.entries.items()):
+        if val:
+            lines.append(f"[{table.basis[x].name}, {table.basis[y].name}] = {table.render_value(val)}")
     return "\n".join(lines) + "\n"

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import time
+from concurrent import futures
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -351,9 +352,10 @@ START_METHODS = ("spawn", "forkserver")
 
 
 def start_workers_by(monkeypatch, method):
-    """Make --jobs start its workers by method, for this test only."""
+    """Make --jobs start its workers by method, for this test only: the CLI
+    imports the pool from concurrent.futures when it starts workers."""
     context = multiprocessing.get_context(method)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=context))
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=context))
 
 
 def test_orbit_lift_has_no_recursion_per_unit():
@@ -489,14 +491,21 @@ class RecordingPool:
         return map(fn, jobs)
 
 
+def no_cpu_count():
+    raise AssertionError("os.cpu_count called for a run of one worker")
+
+
 def test_jobs_are_bounded_by_points_and_cpus(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(cli.os, "cpu_count", no_cpu_count)
     verify = ("verify", "--case", "B-I", "--m", "1", "--n", "1", "--N", "1,3",
               "--check", "nonzero", "--json")
     code, serial, _ = run(capsys, *verify)
     assert code == 0 and RecordingPool.sizes == []
+    code, _, _ = run(capsys, *verify[:-5], "--N", "1", "--jobs", "64", "--json")
+    assert code == 0 and RecordingPool.sizes == []
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
     code, out, _ = run(capsys, *verify, "--jobs", "64")
     assert code == 0 and out == serial
     assert RecordingPool.sizes == [2]
@@ -509,6 +518,24 @@ def test_jobs_are_bounded_by_points_and_cpus(capsys, monkeypatch):
         code, _, err = run(capsys, *verify, "--jobs", bad)
         assert code == 2 and "--jobs must be at least 1" in err
     assert RecordingPool.sizes == [2, 2]
+
+
+# a --jobs 1 verify over two points, then the pool's modules it loaded
+SERIAL_MODULES = """
+import sys
+from superverma import cli
+
+code = cli.main(["verify", "--case", "B-I", "--m", "1", "--n", "1", "--N", "1,3", "--jobs", "1", "--json"])
+print(code, sorted(m for m in sys.modules if m.partition(".")[0] in ("multiprocessing", "concurrent")))
+"""
+
+
+def test_one_job_loads_no_process_pool():
+    """A run that starts no worker imports neither multiprocessing nor
+    concurrent.futures."""
+    proc = run_python("-c", SERIAL_MODULES, stdout=subprocess.PIPE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == b"0 []"
 
 
 def test_grid_prints_each_record_as_it_completes(capsys, monkeypatch):
@@ -535,6 +562,7 @@ def test_grid_prints_each_record_as_it_completes(capsys, monkeypatch):
 FAULTS = """
 import functools
 import multiprocessing
+from concurrent import futures
 from concurrent.futures import ProcessPoolExecutor
 
 from superverma import cli
@@ -560,7 +588,7 @@ Candidate.build = third_level_breaks
 cli.propagate_chain = second_level_breaks
 if START_METHOD is not None:
     context = multiprocessing.get_context(START_METHOD)
-    cli.ProcessPoolExecutor = functools.partial(ProcessPoolExecutor, mp_context=context)
+    futures.ProcessPoolExecutor = functools.partial(ProcessPoolExecutor, mp_context=context)
 """
 
 

@@ -234,6 +234,69 @@ def test_odd_square_rewrites_through_bracket():
     )
 
 
+def unit_by_unit(engine, x, j, el):
+    """x^j el taken one x per pass: the reference for whole odd powers."""
+    for _ in range(j):
+        el = engine.power_times(x, 1, el)
+    return el
+
+
+def typed(el):
+    return {m: (type(c), c) for m, c in el.items()}
+
+
+@pytest.mark.parametrize("text", ["B-I:m=1,n=1", "B-I:m=2,n=1", "D-II:m=1,n=2", "G3"])
+def test_odd_powers_match_one_unit_per_pass(text):
+    """x^j for an odd generator x, taken whole through x^2 = [x, x] / 2,
+    equals the product one x per pass term for term, coefficient types
+    included, on 1 and on random elements, under the default order and an
+    order with gamma last."""
+    ctx = ctx_for(text)
+    table = ctx.table
+    rng = random.Random(f"odd-powers:{text}")
+    engines = (ctx.default_engine, ctx.engine(tail=(table.f_gen(ctx.alg.gamma.weight),)))
+    odd = [g for g in range(table.dim) if table.odd[g]]
+    # B-I and G3 have odd generators of either kind of square, D-II only
+    # ones squaring to 0
+    assert any(not table.bracket(g, g) for g in odd)
+    assert any(table.bracket(g, g) for g in odd) == (ctx.alg.case.family != "D-II")
+    for engine in engines:
+        els = [el_one()] + [
+            el_scale(random_lowering(engine, rng, 2), Fraction(rng.choice((1, 3)), rng.choice((1, 2))))
+            for _ in range(2)
+        ]
+        for x in odd:
+            for el in els:
+                for j in (2, 3, 4, 7):
+                    got = engine.power_times(x, j, el)
+                    assert typed(got) == typed(unit_by_unit(engine, x, j, el)), (table.basis[x].name, j)
+
+
+def test_odd_power_is_taken_whole():
+    """f_d1^j in B-I, where [f_d1, f_d1] = f_2d1, is (1/2)^k f_d1 f_2d1^k
+    with k = j div 2, from one insert however large j is."""
+    ctx = ctx_for("B-I:m=1,n=1")
+    table = ctx.table
+    x, z = table.f_gen("d1"), table.f_gen("2d1")
+    assert table.bracket(x, x) == {z: 1}
+    engine = PBWEngine(table)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return PBWEngine.insert(engine, *args)
+
+    engine.insert = counted
+    j = 10**6 + 1
+    mono = tuple(sorted(((x, 1), (z, j // 2)), key=lambda ge: engine.rank[ge[0]]))
+    assert engine.gen(x, j) == {mono: Fraction(1, 2 ** (j // 2))}
+    assert len(calls) <= 1
+    assert engine.gen(x, j + 1) == {((z, j // 2 + 1),): Fraction(1, 2 ** (j // 2 + 1))}
+    iso = table.f_gen("d1-e1")
+    assert not table.bracket(iso, iso)
+    assert engine.gen(iso, j) == {}
+
+
 def test_import_is_idempotent_and_order_independent():
     for text in ("B-I:m=1,n=2", "G3"):
         ctx = ctx_for(text)

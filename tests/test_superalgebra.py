@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from superverma.cli import SMALLEST_CASES
 from superverma.rootdata import CaseId, build_algebra_data, wsum
 from superverma.superalgebra import (
+    EMPTY,
     BracketTable,
     ClosureFailure,
     _merge,
@@ -179,11 +180,34 @@ def test_odd_squares():
 
 
 def test_table_is_complete():
-    table = make("D-II:m=1,n=2")
-    dim = table.dim
-    assert len(table.entries) == dim * dim
-    report = check_jacobi(table)
-    assert report.pairs_checked == dim * dim
+    """The table stores nonzero brackets only, every pair reads through
+    bracket (a pair not stored as the shared EMPTY), and the Jacobi sweep
+    still reads all dim^2 pairs."""
+    for text in ("D-II:m=1,n=2", "B-I:m=1,n=1", "G3"):
+        table = make(text)
+        dim = table.dim
+        assert all(table.entries.values()), text
+        assert 0 < len(table.entries) < dim * dim
+        for x in range(dim):
+            for y in range(dim):
+                val = table.bracket(x, y)
+                assert val is table.entries.get((x, y), EMPTY), (text, x, y)
+        report = check_jacobi(table)
+        assert report.ok, (text, report.first_violation)
+        assert report.pairs_checked == dim * dim
+
+
+def test_zero_brackets_share_one_value_that_refuses_mutation():
+    table = make("B-I:m=1,n=1")
+    zero = [(x, y) for x in range(table.dim) for y in range(table.dim) if (x, y) not in table.entries]
+    assert len(zero) > 1
+    assert all(table.bracket(x, y) is EMPTY for x, y in zero)
+    assert EMPTY == {} and not EMPTY
+    with pytest.raises(TypeError):
+        EMPTY[table.f_id(0)] = 1
+    with pytest.raises(AttributeError):
+        EMPTY.update({table.f_id(0): 1})
+    assert not EMPTY
 
 
 def test_reference_scaling():
