@@ -97,8 +97,9 @@ MUTANTS = (
     Mutant(
         "derived-bracket-dropped",
         "superalgebra.py",
-        "    del ensure_mixed\n    return table",
-        "    del ensure_mixed\n    del entries[next(iter(entries))]\n    return table",
+        "                set_entry(X(mu), X(nu), {X(s): Fraction(c, tc) for c in rhs.values()})",
+        "                if X is f_id or alg.heights[s] < max(alg.heights):\n"
+        "                    set_entry(X(mu), X(nu), {X(s): Fraction(c, tc) for c in rhs.values()})",
         ("tests/test_superalgebra.py::test_table_is_complete",),
     ),
     Mutant(

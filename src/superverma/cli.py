@@ -51,6 +51,7 @@ from .singular import (
     chain_kappas,
     chain_weight,
     check_case_size,
+    check_level_size,
     claimed_drop,
     default_lambda,
     propagate_chain,
@@ -304,6 +305,7 @@ def cmd_verify(args) -> int:
     seeds = parse_grid(args.seed, "--seed")
     level_flag = "--N" if args.M is None else "--M"
     _check_run_size({"--m, --n": len(cases), level_flag: len(levels), "--seed": len(seeds)})
+    check_level_size(cases[0], levels[-1], "N")
     checks = _expand_checks(args.check)
     if args.lam is not None and (len(cases) > 1 or len(levels) > 1 or len(seeds) > 1):
         raise InvalidParams("an explicit lambda needs a single grid point")
@@ -402,9 +404,10 @@ def cmd_orbit(args) -> int:
             f"orbit takes a single case, but --m {args.m} --n {args.n} give {len(cases)}"
         )
     case = cases[0]
+    levels = parse_grid(args.C, "--C")
+    check_level_size(case, levels[-1], "C")
     alg = build_context(case).alg
     target = _parse_target(args.target, alg)
-    levels = parse_grid(args.C, "--C")
     seeds = parse_grid(args.seed, "--seed")
     _check_run_size({"--C": len(levels), "--seed": len(seeds)})
     jobs = [(case.text, C, target, seed, args.p) for C in levels for seed in seeds]

@@ -292,17 +292,18 @@ class PBWEngine:
         """x^j * el in normal form for a basis generator x and el in normal form.
 
         An odd x with j >= 2 squares through the bracket: x^2 = [x, x] / 2
-        is 0 when [x, x] is, and (c/2) z when [x, x] = c z, an even z that
-        commutes with x (as [x, [x, x]] = 0), so x^j el = (c/2)^k x^r (z^k el)
-        with k = j div 2 and r = j mod 2: one power of the even z, at most
-        one x and one scalar.  Any other [x, x] takes the passes below.
+        is 0 when [x, x] is, and otherwise (c/2) z for the one term c z of
+        [x, x] (of weight twice x's root), an even z that commutes with x
+        (as [x, [x, x]] = 0), so x^j el = (c/2)^k x^r (z^k el) with
+        k = j div 2 and r = j mod 2: one power of the even z, at most one x
+        and one scalar.
 
-        Otherwise two kinds of monomial take x^j whole: one led by a
-        generator ranked above x, which x^j is prepended to when x is even
-        or j = 1, and one led by an even x itself, whose power rises by j.
-        Every other monomial takes one x per pass: insert((), x, mono) adds
-        x * mono straight into the pass's one dict, which is normalised
-        once, zeros dropped, and is the next pass's el.
+        Otherwise x is even or j <= 1, and two kinds of monomial take x^j
+        whole: one led by a generator ranked above x, which x^j is
+        prepended to, and one led by an even x itself, whose power rises by
+        j.  Every other monomial takes one x per pass: insert((), x, mono)
+        adds x * mono straight into the pass's one dict, which is
+        normalised once, zeros dropped, and is the next pass's el.
         """
         x_rank = self.rank[x]
         even = not self.table.odd[x]
@@ -310,18 +311,17 @@ class PBWEngine:
             square = self.table.bracket(x, x)
             if not square:
                 return {}
-            if len(square) == 1:
-                ((z, c),) = square.items()
-                k, r = divmod(j, 2)
-                half = Fraction(c) / 2
-                return _scaled(self.power_times(x, r, self.power_times(z, k, el)), half ** k)
+            ((z, c),) = square.items()
+            k, r = divmod(j, 2)
+            half = Fraction(c) / 2
+            return _scaled(self.power_times(x, r, self.power_times(z, k, el)), half ** k)
         out: UEAElement = {}
         while j and el:
             # distinct monomials of el give distinct keys in one pass
             fast: UEAElement = {}
             slow: UEAElement = {}
             for mono, c in el.items():
-                if (even or j == 1) and (not mono or self.rank[mono[0][0]] > x_rank):
+                if not mono or self.rank[mono[0][0]] > x_rank:
                     fast[((x, j),) + mono] = c
                 elif even and mono[0][0] == x:
                     fast[((x, j + mono[0][1]),) + mono[1:]] = c

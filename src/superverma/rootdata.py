@@ -211,6 +211,11 @@ class CaseId:
             return {"F31": 16, "G3": 14}[self.family]
         return (2 * self.n + (1 if self.family.startswith("B") else 0)) * 2 * self.m
 
+    @property
+    def odd_gamma(self) -> bool:
+        """Whether gamma is odd (B-I, G3), known before anything is built."""
+        return self.family in ("B-I", "G3")
+
     @staticmethod
     def parse(text: str) -> "CaseId":
         text = text.strip()

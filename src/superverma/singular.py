@@ -86,6 +86,12 @@ MAX_CASE_DIM = 800
 # one largest case.  A table stores its nonzero brackets only, 12% of dim^2
 # at D-II m=n=8 and 10% at m=n=10, so the count is conservative by that much
 CONTEXT_BUDGET = MAX_CASE_DIM ** 2
+# the largest level (N for verify, C for orbit) of an odd gamma (B-I, G3):
+# there f_gamma^L carries the exact scalar (c/2)^(L div 2) of
+# x^2 = [x, x] / 2, about L/2 bits, so memory grows with L and verify's
+# checks take time about quadratic in L: B-I m=n=1 at N = 10^6 + 1 takes
+# 0.4 s on a 2-core VM, at 4 * 10^6 + 1 6 s
+MAX_ODD_LEVEL = 10**6 + 1
 
 # by case text, least recently used first
 _CONTEXTS: Dict[str, Context] = {}
@@ -95,6 +101,13 @@ def check_case_size(case: CaseId, lead: str) -> None:
     """InvalidParams, led by lead, when case is larger than MAX_CASE_DIM."""
     if case.dim > MAX_CASE_DIM:
         raise InvalidParams(f"{lead} {case.text} of dimension {case.dim}, more than the {MAX_CASE_DIM} a case may have")
+
+
+def check_level_size(case: CaseId, level: int, name: str) -> None:
+    """InvalidParams when case has an odd gamma and the level, named name,
+    is above MAX_ODD_LEVEL."""
+    if case.odd_gamma and level > MAX_ODD_LEVEL:
+        raise InvalidParams(f"{case.family} has an odd gamma and takes a level of at most {MAX_ODD_LEVEL}, got {name}={level}")
 
 
 def build_context(case: CaseId) -> Context:

@@ -18,14 +18,14 @@ pairs of roots add up to a root is read from the root data's integer table
 alg.sums, by positive-root index; the closure does no weight arithmetic.
 
 The table stores nonzero brackets only, and every other pair reads as one
-shared, read-only empty value, EMPTY.  Most pairs are zero by the root
-grading alone (31% of them are nonzero at D-II m=n=3, 12% at m=n=8): a
-pair with a Cartan generator whose pairing vanishes, a mixed pair [e_a, f_b]
-whose a - b is no root, and a same-sign pair whose sum is no root.  The
-closure knows those by the grading, without storing them, and records the
-few zeros it derives by computation while it runs.  A pair its schedule
-reads before deriving it, a probe that leaves the root grading, or a
-same-sign pair of root sum still underived at the end raises
+shared, read-only empty value, EMPTY (31% of all pairs are nonzero at D-II
+m=n=3, 12% at m=n=8).  A zero bracket is zero by the root grading: a pair
+with a Cartan generator whose pairing vanishes, a mixed pair [e_a, f_b]
+whose a - b is no root, or a same-sign pair whose sum is no root.  The
+closure knows those without storing them; every pair it derives has a root
+or Cartan weight and must come out nonzero.  A pair its schedule reads
+before deriving it, a probe that leaves the root grading, a derived 0, or
+a same-sign pair of root sum still underived at the end raises
 ClosureFailure.
 
 Bracket values are dicts mapping basis ids to exact rational coefficients,
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from types import MappingProxyType
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .rootdata import (
     AlgebraData,
@@ -169,9 +169,6 @@ class BracketTable:
     cartan_rows: Tuple[Row, ...] = field(init=False)
     # <rho, h_j>, so that <lambda - rho, h_j> is one dot product less it
     rho_pairings: Tuple[Coefficient, ...] = field(init=False)
-    # the last lambda lambda_shift was asked for, held so its id is not
-    # reused, with its shifts
-    _shift: Optional[Tuple[Weight, Tuple[Coefficient, ...]]] = field(init=False, default=None, repr=False)
     # <wt(b), h_j> for every basis id b, read from cartan_rows: [h_j, b] is
     # pairings[b][j] * b
     pairings: Tuple[Tuple[Coefficient, ...], ...] = field(init=False)
@@ -215,16 +212,6 @@ class BracketTable:
 
     def bracket(self, x: int, y: int) -> Value:
         return self.entries.get((x, y), EMPTY)
-
-    def lambda_shift(self, lam: Weight) -> Tuple[Coefficient, ...]:
-        """<lambda - rho, h_j> for each simple index j: one dot product of
-        lambda with cartan_rows[j] less rho_pairings[j], in lambda's own
-        exact type.  The last lambda's are kept, by identity, as the module
-        actions of one grid point all read the same lambda object."""
-        if self._shift is None or self._shift[0] is not lam:
-            rows = zip(self.cartan_rows, self.rho_pairings)
-            self._shift = (lam, tuple(_exact(pairing(row, lam) - r) for row, r in rows))
-        return self._shift[1]
 
     def cartan_pairing(self, simple_index: int, w: Weight) -> Coefficient:
         """<w, h_j> in canonical form, read from cartan_rows."""
@@ -292,33 +279,26 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
     entries = table.entries
     f_id, h_id, e_id = table.f_id, table.h_id, table.e_id
 
-    # the pairs whose zero was derived by computation, both ways round;
-    # every other zero is known by the grading (zero_by_grading)
-    zeros: Set[Tuple[int, int]] = set()
-
     def set_entry(x: int, y: int, val: Value) -> None:
-        """Store a bracket and its transpose; callers pass nonzero values."""
-        val = {k: _exact(v) for k, v in val.items() if v}
+        """Store a bracket and its transpose.  Every pair the closure sets
+        has a root or Cartan weight, so a zero value is a ClosureFailure:
+        the table keeps nonzero brackets only."""
+        if not val:
+            raise ClosureFailure(f"bracket [{basis[x].name}, {basis[y].name}] was derived as 0")
+        val = {k: _exact(v) for k, v in val.items()}
         entries[(x, y)] = val
         if x != y:
             entries[(y, x)] = _scaled(val, -_ksign(basis, x, y))
-        elif val and _ksign(basis, x, y) != -1:
+        elif _ksign(basis, x, y) != -1:
             raise ClosureFailure(f"even square bracket [{basis[x].name}, {basis[x].name}] must vanish")
-
-    def set_derived(x: int, y: int, val: Value) -> None:
-        """Store a computed bracket, or record it in zeros if it is 0."""
-        if val:
-            set_entry(x, y, val)
-        else:
-            zeros.update(((x, y), (y, x)))
 
     spi = alg.simple_pos_index
     sums = alg.sums
 
     def zero_by_grading(x: int, y: int) -> bool:
-        """Whether (x, y), not mixed, is zero before any derivation: a pair
-        with a Cartan generator is set in level 1, and a same-sign pair
-        [X_mu, X_nu] is 0 when mu + nu is no root (read with mu <= nu)."""
+        """Whether (x, y), not mixed, is zero by the grading: a pair with a
+        Cartan generator is set in level 1 unless it is 0, and a same-sign
+        pair [X_mu, X_nu] is 0 when mu + nu is no root (read with mu <= nu)."""
         ex, ey = basis[x], basis[y]
         return "h" in (ex.kind, ey.kind) or (min(ex.index, ey.index), max(ex.index, ey.index)) not in sums
 
@@ -351,13 +331,13 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
             ensure_mixed(ex.index, ey.index)
         elif ex.kind == "f" and ey.kind == "e":
             ensure_mixed(ey.index, ex.index)
-        elif not ((x, y) in zeros or zero_by_grading(x, y)):
+        elif not zero_by_grading(x, y):
             raise ClosureFailure(f"bracket [{ex.name}, {ey.name}] needed before it was built")
         return entries.get((x, y), EMPTY)
 
     def ensure_mixed(a: int, b: int) -> None:
         key = (e_id(a), f_id(b))
-        if key in entries or key in zeros:
+        if key in entries:
             return
         # a - b has height ha - hb, so it is a root only if the higher
         # minus the lower is a positive root, that is, the lower is a part
@@ -378,7 +358,7 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
             out = _left_bracket(bracket_ids, e_id(spi[l]), bracket_ids(e_id(p), f_id(b)))
             _merge(out, _left_bracket(bracket_ids, e_id(p), bracket_ids(e_id(spi[l]), f_id(b))),
                    -_ksign(basis, e_id(spi[l]), e_id(p)))
-        set_derived(*key, out)
+        set_entry(*key, out)
 
     # same-sign pairs [X_mu, X_nu] with mu + nu = sigma, by height of sigma:
     # a simple probe Y_j with [Y_j, X_sigma] = c X_target != 0 gives
@@ -398,26 +378,26 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
             if basis[target].kind != basis[X(s)].kind:
                 raise ClosureFailure(f"{basis[target].name} is not of the kind of {basis[X(s)].name}")
             for mu, nu in splits:
-                if (X(mu), X(nu)) in entries or (X(mu), X(nu)) in zeros:
+                if (X(mu), X(nu)) in entries:
                     continue
                 rhs = _right_bracket(bracket_ids, bracket_ids(probe, X(mu)), X(nu))
                 _merge(rhs, _left_bracket(bracket_ids, X(mu), bracket_ids(probe, X(nu))),
                        _ksign(basis, probe, X(mu)))
                 if not set(rhs) <= {target}:
                     raise ClosureFailure("probe identity left the target line")
-                x = Fraction(rhs.get(target, 0), tc)
-                set_derived(X(mu), X(nu), {X(s): x} if x else {})
+                # rhs is c X_target, c != 0, or 0, which set_entry refuses
+                set_entry(X(mu), X(nu), {X(s): Fraction(c, tc) for c in rhs.values()})
 
     for a in range(P):
         for b in range(P):
             ensure_mixed(a, b)
 
-    # level 1 sets the Cartan pairs, the grading zeroes the same-sign pairs
-    # of no root sum, the mixed pass derives every [e_a, f_b], and the
-    # probes must have derived every other same-sign pair
+    # level 1 sets the nonzero Cartan pairs, the mixed pass every nonzero
+    # [e_a, f_b], and the probes must have derived every same-sign pair of
+    # root sum; the grading makes every other pair 0
     for X in (f_id, e_id):
         for x, y in sorted((X(mu), X(nu)) for mu, nu in sums):
-            if (x, y) not in entries and (x, y) not in zeros and not zero_by_grading(x, y):
+            if (x, y) not in entries:
                 raise ClosureFailure(
                     f"no value derived for [{basis[x].name}, {basis[y].name}]"
                 )

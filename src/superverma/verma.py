@@ -23,13 +23,12 @@ act applies each word of an element with the engine's word loop, as
 PBWEngine.multiply does in U(g); is_singular applies each simple raising
 generator and keeps the first image that fails as the counterexample.
 
-Each call builds its own _Action, whose one lambda-constant is
-<lambda - rho, h_j>, read from the bracket table's lambda_shift: one dot
-product of lambda with cartan_rows[j] less the stored <rho, h_j>, formed
-once for the last lambda the table was asked for, so the actions of one
-grid point share it.  The lambda-free <wt(f), h_j> come from the table's
-pairings.  lambda's coordinates may be of any exact type; nothing converts
-them.  singular.Candidate keeps one _Action beside its images.
+Nothing keyed on lambda outlives a call: each call builds its own _Action,
+which derives only <lambda - rho, h_j>, one dot product of lambda with the
+bracket table's cartan_rows[j] less its stored <rho, h_j>, and reads the
+lambda-free <wt(f), h_j> from the table's pairings.  lambda's coordinates
+may be of any exact type; nothing converts them.  singular.Candidate keeps
+one _Action beside its images.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from math import lcm
 from typing import Optional, Tuple
 
 from .pbw import Monomial, PBWEngine, UEAElement
-from .rootdata import Weight, wdiff, wsum
+from .rootdata import Weight, pairing, wdiff, wsum
 from .superalgebra import _exact, _scaled
 
 
@@ -74,9 +73,11 @@ class _Action:
 
     def __init__(self, engine: PBWEngine, lam: Weight) -> None:
         self.engine = engine
-        self.table = engine.table
+        self.table = table = engine.table
         # <lambda - rho, h_j>, the action's one lambda-constant
-        self.shift = self.table.lambda_shift(lam)
+        self.shift = tuple(
+            _exact(pairing(row, lam) - r) for row, r in zip(table.cartan_rows, table.rho_pairings)
+        )
 
     def scalar(self, j: int, m: Monomial):
         """<lambda - rho + wt(m), h_j>: the Cartan h_j on m v+."""

@@ -311,6 +311,40 @@ def test_case_size_bound_is_inclusive():
         cli._case_grid(args)
 
 
+OVERSIZED_ODD_LEVELS = [
+    (("verify", "--case", "B-I", "--m", "1", "--n", "1", "--N", "100000000000000000000001"),
+     "B-I", "N=100000000000000000000001"),
+    (("verify", "--case", "B-I", "--m", "1", "--n", "1", "--N", "1,1000003"), "B-I", "N=1000003"),
+    (("verify", "--case", "G3", "--M", "500001"), "G3", "N=1000003"),
+    (("orbit", "--case", "B-I", "--m", "2", "--n", "1", "--C", "1000003"), "B-I", "C=1000003"),
+]
+
+
+@pytest.mark.parametrize("argv, family, level", OVERSIZED_ODD_LEVELS, ids=lambda x: x if isinstance(x, str) else None)
+def test_oversized_odd_level_is_refused_before_set_up(capsys, monkeypatch, argv, family, level):
+    """An odd gamma's level above MAX_ODD_LEVEL, whose exact scalar
+    (c/2)^(L div 2) would grow with L, is a usage error given before any
+    context is built."""
+    def never(case):
+        raise AssertionError(f"built {case.text}")
+
+    monkeypatch.setattr(cli, "build_context", never)
+    t0 = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - t0 < 5
+    assert (code, out) == (2, "")
+    assert err == f"error: {family} has an odd gamma and takes a level of at most {singular.MAX_ODD_LEVEL}, got {level}\n"
+
+
+def test_odd_level_bound_is_inclusive_and_spares_even_gammas():
+    bound = singular.MAX_ODD_LEVEL
+    singular.check_level_size(CaseId("B-I", 1, 1), bound, "N")
+    with pytest.raises(InvalidParams, match=f"got C={bound + 2}$"):
+        singular.check_level_size(CaseId("B-I", 1, 1), bound + 2, "C")
+    for case in (CaseId("B-II", 1, 1), CaseId("D-I", 1, 2), CaseId("D-II", 1, 2), CaseId("F31")):
+        singular.check_level_size(case, 10**30, "N")
+
+
 def test_dump_script_refuses_an_oversized_case_before_set_up(capsys, monkeypatch):
     """build_context refuses a case above MAX_CASE_DIM before it builds any
     root data, so the structure-constant dump exits 2 at once."""

@@ -387,3 +387,13 @@ def test_case_dim_matches_the_built_algebra():
             case = CaseId(family, m, n)
             assert case.dim == build(case.text).dim, case.text
     assert CaseId("D-II", 10, 10).dim == 800
+
+
+def test_case_odd_gamma_matches_the_built_algebra():
+    """CaseId.odd_gamma, which bounds an odd gamma's level before set-up,
+    is the parity of the built algebra's gamma."""
+    for family in rootdata.FAMILIES:
+        shapes = [(0, 0)] if family not in rootdata.OSP_FAMILIES else [(1, 2), (2, 3)]
+        for m, n in shapes:
+            case = CaseId(family, m, n)
+            assert case.odd_gamma == rootdata.build_algebra_data(case).gamma.odd, case.text

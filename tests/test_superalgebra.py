@@ -112,7 +112,7 @@ def test_every_stored_decomposition_is_checked(text):
 
 def test_unset_pair_is_a_closure_failure():
     # a sums table that claims a sum mu + nu of positive roots is a root
-    # keeps level 1 from zeroing [X_mu, X_nu]; claimed as a simple root,
+    # keeps the grading from reading [X_mu, X_nu] as 0; claimed as a simple root,
     # which no probe solves for and no mixed bracket reads as a difference,
     # it is set by no later pass either
     alg = build_algebra_data(CaseId.parse("B-II:m=1,n=1"))
@@ -123,6 +123,29 @@ def test_unset_pair_is_a_closure_failure():
     for fake in fakes:
         other = dataclasses.replace(alg, sums={**alg.sums, fake: simple})
         with pytest.raises(ClosureFailure, match=r"no value derived for \["):
+            build_structure_constants(other)
+
+
+@pytest.mark.parametrize("text", ["B-II:m=1,n=1", "D-II:m=1,n=2", "G3"])
+def test_derived_zero_is_a_closure_failure(text):
+    # a sums table that claims mu + nu = sigma for a root sigma of their
+    # height sum, where mu + nu is no root, has the closure derive
+    # [X_mu, X_nu] (or a mixed pair reading the false split), whose true
+    # value is 0: the table stores no zero, so that is a ClosureFailure
+    alg = build_algebra_data(CaseId.parse(text))
+    P, heights = len(alg.pos_roots), alg.heights
+    fakes = [
+        (mu, nu, s)
+        for mu in range(P)
+        for nu in range(mu, P)
+        if (mu, nu) not in alg.sums
+        for s in range(P)
+        if heights[s] == heights[mu] + heights[nu]
+    ]
+    assert fakes
+    for mu, nu, s in fakes:
+        other = dataclasses.replace(alg, sums={**alg.sums, (mu, nu): s, (nu, mu): s})
+        with pytest.raises(ClosureFailure, match=r"was derived as 0$"):
             build_structure_constants(other)
 
 
@@ -180,13 +203,13 @@ def test_odd_squares():
 
 
 def test_table_is_complete():
-    """The table stores nonzero brackets only, every pair reads through
-    bracket (a pair not stored as the shared EMPTY), and the Jacobi sweep
-    still reads all dim^2 pairs."""
+    """The table stores nonzero brackets only, with no zero coefficient,
+    every pair reads through bracket (a pair not stored as the shared
+    EMPTY), and the Jacobi sweep still reads all dim^2 pairs."""
     for text in ("D-II:m=1,n=2", "B-I:m=1,n=1", "G3"):
         table = make(text)
         dim = table.dim
-        assert all(table.entries.values()), text
+        assert all(val and all(val.values()) for val in table.entries.values()), text
         assert 0 < len(table.entries) < dim * dim
         for x in range(dim):
             for y in range(dim):
