@@ -5,12 +5,13 @@ and the tests it names must catch it.
 An entry names a file of src/superverma, an exact text that occurs there
 once, its replacement, and the pytest node ids that must fail.  For each
 entry the script copies src/, tests/, scripts/ and pyproject.toml to a
-temporary directory, makes the replacement in the copy, and runs the
-entry's nodes there with -x.  The entry is killed when pytest exits with
-1 (tests failed).  A text that does not occur exactly once is an error, so
+temporary directory, makes the replacement in the copy, and runs each of
+the entry's nodes there with -x, one pytest run per node.  The entry is
+killed when every run exits with 1 (tests failed), so each node it names
+catches it alone.  A text that does not occur exactly once is an error, so
 a refactor that rewrites a mutated line has to re-home its entry; an entry
-that survives (pytest exits with anything but 1) is an error too.  The exit
-status is 1 if any entry errs, else 0.
+that survives a node (pytest exits with anything but 1) is an error too.
+The exit status is 1 if any entry errs, else 0.
 
 Usage:
     python3 scripts/mutants.py
@@ -36,6 +37,9 @@ class Mutant(NamedTuple):
     replacement: str
     nodes: Tuple[str, ...]
 
+
+ORBIT_GOLDEN = "tests/test_golden.py::test_output_matches_golden[orbit_chains_seed0.ndjson]"
+LIFTED_IMAGES = "tests/test_orbit.py::test_lifted_images_are_the_image_checks_images_with_f_kappa_appended"
 
 MUTANTS = (
     Mutant(
@@ -116,6 +120,20 @@ MUTANTS = (
         "if False:",
         ("tests/test_singular.py::test_engines_of_a_case_share_the_table_and_make_each_order_once",),
     ),
+    Mutant(
+        "embedding-power-off-by-one",
+        "singular.py",
+        "{((fk, p),): 1}",
+        "{((fk, p + 1),): 1}",
+        (ORBIT_GOLDEN, LIFTED_IMAGES),
+    ),
+    Mutant(
+        "walk-trailing-power-binomial",
+        "pbw.py",
+        "ck = sign * comb(a, k)",
+        "ck = sign * comb(a if rest else a - 1, k)",
+        (ORBIT_GOLDEN, LIFTED_IMAGES),
+    ),
 )
 
 
@@ -135,13 +153,14 @@ def run(mutant: Mutant) -> Optional[str]:
             return f"its text occurs {count} times in {mutant.file}, not once"
         path.write_text(text.replace(mutant.text, mutant.replacement))
         env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"), PYTHONDONTWRITEBYTECODE="1")
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.nodes],
-            cwd=tmp, env=env, capture_output=True, text=True,
-        )
-        if proc.returncode != 1:
-            tail = "\n".join(proc.stdout.splitlines()[-5:])
-            return f"not killed: pytest exited with {proc.returncode}, not 1\n{tail}"
+        for node in mutant.nodes:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", node],
+                cwd=tmp, env=env, capture_output=True, text=True,
+            )
+            if proc.returncode != 1:
+                tail = "\n".join(proc.stdout.splitlines()[-5:])
+                return f"not killed by {node}: pytest exited with {proc.returncode}, not 1\n{tail}"
     return None
 
 

@@ -356,6 +356,21 @@ class OrbitStep:
 
 
 def orbit_propagate(shap: ShapovalovElement, kappa, ctx: Context) -> Tuple[ShapovalovElement, OrbitStep]:
+    """Reflect shap in the even simple root kappa: lift theta to
+    f_kappa^L theta with L = p + C*a, divide f_kappa^p off on the right, and
+    check the start, lifted and image vectors.
+
+    The lifted vector is certified through the Verma embedding, not raised
+    whole (see Musson, "Lie Superalgebras and Enveloping Algebras", AMS
+    GSM 131, 2012).  With p = <mu, h_kappa>, f_kappa^p v_mu is singular of
+    weight nu - rho, so x v_nu -> x f_kappa^p v_mu is a module map
+    M(nu) -> M(mu).  f_kappa is the engine's rightmost generator, so the
+    map appends f_kappa^p to each normal-form monomial, which is injective
+    on bodies.  right_divide proves lifted = theta' f_kappa^p term for term
+    (RoundTripFailure or NotDivisible otherwise), so each e_i . lifted v_mu
+    is e_i . theta' v_nu with f_kappa^p appended, and lifted v_mu is
+    nonzero and singular exactly when the one-monomial premise
+    f_kappa^p v_mu is singular and theta' v_nu is."""
     alg = ctx.alg
     kdatum = alg.pos_roots[alg.as_index(kappa)]
     if kdatum.odd or kdatum.index not in alg.simple_pos_index:
@@ -378,7 +393,7 @@ def orbit_propagate(shap: ShapovalovElement, kappa, ctx: Context) -> Tuple[Shapo
     theta = engine.import_element(shap.theta)
     start_ok = is_singular(VermaVector(theta, shap.mu), engine).ok
     lifted = engine.lift(fk, L, theta)
-    lifted_ok = is_singular(VermaVector(lifted, shap.mu), engine).ok
+    premise_ok = is_singular(VermaVector({((fk, p),): 1}, shap.mu), engine).ok
     theta2 = engine.right_divide(lifted, fk, p)
     nu = alg.reflect(shap.mu, kdatum)
     # s_kappa beta = beta + a kappa, a positive root, found by its key
@@ -398,7 +413,7 @@ def orbit_propagate(shap: ShapovalovElement, kappa, ctx: Context) -> Tuple[Shapo
         nu=nu,
         theta_terms=len(theta2),
         start_singular=start_ok,
-        lifted_singular=lifted_ok,
+        lifted_singular=premise_ok and image_ok,
         image_singular=image_ok,
         weight_ok=weight_ok,
     )

@@ -16,7 +16,7 @@ from superverma.singular import (
     orbit_propagate,
     propagate_chain,
 )
-from superverma.verma import VermaVector, act, is_singular
+from superverma.verma import VermaVector, _Action, _integral, act, is_singular
 from test_acceptance import CHAINS
 
 CHAIN_CONFIGS = [
@@ -52,26 +52,89 @@ def test_chain_configs_reach_target():
         assert all(s.p >= 1 for s in report.steps)
 
 
-def test_lift_equals_power_times_on_every_golden_chain(monkeypatch):
-    """At every step of every chain in tests/golden, the adjoint-expansion
-    lift gives what walking f_kappa through theta L times gives."""
-    real = PBWEngine.lift
-    lifts = []
+@pytest.fixture(scope="module")
+def golden_steps():
+    """(engine, f_kappa, theta, lifted, theta', step) at every step of every
+    chain in tests/golden and of the one-step B-I m=2 n=1 chain, from the
+    lift and the division the step made."""
+    lifts, quotients, steps = [], [], []
+    real_lift, real_divide = PBWEngine.lift, PBWEngine.right_divide
 
-    def checked(self, f, L, theta):
-        got = real(self, f, L, theta)
-        assert got == self.power_times(f, L, theta), (f, L)
-        lifts.append(L)
+    def lift(self, f, L, theta):
+        got = real_lift(self, f, L, theta)
+        lifts.append((self, f, theta, got))
         return got
 
-    monkeypatch.setattr(PBWEngine, "lift", checked)
-    steps = 0
-    for text, C, target, _ in CHAINS:
-        case = CaseId.parse(text)
-        report = propagate_chain(case, C, target, seed=0, ctx=build_context(case))
-        assert report.ok, (text, C)
-        steps += len(report.steps)
-    assert len(lifts) == steps and steps >= len(CHAINS)
+    def right_divide(self, x, g, p):
+        got = real_divide(self, x, g, p)
+        quotients.append(got)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PBWEngine, "lift", lift)
+        mp.setattr(PBWEngine, "right_divide", right_divide)
+        for text, C, target, _ in CHAINS + (("B-I:m=2,n=1", 1, 1, "d1"),):
+            case = CaseId.parse(text)
+            steps.extend(propagate_chain(case, C, target, seed=0, ctx=build_context(case)).steps)
+    assert len(lifts) == len(quotients) == len(steps) >= len(CHAINS)
+    return [(*lifted, theta2, step) for lifted, theta2, step in zip(lifts, quotients, steps)]
+
+
+def test_lift_equals_power_times_on_every_golden_chain(golden_steps):
+    """At every step of every chain in tests/golden, the adjoint-expansion
+    lift gives what walking f_kappa through theta L times gives."""
+    for engine, fk, theta, lifted, _, step in golden_steps:
+        assert lifted == engine.power_times(fk, step.exponent, theta), step
+        assert step.ok, step
+
+
+def _append_power(m, f, p):
+    """m f^p in normal form, for f the rightmost lowering generator."""
+    if m and m[-1][0] == f:
+        return m[:-1] + ((f, m[-1][1] + p),)
+    return m + ((f, p),)
+
+
+def test_lifted_images_are_the_image_checks_images_with_f_kappa_appended(golden_steps):
+    """The Verma embedding x v_nu -> x f_kappa^p v_mu, term for term: for
+    every simple e_i, raising the whole lifted vector in M(mu) gives the
+    image check's e_i theta' v_nu with f_kappa^p appended to each monomial,
+    and the brute-force singularity check agrees with lifted_singular.
+    Those images are all zero, so the same is asserted of theta' less its
+    first monomial, whose images are not."""
+    for engine, fk, _, lifted, theta2, step in golden_steps:
+        table = engine.table
+        den, body = _integral(VermaVector(lifted, step.mu), engine)
+        den2, body2 = _integral(VermaVector(theta2, step.nu), engine)
+        assert den == den2
+
+        def embedded(x):
+            return {_append_power(m, fk, step.p): c for m, c in x.items()}
+
+        assert body == embedded(body2)
+        lifted_action, image_action = _Action(engine, step.mu), _Action(engine, step.nu)
+        nonzero = 0
+        for x in (body2, dict(list(body2.items())[1:])):
+            for j in table.alg.simple_pos_index:
+                e = table.e_id(j)
+                want = image_action.apply(e, 1, x)
+                assert lifted_action.apply(e, 1, embedded(x)) == embedded(want), (step, j)
+                nonzero += bool(want)
+        assert nonzero, step
+        assert is_singular(VermaVector(lifted, step.mu), engine).ok == step.lifted_singular
+
+
+def test_embedding_premise_fails_off_p(golden_steps):
+    """f_kappa^p v_mu is singular at p = <mu, h_kappa> and at no exponent next
+    to it (p - 1 >= 1 only), so the premise check of each step can fail."""
+    for engine, fk, _, _, _, step in golden_steps:
+        def singular_at(e):
+            return is_singular(VermaVector({((fk, e),): 1}, step.mu), engine).ok
+
+        assert singular_at(step.p)
+        assert not singular_at(step.p + 1)
+        if step.p >= 2:
+            assert not singular_at(step.p - 1)
 
 
 def test_dii_chain_visits_expected_roots():
