@@ -3,15 +3,19 @@
 and the tests it names must catch it.
 
 An entry names a file of src/superverma, an exact text that occurs there
-once, its replacement, and the pytest node ids that must fail.  For each
-entry the script copies src/, tests/, scripts/ and pyproject.toml to a
-temporary directory, makes the replacement in the copy, and runs each of
-the entry's nodes there with -x, one pytest run per node.  The entry is
-killed when every run exits with 1 (tests failed), so each node it names
-catches it alone.  A text that does not occur exactly once is an error, so
-a refactor that rewrites a mutated line has to re-home its entry; an entry
-that survives a node (pytest exits with anything but 1) is an error too.
-The exit status is 1 if any entry errs, else 0.
+once, its replacement, and the pytest node ids that must fail.  First the
+script copies src/, tests/, scripts/, pyproject.toml and README.md to a
+temporary directory and runs every distinct node of the table there once,
+unmutated, in one pytest call; if that run fails, so that a node could
+count a kill that no mutation made, the script exits with 1 before any
+entry.  Then, for each entry, it makes a fresh copy, makes the replacement
+in it, and runs each of the entry's nodes there with -x, one pytest run per
+node.  The entry is killed when every run exits with 1 (tests failed), so
+each node it names catches it alone.  A text that does not occur exactly
+once is an error, so a refactor that rewrites a mutated line has to re-home
+its entry; an entry that survives a node (pytest exits with anything but 1)
+is an error too.  The exit status is 1 if the control run or any entry
+fails, else 0.
 
 Usage:
     python3 scripts/mutants.py
@@ -27,7 +31,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "scripts", "pyproject.toml")
+COPIED = ("src", "tests", "scripts", "pyproject.toml", "README.md")
 
 
 class Mutant(NamedTuple):
@@ -137,27 +141,48 @@ MUTANTS = (
 )
 
 
+def _copy(tmp: str) -> None:
+    for part in COPIED:
+        source, target = ROOT / part, Path(tmp) / part
+        if source.is_dir():
+            shutil.copytree(source, target, ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            shutil.copy2(source, target)
+
+
+def _pytest(tmp: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args],
+        cwd=tmp, env=env, capture_output=True, text=True,
+    )
+
+
+def control() -> Optional[str]:
+    """None when every node of the table passes on an unmutated copy, else
+    pytest's summary."""
+    nodes = sorted({node for mutant in MUTANTS for node in mutant.nodes})
+    with tempfile.TemporaryDirectory(prefix="superverma-control-") as tmp:
+        _copy(tmp)
+        proc = _pytest(tmp, *nodes)
+    if proc.returncode != 0:
+        tail = "\n".join(proc.stdout.splitlines()[-10:])
+        return f"pytest exited with {proc.returncode} on the unmutated copy\n{tail}"
+    return None
+
+
 def run(mutant: Mutant) -> Optional[str]:
     """None when the mutant is killed, else what went wrong."""
     with tempfile.TemporaryDirectory(prefix="superverma-mutant-") as tmp:
-        for part in COPIED:
-            source, target = ROOT / part, Path(tmp) / part
-            if source.is_dir():
-                shutil.copytree(source, target, ignore=shutil.ignore_patterns("__pycache__"))
-            else:
-                shutil.copy2(source, target)
+        _copy(tmp)
         path = Path(tmp) / "src" / "superverma" / mutant.file
         text = path.read_text()
         count = text.count(mutant.text)
         if count != 1:
             return f"its text occurs {count} times in {mutant.file}, not once"
         path.write_text(text.replace(mutant.text, mutant.replacement))
-        env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"), PYTHONDONTWRITEBYTECODE="1")
         for node in mutant.nodes:
-            proc = subprocess.run(
-                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", node],
-                cwd=tmp, env=env, capture_output=True, text=True,
-            )
+            proc = _pytest(tmp, "-x", node)
             if proc.returncode != 1:
                 tail = "\n".join(proc.stdout.splitlines()[-5:])
                 return f"not killed by {node}: pytest exited with {proc.returncode}, not 1\n{tail}"
@@ -165,6 +190,12 @@ def run(mutant: Mutant) -> Optional[str]:
 
 
 def main() -> int:
+    t0 = time.monotonic()
+    problem = control()
+    print(f"control (unmutated): {'passed' if problem is None else f'ERROR: {problem}'}"
+          f" [{time.monotonic() - t0:.1f}s]", flush=True)
+    if problem is not None:
+        return 1
     failed = 0
     for mutant in MUTANTS:
         t0 = time.monotonic()

@@ -237,11 +237,13 @@ class Candidate:
     odd: Tuple[int, ...]
     odd_ids: Tuple[int, ...]
     tail_ids: Monomial
-    # per (engine, tail as a generator-id monomial), the action of
-    # M(lambda) and the U(n^+) monomials' images on tail v+, never read
-    # for another tail, even a scalar multiple
-    _images: Dict[Tuple[PBWEngine, Monomial], Tuple[_Action, Dict[Monomial, UEAElement]]] = field(
-        default_factory=dict, repr=False
+    # for one (engine, tail as a generator-id monomial) at a time, the key,
+    # the action of M(lambda) and the U(n^+) monomials' images on tail v+,
+    # never read for another tail, even a scalar multiple.  A build for a
+    # new key drops them: the CLI builds u, the sign-flip rebuilds on the
+    # same engine, then the witness steps, and never returns to a key
+    _images: Optional[Tuple[Tuple[PBWEngine, Monomial], _Action, Dict[Monomial, UEAElement]]] = field(
+        default=None, repr=False
     )
 
     def build(
@@ -255,13 +257,13 @@ class Candidate:
         tail a monomial of lowering generator ids (the candidate's tail by
         default).  Each monomial of the word acts from its longest suffix
         with a known image, one generator power at a time, adding the rest
-        to the images."""
+        to the images, which are kept for the last (engine, tail) only."""
         lam = self.params.lam
         factors = self.odd_ids if factors is None else factors
         key = (engine, self.tail_ids if tail is None else tail)
-        if key not in self._images:
-            self._images[key] = (_Action(engine, lam), {(): engine.import_element({key[1]: 1})})
-        action, images = self._images[key]
+        if self._images is None or self._images[0] != key:
+            self._images = (key, _Action(engine, lam), {(): engine.import_element({key[1]: 1})})
+        _, action, images = self._images
         word = engine.import_element({tuple((g, 1) for g in factors): 1})
         body: UEAElement = {}
         for mono, coef in word.items():
@@ -370,7 +372,11 @@ def orbit_propagate(shap: ShapovalovElement, kappa, ctx: Context) -> Tuple[Shapo
     (RoundTripFailure or NotDivisible otherwise), so each e_i . lifted v_mu
     is e_i . theta' v_nu with f_kappa^p appended, and lifted v_mu is
     nonzero and singular exactly when the one-monomial premise
-    f_kappa^p v_mu is singular and theta' v_nu is."""
+    f_kappa^p v_mu is singular and theta' v_nu is.
+
+    So the step holds theta only until the lift returns and the lifted
+    vector, its largest element, only until right_divide returns: the image
+    check and everything after it see theta' alone."""
     alg = ctx.alg
     kdatum = alg.pos_roots[alg.as_index(kappa)]
     if kdatum.odd or kdatum.index not in alg.simple_pos_index:
@@ -393,8 +399,10 @@ def orbit_propagate(shap: ShapovalovElement, kappa, ctx: Context) -> Tuple[Shapo
     theta = engine.import_element(shap.theta)
     start_ok = is_singular(VermaVector(theta, shap.mu), engine).ok
     lifted = engine.lift(fk, L, theta)
+    del theta
     premise_ok = is_singular(VermaVector({((fk, p),): 1}, shap.mu), engine).ok
     theta2 = engine.right_divide(lifted, fk, p)
+    del lifted
     nu = alg.reflect(shap.mu, kdatum)
     # s_kappa beta = beta + a kappa, a positive root, found by its key
     beta2 = alg.pos_roots[alg.root_of(alg.keys[shap.beta.index] + a * alg.keys[kdatum.index])]

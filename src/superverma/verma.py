@@ -121,11 +121,15 @@ class _Action:
 
 def _integral(v: VermaVector, engine: PBWEngine) -> Tuple[int, UEAElement]:
     """den and den * body, whose coefficients are ints: a Fraction
-    coefficient would be carried through every step of the action.
-    WrongOrder unless each monomial is in U(n^-) normal form."""
+    coefficient would be carried through every step of the action.  At
+    den = 1 that is the body itself, not a copy, so callers (act and
+    is_singular) only read it.  WrongOrder unless each monomial is in
+    U(n^-) normal form."""
     for mono in v.body:
         engine.check_lowering(mono)
     den = lcm(*(c.denominator for c in v.body.values()))
+    if den == 1:
+        return den, v.body
     return den, {mono: _exact(den * coef) for mono, coef in v.body.items()}
 
 

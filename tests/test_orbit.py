@@ -1,7 +1,10 @@
 """Propagation of Shapovalov elements along even simple reflections."""
 
+import weakref
+
 import pytest
 
+from superverma import singular
 from superverma.pbw import PBWEngine, el_one
 from helpers import el_add
 from superverma.rootdata import CaseId, InvalidParams, ParityViolation, wdiff
@@ -135,6 +138,45 @@ def test_embedding_premise_fails_off_p(golden_steps):
         assert not singular_at(step.p + 1)
         if step.p >= 2:
             assert not singular_at(step.p - 1)
+
+
+class _Lifted(dict):
+    """A lift's result that a weak reference can watch."""
+
+
+def test_orbit_step_drops_the_lifted_vector_before_its_image_check(monkeypatch):
+    """No check reads f_kappa^L theta once right_divide has returned, so on
+    every chain in tests/golden the lift's result is gone by the time the
+    image check raises theta' v_nu."""
+    real_lift, real_divide, real_singular = PBWEngine.lift, PBWEngine.right_divide, singular.is_singular
+    lifts, quotients, checked = [], [], []
+
+    def lift(self, f, L, theta):
+        got = _Lifted(real_lift(self, f, L, theta))
+        lifts.append(weakref.ref(got))
+        return got
+
+    def right_divide(self, x, g, p):
+        got = real_divide(self, x, g, p)
+        quotients.append(got)
+        return got
+
+    def is_singular_at(v, engine):
+        if quotients and v.body is quotients[-1]:
+            assert lifts[-1]() is None, "the lifted vector outlived right_divide"
+            checked.append(v)
+        return real_singular(v, engine)
+
+    monkeypatch.setattr(PBWEngine, "lift", lift)
+    monkeypatch.setattr(PBWEngine, "right_divide", right_divide)
+    monkeypatch.setattr(singular, "is_singular", is_singular_at)
+    steps = 0
+    for text, C, target, _ in CHAINS:
+        case = CaseId.parse(text)
+        report = propagate_chain(case, C, target, seed=0, ctx=build_context(case))
+        assert report.ok
+        steps += len(report.steps)
+    assert len(checked) == len(lifts) == steps >= len(CHAINS)
 
 
 def test_dii_chain_visits_expected_roots():

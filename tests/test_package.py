@@ -59,3 +59,15 @@ def test_optimized_mode_prints_the_same_bytes(argv):
     assert [r.returncode for r in runs] == [0, 0], [r.stderr for r in runs]
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stdout
+
+
+def test_max_rss_script_passes_output_and_status_through(tmp_path):
+    """scripts/max_rss.py hands the command's output and exit status on and
+    writes the command's peak RSS, which covers what the command held."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "max_rss.py"
+    out = tmp_path / "rss"
+    child = "import sys; b = bytearray(40 << 20); print('hi'); sys.exit(3)"
+    run = subprocess.run([sys.executable, str(script), str(out), sys.executable, "-c", child],
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout) == (3, "hi\n")
+    assert float(out.read_text()) >= 40

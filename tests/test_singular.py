@@ -24,7 +24,7 @@ from superverma.singular import (
     validate_params,
     witness_spec,
 )
-from superverma.verma import act, highest_weight_vector, is_singular, weight_of
+from superverma.verma import _Action, act, highest_weight_vector, is_singular, weight_of
 
 SMALLEST = {
     "B-I:m=1,n=1": 1,
@@ -292,34 +292,47 @@ def test_straightened_factors_match_one_at_a_time(text):
 def test_rebuilds_resolve_no_roots(text, monkeypatch):
     """The candidate's factors and tail are generator ids from the start, so
     no build, neither a sign-flip rebuild nor a witness step, looks up a
-    root weight (AlgebraData.root_index).  The candidate keeps one image
-    dict per (engine, tail): the witness engine keeps the spec's tail and,
-    for an odd gamma, the candidate's own, a scalar multiple of it that it
-    never shares."""
+    root weight (AlgebraData.root_index).  The candidate keeps the images of
+    its last (engine, tail) only: the sign-flip rebuilds reuse u's action,
+    the witness engine keeps the spec's tail and, for an odd gamma, the
+    candidate's own, a scalar multiple of it whose images it never shares,
+    and after the witness run the memo holds that last key alone."""
     params, ctx = params_for(text, 1)
     cand = candidate(params, ctx)
     lookups = []
-    real_index, real_build = AlgebraData.root_index, Candidate.build
+    actions = []
+    real_index, real_build, real_action = AlgebraData.root_index, Candidate.build, _Action.__init__
 
     def counted_index(self, w):
         lookups.append(w)
         return real_index(self, w)
 
+    def counted_action(self, *args):
+        actions.append(self)
+        real_action(self, *args)
+
     per_build = []
+    memos = {}
 
     def counted_build(self, *args):
         before = len(lookups)
         u = real_build(self, *args)
         per_build.append(len(lookups) - before)
+        key, _, images = self._images
+        memos.setdefault(key, images)
+        assert memos[key] is images
         return u
 
     monkeypatch.setattr(AlgebraData, "root_index", counted_index)
+    monkeypatch.setattr(_Action, "__init__", counted_action)
     monkeypatch.setattr(Candidate, "build", counted_build)
     engine = ctx.default_engine
     u = cand.build(engine)
     del lookups[:]
+    assert len(actions) == 1
     assert signflip_counterexample(cand, ctx, u, 0, 20) is None
     assert lookups == []
+    assert len(actions) == 1
     assert run_witness(cand, ctx).ok
     spec = witness_spec(cand, ctx.alg)
     assert per_build == [0] * (1 + 20 + len(spec.steps) + 1)
@@ -327,10 +340,11 @@ def test_rebuilds_resolve_no_roots(text, monkeypatch):
     witness_engine = ctx.engine(tail=spec.order_tail)
     spec_tail = tuple((ctx.table.f_gen(w), e) for w, e in spec.tail)
     assert (spec_tail != cand.tail_ids) == ctx.alg.gamma.odd
-    assert set(cand._images) == {
+    assert cand._images[0] == (witness_engine, cand.tail_ids)
+    assert set(memos) == {
         (engine, cand.tail_ids), (witness_engine, spec_tail), (witness_engine, cand.tail_ids),
     }
     if ctx.alg.gamma.odd:
-        own = cand._images[(witness_engine, cand.tail_ids)][1]
-        split = cand._images[(witness_engine, spec_tail)][1]
+        own = memos[(witness_engine, cand.tail_ids)]
+        split = memos[(witness_engine, spec_tail)]
         assert own is not split and own[()] != split[()]

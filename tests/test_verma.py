@@ -266,6 +266,33 @@ def test_module_action_needs_a_normal_form_body():
             act(e, VermaVector(body, lam), eng)
 
 
+def test_action_and_check_read_the_body_only():
+    """act and is_singular leave the caller's body as it was, the same
+    object with the same items, and never return it: with integral
+    coefficients the action reads the body itself, with Fraction ones
+    (den > 1) a scaled copy."""
+    case = CaseId.parse("B-I:m=1,n=1")
+    ctx = build_context(case)
+    eng, table = ctx.default_engine, ctx.table
+    lam = default_lambda(case, 3, 0, ctx.alg)
+    u = candidate_u(CaseParams(case, 3, lam), ctx).body
+    bodies = [u, {((table.f_gen("e1"), 1),): 1}]
+    bodies += [el_scale(body, Fraction(1, 6)) for body in bodies]
+    assert all(type(c) is Fraction for body in bodies[2:] for c in body.values())
+    failures = 0
+    for body in bodies:
+        items = list(body.items())
+        v = VermaVector(body, lam)
+        report = is_singular(v, eng)
+        out = [act(el_one(), v, eng).body] + [act(eng.gen(g), v, eng).body for g in range(table.dim)]
+        if report.failure is not None:
+            out.append(report.failure[1])
+            failures += 1
+        assert v.body is body and list(body.items()) == items
+        assert out[0] == body and all(x is not body for x in out)
+    assert failures == 2
+
+
 def test_orbit_coefficients_are_canonical():
     """The candidate body, theta imported into the step's order and lifted,
     and the propagated theta of an orbit step hold each coefficient as an
