@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 
 ORBIT_GOLDEN = "tests/test_golden.py::test_output_matches_golden[orbit_chains_seed0.ndjson]"
 LIFTED_IMAGES = "tests/test_orbit.py::test_lifted_images_are_the_image_checks_images_with_f_kappa_appended"
+CHAIN_CONFIGS = "tests/test_orbit.py::test_chain_configs_reach_target"
 
 MUTANTS = (
     Mutant(
@@ -137,6 +138,28 @@ MUTANTS = (
         "ck = sign * comb(a, k)",
         "ck = sign * comb(a if rest else a - 1, k)",
         (ORBIT_GOLDEN, LIFTED_IMAGES),
+    ),
+    Mutant(
+        "chain-kappa-direction",
+        "singular.py",
+        "alg.root_of(x[here[s] - 1] - x[here[s]])",
+        "alg.root_of(x[here[s]] - x[here[s] - 1])",
+        (ORBIT_GOLDEN, CHAIN_CONFIGS),
+    ),
+    Mutant(
+        "final-beta-next-place",
+        "singular.py",
+        "block[t - 1]",
+        "block[t]",
+        (ORBIT_GOLDEN, CHAIN_CONFIGS),
+    ),
+    Mutant(
+        "wprime-reflection-sign",
+        "rootdata.py",
+        "alg.keys[i] - c * alg.keys[s]",
+        "alg.keys[i] + c * alg.keys[s]",
+        ("tests/test_rootdata.py::test_orbit_examples",
+         "tests/test_rootdata.py::test_wprime_orbit_matches_the_fraction_reference"),
     ),
 )
 

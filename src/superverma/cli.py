@@ -45,6 +45,7 @@ from .rootdata import (
 from .singular import (
     MAX_CASE_DIM,
     CaseParams,
+    _support,
     build_context,
     candidate,
     candidate_u,
@@ -323,9 +324,9 @@ def cmd_verify(args) -> int:
 
 
 def _parse_target(text: Optional[str], alg):
-    """An index or an i,j pair; by default 1..k for gamma's k nonzero coordinates."""
+    """An index or an i,j pair; by default 1..k for gamma's k support coordinates."""
     if text is None:
-        parts = list(range(1, 1 + sum(1 for x in alg.gamma.weight if x)))
+        parts = list(range(1, 1 + len(_support(alg))))
     else:
         parts = [_int(p, "--target", text) for p in text.split(",") if p.strip()]
     if len(parts) == 1:
@@ -443,7 +444,7 @@ def _st_associativity(ctx, seed):
 
 def _st_division(ctx, seed):
     alg = ctx.alg
-    bid = ctx.table.f_gen(next(r.weight for r in alg.pos_roots if not r.odd))
+    bid = ctx.table.f_gen(next(r for r in alg.pos_roots if not r.odd))
     engine = ctx.engine(tail=(bid,))
     rng = random.Random(f"selftest:div:{alg.case.text}:{seed}")
     for trial in range(10):
@@ -475,10 +476,10 @@ def _st_string(ctx, seed):
     table = ctx.table
     engine = ctx.default_engine
     lam = default_lambda(alg.case, 1, seed, alg)
-    g = alg.gamma.weight
+    g = alg.gamma
     T = table.bracket(table.e_gen(g), table.f_gen(g))
     tau = table.h_value_pairing(T, wdiff(lam, alg.rho))
-    s = table.h_value_pairing(T, g)
+    s = table.h_value_pairing(T, g.weight)
     fg = table.f_gen(g)
     eg = engine.gen(table.e_gen(g))
     for j in range(1, 6):

@@ -15,16 +15,16 @@ Weights are tuples of Fraction over a fixed coordinate basis per case:
 (D, e1, e2) for G3, where e3 := -e1-e2 is eliminated at the coordinate
 level.  All arithmetic is exact.
 
-Roots are named by their positive-root index wherever lambda is not
-involved.  The positive roots lie on one integer lattice (lattice over
-weight_den), where weights are summed coordinate by coordinate.  For root
-lookups only, each lattice point also packs into one int (keys), so a root
-built from others by integer steps is found by one int lookup (at):
+A positive root is given by its index, its datum or its name (RootSpec),
+never by its weight.  The positive roots lie on one integer lattice
+(lattice over weight_den), where weights are summed coordinate by
+coordinate.  For root lookups, each lattice point also packs into one int
+(keys; unit_key(k) is the key of the k-th unit weight), so a root built
+from others by integer steps is found by one int lookup (at, root_of):
 AlgebraData.sums, for every ordered pair of positive-root indices (mu, nu)
 whose sum is a positive root sigma, holds sums[(mu, nu)] = sigma, and the
 simple-root decompositions and the bracket closure in superalgebra read only
-that table.  AlgebraData.index maps a Fraction weight to its index, for a
-root given by weight at parse and print (root_at, name_of).
+that table.  The orbit chains and wprime_orbit walk the keys the same way.
 
 Every coroot pairing <lambda, h_sigma> is one dot product of lambda with a
 row stored per positive root (coroot_rows), so lambda's coordinates may be
@@ -245,8 +245,8 @@ class RootDatum:
         return self.parity == ODD_ISO
 
 
-# a positive root as its index, its datum, its weight or its name
-RootSpec = Union[int, RootDatum, Weight, str]
+# a positive root as its index, its datum or its name
+RootSpec = Union[int, RootDatum, str]
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +305,6 @@ class AlgebraData:
     heights: Tuple[int, ...]
     decomp: Tuple[Optional[Tuple[int, int]], ...]
     simple_pos_index: Tuple[int, ...]
-    index: Dict[Weight, int]
     names: Dict[str, int]
     # the positive roots on one integer lattice: pos_roots[i].weight is
     # lattice[i] / weight_den, coordinate by coordinate
@@ -345,12 +344,9 @@ class AlgebraData:
             return root.index
         if isinstance(root, str):
             return self.root_named(root).index
-        return self.root_index(root)
-
-    def as_weight(self, root: RootSpec) -> Weight:
-        if isinstance(root, tuple):
-            return root
-        return self.pos_roots[self.as_index(root)].weight
+        raise InvalidParams(
+            f"a root is given by its positive-root index, its RootDatum or its name, not {root!r}"
+        )
 
     def from_lattice(self, point: Sequence[int]) -> Weight:
         """The weight of a lattice point, for output."""
@@ -363,20 +359,16 @@ class AlgebraData:
         except KeyError:
             raise InvalidParams(f"no positive root has lattice key {key}") from None
 
+    def unit_key(self, k: int) -> int:
+        """The key of the weight with 1 at coordinate k and 0 elsewhere
+        (weight_den * base**k), a root or not."""
+        return self.weight_den * self.base ** k
+
     def form(self, a: Weight, b: Weight) -> Fraction:
         return _form(self.form_matrix, a, b)
 
     def norm(self, a: Weight) -> Fraction:
         return self.form(a, a)
-
-    def root_index(self, w: Weight) -> int:
-        try:
-            return self.index[w]
-        except KeyError:
-            raise InvalidParams(f"{w} is not a positive root") from None
-
-    def root_at(self, w: Weight) -> RootDatum:
-        return self.pos_roots[self.root_index(w)]
 
     def root_named(self, name: str) -> RootDatum:
         try:
@@ -388,51 +380,52 @@ class AlgebraData:
         """<lam, h_beta>, one dot product with beta's stored row."""
         i = self.as_index(beta)
         if self.pos_roots[i].isotropic:
-            raise IsotropicCoroot(f"root {self.pos_roots[i].weight} is isotropic")
+            raise IsotropicCoroot(f"root {self.pos_roots[i].name} is isotropic")
         return pairing(self.coroot_rows[i], lam)
 
-    def coroot_dual(self, beta: RootSpec) -> Weight:
-        """Weight nu with <mu, h_beta> = (mu, nu) for all mu."""
-        b = self.as_weight(beta)
+    def coroot_dual(self, b: Weight) -> Weight:
+        """Weight nu with <mu, h_b> = (mu, nu) for all mu."""
         nn = self.norm(b)
         if nn == 0:
-            raise IsotropicCoroot(f"root {b} is isotropic")
+            raise IsotropicCoroot(f"root ({format_weight(b)}) is isotropic")
         return wscale(Fraction(2) / nn, b)
 
     def reflect(self, lam: Weight, beta: RootSpec) -> Weight:
         i = self.as_index(beta)
         return wdiff(lam, wscale(self.coroot_pairing(lam, i), self.pos_roots[i].weight))
 
-    def name_of(self, w: Weight) -> str:
-        if w in self.index:
-            return self.pos_roots[self.index[w]].name
-        return render_weight_name(self.coord_names, w)
-
 
 def wprime_orbit(beta: RootSpec, alg: AlgebraData) -> Tuple[RootDatum, ...]:
     """Orbit of a positive root under reflections in nonisotropic simple roots.
 
-    Returns the positive representatives, sorted by weight.
+    Returns the positive representatives, sorted by weight.  As
+    s(-w) = -s(w), the walk keeps positive-root indices: the image of root i
+    in s has key keys[i] - <i, h_s> keys[s] and is a positive root or the
+    negative of one.  Its lattice point is confirmed as well, as a key
+    outside the box that at answers for may alias another root's.
     """
-    start = alg.as_weight(beta)
-    alg.root_index(start)
-    mirrors = [s for s in alg.simple_system if s.parity != ODD_ISO]
+    start = alg.as_index(beta)
+    mirrors = [s.index for s in alg.simple_system if not s.isotropic]
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
-        for w in frontier:
+        for i in frontier:
             for s in mirrors:
-                image = alg.reflect(w, s)
-                if image not in seen:
-                    seen.add(image)
-                    nxt.append(image)
+                c = _exact(alg.coroot_pairing(alg.pos_roots[i].weight, s))
+                key = alg.keys[i] - c * alg.keys[s]
+                point = [x - c * y for x, y in zip(alg.lattice[i], alg.lattice[s])]
+                j, sign = (alg.at[key], 1) if key in alg.at else (alg.at.get(-key), -1)
+                if j is None or [sign * x for x in alg.lattice[j]] != point:
+                    raise RootDataError(
+                        f"the orbit of {alg.pos_roots[start].name} left the root system"
+                        f" at ({format_weight(alg.from_lattice(point))})"
+                    )
+                if j not in seen:
+                    seen.add(j)
+                    nxt.append(j)
         frontier = nxt
-    reps = {w if w in alg.index else wneg(w) for w in seen}
-    for w in reps:
-        if w not in alg.index:
-            raise RootDataError(f"the orbit of {alg.name_of(start)} left the root system at {w}")
-    return tuple(alg.pos_roots[alg.index[w]] for w in sorted(reps))
+    return tuple(alg.pos_roots[j] for j in sorted(seen, key=alg.lattice.__getitem__))
 
 
 def rho_violation(alg: AlgebraData) -> Optional[str]:
@@ -588,7 +581,6 @@ def _assemble(
         heights=heights,
         decomp=tuple(decomp),
         simple_pos_index=simple_pos_index,
-        index=index,
         names=names,
         weight_den=den,
         lattice=lattice,

@@ -7,9 +7,10 @@ c*gamma, straightened once in U(n^+), acts once on f_gamma^(N + c) v+.
 In the osp families those factors are read off gamma's support: the
 pivots are the unit vectors there, the block is the other letter's
 coordinates.  Everything but lambda is lambda-free and named by
-positive-root index: the factors, the tail and the witness ladder are found
-by int steps on the root data's packed lattice (AlgebraData.keys and at),
-and weights are compared as lattice points.
+positive-root index: the factors, the tail, the witness ladder and the
+orbit chain's kappas and final beta are found by int steps on the root
+data's packed lattice (AlgebraData.keys, unit_key and at), and weights are
+compared as lattice points.
 
 A Shapovalov element (beta, C, mu, theta) records theta in U(n^-) with
 theta v+ singular in M(mu) at weight mu - rho - C*beta.  Reflecting in an
@@ -43,11 +44,9 @@ from .rootdata import (
     RootDatum,
     RootSpec,
     Weight,
-    _unit,
     build_algebra_data,
     format_weight,
     pairing,
-    wdiff,
 )
 from .superalgebra import BracketTable, Coefficient, _merge, _scaled, build_structure_constants
 from .verma import VermaVector, _Action, is_singular
@@ -66,7 +65,7 @@ class Context:
 
     def engine(self, tail: Sequence[Union[int, RootSpec]] = ()) -> PBWEngine:
         """The engine whose order ends the lowering block with tail.  Each
-        entry is a lowering generator id or a root (datum, weight or name),
+        entry is a lowering generator id or a root (datum or name),
         resolved once here; PBWEngine checks the ids (WrongOrder)."""
         key = tuple(s if isinstance(s, int) else self.table.f_gen(s) for s in tail)
         if key not in self._engines:
@@ -211,8 +210,7 @@ def _osp_shape(alg: AlgebraData) -> Tuple[List[int], List[int]]:
     the block b_1..b_K is the other letter's unit vectors, and the odd
     factors are p -+ b."""
     support, _, other = _letters(alg)
-    unit = [alg.weight_den * alg.base ** k for k in range(alg.rank)]
-    return [unit[k] for k in reversed(support)], [unit[k] for k in other]
+    return [alg.unit_key(k) for k in reversed(support)], [alg.unit_key(k) for k in other]
 
 
 def _gamma_multiple(alg: AlgebraData, roots: Sequence[int]) -> int:
@@ -312,7 +310,7 @@ def claimed_drop(params: CaseParams, alg: AlgebraData) -> Tuple[int, ...]:
     return tuple(params.N * c for c in alg.lattice[alg.gamma.index])
 
 
-def _has_weight(engine: PBWEngine, x: UEAElement, point: Tuple[int, ...]) -> bool:
+def _of_weight(engine: PBWEngine, x: UEAElement, point: Tuple[int, ...]) -> bool:
     """Whether x is nonzero and every monomial of x has the lattice weight point."""
     try:
         return engine.element_lattice(x) == point
@@ -408,7 +406,7 @@ def orbit_propagate(shap: ShapovalovElement, kappa, ctx: Context) -> Tuple[Shapo
     beta2 = alg.pos_roots[alg.root_of(alg.keys[shap.beta.index] + a * alg.keys[kdatum.index])]
     image_ok = is_singular(VermaVector(theta2, nu), engine).ok
     weight_ok = (
-        _has_weight(engine, theta2, tuple(-shap.C * c for c in alg.lattice[beta2.index]))
+        _of_weight(engine, theta2, tuple(-shap.C * c for c in alg.lattice[beta2.index]))
         and alg.coroot_pairing(nu, beta2) == shap.C
     )
     step = OrbitStep(
@@ -444,33 +442,35 @@ def _target_places(target: OrbitTarget, alg: AlgebraData) -> Tuple[List[int], ra
     return support, block, list(places)
 
 
-def chain_kappas(target: OrbitTarget, alg: AlgebraData) -> List[Weight]:
-    """The even simple roots x_(i-1) - x_i that walk gamma's support down its
-    block to the target: each moves the highest support coordinate that is
-    above its target and not directly above the next lower one."""
+def chain_kappas(target: OrbitTarget, alg: AlgebraData) -> List[int]:
+    """The even simple roots x_(i-1) - x_i, as positive-root indices, that
+    walk gamma's support down its block to the target: each moves the
+    highest support coordinate that is above its target and not directly
+    above the next lower one."""
     support, block, want = _target_places(target, alg)
     here = [block.index(k) + 1 for k in support]
-    x = [_unit(alg.rank, k) for k in block]
+    x = [alg.unit_key(k) for k in block]
     out = []
     while here != want:
         s = max(s for s, i in enumerate(here) if i > want[s] and (s == 0 or i - 1 > here[s - 1]))
         here[s] -= 1
-        out.append(wdiff(x[here[s] - 1], x[here[s]]))
+        out.append(alg.root_of(x[here[s] - 1] - x[here[s]]))
     return out
 
 
-def final_beta_weight(target: OrbitTarget, alg: AlgebraData) -> Weight:
-    """gamma's coefficients on the target places: d_t, 2d_t, e_t or e_i + e_j."""
+def final_beta(target: OrbitTarget, alg: AlgebraData) -> int:
+    """The positive-root index of gamma's coefficients on the target places:
+    d_t, 2d_t, e_t or e_i + e_j.  gamma's lattice coordinates count units of
+    1 / weight_den, and every unit key is a multiple of weight_den."""
     support, block, want = _target_places(target, alg)
-    beta = [Fraction(0)] * alg.rank
-    for k, t in zip(support, want):
-        beta[block[t - 1]] = alg.gamma.weight[k]
-    return tuple(beta)
+    gamma = alg.lattice[alg.gamma.index]
+    key = sum(gamma[k] * alg.unit_key(block[t - 1]) for k, t in zip(support, want))
+    return alg.root_of(key // alg.weight_den)
 
 
 def chain_weight(
     C: int,
-    kappas: Sequence[Weight],
+    kappas: Sequence[int],
     seed: int,
     alg: AlgebraData,
     p_first: Optional[int] = None,
@@ -493,7 +493,7 @@ def chain_weight(
     support, block, _ = _letters(alg)
     forced_gap = None
     if p_first is not None:
-        forced_gap = next(i for i, x in enumerate(kappas[0]) if x == 1)
+        forced_gap = next(i for i, x in enumerate(alg.lattice[kappas[0]]) if x > 0)
     rng = random.Random(f"chain:{alg.case.text}:{C}:{seed}:0")  # ":0" keeps the seeds in use
     coords = [Fraction(rng.randint(-3, 3)) for _ in range(alg.rank)]
     for k in support[1:]:
@@ -503,12 +503,12 @@ def chain_weight(
         if idx not in support:
             coords[idx] = coords[idx + 1] + (p_first if forced_gap == idx else rng.randint(1, 3))
     mu = cur = tuple(coords)
-    for j, kw in enumerate(kappas):
-        p = alg.coroot_pairing(cur, kw)
+    for j, k in enumerate(kappas):
+        p = alg.coroot_pairing(cur, k)
         if p.denominator != 1 or p <= 0 or (j == 0 and p_first is not None and p != p_first):
             raise RootDataError(f"{alg.case.text}: chain weight {format_weight(mu)}"
-                                f" pairs to {p} with {alg.name_of(kw)}")
-        cur = alg.reflect(cur, kw)
+                                f" pairs to {p} with {alg.pos_roots[k].name}")
+        cur = alg.reflect(cur, k)
     return mu
 
 
@@ -541,26 +541,25 @@ def propagate_chain(
     alg = ctx.alg
     kappas = chain_kappas(target, alg)
     mu = chain_weight(C, kappas, seed, alg, p_first=p_first)
-    params = CaseParams(case, C, mu)
-    u = candidate_u(params, ctx)
-    start_report = is_singular(u, ctx.default_engine)
-    shap = ShapovalovElement(alg.gamma, C, mu, u.body)
+    # only shap holds the candidate's body, so it is freed when step 1 returns
+    shap = ShapovalovElement(alg.gamma, C, mu, candidate_u(CaseParams(case, C, mu), ctx).body)
+    start_singular = is_singular(VermaVector(shap.theta, mu), ctx.default_engine).ok
+    start_terms = len(shap.theta)
     steps: List[OrbitStep] = []
-    for kw in kappas:
-        shap, step = orbit_propagate(shap, kw, ctx)
+    for k in kappas:
+        shap, step = orbit_propagate(shap, k, ctx)
         steps.append(step)
-    expected = final_beta_weight(target, alg)
     return ChainReport(
         case=case,
         C=C,
         target=target,
         seed=seed,
         mu0=mu,
-        start_singular=start_report.ok,
-        start_terms=len(u.body),
+        start_singular=start_singular,
+        start_terms=start_terms,
         steps=tuple(steps),
         final_beta=shap.beta.name,
-        final_ok=shap.beta.weight == expected,
+        final_ok=shap.beta.index == final_beta(target, alg),
     )
 
 
@@ -732,7 +731,7 @@ def run_witness(cand: Candidate, ctx: Context) -> WitnessReport:
         u_k = cand.build(engine, ids, tail)
         mono = witness_monomial(engine, step.v_mono)
         coeff = u_k.body.get(mono, 0)
-        weight_ok = _has_weight(engine, u_k.body, engine.monomial_lattice(mono))
+        weight_ok = _of_weight(engine, u_k.body, engine.monomial_lattice(mono))
         rows.append(WitnessRow(step.label, coeff, weight_ok))
     u = cand.build(engine)
     first = u.body.get(witness_monomial(engine, spec.steps[0].v_mono), 0)

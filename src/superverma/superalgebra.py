@@ -472,11 +472,9 @@ def check_reference_scaling(table: BracketTable) -> ScalingReport:
     alg = table.alg
     if alg.case.family != "B-II":
         raise ValueError("reference relation list applies to B-II presentations")
-    m, n = alg.case.m, alg.case.n
-    dm = alg.pos_roots[alg.root_index(tuple(Fraction(1 if i == m - 1 else 0) for i in range(m + n)))]
-    en = alg.pos_roots[alg.root_index(tuple(Fraction(1 if i == m + n - 1 else 0) for i in range(m + n)))]
-    emd = alg.root_at(wdiff(en.weight, dm.weight))
-    epd = alg.root_at(wsum(en.weight, dm.weight))
+    dm, en = alg.root_named(f"d{alg.case.m}"), alg.root_named(f"e{alg.case.n}")
+    emd = alg.pos_roots[alg.root_of(alg.keys[en.index] - alg.keys[dm.index])]
+    epd = alg.pos_roots[alg.root_of(alg.keys[en.index] + alg.keys[dm.index])]
 
     e = {r.name: table.e_gen(r) for r in (dm, en, emd, epd)}
     f = {r.name: table.f_gen(r) for r in (dm, en, emd, epd)}

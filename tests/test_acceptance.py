@@ -161,10 +161,10 @@ def _string_identity(ctx, lam, powers):
     alg = ctx.alg
     table = ctx.table
     engine = ctx.default_engine
-    g = alg.gamma.weight
+    g = alg.gamma
     T = table.bracket(table.e_gen(g), table.f_gen(g))
     tau = table.h_value_pairing(T, wdiff(lam, alg.rho))
-    s = table.h_value_pairing(T, g)
+    s = table.h_value_pairing(T, g.weight)
     fg = table.f_gen(g)
     eg = engine.gen(table.e_gen(g))
     for j in powers:
@@ -185,7 +185,7 @@ def test_criterion_5_exact_identity_suite():
     ctx = build_context(CaseId.parse("B-I:m=1,n=2"))
     engine = ctx.default_engine
     lam = default_lambda(ctx.alg.case, 3, 0, ctx.alg)
-    g = ctx.alg.gamma.weight
+    g = ctx.alg.gamma
     tail = act(engine.gen(ctx.table.f_gen(g), 3 + 2 * 2), highest_weight_vector(lam), engine)
     assert not tail.is_zero()
     assert act(engine.gen(ctx.table.e_gen(g)), tail, engine).is_zero()
@@ -261,7 +261,7 @@ def test_criterion_6_structure_integrity():
             if s.isotropic:
                 assert alg.form(alg.rho, s.weight) == 0, (text, s.name)
             else:
-                assert alg.coroot_pairing(alg.rho, s.weight) == 1, (text, s.name)
+                assert alg.coroot_pairing(alg.rho, s) == 1, (text, s.name)
         algebras += 1
     rescalings = 0
     for m in (1, 2):
@@ -300,7 +300,7 @@ def test_criterion_7_engine_properties():
                 assert engine.element_weight(other) == wsum(
                     engine.element_weight(el), ctx.table.basis[gid].weight
                 )
-        bid = ctx.table.f_gen(next(r.weight for r in ctx.alg.pos_roots if not r.odd))
+        bid = ctx.table.f_gen(next(r for r in ctx.alg.pos_roots if not r.odd))
         tailed = ctx.engine(tail=(bid,))
         for _ in range(17):
             theta = el_one()

@@ -37,7 +37,7 @@ from superverma.singular import (  # noqa: E402
     chain_kappas,
     chain_weight,
     default_lambda,
-    final_beta_weight,
+    final_beta,
     witness_spec,
 )
 from superverma.superalgebra import build_structure_constants, dump_table  # noqa: E402
@@ -145,11 +145,12 @@ def _orbit_targets(case):
 def _orbit_setup(alg, target, C, seed, p_first) -> str:
     try:
         kappas = chain_kappas(target, alg)
-        beta = final_beta_weight(target, alg)
+        beta = final_beta(target, alg)
         mu = chain_weight(C, kappas, seed, alg, p_first=p_first)
     except Exception as exc:  # the class is part of the frozen output
         return type(exc).__name__
-    return " ".join(alg.name_of(k) for k in kappas) + " | " + alg.name_of(beta) + " | " + (
+    names = alg.pos_roots
+    return " ".join(names[k].name for k in kappas) + " | " + names[beta].name + " | " + (
         ",".join(map(str, mu)))
 
 

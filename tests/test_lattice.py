@@ -104,8 +104,14 @@ def ref_gamma_multiple(alg, weights):
     return int(c)
 
 
+def ref_index(alg):
+    """Each positive root's Fraction weight to its index: the reference
+    lookup by weight."""
+    return {r.weight: r.index for r in alg.pos_roots}
+
+
 def ref_f_power(alg, w, e):
-    if alg.root_at(w).odd:
+    if alg.pos_roots[ref_index(alg)[w]].odd:
         return ((w, e % 2), (wscale(2, w), e // 2))
     return ((w, e),)
 
@@ -155,11 +161,12 @@ def ref_witness_spec(alg, N, c):
         ]
         return seq, tail, [(k, factors[k:], v_monos[k]) for k in range(7)]
     pivots, block = ref_osp_shape(alg)
+    index = ref_index(alg)
     K = len(block)
     stride = (top - N) // K
     covered = []
     for b in reversed(block):
-        covered += [w for w in (b, wscale(2, b)) if w in alg.index][:1]
+        covered += [w for w in (b, wscale(2, b)) if w in index][:1]
     pairs = sorted(((i, j) for i in range(K) for j in range(K) if i < j),
                    key=lambda ij: (-(ij[0] + ij[1]), -ij[0]))
     for i, j in pairs:
@@ -172,7 +179,7 @@ def ref_witness_spec(alg, N, c):
         if all(k in on_pivots for k, x in enumerate(alg.pos_roots[i].weight) if x)
     ]
     top_root = wscale(len(pivots), block[-1])
-    if top_root not in alg.index:
+    if top_root not in index:
         top_root = wsum(pivots[0], block[-1])
     steps = []
     for k in range(1, K + 2):
@@ -212,9 +219,9 @@ def test_candidates_and_witness_specs_match_the_fraction_reference(case):
         cand = candidate(params, ctx)
         factors = ref_factors(alg)
         assert weights_of(alg, cand.odd) == factors
-        assert cand.odd_ids == tuple(table.e_gen(w) for w in factors)
+        assert cand.odd_ids == tuple(table.e_gen(ref_index(alg)[w]) for w in factors)
         top = N + ref_gamma_multiple(alg, factors)
-        assert cand.tail_ids == ((table.f_gen(alg.gamma.weight), top),)
+        assert cand.tail_ids == ((table.f_gen(alg.gamma), top),)
         assert alg.from_lattice(claimed_drop(params, alg)) == wscale(N, alg.gamma.weight)
 
         order, tail, steps = ref_witness_spec(alg, N, factors)

@@ -15,7 +15,7 @@ from superverma.singular import (
     candidate_u,
     chain_kappas,
     chain_weight,
-    final_beta_weight,
+    final_beta,
     orbit_propagate,
     propagate_chain,
 )
@@ -51,7 +51,7 @@ def test_chain_configs_reach_target():
         report = propagate_chain(case, C, target, seed=0, ctx=ctx)
         assert report.ok, (text, report)
         assert report.final_beta == final_name
-        assert ctx.alg.root_named(final_name).weight == final_beta_weight(target, ctx.alg)
+        assert ctx.alg.root_named(final_name).index == final_beta(target, ctx.alg)
         assert all(s.p >= 1 for s in report.steps)
 
 
@@ -140,8 +140,8 @@ def test_embedding_premise_fails_off_p(golden_steps):
             assert not singular_at(step.p - 1)
 
 
-class _Lifted(dict):
-    """A lift's result that a weak reference can watch."""
+class _Watched(dict):
+    """A body that a weak reference can watch."""
 
 
 def test_orbit_step_drops_the_lifted_vector_before_its_image_check(monkeypatch):
@@ -152,7 +152,7 @@ def test_orbit_step_drops_the_lifted_vector_before_its_image_check(monkeypatch):
     lifts, quotients, checked = [], [], []
 
     def lift(self, f, L, theta):
-        got = _Lifted(real_lift(self, f, L, theta))
+        got = _Watched(real_lift(self, f, L, theta))
         lifts.append(weakref.ref(got))
         return got
 
@@ -177,6 +177,35 @@ def test_orbit_step_drops_the_lifted_vector_before_its_image_check(monkeypatch):
         assert report.ok
         steps += len(report.steps)
     assert len(checked) == len(lifts) == steps >= len(CHAINS)
+
+
+def test_chain_frees_the_candidate_once_step_1_returns(monkeypatch):
+    """propagate_chain takes the start check and the candidate's size before
+    step 1 and keeps no other reference to the candidate, so on every chain
+    in tests/golden (each of at least two steps) its body is gone when step
+    2 starts."""
+    real_candidate, real_step = singular.candidate_u, singular.orbit_propagate
+    bodies, freed_at_start = [], []
+
+    def candidate_u(params, ctx):
+        u = real_candidate(params, ctx)
+        body = _Watched(u.body)
+        bodies.append(weakref.ref(body))
+        return VermaVector(body, u.highest_weight)
+
+    def orbit_propagate(shap, kappa, ctx):
+        freed_at_start.append(bodies[-1]() is None)
+        return real_step(shap, kappa, ctx)
+
+    monkeypatch.setattr(singular, "candidate_u", candidate_u)
+    monkeypatch.setattr(singular, "orbit_propagate", orbit_propagate)
+    for text, C, target, _ in CHAINS:
+        case = CaseId.parse(text)
+        report = propagate_chain(case, C, target, seed=0, ctx=build_context(case))
+        assert report.ok and len(report.steps) >= 2
+        assert freed_at_start == [False] + [True] * (len(report.steps) - 1), text
+        del freed_at_start[:]
+    assert len(bodies) == len(CHAINS)
 
 
 def test_dii_chain_visits_expected_roots():

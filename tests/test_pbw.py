@@ -37,7 +37,7 @@ def is_canonical(c) -> bool:
 
 
 def first_even_root(alg):
-    return next(r.weight for r in alg.pos_roots if not r.odd)
+    return next(r for r in alg.pos_roots if not r.odd)
 
 
 def random_lowering(engine, rng, nfactors: int):
@@ -254,7 +254,7 @@ def test_odd_powers_match_one_unit_per_pass(text):
     ctx = ctx_for(text)
     table = ctx.table
     rng = random.Random(f"odd-powers:{text}")
-    engines = (ctx.default_engine, ctx.engine(tail=(table.f_gen(ctx.alg.gamma.weight),)))
+    engines = (ctx.default_engine, ctx.engine(tail=(table.f_gen(ctx.alg.gamma),)))
     odd = [g for g in range(table.dim) if table.odd[g]]
     # B-I and G3 have odd generators of either kind of square, D-II only
     # ones squaring to 0

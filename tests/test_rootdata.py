@@ -99,7 +99,7 @@ def test_rho_coroot_pairings():
             if s.parity == ODD_ISO:
                 assert alg.form(alg.rho, s.weight) == 0
             else:
-                assert alg.coroot_pairing(alg.rho, s.weight) == 1
+                assert alg.coroot_pairing(alg.rho, s) == 1
 
 
 def test_bad_rho_is_a_root_data_error(monkeypatch):
@@ -271,10 +271,10 @@ def test_form_symmetry_sampled():
 def test_isotropic_coroot_raises():
     alg = build("B-I:m=1,n=1")
     iso = alg.root_named("d1-e1")
-    with pytest.raises(IsotropicCoroot):
+    with pytest.raises(IsotropicCoroot, match="root d1-e1 is isotropic"):
         alg.coroot_pairing(alg.rho, iso)
     with pytest.raises(IsotropicCoroot):
-        alg.reflect(alg.rho, iso.weight)
+        alg.reflect(alg.rho, iso)
 
 
 def test_invalid_params():
@@ -292,7 +292,9 @@ def test_invalid_params():
     with pytest.raises(InvalidParams):
         alg.root_named("d7")
     with pytest.raises(InvalidParams):
-        alg.root_index(parse_weight("5,5", 2))
+        alg.as_index(parse_weight("5,5", 2))
+    with pytest.raises(InvalidParams):
+        alg.as_index(len(alg.pos_roots))
 
 
 def test_case_text_roundtrip():
@@ -340,18 +342,25 @@ def test_decompositions_consistent():
                 assert alg.heights[rest] == alg.heights[pos] - 1
 
 
+def weight_index(alg: AlgebraData) -> dict:
+    """Each positive root's Fraction weight to its index, the reference
+    lookup the integer tables are checked against."""
+    return {r.weight: r.index for r in alg.pos_roots}
+
+
 def fraction_decomp(alg: AlgebraData) -> tuple:
     """The decompositions by Fraction weights, the reference for alg.decomp:
     a root outside the simple system is alpha_k + tau for the first simple
     alpha_k whose difference tau is a positive root."""
+    index = weight_index(alg)
     out = []
     for pos, r in enumerate(alg.pos_roots):
         if pos in alg.simple_pos_index:
             out.append(None)
             continue
         out.append(next(
-            (k, alg.index[rest]) for k, s in enumerate(alg.simple_system)
-            if (rest := wdiff(r.weight, s.weight)) in alg.index
+            (k, index[rest]) for k, s in enumerate(alg.simple_system)
+            if (rest := wdiff(r.weight, s.weight)) in index
         ))
     return tuple(out)
 
@@ -363,12 +372,82 @@ def test_root_sums_match_fraction_arithmetic(text):
     eliminates e3."""
     alg = build(text)
     weights = [r.weight for r in alg.pos_roots]
+    index = weight_index(alg)
     for w, point in zip(weights, alg.lattice):
         assert tuple(Fraction(c, alg.weight_den) for c in point) == w
     for mu, a in enumerate(weights):
         for nu, b in enumerate(weights):
-            assert alg.sums.get((mu, nu)) == alg.index.get(wsum(a, b)), (mu, nu)
+            assert alg.sums.get((mu, nu)) == index.get(wsum(a, b)), (mu, nu)
     assert alg.decomp == fraction_decomp(alg)
+
+
+def fraction_wprime_orbit(beta, alg: AlgebraData) -> tuple:
+    """wprime_orbit by Fraction weights, the reference for the walk on
+    keys: reflect signed weights in the nonisotropic simple roots until no
+    new one appears, then take the positive representatives, sorted by
+    weight."""
+    index = weight_index(alg)
+    mirrors = [s for s in alg.simple_system if not s.isotropic]
+    seen = {beta.weight}
+    frontier = [beta.weight]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for s in mirrors:
+                image = alg.reflect(w, s)
+                if image not in seen:
+                    seen.add(image)
+                    nxt.append(image)
+        frontier = nxt
+    reps = {w if w in index else wneg(w) for w in seen}
+    assert reps <= set(index), beta.name
+    return tuple(alg.pos_roots[index[w]] for w in sorted(reps))
+
+
+def test_wprime_orbit_matches_the_fraction_reference():
+    """The same names in the same order as the Fraction search, for every
+    positive root of every osp case with m, n <= 4 and of F31 and G3.  The
+    reference runs once per orbit, whose every member has that orbit."""
+    roots = 0
+    for text in OSP_UP_TO_4 + ["F31", "G3"]:
+        alg = build(text)
+        want = {}
+        for r in alg.pos_roots:
+            if r.index not in want:
+                orbit = fraction_wprime_orbit(r, alg)
+                want.update(dict.fromkeys((o.index for o in orbit), [o.name for o in orbit]))
+            assert [o.name for o in wprime_orbit(r, alg)] == want[r.index], (text, r.name)
+            roots += 1
+    assert roots == 1692
+
+
+def test_wprime_orbit_confirms_each_image_on_the_lattice():
+    """A key that names the wrong root is refused by the image's lattice
+    point instead of being followed."""
+    alg = build("D-I:m=3,n=2")
+    two_d2, two_d1 = alg.root_named("2d2").index, alg.root_named("2d1").index
+    aliased = dataclasses.replace(alg, at={**alg.at, alg.keys[two_d2]: two_d1})
+    assert [r.name for r in wprime_orbit("2d3", alg)] == ["2d3", "2d2", "2d1"]
+    with pytest.raises(RootDataError, match="left the root system at"):
+        wprime_orbit("2d3", aliased)
+
+
+def test_a_root_is_not_given_by_its_weight():
+    """A root is its index, its datum or its name; a weight tuple where a
+    root is expected is a usage error that names those three forms."""
+    ctx = singular.build_context(CaseId.parse("B-I:m=2,n=1"))
+    alg = ctx.alg
+    w = alg.gamma.weight
+    calls = (
+        lambda: alg.as_index(w),
+        lambda: ctx.table.f_gen(w),
+        lambda: alg.coroot_pairing(alg.rho, w),
+        lambda: ctx.engine(tail=(w,)),
+    )
+    for call in calls:
+        with pytest.raises(InvalidParams, match="index, its RootDatum or its name"):
+            call()
+    assert alg.as_index(alg.gamma) == alg.as_index(alg.gamma.name) == alg.as_index(alg.gamma.index)
 
 
 def test_dimension_counts():

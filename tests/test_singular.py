@@ -291,8 +291,8 @@ def test_straightened_factors_match_one_at_a_time(text):
 @pytest.mark.parametrize("text", ["B-I:m=1,n=1", "G3", "D-II:m=2,n=2", "F31"])
 def test_rebuilds_resolve_no_roots(text, monkeypatch):
     """The candidate's factors and tail are generator ids from the start, so
-    no build, neither a sign-flip rebuild nor a witness step, looks up a
-    root weight (AlgebraData.root_index).  The candidate keeps the images of
+    no build, neither a sign-flip rebuild nor a witness step, resolves a
+    root (AlgebraData.as_index).  The candidate keeps the images of
     its last (engine, tail) only: the sign-flip rebuilds reuse u's action,
     the witness engine keeps the spec's tail and, for an odd gamma, the
     candidate's own, a scalar multiple of it whose images it never shares,
@@ -301,11 +301,11 @@ def test_rebuilds_resolve_no_roots(text, monkeypatch):
     cand = candidate(params, ctx)
     lookups = []
     actions = []
-    real_index, real_build, real_action = AlgebraData.root_index, Candidate.build, _Action.__init__
+    real_index, real_build, real_action = AlgebraData.as_index, Candidate.build, _Action.__init__
 
-    def counted_index(self, w):
-        lookups.append(w)
-        return real_index(self, w)
+    def counted_index(self, root):
+        lookups.append(root)
+        return real_index(self, root)
 
     def counted_action(self, *args):
         actions.append(self)
@@ -323,7 +323,7 @@ def test_rebuilds_resolve_no_roots(text, monkeypatch):
         assert memos[key] is images
         return u
 
-    monkeypatch.setattr(AlgebraData, "root_index", counted_index)
+    monkeypatch.setattr(AlgebraData, "as_index", counted_index)
     monkeypatch.setattr(_Action, "__init__", counted_action)
     monkeypatch.setattr(Candidate, "build", counted_build)
     engine = ctx.default_engine

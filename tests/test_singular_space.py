@@ -36,7 +36,7 @@ def weight_space(engine, N):
     table = engine.table
     alg = table.alg
     gens = engine.sequence[: engine.table.n_pos]
-    gamma = alg.index[alg.gamma.weight]
+    gamma = alg.gamma.index
     target = tuple(-N * c for c in alg.lattice[gamma])
     out = []
 

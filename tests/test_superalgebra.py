@@ -42,7 +42,7 @@ def test_defining_relations_on_simples():
 
 def test_cartan_action_example():
     table = make("B-II:m=1,n=1")
-    two_d1 = table.alg.root_index(table.alg.root_named("2d1").weight)
+    two_d1 = table.alg.root_named("2d1").index
     d1_simple = next(
         j for j, s in enumerate(table.alg.simple_system) if s.name == "d1"
     )

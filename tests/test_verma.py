@@ -150,8 +150,8 @@ def test_classical_singular_vectors_on_even_simples():
                 continue
             for t in (1, 2, 3):
                 # lambda proportional to alpha itself has <lambda, h_alpha> = t
-                lam = wscale(Fraction(t) / alg.coroot_pairing(s.weight, s.weight), s.weight)
-                assert alg.coroot_pairing(lam, s.weight) == t
+                lam = wscale(Fraction(t) / alg.coroot_pairing(s.weight, s), s.weight)
+                assert alg.coroot_pairing(lam, s) == t
                 v = act(eng.gen(table.f_id(alg.simple_pos_index[j]), t), highest_weight_vector(lam), eng)
                 report = is_singular(v, eng)
                 assert report.ok, (text, s.name, t, report)
@@ -232,7 +232,7 @@ def test_module_action_matches_straightening(text):
     table = ctx.table
     lam = default_lambda(case, 1, 0, ctx.alg)
     rng = random.Random(f"module-action:{text}")
-    tail = (table.f_gen(ctx.alg.gamma.weight),)
+    tail = (table.f_gen(ctx.alg.gamma),)
     for eng in (ctx.default_engine, ctx.engine(tail=tail)):
         reference = PBWEngine(table, eng.tail)
         bodies = [candidate(CaseParams(case, 1, lam), ctx).build(eng).body]
@@ -333,7 +333,7 @@ def test_grouped_singularity_check_matches_act(text):
     ctx = build_context(case)
     table = ctx.table
     rng = random.Random(f"grouped-check:{text}")
-    tail = (table.f_gen(ctx.alg.gamma.weight),)
+    tail = (table.f_gen(ctx.alg.gamma),)
     failures = 0
     for eng in (ctx.default_engine, ctx.engine(tail=tail)):
         reference = PBWEngine(table, eng.tail)
