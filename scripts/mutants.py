@@ -45,6 +45,7 @@ class Mutant(NamedTuple):
 ORBIT_GOLDEN = "tests/test_golden.py::test_output_matches_golden[orbit_chains_seed0.ndjson]"
 LIFTED_IMAGES = "tests/test_orbit.py::test_lifted_images_are_the_image_checks_images_with_f_kappa_appended"
 CHAIN_CONFIGS = "tests/test_orbit.py::test_chain_configs_reach_target"
+LEVEL_GRID = "tests/test_cli.py::test_every_level_of_a_grid_is_checked_before_set_up"
 
 MUTANTS = (
     Mutant(
@@ -160,6 +161,27 @@ MUTANTS = (
         "alg.keys[i] + c * alg.keys[s]",
         ("tests/test_rootdata.py::test_orbit_examples",
          "tests/test_rootdata.py::test_wprime_orbit_matches_the_fraction_reference"),
+    ),
+    Mutant(
+        "level-parity-unchecked",
+        "singular.py",
+        "if case.odd_gamma and level % 2 == 0:",
+        "if False:",
+        (LEVEL_GRID + "[verify-B-I-N=1,2]", "tests/test_singular.py::test_level_parity_is_enforced"),
+    ),
+    Mutant(
+        "level-grid-largest-only",
+        "cli.py",
+        "for N in levels:\n        check_level(",
+        "for N in levels[-1:]:\n        check_level(",
+        (LEVEL_GRID + "[verify-B-I-N=2,3]", LEVEL_GRID + "[verify-D-I-N=0,1]"),
+    ),
+    Mutant(
+        "root-lookup-usage-error",
+        "rootdata.py",
+        'raise RootDataError(f"no positive root has lattice key {key}")',
+        'raise InvalidParams(f"no positive root has lattice key {key}")',
+        ("tests/test_cli.py::test_a_failed_root_lookup_is_an_internal_error",),
     ),
 )
 

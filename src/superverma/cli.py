@@ -36,7 +36,6 @@ from .rootdata import (
     FAMILIES,
     InvalidParams,
     OSP_FAMILIES,
-    ParityViolation,
     format_weight,
     parse_weight,
     rho_violation,
@@ -52,7 +51,7 @@ from .singular import (
     chain_kappas,
     chain_weight,
     check_case_size,
-    check_level_size,
+    check_level,
     claimed_drop,
     default_lambda,
     propagate_chain,
@@ -185,7 +184,7 @@ def _run_grid(point, where: str, jobs, args, text_line, noun: str) -> int:
         for job in jobs:
             try:
                 rec, elapsed = next(results)
-            except (InvalidParams, ParityViolation):
+            except InvalidParams:
                 raise
             except Exception as exc:
                 raise PointFault(f"{where.format(*job)}: {type(exc).__name__}: {exc}") from exc
@@ -306,7 +305,8 @@ def cmd_verify(args) -> int:
     seeds = parse_grid(args.seed, "--seed")
     level_flag = "--N" if args.M is None else "--M"
     _check_run_size({"--m, --n": len(cases), level_flag: len(levels), "--seed": len(seeds)})
-    check_level_size(cases[0], levels[-1], "N")
+    for N in levels:
+        check_level(cases[0], N, "N")
     checks = _expand_checks(args.check)
     if args.lam is not None and (len(cases) > 1 or len(levels) > 1 or len(seeds) > 1):
         raise InvalidParams("an explicit lambda needs a single grid point")
@@ -406,11 +406,11 @@ def cmd_orbit(args) -> int:
         )
     case = cases[0]
     levels = parse_grid(args.C, "--C")
-    check_level_size(case, levels[-1], "C")
-    alg = build_context(case).alg
-    target = _parse_target(args.target, alg)
     seeds = parse_grid(args.seed, "--seed")
     _check_run_size({"--C": len(levels), "--seed": len(seeds)})
+    for C in levels:
+        check_level(case, C, "C")
+    target = _parse_target(args.target, build_context(case).alg)
     jobs = [(case.text, C, target, seed, args.p) for C in levels for seed in seeds]
     return _run_grid(_orbit_point, "{} C={} target={} seed={}", jobs, args, _orbit_text_line, "chains")
 
@@ -634,7 +634,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # the reader has gone: send what is still buffered nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, as a shell reports a reader that went away
-    except (InvalidParams, ParityViolation) as exc:  # the only usage errors
+    except InvalidParams as exc:  # the only usage errors, ParityViolation among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PointFault as exc:

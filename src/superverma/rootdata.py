@@ -65,7 +65,7 @@ class IsotropicCoroot(ValueError):
     """Coroot pairing or reflection requested for an isotropic root."""
 
 
-class ParityViolation(ValueError):
+class ParityViolation(InvalidParams):
     """An integer parameter has the wrong parity for the requested case."""
 
 
@@ -353,11 +353,11 @@ class AlgebraData:
         return tuple(Fraction(c, self.weight_den) for c in point)
 
     def root_of(self, key: int) -> int:
-        """The positive-root index whose key is key (InvalidParams if none)."""
+        """The positive-root index of a key the program computed (RootDataError if none)."""
         try:
             return self.at[key]
         except KeyError:
-            raise InvalidParams(f"no positive root has lattice key {key}") from None
+            raise RootDataError(f"no positive root has lattice key {key}") from None
 
     def unit_key(self, k: int) -> int:
         """The key of the weight with 1 at coordinate k and 0 elsewhere
@@ -724,10 +724,10 @@ _BUILDERS = {**dict.fromkeys(_OSP_SHAPES, _build_osp), "F31": _build_f31, "G3": 
 
 
 def build_algebra_data(case: CaseId) -> AlgebraData:
-    """The case's root data, checked against the dimensions CaseId knows:
-    every positive root gives two basis elements and every simple root one."""
+    """The case's root data, checked against what CaseId knows: the dimensions
+    (a basis element per simple root, two per positive root) and gamma's parity."""
     alg = _BUILDERS[case.family](case)
-    got, want = (alg.dim, 2 * len(alg.pos_odd)), (case.dim, case.odd_dim)
+    got, want = (alg.dim, 2 * len(alg.pos_odd), alg.gamma.odd), (case.dim, case.odd_dim, case.odd_gamma)
     if got != want:
-        raise RootDataError(f"{case.text}: dimension and odd dimension {got}, expected {want}")
+        raise RootDataError(f"{case.text}: dimension, odd dimension and odd gamma {got}, expected {want}")
     return alg

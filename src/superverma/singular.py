@@ -63,7 +63,7 @@ class Context:
     # keyed by the tail's lowering generator ids, so each engine is built once
     _engines: Dict[Tuple[int, ...], PBWEngine] = field(default_factory=dict)
 
-    def engine(self, tail: Sequence[Union[int, RootSpec]] = ()) -> PBWEngine:
+    def engine(self, tail: Sequence[RootSpec] = ()) -> PBWEngine:
         """The engine whose order ends the lowering block with tail.  Each
         entry is a lowering generator id or a root (datum or name),
         resolved once here; PBWEngine checks the ids (WrongOrder)."""
@@ -102,9 +102,14 @@ def check_case_size(case: CaseId, lead: str) -> None:
         raise InvalidParams(f"{lead} {case.text} of dimension {case.dim}, more than the {MAX_CASE_DIM} a case may have")
 
 
-def check_level_size(case: CaseId, level: int, name: str) -> None:
-    """InvalidParams when case has an odd gamma and the level, named name,
-    is above MAX_ODD_LEVEL."""
+def check_level(case: CaseId, level: int, name: str) -> None:
+    """A level, named name (N for verify, C for orbit), is a positive integer
+    and, for an odd gamma (B-I, G3), odd (ParityViolation) and at most
+    MAX_ODD_LEVEL.  It reads the CaseId alone, so it needs no set-up."""
+    if level < 1:
+        raise InvalidParams(f"{name} must be a positive integer, got {level}")
+    if case.odd_gamma and level % 2 == 0:
+        raise ParityViolation(f"{case.family} needs an odd level, got {name}={level}")
     if case.odd_gamma and level > MAX_ODD_LEVEL:
         raise InvalidParams(f"{case.family} has an odd gamma and takes a level of at most {MAX_ODD_LEVEL}, got {name}={level}")
 
@@ -139,16 +144,8 @@ class CaseParams:
     lam: Weight
 
 
-def require_parity(alg: AlgebraData, level: int, name: str) -> None:
-    """An odd gamma (B-I, G3) needs an odd level: N for verify, C for orbit."""
-    if alg.gamma.odd and level % 2 == 0:
-        raise ParityViolation(f"{alg.case.family} needs an odd level, got {name}={level}")
-
-
 def validate_params(params: CaseParams, alg: AlgebraData) -> None:
-    if params.N < 1:
-        raise InvalidParams(f"N must be a positive integer, got {params.N}")
-    require_parity(alg, params.N, "N")
+    check_level(params.case, params.N, "N")
     if len(params.lam) != alg.rank:
         raise InvalidParams("lambda has the wrong number of coordinates")
     got = alg.coroot_pairing(params.lam, alg.gamma)
@@ -161,11 +158,9 @@ def validate_params(params: CaseParams, alg: AlgebraData) -> None:
 def default_lambda(case: CaseId, N: int, seed: int, alg: Optional[AlgebraData] = None) -> Weight:
     """Deterministic weight with <lambda, h_gamma> = N; other coordinates
     are small seeded integers."""
-    if N < 1:
-        raise InvalidParams(f"N must be a positive integer, got {N}")
+    check_level(case, N, "N")
     if alg is None:
         alg = build_context(case).alg
-    require_parity(alg, N, "N")
     rng = random.Random(f"{case.text}:{N}:{seed}")
     coords = [Fraction(rng.randint(-3, 3)) for _ in range(alg.rank)]
     return _solve_level(alg, coords, N, max(_support(alg)))
@@ -330,6 +325,10 @@ class ShapovalovElement:
     theta: UEAElement
 
 
+class _Handed(ShapovalovElement):
+    """The chain's own element: the step that imports its theta drops it."""
+
+
 @dataclass(frozen=True)
 class OrbitStep:
     kappa: str
@@ -374,7 +373,8 @@ def orbit_propagate(shap: ShapovalovElement, kappa, ctx: Context) -> Tuple[Shapo
 
     So the step holds theta only until the lift returns and the lifted
     vector, its largest element, only until right_divide returns: the image
-    check and everything after it see theta' alone."""
+    check and everything after it see theta' alone.  shap stays intact
+    unless it is the chain's own (_Handed), whose theta goes once imported."""
     alg = ctx.alg
     kdatum = alg.pos_roots[alg.as_index(kappa)]
     if kdatum.odd or kdatum.index not in alg.simple_pos_index:
@@ -395,6 +395,8 @@ def orbit_propagate(shap: ShapovalovElement, kappa, ctx: Context) -> Tuple[Shapo
     fk = ctx.table.f_id(kdatum.index)
     engine = ctx.engine(tail=(fk,))
     theta = engine.import_element(shap.theta)
+    if isinstance(shap, _Handed):
+        shap.theta = {}
     start_ok = is_singular(VermaVector(theta, shap.mu), engine).ok
     lifted = engine.lift(fk, L, theta)
     del theta
@@ -481,9 +483,7 @@ def chain_weight(
     block rises from there by seeded gaps (p_first for the first kappa).
     Each kappa then pairs a moving support coordinate with a larger one by
     an integer gap, so a failed check is a fault of the program."""
-    if C < 1:
-        raise InvalidParams(f"C must be a positive integer, got {C}")
-    require_parity(alg, C, "C")
+    check_level(alg.case, C, "C")
     if p_first is not None and p_first < 1:
         raise InvalidParams("p must be a positive integer")
     if p_first is not None and not kappas:
@@ -541,13 +541,14 @@ def propagate_chain(
     alg = ctx.alg
     kappas = chain_kappas(target, alg)
     mu = chain_weight(C, kappas, seed, alg, p_first=p_first)
-    # only shap holds the candidate's body, so it is freed when step 1 returns
-    shap = ShapovalovElement(alg.gamma, C, mu, candidate_u(CaseParams(case, C, mu), ctx).body)
+    # only shap holds the candidate's body and each theta', freed once imported
+    shap = _Handed(alg.gamma, C, mu, candidate_u(CaseParams(case, C, mu), ctx).body)
     start_singular = is_singular(VermaVector(shap.theta, mu), ctx.default_engine).ok
     start_terms = len(shap.theta)
     steps: List[OrbitStep] = []
     for k in kappas:
         shap, step = orbit_propagate(shap, k, ctx)
+        shap = _Handed(shap.beta, C, shap.mu, shap.theta)
         steps.append(step)
     return ChainReport(
         case=case,

@@ -555,6 +555,5 @@ def dump_table(table: BracketTable) -> str:
     """Deterministic text dump of all nonzero brackets, one per line."""
     lines = [f"# {table.alg.case.text}: dim {table.dim}, {table.n_pos} positive roots"]
     for (x, y), val in sorted(table.entries.items()):
-        if val:
-            lines.append(f"[{table.basis[x].name}, {table.basis[y].name}] = {table.render_value(val)}")
+        lines.append(f"[{table.basis[x].name}, {table.basis[y].name}] = {table.render_value(val)}")
     return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 """Command line behavior: grids, determinism, exit codes."""
 
 import contextlib
+import dataclasses
 import functools
 import importlib.util
 import io
@@ -24,7 +25,9 @@ import superverma
 from superverma import cli, singular
 from superverma.cli import main, parse_grid
 from superverma.pbw import NotDivisible, WrongOrder
-from superverma.rootdata import FAMILIES, OSP_FAMILIES, AlgebraData, CaseId, InvalidParams, IsotropicCoroot
+from superverma.rootdata import (
+    FAMILIES, OSP_FAMILIES, AlgebraData, CaseId, InvalidParams, IsotropicCoroot, ParityViolation,
+)
 from superverma.singular import Candidate, CaseParams, build_context, candidate, default_lambda
 from superverma.verma import SingularityReport, UnexpectedRaising, VermaVector
 
@@ -254,7 +257,7 @@ def test_internal_errors_exit_three(capsys, monkeypatch, fault):
 
 
 def test_unlisted_exception_is_an_internal_error(capsys, monkeypatch):
-    """Only InvalidParams and ParityViolation are usage errors: any other
+    """Only InvalidParams, ParityViolation among them, is a usage error: any other
     exception, here a KeyError deep in the witness check, exits 3 and
     names its class."""
     def broken(cand, alg):
@@ -338,11 +341,64 @@ def test_oversized_odd_level_is_refused_before_set_up(capsys, monkeypatch, argv,
 
 def test_odd_level_bound_is_inclusive_and_spares_even_gammas():
     bound = singular.MAX_ODD_LEVEL
-    singular.check_level_size(CaseId("B-I", 1, 1), bound, "N")
+    singular.check_level(CaseId("B-I", 1, 1), bound, "N")
     with pytest.raises(InvalidParams, match=f"got C={bound + 2}$"):
-        singular.check_level_size(CaseId("B-I", 1, 1), bound + 2, "C")
+        singular.check_level(CaseId("B-I", 1, 1), bound + 2, "C")
     for case in (CaseId("B-II", 1, 1), CaseId("D-I", 1, 2), CaseId("D-II", 1, 2), CaseId("F31")):
-        singular.check_level_size(case, 10**30, "N")
+        singular.check_level(case, 10**30, "N")
+
+
+REFUSED_LEVELS = [
+    pytest.param(("verify", "--case", "B-I", "--m", "1", "--n", "1", "--N", "1,2"),
+                 "B-I needs an odd level, got N=2", id="verify-B-I-N=1,2"),
+    pytest.param(("verify", "--case", "B-I", "--m", "1", "--n", "1", "--N", "2,3"),
+                 "B-I needs an odd level, got N=2", id="verify-B-I-N=2,3"),
+    pytest.param(("verify", "--case", "G3", "--N", "1,2"), "G3 needs an odd level, got N=2", id="verify-G3-N=1,2"),
+    pytest.param(("orbit", "--case", "B-I", "--m", "2", "--n", "1", "--C", "2,3"),
+                 "B-I needs an odd level, got C=2", id="orbit-B-I-C=2,3"),
+    pytest.param(("verify", "--case", "D-I", "--m", "1", "--n", "2", "--N", "0,1"),
+                 "N must be a positive integer, got 0", id="verify-D-I-N=0,1"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSED_LEVELS)
+def test_every_level_of_a_grid_is_checked_before_set_up(capsys, monkeypatch, argv, message):
+    """A grid with one level that breaks the level rule, whether or not it
+    is the largest, is a usage error given before any point runs and any
+    context is built."""
+    def never(case):
+        raise AssertionError(f"built {case.text}")
+
+    monkeypatch.setattr(cli, "build_context", never)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_library_checks_the_level_before_set_up(monkeypatch):
+    """default_lambda applies the whole level rule, the odd-level bound
+    included, before it builds a context; a parity error is a usage error."""
+    def never(case):
+        raise AssertionError(f"built {case.text}")
+
+    monkeypatch.setattr(singular, "build_context", never)
+    with pytest.raises(InvalidParams, match="at most"):
+        default_lambda(CaseId("B-I", 1, 1), singular.MAX_ODD_LEVEL + 2, 0)
+    assert issubclass(ParityViolation, InvalidParams)
+
+
+def test_a_failed_root_lookup_is_an_internal_error(capsys, monkeypatch):
+    """Every key root_of looks up is one the program computed, so a miss,
+    here an odd factor's key dropped from the root data, exits 3 and names
+    its grid point."""
+    ctx = build_context(CaseId("D-I", 1, 2))
+    (pivot,), block = singular._osp_shape(ctx.alg)
+    key = pivot - block[0]
+    at = {k: i for k, i in ctx.alg.at.items() if k != key}
+    broken = singular.Context(dataclasses.replace(ctx.alg, at=at), ctx.table)
+    monkeypatch.setattr(cli, "build_context", lambda case: broken)
+    code, out, err = run(capsys, "verify", "--case", "D-I", "--m", "1", "--n", "2", "--N", "1")
+    assert (code, out) == (3, "")
+    assert err == f"internal error at D-I:m=1,n=2 N=1 seed=0: RootDataError: no positive root has lattice key {key}\n"
 
 
 def test_dump_script_refuses_an_oversized_case_before_set_up(capsys, monkeypatch):

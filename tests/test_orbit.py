@@ -208,6 +208,51 @@ def test_chain_frees_the_candidate_once_step_1_returns(monkeypatch):
     assert len(bodies) == len(CHAINS)
 
 
+def test_chain_drops_the_previous_theta_before_each_lift(monkeypatch):
+    """The chain hands each step its only reference to the element it
+    imports, so on every chain in tests/golden the candidate's body (before
+    step 1) and the previous theta' (before every later step) are gone when
+    the lift starts; an element a caller passes keeps its theta."""
+    real_candidate, real_divide, real_lift = singular.candidate_u, PBWEngine.right_divide, PBWEngine.lift
+    previous, gone_at_lift = [], []
+
+    def candidate_u(params, ctx):
+        u = real_candidate(params, ctx)
+        body = _Watched(u.body)
+        previous.append(weakref.ref(body))
+        return VermaVector(body, u.highest_weight)
+
+    def right_divide(self, x, g, p):
+        got = _Watched(real_divide(self, x, g, p))
+        previous.append(weakref.ref(got))
+        return got
+
+    def lift(self, f, L, theta):
+        gone_at_lift.append(previous[-1]() is None)
+        return real_lift(self, f, L, theta)
+
+    monkeypatch.setattr(singular, "candidate_u", candidate_u)
+    monkeypatch.setattr(PBWEngine, "right_divide", right_divide)
+    monkeypatch.setattr(PBWEngine, "lift", lift)
+    steps = 0
+    for text, C, target, _ in CHAINS:
+        case = CaseId.parse(text)
+        report = propagate_chain(case, C, target, seed=0, ctx=build_context(case))
+        assert report.ok and len(report.steps) >= 2
+        steps += len(report.steps)
+    assert gone_at_lift == [True] * steps
+
+    case = CaseId.parse("B-I:m=2,n=1")
+    ctx = build_context(case)
+    kappas = chain_kappas(1, ctx.alg)
+    mu = chain_weight(1, kappas, seed=0, alg=ctx.alg)
+    theta = real_candidate(CaseParams(case, 1, mu), ctx).body
+    shap = ShapovalovElement(ctx.alg.gamma, 1, mu, theta)
+    kept = dict(theta)
+    orbit_propagate(shap, kappas[0], ctx)
+    assert shap.theta is theta and theta == kept
+
+
 def test_dii_chain_visits_expected_roots():
     case = CaseId.parse("D-II:m=1,n=3")
     ctx = build_context(case)

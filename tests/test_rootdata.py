@@ -113,6 +113,22 @@ def test_bad_rho_is_a_root_data_error(monkeypatch):
         build_algebra_data(CaseId.parse("B-II:m=1,n=1"))
 
 
+@pytest.mark.parametrize("text", ["B-I:m=1,n=1", "B-II:m=1,n=1", "G3"])
+def test_gamma_of_the_wrong_parity_is_a_root_data_error(monkeypatch, text):
+    """The level rule reads whether gamma is odd from CaseId, before set-up,
+    so root data whose gamma disagrees is refused."""
+    case = CaseId.parse(text)
+    real = rootdata._BUILDERS[case.family]
+
+    def flipped_gamma(case):
+        alg = real(case)
+        return dataclasses.replace(alg, gamma=next(r for r in alg.pos_roots if r.odd != alg.gamma.odd))
+
+    monkeypatch.setitem(rootdata._BUILDERS, case.family, flipped_gamma)
+    with pytest.raises(RootDataError, match=rf"odd gamma \(\d+, \d+, {not case.odd_gamma}\), expected \(\d+, \d+, {case.odd_gamma}\)"):
+        build_algebra_data(case)
+
+
 def test_selftest_rho_check_is_the_set_up_check():
     """The selftest's rho check and the set-up read one rule, so the
     selftest names what the set-up would refuse."""
