@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
-"""Run a command and write its peak resident set size, in MB, to a file.
+"""Run a command and write its peak resident set size, in MB, and its CPU
+seconds to a file.
 
 The command inherits standard input, output and error, so its output can
-be piped on, and the script exits with the command's status.  The figure
-is getrusage(RUSAGE_CHILDREN).ru_maxrss / 1024: the largest peak RSS of any
-process the command's tree waited for (ru_maxrss is in KiB on Linux).
+be piped on, and the script exits with the command's status.  Both figures
+come from getrusage(RUSAGE_CHILDREN), which covers every process of the
+command's tree that was waited for: the peak is ru_maxrss / 1024, the
+largest peak RSS of any of them (ru_maxrss is in KiB on Linux), and the CPU
+time is ru_utime + ru_stime, summed over all of them.  The file holds one
+line, "MB SECONDS", so a shell reads it with `read -r mb cpu < OUT`.
 
 Usage:
     python3 scripts/max_rss.py OUT COMMAND [ARG...]
@@ -22,8 +26,8 @@ def main(argv) -> int:
         return 2
     out, command = argv[0], argv[1:]
     status = subprocess.run(command).returncode
-    peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-    Path(out).write_text(f"{peak:.1f}\n")
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    Path(out).write_text(f"{usage.ru_maxrss / 1024:.1f} {usage.ru_utime + usage.ru_stime:.2f}\n")
     return status
 
 

@@ -46,6 +46,7 @@ ORBIT_GOLDEN = "tests/test_golden.py::test_output_matches_golden[orbit_chains_se
 LIFTED_IMAGES = "tests/test_orbit.py::test_lifted_images_are_the_image_checks_images_with_f_kappa_appended"
 CHAIN_CONFIGS = "tests/test_orbit.py::test_chain_configs_reach_target"
 LEVEL_GRID = "tests/test_cli.py::test_every_level_of_a_grid_is_checked_before_set_up"
+JOIN = "tests/test_pbw.py::test_word_times_matches_one_power_at_a_time"
 
 MUTANTS = (
     Mutant(
@@ -111,6 +112,27 @@ MUTANTS = (
         "                if X is f_id or alg.heights[s] < max(alg.heights):\n"
         "                    set_entry(X(mu), X(nu), {X(s): Fraction(c, tc) for c in rhs.values()})",
         ("tests/test_superalgebra.py::test_table_is_complete",),
+    ),
+    Mutant(
+        "join-equal-ranks",
+        "pbw.py",
+        "rank[m[0][0]] > last for m in el",
+        "rank[m[0][0]] >= last for m in el",
+        (JOIN + "[B-I:m=2,n=1]", JOIN + "[G3]"),
+    ),
+    Mutant(
+        "join-odd-lead-raised",
+        "pbw.py",
+        " and not odd[m[0][0]]",
+        "",
+        (JOIN + "[B-I:m=2,n=1]", JOIN + "[F31]"),
+    ),
+    Mutant(
+        "join-raise-drops-el-exponent",
+        "pbw.py",
+        "word[-1][1] + m[0][1]",
+        "word[-1][1]",
+        (JOIN + "[D-II:m=1,n=2]", JOIN + "[F31]"),
     ),
     Mutant(
         "odd-power-scalar",

@@ -323,10 +323,11 @@ def cmd_verify(args) -> int:
 # orbit
 
 
-def _parse_target(text: Optional[str], alg):
-    """An index or an i,j pair; by default 1..k for gamma's k support coordinates."""
+def _parse_target(text: Optional[str], case: CaseId):
+    """An index or an i,j pair; by default 1..k for gamma's k support
+    coordinates, the one form that builds the case's context."""
     if text is None:
-        parts = list(range(1, 1 + len(_support(alg))))
+        parts = list(range(1, 1 + len(_support(build_context(case).alg))))
     else:
         parts = [_int(p, "--target", text) for p in text.split(",") if p.strip()]
     if len(parts) == 1:
@@ -410,7 +411,7 @@ def cmd_orbit(args) -> int:
     _check_run_size({"--C": len(levels), "--seed": len(seeds)})
     for C in levels:
         check_level(case, C, "C")
-    target = _parse_target(args.target, build_context(case).alg)
+    target = _parse_target(args.target, case)
     jobs = [(case.text, C, target, seed, args.p) for C in levels for seed in seeds]
     return _run_grid(_orbit_point, "{} C={} target={} seed={}", jobs, args, _orbit_text_line, "chains")
 

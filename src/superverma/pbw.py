@@ -18,6 +18,11 @@ one power of f_2gamma and at most one f_gamma, not N passes.  An engine holds on
 its tail of lowering generators and the order derived from them, and
 caches nothing.
 
+The product in U(g), word_times behind multiply, import_element and
+right_divide's round trip, joins a word that is already a normal-form
+monomial to el whole, as power_times takes a single x, when it ranks below
+el's leading generators; every other word goes one power at a time.
+
 The one place where a power passes a whole element at once is lift, the
 orbit step's f^L theta = sum_k C(L, k) (ad f)^k(theta) f^(L-k).  It is an
 identity of U(g), not an approximation: left and right multiplication by an
@@ -128,12 +133,54 @@ class PBWEngine:
 
     def multiply(self, a: UEAElement, b: UEAElement) -> UEAElement:
         """a * b in normal form; the monomials of a and b are read as
-        generator powers from left to right and need not be in normal form."""
-        return self._words_times(a, self.import_element(b), self.power_times)
+        generator powers from left to right and need not be in normal form.
+        Each word of a goes to word_times with b imported, so one that is
+        already a normal-form monomial below b's terms is joined whole."""
+        return self._times(a, self.import_element(b))
 
     def import_element(self, x: UEAElement) -> UEAElement:
-        """Re-straighten an element produced under another generator order."""
-        return self._words_times(x, el_one(), self.power_times)
+        """Re-straighten an element produced under another generator order:
+        x * 1, so a monomial already in this order's normal form is kept as
+        it is and every other one is straightened."""
+        return self._times(x, el_one())
+
+    def _times(self, a: UEAElement, el: UEAElement) -> UEAElement:
+        """a * el in U(g), for el in normal form: the sum over the words of a
+        of word_times(word, el)."""
+        out: UEAElement = {}
+        for mono, coef in a.items():
+            _merge(out, self.word_times(mono, el), coef)
+        return out
+
+    def word_times(self, word: Monomial, el: UEAElement) -> UEAElement:
+        """word * el in normal form, for a word read as generator powers from
+        left to right and el in normal form.
+
+        A word that is already a normal-form monomial is joined to el in one
+        step when its last generator ranks below the first generator of each
+        monomial of el: each monomial m of el gives word + m, which needs no
+        straightening.  When el is one monomial led by an even x, a word
+        ending in x joins it too, x's power rising by el's own exponent, as
+        power_times does for a single x.  Every other word is applied to el
+        one generator power at a time by power_times, from the right."""
+        rank = self.rank
+        odd = self.table.odd
+        last = -1
+        for g, e in word:
+            r = rank[g]
+            if r <= last or e < 1 or (e > 1 and odd[g]):
+                break
+            last = r
+        else:
+            if len(el) == 1:
+                ((m, c),) = el.items()
+                if m and word and word[-1][0] == m[0][0] and not odd[m[0][0]]:
+                    return {word[:-1] + ((m[0][0], word[-1][1] + m[0][1]),) + m[1:]: c}
+            if all(not m or rank[m[0][0]] > last for m in el):
+                return {word + m: c for m, c in el.items()}
+        for g, e in reversed(word):
+            el = self.power_times(g, e, el)
+        return el
 
     @staticmethod
     def _words_times(
@@ -141,8 +188,8 @@ class PBWEngine:
     ) -> UEAElement:
         """Sum over the words of a of each word applied to el from the right,
         one generator power at a time: power(g, e, part) is g^e . part.
-        With power_times this is a * el in U(g); verma's module action
-        passes its own power step."""
+        verma's module action passes its own power step; with power_times
+        this is a * el in U(g), which _times gives with whole words joined."""
         out: UEAElement = {}
         for mono, coef in a.items():
             part = el
@@ -378,8 +425,11 @@ class PBWEngine:
     def right_divide(self, x: UEAElement, bid: int, p: int) -> UEAElement:
         """Divide by bid^p on the right, for bid the even rightmost lowering
         generator; every monomial must carry bid^p.  Each quotient monomial
-        is multiplied back by bid^p, imported once, as it is stripped, and
-        must give its own term of x again."""
+        is multiplied back by bid^p, imported once, by word_times as it is
+        stripped, and must give its own monomial of x again, so no product of
+        the whole quotient is formed beside x.  A quotient monomial in normal
+        form is joined to bid^p in one step; any other is straightened and
+        fails."""
         self._check_rightmost_even(bid)
         if p < 0:
             raise ValueError("negative power")
@@ -395,7 +445,7 @@ class PBWEngine:
                 )
             e = mono[-1][1] - p
             q = mono[:-1] + ((bid, e),) if e else mono[:-1]
-            if self._words_times({q: coef}, divisor, self.power_times) != {mono: coef}:
+            if self.word_times(q, divisor) != {mono: 1}:
                 raise RoundTripFailure(
                     f"{self.render_monomial(q)} times {self.table.basis[bid].name}^{p}"
                     f" does not give back {self.render_monomial(mono)}"

@@ -19,8 +19,9 @@ a time, from the right, inside the module:
   ranks below R, walking into R from P otherwise), and a raising one walks
   on over R with base P.  Every term lands in one output dict.
 
-act applies each word of an element with the engine's word loop, as
-PBWEngine.multiply does in U(g); is_singular applies each simple raising
+act applies each word of an element one power at a time with the engine's
+word loop, as PBWEngine.multiply does in U(g) for a word it cannot join
+whole; is_singular applies each simple raising
 generator and keeps the first image that fails as the counterexample.
 
 Nothing keyed on lambda outlives a call: each call builds its own _Action,

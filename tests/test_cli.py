@@ -563,6 +563,27 @@ def test_parallel_jobs_match_serial(capsys, monkeypatch):
             assert (code, out) == (2, "") and "--p" in err, method
 
 
+def test_orbit_builds_a_context_in_the_main_process_only_for_the_default_target(capsys, monkeypatch):
+    """--target given, orbit under --jobs 2 builds no context in the main
+    process, where only the default target needs one; each worker builds
+    its own."""
+    built, real, main_pid = [], cli.build_context, os.getpid()
+
+    def counted(case):
+        if os.getpid() == main_pid:
+            built.append(case.text)
+        return real(case)
+
+    monkeypatch.setattr(cli, "build_context", counted)
+    argv = ("orbit", "--case", "D-II", "--m", "1", "--n", "3", "--C", "1,2", "--jobs", "2", "--json")
+    code, out, _ = run(capsys, *argv, "--target", "1,2")
+    assert (code, built) == (0, [])
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert [(r["C"], r["target"], r["ok"]) for r in recs] == [(1, [1, 2], True), (2, [1, 2], True)]
+    assert run(capsys, *argv) == (0, out, "")
+    assert built == ["D-II:m=1,n=3"]
+
+
 class RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
 

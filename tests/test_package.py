@@ -63,11 +63,17 @@ def test_optimized_mode_prints_the_same_bytes(argv):
 
 def test_max_rss_script_passes_output_and_status_through(tmp_path):
     """scripts/max_rss.py hands the command's output and exit status on and
-    writes the command's peak RSS, which covers what the command held."""
+    writes the command's peak RSS, which covers what the command held, and
+    the CPU seconds of its whole tree, a process the command waited for
+    included."""
     script = Path(__file__).resolve().parent.parent / "scripts" / "max_rss.py"
     out = tmp_path / "rss"
-    child = "import sys; b = bytearray(40 << 20); print('hi'); sys.exit(3)"
+    spin = "import time; t = time.process_time()\nwhile time.process_time() - t < 0.3: pass"
+    child = (f"import subprocess, sys; subprocess.run([sys.executable, '-c', {spin!r}], check=True)\n"
+             "b = bytearray(40 << 20); print('hi'); sys.exit(3)")
     run = subprocess.run([sys.executable, str(script), str(out), sys.executable, "-c", child],
                          capture_output=True, text=True, timeout=60)
     assert (run.returncode, run.stdout) == (3, "hi\n")
-    assert float(out.read_text()) >= 40
+    mb, cpu = map(float, out.read_text().split())
+    assert mb >= 40
+    assert cpu >= 0.3

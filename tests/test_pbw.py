@@ -312,6 +312,128 @@ def test_import_is_idempotent_and_order_independent():
                 assert other.element_weight(moved) == default.element_weight(x)
 
 
+JOIN_CASES = ["B-I:m=2,n=1", "D-II:m=1,n=2", "F31", "G3"]
+JOIN_WAYS = {"joined", "raised", "odd lead", "lead not above", "no normal form"}
+COEFFICIENTS = (1, -1, 2, Fraction(1, 2), Fraction(-3, 2))
+
+
+def join_way(engine, word, el):
+    """How word_times should take word * el, told from the monomials:
+    "joined" or "raised" in one step, or by power_times because the word is
+    no normal-form monomial, ends in an odd lead of a one-monomial el, or
+    does not rank below every lead of el."""
+    rank, odd = engine.rank, engine.table.odd
+    ranks = [rank[g] for g, _ in word]
+    if any(a >= b for a, b in zip(ranks, ranks[1:])) or any(e < 1 or (e > 1 and odd[g]) for g, e in word):
+        return "no normal form"
+    leads = [m[0][0] for m in el if m]
+    if word and len(el) == 1 and leads == [word[-1][0]]:
+        return "odd lead" if odd[word[-1][0]] else "raised"
+    return "joined" if all(not ranks or rank[g] > ranks[-1] for g in leads) else "lead not above"
+
+
+def join_inputs(engine, rng):
+    """A random word over all of U(g) and an el in normal form, of one
+    monomial or several, drawn so that every join way occurs."""
+    dim = engine.table.dim
+    odd = engine.table.odd
+    everything = range(dim)
+    if rng.random() < 0.5:
+        lead = rng.randrange(dim)
+        above = [g for g in everything if engine.rank[g] > engine.rank[lead]] or [lead]
+        tail = tuple(ge for ge in short_monomial(engine, rng, above, 3) if ge[0] != lead)
+        el = {((lead, 1 if odd[lead] else rng.randint(1, 2)),) + tail: rng.choice(COEFFICIENTS)}
+    else:
+        el = {short_monomial(engine, rng, everything, 4): rng.choice(COEFFICIENTS) for _ in range(rng.randint(2, 4))}
+    low = min((engine.rank[m[0][0]] for m in el if m), default=len(engine.sequence))
+    below = [g for g in everything if engine.rank[g] < low]
+    shape = rng.randrange(4)
+    if shape == 0:  # ordered below every lead
+        word = short_monomial(engine, rng, below, 4) if below else ()
+    elif shape == 1:  # ordered, ending in the lead of the first monomial
+        first = next(iter(el))
+        word = short_monomial(engine, rng, below, 3) if below else ()
+        if first:
+            g = first[0][0]
+            word += ((g, 1 if odd[g] else rng.randint(1, 2)),)
+    elif shape == 2:  # ordered, anywhere
+        word = short_monomial(engine, rng, everything, 4)
+    else:  # unordered, odd squares included
+        word = tuple((g, rng.randint(1, 2)) for g in (rng.randrange(dim) for _ in range(rng.randint(1, 4))))
+    return word, el
+
+
+@pytest.mark.parametrize("text", JOIN_CASES)
+def test_word_times_matches_one_power_at_a_time(text):
+    """word_times and the product it serves against the reference loop,
+    _words_times with power_times, on random words over all of U(g) and el
+    of one monomial or several, in the default and a tailed order: a word
+    joined or raised in one step makes no power_times call, and every
+    other way is drawn too."""
+    ctx = ctx_for(text)
+    rng = random.Random(f"join:{text}")
+    ways = collections.Counter()
+    for engine in (ctx.default_engine, tailed_engine(ctx)[0]):
+        reference = PBWEngine(ctx.table, engine.tail)
+        calls = []
+
+        def counted(x, j, el, engine=engine):
+            calls.append(x)
+            return PBWEngine.power_times(engine, x, j, el)
+
+        engine.power_times = counted
+        try:
+            for _ in range(150):
+                word, el = join_inputs(engine, rng)
+                want = reference._words_times({word: 1}, el, reference.power_times)
+                del calls[:]
+                got = engine.word_times(word, el)
+                assert got == want, (word, el)
+                assert all(map(is_canonical, got.values())), got
+                way = join_way(engine, word, el)
+                assert (way in ("joined", "raised")) == (not calls), (way, word, el)
+                ways[way] += 1
+                other, _ = join_inputs(engine, rng)
+                a = {word: rng.choice(COEFFICIENTS), other: rng.choice(COEFFICIENTS)}
+                assert engine._times(a, el) == reference._words_times(a, el, reference.power_times)
+        finally:
+            del engine.power_times
+    assert set(ways) == JOIN_WAYS, ways
+
+
+@pytest.mark.parametrize("text", JOIN_CASES)
+def test_products_and_division_match_one_power_at_a_time(text):
+    """multiply, import_element and right_divide give what the reference
+    loop gives, _words_times with power_times for every word, and its
+    round trip: on products over all of U(g), elements straightened under
+    the other order, and lowering elements times the divisor."""
+    ctx = ctx_for(text)
+    rng = random.Random(f"join products:{text}")
+    default = ctx.default_engine
+    engine, f = tailed_engine(ctx)
+    for one, other in ((default, engine), (engine, default)):
+        reference = PBWEngine(ctx.table, one.tail)
+
+        def ref_import(x):
+            return reference._words_times(x, el_one(), reference.power_times)
+
+        for _ in range(40):
+            (word, a), (other_word, b) = join_inputs(one, rng), join_inputs(one, rng)
+            a[word], b[other_word] = 3, -1
+            assert one.multiply(a, b) == reference._words_times(a, ref_import(b), reference.power_times)
+            assert one.import_element(a) == ref_import(a)
+            moved = other.multiply(a, b)
+            assert one.import_element(moved) == ref_import(moved)
+    lowering = engine.sequence[: ctx.table.n_pos]
+    for _ in range(20):
+        theta = {short_monomial(engine, rng, lowering, 4): rng.choice(COEFFICIENTS) for _ in range(rng.randint(1, 4))}
+        p = rng.randint(1, 3)
+        x = engine.multiply(theta, engine.gen(f, p))
+        appended = {m[:-1] + ((f, m[-1][1] + p),) if m and m[-1][0] == f else m + ((f, p),): c for m, c in theta.items()}
+        assert x == appended
+        assert engine.right_divide(x, f, p) == theta
+
+
 @settings(max_examples=20, deadline=None)
 @given(p=st.integers(min_value=1, max_value=3), pick=st.integers(min_value=0, max_value=10**9))
 def test_right_division_round_trip(p, pick):
@@ -344,17 +466,38 @@ def test_right_division_raises():
 
 def test_right_division_round_trip_failure_is_named(monkeypatch):
     """Each quotient monomial is certified by multiplying back by the
-    divisor, imported once, also under python -O, and a failure names the
-    monomial of the dividend."""
+    divisor, imported once, through word_times, also under python -O, and a
+    failure names the monomial of the dividend."""
     ctx = ctx_for("D-I:m=1,n=2")
     bid = ctx.table.f_gen(first_even_root(ctx.alg))
     engine = PBWEngine(ctx.table, (bid,))
     x = engine.multiply(random_lowering(engine, random.Random(3), 2), engine.gen(bid, 2))
-    monkeypatch.setattr(engine, "_words_times", lambda a, el, power: el_zero())
+    monkeypatch.setattr(engine, "word_times", lambda word, el: el_zero())
     with pytest.raises(RoundTripFailure) as info:
         engine.right_divide(x, bid, 2)
     named = [m for m in x if str(info.value).endswith(f" does not give back {engine.render_monomial(m)}")]
     assert len(named) == 1, str(info.value)
+
+
+def test_right_division_refuses_an_out_of_order_monomial():
+    """A dividend monomial that ends in f^p but is no normal-form monomial is
+    not joined back whole: its quotient straightens to something else, and
+    the round trip names it."""
+    ctx = ctx_for("B-I:m=2,n=1")
+    table = ctx.table
+    bid = table.f_gen(first_even_root(ctx.alg))
+    engine = ctx.engine(tail=(bid,))
+    even, odd = table.f_gen("d1-d2"), table.f_gen("d2-e1")
+    lo, hi = sorted((even, odd), key=engine.rank.__getitem__)
+    assert bid not in (even, odd) and table.bracket(hi, lo) and table.odd[odd]
+    for mono in (
+        ((hi, 1), (lo, 1), (bid, 2)),
+        ((even, 1), (even, 1), (bid, 2)),
+        ((odd, 1), (odd, 1), (bid, 2)),
+        ((odd, 2), (bid, 2)),
+    ):
+        with pytest.raises(RoundTripFailure, match=f"does not give back {re.escape(engine.render_monomial(mono))}$"):
+            engine.right_divide({mono: 3}, bid, 2)
 
 
 def test_even_power_commutation_expands_binomially():
