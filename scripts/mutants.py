@@ -46,7 +46,9 @@ ORBIT_GOLDEN = "tests/test_golden.py::test_output_matches_golden[orbit_chains_se
 LIFTED_IMAGES = "tests/test_orbit.py::test_lifted_images_are_the_image_checks_images_with_f_kappa_appended"
 CHAIN_CONFIGS = "tests/test_orbit.py::test_chain_configs_reach_target"
 LEVEL_GRID = "tests/test_cli.py::test_every_level_of_a_grid_is_checked_before_set_up"
-JOIN = "tests/test_pbw.py::test_word_times_matches_one_power_at_a_time"
+WORD_TIMES = "tests/test_pbw.py::test_word_times_matches_one_power_at_a_time"
+JOIN = "tests/test_pbw.py::test_join_matches_right_multiplication"
+LEFT_RULE = "tests/test_pbw.py::test_left_rule_matches_right_multiplication"
 
 MUTANTS = (
     Mutant(
@@ -114,25 +116,41 @@ MUTANTS = (
         ("tests/test_superalgebra.py::test_table_is_complete",),
     ),
     Mutant(
-        "join-equal-ranks",
+        "join-rank-reversed",
         "pbw.py",
-        "rank[m[0][0]] > last for m in el",
-        "rank[m[0][0]] >= last for m in el",
-        (JOIN + "[B-I:m=2,n=1]", JOIN + "[G3]"),
+        "if self.rank[g] < self.rank[h] else None",
+        "if self.rank[g] > self.rank[h] else None",
+        (JOIN + "[B-I:m=2,n=1]", LEFT_RULE + "[G3]"),
     ),
     Mutant(
-        "join-odd-lead-raised",
+        "join-odd-seam-raised",
         "pbw.py",
-        " and not odd[m[0][0]]",
-        "",
-        (JOIN + "[B-I:m=2,n=1]", JOIN + "[F31]"),
+        "return None if self.table.odd[g] else left[:-1]",
+        "return left[:-1]",
+        (JOIN + "[F31]", LEFT_RULE + "[B-I:m=1,n=1]"),
     ),
     Mutant(
-        "join-raise-drops-el-exponent",
+        "join-raise-drops-right-exponent",
         "pbw.py",
-        "word[-1][1] + m[0][1]",
-        "word[-1][1]",
-        (JOIN + "[D-II:m=1,n=2]", JOIN + "[F31]"),
+        "((g, a + b),)",
+        "((g, a),)",
+        (JOIN + "[D-II:m=1,n=2]", LEFT_RULE + "[D-I:m=1,n=2]"),
+    ),
+    Mutant(
+        "is-normal-repeated-generator",
+        "pbw.py",
+        "if r <= last or",
+        "if r < last or",
+        ("tests/test_pbw.py::test_lift_refuses_the_wrong_generator_or_element",
+         "tests/test_verma.py::test_module_action_needs_a_normal_form_body"),
+    ),
+    Mutant(
+        "words-exponent-dropped",
+        "verma.py",
+        "self.apply(g, e, images[mono[j + 1 :]])",
+        "self.apply(g, 1, images[mono[j + 1 :]])",
+        ("tests/test_verma.py::test_module_action_matches_straightening[B-I:m=1,n=1]",
+         "tests/test_verma.py::test_module_action_matches_straightening[G3]"),
     ),
     Mutant(
         "odd-power-scalar",

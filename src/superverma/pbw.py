@@ -18,10 +18,12 @@ one power of f_2gamma and at most one f_gamma, not N passes.  An engine holds on
 its tail of lowering generators and the order derived from them, and
 caches nothing.
 
-The product in U(g), word_times behind multiply, import_element and
-right_divide's round trip, joins a word that is already a normal-form
-monomial to el whole, as power_times takes a single x, when it ranks below
-el's leading generators; every other word goes one power at a time.
+join is the one rule for when two normal-form monomials multiply to one,
+and is_normal the one normal-form test.  The product in U(g), word_times
+behind multiply, import_element and right_divide's round trip, joins a
+normal-form word to el whole when it joins every monomial of el, as
+power_times joins x^j and lift f^(L-k); every other word goes one power at
+a time.
 
 The one place where a power passes a whole element at once is lift, the
 orbit step's f^L theta = sum_k C(L, k) (ad f)^k(theta) f^(L-k).  It is an
@@ -60,7 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Callable, Collection, Dict, Set, Tuple
+from typing import Collection, Dict, Optional, Set, Tuple
 
 from .rootdata import Weight, format_weight
 from .superalgebra import EMPTY, BracketTable, Coefficient, _exact, _merge, _scaled, _signed_sum
@@ -134,8 +136,8 @@ class PBWEngine:
     def multiply(self, a: UEAElement, b: UEAElement) -> UEAElement:
         """a * b in normal form; the monomials of a and b are read as
         generator powers from left to right and need not be in normal form.
-        Each word of a goes to word_times with b imported, so one that is
-        already a normal-form monomial below b's terms is joined whole."""
+        Each word of a goes to word_times with b imported, so a normal-form
+        word that joins every term of b is joined whole."""
         return self._times(a, self.import_element(b))
 
     def import_element(self, x: UEAElement) -> UEAElement:
@@ -156,59 +158,55 @@ class PBWEngine:
         """word * el in normal form, for a word read as generator powers from
         left to right and el in normal form.
 
-        A word that is already a normal-form monomial is joined to el in one
-        step when its last generator ranks below the first generator of each
-        monomial of el: each monomial m of el gives word + m, which needs no
-        straightening.  When el is one monomial led by an even x, a word
-        ending in x joins it too, x's power rising by el's own exponent, as
-        power_times does for a single x.  Every other word is applied to el
-        one generator power at a time by power_times, from the right."""
-        rank = self.rank
-        odd = self.table.odd
-        last = -1
-        for g, e in word:
-            r = rank[g]
-            if r <= last or e < 1 or (e > 1 and odd[g]):
-                break
-            last = r
-        else:
-            if len(el) == 1:
-                ((m, c),) = el.items()
-                if m and word and word[-1][0] == m[0][0] and not odd[m[0][0]]:
-                    return {word[:-1] + ((m[0][0], word[-1][1] + m[0][1]),) + m[1:]: c}
-            if all(not m or rank[m[0][0]] > last for m in el):
-                return {word + m: c for m, c in el.items()}
+        A normal-form word is joined to el in one step when it joins each
+        monomial of el (join), which needs no straightening; distinct
+        monomials of el give distinct joins.  Every other word is applied to
+        el one generator power at a time by power_times, from the right."""
+        if self.is_normal(word):
+            join = self.join
+            out: UEAElement = {}
+            for m, c in el.items():
+                key = join(word, m)
+                if key is None:
+                    break
+                out[key] = c
+            else:
+                return out
         for g, e in reversed(word):
             el = self.power_times(g, e, el)
         return el
 
-    @staticmethod
-    def _words_times(
-        a: UEAElement, el: UEAElement, power: Callable[[int, int, UEAElement], UEAElement]
-    ) -> UEAElement:
-        """Sum over the words of a of each word applied to el from the right,
-        one generator power at a time: power(g, e, part) is g^e . part.
-        verma's module action passes its own power step; with power_times
-        this is a * el in U(g), which _times gives with whole words joined."""
-        out: UEAElement = {}
-        for mono, coef in a.items():
-            part = el
-            for g, e in reversed(mono):
-                part = power(g, e, part)
-            _merge(out, part, coef)
-        return out
+    def join(self, left: Monomial, right: Monomial) -> Optional[Monomial]:
+        """left * right as one normal-form monomial, for left and right in
+        normal form, or None when it is not one.  It is one when either side
+        is 1, when left's last generator ranks below right's first, and when
+        the two meet in one even generator, whose powers add."""
+        if not left or not right:
+            return left + right
+        g, a = left[-1]
+        h, b = right[0]
+        if g == h:
+            return None if self.table.odd[g] else left[:-1] + ((g, a + b),) + right[1:]
+        return left + right if self.rank[g] < self.rank[h] else None
+
+    def is_normal(self, m: Monomial) -> bool:
+        """Whether m is a normal-form monomial: its generators strictly
+        ascending in the order, each exponent at least one, an odd one's
+        exactly one."""
+        rank = self.rank
+        odd = self.table.odd
+        last = -1
+        for g, e in m:
+            r = rank[g]
+            if r <= last or e < 1 or (e > 1 and odd[g]):
+                return False
+            last = r
+        return True
 
     def check_lowering(self, m: Monomial) -> None:
         """Raise WrongOrder unless m is a normal-form monomial of U(n^-)."""
-        rank = self.rank
-        last = -1
-        for g, e in m:
-            pos = rank[g]
-            if not last < pos < self.table.n_pos or e < 1 or (e > 1 and self.table.basis[g].odd):
-                raise WrongOrder(
-                    f"{self.render_monomial(m)} is not a normal-form monomial of U(n^-)"
-                )
-            last = pos
+        if not self.is_normal(m) or (m and self.rank[m[-1][0]] >= self.table.n_pos):
+            raise WrongOrder(f"{self.render_monomial(m)} is not a normal-form monomial of U(n^-)")
 
     def _insert_term(self, g: int, w: int, head: Monomial, rest: Monomial, coef, out) -> None:
         """walk's step in U(g): add coef * head * w * rest to out."""
@@ -221,8 +219,8 @@ class PBWEngine:
         to term(g, w, head, rest, coef, out), with head = base m[:i]
         x^(a-k), rest = m[i+1:] and coef its coefficient times c; the sign
         of c flips when an odd g passes an odd x.  Returns where g stopped
-        and c with its sign there.  Each caller supplies its own term, as
-        _words_times takes its own power step."""
+        and c with its sign there.  Each caller supplies its own term:
+        _insert_term in U(g), verma's _Action._term in the module."""
         table = self.table
         rank = self.rank
         odd = table.odd
@@ -345,16 +343,14 @@ class PBWEngine:
         k = j div 2 and r = j mod 2: one power of the even z, at most one x
         and one scalar.
 
-        Otherwise x is even or j <= 1, and two kinds of monomial take x^j
-        whole: one led by a generator ranked above x, which x^j is
-        prepended to, and one led by an even x itself, whose power rises by
-        j.  Every other monomial takes one x per pass: insert((), x, mono)
-        adds x * mono straight into the pass's one dict, which is
-        normalised once, zeros dropped, and is the next pass's el.
+        Otherwise x is even or j <= 1, and a monomial that x^j joins
+        (join) takes it whole: 1 or one led by a generator ranked above x,
+        which x^j is prepended to, and one led by an even x itself, whose
+        power rises by j.  Every other monomial takes one x per pass:
+        insert((), x, mono) adds x * mono straight into the pass's one dict,
+        which is normalised once, zeros dropped, and is the next pass's el.
         """
-        x_rank = self.rank[x]
-        even = not self.table.odd[x]
-        if not even and j > 1:
+        if self.table.odd[x] and j > 1:
             square = self.table.bracket(x, x)
             if not square:
                 return {}
@@ -362,18 +358,19 @@ class PBWEngine:
             k, r = divmod(j, 2)
             half = Fraction(c) / 2
             return _scaled(self.power_times(x, r, self.power_times(z, k, el)), half ** k)
+        join = self.join
         out: UEAElement = {}
         while j and el:
             # distinct monomials of el give distinct keys in one pass
+            power = ((x, j),)
             fast: UEAElement = {}
             slow: UEAElement = {}
             for mono, c in el.items():
-                if not mono or self.rank[mono[0][0]] > x_rank:
-                    fast[((x, j),) + mono] = c
-                elif even and mono[0][0] == x:
-                    fast[((x, j + mono[0][1]),) + mono[1:]] = c
-                else:
+                key = join(power, mono)
+                if key is None:
                     self.insert((), x, mono, c, slow)
+                else:
+                    fast[key] = c
             if out:
                 _merge(out, fast)
             else:
@@ -393,27 +390,21 @@ class PBWEngine:
         """f^L * theta in normal form, for f the even rightmost lowering
         generator and theta in normal form in U(n^-), by
         f^L X = sum_k C(L, k) (ad f)^k(X) f^(L-k), with (ad f)(X) = [f, X]
-        from commutator.  As f is ranked last in U(n^-), X f^j is one
-        concatenation or one exponent bump per monomial; ad f is locally
-        nilpotent, so the sum stops at the first zero (ad f)^k(theta) or at
-        k = L."""
+        from commutator.  As f is ranked last in U(n^-), each monomial of X
+        joins f^j (join), by concatenation or an exponent bump; ad f is
+        locally nilpotent, so the sum stops at the first zero
+        (ad f)^k(theta) or at k = L."""
         self._check_rightmost_even(f)
         if L < 0:
             raise ValueError("negative exponent")
         for m in theta:
             self.check_lowering(m)
-
-        def times_f(m: Monomial, j: int) -> Monomial:
-            if m and m[-1][0] == f:
-                return m[:-1] + ((f, m[-1][1] + j),)
-            return m + ((f, j),)
-
         out: UEAElement = {}
         term = theta  # (ad f)^k(theta)
         for k in range(L + 1):
             ck = comb(L, k)
             for m, c in term.items():
-                key = times_f(m, L - k) if k < L else m
+                key = self.join(m, ((f, L - k),)) if k < L else m
                 out[key] = out.get(key, 0) + ck * c
             if k == L:
                 break
@@ -453,11 +444,6 @@ class PBWEngine:
             out[q] = coef
         return out
 
-    def monomial_lattice(self, m: Monomial) -> Tuple[int, ...]:
-        """weight_den times the weight of m, on the lattice."""
-        (point,) = self._lattice_points((m,))
-        return point
-
     def element_lattice(self, x: UEAElement) -> Tuple[int, ...]:
         """weight_den times the weight every monomial of x shares, on the
         lattice; Inhomogeneous if there is none."""
@@ -468,9 +454,6 @@ class PBWEngine:
             mixed = ", ".join(f"({format_weight(self.table.alg.from_lattice(w))})" for w in sorted(points))
             raise Inhomogeneous(f"mixed weights {mixed}")
         return points.pop()
-
-    def monomial_weight(self, m: Monomial) -> Weight:
-        return self.table.alg.from_lattice(self.monomial_lattice(m))
 
     def element_weight(self, x: UEAElement) -> Weight:
         """The weight every monomial of x shares; Inhomogeneous if there is none."""

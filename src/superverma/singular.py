@@ -48,7 +48,7 @@ from .rootdata import (
     format_weight,
     pairing,
 )
-from .superalgebra import BracketTable, Coefficient, _merge, _scaled, build_structure_constants
+from .superalgebra import BracketTable, Coefficient, _scaled, build_structure_constants
 from .verma import VermaVector, _Action, is_singular
 
 
@@ -248,9 +248,8 @@ class Candidate:
         """The word of raising factors, as generator ids (the odd factors
         by default), straightened in U(n^+), acting once on tail v+, with
         tail a monomial of lowering generator ids (the candidate's tail by
-        default).  Each monomial of the word acts from its longest suffix
-        with a known image, one generator power at a time, adding the rest
-        to the images, which are kept for the last (engine, tail) only."""
+        default), through _Action.words with the kept images, which are
+        kept for the last (engine, tail) only."""
         lam = self.params.lam
         factors = self.odd_ids if factors is None else factors
         key = (engine, self.tail_ids if tail is None else tail)
@@ -258,16 +257,7 @@ class Candidate:
             self._images = (key, _Action(engine, lam), {(): engine.import_element({key[1]: 1})})
         _, action, images = self._images
         word = engine.import_element({tuple((g, 1) for g in factors): 1})
-        body: UEAElement = {}
-        for mono, coef in word.items():
-            i = 0
-            while mono[i:] not in images:
-                i += 1
-            for j in reversed(range(i)):
-                g, e = mono[j]
-                images[mono[j:]] = action.apply(g, e, images[mono[j + 1 :]])
-            _merge(body, images[mono], coef)
-        return VermaVector(body, lam)
+        return VermaVector(action.words(word, images), lam)
 
 
 # the F31 and G3 odd factors, by root name, in application order
@@ -732,7 +722,7 @@ def run_witness(cand: Candidate, ctx: Context) -> WitnessReport:
         u_k = cand.build(engine, ids, tail)
         mono = witness_monomial(engine, step.v_mono)
         coeff = u_k.body.get(mono, 0)
-        weight_ok = _of_weight(engine, u_k.body, engine.monomial_lattice(mono))
+        weight_ok = _of_weight(engine, u_k.body, engine.element_lattice({mono: 1}))
         rows.append(WitnessRow(step.label, coeff, weight_ok))
     u = cand.build(engine)
     first = u.body.get(witness_monomial(engine, spec.steps[0].v_mono), 0)

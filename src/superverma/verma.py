@@ -19,10 +19,10 @@ a time, from the right, inside the module:
   ranks below R, walking into R from P otherwise), and a raising one walks
   on over R with base P.  Every term lands in one output dict.
 
-act applies each word of an element one power at a time with the engine's
-word loop, as PBWEngine.multiply does in U(g) for a word it cannot join
-whole; is_singular applies each simple raising
-generator and keeps the first image that fails as the counterexample.
+_Action.words is the module's one word loop: each word acts from its
+longest suffix with a known image, one power at a time.  act starts it from
+the body alone, singular.Candidate from its kept images; is_singular applies
+each simple raising generator and keeps the first failing image.
 
 Nothing keyed on lambda outlives a call: each call builds its own _Action,
 which derives only <lambda - rho, h_j>, one dot product of lambda with the
@@ -37,11 +37,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .pbw import Monomial, PBWEngine, UEAElement
 from .rootdata import Weight, pairing, wdiff, wsum
-from .superalgebra import _exact, _scaled
+from .superalgebra import _exact, _merge, _scaled
 
 
 @dataclass(eq=False)
@@ -98,6 +98,21 @@ class _Action:
             body = self.engine.commutator(g, body, self._term)
         return body
 
+    def words(self, x: UEAElement, images: Dict[Monomial, UEAElement]) -> UEAElement:
+        """x . (images[()] v+) as a body, for images mapping suffixes of words
+        to their images on images[()]: each word of x acts from its longest
+        suffix in images, one power at a time, and adds its longer ones."""
+        out: UEAElement = {}
+        for mono, coef in x.items():
+            i = 0
+            while mono[i:] not in images:
+                i += 1
+            for j in reversed(range(i)):
+                g, e = mono[j]
+                images[mono[j:]] = self.apply(g, e, images[mono[j + 1 :]])
+            _merge(out, images[mono], coef)
+        return out
+
     def _term(self, z: int, w: int, head: Monomial, rest: Monomial, c, out) -> None:
         """PBWEngine.walk's step in the module: add c * head * w . (rest v+)
         to out, for a generator w of a chain the raising z leaves.  A
@@ -138,7 +153,7 @@ def act(x: UEAElement, v: VermaVector, engine: PBWEngine) -> VermaVector:
     """Apply an enveloping-algebra element, in the engine's normal form, to
     a module vector whose body is in the same normal form."""
     den, body = _integral(v, engine)
-    body = engine._words_times(x, body, _Action(engine, v.highest_weight).apply)
+    body = _Action(engine, v.highest_weight).words(x, {(): body})
     if den != 1:
         body = _scaled(body, Fraction(1, den))
     return VermaVector(body, v.highest_weight)

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import superverma
 from superverma import cli, singular
 from superverma.cli import main, parse_grid
-from superverma.pbw import NotDivisible, WrongOrder
+from superverma.pbw import NotDivisible, PBWEngine, WrongOrder
 from superverma.rootdata import (
     FAMILIES, OSP_FAMILIES, AlgebraData, CaseId, InvalidParams, IsotropicCoroot, ParityViolation,
 )
@@ -800,6 +800,24 @@ def test_failed_signflip_exits_one(capsys, monkeypatch):
     assert re.search(r"counterexample: permutation \[\d+(, \d+)*\] is not a sign flip", out), out
 
 
+@pytest.mark.parametrize("rows, first, counterexample", [
+    (((1, 3), (2, 0)), 5, "witness step 2 coefficient 0"),
+    (((1, 3), (2, -1)), 0, "candidate misses the first witness monomial"),
+])
+def test_failed_witness_exits_one(capsys, monkeypatch, rows, first, counterexample):
+    """A witness report with a zero step coefficient names that step; one
+    whose rows are all ok names the candidate's missing first monomial."""
+    report = singular.WitnessReport(
+        tuple(singular.WitnessRow(label, c, True) for label, c in rows), first
+    )
+    monkeypatch.setattr(cli, "run_witness", lambda cand, ctx: report)
+    code, out, _ = run(capsys, "verify", "--case", "B-I", "--m", "1", "--n", "1",
+                       "--N", "1", "--check", "witness")
+    assert code == 1
+    assert "witness=FAIL" in out
+    assert f"counterexample: {counterexample}" in out, out
+
+
 def test_signflip_rebuilds_add_no_forms(capsys, monkeypatch):
     """A point validates its params and derives its odd factors once for all
     of its sign-flip rebuilds, and each module slot reads its Cartan
@@ -866,6 +884,27 @@ def test_selftest_failure_named(capsys, monkeypatch):
     assert code == 1
     assert "FAIL jacobi" in out
     assert "first failure: jacobi" in out
+
+
+@pytest.mark.parametrize("fault, failures", [
+    ("division", [r"FAIL division       B-I:m=1,n=1  trial 0"]),
+    ("act", [r"FAIL string         B-I:m=1,n=1  string fails at power \d+",
+             r"FAIL sl2            B-I:m=2,n=1  commutation fails at l=\d+"]),
+])
+def test_selftest_names_each_failed_check(capsys, monkeypatch, fault, failures):
+    """A right division that returns 0 fails the division check, and a
+    module action that doubles every image fails the raising string and the
+    sl2 commutation; each failure is printed with its detail."""
+    if fault == "division":
+        monkeypatch.setattr(PBWEngine, "right_divide", lambda self, x, bid, p: {})
+    else:
+        monkeypatch.setattr(cli, "act", lambda x, v, engine, real=cli.act: real(x, v, engine).scaled(2))
+    code, out, _ = run(capsys, "selftest", "--case", "B-I")
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == len(failures), out
+    for line, pattern in zip(fails, failures):
+        assert re.fullmatch(pattern, line), line
 
 
 # the CLI grammar: small valid values, so that every accepted run stays

@@ -22,7 +22,7 @@ from superverma.cli import SMALLEST_CASES
 from superverma.rootdata import CaseId, wsum, wzero
 from superverma.singular import build_context
 from superverma.superalgebra import _merge
-from helpers import el_add, el_scale, el_sub, el_zero
+from helpers import el_add, el_scale, el_sub, el_zero, words_times
 
 CASES = ["B-I:m=1,n=1", "B-II:m=1,n=1", "D-I:m=1,n=2", "D-II:m=1,n=2", "F31", "G3"]
 
@@ -318,18 +318,25 @@ COEFFICIENTS = (1, -1, 2, Fraction(1, 2), Fraction(-3, 2))
 
 
 def join_way(engine, word, el):
-    """How word_times should take word * el, told from the monomials:
-    "joined" or "raised" in one step, or by power_times because the word is
-    no normal-form monomial, ends in an odd lead of a one-monomial el, or
-    does not rank below every lead of el."""
+    """How word_times should take word * el, told from the monomials: in
+    one step when the word is a normal-form monomial that joins every
+    monomial of el, "raised" when it meets one of them in an even
+    generator and "joined" otherwise; or by power_times because the word is
+    no normal-form monomial, meets a monomial of el in an odd generator
+    ("odd lead"), or ends above a monomial's lead ("lead not above")."""
     rank, odd = engine.rank, engine.table.odd
     ranks = [rank[g] for g, _ in word]
     if any(a >= b for a, b in zip(ranks, ranks[1:])) or any(e < 1 or (e > 1 and odd[g]) for g, e in word):
         return "no normal form"
-    leads = [m[0][0] for m in el if m]
-    if word and len(el) == 1 and leads == [word[-1][0]]:
-        return "odd lead" if odd[word[-1][0]] else "raised"
-    return "joined" if all(not ranks or rank[g] > ranks[-1] for g in leads) else "lead not above"
+    seams = {"joined"}
+    for m in el:
+        if word and m:
+            last, lead = word[-1][0], m[0][0]
+            if last == lead:
+                seams.add("odd lead" if odd[lead] else "raised")
+            elif rank[last] > rank[lead]:
+                seams.add("lead not above")
+    return next(way for way in ("odd lead", "lead not above", "raised", "joined") if way in seams)
 
 
 def join_inputs(engine, rng):
@@ -366,7 +373,7 @@ def join_inputs(engine, rng):
 @pytest.mark.parametrize("text", JOIN_CASES)
 def test_word_times_matches_one_power_at_a_time(text):
     """word_times and the product it serves against the reference loop,
-    _words_times with power_times, on random words over all of U(g) and el
+    words_times with power_times, on random words over all of U(g) and el
     of one monomial or several, in the default and a tailed order: a word
     joined or raised in one step makes no power_times call, and every
     other way is drawn too."""
@@ -385,7 +392,7 @@ def test_word_times_matches_one_power_at_a_time(text):
         try:
             for _ in range(150):
                 word, el = join_inputs(engine, rng)
-                want = reference._words_times({word: 1}, el, reference.power_times)
+                want = words_times({word: 1}, el, reference.power_times)
                 del calls[:]
                 got = engine.word_times(word, el)
                 assert got == want, (word, el)
@@ -395,16 +402,71 @@ def test_word_times_matches_one_power_at_a_time(text):
                 ways[way] += 1
                 other, _ = join_inputs(engine, rng)
                 a = {word: rng.choice(COEFFICIENTS), other: rng.choice(COEFFICIENTS)}
-                assert engine._times(a, el) == reference._words_times(a, el, reference.power_times)
+                assert engine._times(a, el) == words_times(a, el, reference.power_times)
         finally:
             del engine.power_times
     assert set(ways) == JOIN_WAYS, ways
 
 
+def seam(engine, left, right):
+    """How two normal-form monomials meet: "empty" when either is 1, else
+    by left's last and right's first generator: "even seam" or "odd seam"
+    when they are one generator, "below" or "descending" by rank."""
+    if not left or not right:
+        return "empty"
+    g, h = left[-1][0], right[0][0]
+    if g == h:
+        return "odd seam" if engine.table.odd[g] else "even seam"
+    return "below" if engine.rank[g] < engine.rank[h] else "descending"
+
+
+def join_pair(engine, rng):
+    """Two random normal-form monomials, drawn so that every seam occurs."""
+    seq, odd = engine.sequence, engine.table.odd
+    shape = rng.randrange(4)
+    if shape == 0:
+        m = short_monomial(engine, rng, seq, 4)
+        return ((), m) if rng.random() < 0.5 else (m, ())
+    k = rng.randrange(len(seq))
+    g = seq[k]
+    below = short_monomial(engine, rng, seq[:k], 3) if k else ()
+    above = short_monomial(engine, rng, seq[k + 1 :], 3) if k + 1 < len(seq) else ()
+
+    def power():
+        return ((g, 1 if odd[g] else rng.randint(1, 2)),)
+
+    if shape == 1:
+        return below + power(), power() + above
+    if shape == 2:
+        return below + power(), above
+    return above, below + power()
+
+
+@pytest.mark.parametrize("text", JOIN_CASES)
+def test_join_matches_right_multiplication(text):
+    """join against the right-multiplication reference on random pairs of
+    normal-form monomials, in the default and a tailed order: where it
+    answers, left * right is that one monomial with coefficient 1, and it
+    answers None exactly at an odd seam or a descending one."""
+    ctx = ctx_for(text)
+    rng = random.Random(f"join monomials:{text}")
+    seams = collections.Counter()
+    for engine in (ctx.default_engine, tailed_engine(ctx)[0]):
+        for _ in range(80):
+            left, right = join_pair(engine, rng)
+            way = seam(engine, left, right)
+            seams[way] += 1
+            joined = engine.join(left, right)
+            assert (joined is None) == (way in ("odd seam", "descending")), (way, left, right)
+            if joined is not None:
+                assert right_product(engine, {left: 1}, {right: 1}) == {joined: 1}, (left, right)
+    assert set(seams) == {"empty", "below", "even seam", "odd seam", "descending"}, seams
+
+
 @pytest.mark.parametrize("text", JOIN_CASES)
 def test_products_and_division_match_one_power_at_a_time(text):
     """multiply, import_element and right_divide give what the reference
-    loop gives, _words_times with power_times for every word, and its
+    loop gives, words_times with power_times for every word, and its
     round trip: on products over all of U(g), elements straightened under
     the other order, and lowering elements times the divisor."""
     ctx = ctx_for(text)
@@ -415,12 +477,12 @@ def test_products_and_division_match_one_power_at_a_time(text):
         reference = PBWEngine(ctx.table, one.tail)
 
         def ref_import(x):
-            return reference._words_times(x, el_one(), reference.power_times)
+            return words_times(x, el_one(), reference.power_times)
 
         for _ in range(40):
             (word, a), (other_word, b) = join_inputs(one, rng), join_inputs(one, rng)
             a[word], b[other_word] = 3, -1
-            assert one.multiply(a, b) == reference._words_times(a, ref_import(b), reference.power_times)
+            assert one.multiply(a, b) == words_times(a, ref_import(b), reference.power_times)
             assert one.import_element(a) == ref_import(a)
             moved = other.multiply(a, b)
             assert one.import_element(moved) == ref_import(moved)
@@ -462,6 +524,20 @@ def test_right_division_raises():
         tailed.right_divide(tailed.gen(even, 1), even, 2)
     with pytest.raises(NotDivisible):
         tailed.right_divide(tailed.gen(ctx.table.f_gen("d1")), even, 1)
+
+
+def test_negative_exponents_are_refused_and_division_by_one_copies():
+    """gen and right_divide refuse a negative exponent, and dividing by
+    f^0 returns a copy of the dividend, not the dividend itself."""
+    ctx = ctx_for("D-I:m=1,n=2")
+    engine, f = tailed_engine(ctx)
+    with pytest.raises(ValueError, match="^negative exponent$"):
+        engine.gen(f, -1)
+    x = engine.multiply(random_lowering(engine, random.Random(5), 2), engine.gen(f, 2))
+    with pytest.raises(ValueError, match="^negative power$"):
+        engine.right_divide(x, f, -1)
+    got = engine.right_divide(x, f, 0)
+    assert got == x and got is not x
 
 
 def test_right_division_round_trip_failure_is_named(monkeypatch):
@@ -621,6 +697,9 @@ def test_lift_refuses_the_wrong_generator_or_element():
     assert [engine.rank[g] for g, _ in mono] == [6, 0]
     with pytest.raises(WrongOrder, match="is not a normal-form monomial of U"):
         engine.lift(f, 2, {mono: 1})
+    # nor is a generator repeated
+    with pytest.raises(WrongOrder, match="is not a normal-form monomial of U"):
+        engine.lift(f, 2, {mono[1:] * 2: 1})
 
 
 def test_element_weight_rejects_mixtures_and_zero():
@@ -736,7 +815,7 @@ def is_fraction_weight(w) -> bool:
 @pytest.mark.parametrize("text", SMALLEST_CASES)
 def test_lattice_weights_match_fraction_sums(text):
     """Each basis weight's row holds weight_den times its nonzero
-    coordinates as ints, and monomial_weight and element_weight, summed
+    coordinates as ints, and element_weight of one monomial or more, summed
     from the rows, equal the Fraction sum exactly, under the default engine
     and a tailed one; F31 is the case with weight_den 2."""
     ctx = ctx_for(text)
@@ -751,7 +830,7 @@ def test_lattice_weights_match_fraction_sums(text):
     for engine in (ctx.default_engine, ctx.engine(tail=(first_even_root(ctx.alg),))):
         for _ in range(40):
             m = random_normal_monomial(engine, rng)
-            got = engine.monomial_weight(m)
+            got = engine.element_weight({m: 1})
             assert got == reference_monomial_weight(engine, m) and is_fraction_weight(got)
         for _ in range(8):
             x = random_lowering(engine, rng, 3)

@@ -260,6 +260,7 @@ def test_module_action_needs_a_normal_form_body():
     f0, f1 = sorted(range(table.n_pos), key=eng.rank.get)[:2]
     for body in (
         {((f1, 1), (f0, 1)): Fraction(1)},  # out of order
+        {((f0, 1), (f0, 1)): Fraction(1)},  # a repeated generator
         {((f0, 1), (table.h_id(0), 1)): Fraction(1)},  # not in U(n^-)
     ):
         with pytest.raises(WrongOrder):
