@@ -142,7 +142,8 @@ MUTANTS = (
         "if r <= last or",
         "if r < last or",
         ("tests/test_pbw.py::test_lift_refuses_the_wrong_generator_or_element",
-         "tests/test_verma.py::test_module_action_needs_a_normal_form_body"),
+         "tests/test_verma.py::test_module_action_needs_a_normal_form_body",
+         WORD_TIMES + "[G3]"),
     ),
     Mutant(
         "words-exponent-dropped",
@@ -222,6 +223,13 @@ MUTANTS = (
         'raise RootDataError(f"no positive root has lattice key {key}")',
         'raise InvalidParams(f"no positive root has lattice key {key}")',
         ("tests/test_cli.py::test_a_failed_root_lookup_is_an_internal_error",),
+    ),
+    Mutant(
+        "reference-cartan-half-dropped",
+        "superalgebra.py",
+        "_row_sum(((half, rows[dm.index]),))",
+        "_row_sum(((1, rows[dm.index]),))",
+        ("tests/test_superalgebra.py::test_reference_scaling",),
     ),
 )
 

@@ -367,9 +367,6 @@ class AlgebraData:
     def form(self, a: Weight, b: Weight) -> Fraction:
         return _form(self.form_matrix, a, b)
 
-    def norm(self, a: Weight) -> Fraction:
-        return self.form(a, a)
-
     def root_named(self, name: str) -> RootDatum:
         try:
             return self.pos_roots[self.names[name]]
@@ -382,13 +379,6 @@ class AlgebraData:
         if self.pos_roots[i].isotropic:
             raise IsotropicCoroot(f"root {self.pos_roots[i].name} is isotropic")
         return pairing(self.coroot_rows[i], lam)
-
-    def coroot_dual(self, b: Weight) -> Weight:
-        """Weight nu with <mu, h_b> = (mu, nu) for all mu."""
-        nn = self.norm(b)
-        if nn == 0:
-            raise IsotropicCoroot(f"root ({format_weight(b)}) is isotropic")
-        return wscale(Fraction(2) / nn, b)
 
     def reflect(self, lam: Weight, beta: RootSpec) -> Weight:
         i = self.as_index(beta)

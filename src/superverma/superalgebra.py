@@ -34,6 +34,11 @@ coefficient is stored in one canonical form: an int when it is integral,
 a Fraction otherwise (never a float, never a Fraction with denominator 1).
 Most coefficients here and in the PBW and module layers are integers, and
 int arithmetic is much cheaper than Fraction arithmetic.
+
+A Cartan value c_0 h_0 + ... is one coroot row, the sum of c_j times the
+simple roots' coroot rows of the root data (cartan_row), so every pairing
+<w, h> is one dot product; a basis element's weight is its lattice row,
+weight_rows[b].
 """
 
 from __future__ import annotations
@@ -42,20 +47,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from types import MappingProxyType
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .rootdata import (
-    AlgebraData,
-    RootSpec,
-    Row,
-    Weight,
-    _exact,
-    pairing,
-    wdiff,
-    wneg,
-    wsum,
-    wzero,
-)
+from .rootdata import AlgebraData, RootSpec, Row, Weight, _exact, pairing
 
 # an exact rational: an int when integral, a Fraction otherwise
 Coefficient = Union[int, Fraction]
@@ -73,7 +67,6 @@ class BasisElement:
     bid: int
     kind: str  # "f", "h", or "e"
     index: int  # positive-root index for e/f, simple index for h
-    weight: Weight
     odd: bool
     name: str
 
@@ -112,6 +105,14 @@ def _merge(into: Dict, val: Dict, c: Coefficient = 1) -> None:
             into[k] = _exact(new)
         elif old is not None:
             del into[k]
+
+
+def _row_sum(terms: Iterable[Tuple[Coefficient, Row]]) -> Row:
+    """The row of the sum of c * h over the (c, row of h) in terms."""
+    out: Dict[int, Coefficient] = {}
+    for c, row in terms:
+        _merge(out, dict(row), c)
+    return tuple(sorted(out.items()))
 
 
 def _left_bracket(bracket: Callable[[int, int], Value], x: int, val: Value) -> Value:
@@ -154,7 +155,6 @@ class BracketTable:
     # the nonzero brackets only, keyed (x, y); a pair not here is zero and
     # reads as EMPTY through bracket
     entries: Dict[Tuple[int, int], Value]
-    cartan_duals: Tuple[Weight, ...]
     # the basis is f_0..f_{P-1}, h_0..h_{R-1}, e_0..e_{P-1}: P = n_pos
     # positive roots and R = n_cartan simple roots
     n_pos: int = field(init=False)
@@ -187,7 +187,7 @@ class BracketTable:
         self.weight_rows = tuple(tuple((i, -c) for i, c in row) for row in pos_rows) + ((),) * R + pos_rows
         self.cartan_rows = tuple(alg.coroot_rows[i] for i in alg.simple_pos_index)
         self.rho_pairings = tuple(_exact(pairing(row, alg.rho)) for row in self.cartan_rows)
-        pos = tuple(tuple(self.cartan_pairing(j, r.weight) for j in range(R)) for r in alg.pos_roots)
+        pos = tuple(tuple(_exact(pairing(row, r.weight)) for row in self.cartan_rows) for r in alg.pos_roots)
         self.pairings = tuple(tuple(-c for c in row) for row in pos) + ((0,) * R,) * R + pos
         self.odd = tuple(el.odd for el in self.basis)
 
@@ -213,13 +213,14 @@ class BracketTable:
     def bracket(self, x: int, y: int) -> Value:
         return self.entries.get((x, y), EMPTY)
 
-    def cartan_pairing(self, simple_index: int, w: Weight) -> Coefficient:
-        """<w, h_j> in canonical form, read from cartan_rows."""
-        return _exact(pairing(self.cartan_rows[simple_index], w))
+    def cartan_row(self, val: Value) -> Row:
+        """The coroot row of a Cartan-valued bracket result h, the sum of
+        c * cartan_rows[j] over its terms c * h_j: <w, h> is pairing(row, w)."""
+        return _row_sum((c, self.cartan_rows[j]) for j, c in self._cartan_terms(val))
 
     def h_value_pairing(self, val: Value, w: Weight) -> Coefficient:
-        """Pairing <w, h> for a Cartan-valued bracket result h."""
-        return _exact(sum(c * self.cartan_pairing(j, w) for j, c in self._cartan_terms(val)))
+        """<w, h> in canonical form for a Cartan-valued bracket result h."""
+        return _exact(pairing(self.cartan_row(val), w))
 
     def ad_row(self, g: int) -> Dict[int, List[Value]]:
         """For each generator x with [g, x] != 0, ad_chain's list for (g, x)
@@ -234,21 +235,12 @@ class BracketTable:
         """[(ad_R x)^k(g) for k = 1, 2, ...] with (ad_R x)(y) = [y, x]: at
         least up to k = a, or up to the first zero, where the root string
         through g ends.  Cached per (g, x), so at most dim^2 lists, each
-        grown on demand; the caller applies the binomials and must not
-        change the list."""
-        chain = self.ad_row(g).get(x)
-        if chain is None:
-            return []
+        grown on demand; the caller asks only for an x with [g, x] != 0,
+        applies the binomials and must not change the list."""
+        chain = self.ad_row(g)[x]
         while len(chain) < a and chain[-1]:
             chain.append(_right_bracket(self.bracket, chain[-1], x))
         return chain
-
-    def h_value_dual(self, val: Value) -> Weight:
-        """Weight nu with <w, h> = (w, nu) for a Cartan-valued result."""
-        out = wzero(self.alg.rank)
-        for j, c in self._cartan_terms(val):
-            out = wsum(out, tuple(c * x for x in self.cartan_duals[j]))
-        return out
 
     def _cartan_terms(self, val: Value) -> Iterator[Tuple[int, Coefficient]]:
         """(simple index j, coefficient of h_j) for each term of a Cartan-valued result."""
@@ -267,15 +259,12 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
     R = len(alg.simple_system)
     basis: List[BasisElement] = []
     for i, r in enumerate(alg.pos_roots):
-        basis.append(BasisElement(i, "f", i, wneg(r.weight), r.odd, f"f_{{{r.name}}}"))
+        basis.append(BasisElement(i, "f", i, r.odd, f"f_{{{r.name}}}"))
     for j, s in enumerate(alg.simple_system):
-        basis.append(BasisElement(P + j, "h", j, wzero(alg.rank), False, f"h_{{{s.name}}}"))
+        basis.append(BasisElement(P + j, "h", j, False, f"h_{{{s.name}}}"))
     for i, r in enumerate(alg.pos_roots):
-        basis.append(BasisElement(P + R + i, "e", i, r.weight, r.odd, f"e_{{{r.name}}}"))
-    duals = tuple(
-        s.weight if s.isotropic else alg.coroot_dual(s.weight) for s in alg.simple_system
-    )
-    table = BracketTable(alg=alg, basis=tuple(basis), entries={}, cartan_duals=duals)
+        basis.append(BasisElement(P + R + i, "e", i, r.odd, f"e_{{{r.name}}}"))
+    table = BracketTable(alg=alg, basis=tuple(basis), entries={})
     entries = table.entries
     f_id, h_id, e_id = table.f_id, table.h_id, table.e_id
 
@@ -467,7 +456,9 @@ def check_reference_scaling(table: BracketTable) -> ScalingReport:
     e_n +- d_m fixes nine brackets.  A diagonal rescaling of the six root
     vectors (two scales are free gauges) must carry our table onto that list;
     the function solves for the scales from a spanning subset and then checks
-    every relation, including the Cartan-valued ones.
+    every relation, including the Cartan-valued ones.  A Cartan value is
+    compared as its coroot row (cartan_row); the reference values
+    (h_{d_m} + h_{e_n})/2 and h_{d_m}/2 are half-sums of alg.coroot_rows.
     """
     alg = table.alg
     if alg.case.family != "B-II":
@@ -478,17 +469,18 @@ def check_reference_scaling(table: BracketTable) -> ScalingReport:
 
     e = {r.name: table.e_gen(r) for r in (dm, en, emd, epd)}
     f = {r.name: table.f_gen(r) for r in (dm, en, emd, epd)}
-    # (x, y, rhs) with rhs either (gen id, coefficient) or ("h", dual weight);
-    # the reference Cartan values (h_{d_m} + h_{e_n})/2 and h_{d_m}/2 have
-    # dual weights d_m - e_n and d_m under this form normalization
+    half = Fraction(1, 2)
+    rows = alg.coroot_rows
+    # (x, y, rhs) with rhs either (gen id, coefficient) or ("h", coroot row);
+    # the reference Cartan values are (h_{d_m} + h_{e_n})/2 and h_{d_m}/2
     relations = [
         (e[epd.name], f[en.name], (e[dm.name], Fraction(-1))),
         (e[emd.name], f[en.name], (f[dm.name], Fraction(-1))),
         (e[dm.name], f[en.name], (f[emd.name], Fraction(1))),
         (f[dm.name], f[en.name], (f[epd.name], Fraction(1))),
-        (e[emd.name], f[emd.name], ("h", wdiff(dm.weight, en.weight))),
+        (e[emd.name], f[emd.name], ("h", _row_sum(((half, rows[dm.index]), (half, rows[en.index]))))),
         (e[emd.name], e[dm.name], (e[en.name], Fraction(-1))),
-        (e[dm.name], f[dm.name], ("h", dm.weight)),
+        (e[dm.name], f[dm.name], ("h", _row_sum(((half, rows[dm.index]),)))),
         (e[dm.name], f[epd.name], (f[en.name], Fraction(-1))),
         (f[emd.name], f[dm.name], (f[en.name], Fraction(1))),
     ]
@@ -499,16 +491,16 @@ def check_reference_scaling(table: BracketTable) -> ScalingReport:
         for x, y, rhs in relations:
             val = table.bracket(x, y)
             if rhs[0] == "h":
-                # c_x * c_y * dual(val) = rhs dual; solves one unknown factor
+                # c_x * c_y * row(val) = rhs row; solves one unknown factor
                 unknown = [g for g in (x, y) if g not in scales]
                 if len(unknown) != 1:
                     continue
-                dual = table.h_value_dual(val)
-                coord = next((i for i, c in enumerate(rhs[1]) if c), None)
-                if coord is None or dual[coord] == 0:
+                coord, want = rhs[1][0]
+                got = dict(table.cartan_row(val)).get(coord)
+                if got is None:
                     return ScalingReport(False, {}, _relation_mismatch(table, x, y, val))
                 known = scales[y] if unknown[0] == x else scales[x]
-                scales[unknown[0]] = rhs[1][coord] / (dual[coord] * known)
+                scales[unknown[0]] = want / (got * known)
                 changed = True
                 continue
             target, coeff = rhs
@@ -533,8 +525,7 @@ def check_reference_scaling(table: BracketTable) -> ScalingReport:
         val = table.bracket(x, y)
         factor = scales[x] * scales[y]
         if rhs[0] == "h":
-            dual = table.h_value_dual(val)
-            if tuple(factor * c for c in dual) != rhs[1]:
+            if tuple((i, factor * c) for i, c in table.cartan_row(val)) != rhs[1]:
                 return ScalingReport(False, {}, _relation_mismatch(table, x, y, val))
         else:
             target, coeff = rhs

@@ -1,12 +1,15 @@
 """Test-only helpers: element arithmetic on sparse U(g) elements, the
-one-power-at-a-time word loop and the F31 sign-tuple reading of a weight."""
+one-power-at-a-time word loop, the F31 sign-tuple reading of a weight, the
+Fraction weights of the basis and the Cartan generators' dual weights
+(references that the package itself does not keep), and a bracket table
+with one pair damaged."""
 
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Tuple
 
 from superverma.pbw import UEAElement
-from superverma.rootdata import Weight
-from superverma.superalgebra import _merge, _scaled
+from superverma.rootdata import AlgebraData, Weight, wneg, wscale, wsum, wzero
+from superverma.superalgebra import BracketTable, Coefficient, Value, _merge, _scaled
 
 
 def el_zero() -> UEAElement:
@@ -47,3 +50,44 @@ def f31_signs_of(w: Weight) -> Optional[str]:
     if len(w) != 4 or any(abs(x) != Fraction(1, 2) for x in w):
         return None
     return "".join("+" if x > 0 else "-" for x in w)
+
+
+def basis_weight(table: BracketTable, bid: int) -> Weight:
+    """The Fraction weight of basis element bid, read from the root data:
+    -sigma for f_sigma, 0 for h_j, sigma for e_sigma."""
+    el = table.basis[bid]
+    if el.kind == "h":
+        return wzero(table.alg.rank)
+    w = table.alg.pos_roots[el.index].weight
+    return wneg(w) if el.kind == "f" else w
+
+
+def cartan_duals(alg: AlgebraData) -> Tuple[Weight, ...]:
+    """For each simple root alpha_j, the weight nu_j with <w, h_j> = (w, nu_j)
+    for every w, by the bilinear form: 2 alpha_j / (alpha_j, alpha_j), or
+    alpha_j itself when (alpha_j, alpha_j) = 0."""
+    out = []
+    for s in alg.simple_system:
+        norm = alg.form(s.weight, s.weight)
+        out.append(s.weight if norm == 0 else wscale(Fraction(2) / norm, s.weight))
+    return tuple(out)
+
+
+def value_dual(table: BracketTable, val: Value) -> Weight:
+    """The dual weight of a Cartan-valued bracket result: the sum of c * nu_j
+    over its terms c * h_j."""
+    duals = cartan_duals(table.alg)
+    out = wzero(table.alg.rank)
+    for bid, c in val.items():
+        el = table.basis[bid]
+        assert el.kind == "h", el.name
+        out = wsum(out, wscale(c, duals[el.index]))
+    return out
+
+
+def with_pair_scaled(table: BracketTable, x: int, y: int, c: Coefficient) -> BracketTable:
+    """A table equal to table but for [x, y] and its transpose, times c."""
+    entries = dict(table.entries)
+    for key in ((x, y), (y, x)):
+        entries[key] = _scaled(entries[key], c)
+    return BracketTable(table.alg, table.basis, entries)

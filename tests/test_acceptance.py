@@ -14,7 +14,7 @@ import pytest
 
 from superverma.cli import main as cli_main
 from superverma.pbw import el_one
-from helpers import el_add, el_scale, el_sub, el_zero
+from helpers import basis_weight, el_add, el_scale, el_sub, el_zero
 from superverma.rootdata import CaseId, ParityViolation, wdiff, wsum
 from superverma.singular import (
     CaseParams,
@@ -298,7 +298,7 @@ def test_criterion_7_engine_properties():
             other = engine.multiply(el, engine.gen(gid))
             if el and other:
                 assert engine.element_weight(other) == wsum(
-                    engine.element_weight(el), ctx.table.basis[gid].weight
+                    engine.element_weight(el), basis_weight(ctx.table, gid)
                 )
         bid = ctx.table.f_gen(next(r for r in ctx.alg.pos_roots if not r.odd))
         tailed = ctx.engine(tail=(bid,))

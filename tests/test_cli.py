@@ -30,6 +30,7 @@ from superverma.rootdata import (
 )
 from superverma.singular import Candidate, CaseParams, build_context, candidate, default_lambda
 from superverma.verma import SingularityReport, UnexpectedRaising, VermaVector
+from helpers import with_pair_scaled
 
 
 def run(capsys, *argv):
@@ -886,20 +887,53 @@ def test_selftest_failure_named(capsys, monkeypatch):
     assert "first failure: jacobi" in out
 
 
+def damaged_b2_context(case, real=cli.build_context):
+    """build_context, but for B-II with [e_{d_m}, f_{d_m}] and its transpose,
+    a Cartan-valued relation of the reference list, scaled by 3."""
+    ctx = real(case)
+    if case.family != "B-II":
+        return ctx
+    table, d = ctx.table, f"d{case.m}"
+    return singular.Context(ctx.alg, with_pair_scaled(table, table.e_gen(d), table.f_gen(d), 3))
+
+
+def multiply_dropping_a_term(self, x, y, real=PBWEngine.multiply):
+    """The product with its first term left out when it has two or more."""
+    out = real(self, x, y)
+    if len(out) > 1:
+        del out[next(iter(out))]
+    return out
+
+
 @pytest.mark.parametrize("fault, failures", [
     ("division", [r"FAIL division       B-I:m=1,n=1  trial 0"]),
     ("act", [r"FAIL string         B-I:m=1,n=1  string fails at power \d+",
              r"FAIL sl2            B-I:m=2,n=1  commutation fails at l=\d+"]),
+    ("scaling", [r"FAIL jacobi         B-II:m=1,n=1  Jacobi fails for \(f_\{e1\}, f_\{d1\}, e_\{d1\+e1\}\)",
+                 r"FAIL associativity  B-II:m=1,n=1  triple \[10, 10, 3\]",
+                 r"FAIL candidate      B-II:m=1,n=1  e_\{d1\} u = 48 f_\{e1-d1\} v\+",
+                 r"FAIL scaling        B-II:m=1,n=1  \[e_\{e1-d1\}, f_\{e1\}\] = f_\{d1\}"
+                 r" cannot be rescaled onto the reference list"]),
+    ("multiply", [r"FAIL associativity  B-I:m=1,n=1  triple \[11, 8, 3\]"]),
 ])
 def test_selftest_names_each_failed_check(capsys, monkeypatch, fault, failures):
-    """A right division that returns 0 fails the division check, and a
-    module action that doubles every image fails the raising string and the
-    sl2 commutation; each failure is printed with its detail."""
+    """A right division that returns 0 fails the division check; a module
+    action that doubles every image fails the raising string and the sl2
+    commutation; a B-II table with one Cartan-valued reference relation
+    scaled fails the reference scaling (and Jacobi, associativity and the
+    candidate); a product that drops a term fails associativity.  Each
+    failure is printed with its detail."""
+    family = "B-I"
     if fault == "division":
         monkeypatch.setattr(PBWEngine, "right_divide", lambda self, x, bid, p: {})
-    else:
+    elif fault == "act":
         monkeypatch.setattr(cli, "act", lambda x, v, engine, real=cli.act: real(x, v, engine).scaled(2))
-    code, out, _ = run(capsys, "selftest", "--case", "B-I")
+    elif fault == "scaling":
+        monkeypatch.setattr(cli, "build_context", damaged_b2_context)
+        family = "B-II"
+    else:
+        monkeypatch.setattr(PBWEngine, "multiply", multiply_dropping_a_term)
+    code, out, _ = run(capsys, "selftest", "--case", family)
     assert code == 1
     fails = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert len(fails) == len(failures), out

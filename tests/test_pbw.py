@@ -22,7 +22,7 @@ from superverma.cli import SMALLEST_CASES
 from superverma.rootdata import CaseId, wsum, wzero
 from superverma.singular import build_context
 from superverma.superalgebra import _merge
-from helpers import el_add, el_scale, el_sub, el_zero, words_times
+from helpers import basis_weight, el_add, el_scale, el_sub, el_zero, words_times
 
 CASES = ["B-I:m=1,n=1", "B-II:m=1,n=1", "D-I:m=1,n=2", "D-II:m=1,n=2", "F31", "G3"]
 
@@ -354,7 +354,7 @@ def join_inputs(engine, rng):
         el = {short_monomial(engine, rng, everything, 4): rng.choice(COEFFICIENTS) for _ in range(rng.randint(2, 4))}
     low = min((engine.rank[m[0][0]] for m in el if m), default=len(engine.sequence))
     below = [g for g in everything if engine.rank[g] < low]
-    shape = rng.randrange(4)
+    shape = rng.randrange(5)
     if shape == 0:  # ordered below every lead
         word = short_monomial(engine, rng, below, 4) if below else ()
     elif shape == 1:  # ordered, ending in the lead of the first monomial
@@ -365,9 +365,24 @@ def join_inputs(engine, rng):
             word += ((g, 1 if odd[g] else rng.randint(1, 2)),)
     elif shape == 2:  # ordered, anywhere
         word = short_monomial(engine, rng, everything, 4)
+    elif shape == 3:  # ordered below every lead but for one generator written twice
+        word = short_monomial(engine, rng, below or everything, 3)
+        i = rng.randrange(len(word))
+        g, e = word[i]
+        word = word[:i] + ((g, 1), (g, e)) + word[i + 1 :]
     else:  # unordered, odd squares included
         word = tuple((g, rng.randint(1, 2)) for g in (rng.randrange(dim) for _ in range(rng.randint(1, 4))))
     return word, el
+
+
+def repeated_generator(engine, word):
+    """The generator that word writes twice in a row when it is otherwise a
+    normal-form monomial, else None."""
+    for i in range(len(word) - 1):
+        if word[i][0] == word[i + 1][0]:
+            rest = word[:i] + ((word[i][0], 1),) + word[i + 2 :]
+            return word[i][0] if engine.is_normal(rest) else None
+    return None
 
 
 @pytest.mark.parametrize("text", JOIN_CASES)
@@ -376,10 +391,12 @@ def test_word_times_matches_one_power_at_a_time(text):
     words_times with power_times, on random words over all of U(g) and el
     of one monomial or several, in the default and a tailed order: a word
     joined or raised in one step makes no power_times call, and every
-    other way is drawn too."""
+    other way is drawn too, among them a word that is ordered but for an
+    even and for an odd generator written twice, which is no normal form."""
     ctx = ctx_for(text)
     rng = random.Random(f"join:{text}")
     ways = collections.Counter()
+    repeated = set()
     for engine in (ctx.default_engine, tailed_engine(ctx)[0]):
         reference = PBWEngine(ctx.table, engine.tail)
         calls = []
@@ -400,12 +417,16 @@ def test_word_times_matches_one_power_at_a_time(text):
                 way = join_way(engine, word, el)
                 assert (way in ("joined", "raised")) == (not calls), (way, word, el)
                 ways[way] += 1
+                g = repeated_generator(engine, word)
+                if g is not None:
+                    repeated.add(ctx.table.odd[g])
                 other, _ = join_inputs(engine, rng)
                 a = {word: rng.choice(COEFFICIENTS), other: rng.choice(COEFFICIENTS)}
                 assert engine._times(a, el) == words_times(a, el, reference.power_times)
         finally:
             del engine.power_times
     assert set(ways) == JOIN_WAYS, ways
+    assert repeated == {False, True}, repeated
 
 
 def seam(engine, left, right):
@@ -716,7 +737,7 @@ def reference_monomial_weight(engine, m):
     """The weight of m as a sum of Fraction tuples, one generator at a time."""
     out = wzero(engine.table.alg.rank)
     for bid, exp in m:
-        w = engine.table.basis[bid].weight
+        w = basis_weight(engine.table, bid)
         out = wsum(out, tuple(exp * c for c in w))
     return out
 
@@ -822,9 +843,9 @@ def test_lattice_weights_match_fraction_sums(text):
     table = ctx.table
     den = table.alg.weight_den
     assert den == (2 if text == "F31" else 1)
-    for bid, el in enumerate(table.basis):
+    for bid in range(table.dim):
         row = table.weight_rows[bid]
-        assert row == tuple((i, c * den) for i, c in enumerate(el.weight) if c)
+        assert row == tuple((i, c * den) for i, c in enumerate(basis_weight(table, bid)) if c)
         assert all(type(c) is int for _, c in row)
     rng = random.Random(f"lattice:{text}")
     for engine in (ctx.default_engine, ctx.engine(tail=(first_even_root(ctx.alg),))):

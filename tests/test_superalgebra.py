@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from superverma.superalgebra import (
     check_reference_scaling,
     dump_table,
 )
+from helpers import basis_weight, value_dual, with_pair_scaled
 
 SMALLEST = ["B-I:m=1,n=1", "B-II:m=1,n=1", "D-I:m=1,n=2", "D-II:m=1,n=2", "F31", "G3"]
 
@@ -60,15 +62,11 @@ def test_jacobi_exhaustive_smallest():
 
 def test_jacobi_fault_injection():
     table = make("B-I:m=1,n=1")
-    alg = table.alg
     x = table.e_gen("d1-e1")
     y = table.e_gen("e1")
     # flip the pair and its transpose consistently so antisymmetry still
     # holds and the sweep must catch it at a triple
-    flipped = dict(table.entries)
-    flipped[(x, y)] = {k: -v for k, v in table.entries[(x, y)].items()}
-    flipped[(y, x)] = {k: -v for k, v in table.entries[(y, x)].items()}
-    broken = BracketTable(alg, table.basis, flipped, table.cartan_duals)
+    broken = with_pair_scaled(table, x, y, -1)
     report = check_jacobi(broken)
     assert not report.ok
     assert "Jacobi fails" in report.first_violation
@@ -81,7 +79,7 @@ def test_antisymmetry_fault_detected():
     y = table.e_gen("d1")
     flipped = dict(table.entries)
     flipped[(x, y)] = {k: 7 * v for k, v in table.entries[(x, y)].items()}
-    broken = BracketTable(table.alg, table.basis, flipped, table.cartan_duals)
+    broken = BracketTable(table.alg, table.basis, flipped)
     report = check_jacobi(broken)
     assert not report.ok
     assert "antisymmetry" in report.first_violation
@@ -164,21 +162,19 @@ def test_a_build_leaves_no_cyclic_garbage():
 def test_weight_grading():
     for text in ("B-II:m=2,n=1", "G3"):
         table = make(text)
-        alg = table.alg
         for (x, y), val in table.entries.items():
-            total = wsum(table.basis[x].weight, table.basis[y].weight)
+            total = wsum(basis_weight(table, x), basis_weight(table, y))
             for bid in val:
-                assert table.basis[bid].weight == total
+                assert basis_weight(table, bid) == total
 
 
 def test_ef_pairs_are_cartan_with_proportional_dual():
     for text in SMALLEST:
         table = make(text)
-        alg = table.alg
-        for i, r in enumerate(alg.pos_roots):
+        for i, r in enumerate(table.alg.pos_roots):
             val = table.bracket(table.e_id(i), table.f_id(i))
             assert val, r.name
-            dual = table.h_value_dual(val)
+            dual = value_dual(table, val)
             ratios = set()
             for x, y in zip(dual, r.weight):
                 if y:
@@ -233,12 +229,22 @@ def test_zero_brackets_share_one_value_that_refuses_mutation():
     assert not EMPTY
 
 
+# check_reference_scaling's scales on B-II m=1 n=1, as the check returned
+# them when it compared Cartan values as dual weights
+SCALES_B2_11 = {
+    "e_{d1}": Fraction(1), "f_{e1}": Fraction(1), "e_{d1+e1}": Fraction(-1, 4),
+    "f_{e1-d1}": Fraction(2), "e_{e1-d1}": Fraction(-1, 2), "e_{e1}": Fraction(1, 2),
+    "f_{d1}": Fraction(1, 2), "f_{d1+e1}": Fraction(-1, 4),
+}
+
+
 def test_reference_scaling():
-    for text in ("B-II:m=1,n=1", "B-II:m=2,n=2", "B-II:m=1,n=3"):
+    for text in ("B-II:m=1,n=1", "B-II:m=2,n=2", "B-II:m=1,n=3", "B-II:m=3,n=1"):
         report = check_reference_scaling(make(text))
         assert report.ok, (text, report.detail)
         assert len(report.scales) == 8
-        assert all(c != 0 for c in report.scales.values())
+        assert all(type(c) is Fraction and c != 0 for c in report.scales.values())
+    assert check_reference_scaling(make("B-II:m=1,n=1")).scales == SCALES_B2_11
 
 
 def test_reference_scaling_rejects_other_families():
@@ -247,16 +253,14 @@ def test_reference_scaling_rejects_other_families():
 
 
 def test_reference_scaling_detects_damage():
+    """A root-valued relation, [f_{e1-d1}, f_{d1}], and a Cartan-valued
+    one, [e_{d1}, f_{d1}], each scaled by 3 with its transpose, fail the
+    check, which names a relation."""
     table = make("B-II:m=1,n=1")
-    x = table.f_gen("e1-d1")
-    y = table.f_gen("d1")
-    entries = dict(table.entries)
-    entries[(x, y)] = {k: 3 * v for k, v in entries[(x, y)].items()}
-    entries[(y, x)] = {k: 3 * v for k, v in entries[(y, x)].items()}
-    broken = BracketTable(table.alg, table.basis, entries, table.cartan_duals)
-    report = check_reference_scaling(broken)
-    assert not report.ok
-    assert report.detail
+    for x in (table.f_gen("e1-d1"), table.e_gen("d1")):
+        report = check_reference_scaling(with_pair_scaled(table, x, table.f_gen("d1"), 3))
+        assert not report.ok and not report.scales
+        assert re.fullmatch(r"\[\S+, \S+\] = .+ cannot be rescaled onto the reference list", report.detail)
 
 
 def test_dump_table_deterministic():
