@@ -196,14 +196,6 @@ MUTANTS = (
         (ORBIT_GOLDEN, CHAIN_CONFIGS),
     ),
     Mutant(
-        "wprime-reflection-sign",
-        "rootdata.py",
-        "alg.keys[i] - c * alg.keys[s]",
-        "alg.keys[i] + c * alg.keys[s]",
-        ("tests/test_rootdata.py::test_orbit_examples",
-         "tests/test_rootdata.py::test_wprime_orbit_matches_the_fraction_reference"),
-    ),
-    Mutant(
         "level-parity-unchecked",
         "singular.py",
         "if case.odd_gamma and level % 2 == 0:",
@@ -230,6 +222,21 @@ MUTANTS = (
         "_row_sum(((half, rows[dm.index]),))",
         "_row_sum(((1, rows[dm.index]),))",
         ("tests/test_superalgebra.py::test_reference_scaling",),
+    ),
+    Mutant(
+        "rho-isotropic-row-unread",
+        "rootdata.py",
+        "if pairing(alg.coroot_rows[s.index], alg.rho) != 0:",
+        "if False:",
+        ("tests/test_rootdata.py::test_selftest_rho_check_reads_the_simple_rows[isotropic]",),
+    ),
+    Mutant(
+        "scaling-blame-cartan-source-dropped",
+        "superalgebra.py",
+        "                fixed_by[unknown[0]] = k\n",
+        "",
+        ("tests/test_superalgebra.py::test_reference_scaling_detects_damage",
+         "tests/test_cli.py::test_selftest_names_each_failed_check[scaling-failures2]"),
     ),
 )
 

@@ -12,7 +12,6 @@ from .rootdata import (
     ParityViolation,
     RootDataError,
     build_algebra_data,
-    wprime_orbit,
 )
 from .superalgebra import (
     BracketTable,
@@ -61,7 +60,6 @@ __all__ = [
     "ParityViolation",
     "RootDataError",
     "build_algebra_data",
-    "wprime_orbit",
     "BracketTable",
     "build_structure_constants",
     "check_jacobi",

@@ -24,7 +24,7 @@ from others by integer steps is found by one int lookup (at, root_of):
 AlgebraData.sums, for every ordered pair of positive-root indices (mu, nu)
 whose sum is a positive root sigma, holds sums[(mu, nu)] = sigma, and the
 simple-root decompositions and the bracket closure in superalgebra read only
-that table.  The orbit chains and wprime_orbit walk the keys the same way.
+that table.  The orbit chains walk the keys the same way.
 
 Every coroot pairing <lambda, h_sigma> is one dot product of lambda with a
 row stored per positive root (coroot_rows), so lambda's coordinates may be
@@ -34,7 +34,8 @@ The bilinear form is normalized so that (d_i, d_j) = +delta_ij and
 (e_k, e_l) = -delta_kl in the osp families; forms for F31 and G3 are
 fixed by requiring (rho, alpha) = 0 for the isotropic simple root.
 Coroot pairings are ratios, so any consistent global scale gives the
-same module theory.
+same module theory.  The form is an input of the set-up only: it becomes
+coroot_rows, and AlgebraData does not keep it.
 """
 
 from __future__ import annotations
@@ -154,16 +155,6 @@ def _exact(c):
     if type(c) is Fraction and c.denominator == 1:
         return c.numerator
     return c
-
-
-def _form(form_matrix: Matrix, a: Weight, b: Weight) -> Fraction:
-    """The bilinear form (a, b) with the given Gram matrix."""
-    total = Fraction(0)
-    for i, x in enumerate(a):
-        if x:
-            row = form_matrix[i]
-            total += x * sum(row[j] * y for j, y in enumerate(b) if y)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +286,7 @@ def f31_sign_weight(signs: str) -> Weight:
 class AlgebraData:
     case: CaseId
     coord_names: Tuple[str, ...]
-    form_matrix: Matrix
     simple_system: Tuple[RootDatum, ...]
-    pos_even: Tuple[RootDatum, ...]
-    pos_odd: Tuple[RootDatum, ...]
     pos_roots: Tuple[RootDatum, ...]
     rho: Weight
     gamma: RootDatum
@@ -364,9 +352,6 @@ class AlgebraData:
         (weight_den * base**k), a root or not."""
         return self.weight_den * self.base ** k
 
-    def form(self, a: Weight, b: Weight) -> Fraction:
-        return _form(self.form_matrix, a, b)
-
     def root_named(self, name: str) -> RootDatum:
         try:
             return self.pos_roots[self.names[name]]
@@ -385,43 +370,11 @@ class AlgebraData:
         return wdiff(lam, wscale(self.coroot_pairing(lam, i), self.pos_roots[i].weight))
 
 
-def wprime_orbit(beta: RootSpec, alg: AlgebraData) -> Tuple[RootDatum, ...]:
-    """Orbit of a positive root under reflections in nonisotropic simple roots.
-
-    Returns the positive representatives, sorted by weight.  As
-    s(-w) = -s(w), the walk keeps positive-root indices: the image of root i
-    in s has key keys[i] - <i, h_s> keys[s] and is a positive root or the
-    negative of one.  Its lattice point is confirmed as well, as a key
-    outside the box that at answers for may alias another root's.
-    """
-    start = alg.as_index(beta)
-    mirrors = [s.index for s in alg.simple_system if not s.isotropic]
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for s in mirrors:
-                c = _exact(alg.coroot_pairing(alg.pos_roots[i].weight, s))
-                key = alg.keys[i] - c * alg.keys[s]
-                point = [x - c * y for x, y in zip(alg.lattice[i], alg.lattice[s])]
-                j, sign = (alg.at[key], 1) if key in alg.at else (alg.at.get(-key), -1)
-                if j is None or [sign * x for x in alg.lattice[j]] != point:
-                    raise RootDataError(
-                        f"the orbit of {alg.pos_roots[start].name} left the root system"
-                        f" at ({format_weight(alg.from_lattice(point))})"
-                    )
-                if j not in seen:
-                    seen.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    return tuple(alg.pos_roots[j] for j in sorted(seen, key=alg.lattice.__getitem__))
-
-
 def rho_violation(alg: AlgebraData) -> Optional[str]:
     """The first Weyl vector invariant alg.rho breaks, or None: rho is the
     even half-sum less the odd one, pairs to 1 with every nonisotropic
-    simple coroot, and is orthogonal to every isotropic simple root."""
+    simple coroot, and is orthogonal to every isotropic simple root (whose
+    stored row is that of (w, s))."""
     half_sum = wzero(alg.rank)
     for r in alg.pos_roots:
         contrib = wscale(Fraction(1, 2), r.weight)
@@ -430,7 +383,7 @@ def rho_violation(alg: AlgebraData) -> Optional[str]:
         return f"rho mismatch: ({format_weight(alg.rho)}) is not the half-sum ({format_weight(half_sum)})"
     for s in alg.simple_system:
         if s.isotropic:
-            if alg.form(alg.rho, s.weight) != 0:
+            if pairing(alg.coroot_rows[s.index], alg.rho) != 0:
                 return f"(rho, {s.name}) is not zero"
         elif alg.coroot_pairing(alg.rho, s) != 1:
             return f"<rho, h_{s.name}> is not one"
@@ -455,7 +408,7 @@ def _diag_form(entries: Sequence[int]) -> Matrix:
 def _assemble(
     case: CaseId,
     coord_names: Sequence[str],
-    form_matrix: Matrix,
+    gram: Matrix,
     simple_weights: Sequence[Weight],
     even_weights: Sequence[Weight],
     odd_weights: Sequence[Weight],
@@ -476,21 +429,21 @@ def _assemble(
     if set(even_weights) & set(odd_weights):
         raise RootDataError(f"{case.text}: a root is both even and odd")
 
-    # each weight w paired by the (symmetric) form, sparsely: form_row(w)[i] = (e_i, w)
-    nonzero_form = [[(j, g) for j, g in enumerate(row) if g] for row in form_matrix]
+    # each weight w paired by the (symmetric) form, sparsely: gram_row(w)[i] = (e_i, w)
+    sparse_gram = [[(j, g) for j, g in enumerate(row) if g] for row in gram]
 
-    def form_row(w: Weight) -> Dict[int, Fraction]:
+    def gram_row(w: Weight) -> Dict[int, Fraction]:
         out: Dict[int, Fraction] = {}
         for j, x in enumerate(w):
             if x:
-                for i, g in nonzero_form[j]:
+                for i, g in sparse_gram[j]:
                     out[i] = out.get(i, 0) + g * x
         return out
 
     def classify(w: Weight, odd: bool, norm: Fraction) -> str:
         if not odd:
             if norm == 0:
-                raise RootDataError(f"even root {w} must be nonisotropic")
+                raise RootDataError(f"{case.text}: even root {name_for(w)} must be nonisotropic")
             return EVEN
         return ODD_ISO if norm == 0 else ODD_NONISO
 
@@ -499,7 +452,7 @@ def _assemble(
     pos_roots = []
     coroot_rows: List[Row] = []
     for w, is_odd in [(w, False) for w in even] + [(w, True) for w in odd]:
-        fw = form_row(w)
+        fw = gram_row(w)
         norm = sum(x * fw.get(i, 0) for i, x in enumerate(w) if x)
         scale = Fraction(2) / norm if norm else 1
         coroot_rows.append(tuple((i, _exact(scale * c)) for i, c in sorted(fw.items()) if c))
@@ -556,15 +509,12 @@ def _assemble(
                 decomp[sigma] = (k, tau)
     for pos, r in enumerate(pos_roots):
         if decomp[pos] is None and pos not in simple_pos_index:
-            raise RootDataError(f"no simple-root decomposition for {r.name}")
+            raise RootDataError(f"{case.text}: no simple-root decomposition for {r.name}")
 
     alg = AlgebraData(
         case=case,
         coord_names=coord_names,
-        form_matrix=form_matrix,
         simple_system=simple_system,
-        pos_even=pos_roots[: len(even)],
-        pos_odd=pos_roots[len(even):],
         pos_roots=pos_roots,
         rho=rho_closed,
         gamma=pos_roots[position(gamma_weight, "gamma")],
@@ -585,7 +535,7 @@ def _assemble(
     if problem is not None:
         raise RootDataError(f"{case.text}: {problem}")
     if alg.gamma.isotropic:
-        raise RootDataError("gamma must be nonisotropic")
+        raise RootDataError(f"{case.text}: gamma must be nonisotropic")
     return alg
 
 
@@ -717,7 +667,8 @@ def build_algebra_data(case: CaseId) -> AlgebraData:
     """The case's root data, checked against what CaseId knows: the dimensions
     (a basis element per simple root, two per positive root) and gamma's parity."""
     alg = _BUILDERS[case.family](case)
-    got, want = (alg.dim, 2 * len(alg.pos_odd), alg.gamma.odd), (case.dim, case.odd_dim, case.odd_gamma)
+    odd_dim = 2 * sum(r.odd for r in alg.pos_roots)
+    got, want = (alg.dim, odd_dim, alg.gamma.odd), (case.dim, case.odd_dim, case.odd_gamma)
     if got != want:
         raise RootDataError(f"{case.text}: dimension, odd dimension and odd gamma {got}, expected {want}")
     return alg

@@ -456,7 +456,10 @@ def check_reference_scaling(table: BracketTable) -> ScalingReport:
     e_n +- d_m fixes nine brackets.  A diagonal rescaling of the six root
     vectors (two scales are free gauges) must carry our table onto that list;
     the function solves for the scales from a spanning subset and then checks
-    every relation, including the Cartan-valued ones.  A Cartan value is
+    every relation, including the Cartan-valued ones.  Each scale records
+    the relation it was solved from, and a relation that fails with solved
+    scales names those relations too, as one of them may be the damaged
+    one.  A Cartan value is
     compared as its coroot row (cartan_row); the reference values
     (h_{d_m} + h_{e_n})/2 and h_{d_m}/2 are half-sums of alg.coroot_rows.
     """
@@ -485,10 +488,25 @@ def check_reference_scaling(table: BracketTable) -> ScalingReport:
         (f[emd.name], f[dm.name], (f[en.name], Fraction(1))),
     ]
     scales: Dict[int, Fraction] = {e[dm.name]: Fraction(1), f[en.name]: Fraction(1)}
+    # fixed_by[g] = k when relations[k] solved g's scale; the gauges have none
+    fixed_by: Dict[int, int] = {}
+
+    def pair(k: int) -> str:
+        x, y, _ = relations[k]
+        return f"[{table.basis[x].name}, {table.basis[y].name}]"
+
+    def failed(k: int, val: Value, used: Sequence[int] = ()) -> ScalingReport:
+        """relations[k] fails with bracket value val, reading the scales of used."""
+        detail = f"{pair(k)} = {table.render_value(val)} cannot be rescaled onto the reference list"
+        sources = dict.fromkeys(fixed_by[g] for g in used if fixed_by.get(g, k) != k)
+        if sources:
+            detail += "; its scales were solved from " + ", ".join(map(pair, sources))
+        return ScalingReport(False, {}, detail)
+
     changed = True
     while changed:
         changed = False
-        for x, y, rhs in relations:
+        for k, (x, y, rhs) in enumerate(relations):
             val = table.bracket(x, y)
             if rhs[0] == "h":
                 # c_x * c_y * row(val) = rhs row; solves one unknown factor
@@ -498,14 +516,15 @@ def check_reference_scaling(table: BracketTable) -> ScalingReport:
                 coord, want = rhs[1][0]
                 got = dict(table.cartan_row(val)).get(coord)
                 if got is None:
-                    return ScalingReport(False, {}, _relation_mismatch(table, x, y, val))
+                    return failed(k, val)
                 known = scales[y] if unknown[0] == x else scales[x]
                 scales[unknown[0]] = want / (got * known)
+                fixed_by[unknown[0]] = k
                 changed = True
                 continue
             target, coeff = rhs
             if set(val) != {target}:
-                return ScalingReport(False, {}, _relation_mismatch(table, x, y, val))
+                return failed(k, val)
             slots = [g for g in (x, y, target) if g not in scales]
             if len(slots) != 1:
                 continue
@@ -516,30 +535,24 @@ def check_reference_scaling(table: BracketTable) -> ScalingReport:
                 scales[x] = coeff * scales[target] / (scales[y] * q)
             else:
                 scales[y] = coeff * scales[target] / (scales[x] * q)
+            fixed_by[slots[0]] = k
             changed = True
     missing = [gid for gid in list(e.values()) + list(f.values()) if gid not in scales]
     if missing:
         names = ", ".join(table.basis[g].name for g in missing)
         return ScalingReport(False, {}, f"scales underdetermined for {names}")
-    for x, y, rhs in relations:
+    for k, (x, y, rhs) in enumerate(relations):
         val = table.bracket(x, y)
         factor = scales[x] * scales[y]
         if rhs[0] == "h":
             if tuple((i, factor * c) for i, c in table.cartan_row(val)) != rhs[1]:
-                return ScalingReport(False, {}, _relation_mismatch(table, x, y, val))
+                return failed(k, val, (x, y))
         else:
             target, coeff = rhs
             if set(val) != {target} or factor * val[target] != coeff * scales[target]:
-                return ScalingReport(False, {}, _relation_mismatch(table, x, y, val))
+                return failed(k, val, (x, y, target))
     named = {table.basis[g].name: c for g, c in scales.items()}
     return ScalingReport(True, named, "")
-
-
-def _relation_mismatch(table: BracketTable, x: int, y: int, val: Value) -> str:
-    return (
-        f"[{table.basis[x].name}, {table.basis[y].name}] = "
-        f"{table.render_value(val)} cannot be rescaled onto the reference list"
-    )
 
 
 def dump_table(table: BracketTable) -> str:

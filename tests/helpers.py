@@ -1,8 +1,8 @@
 """Test-only helpers: element arithmetic on sparse U(g) elements, the
 one-power-at-a-time word loop, the F31 sign-tuple reading of a weight, the
-Fraction weights of the basis and the Cartan generators' dual weights
-(references that the package itself does not keep), and a bracket table
-with one pair damaged."""
+bilinear form of each family, the Fraction weights of the basis and the
+Cartan generators' dual weights (references that the package itself does
+not keep), and a bracket table with one pair damaged."""
 
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -52,6 +52,25 @@ def f31_signs_of(w: Weight) -> Optional[str]:
     return "".join("+" if x > 0 else "-" for x in w)
 
 
+def gram(alg: AlgebraData) -> Tuple[Tuple[int, ...], ...]:
+    """The Gram matrix of the bilinear form on the case's coordinates, as
+    README states it: diag(+1 per d, -1 per e) for the osp families,
+    diag(-3, 1, 1, 1) on (D, e1, e2, e3) for F31, and on (D, e1, e2) for G3
+    the form with (D, D) = -2, (e1, e1) = (e2, e2) = 2 and (e1, e2) = -1.
+    It is written out here, not read from the package."""
+    case = alg.case
+    if case.family == "G3":
+        return ((-2, 0, 0), (0, 2, -1), (0, -1, 2))
+    diagonal = (-3, 1, 1, 1) if case.family == "F31" else (1,) * case.m + (-1,) * case.n
+    return tuple(tuple(d if i == j else 0 for j in range(len(diagonal))) for i, d in enumerate(diagonal))
+
+
+def form(alg: AlgebraData, a: Weight, b: Weight) -> Fraction:
+    """The bilinear form (a, b) by gram(alg)."""
+    g = gram(alg)
+    return sum((x * g[i][j] * y for i, x in enumerate(a) for j, y in enumerate(b)), Fraction(0))
+
+
 def basis_weight(table: BracketTable, bid: int) -> Weight:
     """The Fraction weight of basis element bid, read from the root data:
     -sigma for f_sigma, 0 for h_j, sigma for e_sigma."""
@@ -68,7 +87,7 @@ def cartan_duals(alg: AlgebraData) -> Tuple[Weight, ...]:
     alpha_j itself when (alpha_j, alpha_j) = 0."""
     out = []
     for s in alg.simple_system:
-        norm = alg.form(s.weight, s.weight)
+        norm = form(alg, s.weight, s.weight)
         out.append(s.weight if norm == 0 else wscale(Fraction(2) / norm, s.weight))
     return tuple(out)
 

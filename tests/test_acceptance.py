@@ -14,7 +14,7 @@ import pytest
 
 from superverma.cli import main as cli_main
 from superverma.pbw import el_one
-from helpers import basis_weight, el_add, el_scale, el_sub, el_zero
+from helpers import basis_weight, el_add, el_scale, el_sub, el_zero, form
 from superverma.rootdata import CaseId, ParityViolation, wdiff, wsum
 from superverma.singular import (
     CaseParams,
@@ -259,7 +259,7 @@ def test_criterion_6_structure_integrity():
         alg = ctx.alg
         for s in alg.simple_system:
             if s.isotropic:
-                assert alg.form(alg.rho, s.weight) == 0, (text, s.name)
+                assert form(alg, alg.rho, s.weight) == 0, (text, s.name)
             else:
                 assert alg.coroot_pairing(alg.rho, s) == 1, (text, s.name)
         algebras += 1

@@ -23,7 +23,6 @@ from superverma.pbw import Inhomogeneous
 from superverma.rootdata import (
     OSP_FAMILIES,
     CaseId,
-    _form,
     _unit,
     f31_sign_weight,
     wdiff,
@@ -45,7 +44,7 @@ from superverma.singular import (
 )
 from superverma.superalgebra import _exact
 from superverma.verma import VermaVector, _Action, is_singular, weight_of
-from helpers import basis_weight, cartan_duals
+from helpers import basis_weight, cartan_duals, form, gram
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -68,7 +67,7 @@ def levels(case):
 
 
 def ref_coroot_pairing(alg, lam, b):
-    return 2 * _form(alg.form_matrix, lam, b) / _form(alg.form_matrix, b, b)
+    return 2 * form(alg, lam, b) / form(alg, b, b)
 
 
 def ref_weight(alg, monomial):
@@ -245,26 +244,27 @@ def test_candidates_and_witness_specs_match_the_fraction_reference(case):
 def test_coroot_rows_match_the_forms(case):
     """Every stored row, the table's Cartan rows and <rho, h_j> equal the
     form computation entry by entry, canonical; coroot_pairing and reflect
-    equal it at random weights."""
+    equal it at random weights.  The form is the test's own (helpers.gram),
+    not the Gram matrix the set-up was given."""
     ctx = build_context(case)
     alg, table = ctx.alg, ctx.table
     units = [_unit(alg.rank, i) for i in range(alg.rank)]
     for r, row in zip(alg.pos_roots, alg.coroot_rows):
         b = r.weight
         if r.isotropic:
-            want = [_form(alg.form_matrix, x, b) for x in units]
+            want = [form(alg, x, b) for x in units]
         else:
             want = [ref_coroot_pairing(alg, x, b) for x in units]
         assert row == tuple((i, _exact(c)) for i, c in enumerate(want) if c), r.name
         assert all(type(c) is int or c.denominator > 1 for _, c in row)
     duals_rows = tuple(
-        tuple((i, _exact(c)) for i, row in enumerate(alg.form_matrix)
+        tuple((i, _exact(c)) for i, row in enumerate(gram(alg))
               if (c := sum(x * d for x, d in zip(row, dual))))
         for dual in cartan_duals(alg)
     )
     assert table.cartan_rows == duals_rows
     assert table.rho_pairings == tuple(
-        _exact(_form(alg.form_matrix, alg.rho, dual)) for dual in cartan_duals(alg)
+        _exact(form(alg, alg.rho, dual)) for dual in cartan_duals(alg)
     )
     rng = random.Random(f"rows:{case.text}")
     for _ in range(5):

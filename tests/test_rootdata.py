@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -24,11 +25,10 @@ from superverma.rootdata import (
     render_weight_name,
     wdiff,
     wneg,
-    wprime_orbit,
     wsum,
     wzero,
 )
-from helpers import f31_signs_of
+from helpers import f31_signs_of, form
 
 SMALLEST = ["B-I:m=1,n=1", "B-II:m=1,n=1", "D-I:m=1,n=2", "D-II:m=1,n=2", "F31", "G3"]
 
@@ -41,10 +41,15 @@ def frac_weight(*xs) -> tuple:
     return tuple(Fraction(x) for x in xs)
 
 
+def parity_counts(alg: AlgebraData) -> tuple:
+    """The numbers of even and of odd positive roots."""
+    odd = sum(r.odd for r in alg.pos_roots)
+    return len(alg.pos_roots) - odd, odd
+
+
 def test_b1_small_counts_and_rho():
     alg = build("B-I:m=2,n=1")
-    assert len(alg.pos_even) == 5
-    assert len(alg.pos_odd) == 6
+    assert parity_counts(alg) == (5, 6)
     assert alg.rho == frac_weight("1/2", "-1/2", "1/2")
 
 
@@ -53,15 +58,13 @@ def test_root_counts_formulas():
         for n in (1, 2, 3):
             for family in ("B-I", "B-II"):
                 alg = build(f"{family}:m={m},n={n}")
-                assert len(alg.pos_even) == m * m + n * n
-                assert len(alg.pos_odd) == m * (2 * n + 1)
+                assert parity_counts(alg) == (m * m + n * n, m * (2 * n + 1))
             if n >= 2:
                 for family in ("D-I", "D-II"):
                     alg = build(f"{family}:m={m},n={n}")
-                    assert len(alg.pos_even) == m * m + n * n - n
-                    assert len(alg.pos_odd) == 2 * m * n
-    assert (len(build("F31").pos_even), len(build("F31").pos_odd)) == (10, 8)
-    assert (len(build("G3").pos_even), len(build("G3").pos_odd)) == (7, 7)
+                    assert parity_counts(alg) == (m * m + n * n - n, 2 * m * n)
+    assert parity_counts(build("F31")) == (10, 8)
+    assert parity_counts(build("G3")) == (7, 7)
 
 
 def test_exceptional_rho_frozen():
@@ -97,7 +100,7 @@ def test_rho_coroot_pairings():
         alg = build(text)
         for s in alg.simple_system:
             if s.parity == ODD_ISO:
-                assert alg.form(alg.rho, s.weight) == 0
+                assert form(alg, alg.rho, s.weight) == 0
             else:
                 assert alg.coroot_pairing(alg.rho, s) == 1
 
@@ -139,6 +142,61 @@ def test_selftest_rho_check_is_the_set_up_check():
     ok, detail = cli._st_rho(SimpleNamespace(alg=bad), 0)
     assert not ok and detail == rootdata.rho_violation(bad)
     assert detail == "rho mismatch: (1,-1) is not the half-sum (1/2,-1/2)"
+
+
+@pytest.mark.parametrize("damaged, detail", [
+    ("e1-d1", "(rho, e1-d1) is not zero"),
+    ("d1", "<rho, h_d1> is not one"),
+], ids=["isotropic", "nonisotropic"])
+def test_selftest_rho_check_reads_the_simple_rows(damaged, detail):
+    """Past the half-sum, the rho check reads each simple root's stored row:
+    the isotropic e1-d1 with d1's row pairs rho to 1, not 0, and d1 with
+    its row doubled pairs rho to 2, not 1."""
+    alg = build("B-II:m=1,n=1")
+    s, d1 = alg.root_named(damaged), alg.root_named("d1")
+    rows = list(alg.coroot_rows)
+    rows[s.index] = rows[d1.index] if s.isotropic else tuple((i, 2 * c) for i, c in rows[s.index])
+    bad = dataclasses.replace(alg, coroot_rows=tuple(rows))
+    assert cli._st_rho(SimpleNamespace(alg=bad), 0) == (False, detail)
+
+
+# _assemble's arguments for B-II m=1 n=1 on (d1, e1), as _build_osp gives them
+B2_11 = dict(
+    case=CaseId("B-II", 1, 1),
+    coord_names=("d1", "e1"),
+    gram=rootdata._diag_form([1, -1]),
+    simple_weights=[frac_weight(-1, 1), frac_weight(1, 0)],
+    even_weights=[frac_weight(2, 0), frac_weight(0, 1)],
+    odd_weights=[frac_weight(-1, 1), frac_weight(1, 1), frac_weight(1, 0)],
+    rho_closed=frac_weight("1/2", "-1/2"),
+    gamma_weight=frac_weight(0, 1),
+)
+
+
+@pytest.mark.parametrize("spoiled, message", [
+    (dict(even_weights=B2_11["even_weights"] + [frac_weight(2, 0)]), "repeated even root"),
+    (dict(odd_weights=B2_11["odd_weights"] + [frac_weight(1, 0)]), "repeated odd root"),
+    (dict(even_weights=B2_11["even_weights"] + [frac_weight(1, 0)]), "a root is both even and odd"),
+    (dict(even_weights=B2_11["even_weights"] + [frac_weight(-1, 1)], odd_weights=B2_11["odd_weights"][1:]),
+     "even root e1-d1 must be nonisotropic"),
+    (dict(names={frac_weight(2, 0): "x", frac_weight(0, 1): "x"}), "two positive roots share a name"),
+    # {a, b, a + 2b} over the simple roots {a, b}: neither a + 2b - a nor
+    # a + 2b - b is a root
+    (dict(simple_weights=[frac_weight(1, 0), frac_weight(0, 1)],
+          even_weights=[frac_weight(1, 0), frac_weight(0, 1), frac_weight(1, 2)],
+          odd_weights=[], gamma_weight=frac_weight(1, 0)),
+     "no simple-root decomposition for d1+2e1"),
+    (dict(gamma_weight=frac_weight(-1, 1)), "gamma must be nonisotropic"),
+], ids=["even-repeated", "odd-repeated", "even-and-odd", "isotropic-even", "shared-name",
+        "no-decomposition", "isotropic-gamma"])
+def test_inconsistent_set_up_input_is_a_root_data_error(spoiled, message):
+    """Each of _assemble's consistency guards refuses its input, naming the
+    case; the unspoiled input builds B-II m=1 n=1."""
+    assert [r.name for r in rootdata._assemble(**B2_11).pos_roots] == [
+        r.name for r in build("B-II:m=1,n=1").pos_roots
+    ]
+    with pytest.raises(RootDataError, match=f"^{re.escape(f'B-II:m=1,n=1: {message}')}$"):
+        rootdata._assemble(**{**B2_11, **spoiled})
 
 
 def test_dependent_simple_roots_are_a_root_data_error(monkeypatch, capsys):
@@ -186,9 +244,9 @@ def test_parity_classification():
     assert alg.root_named("d1+e1").parity == ODD_ISO
     assert alg.root_named("2d1").parity == EVEN
     alg = build("D-I:m=2,n=2")
-    assert all(r.parity == ODD_ISO for r in alg.pos_odd)
+    assert all(r.parity == ODD_ISO for r in alg.pos_roots if r.odd)
     alg = build("F31")
-    assert all(r.parity == ODD_ISO for r in alg.pos_odd)
+    assert all(r.parity == ODD_ISO for r in alg.pos_roots if r.odd)
     alg = build("G3")
     assert alg.root_named("D").parity == ODD_NONISO
     assert alg.root_named("D+e1").parity == ODD_ISO
@@ -211,32 +269,33 @@ def test_g3_names_frozen():
 
 def test_f31_odd_names_are_sign_tuples():
     alg = build("F31")
-    names = {r.name for r in alg.pos_odd}
+    odd = [r for r in alg.pos_roots if r.odd]
+    names = {r.name for r in odd}
     assert names == {"+---", "+--+", "+-+-", "+-++", "++--", "++-+", "+++-", "++++"}
-    for r in alg.pos_odd:
+    for r in odd:
         assert f31_sign_weight(r.name) == r.weight
         assert f31_signs_of(r.weight) == r.name
     assert f31_sign_weight("+−−+") == f31_sign_weight("+--+")
     assert f31_signs_of(alg.root_named("e1").weight) is None
 
 
+def orbit_names(text: str, name: str) -> list:
+    alg = build(text)
+    return [r.name for r in fraction_wprime_orbit(alg.root_named(name), alg)]
+
+
 def test_orbit_examples():
-    alg = build("D-I:m=3,n=2")
-    assert [r.name for r in wprime_orbit("2d3", alg)] == ["2d3", "2d2", "2d1"]
-    assert [r.name for r in wprime_orbit("d1+d2", alg)] == ["d2+d3", "d1+d3", "d1+d2"]
-    alg = build("B-I:m=3,n=1")
-    assert [r.name for r in wprime_orbit("d3", alg)] == ["d3", "d2", "d1"]
-    alg = build("B-II:m=1,n=3")
-    assert [r.name for r in wprime_orbit("e3", alg)] == ["e3", "e2", "e1"]
-    alg = build("D-II:m=1,n=3")
-    assert [r.name for r in wprime_orbit("e2+e3", alg)] == ["e2+e3", "e1+e3", "e1+e2"]
-    assert [r.name for r in wprime_orbit("D", build("F31"))] == ["D"]
-    assert [r.name for r in wprime_orbit("D", build("G3"))] == ["D"]
+    assert orbit_names("D-I:m=3,n=2", "2d3") == ["2d3", "2d2", "2d1"]
+    assert orbit_names("D-I:m=3,n=2", "d1+d2") == ["d2+d3", "d1+d3", "d1+d2"]
+    assert orbit_names("B-I:m=3,n=1", "d3") == ["d3", "d2", "d1"]
+    assert orbit_names("B-II:m=1,n=3", "e3") == ["e3", "e2", "e1"]
+    assert orbit_names("D-II:m=1,n=3", "e2+e3") == ["e2+e3", "e1+e3", "e1+e2"]
+    assert orbit_names("F31", "D") == ["D"]
+    assert orbit_names("G3", "D") == ["D"]
 
 
 def test_orbit_of_isotropic_root():
-    alg = build("B-I:m=2,n=1")
-    names = {r.name for r in wprime_orbit("d2-e1", alg)}
+    names = set(orbit_names("B-I:m=2,n=1", "d2-e1"))
     assert names == {"d1-e1", "d1+e1", "d2-e1", "d2+e1"}
 
 
@@ -253,13 +312,13 @@ def test_reflection_involution_sampled():
     rng = random.Random(7)
     for text in SMALLEST:
         alg = build(text)
-        mirrors = [r for r in alg.pos_roots if alg.form(r.weight, r.weight) != 0]
+        mirrors = [r for r in alg.pos_roots if form(alg, r.weight, r.weight) != 0]
         for _ in range(150):
             lam = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(alg.rank))
             beta = rng.choice(mirrors)
             image = alg.reflect(lam, beta)
             assert alg.reflect(image, beta) == lam
-            assert alg.form(image, image) == alg.form(lam, lam)
+            assert form(alg, image, image) == form(alg, lam, lam)
 
 
 @settings(max_examples=40, deadline=None)
@@ -268,7 +327,7 @@ def test_reflection_involution_f31(coords):
     alg = build("F31")
     lam = tuple(coords)
     for beta in alg.pos_roots:
-        if alg.form(beta.weight, beta.weight) == 0:
+        if form(alg, beta.weight, beta.weight) == 0:
             continue
         assert alg.reflect(alg.reflect(lam, beta), beta) == lam
 
@@ -280,8 +339,8 @@ def test_form_symmetry_sampled():
         for _ in range(50):
             a = tuple(Fraction(rng.randint(-5, 5)) for _ in range(alg.rank))
             b = tuple(Fraction(rng.randint(-5, 5)) for _ in range(alg.rank))
-            assert alg.form(a, b) == alg.form(b, a)
-            assert alg.form(wsum(a, b), a) == alg.form(a, a) + alg.form(b, a)
+            assert form(alg, a, b) == form(alg, b, a)
+            assert form(alg, wsum(a, b), a) == form(alg, a, a) + form(alg, b, a)
 
 
 def test_isotropic_coroot_raises():
@@ -398,10 +457,10 @@ def test_root_sums_match_fraction_arithmetic(text):
 
 
 def fraction_wprime_orbit(beta, alg: AlgebraData) -> tuple:
-    """wprime_orbit by Fraction weights, the reference for the walk on
-    keys: reflect signed weights in the nonisotropic simple roots until no
-    new one appears, then take the positive representatives, sorted by
-    weight."""
+    """The orbit of a positive root under reflections in the nonisotropic
+    simple roots, by Fraction weights through alg.reflect: reflect signed
+    weights until no new one appears, then take the positive
+    representatives, sorted by weight."""
     index = weight_index(alg)
     mirrors = [s for s in alg.simple_system if not s.isotropic]
     seen = {beta.weight}
@@ -418,34 +477,6 @@ def fraction_wprime_orbit(beta, alg: AlgebraData) -> tuple:
     reps = {w if w in index else wneg(w) for w in seen}
     assert reps <= set(index), beta.name
     return tuple(alg.pos_roots[index[w]] for w in sorted(reps))
-
-
-def test_wprime_orbit_matches_the_fraction_reference():
-    """The same names in the same order as the Fraction search, for every
-    positive root of every osp case with m, n <= 4 and of F31 and G3.  The
-    reference runs once per orbit, whose every member has that orbit."""
-    roots = 0
-    for text in OSP_UP_TO_4 + ["F31", "G3"]:
-        alg = build(text)
-        want = {}
-        for r in alg.pos_roots:
-            if r.index not in want:
-                orbit = fraction_wprime_orbit(r, alg)
-                want.update(dict.fromkeys((o.index for o in orbit), [o.name for o in orbit]))
-            assert [o.name for o in wprime_orbit(r, alg)] == want[r.index], (text, r.name)
-            roots += 1
-    assert roots == 1692
-
-
-def test_wprime_orbit_confirms_each_image_on_the_lattice():
-    """A key that names the wrong root is refused by the image's lattice
-    point instead of being followed."""
-    alg = build("D-I:m=3,n=2")
-    two_d2, two_d1 = alg.root_named("2d2").index, alg.root_named("2d1").index
-    aliased = dataclasses.replace(alg, at={**alg.at, alg.keys[two_d2]: two_d1})
-    assert [r.name for r in wprime_orbit("2d3", alg)] == ["2d3", "2d2", "2d1"]
-    with pytest.raises(RootDataError, match="left the root system at"):
-        wprime_orbit("2d3", aliased)
 
 
 def test_a_root_is_not_given_by_its_weight():

@@ -24,7 +24,7 @@ from superverma.singular import (
     propagate_chain,
 )
 from superverma.superalgebra import _exact, build_structure_constants
-from helpers import basis_weight, cartan_duals, el_add, el_scale
+from helpers import basis_weight, cartan_duals, el_add, el_scale, form
 from superverma.verma import (
     SingularityReport,
     UnexpectedRaising,
@@ -75,7 +75,7 @@ def straightening_act(x, v, engine):
                 break
             if kind == "h":
                 cut = min(cut, pos)
-                scalar *= table.alg.form(shift, duals[table.basis[bid].index]) ** exp
+                scalar *= form(table.alg, shift, duals[table.basis[bid].index]) ** exp
         if scalar:
             rest = mono[:cut]
             body[rest] = body.get(rest, Fraction(0)) + scalar
@@ -109,7 +109,7 @@ def test_highest_weight_vector_basics():
         assert image.is_zero()
     for j, dual in enumerate(cartan_duals(alg)):
         image = act(eng.gen(table.h_id(j)), v, eng)
-        expected = alg.form(wdiff(lam, alg.rho), dual)
+        expected = form(alg, wdiff(lam, alg.rho), dual)
         assert image.body == el_scale(v.body, expected)
 
 
@@ -451,7 +451,7 @@ def reference_pairings(table):
     """<wt(b), h_j> for every basis id b and Cartan generator h_j, one form
     per pair, independent of the bracket table and its cartan_rows."""
     return tuple(
-        tuple(_exact(table.alg.form(basis_weight(table, b), dual)) for dual in cartan_duals(table.alg))
+        tuple(_exact(form(table.alg, basis_weight(table, b), dual)) for dual in cartan_duals(table.alg))
         for b in range(table.dim)
     )
 
@@ -482,7 +482,7 @@ def test_action_pairings_come_from_the_bracket_table():
         lam = default_lambda(case, 1, 0, ctx.alg)
         action = _Action(ctx.default_engine, lam)
         shift = wdiff(lam, ctx.alg.rho)
-        forms = [_exact(ctx.alg.form(shift, dual)) for dual in cartan_duals(ctx.alg)]
+        forms = [_exact(form(ctx.alg, shift, dual)) for dual in cartan_duals(ctx.alg)]
         assert list(action.shift) == forms and not non_canonical(action.shift), case.text
         pairs += table.n_pos * table.n_cartan
     assert len(SMALL_CASES) == 32 and pairs == 2814
