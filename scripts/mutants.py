@@ -224,6 +224,13 @@ MUTANTS = (
         ("tests/test_superalgebra.py::test_reference_scaling",),
     ),
     Mutant(
+        "case-id-equal-by-family",
+        "rootdata.py",
+        "return (self.family, self.m, self.n) == (other.family, other.m, other.n)",
+        "return self.family == other.family",
+        ("tests/test_package.py::test_case_id_is_a_checked_immutable_value",),
+    ),
+    Mutant(
         "rho-isotropic-row-unread",
         "rootdata.py",
         "if pairing(alg.coroot_rows[s.index], alg.rho) != 0:",

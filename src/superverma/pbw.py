@@ -59,7 +59,6 @@ as lattice points and become Fraction tuples only for output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import Collection, Dict, Optional, Set, Tuple
@@ -92,7 +91,6 @@ def el_one() -> UEAElement:
     return {(): 1}
 
 
-@dataclass(eq=False)
 class PBWEngine:
     """Straightening under one generator order, built from the table and a
     tail of lowering generator ids.
@@ -100,18 +98,19 @@ class PBWEngine:
     The lowering generators are sorted by root height and then by
     enumeration index, except that `tail` moves the listed generators to
     the end of the lowering block, in the given order.  A tail that lists
-    every lowering generator prescribes the whole block.
+    every lowering generator prescribes the whole block.  Compared by
+    identity, so two engines of equal orders are distinct dict keys.
     """
 
     table: BracketTable
-    tail: Tuple[int, ...] = ()
-    sequence: Tuple[int, ...] = field(init=False)
-    rank: Dict[int, int] = field(init=False)
+    tail: Tuple[int, ...]
+    sequence: Tuple[int, ...]
+    rank: Dict[int, int]
 
-    def __post_init__(self) -> None:
-        table = self.table
+    def __init__(self, table: BracketTable, tail: Tuple[int, ...] = ()) -> None:
+        self.table = table
         P = table.n_pos
-        self.tail = tail = tuple(self.tail)
+        self.tail = tail = tuple(tail)
         for g in tail:
             if not 0 <= g < P:
                 raise WrongOrder(f"{g} is not a lowering generator id")

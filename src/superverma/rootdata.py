@@ -41,11 +41,10 @@ coroot_rows, and AlgebraData does not keep it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 Weight = Tuple[Fraction, ...]
 Matrix = Tuple[Tuple[Fraction, ...], ...]
@@ -161,23 +160,39 @@ def _exact(c):
 # case identifiers
 
 
-@dataclass(frozen=True)
 class CaseId:
-    family: str
-    m: int = 0
-    n: int = 0
+    """A family and, for the osp families, m and n: checked when made
+    (InvalidParams), compared and hashed by value, and immutable."""
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise InvalidParams(f"unknown family {self.family!r}")
-        if self.family in OSP_FAMILIES:
-            nmin = 2 if self.family in ("D-I", "D-II") else 1
-            if self.m < 1 or self.n < nmin:
-                raise InvalidParams(
-                    f"{self.family} requires m >= 1 and n >= {nmin}, got m={self.m}, n={self.n}"
-                )
-        elif self.m or self.n:
-            raise InvalidParams(f"{self.family} takes no m, n parameters")
+    def __init__(self, family: str, m: int = 0, n: int = 0):
+        if family not in FAMILIES:
+            raise InvalidParams(f"unknown family {family!r}")
+        if family in OSP_FAMILIES:
+            nmin = 2 if family in ("D-I", "D-II") else 1
+            if m < 1 or n < nmin:
+                raise InvalidParams(f"{family} requires m >= 1 and n >= {nmin}, got m={m}, n={n}")
+        elif m or n:
+            raise InvalidParams(f"{family} takes no m, n parameters")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not CaseId:
+            return NotImplemented
+        return (self.family, self.m, self.n) == (other.family, other.m, other.n)
+
+    def __hash__(self):
+        return hash((self.family, self.m, self.n))
+
+    def __repr__(self):
+        return f"CaseId(family={self.family!r}, m={self.m!r}, n={self.n!r})"
 
     @property
     def text(self) -> str:
@@ -219,8 +234,7 @@ class CaseId:
         return CaseId(family, int(match.group(1)), int(match.group(2)))
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(NamedTuple):
     weight: Weight
     parity: str
     name: str
@@ -282,8 +296,11 @@ def f31_sign_weight(signs: str) -> Weight:
 # algebra data
 
 
-@dataclass(frozen=True, eq=False)
-class AlgebraData:
+class AlgebraData(NamedTuple):
+    """The root data of one case, built once by build_algebra_data.  It
+    holds dicts, so it is compared and hashed by identity, not by content;
+    _replace gives a copy with some fields changed."""
+
     case: CaseId
     coord_names: Tuple[str, ...]
     simple_system: Tuple[RootDatum, ...]
@@ -313,6 +330,10 @@ class AlgebraData:
     # pairing(coroot_rows[sigma], w), 2 (w, sigma) / (sigma, sigma); for an
     # isotropic sigma, which has no coroot pairing, the row of (w, sigma)
     coroot_rows: Tuple[Row, ...]
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
     @property
     def dim(self) -> int:

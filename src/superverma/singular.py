@@ -30,9 +30,8 @@ vanish.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .pbw import Inhomogeneous, Monomial, PBWEngine, UEAElement
 from .rootdata import (
@@ -56,12 +55,15 @@ from .verma import VermaVector, _Action, is_singular
 # shared per-case context
 
 
-@dataclass(eq=False)
 class Context:
-    alg: AlgebraData
-    table: BracketTable
-    # keyed by the tail's lowering generator ids, so each engine is built once
-    _engines: Dict[Tuple[int, ...], PBWEngine] = field(default_factory=dict)
+    """One case's root data and bracket table, and its engines by tail;
+    compared by identity."""
+
+    def __init__(self, alg: AlgebraData, table: BracketTable) -> None:
+        self.alg = alg
+        self.table = table
+        # keyed by the tail's lowering generator ids, so each engine is built once
+        self._engines: Dict[Tuple[int, ...], PBWEngine] = {}
 
     def engine(self, tail: Sequence[RootSpec] = ()) -> PBWEngine:
         """The engine whose order ends the lowering block with tail.  Each
@@ -137,8 +139,7 @@ def build_context(case: CaseId) -> Context:
 # parameters
 
 
-@dataclass(frozen=True)
-class CaseParams:
+class CaseParams(NamedTuple):
     case: CaseId
     N: int
     lam: Weight
@@ -219,25 +220,25 @@ def _gamma_multiple(alg: AlgebraData, roots: Sequence[int]) -> int:
     return c
 
 
-@dataclass(eq=False)
 class Candidate:
     """One point's candidate, validated and derived once: the odd raising
     factors (positive-root indices in application order, leftmost first),
     which sum to c * gamma, and as raising generator ids, and the lowering
     tail f_gamma^(N + c) as a monomial of lowering generator ids."""
 
-    params: CaseParams
-    odd: Tuple[int, ...]
-    odd_ids: Tuple[int, ...]
-    tail_ids: Monomial
-    # for one (engine, tail as a generator-id monomial) at a time, the key,
-    # the action of M(lambda) and the U(n^+) monomials' images on tail v+,
-    # never read for another tail, even a scalar multiple.  A build for a
-    # new key drops them: the CLI builds u, the sign-flip rebuilds on the
-    # same engine, then the witness steps, and never returns to a key
-    _images: Optional[Tuple[Tuple[PBWEngine, Monomial], _Action, Dict[Monomial, UEAElement]]] = field(
-        default=None, repr=False
-    )
+    def __init__(
+        self, params: CaseParams, odd: Tuple[int, ...], odd_ids: Tuple[int, ...], tail_ids: Monomial
+    ) -> None:
+        self.params = params
+        self.odd = odd
+        self.odd_ids = odd_ids
+        self.tail_ids = tail_ids
+        # for one (engine, tail as a generator-id monomial) at a time, the key,
+        # the action of M(lambda) and the U(n^+) monomials' images on tail v+,
+        # never read for another tail, even a scalar multiple.  A build for a
+        # new key drops them: the CLI builds u, the sign-flip rebuilds on the
+        # same engine, then the witness steps, and never returns to a key
+        self._images: Optional[Tuple[Tuple[PBWEngine, Monomial], _Action, Dict[Monomial, UEAElement]]] = None
 
     def build(
         self,
@@ -307,20 +308,21 @@ def _of_weight(engine: PBWEngine, x: UEAElement, point: Tuple[int, ...]) -> bool
 # orbit propagation
 
 
-@dataclass(eq=False)
 class ShapovalovElement:
-    beta: RootDatum
-    C: int
-    mu: Weight
-    theta: UEAElement
+    """theta, of weight mu, at root beta and level C; compared by identity."""
+
+    def __init__(self, beta: RootDatum, C: int, mu: Weight, theta: UEAElement) -> None:
+        self.beta = beta
+        self.C = C
+        self.mu = mu
+        self.theta = theta
 
 
 class _Handed(ShapovalovElement):
     """The chain's own element: the step that imports its theta drops it."""
 
 
-@dataclass(frozen=True)
-class OrbitStep:
+class OrbitStep(NamedTuple):
     kappa: str
     beta_from: str
     beta_to: str
@@ -502,8 +504,7 @@ def chain_weight(
     return mu
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     case: CaseId
     C: int
     target: OrbitTarget
@@ -558,8 +559,7 @@ def propagate_chain(
 # witness bases
 
 
-@dataclass(frozen=True)
-class WitnessStep:
+class WitnessStep(NamedTuple):
     label: int
     # positive-root indices of the raising factors, and (index, exponent)
     # pairs of the lowering monomial
@@ -567,8 +567,7 @@ class WitnessStep:
     v_mono: Tuple[Tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class WitnessSpec:
+class WitnessSpec(NamedTuple):
     # the lowering generators the witness engine orders last, as positive-root indices
     order_tail: Tuple[int, ...]
     # the lowering tail f_gamma^(N + c), as PBW exponents, that every step acts on
@@ -679,15 +678,13 @@ def witness_spec(cand: Candidate, alg: AlgebraData) -> WitnessSpec:
     return WitnessSpec(tuple(covered), tail, tuple(steps))
 
 
-@dataclass(frozen=True)
-class WitnessRow:
+class WitnessRow(NamedTuple):
     label: int
     coefficient: Coefficient
     weight_ok: bool
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     rows: Tuple[WitnessRow, ...]
     candidate_coefficient: Coefficient
 

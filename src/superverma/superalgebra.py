@@ -43,11 +43,10 @@ weight_rows[b].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .rootdata import AlgebraData, RootSpec, Row, Weight, _exact, pairing
 
@@ -62,8 +61,7 @@ class ClosureFailure(RuntimeError):
     """The Jacobi closure could not determine or verify a bracket."""
 
 
-@dataclass(frozen=True)
-class BasisElement:
+class BasisElement(NamedTuple):
     bid: int
     kind: str  # "f", "h", or "e"
     index: int  # positive-root index for e/f, simple index for h
@@ -148,8 +146,10 @@ def _signed_sum(terms, joiner: str) -> str:
     return out or "0"
 
 
-@dataclass(eq=False)
 class BracketTable:
+    """The supercommutators of one case's basis, with the per-basis-element
+    rows the straightening loops read; compared by identity."""
+
     alg: AlgebraData
     basis: Tuple[BasisElement, ...]
     # the nonzero brackets only, keyed (x, y); a pair not here is zero and
@@ -157,29 +157,33 @@ class BracketTable:
     entries: Dict[Tuple[int, int], Value]
     # the basis is f_0..f_{P-1}, h_0..h_{R-1}, e_0..e_{P-1}: P = n_pos
     # positive roots and R = n_cartan simple roots
-    n_pos: int = field(init=False)
-    n_cartan: int = field(init=False)
-    _e_base: int = field(init=False, repr=False)
+    n_pos: int
+    n_cartan: int
+    _e_base: int
     # weight_den times each basis weight, as a row of its nonzero lattice
     # coordinates: f_sigma at -sigma, h_j empty, e_sigma at sigma.  A
     # monomial's lattice point is the sum of its rows times the exponents
-    weight_rows: Tuple[Row, ...] = field(init=False)
+    weight_rows: Tuple[Row, ...]
     # the simple roots' coroot rows from the root data, nonzero entries
     # only: <w, h_j> is pairing(cartan_rows[j], w)
-    cartan_rows: Tuple[Row, ...] = field(init=False)
+    cartan_rows: Tuple[Row, ...]
     # <rho, h_j>, so that <lambda - rho, h_j> is one dot product less it
-    rho_pairings: Tuple[Coefficient, ...] = field(init=False)
+    rho_pairings: Tuple[Coefficient, ...]
     # <wt(b), h_j> for every basis id b, read from cartan_rows: [h_j, b] is
     # pairings[b][j] * b
-    pairings: Tuple[Tuple[Coefficient, ...], ...] = field(init=False)
+    pairings: Tuple[Tuple[Coefficient, ...], ...]
     # basis[b].odd for every basis id b, for the straightening loops
-    odd: Tuple[bool, ...] = field(init=False)
+    odd: Tuple[bool, ...]
     # ad_chain's (ad_R x)^k(g), keyed g, then x where [g, x] != 0; every
     # engine on this table reads the same lists
-    _ad_cache: Dict[int, Dict[int, List[Value]]] = field(init=False, default_factory=dict, repr=False)
+    _ad_cache: Dict[int, Dict[int, List[Value]]]
 
-    def __post_init__(self) -> None:
-        alg = self.alg
+    def __init__(
+        self, alg: AlgebraData, basis: Tuple[BasisElement, ...], entries: Dict[Tuple[int, int], Value]
+    ) -> None:
+        self.alg = alg
+        self.basis = basis
+        self.entries = entries
         P = self.n_pos = len(alg.pos_roots)
         R = self.n_cartan = len(alg.simple_system)
         self._e_base = P + R
@@ -189,7 +193,8 @@ class BracketTable:
         self.rho_pairings = tuple(_exact(pairing(row, alg.rho)) for row in self.cartan_rows)
         pos = tuple(tuple(_exact(pairing(row, r.weight)) for row in self.cartan_rows) for r in alg.pos_roots)
         self.pairings = tuple(tuple(-c for c in row) for row in pos) + ((0,) * R,) * R + pos
-        self.odd = tuple(el.odd for el in self.basis)
+        self.odd = tuple(el.odd for el in basis)
+        self._ad_cache = {}
 
     @property
     def dim(self) -> int:
@@ -401,8 +406,7 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
 # consistency checks
 
 
-@dataclass(frozen=True)
-class JacobiReport:
+class JacobiReport(NamedTuple):
     ok: bool
     pairs_checked: int
     triples_checked: int
@@ -442,8 +446,7 @@ def check_jacobi(table: BracketTable) -> JacobiReport:
     return JacobiReport(True, pairs, triples, None)
 
 
-@dataclass(frozen=True)
-class ScalingReport:
+class ScalingReport(NamedTuple):
     ok: bool
     scales: Dict[str, Fraction]
     detail: str = ""

@@ -34,20 +34,21 @@ one _Action beside its images.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .pbw import Monomial, PBWEngine, UEAElement
 from .rootdata import Weight, pairing, wdiff, wsum
 from .superalgebra import _exact, _merge, _scaled
 
 
-@dataclass(eq=False)
 class VermaVector:
-    body: UEAElement
-    highest_weight: Weight
+    """body v+ in M(highest_weight); compared by identity."""
+
+    def __init__(self, body: UEAElement, highest_weight: Weight) -> None:
+        self.body = body
+        self.highest_weight = highest_weight
 
     def is_zero(self) -> bool:
         return not self.body
@@ -164,8 +165,7 @@ def weight_of(v: VermaVector, engine: PBWEngine) -> Weight:
     return wsum(v.highest_weight, wdiff(engine.element_weight(v.body), engine.table.alg.rho))
 
 
-@dataclass(frozen=True)
-class SingularityReport:
+class SingularityReport(NamedTuple):
     ok: bool
     nonzero: bool
     residuals: Tuple[Tuple[str, int], ...]

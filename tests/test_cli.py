@@ -1,7 +1,6 @@
 """Command line behavior: grids, determinism, exit codes."""
 
 import contextlib
-import dataclasses
 import functools
 import importlib.util
 import io
@@ -395,7 +394,7 @@ def test_a_failed_root_lookup_is_an_internal_error(capsys, monkeypatch):
     (pivot,), block = singular._osp_shape(ctx.alg)
     key = pivot - block[0]
     at = {k: i for k, i in ctx.alg.at.items() if k != key}
-    broken = singular.Context(dataclasses.replace(ctx.alg, at=at), ctx.table)
+    broken = singular.Context(ctx.alg._replace(at=at), ctx.table)
     monkeypatch.setattr(cli, "build_context", lambda case: broken)
     code, out, err = run(capsys, "verify", "--case", "D-I", "--m", "1", "--n", "2", "--N", "1")
     assert (code, out) == (3, "")

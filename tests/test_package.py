@@ -1,4 +1,5 @@
-"""Package surface: the export table and optimized-mode behavior."""
+"""Package surface: the export table, optimized-mode behavior, what an
+import costs, and the contracts of the record classes."""
 
 import ast
 import os
@@ -10,6 +11,18 @@ from pathlib import Path
 import pytest
 
 import superverma
+from superverma import (
+    CaseId,
+    CaseParams,
+    PBWEngine,
+    build_context,
+    check_jacobi,
+    check_reference_scaling,
+    is_singular,
+    propagate_chain,
+    run_witness,
+)
+from superverma.singular import candidate, default_lambda, witness_spec
 
 
 def test_export_table_is_honest():
@@ -77,3 +90,91 @@ def test_max_rss_script_passes_output_and_status_through(tmp_path):
     mb, cpu = map(float, out.read_text().split())
     assert mb >= 40
     assert cpu >= 0.3
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    """Every process pays for the package's import, a spawned worker too:
+    dataclasses generates and execs each record's methods at import and
+    pulls in inspect, so the package uses neither.  -S keeps site's
+    start-up hooks out of the count."""
+    src = str(Path(superverma.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import superverma.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
+
+
+# ---------------------------------------------------------------------------
+# record contracts
+
+
+def test_case_id_is_a_checked_immutable_value():
+    case = CaseId("B-I", 1, 1)
+    assert case == CaseId.parse("B-I:m=1,n=1") and hash(case) == hash(CaseId("B-I", 1, 1))
+    assert len({case, CaseId("B-I", 1, 1), CaseId("B-I", 1, 2), CaseId("B-II", 1, 1)}) == 3
+    assert case != CaseId("B-I", 2, 1) and case != CaseId("B-I", 1, 2) and case != ("B-I", 1, 1)
+    assert repr(case) == "CaseId(family='B-I', m=1, n=1)"
+    with pytest.raises(AttributeError):
+        case.m = 2
+    with pytest.raises(AttributeError):
+        del case.family
+    assert (case.family, case.m, case.n) == ("B-I", 1, 1)
+
+
+@pytest.fixture(scope="module")
+def records():
+    """One instance of each frozen record and a field of it, by class name,
+    from small runs."""
+    case = CaseId("B-II", 1, 1)
+    ctx = build_context(case)
+    alg, table = ctx.alg, ctx.table
+    params = CaseParams(case, 1, default_lambda(case, 1, 0, alg))
+    cand = candidate(params, ctx)
+    spec = witness_spec(cand, alg)
+    witness = run_witness(cand, ctx)
+    chain_case = CaseId("B-I", 2, 1)
+    chain = propagate_chain(chain_case, 1, 1, seed=0, ctx=build_context(chain_case))
+    return {
+        "RootDatum": (alg.gamma, "name"),
+        "BasisElement": (table.basis[0], "bid"),
+        "JacobiReport": (check_jacobi(table), "ok"),
+        "ScalingReport": (check_reference_scaling(table), "scales"),
+        "CaseParams": (params, "N"),
+        "SingularityReport": (is_singular(cand.build(ctx.default_engine), ctx.default_engine), "ok"),
+        "WitnessSpec": (spec, "steps"),
+        "WitnessStep": (spec.steps[0], "label"),
+        "WitnessReport": (witness, "rows"),
+        "WitnessRow": (witness.rows[0], "coefficient"),
+        "ChainReport": (chain, "steps"),
+        "OrbitStep": (chain.steps[0], "kappa"),
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "BasisElement", "CaseParams", "ChainReport", "JacobiReport", "OrbitStep", "RootDatum",
+    "ScalingReport", "SingularityReport", "WitnessReport", "WitnessRow", "WitnessSpec", "WitnessStep",
+])
+def test_a_report_record_refuses_assignment(records, name):
+    record, field = records[name]
+    assert type(record).__name__ == name
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    assert getattr(record, field) is not None
+
+
+def test_engines_of_equal_orders_are_distinct_keys():
+    """Candidate keeps its images for one (engine, tail) key: an engine is
+    compared by identity, so an equal order built again is a new key."""
+    table = build_context(CaseId("B-II", 1, 1)).table
+    one, two = PBWEngine(table, (0,)), PBWEngine(table, (0,))
+    assert one.sequence == two.sequence and one != two
+    assert len({(one, ()): 1, (two, ()): 2}) == 2
+
+
+def test_algebra_data_is_not_hashed_by_content():
+    """It holds dicts: a copy with every field equal is another key."""
+    alg = build_context(CaseId("B-II", 1, 1)).alg
+    copy = alg._replace()
+    assert copy is not alg and copy.sums is alg.sums
+    assert copy != alg and not copy == alg and alg == alg
+    assert len({alg, copy}) == 2 and {alg: 1}.get(copy) is None

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -125,7 +124,7 @@ def test_gamma_of_the_wrong_parity_is_a_root_data_error(monkeypatch, text):
 
     def flipped_gamma(case):
         alg = real(case)
-        return dataclasses.replace(alg, gamma=next(r for r in alg.pos_roots if r.odd != alg.gamma.odd))
+        return alg._replace(gamma=next(r for r in alg.pos_roots if r.odd != alg.gamma.odd))
 
     monkeypatch.setitem(rootdata._BUILDERS, case.family, flipped_gamma)
     with pytest.raises(RootDataError, match=rf"odd gamma \(\d+, \d+, {not case.odd_gamma}\), expected \(\d+, \d+, {case.odd_gamma}\)"):
@@ -138,7 +137,7 @@ def test_selftest_rho_check_is_the_set_up_check():
     alg = build("B-II:m=1,n=1")
     assert rootdata.rho_violation(alg) is None
     assert cli._st_rho(SimpleNamespace(alg=alg), 0) == (True, None)
-    bad = dataclasses.replace(alg, rho=wsum(alg.rho, alg.rho))
+    bad = alg._replace(rho=wsum(alg.rho, alg.rho))
     ok, detail = cli._st_rho(SimpleNamespace(alg=bad), 0)
     assert not ok and detail == rootdata.rho_violation(bad)
     assert detail == "rho mismatch: (1,-1) is not the half-sum (1/2,-1/2)"
@@ -156,7 +155,7 @@ def test_selftest_rho_check_reads_the_simple_rows(damaged, detail):
     s, d1 = alg.root_named(damaged), alg.root_named("d1")
     rows = list(alg.coroot_rows)
     rows[s.index] = rows[d1.index] if s.isotropic else tuple((i, 2 * c) for i, c in rows[s.index])
-    bad = dataclasses.replace(alg, coroot_rows=tuple(rows))
+    bad = alg._replace(coroot_rows=tuple(rows))
     assert cli._st_rho(SimpleNamespace(alg=bad), 0) == (False, detail)
 
 
@@ -353,13 +352,13 @@ def test_isotropic_coroot_raises():
 
 
 def test_invalid_params():
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match=r"^D-I requires m >= 1 and n >= 2, got m=2, n=1$"):
         CaseId("D-I", 2, 1)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match=r"^B-I requires m >= 1 and n >= 1, got m=0, n=1$"):
         CaseId("B-I", 0, 1)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match=r"^F31 takes no m, n parameters$"):
         CaseId("F31", 2, 1)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidParams, match=r"^unknown family 'E8'$"):
         CaseId("E8")
     with pytest.raises(InvalidParams):
         CaseId.parse("B-I:m=x,n=1")

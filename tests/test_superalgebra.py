@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 from fractions import Fraction
 
@@ -99,7 +98,7 @@ def test_every_stored_decomposition_is_checked(text):
                     continue
                 decomp = list(alg.decomp)
                 decomp[s] = (k, t)
-                other = dataclasses.replace(alg, decomp=tuple(decomp))
+                other = alg._replace(decomp=tuple(decomp))
                 if wsum(simple.weight, tau.weight) == alg.pos_roots[s].weight:
                     assert check_jacobi(build_structure_constants(other)).ok, (s, k, t)
                 else:
@@ -118,7 +117,7 @@ def test_unset_pair_is_a_closure_failure():
     fakes = [(mu, nu) for mu in range(P) for nu in range(mu, P) if (mu, nu) not in alg.sums]
     assert fakes
     for fake in fakes:
-        other = dataclasses.replace(alg, sums={**alg.sums, fake: simple})
+        other = alg._replace(sums={**alg.sums, fake: simple})
         with pytest.raises(ClosureFailure, match=r"no value derived for \["):
             build_structure_constants(other)
 
@@ -141,7 +140,7 @@ def test_derived_zero_is_a_closure_failure(text):
     ]
     assert fakes
     for mu, nu, s in fakes:
-        other = dataclasses.replace(alg, sums={**alg.sums, (mu, nu): s, (nu, mu): s})
+        other = alg._replace(sums={**alg.sums, (mu, nu): s, (nu, mu): s})
         with pytest.raises(ClosureFailure, match=r"was derived as 0$"):
             build_structure_constants(other)
 
