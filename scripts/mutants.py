@@ -94,6 +94,27 @@ MUTANTS = (
         ("tests/test_superalgebra.py::test_merge_and_scale_keep_canonical_form",),
     ),
     Mutant(
+        "right-divide-unchecked",
+        "pbw.py",
+        "            self.check_lowering(mono)\n",
+        "",
+        ("tests/test_pbw.py::test_right_division_refuses_an_out_of_order_monomial",),
+    ),
+    Mutant(
+        "rightmost-even-parity-unchecked",
+        "pbw.py",
+        "if f != self.rightmost_negative or self.table.odd[f]:",
+        "if f != self.rightmost_negative:",
+        ("tests/test_pbw.py::test_right_division_raises",),
+    ),
+    Mutant(
+        "lift-binomial",
+        "pbw.py",
+        "ck = comb(L, k)",
+        "ck = comb(L + 1, k)",
+        ("tests/test_pbw.py::test_lift_matches_power_times", ORBIT_GOLDEN),
+    ),
+    Mutant(
         "lift-unchecked",
         "pbw.py",
         "        for m in theta:\n            self.check_lowering(m)\n",

@@ -25,7 +25,6 @@ from .pbw import (
     NotDivisible,
     WrongOrder,
     Inhomogeneous,
-    RoundTripFailure,
 )
 from .verma import (
     VermaVector,
@@ -69,7 +68,6 @@ __all__ = [
     "NotDivisible",
     "WrongOrder",
     "Inhomogeneous",
-    "RoundTripFailure",
     "VermaVector",
     "SingularityReport",
     "UnexpectedRaising",

@@ -156,7 +156,8 @@ def _level_grid(args) -> List[int]:
 
 
 class PointFault(Exception):
-    """An internal error out of one grid point: "<point>: <class>: <message>"."""
+    """An internal error out of one grid point or selftest check:
+    "<point>: <class>: <message>"."""
 
 
 def _run_grid(point, where: str, jobs, args, text_line, noun: str) -> int:
@@ -538,8 +539,12 @@ def cmd_selftest(args) -> int:
             case = CaseId.parse(text)
             if args.case is not None and case.family != args.case:
                 continue
-            ctx = build_context(case)
-            ok, detail = fn(ctx, args.seed)
+            try:
+                ok, detail = fn(build_context(case), args.seed)
+            except InvalidParams:
+                raise
+            except Exception as exc:
+                raise PointFault(f"{name} {text} seed={args.seed}: {type(exc).__name__}: {exc}") from exc
             count += 1
             if args.json:
                 print(json.dumps(

@@ -19,11 +19,12 @@ its tail of lowering generators and the order derived from them, and
 caches nothing.
 
 join is the one rule for when two normal-form monomials multiply to one,
-and is_normal the one normal-form test.  The product in U(g), word_times
-behind multiply, import_element and right_divide's round trip, joins a
-normal-form word to el whole when it joins every monomial of el, as
-power_times joins x^j and lift f^(L-k); every other word goes one power at
-a time.
+and is_normal the one normal-form test.  The product in U(g), _times behind
+multiply and import_element, joins a normal-form word to el whole when it
+joins every monomial of el, as power_times joins x^j and lift f^(L-k);
+every other word goes one power at a time.  right_divide reads a quotient
+off the normal form: a normal-form monomial of U(n^-) that ends in f^p is
+its quotient's join with f^p, so check_lowering certifies the quotient.
 
 The one place where a power passes a whole element at once is lift, the
 orbit step's f^L theta = sum_k C(L, k) (ad f)^k(theta) f^(L-k).  It is an
@@ -83,10 +84,6 @@ class Inhomogeneous(ValueError):
     """A single weight was requested for an element that has none."""
 
 
-class RoundTripFailure(RuntimeError):
-    """A right quotient times the divisor did not give back the dividend."""
-
-
 def el_one() -> UEAElement:
     return {(): 1}
 
@@ -135,8 +132,8 @@ class PBWEngine:
     def multiply(self, a: UEAElement, b: UEAElement) -> UEAElement:
         """a * b in normal form; the monomials of a and b are read as
         generator powers from left to right and need not be in normal form.
-        Each word of a goes to word_times with b imported, so a normal-form
-        word that joins every term of b is joined whole."""
+        Each word of a multiplies b imported (_times), so a normal-form word
+        that joins every term of b is joined whole."""
         return self._times(a, self.import_element(b))
 
     def import_element(self, x: UEAElement) -> UEAElement:
@@ -146,34 +143,31 @@ class PBWEngine:
         return self._times(x, el_one())
 
     def _times(self, a: UEAElement, el: UEAElement) -> UEAElement:
-        """a * el in U(g), for el in normal form: the sum over the words of a
-        of word_times(word, el)."""
-        out: UEAElement = {}
-        for mono, coef in a.items():
-            _merge(out, self.word_times(mono, el), coef)
-        return out
-
-    def word_times(self, word: Monomial, el: UEAElement) -> UEAElement:
-        """word * el in normal form, for a word read as generator powers from
-        left to right and el in normal form.
+        """a * el in U(g), for el in normal form: the sum over the words of a,
+        each read as generator powers from left to right, of word * el.
 
         A normal-form word is joined to el in one step when it joins each
         monomial of el (join), which needs no straightening; distinct
         monomials of el give distinct joins.  Every other word is applied to
         el one generator power at a time by power_times, from the right."""
-        if self.is_normal(word):
-            join = self.join
-            out: UEAElement = {}
-            for m, c in el.items():
-                key = join(word, m)
-                if key is None:
-                    break
-                out[key] = c
-            else:
-                return out
-        for g, e in reversed(word):
-            el = self.power_times(g, e, el)
-        return el
+        join = self.join
+        out: UEAElement = {}
+        for word, coef in a.items():
+            if self.is_normal(word):
+                product: UEAElement = {}
+                for m, c in el.items():
+                    key = join(word, m)
+                    if key is None:
+                        break
+                    product[key] = c
+                else:
+                    _merge(out, product, coef)
+                    continue
+            product = el
+            for g, e in reversed(word):
+                product = self.power_times(g, e, product)
+            _merge(out, product, coef)
+        return out
 
     def join(self, left: Monomial, right: Monomial) -> Optional[Monomial]:
         """left * right as one normal-form monomial, for left and right in
@@ -414,18 +408,15 @@ class PBWEngine:
 
     def right_divide(self, x: UEAElement, bid: int, p: int) -> UEAElement:
         """Divide by bid^p on the right, for bid the even rightmost lowering
-        generator; every monomial must carry bid^p.  Each quotient monomial
-        is multiplied back by bid^p, imported once, by word_times as it is
-        stripped, and must give its own monomial of x again, so no product of
-        the whole quotient is formed beside x.  A quotient monomial in normal
-        form is joined to bid^p in one step; any other is straightened and
-        fails."""
+        generator; every monomial must be a normal-form monomial of U(n^-)
+        (check_lowering) that ends in bid^p.  Such a monomial is its
+        quotient's join with bid^p, as bid ranks last in U(n^-), so x is the
+        quotient times bid^p term by term."""
         self._check_rightmost_even(bid)
         if p < 0:
             raise ValueError("negative power")
         if p == 0:
             return dict(x)
-        divisor = self.gen(bid, p)
         out: UEAElement = {}
         for mono, coef in x.items():
             if not mono or mono[-1][0] != bid or mono[-1][1] < p:
@@ -433,14 +424,9 @@ class PBWEngine:
                     f"monomial {self.render_monomial(mono)} lacks "
                     f"{self.table.basis[bid].name}^{p}"
                 )
+            self.check_lowering(mono)
             e = mono[-1][1] - p
-            q = mono[:-1] + ((bid, e),) if e else mono[:-1]
-            if self.word_times(q, divisor) != {mono: 1}:
-                raise RoundTripFailure(
-                    f"{self.render_monomial(q)} times {self.table.basis[bid].name}^{p}"
-                    f" does not give back {self.render_monomial(mono)}"
-                )
-            out[q] = coef
+            out[mono[:-1] + ((bid, e),) if e else mono[:-1]] = coef
         return out
 
     def element_lattice(self, x: UEAElement) -> Tuple[int, ...]:

@@ -357,11 +357,12 @@ def orbit_propagate(shap: ShapovalovElement, kappa, ctx: Context) -> Tuple[Shapo
     weight nu - rho, so x v_nu -> x f_kappa^p v_mu is a module map
     M(nu) -> M(mu).  f_kappa is the engine's rightmost generator, so the
     map appends f_kappa^p to each normal-form monomial, which is injective
-    on bodies.  right_divide proves lifted = theta' f_kappa^p term for term
-    (RoundTripFailure or NotDivisible otherwise), so each e_i . lifted v_mu
-    is e_i . theta' v_nu with f_kappa^p appended, and lifted v_mu is
-    nonzero and singular exactly when the one-monomial premise
-    f_kappa^p v_mu is singular and theta' v_nu is.
+    on bodies.  right_divide finds every monomial of the lifted vector a
+    normal-form monomial of U(n^-) ending in f_kappa^p (WrongOrder or
+    NotDivisible otherwise), so lifted = theta' f_kappa^p term by term,
+    each e_i . lifted v_mu is e_i . theta' v_nu with f_kappa^p appended,
+    and lifted v_mu is nonzero and singular exactly when the one-monomial
+    premise f_kappa^p v_mu is singular and theta' v_nu is.
 
     So the step holds theta only until the lift returns and the lifted
     vector, its largest element, only until right_divide returns: the image

@@ -150,8 +150,8 @@ def test_criterion_4_orbit_chains():
         assert report.start_singular, (text, C)
         assert report.final_ok and report.final_beta == final_name, (text, C)
         for step in report.steps:
-            # right-division round-trips are asserted inside right_divide;
-            # the flags here certify singularity before and after each lift
+            # right_divide refuses a lifted monomial that is not theta' f^p
+            # in normal form; the flags certify singularity around each lift
             assert step.ok, (text, C, step)
             steps += 1
     print(f"criterion 4 PASS: {len(CHAINS)} chains, {steps} reflection steps, all lifts singular")
@@ -313,7 +313,7 @@ def test_criterion_7_engine_properties():
     assert div >= 100
     print(
         f"criterion 7 PASS: {assoc} associativity triples, normal-form idempotence,"
-        f" weight additivity, {div} division round-trips"
+        f" weight additivity, {div} quotients of theta f^p equal to theta"
     )
 
 

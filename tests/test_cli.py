@@ -886,6 +886,23 @@ def test_selftest_failure_named(capsys, monkeypatch):
     assert "first failure: jacobi" in out
 
 
+@pytest.mark.parametrize("fault, code, err", [
+    (KeyError(99), 3, "internal error at associativity B-I:m=1,n=1 seed=0: KeyError: 99\n"),
+    (InvalidParams("no such level"), 2, "error: no such level\n"),
+], ids=["internal", "usage"])
+def test_selftest_error_names_its_check_and_case(capsys, monkeypatch, fault, code, err):
+    """An exception inside a selftest check exits 3 and names the check, the
+    case and the seed before its class and message, after the lines of the
+    checks before it; an InvalidParams out of a check stays a usage error."""
+    def broken(ctx, seed):
+        raise fault
+
+    checks = [(name, broken if name == "associativity" else fn, texts) for name, fn, texts in cli.SELF_CHECKS]
+    monkeypatch.setattr(cli, "SELF_CHECKS", checks)
+    got = run(capsys, "selftest", "--case", "B-I")
+    assert got == (code, "ok   jacobi         B-I:m=1,n=1\nok   rho            B-I:m=1,n=1\n", err)
+
+
 def damaged_b2_context(case, real=cli.build_context):
     """build_context, but for B-II with [e_{d_m}, f_{d_m}] and its transpose,
     a Cartan-valued relation of the reference list, scaled by 3."""

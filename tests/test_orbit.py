@@ -6,7 +6,7 @@ import pytest
 
 from superverma import singular
 from superverma.pbw import PBWEngine, el_one
-from helpers import el_add
+from helpers import el_add, words_times
 from superverma.rootdata import CaseId, InvalidParams, ParityViolation, wdiff
 from superverma.singular import (
     CaseParams,
@@ -89,6 +89,18 @@ def test_lift_equals_power_times_on_every_golden_chain(golden_steps):
     for engine, fk, theta, lifted, _, step in golden_steps:
         assert lifted == engine.power_times(fk, step.exponent, theta), step
         assert step.ok, step
+
+
+def test_lifted_vector_is_its_quotient_times_f_kappa_p(golden_steps):
+    """The reference for right_divide, which reads each quotient off the
+    normal form: at every step of every chain in tests/golden, theta' times
+    f_kappa^p gives the lifted vector again, by multiply and by the
+    reference loop that applies one generator power at a time."""
+    for engine, fk, _, lifted, theta2, step in golden_steps:
+        assert engine.right_divide(lifted, fk, step.p) == theta2, step
+        divisor = engine.gen(fk, step.p)
+        assert engine.multiply(theta2, divisor) == lifted, step
+        assert words_times(theta2, divisor, engine.power_times) == lifted, step
 
 
 def _append_power(m, f, p):

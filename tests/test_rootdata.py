@@ -186,8 +186,9 @@ B2_11 = dict(
           odd_weights=[], gamma_weight=frac_weight(1, 0)),
      "no simple-root decomposition for d1+2e1"),
     (dict(gamma_weight=frac_weight(-1, 1)), "gamma must be nonisotropic"),
+    (dict(simple_weights=B2_11["simple_weights"][:1]), "the simple roots are not a basis"),
 ], ids=["even-repeated", "odd-repeated", "even-and-odd", "isotropic-even", "shared-name",
-        "no-decomposition", "isotropic-gamma"])
+        "no-decomposition", "isotropic-gamma", "too-few-simple"])
 def test_inconsistent_set_up_input_is_a_root_data_error(spoiled, message):
     """Each of _assemble's consistency guards refuses its input, naming the
     case; the unspoiled input builds B-II m=1 n=1."""
@@ -264,6 +265,7 @@ def test_g3_names_frozen():
     assert render_weight_name(("a", "b"), (quarter, half)) == "(a+2b)/4"
     assert render_weight_name(("a", "b"), (half, Fraction(-1, 3))) == "(3a-2b)/6"
     assert render_weight_name(("a", "b"), (half, half)) == "(a+b)/2"
+    assert render_weight_name(("a", "b"), (Fraction(0), Fraction(0))) == "0"
 
 
 def test_f31_odd_names_are_sign_tuples():
@@ -275,6 +277,9 @@ def test_f31_odd_names_are_sign_tuples():
         assert f31_sign_weight(r.name) == r.weight
         assert f31_signs_of(r.weight) == r.name
     assert f31_sign_weight("+−−+") == f31_sign_weight("+--+")
+    for bad in ("+--", "+--+-", "+-x+"):
+        with pytest.raises(InvalidParams, match=f"^bad sign tuple {re.escape(repr(bad))}$"):
+            f31_sign_weight(bad)
     assert f31_signs_of(alg.root_named("e1").weight) is None
 
 
