@@ -28,12 +28,12 @@ def main(argv=None):
 
     try:
         case = CaseId.parse(args.case)
-        ctx = build_context(case)
+        table = build_context(case)
     except InvalidParams as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    text = dump_table(ctx.table)
+    text = dump_table(table)
     if args.out == "-":
         sys.stdout.write(text)
     else:

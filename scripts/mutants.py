@@ -46,9 +46,10 @@ ORBIT_GOLDEN = "tests/test_golden.py::test_output_matches_golden[orbit_chains_se
 LIFTED_IMAGES = "tests/test_orbit.py::test_lifted_images_are_the_image_checks_images_with_f_kappa_appended"
 CHAIN_CONFIGS = "tests/test_orbit.py::test_chain_configs_reach_target"
 LEVEL_GRID = "tests/test_cli.py::test_every_level_of_a_grid_is_checked_before_set_up"
-WORD_TIMES = "tests/test_pbw.py::test_word_times_matches_one_power_at_a_time"
+MULTIPLY = "tests/test_pbw.py::test_multiply_matches_one_power_at_a_time"
 JOIN = "tests/test_pbw.py::test_join_matches_right_multiplication"
 LEFT_RULE = "tests/test_pbw.py::test_left_rule_matches_right_multiplication"
+TAIL_CHECK = "tests/test_singular.py::test_engines_of_a_case_share_the_table_and_make_each_order_once"
 
 MUTANTS = (
     Mutant(
@@ -164,7 +165,7 @@ MUTANTS = (
         "if r < last or",
         ("tests/test_pbw.py::test_lift_refuses_the_wrong_generator_or_element",
          "tests/test_verma.py::test_module_action_needs_a_normal_form_body",
-         WORD_TIMES + "[G3]"),
+         MULTIPLY + "[G3]"),
     ),
     Mutant(
         "words-exponent-dropped",
@@ -186,7 +187,14 @@ MUTANTS = (
         "pbw.py",
         "if not 0 <= g < P:",
         "if False:",
-        ("tests/test_singular.py::test_engines_of_a_case_share_the_table_and_make_each_order_once",),
+        (TAIL_CHECK,),
+    ),
+    Mutant(
+        "tail-bound-admits-the-first-cartan",
+        "pbw.py",
+        "0 <= g < P",
+        "0 <= g <= P",
+        (TAIL_CHECK,),
     ),
     Mutant(
         "embedding-power-off-by-one",

@@ -37,7 +37,6 @@ from .verma import (
 )
 from .singular import (
     CaseParams,
-    Context,
     ShapovalovElement,
     ChainReport,
     WitnessReport,
@@ -76,7 +75,6 @@ __all__ = [
     "weight_of",
     "is_singular",
     "CaseParams",
-    "Context",
     "ShapovalovElement",
     "ChainReport",
     "WitnessReport",

@@ -30,7 +30,7 @@ from contextlib import nullcontext
 from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .pbw import Inhomogeneous, el_one
+from .pbw import Inhomogeneous, PBWEngine, el_one
 from .rootdata import (
     CaseId,
     FAMILIES,
@@ -206,18 +206,18 @@ def _verify_point(job):
     case_text, N, seed, lam_text, checks = job
     t0 = time.monotonic()
     case = CaseId.parse(case_text)
-    ctx = build_context(case)
-    alg = ctx.alg
+    table = build_context(case)
+    alg = table.alg
     if lam_text is None:
-        lam = default_lambda(case, N, seed, alg)
+        lam = default_lambda(case, N, seed)
     else:
         try:
             lam = parse_weight(lam_text, alg.rank)
         except ValueError as exc:
             raise InvalidParams(f"cannot parse --lambda {lam_text!r}: {exc}") from None
-    params = CaseParams(case, N, lam)
-    cand = candidate(params, ctx)
-    engine = ctx.default_engine
+    params = CaseParams(N, lam)
+    cand = candidate(params, table)
+    engine = PBWEngine(table)
     u = cand.build(engine)
     drop = claimed_drop(params, alg)
     rec = {
@@ -259,12 +259,12 @@ def _verify_point(job):
             name, image = report.failure
             counterexample = f"e_{{{name}}} u = {engine.render(image, 'v+')}"
     if "signflip" in checks:
-        perm = signflip_counterexample(cand, ctx, u, seed, SIGNFLIP_SAMPLES)
+        perm = signflip_counterexample(cand, engine, u, seed, SIGNFLIP_SAMPLES)
         rec["signflip_ok"] = nonzero and perm is None
         if perm is not None and counterexample is None:
             counterexample = f"permutation {perm} is not a sign flip"
     if "witness" in checks:
-        wrep = run_witness(cand, ctx)
+        wrep = run_witness(cand, table)
         rec["witness_ok"] = wrep.ok
         rec["witness_coefficients"] = [str(r.coefficient) for r in wrep.rows]
         rec["candidate_coefficient"] = str(wrep.candidate_coefficient)
@@ -326,7 +326,7 @@ def cmd_verify(args) -> int:
 
 def _parse_target(text: Optional[str], case: CaseId):
     """An index or an i,j pair; by default 1..k for gamma's k support
-    coordinates, the one form that builds the case's context."""
+    coordinates, the one form that builds the case's table."""
     if text is None:
         parts = list(range(1, 1 + len(_support(build_context(case).alg))))
     else:
@@ -342,8 +342,7 @@ def _orbit_point(job):
     case_text, C, target, seed, p_first = job
     t0 = time.monotonic()
     case = CaseId.parse(case_text)
-    ctx = build_context(case)
-    report = propagate_chain(case, C, target, seed, ctx, p_first=p_first)
+    report = propagate_chain(build_context(case), C, target, seed, p_first=p_first)
     rec = {
         "case": case.text,
         "m": case.m,
@@ -421,21 +420,21 @@ def cmd_orbit(args) -> int:
 # selftest
 
 
-def _st_jacobi(ctx, seed):
-    report = check_jacobi(ctx.table)
+def _st_jacobi(table, seed):
+    report = check_jacobi(table)
     return report.ok, report.first_violation
 
 
-def _st_rho(ctx, seed):
-    problem = rho_violation(ctx.alg)
+def _st_rho(table, seed):
+    problem = rho_violation(table.alg)
     return problem is None, problem
 
 
-def _st_associativity(ctx, seed):
-    engine = ctx.default_engine
-    rng = random.Random(f"selftest:assoc:{ctx.alg.case.text}:{seed}")
+def _st_associativity(table, seed):
+    engine = PBWEngine(table)
+    rng = random.Random(f"selftest:assoc:{table.alg.case.text}:{seed}")
     for trial in range(25):
-        ids = [rng.randrange(ctx.table.dim) for _ in range(3)]
+        ids = [rng.randrange(table.dim) for _ in range(3)]
         x, y, z = (engine.gen(i) for i in ids)
         left = engine.multiply(engine.multiply(x, y), z)
         right = engine.multiply(x, engine.multiply(y, z))
@@ -444,15 +443,15 @@ def _st_associativity(ctx, seed):
     return True, None
 
 
-def _st_division(ctx, seed):
-    alg = ctx.alg
-    bid = ctx.table.f_gen(next(r for r in alg.pos_roots if not r.odd))
-    engine = ctx.engine(tail=(bid,))
+def _st_division(table, seed):
+    alg = table.alg
+    bid = table.f_gen(next(r for r in alg.pos_roots if not r.odd))
+    engine = PBWEngine(table, (bid,))
     rng = random.Random(f"selftest:div:{alg.case.text}:{seed}")
     for trial in range(10):
         theta = el_one()
         for _ in range(2):
-            theta = engine.multiply(theta, engine.gen(rng.randrange(ctx.table.n_pos)))
+            theta = engine.multiply(theta, engine.gen(rng.randrange(table.n_pos)))
         p = rng.randint(1, 3)
         x = engine.multiply(theta, engine.gen(bid, p))
         if engine.right_divide(x, bid, p) != theta:
@@ -460,24 +459,23 @@ def _st_division(ctx, seed):
     return True, None
 
 
-def _st_candidate(ctx, seed):
-    rec, _ = _verify_point((ctx.alg.case.text, 1, seed, None, ("nonzero", "singular")))
+def _st_candidate(table, seed):
+    rec, _ = _verify_point((table.alg.case.text, 1, seed, None, ("nonzero", "singular")))
     return rec["ok"], rec["counterexample"]
 
 
-def _st_scaling(ctx, seed):
-    report = check_reference_scaling(ctx.table)
+def _st_scaling(table, seed):
+    report = check_reference_scaling(table)
     return report.ok, None if report.ok else report.detail
 
 
-def _st_string(ctx, seed):
+def _st_string(table, seed):
     """Alternating raising string against powers of the nonisotropic odd
     generator: e f^(2k+1) v+ = (tau - k s) f^(2k) v+ and
     e f^(2k) v+ = -k s f^(2k-1) v+."""
-    alg = ctx.alg
-    table = ctx.table
-    engine = ctx.default_engine
-    lam = default_lambda(alg.case, 1, seed, alg)
+    alg = table.alg
+    engine = PBWEngine(table)
+    lam = default_lambda(alg.case, 1, seed)
     g = alg.gamma
     T = table.bracket(table.e_gen(g), table.f_gen(g))
     tau = table.h_value_pairing(T, wdiff(lam, alg.rho))
@@ -495,19 +493,18 @@ def _st_string(ctx, seed):
     return True, None
 
 
-def _st_sl2(ctx, seed):
-    case = ctx.alg.case
-    alg = ctx.alg
-    kappas = chain_kappas(case.m - 1, alg)[:1]
+def _st_sl2(table, seed):
+    alg = table.alg
+    kappas = chain_kappas(alg.case.m - 1, alg)[:1]
     mu = chain_weight(1, kappas, seed, alg, p_first=2)
     kappa = kappas[0]
     p = int(alg.coroot_pairing(mu, kappa))
     a = int(-alg.coroot_pairing(alg.gamma.weight, kappa))
     top = p + a
-    fk = ctx.table.f_gen(kappa)
-    engine = ctx.engine(tail=(fk,))
-    theta = engine.import_element(candidate_u(CaseParams(case, 1, mu), ctx).body)
-    ek = engine.gen(ctx.table.e_gen(kappa))
+    fk = table.f_gen(kappa)
+    engine = PBWEngine(table, (fk,))
+    theta = engine.import_element(candidate_u(CaseParams(1, mu), table).body)
+    ek = engine.gen(table.e_gen(kappa))
     lifts = [engine.lift(fk, l, theta) for l in range(top + 1)]
     for l, lifted in enumerate(lifts):
         got = act(ek, VermaVector(lifted, mu), engine)

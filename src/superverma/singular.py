@@ -12,6 +12,10 @@ orbit chain's kappas and final beta are found by int steps on the root
 data's packed lattice (AlgebraData.keys, unit_key and at), and weights are
 compared as lattice points.
 
+A case is its bracket table (build_context): every entry point takes the
+table, reads the case from table.alg, and builds the engines it uses,
+which cache nothing.
+
 A Shapovalov element (beta, C, mu, theta) records theta in U(n^-) with
 theta v+ singular in M(mu) at weight mu - rho - C*beta.  Reflecting in an
 even simple root kappa with p = <mu, h_kappa> a positive integer moves it
@@ -51,40 +55,12 @@ from .superalgebra import BracketTable, Coefficient, _scaled, build_structure_co
 from .verma import VermaVector, _Action, is_singular
 
 
-# ---------------------------------------------------------------------------
-# shared per-case context
-
-
-class Context:
-    """One case's root data and bracket table, and its engines by tail;
-    compared by identity."""
-
-    def __init__(self, alg: AlgebraData, table: BracketTable) -> None:
-        self.alg = alg
-        self.table = table
-        # keyed by the tail's lowering generator ids, so each engine is built once
-        self._engines: Dict[Tuple[int, ...], PBWEngine] = {}
-
-    def engine(self, tail: Sequence[RootSpec] = ()) -> PBWEngine:
-        """The engine whose order ends the lowering block with tail.  Each
-        entry is a lowering generator id or a root (datum or name),
-        resolved once here; PBWEngine checks the ids (WrongOrder)."""
-        key = tuple(s if isinstance(s, int) else self.table.f_gen(s) for s in tail)
-        if key not in self._engines:
-            self._engines[key] = PBWEngine(self.table, key)
-        return self._engines[key]
-
-    @property
-    def default_engine(self) -> PBWEngine:
-        return self.engine()
-
-
 # the largest superalgebra a case may have, by dimension: set-up grows about
 # as dim^2 to dim^2.5, and D-II m=n=10 (dim 800) takes about 0.7 s on a
 # 2-core VM and stores the 63,560 nonzero of its 640,000 bracket pairs
 MAX_CASE_DIM = 800
-# the contexts held at once, by the sum of their tables' dim^2, so this is
-# one largest case.  A table stores its nonzero brackets only, 12% of dim^2
+# the tables held at once, by the sum of their dim^2, so this is one
+# largest case.  A table stores its nonzero brackets only, 12% of dim^2
 # at D-II m=n=8 and 10% at m=n=10, so the count is conservative by that much
 CONTEXT_BUDGET = MAX_CASE_DIM ** 2
 # the largest level (N for verify, C for orbit) of an odd gamma (B-I, G3):
@@ -95,7 +71,7 @@ CONTEXT_BUDGET = MAX_CASE_DIM ** 2
 MAX_ODD_LEVEL = 10**6 + 1
 
 # by case text, least recently used first
-_CONTEXTS: Dict[str, Context] = {}
+_CONTEXTS: Dict[str, BracketTable] = {}
 
 
 def check_case_size(case: CaseId, lead: str) -> None:
@@ -116,23 +92,23 @@ def check_level(case: CaseId, level: int, name: str) -> None:
         raise InvalidParams(f"{case.family} has an odd gamma and takes a level of at most {MAX_ODD_LEVEL}, got {name}={level}")
 
 
-def build_context(case: CaseId) -> Context:
-    """The case's shared context, built on first use (InvalidParams above
-    MAX_CASE_DIM, before anything is built).  Building one drops the least
-    recently used others until the tables held fit in CONTEXT_BUDGET."""
+def build_context(case: CaseId) -> BracketTable:
+    """The case's bracket table, whose alg is its root data, built on first
+    use (InvalidParams above MAX_CASE_DIM, before anything is built).
+    Building one drops the least recently used others until the tables held
+    fit in CONTEXT_BUDGET."""
     key = case.text
-    ctx = _CONTEXTS.pop(key, None)
-    if ctx is not None:
-        _CONTEXTS[key] = ctx
-        return ctx
+    table = _CONTEXTS.pop(key, None)
+    if table is not None:
+        _CONTEXTS[key] = table
+        return table
     check_case_size(case, "cannot build")
-    alg = build_algebra_data(case)
-    ctx = Context(alg=alg, table=build_structure_constants(alg))
-    held = ctx.table.dim ** 2 + sum(c.table.dim ** 2 for c in _CONTEXTS.values())
+    table = build_structure_constants(build_algebra_data(case))
+    held = table.dim ** 2 + sum(t.dim ** 2 for t in _CONTEXTS.values())
     while _CONTEXTS and held > CONTEXT_BUDGET:
-        held -= _CONTEXTS.pop(next(iter(_CONTEXTS))).table.dim ** 2
-    _CONTEXTS[key] = ctx
-    return ctx
+        held -= _CONTEXTS.pop(next(iter(_CONTEXTS))).dim ** 2
+    _CONTEXTS[key] = table
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +116,12 @@ def build_context(case: CaseId) -> Context:
 
 
 class CaseParams(NamedTuple):
-    case: CaseId
     N: int
     lam: Weight
 
 
 def validate_params(params: CaseParams, alg: AlgebraData) -> None:
-    check_level(params.case, params.N, "N")
+    check_level(alg.case, params.N, "N")
     if len(params.lam) != alg.rank:
         raise InvalidParams("lambda has the wrong number of coordinates")
     got = alg.coroot_pairing(params.lam, alg.gamma)
@@ -156,12 +131,11 @@ def validate_params(params: CaseParams, alg: AlgebraData) -> None:
         )
 
 
-def default_lambda(case: CaseId, N: int, seed: int, alg: Optional[AlgebraData] = None) -> Weight:
+def default_lambda(case: CaseId, N: int, seed: int) -> Weight:
     """Deterministic weight with <lambda, h_gamma> = N; other coordinates
-    are small seeded integers."""
+    are small seeded integers.  N is checked before the case is built."""
     check_level(case, N, "N")
-    if alg is None:
-        alg = build_context(case).alg
+    alg = build_context(case).alg
     rng = random.Random(f"{case.text}:{N}:{seed}")
     coords = [Fraction(rng.randint(-3, 3)) for _ in range(alg.rank)]
     return _solve_level(alg, coords, N, max(_support(alg)))
@@ -266,12 +240,13 @@ F31_FACTOR_ORDER = ("+---", "+--+", "+-+-", "+-++", "++--", "++-+", "+++-", "+++
 G3_FACTOR_ORDER = ("D-e1", "D+e1", "D-e2", "D+e2", "D-e3", "D+e3")
 
 
-def candidate(params: CaseParams, ctx: Context) -> Candidate:
-    """The validated params with their odd factors and tail, as
-    positive-root indices and as the context's generator ids."""
-    alg, table = ctx.alg, ctx.table
+def candidate(params: CaseParams, table: BracketTable) -> Candidate:
+    """The params, validated against the table's case, with their odd
+    factors and tail, as positive-root indices and as the table's generator
+    ids."""
+    alg = table.alg
     validate_params(params, alg)
-    family = params.case.family
+    family = alg.case.family
     if family in ("F31", "G3"):
         odd = [alg.as_index(name) for name in (F31_FACTOR_ORDER if family == "F31" else G3_FACTOR_ORDER)]
     else:
@@ -286,9 +261,9 @@ def candidate(params: CaseParams, ctx: Context) -> Candidate:
     )
 
 
-def candidate_u(params: CaseParams, ctx: Context) -> VermaVector:
+def candidate_u(params: CaseParams, table: BracketTable) -> VermaVector:
     """The candidate singular vector of weight lambda - rho - N*gamma."""
-    return candidate(params, ctx).build(ctx.default_engine)
+    return candidate(params, table).build(PBWEngine(table))
 
 
 def claimed_drop(params: CaseParams, alg: AlgebraData) -> Tuple[int, ...]:
@@ -346,7 +321,7 @@ class OrbitStep(NamedTuple):
         )
 
 
-def orbit_propagate(shap: ShapovalovElement, kappa, ctx: Context) -> Tuple[ShapovalovElement, OrbitStep]:
+def orbit_propagate(shap: ShapovalovElement, kappa, table: BracketTable) -> Tuple[ShapovalovElement, OrbitStep]:
     """Reflect shap in the even simple root kappa: lift theta to
     f_kappa^L theta with L = p + C*a, divide f_kappa^p off on the right, and
     check the start, lifted and image vectors.
@@ -368,7 +343,7 @@ def orbit_propagate(shap: ShapovalovElement, kappa, ctx: Context) -> Tuple[Shapo
     vector, its largest element, only until right_divide returns: the image
     check and everything after it see theta' alone.  shap stays intact
     unless it is the chain's own (_Handed), whose theta goes once imported."""
-    alg = ctx.alg
+    alg = table.alg
     kdatum = alg.pos_roots[alg.as_index(kappa)]
     if kdatum.odd or kdatum.index not in alg.simple_pos_index:
         raise InvalidParams(f"{kdatum.name} is not an even simple root")
@@ -385,8 +360,8 @@ def orbit_propagate(shap: ShapovalovElement, kappa, ctx: Context) -> Tuple[Shapo
         )
     a = int(a_frac)
     L = p + shap.C * a
-    fk = ctx.table.f_id(kdatum.index)
-    engine = ctx.engine(tail=(fk,))
+    fk = table.f_id(kdatum.index)
+    engine = PBWEngine(table, (fk,))
     theta = engine.import_element(shap.theta)
     if isinstance(shap, _Handed):
         shap.theta = {}
@@ -523,27 +498,26 @@ class ChainReport(NamedTuple):
 
 
 def propagate_chain(
-    case: CaseId,
+    table: BracketTable,
     C: int,
     target: OrbitTarget,
     seed: int,
-    ctx: Context,
     p_first: Optional[int] = None,
 ) -> ChainReport:
-    alg = ctx.alg
+    alg = table.alg
     kappas = chain_kappas(target, alg)
     mu = chain_weight(C, kappas, seed, alg, p_first=p_first)
     # only shap holds the candidate's body and each theta', freed once imported
-    shap = _Handed(alg.gamma, C, mu, candidate_u(CaseParams(case, C, mu), ctx).body)
-    start_singular = is_singular(VermaVector(shap.theta, mu), ctx.default_engine).ok
+    shap = _Handed(alg.gamma, C, mu, candidate_u(CaseParams(C, mu), table).body)
+    start_singular = is_singular(VermaVector(shap.theta, mu), PBWEngine(table)).ok
     start_terms = len(shap.theta)
     steps: List[OrbitStep] = []
     for k in kappas:
-        shap, step = orbit_propagate(shap, k, ctx)
+        shap, step = orbit_propagate(shap, k, table)
         shap = _Handed(shap.beta, C, shap.mu, shap.theta)
         steps.append(step)
     return ChainReport(
-        case=case,
+        case=alg.case,
         C=C,
         target=target,
         seed=seed,
@@ -612,7 +586,7 @@ def witness_spec(cand: Candidate, alg: AlgebraData) -> WitnessSpec:
     g = alg.gamma.index
     tail = _f_power(alg, g, top)
 
-    if cand.params.case.family == "F31":
+    if alg.case.family == "F31":
         c = cand.odd
         order = ["e3", "e2", "e1", "e2+e3", "e2-e3", "e1+e3", "e1-e3", "e1+e2", "e1-e2", *c, "D"]
         v_monos = [
@@ -628,7 +602,7 @@ def witness_spec(cand: Candidate, alg: AlgebraData) -> WitnessSpec:
         ]
         return _named_spec(alg, order, tail, c, v_monos)
 
-    if cand.params.case.family == "G3":
+    if alg.case.family == "G3":
         M = (N - 1) // 2
         order = [
             "e1+e2", "e2", "e1", "e1+2e2", "2e1+e2", "e2-e1",
@@ -709,10 +683,9 @@ def witness_monomial(engine: PBWEngine, mono_spec: Sequence[Tuple[RootSpec, int]
     return mono
 
 
-def run_witness(cand: Candidate, ctx: Context) -> WitnessReport:
-    spec = witness_spec(cand, ctx.alg)
-    table = ctx.table
-    engine = ctx.engine(tail=[table.f_id(i) for i in spec.order_tail])
+def run_witness(cand: Candidate, table: BracketTable) -> WitnessReport:
+    spec = witness_spec(cand, table.alg)
+    engine = PBWEngine(table, [table.f_id(i) for i in spec.order_tail])
     tail = tuple((table.f_id(i), e) for i, e in spec.tail)
     rows = []
     for step in spec.steps:
@@ -728,18 +701,18 @@ def run_witness(cand: Candidate, ctx: Context) -> WitnessReport:
 
 
 def signflip_counterexample(
-    cand: Candidate, ctx: Context, u: VermaVector, seed: int, samples: int
+    cand: Candidate, engine: PBWEngine, u: VermaVector, seed: int, samples: int
 ) -> Optional[List[int]]:
     """The first of `samples` seeded orders of the odd factors whose
     candidate is neither u nor -u, or None.  Each rebuild is only its
     permuted word of the candidate's factor ids acting through
-    Candidate.build on the default engine."""
+    Candidate.build on engine; given the engine u was built on, every
+    rebuild reuses the candidate's kept images."""
     params = cand.params
-    engine = ctx.default_engine
     ids = cand.odd_ids
     neg = _scaled(u.body, -1)
     for trial in range(samples):
-        rng = random.Random(f"signflip:{params.case.text}:{params.N}:{seed}:{trial}")
+        rng = random.Random(f"signflip:{engine.table.alg.case.text}:{params.N}:{seed}:{trial}")
         perm = list(range(len(ids)))
         rng.shuffle(perm)
         w = cand.build(engine, [ids[i] for i in perm])

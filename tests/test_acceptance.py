@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from superverma.cli import main as cli_main
-from superverma.pbw import el_one
+from superverma.pbw import PBWEngine, el_one
 from helpers import basis_weight, el_add, el_scale, el_sub, el_zero, form
 from superverma.rootdata import CaseId, ParityViolation, wdiff, wsum
 from superverma.singular import (
@@ -75,14 +75,14 @@ def test_criterion_1_candidates_on_full_grid():
     points = 0
     for text, N in full_grid():
         case = CaseId.parse(text)
-        ctx = build_context(case)
-        engine = ctx.default_engine
+        table = build_context(case)
+        engine = PBWEngine(table)
         for seed in SEEDS:
-            lam = default_lambda(case, N, seed, ctx.alg)
-            params = CaseParams(case, N, lam)
-            u = candidate_u(params, ctx)
+            lam = default_lambda(case, N, seed)
+            params = CaseParams(N, lam)
+            u = candidate_u(params, table)
             assert not u.is_zero(), (text, N, seed)
-            expected = wdiff(wdiff(lam, ctx.alg.rho), ctx.alg.from_lattice(claimed_drop(params, ctx.alg)))
+            expected = wdiff(wdiff(lam, table.alg.rho), table.alg.from_lattice(claimed_drop(params, table.alg)))
             assert weight_of(u, engine) == expected, (text, N, seed)
             report = is_singular(u, engine)
             assert report.ok, (text, N, seed, report.residuals)
@@ -96,10 +96,10 @@ def test_criterion_2_witness_coefficients():
     checked = 0
     for text, levels in (("F31", (1,)), ("G3", (1, 3))):
         case = CaseId.parse(text)
-        ctx = build_context(case)
+        table = build_context(case)
         for N in levels:
-            lam = default_lambda(case, N, 0, ctx.alg)
-            report = run_witness(candidate(CaseParams(case, N, lam), ctx), ctx)
+            lam = default_lambda(case, N, 0)
+            report = run_witness(candidate(CaseParams(N, lam), table), table)
             assert report.candidate_coefficient != 0, (text, N)
             for row in report.rows:
                 assert row.coefficient != 0, (text, N, row.label)
@@ -112,18 +112,19 @@ def test_criterion_3_odd_factor_permutations():
     trials = 0
     for text, N in SMALLEST.items():
         case = CaseId.parse(text)
-        ctx = build_context(case)
-        lam = default_lambda(case, N, 0, ctx.alg)
-        params = CaseParams(case, N, lam)
-        u = candidate_u(params, ctx)
+        table = build_context(case)
+        lam = default_lambda(case, N, 0)
+        params = CaseParams(N, lam)
+        u = candidate_u(params, table)
         neg = {mono: -c for mono, c in u.body.items()}
-        cand = candidate(params, ctx)
+        cand = candidate(params, table)
+        engine = PBWEngine(table)
         ids = cand.odd_ids
         for trial in range(20):
             rng = random.Random(f"acceptance:flip:{text}:{trial}")
             perm = list(range(len(ids)))
             rng.shuffle(perm)
-            w = cand.build(ctx.default_engine, [ids[i] for i in perm])
+            w = cand.build(engine, [ids[i] for i in perm])
             assert w.body == u.body or w.body == neg, (text, perm)
             trials += 1
     print(f"criterion 3 PASS: {trials} permutations each changed u by a factor in {{+1, -1}}")
@@ -145,8 +146,8 @@ def test_criterion_4_orbit_chains():
     steps = 0
     for text, C, target, final_name in CHAINS:
         case = CaseId.parse(text)
-        ctx = build_context(case)
-        report = propagate_chain(case, C, target, seed=0, ctx=ctx)
+        table = build_context(case)
+        report = propagate_chain(table, C, target, seed=0)
         assert report.start_singular, (text, C)
         assert report.final_ok and report.final_beta == final_name, (text, C)
         for step in report.steps:
@@ -157,10 +158,9 @@ def test_criterion_4_orbit_chains():
     print(f"criterion 4 PASS: {len(CHAINS)} chains, {steps} reflection steps, all lifts singular")
 
 
-def _string_identity(ctx, lam, powers):
-    alg = ctx.alg
-    table = ctx.table
-    engine = ctx.default_engine
+def _string_identity(table, lam, powers):
+    alg = table.alg
+    engine = PBWEngine(table)
     g = alg.gamma
     T = table.bracket(table.e_gen(g), table.f_gen(g))
     tau = table.h_value_pairing(T, wdiff(lam, alg.rho))
@@ -179,30 +179,30 @@ def _string_identity(ctx, lam, powers):
 def test_criterion_5_exact_identity_suite():
     # alternating string for powers of the odd nonisotropic generator, k <= 4
     for text in ("B-I:m=1,n=1", "G3"):
-        ctx = build_context(CaseId.parse(text))
-        _string_identity(ctx, default_lambda(ctx.alg.case, 1, 0, ctx.alg), range(1, 10))
+        table = build_context(CaseId.parse(text))
+        _string_identity(table, default_lambda(table.alg.case, 1, 0), range(1, 10))
     # the string coefficient vanishes exactly at the candidate's tail exponent
-    ctx = build_context(CaseId.parse("B-I:m=1,n=2"))
-    engine = ctx.default_engine
-    lam = default_lambda(ctx.alg.case, 3, 0, ctx.alg)
-    g = ctx.alg.gamma
-    tail = act(engine.gen(ctx.table.f_gen(g), 3 + 2 * 2), highest_weight_vector(lam), engine)
+    table = build_context(CaseId.parse("B-I:m=1,n=2"))
+    engine = PBWEngine(table)
+    lam = default_lambda(table.alg.case, 3, 0)
+    g = table.alg.gamma
+    tail = act(engine.gen(table.f_gen(g), 3 + 2 * 2), highest_weight_vector(lam), engine)
     assert not tail.is_zero()
-    assert act(engine.gen(ctx.table.e_gen(g)), tail, engine).is_zero()
+    assert act(engine.gen(table.e_gen(g)), tail, engine).is_zero()
 
     # sl2 commutation along a reflection, l <= p + 2C <= 8
     case = CaseId.parse("D-I:m=2,n=2")
-    ctx = build_context(case)
-    alg = ctx.alg
+    table = build_context(case)
+    alg = table.alg
     kappa = chain_kappas(1, alg)[0]
     for C, p in ((1, 2), (2, 4)):
         mu = chain_weight(C, [kappa], seed=0, alg=alg, p_first=p)
         top = p + 2 * C
         assert top <= 8
-        fk = ctx.table.f_gen(kappa)
-        engine = ctx.engine(tail=(fk,))
-        theta = engine.import_element(candidate_u(CaseParams(case, C, mu), ctx).body)
-        ek = engine.gen(ctx.table.e_gen(kappa))
+        fk = table.f_gen(kappa)
+        engine = PBWEngine(table, (fk,))
+        theta = engine.import_element(candidate_u(CaseParams(C, mu), table).body)
+        ek = engine.gen(table.e_gen(kappa))
         for l in range(top + 1):
             lifted = VermaVector(engine.multiply(engine.gen(fk, l), theta), mu)
             got = act(ek, lifted, engine)
@@ -219,9 +219,8 @@ def test_criterion_5_exact_identity_suite():
         ("B-II:m=1,n=1", "d1", "2d1"),
         ("G3", "D", "2D"),
     ):
-        ctx = build_context(CaseId.parse(text))
-        table = ctx.table
-        engine = ctx.default_engine
+        table = build_context(CaseId.parse(text))
+        engine = PBWEngine(table)
         fo = table.f_gen(odd_name)
         sq = engine.multiply(engine.gen(fo), engine.gen(fo))
         target = table.f_gen(doubled)
@@ -229,10 +228,9 @@ def test_criterion_5_exact_identity_suite():
         assert sq[((target, 1),)] != 0
 
     # binomial expansion of an even power past an element, l <= 6
-    ctx = build_context(CaseId.parse("B-I:m=2,n=1"))
-    table = ctx.table
+    table = build_context(CaseId.parse("B-I:m=2,n=1"))
     kappa = table.f_gen("d1-d2")
-    engine = ctx.engine(tail=(kappa,))
+    engine = PBWEngine(table, (kappa,))
     theta = engine.multiply(engine.gen(table.f_gen("d2-e1")), engine.gen(table.f_gen("e1")))
     fk_one = engine.gen(kappa)
 
@@ -253,10 +251,10 @@ def test_criterion_5_exact_identity_suite():
 def test_criterion_6_structure_integrity():
     algebras = 0
     for text in grid_cases():
-        ctx = build_context(CaseId.parse(text))
-        report = check_jacobi(ctx.table)
+        table = build_context(CaseId.parse(text))
+        report = check_jacobi(table)
         assert report.ok, (text, report.first_violation)
-        alg = ctx.alg
+        alg = table.alg
         for s in alg.simple_system:
             if s.isotropic:
                 assert form(alg, alg.rho, s.weight) == 0, (text, s.name)
@@ -266,8 +264,8 @@ def test_criterion_6_structure_integrity():
     rescalings = 0
     for m in (1, 2):
         for n in (1, 2):
-            ctx = build_context(CaseId.parse(f"B-II:m={m},n={n}"))
-            report = check_reference_scaling(ctx.table)
+            table = build_context(CaseId.parse(f"B-II:m={m},n={n}"))
+            report = check_reference_scaling(table)
             assert report.ok, (m, n, report.detail)
             assert all(c != 0 for c in report.scales.values())
             rescalings += 1
@@ -280,11 +278,11 @@ def test_criterion_6_structure_integrity():
 def test_criterion_7_engine_properties():
     assoc = div = 0
     for text in SMALLEST:
-        ctx = build_context(CaseId.parse(text))
-        engine = ctx.default_engine
+        table = build_context(CaseId.parse(text))
+        engine = PBWEngine(table)
         rng = random.Random(f"acceptance:engine:{text}")
         for _ in range(200):
-            x, y, z = (engine.gen(rng.randrange(ctx.table.dim)) for _ in range(3))
+            x, y, z = (engine.gen(rng.randrange(table.dim)) for _ in range(3))
             left = engine.multiply(engine.multiply(x, y), z)
             right = engine.multiply(x, engine.multiply(y, z))
             assert left == right
@@ -292,20 +290,20 @@ def test_criterion_7_engine_properties():
         for _ in range(10):
             el = el_one()
             for _ in range(3):
-                el = engine.multiply(el, engine.gen(rng.randrange(ctx.table.n_pos)))
+                el = engine.multiply(el, engine.gen(rng.randrange(table.n_pos)))
             assert engine.import_element(el) == el
-            gid = rng.randrange(ctx.table.n_pos)
+            gid = rng.randrange(table.n_pos)
             other = engine.multiply(el, engine.gen(gid))
             if el and other:
                 assert engine.element_weight(other) == wsum(
-                    engine.element_weight(el), basis_weight(ctx.table, gid)
+                    engine.element_weight(el), basis_weight(table, gid)
                 )
-        bid = ctx.table.f_gen(next(r for r in ctx.alg.pos_roots if not r.odd))
-        tailed = ctx.engine(tail=(bid,))
+        bid = table.f_gen(next(r for r in table.alg.pos_roots if not r.odd))
+        tailed = PBWEngine(table, (bid,))
         for _ in range(17):
             theta = el_one()
             for _ in range(2):
-                theta = tailed.multiply(theta, tailed.gen(rng.randrange(ctx.table.n_pos)))
+                theta = tailed.multiply(theta, tailed.gen(rng.randrange(table.n_pos)))
             p = rng.randint(1, 3)
             x = tailed.multiply(theta, tailed.gen(bid, p))
             assert tailed.right_divide(x, bid, p) == theta
@@ -327,14 +325,14 @@ def test_criterion_8_negative_controls():
     assert cli_main(["verify", "--case", "G3", "--N", "4"]) == 2
 
     # a generic lowering vector is not singular and names its residual
-    ctx = build_context(CaseId.parse("B-I:m=1,n=1"))
-    engine = ctx.default_engine
+    table = build_context(CaseId.parse("B-I:m=1,n=1"))
+    engine = PBWEngine(table)
     lam = (Fraction(1), Fraction(1, 3))
-    v = act(engine.gen(ctx.table.f_gen("e1")), highest_weight_vector(lam), engine)
+    v = act(engine.gen(table.f_gen("e1")), highest_weight_vector(lam), engine)
     report = is_singular(v, engine)
     assert report.nonzero and not report.ok
     assert ("e1", 1) in report.residuals
-    residual = act(engine.gen(ctx.table.e_gen("e1")), v, engine)
+    residual = act(engine.gen(table.e_gen("e1")), v, engine)
     assert residual.body == {(): Fraction(-1, 3)}
 
     # the zero vector is never singular

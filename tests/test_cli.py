@@ -1,6 +1,7 @@
 """Command line behavior: grids, determinism, exit codes."""
 
 import contextlib
+import copy
 import functools
 import importlib.util
 import io
@@ -189,6 +190,8 @@ def test_usage_errors(capsys):
                              "--p", "5", *jobs)
         assert (code, out) == (2, "")
         assert "--p" in err
+    code, out, err = run(capsys, "orbit", "--case", "B-I", "--m", "2", "--n", "1", "--p", "0")
+    assert (code, out, err) == (2, "", "error: p must be a positive integer\n")
 
 
 BAD_NUMBERS = [  # (flag, value, argv with the bad value in it)
@@ -201,14 +204,15 @@ BAD_NUMBERS = [  # (flag, value, argv with the bad value in it)
     ("--seed", "0..z", ("orbit", "--case", "B-I", "--m", "2", "--n", "1", "--seed", "0..z")),
     ("--target", "a", ("orbit", "--case", "B-I", "--m", "2", "--n", "1", "--target", "a")),
     ("--target", "1,b", ("orbit", "--case", "D-II", "--m", "2", "--n", "2", "--target", "1,b")),
+    ("--target", "1,2,3", ("orbit", "--case", "D-II", "--m", "2", "--n", "3", "--target", "1,2,3")),
 ]
 
 
 @pytest.mark.parametrize("flag,value,argv", BAD_NUMBERS,
                          ids=[f"{argv[0]}{flag}={value}" for flag, value, argv in BAD_NUMBERS])
 def test_unparsable_number_names_its_flag(capsys, flag, value, argv):
-    """A value that is not an integer is a usage error naming the flag and
-    the value, not a bare int() message."""
+    """A value that is not an integer, or a --target of more than two, is a
+    usage error naming the flag and the value, not a bare int() message."""
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: cannot parse {flag} {value!r}\n"
@@ -390,11 +394,12 @@ def test_a_failed_root_lookup_is_an_internal_error(capsys, monkeypatch):
     """Every key root_of looks up is one the program computed, so a miss,
     here an odd factor's key dropped from the root data, exits 3 and names
     its grid point."""
-    ctx = build_context(CaseId("D-I", 1, 2))
-    (pivot,), block = singular._osp_shape(ctx.alg)
+    table = build_context(CaseId("D-I", 1, 2))
+    (pivot,), block = singular._osp_shape(table.alg)
     key = pivot - block[0]
-    at = {k: i for k, i in ctx.alg.at.items() if k != key}
-    broken = singular.Context(ctx.alg._replace(at=at), ctx.table)
+    at = {k: i for k, i in table.alg.at.items() if k != key}
+    broken = copy.copy(table)
+    broken.alg = table.alg._replace(at=at)
     monkeypatch.setattr(cli, "build_context", lambda case: broken)
     code, out, err = run(capsys, "verify", "--case", "D-I", "--m", "1", "--n", "2", "--N", "1")
     assert (code, out) == (3, "")
@@ -783,9 +788,9 @@ def test_failed_signflip_exits_one(capsys, monkeypatch):
     rebuilds run through Candidate.build, as the candidate does, so every
     word other than the candidate's own comes out doubled."""
     case = CaseId.parse("B-I:m=1,n=1")
-    ctx = build_context(case)
-    params = CaseParams(case, 1, default_lambda(case, 1, 0, ctx.alg))
-    own = candidate(params, ctx).odd_ids
+    table = build_context(case)
+    params = CaseParams(1, default_lambda(case, 1, 0))
+    own = candidate(params, table).odd_ids
     real = Candidate.build
 
     def doubled_when_permuted(self, engine, factors=None, tail=None):
@@ -810,7 +815,7 @@ def test_failed_witness_exits_one(capsys, monkeypatch, rows, first, counterexamp
     report = singular.WitnessReport(
         tuple(singular.WitnessRow(label, c, True) for label, c in rows), first
     )
-    monkeypatch.setattr(cli, "run_witness", lambda cand, ctx: report)
+    monkeypatch.setattr(cli, "run_witness", lambda cand, table: report)
     code, out, _ = run(capsys, "verify", "--case", "B-I", "--m", "1", "--n", "1",
                        "--N", "1", "--check", "witness")
     assert code == 1
@@ -894,7 +899,7 @@ def test_selftest_error_names_its_check_and_case(capsys, monkeypatch, fault, cod
     """An exception inside a selftest check exits 3 and names the check, the
     case and the seed before its class and message, after the lines of the
     checks before it; an InvalidParams out of a check stays a usage error."""
-    def broken(ctx, seed):
+    def broken(table, seed):
         raise fault
 
     checks = [(name, broken if name == "associativity" else fn, texts) for name, fn, texts in cli.SELF_CHECKS]
@@ -906,11 +911,11 @@ def test_selftest_error_names_its_check_and_case(capsys, monkeypatch, fault, cod
 def damaged_b2_context(case, real=cli.build_context):
     """build_context, but for B-II with [e_{d_m}, f_{d_m}] and its transpose,
     a Cartan-valued relation of the reference list, scaled by 3."""
-    ctx = real(case)
+    table = real(case)
     if case.family != "B-II":
-        return ctx
-    table, d = ctx.table, f"d{case.m}"
-    return singular.Context(ctx.alg, with_pair_scaled(table, table.e_gen(d), table.f_gen(d), 3))
+        return table
+    d = f"d{case.m}"
+    return with_pair_scaled(table, table.e_gen(d), table.f_gen(d), 3)
 
 
 def multiply_dropping_a_term(self, x, y, real=PBWEngine.multiply):

@@ -29,6 +29,7 @@ sys.path.insert(0, str(HERE.parent / "scripts"))
 import dump_structure_constants  # noqa: E402
 import run_grid  # noqa: E402
 from superverma.cli import SMALLEST_CASES, main as cli_main  # noqa: E402
+from superverma.pbw import PBWEngine  # noqa: E402
 from superverma.rootdata import OSP_FAMILIES, CaseId, build_algebra_data  # noqa: E402
 from superverma.singular import (  # noqa: E402
     CaseParams,
@@ -112,20 +113,20 @@ def witness_specs() -> str:
     runs in.  Step monomials are listed sorted, zero exponents dropped."""
     lines = []
     for case in _small_osp_cases():
-        ctx = build_context(case)
-        alg = ctx.alg
+        table = build_context(case)
+        alg = table.alg
         for N in (1, 3) if case.family == "B-I" else (1, 2):
-            params = CaseParams(case, N, default_lambda(case, N, 0, alg))
-            cand = candidate(params, ctx)
+            params = CaseParams(N, default_lambda(case, N, 0))
+            cand = candidate(params, table)
             # lowering generator ids are positive-root indices
             odd, tail = cand.odd, cand.tail_ids
             spec = witness_spec(cand, alg)
-            engine = ctx.engine(tail=spec.order_tail)
+            engine = PBWEngine(table, spec.order_tail)
             lines.append(f"{case.text} N={N}")
             lines.append("  candidate " + " ".join(alg.pos_roots[i].name for i in odd)
                          + " | " + _powers(alg, tail))
             lines.append("  order " + " ".join(
-                ctx.table.basis[b].name for b in engine.sequence[:ctx.table.n_pos]))
+                table.basis[b].name for b in engine.sequence[:table.n_pos]))
             for step in spec.steps:
                 mono = sorted(_powers(alg, [(i, e)]) for i, e in step.v_mono if e)
                 lines.append(f"  step {step.label} "

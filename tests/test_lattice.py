@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from superverma.pbw import Inhomogeneous
+from superverma.pbw import Inhomogeneous, PBWEngine
 from superverma.rootdata import (
     OSP_FAMILIES,
     CaseId,
@@ -211,12 +211,12 @@ def powers_of(alg, pairs):
 def test_candidates_and_witness_specs_match_the_fraction_reference(case):
     """Factors, tail, drop, witness spec and every weight the point checks
     equal the Fraction computation, at each level the goldens use."""
-    ctx = build_context(case)
-    alg, table = ctx.alg, ctx.table
+    table = build_context(case)
+    alg = table.alg
     for N in levels(case):
-        lam = default_lambda(case, N, 0, alg)
-        params = CaseParams(case, N, lam)
-        cand = candidate(params, ctx)
+        lam = default_lambda(case, N, 0)
+        params = CaseParams(N, lam)
+        cand = candidate(params, table)
         factors = ref_factors(alg)
         assert weights_of(alg, cand.odd) == factors
         assert cand.odd_ids == tuple(table.e_gen(ref_index(alg)[w]) for w in factors)
@@ -230,14 +230,15 @@ def test_candidates_and_witness_specs_match_the_fraction_reference(case):
         assert powers_of(alg, spec.tail) == tail
         assert [(s.label, weights_of(alg, s.e_factors), powers_of(alg, s.v_mono)) for s in spec.steps] == steps
 
-        engine = ctx.engine(tail=spec.order_tail)
+        engine = PBWEngine(table, spec.order_tail)
         for step in spec.steps:
             mono = witness_monomial(engine, step.v_mono)
             assert engine.element_weight({mono: 1}) == wneg(ref_weight(alg, powers_of(alg, step.v_mono)))
-        u = cand.build(ctx.default_engine)
+        default = PBWEngine(table)
+        u = cand.build(default)
         body = {ref_weight(alg, [(basis_weight(table, g), e) for g, e in m]) for m in u.body}
-        assert {ctx.default_engine.element_weight(u.body)} == body
-        assert weight_of(u, ctx.default_engine) == wsum(lam, wdiff(body.pop(), alg.rho))
+        assert {default.element_weight(u.body)} == body
+        assert weight_of(u, default) == wsum(lam, wdiff(body.pop(), alg.rho))
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.text)
@@ -246,8 +247,8 @@ def test_coroot_rows_match_the_forms(case):
     form computation entry by entry, canonical; coroot_pairing and reflect
     equal it at random weights.  The form is the test's own (helpers.gram),
     not the Gram matrix the set-up was given."""
-    ctx = build_context(case)
-    alg, table = ctx.alg, ctx.table
+    table = build_context(case)
+    alg = table.alg
     units = [_unit(alg.rank, i) for i in range(alg.rank)]
     for r, row in zip(alg.pos_roots, alg.coroot_rows):
         b = r.weight
@@ -281,15 +282,14 @@ def test_weights_stay_exact_for_large_exponents():
     """Monomials of lowering, Cartan and raising generators at exponents up
     to 10**30 have the Fraction sums as weights, and two of them that differ
     by one unit of two exponents are told apart."""
-    ctx = build_context(CaseId("D-II", 2, 3))
-    table = ctx.table
-    engine = ctx.default_engine
+    table = build_context(CaseId("D-II", 2, 3))
+    engine = PBWEngine(table)
     low = engine.sequence[: table.n_pos]
     even = next(i for i in reversed(range(table.n_pos)) if not table.odd[i])
     for e in (1, 2 ** 28, 2 ** 33, 2 ** 40, 10 ** 30):
         mono = ((low[0], e), (low[3], 1), (low[-1], e + 1),
                 (table.h_id(1), e + 2), (table.e_id(even), e + 3))
-        want = ref_weight(ctx.alg, [(basis_weight(table, g), x) for g, x in mono])
+        want = ref_weight(table.alg, [(basis_weight(table, g), x) for g, x in mono])
         assert engine.element_weight({mono: 1}) == want
         other = ((low[0], e + 1), (low[-1], e))
         x = {mono: 1, other: 2}
@@ -392,21 +392,21 @@ def test_lambda_of_another_exact_type_pairs_without_conversion(text):
     Exact and equal the Fraction results; the candidate built on them
     equals the Fraction candidate and is singular."""
     case = CaseId.parse(text)
-    ctx = build_context(case)
-    alg = ctx.alg
+    table = build_context(case)
+    alg = table.alg
     N = 1
-    lam = default_lambda(case, N, 0, alg)
+    lam = default_lambda(case, N, 0)
     generic = tuple(Exact(x) for x in lam)
-    validate_params(CaseParams(case, N, generic), alg)
+    validate_params(CaseParams(N, generic), alg)
     for r in alg.pos_roots:
         if r.isotropic:
             continue
         assert same(alg.coroot_pairing(generic, r), alg.coroot_pairing(lam, r))
         assert same(alg.reflect(generic, r), alg.reflect(lam, r))
-    engine = ctx.default_engine
+    engine = PBWEngine(table)
     assert same(_Action(engine, generic).shift, _Action(engine, lam).shift)
-    u = candidate(CaseParams(case, N, lam), ctx).build(engine)
-    v = candidate(CaseParams(case, N, generic), ctx).build(engine)
+    u = candidate(CaseParams(N, lam), table).build(engine)
+    v = candidate(CaseParams(N, generic), table).build(engine)
     # lambda-free coefficients stay ints; the rest carry lambda as Exact
     assert v.body == u.body and any(type(c) is Exact for c in v.body.values())
     assert is_singular(VermaVector(v.body, generic), engine).ok

@@ -32,14 +32,14 @@ CHAIN_CONFIGS = [
 
 def test_single_step_round_trip():
     case = CaseId.parse("B-I:m=2,n=1")
-    ctx = build_context(case)
-    report = propagate_chain(case, 1, 1, seed=0, ctx=ctx)
+    table = build_context(case)
+    report = propagate_chain(table, 1, 1, seed=0)
     assert report.ok
     assert len(report.steps) == 1
     step = report.steps[0]
     assert step.kappa == "d1-d2"
     assert (step.beta_from, step.beta_to) == ("d2", "d1")
-    assert step.nu == ctx.alg.reflect(step.mu, "d1-d2")
+    assert step.nu == table.alg.reflect(step.mu, "d1-d2")
     assert step.exponent == step.p + 1  # C=1 and <beta, h_kappa> = -1 here
     assert report.final_beta == "d1"
 
@@ -47,11 +47,12 @@ def test_single_step_round_trip():
 def test_chain_configs_reach_target():
     for text, C, target, final_name in CHAIN_CONFIGS:
         case = CaseId.parse(text)
-        ctx = build_context(case)
-        report = propagate_chain(case, C, target, seed=0, ctx=ctx)
+        table = build_context(case)
+        report = propagate_chain(table, C, target, seed=0)
         assert report.ok, (text, report)
+        assert report.case == table.alg.case
         assert report.final_beta == final_name
-        assert ctx.alg.root_named(final_name).index == final_beta(target, ctx.alg)
+        assert table.alg.root_named(final_name).index == final_beta(target, table.alg)
         assert all(s.p >= 1 for s in report.steps)
 
 
@@ -78,7 +79,7 @@ def golden_steps():
         mp.setattr(PBWEngine, "right_divide", right_divide)
         for text, C, target, _ in CHAINS + (("B-I:m=2,n=1", 1, 1, "d1"),):
             case = CaseId.parse(text)
-            steps.extend(propagate_chain(case, C, target, seed=0, ctx=build_context(case)).steps)
+            steps.extend(propagate_chain(build_context(case), C, target, seed=0).steps)
     assert len(lifts) == len(quotients) == len(steps) >= len(CHAINS)
     return [(*lifted, theta2, step) for lifted, theta2, step in zip(lifts, quotients, steps)]
 
@@ -185,7 +186,7 @@ def test_orbit_step_drops_the_lifted_vector_before_its_image_check(monkeypatch):
     steps = 0
     for text, C, target, _ in CHAINS:
         case = CaseId.parse(text)
-        report = propagate_chain(case, C, target, seed=0, ctx=build_context(case))
+        report = propagate_chain(build_context(case), C, target, seed=0)
         assert report.ok
         steps += len(report.steps)
     assert len(checked) == len(lifts) == steps >= len(CHAINS)
@@ -199,21 +200,21 @@ def test_chain_frees_the_candidate_once_step_1_returns(monkeypatch):
     real_candidate, real_step = singular.candidate_u, singular.orbit_propagate
     bodies, freed_at_start = [], []
 
-    def candidate_u(params, ctx):
-        u = real_candidate(params, ctx)
+    def candidate_u(params, table):
+        u = real_candidate(params, table)
         body = _Watched(u.body)
         bodies.append(weakref.ref(body))
         return VermaVector(body, u.highest_weight)
 
-    def orbit_propagate(shap, kappa, ctx):
+    def orbit_propagate(shap, kappa, table):
         freed_at_start.append(bodies[-1]() is None)
-        return real_step(shap, kappa, ctx)
+        return real_step(shap, kappa, table)
 
     monkeypatch.setattr(singular, "candidate_u", candidate_u)
     monkeypatch.setattr(singular, "orbit_propagate", orbit_propagate)
     for text, C, target, _ in CHAINS:
         case = CaseId.parse(text)
-        report = propagate_chain(case, C, target, seed=0, ctx=build_context(case))
+        report = propagate_chain(build_context(case), C, target, seed=0)
         assert report.ok and len(report.steps) >= 2
         assert freed_at_start == [False] + [True] * (len(report.steps) - 1), text
         del freed_at_start[:]
@@ -228,8 +229,8 @@ def test_chain_drops_the_previous_theta_before_each_lift(monkeypatch):
     real_candidate, real_divide, real_lift = singular.candidate_u, PBWEngine.right_divide, PBWEngine.lift
     previous, gone_at_lift = [], []
 
-    def candidate_u(params, ctx):
-        u = real_candidate(params, ctx)
+    def candidate_u(params, table):
+        u = real_candidate(params, table)
         body = _Watched(u.body)
         previous.append(weakref.ref(body))
         return VermaVector(body, u.highest_weight)
@@ -249,26 +250,26 @@ def test_chain_drops_the_previous_theta_before_each_lift(monkeypatch):
     steps = 0
     for text, C, target, _ in CHAINS:
         case = CaseId.parse(text)
-        report = propagate_chain(case, C, target, seed=0, ctx=build_context(case))
+        report = propagate_chain(build_context(case), C, target, seed=0)
         assert report.ok and len(report.steps) >= 2
         steps += len(report.steps)
     assert gone_at_lift == [True] * steps
 
     case = CaseId.parse("B-I:m=2,n=1")
-    ctx = build_context(case)
-    kappas = chain_kappas(1, ctx.alg)
-    mu = chain_weight(1, kappas, seed=0, alg=ctx.alg)
-    theta = real_candidate(CaseParams(case, 1, mu), ctx).body
-    shap = ShapovalovElement(ctx.alg.gamma, 1, mu, theta)
+    table = build_context(case)
+    kappas = chain_kappas(1, table.alg)
+    mu = chain_weight(1, kappas, seed=0, alg=table.alg)
+    theta = real_candidate(CaseParams(1, mu), table).body
+    shap = ShapovalovElement(table.alg.gamma, 1, mu, theta)
     kept = dict(theta)
-    orbit_propagate(shap, kappas[0], ctx)
+    orbit_propagate(shap, kappas[0], table)
     assert shap.theta is theta and theta == kept
 
 
 def test_dii_chain_visits_expected_roots():
     case = CaseId.parse("D-II:m=1,n=3")
-    ctx = build_context(case)
-    report = propagate_chain(case, 1, (1, 2), seed=1, ctx=ctx)
+    table = build_context(case)
+    report = propagate_chain(table, 1, (1, 2), seed=1)
     assert [s.beta_to for s in report.steps] == ["e1+e3", "e1+e2"]
     assert [s.kappa for s in report.steps] == ["e1-e2", "e2-e3"]
 
@@ -277,8 +278,8 @@ def test_sl2_commutation_identity_exact():
     """e_kappa f_kappa^l theta v+ = l (p + C a - l) f_kappa^(l-1) theta v+
     whenever theta v+ is singular and e_kappa commutes with theta."""
     case = CaseId.parse("D-I:m=2,n=2")
-    ctx = build_context(case)
-    alg = ctx.alg
+    table = build_context(case)
+    alg = table.alg
     kappas = chain_kappas(1, alg)
     assert len(kappas) == 1
     kappa = kappas[0]
@@ -287,10 +288,10 @@ def test_sl2_commutation_identity_exact():
     assert alg.coroot_pairing(mu, kappa) == p
     a = int(-alg.coroot_pairing(alg.gamma.weight, kappa))
     assert a == 2 and p + C * a <= 8
-    fk = ctx.table.f_gen(kappa)
-    engine = ctx.engine(tail=(fk,))
-    theta = engine.import_element(candidate_u(CaseParams(case, C, mu), ctx).body)
-    ek = engine.gen(ctx.table.e_gen(kappa))
+    fk = table.f_gen(kappa)
+    engine = PBWEngine(table, (fk,))
+    theta = engine.import_element(candidate_u(CaseParams(C, mu), table).body)
+    ek = engine.gen(table.e_gen(kappa))
     top = p + C * a
     for l in range(top + 1):
         lifted = VermaVector(engine.multiply(engine.gen(fk, l), theta), mu)
@@ -308,11 +309,11 @@ def test_sl2_commutation_identity_exact():
 
 def test_chain_weight_honors_p_first():
     case = CaseId.parse("B-I:m=3,n=1")
-    ctx = build_context(case)
-    kappas = chain_kappas(1, ctx.alg)
+    table = build_context(case)
+    kappas = chain_kappas(1, table.alg)
     for p in (1, 3):
-        mu = chain_weight(1, kappas, seed=0, alg=ctx.alg, p_first=p)
-        assert ctx.alg.coroot_pairing(mu, kappas[0]) == p
+        mu = chain_weight(1, kappas, seed=0, alg=table.alg, p_first=p)
+        assert table.alg.coroot_pairing(mu, kappas[0]) == p
 
 
 def test_chain_weight_refuses_p_first_without_a_chain():
@@ -326,20 +327,23 @@ def test_chain_weight_refuses_p_first_without_a_chain():
 
 def test_orbit_propagate_validation():
     case = CaseId.parse("B-I:m=2,n=1")
-    ctx = build_context(case)
-    alg = ctx.alg
+    table = build_context(case)
+    alg = table.alg
     kappas = chain_kappas(1, alg)
     mu = chain_weight(1, kappas, seed=0, alg=alg)
-    u = candidate_u(CaseParams(case, 1, mu), ctx)
+    u = candidate_u(CaseParams(1, mu), table)
     shap = ShapovalovElement(alg.gamma, 1, mu, u.body)
     with pytest.raises(InvalidParams):
-        orbit_propagate(shap, "d2-e1", ctx)  # odd simple
+        orbit_propagate(shap, "d2-e1", table)  # odd simple
     with pytest.raises(InvalidParams):
-        orbit_propagate(shap, "2d1", ctx)  # even but not simple
-    # kappa that moves beta down instead of up
-    moved, _ = orbit_propagate(shap, kappas[0], ctx)
+        orbit_propagate(shap, "2d1", table)  # even but not simple
+    # reflecting back: <s_kappa mu, h_kappa> = -p
+    moved, _ = orbit_propagate(shap, kappas[0], table)
     with pytest.raises(InvalidParams):
-        orbit_propagate(moved, kappas[0], ctx)
+        orbit_propagate(moved, kappas[0], table)
+    # a beta that kappa lowers, at a mu that still pairs with kappa to p
+    with pytest.raises(InvalidParams, match=f"reflection in d1-d2 does not move {moved.beta.name} up"):
+        orbit_propagate(ShapovalovElement(moved.beta, 1, mu, u.body), kappas[0], table)
 
 
 @pytest.mark.parametrize("spoil", ["shifted", "mixed"])
@@ -347,12 +351,12 @@ def test_orbit_weight_check_bites(monkeypatch, spoil):
     """A theta' multiplied by one extra lowering generator, or with a stray
     monomial of another weight, fails weight_ok instead of raising."""
     case = CaseId.parse("B-I:m=2,n=1")
-    ctx = build_context(case)
-    alg = ctx.alg
+    table = build_context(case)
+    alg = table.alg
     kappas = chain_kappas(1, alg)
     mu = chain_weight(1, kappas, seed=0, alg=alg)
-    shap = ShapovalovElement(alg.gamma, 1, mu, candidate_u(CaseParams(case, 1, mu), ctx).body)
-    assert orbit_propagate(shap, kappas[0], ctx)[1].weight_ok
+    shap = ShapovalovElement(alg.gamma, 1, mu, candidate_u(CaseParams(1, mu), table).body)
+    assert orbit_propagate(shap, kappas[0], table)[1].weight_ok
     real = PBWEngine.right_divide
 
     def spoiled(self, x, g, p):
@@ -362,21 +366,21 @@ def test_orbit_weight_check_bites(monkeypatch, spoil):
         return el_add(quotient, el_one())
 
     monkeypatch.setattr(PBWEngine, "right_divide", spoiled)
-    _, step = orbit_propagate(shap, kappas[0], ctx)
+    _, step = orbit_propagate(shap, kappas[0], table)
     assert not step.weight_ok
     assert not step.ok
 
 
 def test_orbit_propagate_needs_integral_positive_pairing():
     case = CaseId.parse("B-I:m=2,n=1")
-    ctx = build_context(case)
-    alg = ctx.alg
+    table = build_context(case)
+    alg = table.alg
     lam = chain_weight(1, chain_kappas(1, alg), seed=0, alg=alg)
     flat = (lam[1],) + lam[1:]  # pairing with d1-d2 becomes zero
-    u = candidate_u(CaseParams(case, 1, flat), ctx)
+    u = candidate_u(CaseParams(1, flat), table)
     shap = ShapovalovElement(alg.gamma, 1, flat, u.body)
     with pytest.raises(InvalidParams):
-        orbit_propagate(shap, "d1-d2", ctx)
+        orbit_propagate(shap, "d1-d2", table)
 
 
 def test_chain_target_validation():
@@ -407,8 +411,8 @@ def test_chain_weight_parity_and_failure():
 
 def test_empty_chain_when_target_is_start():
     case = CaseId.parse("B-I:m=2,n=1")
-    ctx = build_context(case)
-    report = propagate_chain(case, 1, 2, seed=0, ctx=ctx)
+    table = build_context(case)
+    report = propagate_chain(table, 1, 2, seed=0)
     assert report.steps == ()
     assert report.ok
     assert report.final_beta == "d2"

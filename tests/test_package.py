@@ -126,21 +126,22 @@ def records():
     """One instance of each frozen record and a field of it, by class name,
     from small runs."""
     case = CaseId("B-II", 1, 1)
-    ctx = build_context(case)
-    alg, table = ctx.alg, ctx.table
-    params = CaseParams(case, 1, default_lambda(case, 1, 0, alg))
-    cand = candidate(params, ctx)
+    table = build_context(case)
+    alg = table.alg
+    params = CaseParams(1, default_lambda(case, 1, 0))
+    cand = candidate(params, table)
     spec = witness_spec(cand, alg)
-    witness = run_witness(cand, ctx)
+    witness = run_witness(cand, table)
     chain_case = CaseId("B-I", 2, 1)
-    chain = propagate_chain(chain_case, 1, 1, seed=0, ctx=build_context(chain_case))
+    chain = propagate_chain(build_context(chain_case), 1, 1, seed=0)
+    engine = PBWEngine(table)
     return {
         "RootDatum": (alg.gamma, "name"),
         "BasisElement": (table.basis[0], "bid"),
         "JacobiReport": (check_jacobi(table), "ok"),
         "ScalingReport": (check_reference_scaling(table), "scales"),
         "CaseParams": (params, "N"),
-        "SingularityReport": (is_singular(cand.build(ctx.default_engine), ctx.default_engine), "ok"),
+        "SingularityReport": (is_singular(cand.build(engine), engine), "ok"),
         "WitnessSpec": (spec, "steps"),
         "WitnessStep": (spec.steps[0], "label"),
         "WitnessReport": (witness, "rows"),
@@ -165,7 +166,7 @@ def test_a_report_record_refuses_assignment(records, name):
 def test_engines_of_equal_orders_are_distinct_keys():
     """Candidate keeps its images for one (engine, tail) key: an engine is
     compared by identity, so an equal order built again is a new key."""
-    table = build_context(CaseId("B-II", 1, 1)).table
+    table = build_context(CaseId("B-II", 1, 1))
     one, two = PBWEngine(table, (0,)), PBWEngine(table, (0,))
     assert one.sequence == two.sequence and one != two
     assert len({(one, ()): 1, (two, ()): 2}) == 2

@@ -26,7 +26,7 @@ from helpers import basis_weight, el_add, el_scale, el_sub, el_zero, words_times
 CASES = ["B-I:m=1,n=1", "B-II:m=1,n=1", "D-I:m=1,n=2", "D-II:m=1,n=2", "F31", "G3"]
 
 
-def ctx_for(text: str):
+def table_for(text: str):
     return build_context(CaseId.parse(text))
 
 
@@ -48,40 +48,39 @@ def random_lowering(engine, rng, nfactors: int):
 
 def test_default_order_layout():
     for text in CASES:
-        ctx = ctx_for(text)
-        engine = ctx.default_engine
-        P = ctx.table.n_pos
+        table = table_for(text)
+        engine = PBWEngine(table)
+        P = table.n_pos
         assert engine.tail == () and engine.rightmost_negative == engine.sequence[P - 1]
         negs = engine.sequence[:P]
         assert sorted(negs) == list(range(P))
-        hts = [ctx.alg.heights[i] for i in negs]
+        hts = [table.alg.heights[i] for i in negs]
         assert hts == sorted(hts)
-        assert engine.sequence[P : P + ctx.table.n_cartan] == tuple(
-            ctx.table.h_id(j) for j in range(ctx.table.n_cartan)
+        assert engine.sequence[P : P + table.n_cartan] == tuple(
+            table.h_id(j) for j in range(table.n_cartan)
         )
 
 
 def test_tail_moves_generator_to_rightmost_slot():
-    ctx = ctx_for("B-I:m=1,n=1")
-    bid = ctx.table.f_gen("e1")
-    engine = ctx.engine(tail=(bid,))
+    table = table_for("B-I:m=1,n=1")
+    bid = table.f_gen("e1")
+    engine = PBWEngine(table, (bid,))
     assert engine.rightmost_negative == bid
-    assert ctx.default_engine.rightmost_negative == ctx.table.f_gen("2d1")
+    assert PBWEngine(table).rightmost_negative == table.f_gen("2d1")
 
 
 def test_order_validation():
-    ctx = ctx_for("B-I:m=1,n=1")
+    table = table_for("B-I:m=1,n=1")
     with pytest.raises(WrongOrder):
-        ctx.engine(tail=["e1", "e1", "d1", "d1+e1", "2d1"])
+        PBWEngine(table, [table.f_gen(r) for r in ("e1", "e1", "d1", "d1+e1", "2d1")])
     with pytest.raises(WrongOrder):
-        ctx.engine(tail=("e1", "e1"))
+        PBWEngine(table, [table.f_gen(r) for r in ("e1", "e1")])
 
 
 def test_raising_past_lowering_produces_cartan_term():
     for text in CASES:
-        ctx = ctx_for(text)
-        table = ctx.table
-        engine = ctx.default_engine
+        table = table_for(text)
+        engine = PBWEngine(table)
         for j, pidx in enumerate(table.alg.simple_pos_index):
             e, f = table.e_id(pidx), table.f_id(pidx)
             got = engine.multiply(engine.gen(e), engine.gen(f))
@@ -94,9 +93,9 @@ def test_raising_past_lowering_produces_cartan_term():
 
 def test_associativity_on_random_triples():
     for text in CASES:
-        ctx = ctx_for(text)
-        engine = ctx.default_engine
-        dim = ctx.table.dim
+        table = table_for(text)
+        engine = PBWEngine(table)
+        dim = table.dim
         rng = random.Random(f"assoc:{text}")
         for trial in range(30):
             ids = [rng.randrange(dim) for _ in range(3)]
@@ -155,15 +154,14 @@ def test_left_rule_matches_right_multiplication(text):
     """multiply (left multiplication by generator powers) against the
     independent right-multiplication reference, on random words of all of
     U(g) under the default order and a tailed one."""
-    ctx = ctx_for(text)
-    table = ctx.table
+    table = table_for(text)
     rng = random.Random(f"right:{text}")
 
     def word():
         return tuple((g, 1 if table.basis[g].odd else rng.randint(1, 3))
                      for g in (rng.randrange(table.dim) for _ in range(rng.randint(1, 3))))
 
-    for engine in (ctx.default_engine, ctx.engine(tail=(table.f_gen(first_even_root(ctx.alg)),))):
+    for engine in (PBWEngine(table), PBWEngine(table, (table.f_gen(first_even_root(table.alg)),))):
         for _ in range(25):
             a = engine.import_element({word(): rng.randint(1, 3)})
             b = {word(): rng.randint(1, 3), word(): rng.choice((-1, Fraction(1, 2)))}
@@ -192,8 +190,8 @@ def test_left_rule_matches_right_multiplication(text):
 
 
 def test_products_stay_weight_homogeneous():
-    ctx = ctx_for("D-II:m=1,n=2")
-    engine = ctx.default_engine
+    table = table_for("D-II:m=1,n=2")
+    engine = PBWEngine(table)
     rng = random.Random("weights")
     for _ in range(25):
         a = random_lowering(engine, rng, 2)
@@ -206,21 +204,20 @@ def test_products_stay_weight_homogeneous():
 
 
 def test_odd_exponents_never_exceed_one():
-    ctx = ctx_for("F31")
-    engine = ctx.default_engine
+    table = table_for("F31")
+    engine = PBWEngine(table)
     rng = random.Random("odd-caps")
     for _ in range(10):
         el = random_lowering(engine, rng, 4)
         for mono in el:
             for bid, exp in mono:
-                if ctx.table.basis[bid].odd:
+                if table.basis[bid].odd:
                     assert exp == 1
 
 
 def test_odd_square_rewrites_through_bracket():
-    ctx = ctx_for("B-I:m=1,n=1")
-    table = ctx.table
-    engine = ctx.default_engine
+    table = table_for("B-I:m=1,n=1")
+    engine = PBWEngine(table)
     fo = table.f_gen("d1")
     sq = engine.multiply(engine.gen(fo), engine.gen(fo))
     half_bracket = {
@@ -250,15 +247,14 @@ def test_odd_powers_match_one_unit_per_pass(text):
     equals the product one x per pass term for term, coefficient types
     included, on 1 and on random elements, under the default order and an
     order with gamma last."""
-    ctx = ctx_for(text)
-    table = ctx.table
+    table = table_for(text)
     rng = random.Random(f"odd-powers:{text}")
-    engines = (ctx.default_engine, ctx.engine(tail=(table.f_gen(ctx.alg.gamma),)))
+    engines = (PBWEngine(table), PBWEngine(table, (table.f_gen(table.alg.gamma),)))
     odd = [g for g in range(table.dim) if table.odd[g]]
     # B-I and G3 have odd generators of either kind of square, D-II only
     # ones squaring to 0
     assert any(not table.bracket(g, g) for g in odd)
-    assert any(table.bracket(g, g) for g in odd) == (ctx.alg.case.family != "D-II")
+    assert any(table.bracket(g, g) for g in odd) == (table.alg.case.family != "D-II")
     for engine in engines:
         els = [el_one()] + [
             el_scale(random_lowering(engine, rng, 2), Fraction(rng.choice((1, 3)), rng.choice((1, 2))))
@@ -274,8 +270,7 @@ def test_odd_powers_match_one_unit_per_pass(text):
 def test_odd_power_is_taken_whole():
     """f_d1^j in B-I, where [f_d1, f_d1] = f_2d1, is (1/2)^k f_d1 f_2d1^k
     with k = j div 2, from one insert however large j is."""
-    ctx = ctx_for("B-I:m=1,n=1")
-    table = ctx.table
+    table = table_for("B-I:m=1,n=1")
     x, z = table.f_gen("d1"), table.f_gen("2d1")
     assert table.bracket(x, x) == {z: 1}
     engine = PBWEngine(table)
@@ -298,9 +293,9 @@ def test_odd_power_is_taken_whole():
 
 def test_import_is_idempotent_and_order_independent():
     for text in ("B-I:m=1,n=2", "G3"):
-        ctx = ctx_for(text)
-        default = ctx.default_engine
-        other = ctx.engine(tail=(first_even_root(ctx.alg),))
+        table = table_for(text)
+        default = PBWEngine(table)
+        other = PBWEngine(table, (table.f_gen(first_even_root(table.alg)),))
         rng = random.Random(f"import:{text}")
         for _ in range(10):
             x = random_lowering(default, rng, 3)
@@ -385,21 +380,21 @@ def repeated_generator(engine, word):
 
 
 @pytest.mark.parametrize("text", JOIN_CASES)
-def test_word_times_matches_one_power_at_a_time(text):
-    """word * el by multiply against the reference loop, words_times with
-    power_times, on random words over all of U(g) and el of one monomial or
-    several, in the default and a tailed order: a word joined or raised in
-    one step makes no power_times call (el is in normal form, so importing
-    it makes none either), and every other way is drawn too, among them a
-    word that is ordered but for an even and for an odd generator written
-    twice, which is no normal form.  Sums of two words go through multiply
-    as well."""
-    ctx = ctx_for(text)
+def test_multiply_matches_one_power_at_a_time(text):
+    """word * el by multiply, through its one product loop _times, against
+    the test helpers' reference loop words_times with power_times, on
+    random words over all of U(g) and el of one monomial or several, in the
+    default and a tailed order: a word joined or raised in one step makes
+    no power_times call (el is in normal form, so importing it makes none
+    either), and every other way is drawn too, among them a word that is
+    ordered but for an even and for an odd generator written twice, which
+    is no normal form.  Sums of two words go through multiply as well."""
+    table = table_for(text)
     rng = random.Random(f"join:{text}")
     ways = collections.Counter()
     repeated = set()
-    for engine in (ctx.default_engine, tailed_engine(ctx)[0]):
-        reference = PBWEngine(ctx.table, engine.tail)
+    for engine in (PBWEngine(table), tailed_engine(table)[0]):
+        reference = PBWEngine(table, engine.tail)
         calls = []
 
         def counted(x, j, el, engine=engine):
@@ -420,7 +415,7 @@ def test_word_times_matches_one_power_at_a_time(text):
                 ways[way] += 1
                 g = repeated_generator(engine, word)
                 if g is not None:
-                    repeated.add(ctx.table.odd[g])
+                    repeated.add(table.odd[g])
                 other, _ = join_inputs(engine, rng)
                 a = {word: rng.choice(COEFFICIENTS), other: rng.choice(COEFFICIENTS)}
                 assert engine.multiply(a, el) == words_times(a, el, reference.power_times)
@@ -470,10 +465,10 @@ def test_join_matches_right_multiplication(text):
     normal-form monomials, in the default and a tailed order: where it
     answers, left * right is that one monomial with coefficient 1, and it
     answers None exactly at an odd seam or a descending one."""
-    ctx = ctx_for(text)
+    table = table_for(text)
     rng = random.Random(f"join monomials:{text}")
     seams = collections.Counter()
-    for engine in (ctx.default_engine, tailed_engine(ctx)[0]):
+    for engine in (PBWEngine(table), tailed_engine(table)[0]):
         for _ in range(80):
             left, right = join_pair(engine, rng)
             way = seam(engine, left, right)
@@ -491,12 +486,12 @@ def test_products_and_division_match_one_power_at_a_time(text):
     loop gives, words_times with power_times for every word, and its
     round trip: on products over all of U(g), elements straightened under
     the other order, and lowering elements times the divisor."""
-    ctx = ctx_for(text)
+    table = table_for(text)
     rng = random.Random(f"join products:{text}")
-    default = ctx.default_engine
-    engine, f = tailed_engine(ctx)
+    default = PBWEngine(table)
+    engine, f = tailed_engine(table)
     for one, other in ((default, engine), (engine, default)):
-        reference = PBWEngine(ctx.table, one.tail)
+        reference = PBWEngine(table, one.tail)
 
         def ref_import(x):
             return words_times(x, el_one(), reference.power_times)
@@ -508,7 +503,7 @@ def test_products_and_division_match_one_power_at_a_time(text):
             assert one.import_element(a) == ref_import(a)
             moved = other.multiply(a, b)
             assert one.import_element(moved) == ref_import(moved)
-    lowering = engine.sequence[: ctx.table.n_pos]
+    lowering = engine.sequence[: table.n_pos]
     for _ in range(20):
         theta = {short_monomial(engine, rng, lowering, 4): rng.choice(COEFFICIENTS) for _ in range(rng.randint(1, 4))}
         p = rng.randint(1, 3)
@@ -521,10 +516,10 @@ def test_products_and_division_match_one_power_at_a_time(text):
 @settings(max_examples=20, deadline=None)
 @given(p=st.integers(min_value=1, max_value=3), pick=st.integers(min_value=0, max_value=10**9))
 def test_right_division_round_trip(p, pick):
-    ctx = ctx_for("D-I:m=1,n=2")
-    kappa = first_even_root(ctx.alg)
-    bid = ctx.table.f_gen(kappa)
-    engine = ctx.engine(tail=(bid,))
+    table = table_for("D-I:m=1,n=2")
+    kappa = first_even_root(table.alg)
+    bid = table.f_gen(kappa)
+    engine = PBWEngine(table, (bid,))
     rng = random.Random(pick)
     theta = random_lowering(engine, rng, 2)
     x = engine.multiply(theta, engine.gen(bid, p))
@@ -532,27 +527,27 @@ def test_right_division_round_trip(p, pick):
 
 
 def test_right_division_raises():
-    ctx = ctx_for("B-II:m=1,n=1")
-    engine = ctx.default_engine
+    table = table_for("B-II:m=1,n=1")
+    engine = PBWEngine(table)
     odd_last = engine.rightmost_negative
-    assert ctx.table.basis[odd_last].odd
+    assert table.basis[odd_last].odd
     with pytest.raises(WrongOrder):
         engine.right_divide(engine.gen(odd_last), odd_last, 1)
     with pytest.raises(WrongOrder):
-        engine.right_divide(engine.gen(ctx.table.f_gen("d1")), ctx.table.f_gen("d1"), 1)
-    even = ctx.table.f_gen("2d1")
-    tailed = ctx.engine(tail=(even,))
+        engine.right_divide(engine.gen(table.f_gen("d1")), table.f_gen("d1"), 1)
+    even = table.f_gen("2d1")
+    tailed = PBWEngine(table, (even,))
     with pytest.raises(NotDivisible):
         tailed.right_divide(tailed.gen(even, 1), even, 2)
     with pytest.raises(NotDivisible):
-        tailed.right_divide(tailed.gen(ctx.table.f_gen("d1")), even, 1)
+        tailed.right_divide(tailed.gen(table.f_gen("d1")), even, 1)
 
 
 def test_negative_exponents_are_refused_and_division_by_one_copies():
     """gen and right_divide refuse a negative exponent, and dividing by
     f^0 returns a copy of the dividend, not the dividend itself."""
-    ctx = ctx_for("D-I:m=1,n=2")
-    engine, f = tailed_engine(ctx)
+    table = table_for("D-I:m=1,n=2")
+    engine, f = tailed_engine(table)
     with pytest.raises(ValueError, match="^negative exponent$"):
         engine.gen(f, -1)
     x = engine.multiply(random_lowering(engine, random.Random(5), 2), engine.gen(f, 2))
@@ -567,10 +562,9 @@ def test_right_division_refuses_an_out_of_order_monomial():
     U(n^-) is refused by name, whatever stands before f^p: two lowering
     generators out of order, an even or an odd one written twice, an odd
     one squared, a Cartan generator or a raising one."""
-    ctx = ctx_for("B-I:m=2,n=1")
-    table = ctx.table
-    bid = table.f_gen(first_even_root(ctx.alg))
-    engine = ctx.engine(tail=(bid,))
+    table = table_for("B-I:m=2,n=1")
+    bid = table.f_gen(first_even_root(table.alg))
+    engine = PBWEngine(table, (bid,))
     even, odd = table.f_gen("d1-d2"), table.f_gen("d2-e1")
     lo, hi = sorted((even, odd), key=engine.rank.__getitem__)
     assert bid not in (even, odd) and table.bracket(hi, lo) and table.odd[odd]
@@ -589,10 +583,9 @@ def test_right_division_refuses_an_out_of_order_monomial():
 
 def test_even_power_commutation_expands_binomially():
     """f^l u = sum over i of C(l, i) (ad_f^i u) f^(l-i) for even f."""
-    ctx = ctx_for("B-I:m=2,n=1")
-    table = ctx.table
+    table = table_for("B-I:m=2,n=1")
     kappa = table.f_gen("d1-d2")
-    engine = ctx.engine(tail=(kappa,))
+    engine = PBWEngine(table, (kappa,))
     theta = engine.multiply(
         engine.gen(table.f_gen("d2-e1")), engine.gen(table.f_gen("e1"))
     )
@@ -613,10 +606,10 @@ def test_even_power_commutation_expands_binomially():
         assert lhs == rhs, l
 
 
-def tailed_engine(ctx):
+def tailed_engine(table):
     """An engine with the first even lowering generator in the rightmost slot."""
-    f = ctx.table.f_gen(first_even_root(ctx.alg))
-    return ctx.engine(tail=(f,)), f
+    f = table.f_gen(first_even_root(table.alg))
+    return PBWEngine(table, (f,)), f
 
 
 @pytest.mark.parametrize("text", CASES)
@@ -624,8 +617,8 @@ def test_lift_matches_power_times(text):
     """The adjoint expansion of f^L theta equals f^L theta walked one copy
     of f at a time, with canonical coefficients, on random elements of
     U(n^-) with rational coefficients."""
-    ctx = ctx_for(text)
-    engine, f = tailed_engine(ctx)
+    table = table_for(text)
+    engine, f = tailed_engine(table)
     rng = random.Random(f"lift:{text}")
     for _ in range(8):
         theta = {}
@@ -649,13 +642,12 @@ def test_commutator_matches_its_definition(text):
     with rational coefficients, g any raising generator or the even
     rightmost lowering generator of a tailed order, in the default and the
     tailed order, with canonical coefficients."""
-    ctx = ctx_for(text)
-    table = ctx.table
-    tailed, f = tailed_engine(ctx)
+    table = table_for(text)
+    tailed, f = tailed_engine(table)
     raising = [table.e_id(i) for i in range(table.n_pos)]
     rng = random.Random(f"commutator:{text}")
     odd_draws = 0
-    for engine, gens in ((ctx.default_engine, raising), (tailed, raising + [f])):
+    for engine, gens in ((PBWEngine(table), raising), (tailed, raising + [f])):
         for g in gens:
             for _ in range(2):
                 x = {}
@@ -675,8 +667,8 @@ def test_commutator_matches_its_definition(text):
 
 
 def test_lift_edge_cases():
-    ctx = ctx_for("B-I:m=2,n=1")
-    engine, f = tailed_engine(ctx)
+    table = table_for("B-I:m=2,n=1")
+    engine, f = tailed_engine(table)
     theta = el_scale(random_lowering(engine, random.Random("lift-edges"), 3), Fraction(3, 2))
     assert theta
     assert engine.lift(f, 0, theta) == theta
@@ -689,22 +681,22 @@ def test_lift_edge_cases():
 def test_lift_refuses_the_wrong_generator_or_element():
     """The expansion needs X f^j to be a concatenation: f must be even and
     rightmost, and theta must be in normal form in U(n^-)."""
-    ctx = ctx_for("B-II:m=1,n=1")
-    table = ctx.table
-    odd_last = ctx.default_engine.rightmost_negative
+    table = table_for("B-II:m=1,n=1")
+    odd_last = PBWEngine(table).rightmost_negative
     assert table.basis[odd_last].odd
     with pytest.raises(WrongOrder):
-        ctx.default_engine.lift(odd_last, 2, el_one())
-    engine, f = tailed_engine(ctx)
+        PBWEngine(table).lift(odd_last, 2, el_one())
+    engine, f = tailed_engine(table)
     other = next(g for g in range(table.n_pos) if g != f and not table.basis[g].odd)
     with pytest.raises(WrongOrder):
         engine.lift(other, 2, el_one())
     with pytest.raises(WrongOrder, match="is not a normal-form monomial of U"):
         engine.lift(f, 2, engine.gen(table.e_gen("d1")))
     # every generator of a theta monomial is checked, not only the last
-    ctx = ctx_for("B-I:m=2,n=1")
-    engine, f = ctx.engine(tail=("d1-d2",)), ctx.table.f_gen("d1-d2")
-    mono = ((ctx.table.f_gen("2d2"), 1), (ctx.table.f_gen("e1"), 1))
+    table = table_for("B-I:m=2,n=1")
+    f = table.f_gen("d1-d2")
+    engine = PBWEngine(table, (f,))
+    mono = ((table.f_gen("2d2"), 1), (table.f_gen("e1"), 1))
     assert [engine.rank[g] for g, _ in mono] == [6, 0]
     with pytest.raises(WrongOrder, match="is not a normal-form monomial of U"):
         engine.lift(f, 2, {mono: 1})
@@ -714,11 +706,11 @@ def test_lift_refuses_the_wrong_generator_or_element():
 
 
 def test_element_weight_rejects_mixtures_and_zero():
-    ctx = ctx_for("B-I:m=1,n=1")
-    engine = ctx.default_engine
+    table = table_for("B-I:m=1,n=1")
+    engine = PBWEngine(table)
     with pytest.raises(Inhomogeneous, match="the zero element has no weight"):
         engine.element_weight(el_zero())
-    mixed = el_add(engine.gen(ctx.table.f_gen("e1")), engine.gen(ctx.table.f_gen("d1")))
+    mixed = el_add(engine.gen(table.f_gen("e1")), engine.gen(table.f_gen("d1")))
     with pytest.raises(Inhomogeneous, match=re.escape("mixed weights (-1,0), (0,-1)")):
         engine.element_weight(mixed)
 
@@ -782,13 +774,13 @@ def test_insert_matches_prepending_the_product(text):
     random normal-form monomial over the whole basis or over U(n^-), in
     the default and the tailed orders, with every way insert can place w
     drawn."""
-    ctx = ctx_for(text)
+    table = table_for(text)
     rng = random.Random(f"insert:{text}")
     ways = collections.Counter()
-    for engine in (ctx.default_engine, tailed_engine(ctx)[0]):
+    for engine in (PBWEngine(table), tailed_engine(table)[0]):
         lowering = engine.sequence[: engine.table.n_pos]
         for _ in range(500):
-            pool = lowering if rng.random() < 0.5 else range(ctx.table.dim)
+            pool = lowering if rng.random() < 0.5 else range(table.dim)
             mono = short_monomial(engine, rng, pool, rng.randint(0, 6))
             cut = rng.randint(0, len(mono))
             head, rest = mono[:cut], mono[cut:]
@@ -806,9 +798,9 @@ def test_insert_matches_prepending_the_product(text):
 def test_insert_refuses_what_is_no_normal_form():
     """insert needs head * rest to be one normal-form monomial, and an odd
     generator it passes or meets to carry exponent one, as walk does."""
-    ctx = ctx_for("B-I:m=1,n=1")
-    engine = ctx.default_engine
-    seq, basis = engine.sequence, ctx.table.basis
+    table = table_for("B-I:m=1,n=1")
+    engine = PBWEngine(table)
+    seq, basis = engine.sequence, table.basis
     low, high = seq[0], seq[-1]
     for head, rest in ((((high, 1),), ((low, 1),)), (((low, 1),), ((low, 1),))):
         with pytest.raises(WrongOrder, match="is not a normal-form monomial"):
@@ -829,8 +821,7 @@ def test_lattice_weights_match_fraction_sums(text):
     coordinates as ints, and element_weight of one monomial or more, summed
     from the rows, equal the Fraction sum exactly, under the default engine
     and a tailed one; F31 is the case with weight_den 2."""
-    ctx = ctx_for(text)
-    table = ctx.table
+    table = table_for(text)
     den = table.alg.weight_den
     assert den == (2 if text == "F31" else 1)
     for bid in range(table.dim):
@@ -838,7 +829,7 @@ def test_lattice_weights_match_fraction_sums(text):
         assert row == tuple((i, c * den) for i, c in enumerate(basis_weight(table, bid)) if c)
         assert all(type(c) is int for _, c in row)
     rng = random.Random(f"lattice:{text}")
-    for engine in (ctx.default_engine, ctx.engine(tail=(first_even_root(ctx.alg),))):
+    for engine in (PBWEngine(table), PBWEngine(table, (table.f_gen(first_even_root(table.alg)),))):
         for _ in range(40):
             m = random_normal_monomial(engine, rng)
             got = engine.element_weight({m: 1})
@@ -854,8 +845,8 @@ def test_lattice_weights_match_fraction_sums(text):
 
 
 def test_render_is_deterministic():
-    ctx = ctx_for("B-I:m=1,n=1")
-    engine = ctx.default_engine
+    table = table_for("B-I:m=1,n=1")
+    engine = PBWEngine(table)
     rng = random.Random("render")
     x = random_lowering(engine, rng, 3)
     assert engine.render(x) == engine.render(dict(reversed(list(x.items()))))
@@ -866,15 +857,15 @@ def test_render_is_deterministic():
 def test_el_sub_and_power_times_keep_canonical_form():
     """Coefficients stay an int when integral and a Fraction otherwise:
     through el_sub, el_scale, el_add and power_times."""
-    ctx = ctx_for("B-I:m=2,n=1")
-    engine = ctx.default_engine
+    table = table_for("B-I:m=2,n=1")
+    engine = PBWEngine(table)
     rng = random.Random("canonical")
     x = random_lowering(engine, rng, 3)
     assert el_sub(x, x) == {}
     half = el_scale(x, Fraction(1, 2))
     doubled = el_add(half, half)
     assert doubled == x and all(map(is_canonical, doubled.values()))
-    evens = [g for g in range(ctx.table.n_pos) if not ctx.table.basis[g].odd]
+    evens = [g for g in range(table.n_pos) if not table.basis[g].odd]
     for _ in range(40):
         el = {}
         for _ in range(3):
@@ -885,7 +876,7 @@ def test_el_sub_and_power_times_keep_canonical_form():
         assert all(map(is_canonical, got.values())), got
     # every generator power times half of every generator of G3, where a
     # half can meet a bracket constant that clears its denominator
-    g3 = ctx_for("G3").default_engine
+    g3 = PBWEngine(table_for("G3"))
     for x in range(g3.table.dim):
         for y in range(g3.table.dim):
             for j in range(1, 6):
@@ -899,10 +890,10 @@ def test_deep_power_passes_a_commuting_generator(name):
     so the product is x f_{2D}^2000.  power_times takes one pass per copy
     of f_{2D}, each one insert, and nothing recurses once per unit of the
     exponent."""
-    ctx = ctx_for("G3")
-    engine = ctx.default_engine
-    big, x = ctx.table.f_gen("2D"), ctx.table.f_gen(name)
-    assert not ctx.table.bracket(big, x)
+    table = table_for("G3")
+    engine = PBWEngine(table)
+    big, x = table.f_gen("2D"), table.f_gen(name)
+    assert not table.bracket(big, x)
     assert engine.rank[x] < engine.rank[big]
     got = engine.multiply(engine.gen(big, 2000), engine.gen(x))
     assert got == {((x, 1), (big, 2000)): 1}

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superverma import cli, rootdata, singular
+from superverma.pbw import PBWEngine
 from superverma.rootdata import (
     EVEN,
     ODD_ISO,
@@ -486,14 +487,14 @@ def fraction_wprime_orbit(beta, alg: AlgebraData) -> tuple:
 def test_a_root_is_not_given_by_its_weight():
     """A root is its index, its datum or its name; a weight tuple where a
     root is expected is a usage error that names those three forms."""
-    ctx = singular.build_context(CaseId.parse("B-I:m=2,n=1"))
-    alg = ctx.alg
+    table = singular.build_context(CaseId.parse("B-I:m=2,n=1"))
+    alg = table.alg
     w = alg.gamma.weight
     calls = (
         lambda: alg.as_index(w),
-        lambda: ctx.table.f_gen(w),
+        lambda: table.f_gen(w),
         lambda: alg.coroot_pairing(alg.rho, w),
-        lambda: ctx.engine(tail=(w,)),
+        lambda: PBWEngine(table, (table.f_gen(w),)),
     )
     for call in calls:
         with pytest.raises(InvalidParams, match="index, its RootDatum or its name"):

@@ -6,14 +6,13 @@ from fractions import Fraction
 import pytest
 
 from superverma.cli import SMALLEST_CASES
-from superverma.pbw import WrongOrder
+from superverma.pbw import PBWEngine, WrongOrder
 from helpers import el_scale
 from superverma.rootdata import AlgebraData, CaseId, InvalidParams, ParityViolation, wdiff, wscale
 from superverma import cli, singular
 from superverma.singular import (
     Candidate,
     CaseParams,
-    Context,
     build_context,
     candidate,
     candidate_u,
@@ -38,8 +37,8 @@ SMALLEST = {
 
 def params_for(text: str, N: int, seed: int = 0) -> CaseParams:
     case = CaseId.parse(text)
-    ctx = build_context(case)
-    return CaseParams(case, N, default_lambda(case, N, seed, ctx.alg)), ctx
+    table = build_context(case)
+    return CaseParams(N, default_lambda(case, N, seed)), table
 
 
 def apply_one_at_a_time(engine, lam, e_factors, tail):
@@ -75,11 +74,11 @@ def test_default_lambda_frozen_values():
 def test_default_lambda_is_deterministic_and_constrained():
     for text, N in SMALLEST.items():
         case = CaseId.parse(text)
-        ctx = build_context(case)
-        lam = default_lambda(case, N, 7, ctx.alg)
-        assert lam == default_lambda(case, N, 7, ctx.alg)
-        assert ctx.alg.coroot_pairing(lam, ctx.alg.gamma) == N
-        validate_params(CaseParams(case, N, lam), ctx.alg)
+        table = build_context(case)
+        lam = default_lambda(case, N, 7)
+        assert lam == default_lambda(case, N, 7)
+        assert table.alg.coroot_pairing(lam, table.alg.gamma) == N
+        validate_params(CaseParams(N, lam), table.alg)
 
 
 def test_level_parity_is_enforced():
@@ -87,23 +86,34 @@ def test_level_parity_is_enforced():
         case = CaseId.parse(text)
         with pytest.raises(ParityViolation):
             default_lambda(case, 2, 0)
-        ctx = build_context(case)
-        lam = default_lambda(case, 1, 0, ctx.alg)
+        table = build_context(case)
+        lam = default_lambda(case, 1, 0)
         with pytest.raises(ParityViolation):
-            validate_params(CaseParams(case, 2, lam), ctx.alg)
+            validate_params(CaseParams(2, lam), table.alg)
     # even N is fine elsewhere
     default_lambda(CaseId.parse("B-II:m=1,n=1"), 2, 0)
 
 
 def test_validate_params_rejections():
-    (params, ctx) = params_for("B-I:m=1,n=1", 1)
+    (params, table) = params_for("B-I:m=1,n=1", 1)
     with pytest.raises(InvalidParams):
-        validate_params(CaseParams(params.case, 0, params.lam), ctx.alg)
+        validate_params(CaseParams(0, params.lam), table.alg)
     with pytest.raises(InvalidParams):
-        validate_params(CaseParams(params.case, 1, params.lam + (Fraction(0),)), ctx.alg)
+        validate_params(CaseParams(1, params.lam + (Fraction(0),)), table.alg)
     bad = (params.lam[0] + 1,) + params.lam[1:]
     with pytest.raises(InvalidParams):
-        validate_params(CaseParams(params.case, 1, bad), ctx.alg)
+        validate_params(CaseParams(1, bad), table.alg)
+
+
+def test_the_case_comes_from_the_table():
+    """CaseParams carry no case: a B-I table applies B-I's odd-level rule,
+    so a lambda with <lambda, h_gamma> = 2 is refused however it was made."""
+    table = build_context(CaseId.parse("B-I:m=1,n=1"))
+    alg = table.alg
+    lam = singular._solve_level(alg, [Fraction(0)] * alg.rank, 2, max(singular._support(alg)))
+    assert alg.coroot_pairing(lam, alg.gamma) == 2
+    with pytest.raises(ParityViolation, match="B-I needs an odd level, got N=2"):
+        candidate(CaseParams(2, lam), table)
 
 
 def test_candidate_factor_shapes():
@@ -116,49 +126,49 @@ def test_candidate_factor_shapes():
         "G3": (6, 7),
     }
     for text, N in SMALLEST.items():
-        params, ctx = params_for(text, N)
-        cand = candidate(params, ctx)
+        params, table = params_for(text, N)
+        cand = candidate(params, table)
         odd, tail = cand.odd, cand.tail_ids
         n_odd, tail_exp = expected_counts[text]
         assert len(odd) == n_odd
-        assert tail == ((ctx.table.f_gen(ctx.alg.gamma), tail_exp),)
-        assert cand.odd_ids == tuple(ctx.table.e_gen(i) for i in odd)
-        roots = [ctx.alg.pos_roots[i] for i in odd]
+        assert tail == ((table.f_gen(table.alg.gamma), tail_exp),)
+        assert cand.odd_ids == tuple(table.e_gen(i) for i in odd)
+        roots = [table.alg.pos_roots[i] for i in odd]
         assert all(r.odd for r in roots)
-        total = wscale(-tail_exp, ctx.alg.gamma.weight)
+        total = wscale(-tail_exp, table.alg.gamma.weight)
         for r in roots:
             total = tuple(a + b for a, b in zip(total, r.weight))
-        assert total == wscale(-N, ctx.alg.gamma.weight)
+        assert total == wscale(-N, table.alg.gamma.weight)
 
 
 def test_candidates_are_singular_of_claimed_weight():
     for text, N in SMALLEST.items():
-        params, ctx = params_for(text, N)
-        u = candidate_u(params, ctx)
+        params, table = params_for(text, N)
+        u = candidate_u(params, table)
         assert not u.is_zero()
-        engine = ctx.default_engine
-        expected = wdiff(wdiff(params.lam, ctx.alg.rho), ctx.alg.from_lattice(claimed_drop(params, ctx.alg)))
+        engine = PBWEngine(table)
+        expected = wdiff(wdiff(params.lam, table.alg.rho), table.alg.from_lattice(claimed_drop(params, table.alg)))
         assert weight_of(u, engine) == expected
         report = is_singular(u, engine)
         assert report.ok, (text, report.residuals)
 
 
 def test_second_level_candidate():
-    params, ctx = params_for("B-II:m=1,n=1", 2, seed=3)
-    u = candidate_u(params, ctx)
+    params, table = params_for("B-II:m=1,n=1", 2, seed=3)
+    u = candidate_u(params, table)
     assert not u.is_zero()
-    assert is_singular(u, ctx.default_engine).ok
+    assert is_singular(u, PBWEngine(table)).ok
 
 
 def test_factor_permutations_flip_sign_at_most():
     for text in ("D-I:m=1,n=2", "F31"):
-        params, ctx = params_for(text, 1)
-        u = candidate_u(params, ctx)
+        params, table = params_for(text, 1)
+        u = candidate_u(params, table)
         neg = {m: -c for m, c in u.body.items()}
-        cand = candidate(params, ctx)
+        cand = candidate(params, table)
         odd = cand.odd_ids
         k = len(odd)
-        engine = ctx.default_engine
+        engine = PBWEngine(table)
         y_id = raising_product(engine, odd)
         rng = random.Random(f"perm:{text}")
         seen_minus = seen_other_product = False
@@ -175,13 +185,9 @@ def test_factor_permutations_flip_sign_at_most():
         assert seen_other_product
 
 
-def test_context_caches_engines():
-    ctx = build_context(CaseId.parse("B-I:m=1,n=1"))
-    assert ctx.default_engine is ctx.default_engine
-    tailed = ctx.engine(tail=("e1",))
-    assert tailed is ctx.engine(tail=("e1",))
-    assert tailed is not ctx.default_engine
-    assert build_context(CaseId.parse("B-I:m=1,n=1")) is ctx
+def test_context_is_kept_per_case():
+    table = build_context(CaseId.parse("B-I:m=1,n=1"))
+    assert build_context(CaseId.parse("B-I:m=1,n=1")) is table
 
 
 def test_context_budget_drops_the_least_recently_used(monkeypatch, capsys):
@@ -192,9 +198,9 @@ def test_context_budget_drops_the_least_recently_used(monkeypatch, capsys):
             "--check", "nonzero", "--check", "singular", "--json"]
 
     class Watched(dict):
-        def __setitem__(self, key, ctx):
-            super().__setitem__(key, ctx)
-            held.append(sum(c.table.dim ** 2 for c in self.values()))
+        def __setitem__(self, key, table):
+            super().__setitem__(key, table)
+            held.append(sum(t.dim ** 2 for t in self.values()))
 
     def run_twice():
         monkeypatch.setattr(singular, "_CONTEXTS", Watched())
@@ -217,39 +223,30 @@ def test_context_budget_drops_the_least_recently_used(monkeypatch, capsys):
 
 
 def test_engines_of_a_case_share_the_table_and_make_each_order_once(monkeypatch):
-    """A context builds each engine once, however often the engine is
-    looked up and whether its tail names a generator by id or by root, and
-    refuses a tail that is no order; an engine keeps only its table, its
-    tail and the order derived from them, and two engines of a case read
-    the same ad chain rows, and so the same chain lists, from the bracket
-    table."""
-    made = []
-    real_engine = singular.PBWEngine
-    monkeypatch.setattr(singular, "PBWEngine",
-                        lambda table, tail=(): made.append(tail) or real_engine(table, tail))
+    """An engine makes its order once, from its tail, and keeps only its
+    table, its tail and that order; it refuses a tail that is no order of
+    lowering generator ids, whether the ids come as ints or from roots by
+    table.f_gen; and two engines of a case read the same ad chain rows, and
+    so the same chain lists, from the bracket table."""
     case = CaseId.parse("B-I:m=2,n=1")
-    shared = build_context(case)
-    ctx = Context(shared.alg, shared.table)
-    kappa = ctx.table.f_gen("d1-d2")
-    for _ in range(3):
-        default, tailed = ctx.default_engine, ctx.engine(tail=(kappa,))
-        assert ctx.engine(tail=("d1-d2",)) is tailed
-    assert made == [(), (kappa,)] and len(ctx._engines) == 2
+    table = build_context(case)
+    kappa = table.f_gen("d1-d2")
+    default, tailed = PBWEngine(table), PBWEngine(table, (kappa,))
     assert all(set(vars(e)) == {"table", "tail", "sequence", "rank"} for e in (default, tailed))
-    # a tail entry must be a lowering generator, given once, by id or by root
+    # a tail entry must be a lowering generator, given once
     for tail, message in (
-        ((ctx.table.e_gen("d1-d2"),), "is not a lowering generator id"),
-        ((ctx.table.dim,), "is not a lowering generator id"),
+        ((table.e_gen("d1-d2"),), "is not a lowering generator id"),
+        ((table.dim,), "is not a lowering generator id"),
         ((-1,), "is not a lowering generator id"),
-        ((kappa, "d1-d2"), "tail entries must be distinct"),
+        ((table.n_pos,), "is not a lowering generator id"),  # the first Cartan id
+        ((kappa, table.f_gen("d1-d2")), "tail entries must be distinct"),
     ):
         with pytest.raises(WrongOrder, match=message):
-            ctx.engine(tail=tail)
-    assert len(ctx._engines) == 2
+            PBWEngine(table, tail)
     rows = []
-    real_row = ctx.table.ad_row
-    monkeypatch.setattr(ctx.table, "ad_row", lambda g: rows.append((g, real_row(g))) or rows[-1][1])
-    cand = candidate(CaseParams(case, 1, default_lambda(case, 1, 0, ctx.alg)), ctx)
+    real_row = table.ad_row
+    monkeypatch.setattr(table, "ad_row", lambda g: rows.append((g, real_row(g))) or rows[-1][1])
+    cand = candidate(CaseParams(1, default_lambda(case, 1, 0)), table)
     read = {}
     for engine in (default, tailed):
         rows.clear()
@@ -268,15 +265,15 @@ def test_straightened_factors_match_one_at_a_time(text):
     under the witness engine, each in its own order and five seeded
     permutations, all through one Candidate, whose dict of monomial images
     each (engine, tail) shares."""
-    params, ctx = params_for(text, 1)
-    cand = candidate(params, ctx)
+    params, table = params_for(text, 1)
+    cand = candidate(params, table)
     odd, tail = cand.odd_ids, cand.tail_ids
-    spec = witness_spec(cand, ctx.alg)
-    witness_engine = ctx.engine(tail=spec.order_tail)
-    spec_tail = tuple((ctx.table.f_gen(w), e) for w, e in spec.tail)
-    jobs = [(ctx.default_engine, odd, tail), (witness_engine, odd, tail)]
+    spec = witness_spec(cand, table.alg)
+    witness_engine = PBWEngine(table, spec.order_tail)
+    spec_tail = tuple((table.f_gen(w), e) for w, e in spec.tail)
+    jobs = [(PBWEngine(table), odd, tail), (witness_engine, odd, tail)]
     jobs += [
-        (witness_engine, [ctx.table.e_gen(w) for w in step.e_factors], spec_tail)
+        (witness_engine, [table.e_gen(w) for w in step.e_factors], spec_tail)
         for step in spec.steps
     ]
     rng = random.Random(f"straighten:{text}")
@@ -297,8 +294,8 @@ def test_rebuilds_resolve_no_roots(text, monkeypatch):
     the witness engine keeps the spec's tail and, for an odd gamma, the
     candidate's own, a scalar multiple of it whose images it never shares,
     and after the witness run the memo holds that last key alone."""
-    params, ctx = params_for(text, 1)
-    cand = candidate(params, ctx)
+    params, table = params_for(text, 1)
+    cand = candidate(params, table)
     lookups = []
     actions = []
     real_index, real_build, real_action = AlgebraData.as_index, Candidate.build, _Action.__init__
@@ -326,25 +323,26 @@ def test_rebuilds_resolve_no_roots(text, monkeypatch):
     monkeypatch.setattr(AlgebraData, "as_index", counted_index)
     monkeypatch.setattr(_Action, "__init__", counted_action)
     monkeypatch.setattr(Candidate, "build", counted_build)
-    engine = ctx.default_engine
+    engine = PBWEngine(table)
     u = cand.build(engine)
     del lookups[:]
     assert len(actions) == 1
-    assert signflip_counterexample(cand, ctx, u, 0, 20) is None
+    assert signflip_counterexample(cand, engine, u, 0, 20) is None
     assert lookups == []
     assert len(actions) == 1
-    assert run_witness(cand, ctx).ok
-    spec = witness_spec(cand, ctx.alg)
+    assert run_witness(cand, table).ok
+    spec = witness_spec(cand, table.alg)
     assert per_build == [0] * (1 + 20 + len(spec.steps) + 1)
 
-    witness_engine = ctx.engine(tail=spec.order_tail)
-    spec_tail = tuple((ctx.table.f_gen(w), e) for w, e in spec.tail)
-    assert (spec_tail != cand.tail_ids) == ctx.alg.gamma.odd
-    assert cand._images[0] == (witness_engine, cand.tail_ids)
+    (witness_engine, last_tail), _, _ = cand._images
+    assert witness_engine is not engine and witness_engine.tail == spec.order_tail
+    spec_tail = tuple((table.f_gen(w), e) for w, e in spec.tail)
+    assert (spec_tail != cand.tail_ids) == table.alg.gamma.odd
+    assert last_tail == cand.tail_ids
     assert set(memos) == {
         (engine, cand.tail_ids), (witness_engine, spec_tail), (witness_engine, cand.tail_ids),
     }
-    if ctx.alg.gamma.odd:
+    if table.alg.gamma.odd:
         own = memos[(witness_engine, cand.tail_ids)]
         split = memos[(witness_engine, spec_tail)]
         assert own is not split and own[()] != split[()]

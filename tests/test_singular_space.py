@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from superverma.pbw import PBWEngine
 from superverma.rootdata import CaseId
 from superverma.singular import CaseParams, build_context, candidate, default_lambda
 from superverma.verma import VermaVector, act
@@ -85,17 +86,16 @@ def kernel_dimension(columns):
 @pytest.mark.parametrize("text,N", sorted(SPACES), ids=[f"{t}-N{N}" for t, N in sorted(SPACES)])
 def test_candidate_spans_the_singular_space(text, N):
     case = CaseId.parse(text)
-    ctx = build_context(case)
-    table = ctx.table
-    engine = ctx.default_engine
-    lam = default_lambda(case, N, 0, ctx.alg)
+    table = build_context(case)
+    engine = PBWEngine(table)
+    lam = default_lambda(case, N, 0)
     monos = weight_space(engine, N)
-    raising = [engine.gen(table.e_id(i)) for i in ctx.alg.simple_pos_index]
+    raising = [engine.gen(table.e_id(i)) for i in table.alg.simple_pos_index]
     columns = []
     for mono in monos:
         v = VermaVector({mono: 1}, lam)
         columns.append({(j, m): c for j, e in enumerate(raising) for m, c in act(e, v, engine).body.items()})
-    u = candidate(CaseParams(case, N, lam), ctx).build(engine)
+    u = candidate(CaseParams(N, lam), table).build(engine)
     assert u.body and set(u.body) <= set(monos)
     image = {}
     for mono, coef in u.body.items():

@@ -229,14 +229,13 @@ def test_module_action_matches_straightening(text):
     random lowering bodies and on a body of two weights, under the default
     order and a tail order."""
     case = CaseId.parse(text)
-    ctx = build_context(case)
-    table = ctx.table
-    lam = default_lambda(case, 1, 0, ctx.alg)
+    table = build_context(case)
+    lam = default_lambda(case, 1, 0)
     rng = random.Random(f"module-action:{text}")
-    tail = (table.f_gen(ctx.alg.gamma),)
-    for eng in (ctx.default_engine, ctx.engine(tail=tail)):
+    tail = (table.f_gen(table.alg.gamma),)
+    for eng in (PBWEngine(table), PBWEngine(table, tail)):
         reference = PBWEngine(table, eng.tail)
-        bodies = [candidate(CaseParams(case, 1, lam), ctx).build(eng).body]
+        bodies = [candidate(CaseParams(1, lam), table).build(eng).body]
         for _ in range(2):
             word = tuple((rng.randrange(table.n_pos), rng.randint(1, 2)) for _ in range(3))
             bodies.append(eng.multiply(el_one(), {word: Fraction(rng.randint(1, 5))}))
@@ -274,10 +273,10 @@ def test_action_and_check_read_the_body_only():
     coefficients the action reads the body itself, with Fraction ones
     (den > 1) a scaled copy."""
     case = CaseId.parse("B-I:m=1,n=1")
-    ctx = build_context(case)
-    eng, table = ctx.default_engine, ctx.table
-    lam = default_lambda(case, 3, 0, ctx.alg)
-    u = candidate_u(CaseParams(case, 3, lam), ctx).body
+    table = build_context(case)
+    eng = PBWEngine(table)
+    lam = default_lambda(case, 3, 0)
+    u = candidate_u(CaseParams(3, lam), table).body
     bodies = [u, {((table.f_gen("e1"), 1),): 1}]
     bodies += [el_scale(body, Fraction(1, 6)) for body in bodies]
     assert all(type(c) is Fraction for body in bodies[2:] for c in body.values())
@@ -300,14 +299,14 @@ def test_orbit_coefficients_are_canonical():
     and the propagated theta of an orbit step hold each coefficient as an
     int, or as a Fraction only when it is not one."""
     case = CaseId.parse("B-I:m=2,n=1")
-    ctx = build_context(case)
-    report = propagate_chain(case, 1, 1, seed=0, ctx=ctx)
+    table = build_context(case)
+    report = propagate_chain(table, 1, 1, seed=0)
     assert report.ok
-    (kappa,) = chain_kappas(1, ctx.alg)
-    u = candidate_u(CaseParams(case, 1, report.mu0), ctx)
-    shap, step = orbit_propagate(ShapovalovElement(ctx.alg.gamma, 1, report.mu0, u.body), kappa, ctx)
-    f = ctx.table.f_gen(kappa)
-    eng = ctx.engine(tail=(f,))
+    (kappa,) = chain_kappas(1, table.alg)
+    u = candidate_u(CaseParams(1, report.mu0), table)
+    shap, step = orbit_propagate(ShapovalovElement(table.alg.gamma, 1, report.mu0, u.body), kappa, table)
+    f = table.f_gen(kappa)
+    eng = PBWEngine(table, (f,))
     theta = eng.import_element(u.body)
     for el in (u.body, theta, eng.lift(f, step.exponent, theta), shap.theta):
         assert el and not non_canonical(el.values())
@@ -332,19 +331,18 @@ def test_grouped_singularity_check_matches_act(text):
     and failure image alike, on the candidate, on random homogeneous bodies and
     on a body of two weights, under the default order and a tail order."""
     case = CaseId.parse(text)
-    ctx = build_context(case)
-    table = ctx.table
+    table = build_context(case)
     rng = random.Random(f"grouped-check:{text}")
-    tail = (table.f_gen(ctx.alg.gamma),)
+    tail = (table.f_gen(table.alg.gamma),)
     failures = 0
-    for eng in (ctx.default_engine, ctx.engine(tail=tail)):
+    for eng in (PBWEngine(table), PBWEngine(table, tail)):
         reference = PBWEngine(table, eng.tail)
         for seed in (0, 1):
-            lam = default_lambda(case, 1, seed, ctx.alg)
-            bodies = [candidate(CaseParams(case, 1, lam), ctx).build(eng).body]
+            lam = default_lambda(case, 1, seed)
+            bodies = [candidate(CaseParams(1, lam), table).build(eng).body]
             bodies += [random_homogeneous_body(eng, rng) for _ in range(4)]
             # f_j (B + 1): a leading-power group whose rest has two weights
-            f = min((table.f_id(i) for i in ctx.alg.simple_pos_index), key=eng.rank.get)
+            f = min((table.f_id(i) for i in table.alg.simple_pos_index), key=eng.rank.get)
             bodies.append(eng.multiply(eng.gen(f), el_add(bodies[1], el_one())))
             for body in bodies:
                 v = VermaVector(body, lam)
@@ -360,12 +358,11 @@ def test_alternating_highest_weights_match_fresh_engines():
     is_singular, what a fresh engine gives for each weight: the engine
     keeps nothing keyed on a highest weight."""
     case = CaseId.parse("D-II:m=2,n=2")
-    ctx = build_context(case)
-    table = ctx.table
+    table = build_context(case)
     eng = PBWEngine(table)
-    lams = [default_lambda(case, 2, seed, ctx.alg) for seed in (0, 1)]
+    lams = [default_lambda(case, 2, seed) for seed in (0, 1)]
     assert lams[0] != lams[1]
-    body = candidate_u(CaseParams(case, 2, lams[0]), ctx).body
+    body = candidate_u(CaseParams(2, lams[0]), table).body
     rng = random.Random("alternate")
     ids = list(range(table.dim))
     x = {}
@@ -386,19 +383,18 @@ def test_candidates_at_two_weights_share_an_engine():
     between, equal what fresh engines give: each candidate keeps its own
     action, and the engine keeps nothing keyed on a highest weight."""
     case = CaseId.parse("D-II:m=2,n=2")
-    ctx = build_context(case)
-    table = ctx.table
+    table = build_context(case)
     shared = PBWEngine(table)
-    lams = [default_lambda(case, 2, seed, ctx.alg) for seed in (0, 1)]
+    lams = [default_lambda(case, 2, seed) for seed in (0, 1)]
     assert lams[0] != lams[1]
-    cands = [candidate(CaseParams(case, 2, lam), ctx) for lam in lams]
+    cands = [candidate(CaseParams(2, lam), table) for lam in lams]
     ids = cands[0].odd_ids
-    f = table.f_id(ctx.alg.simple_pos_index[0])
+    f = table.f_id(table.alg.simple_pos_index[0])
     for k in reversed(range(len(ids) + 1)):
         for cand, other in zip(cands, reversed(lams)):
             u = cand.build(shared, ids[k:]).body
             fresh = PBWEngine(table, shared.tail)
-            assert u == candidate(cand.params, ctx).build(fresh, ids[k:]).body
+            assert u == candidate(cand.params, table).build(fresh, ids[k:]).body
             v = VermaVector(u, other)
             x = shared.gen(f)
             assert act(x, v, shared).body == act(x, v, PBWEngine(table, shared.tail)).body
@@ -437,7 +433,7 @@ def test_equal_height_raising_out_of_a_bracket_is_an_internal_error(monkeypatch)
         if a != b and heights[a] == heights[b] > 1
     )
     f = table.f_id(alg.simple_pos_index[0])
-    v = act(eng.gen(f), highest_weight_vector(default_lambda(case, 1, 0, alg)), eng)
+    v = act(eng.gen(f), highest_weight_vector(default_lambda(case, 1, 0)), eng)
     real = table.bracket
     monkeypatch.setattr(
         table, "bracket", lambda y, x: {z: 1} if (y, x) == (g, f) else real(y, x)
@@ -471,18 +467,17 @@ def test_action_pairings_come_from_the_bracket_table():
     m, n <= 3."""
     pairs = 0
     for case in SMALL_CASES:
-        ctx = build_context(case)
-        table = ctx.table
+        table = build_context(case)
         want = reference_pairings(table)
         assert table.pairings == want, case.text
         assert not non_canonical(c for row in table.pairings for c in row), case.text
         for b in range(table.dim):
             for j, c in enumerate(table.pairings[b]):
                 assert table.bracket(table.h_id(j), b) == ({b: c} if c else {}), (case.text, b, j)
-        lam = default_lambda(case, 1, 0, ctx.alg)
-        action = _Action(ctx.default_engine, lam)
-        shift = wdiff(lam, ctx.alg.rho)
-        forms = [_exact(form(ctx.alg, shift, dual)) for dual in cartan_duals(ctx.alg)]
+        lam = default_lambda(case, 1, 0)
+        action = _Action(PBWEngine(table), lam)
+        shift = wdiff(lam, table.alg.rho)
+        forms = [_exact(form(table.alg, shift, dual)) for dual in cartan_duals(table.alg)]
         assert list(action.shift) == forms and not non_canonical(action.shift), case.text
         pairs += table.n_pos * table.n_cartan
     assert len(SMALL_CASES) == 32 and pairs == 2814

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from superverma import singular
-from superverma.pbw import WrongOrder
+from superverma.pbw import PBWEngine, WrongOrder
 from superverma.rootdata import CaseId, InvalidParams
 from superverma.singular import (
     Candidate,
@@ -28,14 +28,14 @@ from superverma.verma import VermaVector, act, highest_weight_vector
 
 def report_for(text: str, N: int, seed: int = 1):
     case = CaseId.parse(text)
-    ctx = build_context(case)
-    lam = default_lambda(case, N, seed, ctx.alg)
-    params = CaseParams(case, N, lam)
-    return run_witness(candidate(params, ctx), ctx), params, ctx
+    table = build_context(case)
+    lam = default_lambda(case, N, seed)
+    params = CaseParams(N, lam)
+    return run_witness(candidate(params, table), table), params, table
 
 
 def test_f31_witness_chain():
-    report, params, ctx = report_for("F31", 1)
+    report, params, table = report_for("F31", 1)
     assert len(report.rows) == 9
     assert report.ok
     assert report.rows[-1].coefficient == 1
@@ -61,11 +61,11 @@ def test_g3_partial_product_is_proportional_to_candidate():
     nonzero scalar: same factors, reordered, with the tail rewritten
     through the odd square."""
     case = CaseId.parse("G3")
-    ctx = build_context(case)
-    lam = default_lambda(case, 1, 2, ctx.alg)
-    cand = candidate(CaseParams(case, 1, lam), ctx)
-    spec = witness_spec(cand, ctx.alg)
-    engine = ctx.engine(tail=spec.order_tail)
+    table = build_context(case)
+    lam = default_lambda(case, 1, 2)
+    cand = candidate(CaseParams(1, lam), table)
+    spec = witness_spec(cand, table.alg)
+    engine = PBWEngine(table, spec.order_tail)
     step = spec.steps[0]
     v = highest_weight_vector(lam)
     for w, exp in reversed(spec.tail):
@@ -107,13 +107,13 @@ def test_witness_rows_count_matches_block_length():
 def test_witness_sequence_is_a_full_ordering():
     for text in ("F31", "G3", "B-I:m=2,n=2", "D-II:m=2,n=2"):
         case = CaseId.parse(text)
-        ctx = build_context(case)
-        lam = default_lambda(case, 1, 0, ctx.alg)
-        spec = witness_spec(candidate(CaseParams(case, 1, lam), ctx), ctx.alg)
-        engine = ctx.engine(tail=spec.order_tail)
-        lowering = engine.sequence[:ctx.table.n_pos]
-        assert sorted(lowering) == list(range(len(ctx.alg.pos_roots)))
-        tail_ids = tuple(ctx.table.f_gen(w) for w in spec.order_tail)
+        table = build_context(case)
+        lam = default_lambda(case, 1, 0)
+        spec = witness_spec(candidate(CaseParams(1, lam), table), table.alg)
+        engine = PBWEngine(table, spec.order_tail)
+        lowering = engine.sequence[:table.n_pos]
+        assert sorted(lowering) == list(range(len(table.alg.pos_roots)))
+        tail_ids = tuple(table.f_gen(w) for w in spec.order_tail)
         assert lowering[len(lowering) - len(tail_ids):] == tail_ids
         if case.family in ("F31", "G3"):
             assert len(tail_ids) == len(lowering)
@@ -121,21 +121,21 @@ def test_witness_sequence_is_a_full_ordering():
 
 def test_coefficient_witness_reads_single_monomial():
     case = CaseId.parse("B-I:m=1,n=1")
-    ctx = build_context(case)
-    lam = default_lambda(case, 1, 0, ctx.alg)
-    engine = ctx.default_engine
+    table = build_context(case)
+    lam = default_lambda(case, 1, 0)
+    engine = PBWEngine(table)
     v = highest_weight_vector(lam)
-    v = act(engine.gen(ctx.table.f_gen("2d1"), 2), v, engine)
+    v = act(engine.gen(table.f_gen("2d1"), 2), v, engine)
     assert v.body.get(witness_monomial(engine, [("2d1", 2)]), 0) == 1
     assert v.body.get(witness_monomial(engine, [("2d1", 1)]), 0) == 0
 
 
 def test_witness_monomial_drops_zero_exponents():
     case = CaseId.parse("B-I:m=1,n=1")
-    ctx = build_context(case)
-    engine = ctx.default_engine
+    table = build_context(case)
+    engine = PBWEngine(table)
     mono = witness_monomial(engine, [("e1", 1), ("2d1", 0)])
-    assert mono == ((ctx.table.f_gen("e1"), 1),)
+    assert mono == ((table.f_gen("e1"), 1),)
     with pytest.raises(WrongOrder):
         witness_monomial(engine, [("e1", 1), ("2d1", 1), ("e1", 2)])
     with pytest.raises(WrongOrder):
