@@ -154,9 +154,16 @@ MUTANTS = (
     Mutant(
         "join-raise-drops-right-exponent",
         "pbw.py",
-        "((g, a + b),)",
-        "((g, a),)",
+        "powers[g, a + b]",
+        "powers[g, a]",
         (JOIN + "[D-II:m=1,n=2]", LEFT_RULE + "[D-I:m=1,n=2]"),
+    ),
+    Mutant(
+        "pair-site-bypasses-store",
+        "pbw.py",
+        "(table.powers[w, 1],)",
+        "((w, 1),)",
+        ("tests/test_orbit.py::test_every_pair_of_a_candidate_and_of_each_theta_prime_is_its_tables",),
     ),
     Mutant(
         "is-normal-repeated-generator",
@@ -199,8 +206,8 @@ MUTANTS = (
     Mutant(
         "embedding-power-off-by-one",
         "singular.py",
-        "{((fk, p),): 1}",
-        "{((fk, p + 1),): 1}",
+        "{(table.powers[fk, p],): 1}",
+        "{(table.powers[fk, p + 1],): 1}",
         (ORBIT_GOLDEN, LIFTED_IMAGES),
     ),
     Mutant(

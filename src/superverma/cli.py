@@ -411,6 +411,8 @@ def cmd_orbit(args) -> int:
     _check_run_size({"--C": len(levels), "--seed": len(seeds)})
     for C in levels:
         check_level(case, C, "C")
+    if args.p is not None and args.p < 1:
+        raise InvalidParams("p must be a positive integer")
     target = _parse_target(args.target, case)
     jobs = [(case.text, C, target, seed, args.p) for C in levels for seed in seeds]
     return _run_grid(_orbit_point, "{} C={} target={} seed={}", jobs, args, _orbit_text_line, "chains")

@@ -5,7 +5,13 @@ coefficients, in the canonical form of superalgebra: an int when integral,
 a Fraction otherwise.
 A monomial is a tuple of (basis id, exponent) pairs, strictly ascending in
 the engine's generator order; odd generators never carry an exponent above
-one because their squares rewrite through the bracket.  The order always
+one because their squares rewrite through the bracket.  Every pair is
+made by one constructor, the bracket table's store: table.powers[g, e]
+(superalgebra.PowerStore) is the one (g, e) object every monomial on the
+table shares, up to a bounded exponent.  The largest element of a run holds
+tens of thousands of monomials over some 70 distinct pairs, so shared pairs
+about halve what a term costs; monomials still compare and hash by value,
+so a freshly built tuple finds the same key.  The order always
 places lowering generators first, then Cartan generators, then raising
 generators.  The arrangement inside the lowering block is configurable:
 witness bases and orbit propagation both need a chosen generator in the
@@ -179,7 +185,7 @@ class PBWEngine:
         g, a = left[-1]
         h, b = right[0]
         if g == h:
-            return None if self.table.odd[g] else left[:-1] + ((g, a + b),) + right[1:]
+            return None if self.table.odd[g] else left[:-1] + (self.table.powers[g, a + b],) + right[1:]
         return left + right if self.rank[g] < self.rank[h] else None
 
     def is_normal(self, m: Monomial) -> bool:
@@ -218,6 +224,7 @@ class PBWEngine:
         rank = self.rank
         odd = table.odd
         row = table.ad_row(g)
+        powers = table.powers
         g_rank = rank[g]
         g_odd = odd[g]
         for i, (x, a) in enumerate(m):
@@ -240,7 +247,7 @@ class PBWEngine:
                     for k, y in enumerate(table.ad_chain(g, x, a)[:a], 1):
                         if not y:
                             break
-                        head = prefix + ((x, a - k),) if a > k else prefix
+                        head = prefix + (powers[x, a - k],) if a > k else prefix
                         ck = sign * comb(a, k)
                         for w, cw in y.items():
                             term(g, w, head, rest, ck * cw, out)
@@ -299,7 +306,7 @@ class PBWEngine:
             j -= 1
             if y == w:
                 if not odd[w]:
-                    key = head[:j] + ((w, b + 1),) + head[j + 1 :] + rest
+                    key = head[:j] + (table.powers[w, b + 1],) + head[j + 1 :] + rest
                     out[key] = out.get(key, 0) + coef
                     return
                 base, after = head[:j], head[j + 1 :] + rest
@@ -317,13 +324,13 @@ class PBWEngine:
                     if not yk:
                         break
                     ck = sign * comb(b, k)
-                    tail = ((y, b - k),) + after if b > k else after
+                    tail = (table.powers[y, b - k],) + after if b > k else after
                     for z, c in yk.items():
                         self.insert(base, z, tail, coef * (ck * c), out)
                     sign = -sign
             if flip:
                 coef = -coef
-        key = head[:j] + ((w, 1),) + head[j:] + rest
+        key = head[:j] + (table.powers[w, 1],) + head[j:] + rest
         out[key] = out.get(key, 0) + coef
 
     def power_times(self, x: int, j: int, el: UEAElement) -> UEAElement:
@@ -352,10 +359,11 @@ class PBWEngine:
             half = Fraction(c) / 2
             return _scaled(self.power_times(x, r, self.power_times(z, k, el)), half ** k)
         join = self.join
+        powers = self.table.powers
         out: UEAElement = {}
         while j and el:
             # distinct monomials of el give distinct keys in one pass
-            power = ((x, j),)
+            power = (powers[x, j],)
             fast: UEAElement = {}
             slow: UEAElement = {}
             for mono, c in el.items():
@@ -392,12 +400,14 @@ class PBWEngine:
             raise ValueError("negative exponent")
         for m in theta:
             self.check_lowering(m)
+        join, powers = self.join, self.table.powers
         out: UEAElement = {}
         term = theta  # (ad f)^k(theta)
         for k in range(L + 1):
             ck = comb(L, k)
+            power = (powers[f, L - k],) if k < L else ()
             for m, c in term.items():
-                key = self.join(m, ((f, L - k),)) if k < L else m
+                key = join(m, power)
                 out[key] = out.get(key, 0) + ck * c
             if k == L:
                 break
@@ -426,7 +436,7 @@ class PBWEngine:
                 )
             self.check_lowering(mono)
             e = mono[-1][1] - p
-            out[mono[:-1] + ((bid, e),) if e else mono[:-1]] = coef
+            out[mono[:-1] + (self.table.powers[bid, e],) if e else mono[:-1]] = coef
         return out
 
     def element_lattice(self, x: UEAElement) -> Tuple[int, ...]:

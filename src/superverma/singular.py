@@ -231,7 +231,8 @@ class Candidate:
         if self._images is None or self._images[0] != key:
             self._images = (key, _Action(engine, lam), {(): engine.import_element({key[1]: 1})})
         _, action, images = self._images
-        word = engine.import_element({tuple((g, 1) for g in factors): 1})
+        powers = engine.table.powers
+        word = engine.import_element({tuple(powers[g, 1] for g in factors): 1})
         return VermaVector(action.words(word, images), lam)
 
 
@@ -257,7 +258,7 @@ def candidate(params: CaseParams, table: BracketTable) -> Candidate:
         params,
         tuple(odd),
         tuple(table.e_id(i) for i in odd),
-        ((table.f_id(alg.gamma.index), top),),
+        (table.powers[table.f_id(alg.gamma.index), top],),
     )
 
 
@@ -368,7 +369,7 @@ def orbit_propagate(shap: ShapovalovElement, kappa, table: BracketTable) -> Tupl
     start_ok = is_singular(VermaVector(theta, shap.mu), engine).ok
     lifted = engine.lift(fk, L, theta)
     del theta
-    premise_ok = is_singular(VermaVector({((fk, p),): 1}, shap.mu), engine).ok
+    premise_ok = is_singular(VermaVector({(table.powers[fk, p],): 1}, shap.mu), engine).ok
     theta2 = engine.right_divide(lifted, fk, p)
     del lifted
     nu = alg.reflect(shap.mu, kdatum)
@@ -676,7 +677,7 @@ def witness_monomial(engine: PBWEngine, mono_spec: Sequence[Tuple[RootSpec, int]
     in specs at small N and drop out here; what is left must be a
     normal-form monomial (WrongOrder otherwise)."""
     table = engine.table
-    pairs = [(table.f_gen(r), e) for r, e in mono_spec if e]
+    pairs = [table.powers[table.f_gen(r), e] for r, e in mono_spec if e]
     pairs.sort(key=lambda ge: engine.rank[ge[0]])
     mono = tuple(pairs)
     engine.check_lowering(mono)
@@ -686,7 +687,7 @@ def witness_monomial(engine: PBWEngine, mono_spec: Sequence[Tuple[RootSpec, int]
 def run_witness(cand: Candidate, table: BracketTable) -> WitnessReport:
     spec = witness_spec(cand, table.alg)
     engine = PBWEngine(table, [table.f_id(i) for i in spec.order_tail])
-    tail = tuple((table.f_id(i), e) for i, e in spec.tail)
+    tail = tuple(table.powers[table.f_id(i), e] for i, e in spec.tail)
     rows = []
     for step in spec.steps:
         ids = [table.e_id(i) for i in step.e_factors]

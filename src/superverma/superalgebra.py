@@ -57,6 +57,27 @@ Value = Dict[int, Coefficient]
 EMPTY: Value = MappingProxyType({})
 
 
+# the highest exponent whose (generator, exponent) pair a table's PowerStore
+# keeps: a store holds at most MAX_SHARED_EXPONENT pairs per generator, so
+# at most 51,200 at D-II m=n=10 (dim 800), and a higher power is a fresh
+# pair each time.  No monomial of the goldens carries an exponent above 11,
+# and none of the CI's large orbit and verify runs one above 12
+MAX_SHARED_EXPONENT = 64
+
+
+class PowerStore(dict):
+    """The generator powers of one bracket table: store[g, e] is the one
+    (g, e) pair that every monomial built on the table shares.  A power
+    asked for the first time is the key itself, kept when
+    1 <= e <= MAX_SHARED_EXPONENT, so a pair costs one object however many
+    monomials hold it; monomials still compare and hash by value."""
+
+    def __missing__(self, pair: Tuple[int, int]) -> Tuple[int, int]:
+        if 1 <= pair[1] <= MAX_SHARED_EXPONENT:
+            self[pair] = pair
+        return pair
+
+
 class ClosureFailure(RuntimeError):
     """The Jacobi closure could not determine or verify a bracket."""
 
@@ -177,6 +198,9 @@ class BracketTable:
     # ad_chain's (ad_R x)^k(g), keyed g, then x where [g, x] != 0; every
     # engine on this table reads the same lists
     _ad_cache: Dict[int, Dict[int, List[Value]]]
+    # powers[g, e] is the one (g, e) pair that every monomial built on this
+    # table shares, filled on demand and freed with the table
+    powers: PowerStore
 
     def __init__(
         self, alg: AlgebraData, basis: Tuple[BasisElement, ...], entries: Dict[Tuple[int, int], Value]
@@ -195,6 +219,7 @@ class BracketTable:
         self.pairings = tuple(tuple(-c for c in row) for row in pos) + ((0,) * R,) * R + pos
         self.odd = tuple(el.odd for el in basis)
         self._ad_cache = {}
+        self.powers = PowerStore()
 
     @property
     def dim(self) -> int:

@@ -310,6 +310,18 @@ def test_oversized_case_is_refused_before_set_up(capsys, monkeypatch, argv):
     )
 
 
+@pytest.mark.parametrize("p", ["0", "-1"])
+def test_orbit_p_below_one_is_refused_before_set_up(capsys, monkeypatch, p):
+    """--p below 1 is a usage error given before any context is built, even
+    for the largest case MAX_CASE_DIM allows."""
+    def never(case):
+        raise AssertionError(f"built {case.text}")
+
+    monkeypatch.setattr(cli, "build_context", never)
+    code, out, err = run(capsys, "orbit", "--case", "D-II", "--m", "10", "--n", "10", "--p", p)
+    assert (code, out, err) == (2, "", "error: p must be a positive integer\n")
+
+
 def test_case_size_bound_is_inclusive():
     args = cli.build_parser().parse_args(["verify", "--case", "D-II", "--m", "10", "--n", "10"])
     assert [c.dim for c in cli._case_grid(args)] == [cli.MAX_CASE_DIM]

@@ -1,10 +1,12 @@
 """Propagation of Shapovalov elements along even simple reflections."""
 
+import gc
 import weakref
 
 import pytest
 
-from superverma import singular
+from superverma import pbw, singular
+from superverma.cli import SMALLEST_CASES
 from superverma.pbw import PBWEngine, el_one
 from helpers import el_add, words_times
 from superverma.rootdata import CaseId, InvalidParams, ParityViolation, wdiff
@@ -15,10 +17,12 @@ from superverma.singular import (
     candidate_u,
     chain_kappas,
     chain_weight,
+    default_lambda,
     final_beta,
     orbit_propagate,
     propagate_chain,
 )
+from superverma.superalgebra import MAX_SHARED_EXPONENT
 from superverma.verma import VermaVector, _Action, _integral, act, is_singular
 from test_acceptance import CHAINS
 
@@ -151,6 +155,51 @@ def test_embedding_premise_fails_off_p(golden_steps):
         assert not singular_at(step.p + 1)
         if step.p >= 2:
             assert not singular_at(step.p - 1)
+
+
+def test_every_pair_of_a_candidate_and_of_each_theta_prime_is_its_tables(golden_steps):
+    """Every (generator, exponent) pair of the candidate body of each
+    smallest case, at N = 1 and 3, and of theta' at every step of every
+    chain in tests/golden is the one object the table's store holds for
+    that power, and no exponent there is above the store's bound."""
+    bodies = []
+    for text in SMALLEST_CASES:
+        case = CaseId.parse(text)
+        table = build_context(case)
+        for N in (1, 3):
+            bodies.append((table, candidate_u(CaseParams(N, default_lambda(case, N, 0)), table).body))
+    bodies += [(engine.table, theta2) for engine, _, _, _, theta2, _ in golden_steps]
+    for table, x in bodies:
+        assert x and max(e for m in x for _, e in m) <= MAX_SHARED_EXPONENT
+        # get does not fill the store, so a pair built past it fails
+        # whether or not its power is stored
+        assert [p for m in x for p in m if table.powers.get(p) is not p] == [], table.alg.case.text
+
+
+def test_a_tables_pair_store_goes_with_the_table(monkeypatch):
+    """A table's store is empty when the table is built and filled by the
+    runs on it; every engine of the case shares it, it keeps no power
+    outside 1..MAX_SHARED_EXPONENT, and it is freed with the table once the
+    context budget drops the table.  pbw keeps no store of its own at
+    module level."""
+    monkeypatch.setattr(singular, "_CONTEXTS", {})
+    monkeypatch.setattr(singular, "CONTEXT_BUDGET", 0)
+    table = build_context(CaseId.parse("B-I:m=2,n=1"))
+    assert len(table.powers) == 0
+    report = propagate_chain(table, 1, 1, seed=0)
+    assert report.ok and len(table.powers) > 0
+    assert PBWEngine(table).table.powers is PBWEngine(table, (0,)).table.powers
+    top = MAX_SHARED_EXPONENT
+    assert table.powers[0, top] is table.powers[0, top]
+    for e in (0, top + 1):
+        assert table.powers[0, e] == (0, e) and (0, e) not in table.powers
+    store = weakref.ref(table.powers)
+    del table, report
+    build_context(CaseId.parse("B-II:m=1,n=1"))
+    assert "B-I:m=2,n=1" not in singular._CONTEXTS
+    gc.collect()
+    assert store() is None
+    assert [name for name, v in vars(pbw).items() if isinstance(v, dict) and not name.startswith("__")] == []
 
 
 class _Watched(dict):

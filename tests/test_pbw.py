@@ -811,6 +811,17 @@ def test_insert_refuses_what_is_no_normal_form():
             engine.insert(((odd, 2),), w, (), 1, {})
 
 
+def test_walk_refuses_an_odd_generator_squared():
+    """walk, like insert, needs each odd generator it passes to carry
+    exponent one."""
+    engine = PBWEngine(table_for("B-I:m=1,n=1"))
+    seq, odd = engine.sequence, engine.table.odd
+    x = next(g for g in seq if odd[g])
+    for g in seq[engine.rank[x] + 1 :]:
+        with pytest.raises(WrongOrder, match="exponent one"):
+            engine.walk(g, ((x, 2),), (), 1, {}, engine._insert_term)
+
+
 def is_fraction_weight(w) -> bool:
     return type(w) is tuple and all(type(c) is Fraction for c in w)
 
