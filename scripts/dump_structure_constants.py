@@ -5,6 +5,10 @@ Builds the root datum and the closed bracket table for the requested case
 and writes every nonzero bracket, one per line, in a fixed basis order.
 Useful for eyeballing structure constants or diffing two builds.
 
+Exit codes, as for the superverma command: 0 on success, 2 for a usage
+error (a case that cannot be parsed or is too large), 3 for an internal
+error such as root data or a bracket closure that fails its own checks.
+
 Usage:
     python3 scripts/dump_structure_constants.py B-I:m=1,n=1
     python3 scripts/dump_structure_constants.py G3 --out g3_table.txt
@@ -27,13 +31,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        case = CaseId.parse(args.case)
-        table = build_context(case)
+        text = dump_table(build_context(CaseId.parse(args.case)))
     except InvalidParams as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # anything else is a fault of the program
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
-    text = dump_table(table)
     if args.out == "-":
         sys.stdout.write(text)
     else:

@@ -132,10 +132,25 @@ MUTANTS = (
     Mutant(
         "derived-bracket-dropped",
         "superalgebra.py",
-        "                set_entry(X(mu), X(nu), {X(s): Fraction(c, tc) for c in rhs.values()})",
+        "                set_entry(X(mu), X(nu), {X(s): _quotient(c, tc) for c in rhs.values()})",
         "                if X is f_id or alg.heights[s] < max(alg.heights):\n"
-        "                    set_entry(X(mu), X(nu), {X(s): Fraction(c, tc) for c in rhs.values()})",
+        "                    set_entry(X(mu), X(nu), {X(s): _quotient(c, tc) for c in rhs.values()})",
         ("tests/test_superalgebra.py::test_table_is_complete",),
+    ),
+    Mutant(
+        "mixed-sweep-drops-diagonal",
+        "superalgebra.py",
+        "        ensure_mixed(a, a)\n",
+        "",
+        ("tests/test_superalgebra.py::test_ef_pairs_are_cartan_with_proportional_dual",
+         "tests/test_golden.py::test_output_matches_golden[structure_constants.txt]"),
+    ),
+    Mutant(
+        "rho-check-against-rho-not-two-rho",
+        "rootdata.py",
+        "if signed_sum != wscale(2, alg.rho):",
+        "if signed_sum != alg.rho:",
+        ("tests/test_rootdata.py::test_selftest_rho_check_is_the_set_up_check",),
     ),
     Mutant(
         "join-rank-reversed",

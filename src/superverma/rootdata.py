@@ -10,10 +10,12 @@ Families:
     F31    F(3|1), gamma = delta (even)
     G3     G(3), gamma = delta (odd nonisotropic)
 
-Weights are tuples of Fraction over a fixed coordinate basis per case:
-(d1..dm, e1..en) for the osp families, (D, e1, e2, e3) for F31, and
+Weights are tuples of exact numbers over a fixed coordinate basis per
+case: (d1..dm, e1..en) for the osp families, (D, e1, e2, e3) for F31, and
 (D, e1, e2) for G3, where e3 := -e1-e2 is eliminated at the coordinate
-level.  All arithmetic is exact.
+level.  Every number the build makes is canonical, as bracket coefficients
+are: an int when integral, a Fraction otherwise (the halves of the F31 odd
+roots and of the B-type and exceptional rho), so the set-up runs on ints.
 
 A positive root is given by its index, its datum or its name (RootSpec),
 never by its weight.  The positive roots lie on one integer lattice
@@ -46,8 +48,10 @@ from itertools import combinations, product
 from math import lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-Weight = Tuple[Fraction, ...]
-Matrix = Tuple[Tuple[Fraction, ...], ...]
+# an exact rational in canonical form: an int when integral, else a Fraction
+Exact = Union[int, Fraction]
+Weight = Tuple[Exact, ...]
+Matrix = Tuple[Tuple[Exact, ...], ...]
 
 EVEN = "even"
 ODD_ISO = "odd-isotropic"
@@ -94,7 +98,7 @@ def wscale(c, a: Weight) -> Weight:
 
 
 def wzero(dim: int) -> Weight:
-    return (Fraction(0),) * dim
+    return (0,) * dim
 
 
 def parse_weight(text: str, dim: int) -> Weight:
@@ -115,8 +119,9 @@ def format_weight(w: Weight) -> str:
     return ",".join(str(x) for x in w)
 
 
-def solve_square(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> List[Fraction]:
-    """Solve A x = b over Fraction by Gaussian elimination.
+def solve_square(rows: Sequence[Sequence[Exact]], rhs: Sequence[Exact]) -> List[Exact]:
+    """Solve A x = b over the rationals by Gaussian elimination, keeping
+    every number canonical, so an integral system stays in ints.
 
     Raises ValueError when A is not square or is singular.
     """
@@ -129,18 +134,19 @@ def solve_square(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) ->
         if pivot is None:
             raise ValueError("singular matrix")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
+        p = aug[col][col]
+        if p != 1:
+            aug[col] = [_quotient(x, p) for x in aug[col]]
         for r in range(n):
             if r != col and aug[r][col] != 0:
                 factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+                aug[r] = [_exact(x - factor * y) for x, y in zip(aug[r], aug[col])]
     return [aug[i][n] for i in range(n)]
 
 
 # a sparse row: the (i, c) with c != 0, by i; for a coroot h, <w, h> is the
 # sum of w[i] * c
-Row = Tuple[Tuple[int, Union[int, Fraction]], ...]
+Row = Tuple[Tuple[int, Exact], ...]
 
 
 def pairing(row: Row, w: Weight):
@@ -154,6 +160,13 @@ def _exact(c):
     if type(c) is Fraction and c.denominator == 1:
         return c.numerator
     return c
+
+
+def _quotient(a: Exact, b: Exact) -> Exact:
+    """a / b in canonical form, with no Fraction when b divides a in ints."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    return _exact(Fraction(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -395,12 +408,14 @@ def rho_violation(alg: AlgebraData) -> Optional[str]:
     """The first Weyl vector invariant alg.rho breaks, or None: rho is the
     even half-sum less the odd one, pairs to 1 with every nonisotropic
     simple coroot, and is orthogonal to every isotropic simple root (whose
-    stored row is that of (w, s))."""
-    half_sum = wzero(alg.rank)
+    stored row is that of (w, s)).  The half-sum is checked as 2 rho
+    against the signed sum of the positive roots, which stays in ints
+    wherever the roots are integral."""
+    signed_sum = wzero(alg.rank)
     for r in alg.pos_roots:
-        contrib = wscale(Fraction(1, 2), r.weight)
-        half_sum = wsum(half_sum, contrib) if not r.odd else wdiff(half_sum, contrib)
-    if half_sum != alg.rho:
+        signed_sum = wdiff(signed_sum, r.weight) if r.odd else wsum(signed_sum, r.weight)
+    if signed_sum != wscale(2, alg.rho):
+        half_sum = wscale(Fraction(1, 2), signed_sum)
         return f"rho mismatch: ({format_weight(alg.rho)}) is not the half-sum ({format_weight(half_sum)})"
     for s in alg.simple_system:
         if s.isotropic:
@@ -416,14 +431,12 @@ def rho_violation(alg: AlgebraData) -> Optional[str]:
 
 
 def _unit(dim: int, i: int) -> Weight:
-    return tuple(Fraction(1 if j == i else 0) for j in range(dim))
+    return tuple(1 if j == i else 0 for j in range(dim))
 
 
 def _diag_form(entries: Sequence[int]) -> Matrix:
     dim = len(entries)
-    return tuple(
-        tuple(Fraction(entries[i] if i == j else 0) for j in range(dim)) for i in range(dim)
-    )
+    return tuple(tuple(entries[i] if i == j else 0 for j in range(dim)) for i in range(dim))
 
 
 def _assemble(
@@ -453,15 +466,15 @@ def _assemble(
     # each weight w paired by the (symmetric) form, sparsely: gram_row(w)[i] = (e_i, w)
     sparse_gram = [[(j, g) for j, g in enumerate(row) if g] for row in gram]
 
-    def gram_row(w: Weight) -> Dict[int, Fraction]:
-        out: Dict[int, Fraction] = {}
+    def gram_row(w: Weight) -> Dict[int, Exact]:
+        out: Dict[int, Exact] = {}
         for j, x in enumerate(w):
             if x:
                 for i, g in sparse_gram[j]:
                     out[i] = out.get(i, 0) + g * x
         return out
 
-    def classify(w: Weight, odd: bool, norm: Fraction) -> str:
+    def classify(w: Weight, odd: bool, norm: Exact) -> str:
         if not odd:
             if norm == 0:
                 raise RootDataError(f"{case.text}: even root {name_for(w)} must be nonisotropic")
@@ -475,7 +488,7 @@ def _assemble(
     for w, is_odd in [(w, False) for w in even] + [(w, True) for w in odd]:
         fw = gram_row(w)
         norm = sum(x * fw.get(i, 0) for i, x in enumerate(w) if x)
-        scale = Fraction(2) / norm if norm else 1
+        scale = _quotient(2, norm) if norm else 1
         coroot_rows.append(tuple((i, _exact(scale * c)) for i, c in sorted(fw.items()) if c))
         pos_roots.append(RootDatum(w, classify(w, is_odd, norm), name_for(w), len(pos_roots)))
     pos_roots = tuple(pos_roots)
@@ -496,11 +509,9 @@ def _assemble(
     # every simple root, and it exists only when they form a basis.
     dim = len(coord_names)
     try:
-        phi = solve_square(simple_weights, [Fraction(1)] * dim)
+        phi = solve_square(simple_weights, [1] * dim)
     except ValueError:
         raise RootDataError(f"{case.text}: the simple roots are not a basis") from None
-    heights = tuple(int(sum(p * x for p, x in zip(phi, r.weight))) for r in pos_roots)
-
     # Each root on the lattice, then each lattice point as one int whose
     # base-B digits (signed) are its coordinates: B exceeds twice the
     # largest coordinate of a sum of two roots, so the int of mu + nu is
@@ -509,14 +520,21 @@ def _assemble(
     den = lcm(*(x.denominator for r in pos_roots for x in r.weight))
     lattice = tuple(tuple(x.numerator * (den // x.denominator) for x in r.weight) for r in pos_roots)
     base = 4 * max(abs(c) for point in lattice for c in point) + 1
-    keys = [sum(c * base ** i for i, c in enumerate(point)) for point in lattice]
+    digits = [base ** i for i in range(dim)]
+    keys = [sum(c * b for c, b in zip(point, digits) if c) for point in lattice]
     at = {key: i for i, key in enumerate(keys)}
-    sums = {
-        (mu, nu): sigma
-        for mu, a in enumerate(keys)
-        for nu, b in enumerate(keys)
-        if (sigma := at.get(a + b)) is not None
-    }
+    # sums is symmetric, so each unordered pair is looked up once
+    sums: Dict[Tuple[int, int], int] = {}
+    for mu, a in enumerate(keys):
+        for nu, b in enumerate(keys[mu:], mu):
+            sigma = at.get(a + b)
+            if sigma is not None:
+                sums[mu, nu] = sums[nu, mu] = sigma
+
+    # phi(sigma) in ints: phi times its common denominator, on the lattice
+    phi_den = lcm(*(p.denominator for p in phi))
+    phi_row = [p.numerator * (phi_den // p.denominator) for p in phi]
+    heights = tuple(sum(p * c for p, c in zip(phi_row, point) if c) // (phi_den * den) for point in lattice)
 
     # A root sigma outside the simple system is alpha_k + tau for the first
     # simple root alpha_k whose difference tau is a positive root.  As
@@ -610,7 +628,7 @@ def _build_osp(case: CaseId) -> AlgebraData:
     if kind == "B":
         offset = {"d": Fraction(1, 2), "e": Fraction(1, 2)}
     else:
-        offset = {"d": Fraction(1), "e": Fraction(0)}
+        offset = {"d": 1, "e": 0}
     rho = tuple(
         size[x] - i + offset[x] - (size[trail] if x == lead else 0)
         for x in "de"
@@ -646,10 +664,7 @@ def _build_f31(case: CaseId) -> AlgebraData:
 
 def _build_g3(case: CaseId) -> AlgebraData:
     coord_names = ("D", "e1", "e2")
-    form = tuple(
-        tuple(Fraction(x) for x in row)
-        for row in [[-2, 0, 0], [0, 2, -1], [0, -1, 2]]
-    )
+    form = ((-2, 0, 0), (0, 2, -1), (0, -1, 2))
     delta = _unit(3, 0)
     e1 = _unit(3, 1)
     e2 = _unit(3, 2)
@@ -677,7 +692,7 @@ def _build_g3(case: CaseId) -> AlgebraData:
         wsum(delta, e3): "D+e3",
     }
     simples = [wdiff(e2, e1), e1, wsum(delta, e3)]
-    rho = (Fraction(-5, 2), Fraction(2), Fraction(3))
+    rho = (Fraction(-5, 2), 2, 3)
     return _assemble(case, coord_names, form, simples, even, odd, rho, delta, names)
 
 

@@ -56,7 +56,7 @@ from .verma import VermaVector, _Action, is_singular
 
 
 # the largest superalgebra a case may have, by dimension: set-up grows about
-# as dim^2 to dim^2.5, and D-II m=n=10 (dim 800) takes about 0.7 s on a
+# as dim^2 to dim^2.5, and D-II m=n=10 (dim 800) takes about 0.17 s on a
 # 2-core VM and stores the 63,560 nonzero of its 640,000 bracket pairs
 MAX_CASE_DIM = 800
 # the tables held at once, by the sum of their dim^2, so this is one

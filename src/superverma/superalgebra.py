@@ -48,7 +48,7 @@ from itertools import combinations_with_replacement
 from types import MappingProxyType
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .rootdata import AlgebraData, RootSpec, Row, Weight, _exact, pairing
+from .rootdata import AlgebraData, RootSpec, Row, Weight, _exact, _quotient, pairing
 
 # an exact rational: an int when integral, a Fraction otherwise
 Coefficient = Union[int, Fraction]
@@ -150,9 +150,10 @@ def _right_bracket(bracket: Callable[[int, int], Value], val: Value, y: int) -> 
     return out
 
 
-def _ksign(basis: Sequence[BasisElement], x: int, y: int) -> int:
-    """The sign of swapping basis elements x and y: -1 when both are odd."""
-    return -1 if basis[x].odd and basis[y].odd else 1
+def _ksign(odd: Sequence[bool], x: int, y: int) -> int:
+    """The sign of swapping basis elements x and y (odd is the table's
+    parity per basis id): -1 when both are odd."""
+    return -1 if odd[x] and odd[y] else 1
 
 
 def _signed_sum(terms, joiner: str) -> str:
@@ -296,19 +297,20 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
         basis.append(BasisElement(P + R + i, "e", i, r.odd, f"e_{{{r.name}}}"))
     table = BracketTable(alg=alg, basis=tuple(basis), entries={})
     entries = table.entries
+    odd = table.odd
     f_id, h_id, e_id = table.f_id, table.h_id, table.e_id
 
     def set_entry(x: int, y: int, val: Value) -> None:
-        """Store a bracket and its transpose.  Every pair the closure sets
-        has a root or Cartan weight, so a zero value is a ClosureFailure:
-        the table keeps nonzero brackets only."""
+        """Store a bracket, whose coefficients are canonical already, and
+        its transpose: a copy of val when x and y are odd, else -val.  Every
+        pair the closure sets has a root or Cartan weight, so a zero value
+        is a ClosureFailure: the table keeps nonzero brackets only."""
         if not val:
             raise ClosureFailure(f"bracket [{basis[x].name}, {basis[y].name}] was derived as 0")
-        val = {k: _exact(v) for k, v in val.items()}
         entries[(x, y)] = val
         if x != y:
-            entries[(y, x)] = _scaled(val, -_ksign(basis, x, y))
-        elif _ksign(basis, x, y) != -1:
+            entries[(y, x)] = dict(val) if _ksign(odd, x, y) == -1 else {k: -v for k, v in val.items()}
+        elif not odd[x]:
             raise ClosureFailure(f"even square bracket [{basis[x].name}, {basis[x].name}] must vanish")
 
     spi = alg.simple_pos_index
@@ -354,30 +356,34 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
             raise ClosureFailure(f"bracket [{ex.name}, {ey.name}] needed before it was built")
         return entries.get((x, y), EMPTY)
 
+    # the ids ensure_mixed reads most, unwrapped: f_b is b, e_a is E + a
+    E = e_id(0)
+    heights, decomp = alg.heights, alg.decomp
+
     def ensure_mixed(a: int, b: int) -> None:
-        key = (e_id(a), f_id(b))
-        if key in entries:
+        ea = E + a
+        if (ea, b) in entries:
             return
         # a - b has height ha - hb, so it is a root only if the higher
         # minus the lower is a positive root, that is, the lower is a part
         # of the higher; at equal heights it never is, and [e_a, f_b] is 0
-        ha, hb = alg.heights[a], alg.heights[b]
+        ha, hb = heights[a], heights[b]
         if a != b:
             if ha == hb or (b not in parts[a] if ha > hb else a not in parts[b]):
                 return
         if hb >= 2:
-            k, t = alg.decomp[b]
-            out = _right_bracket(bracket_ids, bracket_ids(e_id(a), f_id(spi[k])), f_id(t))
-            _merge(out, _left_bracket(bracket_ids, f_id(spi[k]), bracket_ids(e_id(a), f_id(t))),
-                   _ksign(basis, e_id(a), f_id(spi[k])))
+            k, t = decomp[b]
+            fk = spi[k]
+            out = _right_bracket(bracket_ids, bracket_ids(ea, fk), t)
+            _merge(out, _left_bracket(bracket_ids, fk, bracket_ids(ea, t)), _ksign(odd, ea, fk))
         else:
             if ha < 2:
-                raise ClosureFailure("simple pairs are set in level 1")
-            l, p = alg.decomp[a]
-            out = _left_bracket(bracket_ids, e_id(spi[l]), bracket_ids(e_id(p), f_id(b)))
-            _merge(out, _left_bracket(bracket_ids, e_id(p), bracket_ids(e_id(spi[l]), f_id(b))),
-                   -_ksign(basis, e_id(spi[l]), e_id(p)))
-        set_entry(*key, out)
+                raise ClosureFailure(f"simple pair [{basis[ea].name}, {basis[b].name}] was not set in level 1")
+            l, p = decomp[a]
+            el, ep = E + spi[l], E + p
+            out = _left_bracket(bracket_ids, el, bracket_ids(ep, b))
+            _merge(out, _left_bracket(bracket_ids, ep, bracket_ids(el, b)), -_ksign(odd, el, ep))
+        set_entry(ea, b, out)
 
     # same-sign pairs [X_mu, X_nu] with mu + nu = sigma, by height of sigma:
     # a simple probe Y_j with [Y_j, X_sigma] = c X_target != 0 gives
@@ -401,25 +407,27 @@ def build_structure_constants(alg: AlgebraData) -> BracketTable:
                     continue
                 rhs = _right_bracket(bracket_ids, bracket_ids(probe, X(mu)), X(nu))
                 _merge(rhs, _left_bracket(bracket_ids, X(mu), bracket_ids(probe, X(nu))),
-                       _ksign(basis, probe, X(mu)))
+                       _ksign(odd, probe, X(mu)))
                 if not set(rhs) <= {target}:
                     raise ClosureFailure("probe identity left the target line")
                 # rhs is c X_target, c != 0, or 0, which set_entry refuses
-                set_entry(X(mu), X(nu), {X(s): Fraction(c, tc) for c in rhs.values()})
+                set_entry(X(mu), X(nu), {X(s): _quotient(c, tc) for c in rhs.values()})
 
+    # [e_a, f_b] has weight a - b, so it is nonzero only for a = b or for a
+    # root a - b, that is, when one of a, b is a part of the other
     for a in range(P):
-        for b in range(P):
+        ensure_mixed(a, a)
+        for b in parts[a]:
             ensure_mixed(a, b)
+            ensure_mixed(b, a)
 
     # level 1 sets the nonzero Cartan pairs, the mixed pass every nonzero
     # [e_a, f_b], and the probes must have derived every same-sign pair of
     # root sum; the grading makes every other pair 0
-    for X in (f_id, e_id):
-        for x, y in sorted((X(mu), X(nu)) for mu, nu in sums):
-            if (x, y) not in entries:
-                raise ClosureFailure(
-                    f"no value derived for [{basis[x].name}, {basis[y].name}]"
-                )
+    unset = [key for mu, nu in sums for key in ((f_id(mu), f_id(nu)), (e_id(mu), e_id(nu))) if key not in entries]
+    if unset:
+        x, y = min(unset)
+        raise ClosureFailure(f"no value derived for [{basis[x].name}, {basis[y].name}]")
 
     # bracket_ids and ensure_mixed call each other; ending that cycle frees
     # this call's locals on return, not at the next full collection
@@ -441,6 +449,7 @@ class JacobiReport(NamedTuple):
 def check_jacobi(table: BracketTable) -> JacobiReport:
     """Exhaustive super antisymmetry and Jacobi sweep over the whole basis."""
     basis = table.basis
+    odd = table.odd
     bracket = table.bracket
     dim = len(basis)
 
@@ -449,7 +458,7 @@ def check_jacobi(table: BracketTable) -> JacobiReport:
         for y in range(dim):
             pairs += 1
             lhs = bracket(x, y)
-            rhs = _scaled(bracket(y, x), -_ksign(basis, x, y))
+            rhs = _scaled(bracket(y, x), -_ksign(odd, x, y))
             if lhs != rhs:
                 return JacobiReport(
                     False, pairs, 0,
@@ -460,9 +469,9 @@ def check_jacobi(table: BracketTable) -> JacobiReport:
     for x, y, z in combinations_with_replacement(range(dim), 3):
         triples += 1
         acc: Value = {}
-        _merge(acc, _left_bracket(bracket, x, bracket(y, z)), _ksign(basis, x, z))
-        _merge(acc, _left_bracket(bracket, y, bracket(z, x)), _ksign(basis, y, x))
-        _merge(acc, _left_bracket(bracket, z, bracket(x, y)), _ksign(basis, z, y))
+        _merge(acc, _left_bracket(bracket, x, bracket(y, z)), _ksign(odd, x, z))
+        _merge(acc, _left_bracket(bracket, y, bracket(z, x)), _ksign(odd, y, x))
+        _merge(acc, _left_bracket(bracket, z, bracket(x, y)), _ksign(odd, z, y))
         if acc:
             return JacobiReport(
                 False, pairs, triples,

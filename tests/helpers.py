@@ -1,6 +1,6 @@
 """Test-only helpers: element arithmetic on sparse U(g) elements, the
 one-power-at-a-time word loop, the F31 sign-tuple reading of a weight, the
-bilinear form of each family, the Fraction weights of the basis and the
+bilinear form of each family, the weight tuples of the basis and the
 Cartan generators' dual weights (references that the package itself does
 not keep), and a bracket table with one pair damaged."""
 
@@ -72,7 +72,7 @@ def form(alg: AlgebraData, a: Weight, b: Weight) -> Fraction:
 
 
 def basis_weight(table: BracketTable, bid: int) -> Weight:
-    """The Fraction weight of basis element bid, read from the root data:
+    """The weight tuple of basis element bid, read from the root data:
     -sigma for f_sigma, 0 for h_j, sigma for e_sigma."""
     el = table.basis[bid]
     if el.kind == "h":

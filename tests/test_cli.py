@@ -26,9 +26,10 @@ from superverma import cli, singular
 from superverma.cli import main, parse_grid
 from superverma.pbw import NotDivisible, PBWEngine, WrongOrder
 from superverma.rootdata import (
-    FAMILIES, OSP_FAMILIES, AlgebraData, CaseId, InvalidParams, IsotropicCoroot, ParityViolation,
+    FAMILIES, OSP_FAMILIES, AlgebraData, CaseId, InvalidParams, IsotropicCoroot, ParityViolation, RootDataError,
 )
 from superverma.singular import Candidate, CaseParams, build_context, candidate, default_lambda
+from superverma.superalgebra import ClosureFailure
 from superverma.verma import SingularityReport, UnexpectedRaising, VermaVector
 from helpers import with_pair_scaled
 
@@ -418,6 +419,15 @@ def test_a_failed_root_lookup_is_an_internal_error(capsys, monkeypatch):
     assert err == f"internal error at D-I:m=1,n=2 N=1 seed=0: RootDataError: no positive root has lattice key {key}\n"
 
 
+def dump_script():
+    """scripts/dump_structure_constants.py as a module."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "dump_structure_constants.py"
+    spec = importlib.util.spec_from_file_location("dump_structure_constants", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 def test_dump_script_refuses_an_oversized_case_before_set_up(capsys, monkeypatch):
     """build_context refuses a case above MAX_CASE_DIM before it builds any
     root data, so the structure-constant dump exits 2 at once."""
@@ -425,10 +435,7 @@ def test_dump_script_refuses_an_oversized_case_before_set_up(capsys, monkeypatch
         raise AssertionError(f"built {case.text}")
 
     monkeypatch.setattr(singular, "build_algebra_data", never)
-    path = Path(__file__).resolve().parent.parent / "scripts" / "dump_structure_constants.py"
-    spec = importlib.util.spec_from_file_location("dump_structure_constants", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = dump_script()
     t0 = time.monotonic()
     assert script.main(["D-II:m=12,n=12"]) == 2
     assert time.monotonic() - t0 < 1
@@ -436,6 +443,23 @@ def test_dump_script_refuses_an_oversized_case_before_set_up(capsys, monkeypatch
         "error: cannot build D-II:m=12,n=12 of dimension 1152,"
         f" more than the {cli.MAX_CASE_DIM} a case may have\n"
     ))
+
+
+@pytest.mark.parametrize("stage, error", [
+    ("build_algebra_data", RootDataError("B-I:m=1,n=1: the simple roots are not a basis")),
+    ("build_structure_constants", ClosureFailure("no simple generator detects d1")),
+], ids=["root-data", "closure"])
+def test_dump_script_reports_a_failed_build_as_an_internal_error(capsys, monkeypatch, stage, error):
+    """Root data or a closure that fails its own check is a fault of the
+    program, not a failed mathematical check: the dump prints it as the
+    CLI does and exits 3, with no traceback and nothing on stdout."""
+    def broken(*args):
+        raise error
+
+    monkeypatch.setattr(singular, "_CONTEXTS", {})
+    monkeypatch.setattr(singular, stage, broken)
+    assert dump_script().main(["B-I:m=1,n=1"]) == 3
+    assert capsys.readouterr() == ("", f"internal error: {type(error).__name__}: {error}\n")
 
 
 def run_python(*args, stdout=subprocess.DEVNULL, first=()):

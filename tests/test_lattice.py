@@ -23,13 +23,11 @@ from superverma.pbw import Inhomogeneous, PBWEngine
 from superverma.rootdata import (
     OSP_FAMILIES,
     CaseId,
-    _unit,
     f31_sign_weight,
     wdiff,
     wneg,
     wscale,
     wsum,
-    wzero,
 )
 from superverma.singular import (
     F31_FACTOR_ORDER,
@@ -63,7 +61,12 @@ def levels(case):
 
 
 # ---------------------------------------------------------------------------
-# the Fraction reference: weights as tuples, pairings through the form
+# the Fraction reference: weights as tuples, pairings through the form.  It
+# makes its own Fraction units and zero, as the package builds in ints
+
+
+def ref_unit(dim, i):
+    return tuple(Fraction(1 if j == i else 0) for j in range(dim))
 
 
 def ref_coroot_pairing(alg, lam, b):
@@ -72,7 +75,7 @@ def ref_coroot_pairing(alg, lam, b):
 
 def ref_weight(alg, monomial):
     """The weight of a monomial, one Fraction tuple per generator."""
-    out = wzero(alg.rank)
+    out = (Fraction(0),) * alg.rank
     for w, e in monomial:
         out = wsum(out, wscale(e, w))
     return out
@@ -81,7 +84,7 @@ def ref_weight(alg, monomial):
 def ref_osp_shape(alg):
     support = [k for k, x in enumerate(alg.gamma.weight) if x]
     other = range(alg.case.m, alg.rank) if support[0] < alg.case.m else range(alg.case.m)
-    return [_unit(alg.rank, k) for k in reversed(support)], [_unit(alg.rank, k) for k in other]
+    return [ref_unit(alg.rank, k) for k in reversed(support)], [ref_unit(alg.rank, k) for k in other]
 
 
 def ref_factors(alg):
@@ -89,7 +92,7 @@ def ref_factors(alg):
     if alg.case.family == "F31":
         return [f31_sign_weight(s) for s in F31_FACTOR_ORDER]
     if alg.case.family == "G3":
-        D, e1, e2 = _unit(3, 0), _unit(3, 1), _unit(3, 2)
+        D, e1, e2 = ref_unit(3, 0), ref_unit(3, 1), ref_unit(3, 2)
         return [op(D, e) for e in (e1, e2, wneg(wsum(e1, e2))) for op in (wdiff, wsum)]
     pivots, block = ref_osp_shape(alg)
     return [op(p, b) for p in pivots for b in block for op in (wdiff, wsum)]
@@ -99,13 +102,13 @@ def ref_gamma_multiple(alg, weights):
     total = ref_weight(alg, [(w, 1) for w in weights])
     gamma = alg.gamma.weight
     k = next(i for i, x in enumerate(gamma) if x)
-    c = total[k] / gamma[k]
+    c = total[k] / Fraction(gamma[k])
     assert c.denominator == 1 and wscale(c, gamma) == total
     return int(c)
 
 
 def ref_index(alg):
-    """Each positive root's Fraction weight to its index: the reference
+    """Each positive root's weight tuple to its index: the reference
     lookup by weight."""
     return {r.weight: r.index for r in alg.pos_roots}
 
@@ -122,8 +125,8 @@ def ref_witness_spec(alg, N, c):
     gamma = alg.gamma.weight
     tail = ref_f_power(alg, gamma, top)
     if alg.case.family == "F31":
-        e = [_unit(4, j) for j in (1, 2, 3)]
-        D = _unit(4, 0)
+        e = [ref_unit(4, j) for j in (1, 2, 3)]
+        D = ref_unit(4, 0)
         seq = [e[2], e[1], e[0]]
         seq += [wsum(e[1], e[2]), wdiff(e[1], e[2]), wsum(e[0], e[2]), wdiff(e[0], e[2])]
         seq += [wsum(e[0], e[1]), wdiff(e[0], e[1])] + c + [D]
@@ -140,7 +143,7 @@ def ref_witness_spec(alg, N, c):
         ]
         return seq, tail, [(k, c[k:], v_monos[k]) for k in range(9)]
     if alg.case.family == "G3":
-        D, e1, e2 = _unit(3, 0), _unit(3, 1), _unit(3, 2)
+        D, e1, e2 = ref_unit(3, 0), ref_unit(3, 1), ref_unit(3, 2)
         e3 = wneg(wsum(e1, e2))
         M = (N - 1) // 2
         seq = [
@@ -249,7 +252,7 @@ def test_coroot_rows_match_the_forms(case):
     not the Gram matrix the set-up was given."""
     table = build_context(case)
     alg = table.alg
-    units = [_unit(alg.rank, i) for i in range(alg.rank)]
+    units = [ref_unit(alg.rank, i) for i in range(alg.rank)]
     for r, row in zip(alg.pos_roots, alg.coroot_rows):
         b = r.weight
         if r.isotropic:

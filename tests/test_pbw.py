@@ -716,7 +716,7 @@ def test_element_weight_rejects_mixtures_and_zero():
 
 
 def reference_monomial_weight(engine, m):
-    """The weight of m as a sum of Fraction tuples, one generator at a time."""
+    """The weight of m as a sum of weight tuples, one generator at a time."""
     out = wzero(engine.table.alg.rank)
     for bid, exp in m:
         w = basis_weight(engine.table, bid)

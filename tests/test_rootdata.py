@@ -423,13 +423,13 @@ def test_decompositions_consistent():
 
 
 def weight_index(alg: AlgebraData) -> dict:
-    """Each positive root's Fraction weight to its index, the reference
+    """Each positive root's weight tuple to its index, the reference
     lookup the integer tables are checked against."""
     return {r.weight: r.index for r in alg.pos_roots}
 
 
 def fraction_decomp(alg: AlgebraData) -> tuple:
-    """The decompositions by Fraction weights, the reference for alg.decomp:
+    """The decompositions by weight tuples, the reference for alg.decomp:
     a root outside the simple system is alpha_k + tau for the first simple
     alpha_k whose difference tau is a positive root."""
     index = weight_index(alg)
@@ -463,7 +463,7 @@ def test_root_sums_match_fraction_arithmetic(text):
 
 def fraction_wprime_orbit(beta, alg: AlgebraData) -> tuple:
     """The orbit of a positive root under reflections in the nonisotropic
-    simple roots, by Fraction weights through alg.reflect: reflect signed
+    simple roots, by weight tuples through alg.reflect: reflect signed
     weights until no new one appears, then take the positive
     representatives, sorted by weight."""
     index = weight_index(alg)

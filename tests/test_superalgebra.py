@@ -1,4 +1,5 @@
 import gc
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from superverma.superalgebra import (
     dump_table,
 )
 from helpers import basis_weight, value_dual, with_pair_scaled
+from test_acceptance import grid_cases
 
 SMALLEST = ["B-I:m=1,n=1", "B-II:m=1,n=1", "D-I:m=1,n=2", "D-II:m=1,n=2", "F31", "G3"]
 
@@ -143,6 +145,35 @@ def test_derived_zero_is_a_closure_failure(text):
         other = alg._replace(sums={**alg.sums, (mu, nu): s, (nu, mu): s})
         with pytest.raises(ClosureFailure, match=r"was derived as 0$"):
             build_structure_constants(other)
+
+
+@pytest.mark.parametrize("text", SMALLEST)
+def test_a_root_claimed_simple_is_a_closure_failure(text):
+    # heights that claim the highest root sigma is simple keep the probes
+    # from deriving its splits and the mixed pass from decomposing it, so
+    # the mixed pass meets [e_sigma, f_sigma] unset, as if level 1 had
+    # missed a simple pair
+    alg = build_algebra_data(CaseId.parse(text))
+    top = max(range(len(alg.pos_roots)), key=alg.heights.__getitem__)
+    other = alg._replace(heights=tuple(1 if s == top else h for s, h in enumerate(alg.heights)))
+    name = alg.pos_roots[top].name
+    with pytest.raises(ClosureFailure, match=re.escape(f"simple pair [e_{{{name}}}, f_{{{name}}}] was not set in level 1")):
+        build_structure_constants(other)
+
+
+@pytest.mark.parametrize("text", ["D-I:m=1,n=2", "D-II:m=1,n=2", "F31", "G3"])
+def test_an_even_square_is_a_closure_failure(text):
+    # a decomposition that builds a root of height 2 as alpha + alpha, for
+    # an even simple root alpha, has level 1 set [e_alpha, e_alpha] to a
+    # root vector, where super antisymmetry makes an even square 0
+    alg = build_algebra_data(CaseId.parse(text))
+    k = next(k for k, s in enumerate(alg.simple_system) if not s.odd)
+    sigma = alg.heights.index(2)
+    decomp = list(alg.decomp)
+    decomp[sigma] = (k, alg.simple_pos_index[k])
+    name = alg.simple_system[k].name
+    with pytest.raises(ClosureFailure, match=re.escape(f"even square bracket [e_{{{name}}}, e_{{{name}}}] must vanish")):
+        build_structure_constants(alg._replace(decomp=tuple(decomp)))
 
 
 def test_a_build_leaves_no_cyclic_garbage():
@@ -291,6 +322,32 @@ def test_bracket_table_coefficients_are_canonical(text):
         for c in val.values()
         if not is_canonical(c)
     ]
+    assert not bad, bad[:5]
+
+
+def non_canonical(obj, path):
+    """(path, number) for each float and each Fraction of denominator 1 in
+    obj, a number or tuples, lists and dicts of them (keys included)."""
+    if type(obj) is float or (type(obj) is Fraction and obj.denominator == 1):
+        yield path, obj
+    elif isinstance(obj, (tuple, list)):
+        for i, x in enumerate(obj):
+            yield from non_canonical(x, f"{path}[{i}]")
+    elif isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from non_canonical(k, f"{path} key {k!r}")
+            yield from non_canonical(v, f"{path}[{k!r}]")
+
+
+@pytest.mark.parametrize("text", grid_cases())
+def test_set_up_numbers_are_canonical(text):
+    """Every number the set-up stores is an int when integral: every field
+    of the root data (the weights, rho, coroot_rows) and of the bracket
+    table (pairings, rho_pairings, every entry value), on each case of the
+    standard grid."""
+    table = make(text)
+    assert table.alg.rho and table.pairings and table.entries
+    bad = [*non_canonical(table.alg._asdict(), "alg"), *non_canonical(vars(table), "table")]
     assert not bad, bad[:5]
 
 
