@@ -296,6 +296,20 @@ MUTANTS = (
         ("tests/test_superalgebra.py::test_reference_scaling_detects_damage",
          "tests/test_cli.py::test_selftest_names_each_failed_check[scaling-failures2]"),
     ),
+    Mutant(
+        "signflip-skips-an-untried-order",
+        "singular.py",
+        "tried = {tuple(range(len(ids)))}",
+        "tried = {tuple(reversed(range(len(ids))))}",
+        ("tests/test_singular.py::test_signflip_builds_each_drawn_order_once",),
+    ),
+    Mutant(
+        "signflip-accepts-u-only",
+        "singular.py",
+        "if w.body != u.body and w.body != neg:",
+        "if w.body != u.body:",
+        ("tests/test_cli.py::test_a_sign_flipped_order_passes",),
+    ),
 )
 
 

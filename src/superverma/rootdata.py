@@ -110,7 +110,7 @@ def parse_weight(text: str, dim: int) -> Weight:
     if len(parts) != dim:
         raise InvalidParams(f"expected {dim} coordinates, got {len(parts)}")
     try:
-        return tuple(Fraction(p) for p in parts)
+        return tuple(_exact(Fraction(p)) for p in parts)
     except ZeroDivisionError:
         raise InvalidParams("zero denominator") from None
 
@@ -371,8 +371,8 @@ class AlgebraData(NamedTuple):
         )
 
     def from_lattice(self, point: Sequence[int]) -> Weight:
-        """The weight of a lattice point, for output."""
-        return tuple(Fraction(c, self.weight_den) for c in point)
+        """The weight of a lattice point, for output, in canonical form."""
+        return tuple(_quotient(c, self.weight_den) for c in point)
 
     def root_of(self, key: int) -> int:
         """The positive-root index of a key the program computed (RootDataError if none)."""

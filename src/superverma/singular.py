@@ -34,19 +34,21 @@ vanish.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from math import factorial
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .pbw import Inhomogeneous, Monomial, PBWEngine, UEAElement
 from .rootdata import (
     AlgebraData,
     CaseId,
+    Exact,
     InvalidParams,
     ParityViolation,
     RootDataError,
     RootDatum,
     RootSpec,
     Weight,
+    _quotient,
     build_algebra_data,
     format_weight,
     pairing,
@@ -137,17 +139,17 @@ def default_lambda(case: CaseId, N: int, seed: int) -> Weight:
     check_level(case, N, "N")
     alg = build_context(case).alg
     rng = random.Random(f"{case.text}:{N}:{seed}")
-    coords = [Fraction(rng.randint(-3, 3)) for _ in range(alg.rank)]
+    coords = [rng.randint(-3, 3) for _ in range(alg.rank)]
     return _solve_level(alg, coords, N, max(_support(alg)))
 
 
-def _solve_level(alg: AlgebraData, coords: List[Fraction], N, k: int) -> Weight:
+def _solve_level(alg: AlgebraData, coords: List[Exact], N, k: int) -> Weight:
     """Set coords[k] so that <coords, h_gamma> = N, one dot product with
-    gamma's coroot row, which is linear in coords."""
+    gamma's coroot row, which is linear in coords, kept canonical."""
     row = alg.coroot_rows[alg.gamma.index]
-    coords[k] = Fraction(0)
+    coords[k] = 0
     rest = pairing(row, coords)
-    coords[k] = (N - rest) / Fraction(dict(row)[k])
+    coords[k] = _quotient(N - rest, dict(row)[k])
     lam = tuple(coords)
     if alg.coroot_pairing(lam, alg.gamma) != N:
         raise RootDataError(f"solving <lambda, h_gamma> = {N} for {alg.case.text} failed")
@@ -464,9 +466,9 @@ def chain_weight(
     if p_first is not None:
         forced_gap = next(i for i, x in enumerate(alg.lattice[kappas[0]]) if x > 0)
     rng = random.Random(f"chain:{alg.case.text}:{C}:{seed}:0")  # ":0" keeps the seeds in use
-    coords = [Fraction(rng.randint(-3, 3)) for _ in range(alg.rank)]
+    coords = [rng.randint(-3, 3) for _ in range(alg.rank)]
     for k in support[1:]:
-        coords[k] = Fraction(-rng.randint(1, 3))
+        coords[k] = -rng.randint(1, 3)
     _solve_level(alg, coords, C, support[0])
     for idx in reversed(block):
         if idx not in support:
@@ -705,17 +707,27 @@ def signflip_counterexample(
     cand: Candidate, engine: PBWEngine, u: VermaVector, seed: int, samples: int
 ) -> Optional[List[int]]:
     """The first of `samples` seeded orders of the odd factors whose
-    candidate is neither u nor -u, or None.  Each rebuild is only its
-    permuted word of the candidate's factor ids acting through
-    Candidate.build on engine; given the engine u was built on, every
-    rebuild reuses the candidate's kept images."""
+    candidate is neither u nor -u, or None, for u = cand.build(engine).
+    Each rebuild is only its permuted word of the candidate's factor ids
+    acting through Candidate.build on engine, so it reuses the candidate's
+    kept images.  A build is deterministic, so each distinct order is built
+    once: the identity is u's own build, a repeated draw would repeat a
+    build that passed, and drawing stops once all K! orders are tried."""
     params = cand.params
     ids = cand.odd_ids
     neg = _scaled(u.body, -1)
+    tried = {tuple(range(len(ids)))}
+    orders = factorial(len(ids))
     for trial in range(samples):
+        if len(tried) == orders:
+            break
         rng = random.Random(f"signflip:{engine.table.alg.case.text}:{params.N}:{seed}:{trial}")
         perm = list(range(len(ids)))
         rng.shuffle(perm)
+        order = tuple(perm)
+        if order in tried:
+            continue
+        tried.add(order)
         w = cand.build(engine, [ids[i] for i in perm])
         if w.body != u.body and w.body != neg:
             return perm

@@ -841,6 +841,21 @@ def test_failed_signflip_exits_one(capsys, monkeypatch):
     assert re.search(r"counterexample: permutation \[\d+(, \d+)*\] is not a sign flip", out), out
 
 
+def test_a_sign_flipped_order_passes(capsys):
+    """At B-I m=n=1 N=1 seed 0, K = 2, and the one order the check builds,
+    the swapped one, gives -u: a sign flip passes."""
+    case = CaseId.parse("B-I:m=1,n=1")
+    table = build_context(case)
+    cand = candidate(CaseParams(1, default_lambda(case, 1, 0)), table)
+    engine = PBWEngine(table)
+    u = cand.build(engine)
+    assert cand.build(engine, cand.odd_ids[::-1]).body == {m: -c for m, c in u.body.items()}
+    code, out, _ = run(capsys, "verify", "--case", "B-I", "--m", "1", "--n", "1",
+                       "--N", "1", "--check", "signflip", "--json")
+    assert code == 0
+    assert json.loads(out)["signflip_ok"]
+
+
 @pytest.mark.parametrize("rows, first, counterexample", [
     (((1, 3), (2, 0)), 5, "witness step 2 coefficient 0"),
     (((1, 3), (2, -1)), 0, "candidate misses the first witness monomial"),

@@ -8,7 +8,9 @@ import pytest
 from superverma.cli import SMALLEST_CASES
 from superverma.pbw import PBWEngine, WrongOrder
 from helpers import el_scale
-from superverma.rootdata import AlgebraData, CaseId, InvalidParams, ParityViolation, wdiff, wscale
+from superverma.rootdata import (
+    AlgebraData, CaseId, InvalidParams, ParityViolation, parse_weight, wdiff, wscale,
+)
 from superverma import cli, singular
 from superverma.singular import (
     Candidate,
@@ -16,6 +18,8 @@ from superverma.singular import (
     build_context,
     candidate,
     candidate_u,
+    chain_kappas,
+    chain_weight,
     claimed_drop,
     default_lambda,
     run_witness,
@@ -24,6 +28,8 @@ from superverma.singular import (
     witness_spec,
 )
 from superverma.verma import _Action, act, highest_weight_vector, is_singular, weight_of
+from test_acceptance import full_grid, grid_cases
+from test_superalgebra import non_canonical
 
 SMALLEST = {
     "B-I:m=1,n=1": 1,
@@ -79,6 +85,32 @@ def test_default_lambda_is_deterministic_and_constrained():
         assert lam == default_lambda(case, N, 7)
         assert table.alg.coroot_pairing(lam, table.alg.gamma) == N
         validate_params(CaseParams(N, lam), table.alg)
+
+
+@pytest.mark.parametrize("text", grid_cases())
+def test_weights_are_canonical(text):
+    """default_lambda, chain_weight, parse_weight and from_lattice give an
+    int for every integral coordinate, a Fraction only for the others, on
+    each case of the standard grid at its levels and seeds 0..2."""
+    case = CaseId.parse(text)
+    alg = build_context(case).alg
+    weights = {}
+    for N in sorted({N for t, N in full_grid() if t == text}):
+        for seed in range(3):
+            lam = default_lambda(case, N, seed)
+            # p/q text with q even for every coordinate, integral ones too
+            parsed = parse_weight(",".join(f"{2 * c.numerator}/{2 * c.denominator}" for c in lam), alg.rank)
+            assert parsed == lam
+            weights[f"default_lambda N={N} seed={seed}"] = lam
+            weights[f"parse_weight N={N} seed={seed}"] = parsed
+            if case.m:
+                target = (1, 2) if len(singular._support(alg)) == 2 else 1
+                mu = chain_weight(N, chain_kappas(target, alg), seed, alg)
+                weights[f"chain_weight C={N} seed={seed}"] = mu
+    for i, point in enumerate(alg.lattice):
+        weights[f"from_lattice root {i}"] = alg.from_lattice(point)
+    bad = list(non_canonical(weights, text))
+    assert not bad, bad[:5]
 
 
 def test_level_parity_is_enforced():
@@ -285,6 +317,66 @@ def test_straightened_factors_match_one_at_a_time(text):
             assert got.body == want.body, (text, engine.sequence, factors)
 
 
+def drawn_orders(cand, table, seed, samples):
+    """The distinct orders other than the identity among the sign-flip
+    check's seeded draws, first drawn first, and for each its trial."""
+    out = {}
+    for trial in range(samples):
+        rng = random.Random(f"signflip:{table.alg.case.text}:{cand.params.N}:{seed}:{trial}")
+        perm = list(range(len(cand.odd_ids)))
+        rng.shuffle(perm)
+        if perm != sorted(perm):
+            out.setdefault(tuple(perm), trial)
+    return out
+
+
+def signflip_builds(monkeypatch, cand, engine, u, seed, spoil=None):
+    """signflip_counterexample's result and the orders it built; spoil is
+    an order whose build comes out doubled."""
+    real = Candidate.build
+    built = []
+
+    def counted(self, engine, factors=None, tail=None):
+        w = real(self, engine, factors, tail)
+        perm = tuple(cand.odd_ids.index(g) for g in factors)
+        built.append(perm)
+        return w.scaled(2) if perm == spoil else w
+
+    monkeypatch.setattr(Candidate, "build", counted)
+    return signflip_counterexample(cand, engine, u, seed, 20), built
+
+
+def test_signflip_builds_each_drawn_order_once(monkeypatch):
+    """Each distinct drawn order other than the identity is built once, in
+    the order first drawn; at K = 2 that is the one swapped order."""
+    for text, seed in (("B-I:m=1,n=1", 0), ("B-I:m=1,n=2", 0), ("G3", 0)):
+        params, table = params_for(text, 1, seed)
+        cand = candidate(params, table)
+        engine = PBWEngine(table)
+        u = cand.build(engine)
+        got, built = signflip_builds(monkeypatch, cand, engine, u, seed)
+        monkeypatch.undo()
+        assert got is None
+        assert built == list(drawn_orders(cand, table, seed, 20))
+        if len(cand.odd_ids) == 2:
+            assert built == [(1, 0)]
+
+
+def test_signflip_reports_a_spoiled_order_drawn_after_a_repeat(monkeypatch):
+    """An order whose build is neither u nor -u is the counterexample even
+    when an earlier draw repeated an order already tried and was skipped."""
+    params, table = params_for("B-I:m=1,n=2", 1, 0)
+    cand = candidate(params, table)
+    orders = drawn_orders(cand, table, 0, 20)
+    # the first order drawn after a skipped draw: more trials than orders before it
+    spoil, at = next((o, t) for i, (o, t) in enumerate(orders.items()) if t > i)
+    engine = PBWEngine(table)
+    u = cand.build(engine)
+    got, built = signflip_builds(monkeypatch, cand, engine, u, 0, spoil)
+    assert tuple(got) == spoil
+    assert built == [o for o, t in orders.items() if t <= at]
+
+
 @pytest.mark.parametrize("text", ["B-I:m=1,n=1", "G3", "D-II:m=2,n=2", "F31"])
 def test_rebuilds_resolve_no_roots(text, monkeypatch):
     """The candidate's factors and tail are generator ids from the start, so
@@ -332,7 +424,8 @@ def test_rebuilds_resolve_no_roots(text, monkeypatch):
     assert len(actions) == 1
     assert run_witness(cand, table).ok
     spec = witness_spec(cand, table.alg)
-    assert per_build == [0] * (1 + 20 + len(spec.steps) + 1)
+    rebuilds = len(drawn_orders(cand, table, 0, 20))
+    assert per_build == [0] * (1 + rebuilds + len(spec.steps) + 1)
 
     (witness_engine, last_tail), _, _ = cand._images
     assert witness_engine is not engine and witness_engine.tail == spec.order_tail
