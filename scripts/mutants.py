@@ -299,9 +299,25 @@ MUTANTS = (
     Mutant(
         "signflip-skips-an-untried-order",
         "singular.py",
-        "tried = {tuple(range(len(ids)))}",
-        "tried = {tuple(reversed(range(len(ids))))}",
+        "tried = {(True,) * len(clash)}",
+        "tried = {(False,) * len(clash)}",
         ("tests/test_singular.py::test_signflip_builds_each_drawn_order_once",),
+    ),
+    Mutant(
+        "signflip-stops-one-class-short",
+        "singular.py",
+        "classes = 2 ** len(clash)",
+        "classes = 2 ** len(clash) - 1",
+        ("tests/test_cli.py::test_failed_signflip_exits_one",
+         "tests/test_singular.py::test_signflip_builds_each_drawn_order_once"),
+    ),
+    Mutant(
+        "signflip-clash-test-inverted",
+        "singular.py",
+        "if bracket(ids[i], ids[j])]",
+        "if not bracket(ids[i], ids[j])]",
+        ("tests/test_cli.py::test_failed_signflip_exits_one",
+         "tests/test_singular.py::test_signflip_builds_each_drawn_order_once"),
     ),
     Mutant(
         "signflip-accepts-u-only",

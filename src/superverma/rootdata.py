@@ -151,8 +151,8 @@ Row = Tuple[Tuple[int, Exact], ...]
 
 def pairing(row: Row, w: Weight):
     """<w, h> for the coroot h whose row is row: one dot product, in
-    whatever exact type w's coordinates have."""
-    return sum(w[i] * c for i, c in row)
+    canonical form (an int when integral)."""
+    return _exact(sum(w[i] * c for i, c in row))
 
 
 def _exact(c):

@@ -34,7 +34,6 @@ vanish.
 from __future__ import annotations
 
 import random
-from math import factorial
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .pbw import Inhomogeneous, Monomial, PBWEngine, UEAElement
@@ -710,24 +709,31 @@ def signflip_counterexample(
     candidate is neither u nor -u, or None, for u = cand.build(engine).
     Each rebuild is only its permuted word of the candidate's factor ids
     acting through Candidate.build on engine, so it reuses the candidate's
-    kept images.  A build is deterministic, so each distinct order is built
-    once: the identity is u's own build, a repeated draw would repeat a
-    build that passed, and drawing stops once all K! orders are tried."""
+    kept images.  Two factors whose bracket is 0 anticommute in U(g), so
+    two orders that put each clashing pair (nonzero bracket) in the same
+    relative order give words equal up to sign: one build decides its
+    whole class.  So only the first draw of each class is built: the
+    identity's class is u's own, and drawing stops once all 2^k classes
+    of k clashing pairs are tried, a count reached only when those pairs
+    form a forest."""
     params = cand.params
     ids = cand.odd_ids
+    bracket = engine.table.bracket
     neg = _scaled(u.body, -1)
-    tried = {tuple(range(len(ids)))}
-    orders = factorial(len(ids))
+    clash = [(i, j) for i in range(len(ids)) for j in range(i + 1, len(ids)) if bracket(ids[i], ids[j])]
+    tried = {(True,) * len(clash)}
+    classes = 2 ** len(clash)
     for trial in range(samples):
-        if len(tried) == orders:
+        if len(tried) == classes:
             break
         rng = random.Random(f"signflip:{engine.table.alg.case.text}:{params.N}:{seed}:{trial}")
         perm = list(range(len(ids)))
         rng.shuffle(perm)
-        order = tuple(perm)
-        if order in tried:
+        pos = {f: k for k, f in enumerate(perm)}
+        key = tuple(pos[i] < pos[j] for i, j in clash)
+        if key in tried:
             continue
-        tried.add(order)
+        tried.add(key)
         w = cand.build(engine, [ids[i] for i in perm])
         if w.body != u.body and w.body != neg:
             return perm

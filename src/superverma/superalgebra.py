@@ -215,8 +215,8 @@ class BracketTable:
         pos_rows = tuple(tuple((i, c) for i, c in enumerate(point) if c) for point in alg.lattice)
         self.weight_rows = tuple(tuple((i, -c) for i, c in row) for row in pos_rows) + ((),) * R + pos_rows
         self.cartan_rows = tuple(alg.coroot_rows[i] for i in alg.simple_pos_index)
-        self.rho_pairings = tuple(_exact(pairing(row, alg.rho)) for row in self.cartan_rows)
-        pos = tuple(tuple(_exact(pairing(row, r.weight)) for row in self.cartan_rows) for r in alg.pos_roots)
+        self.rho_pairings = tuple(pairing(row, alg.rho) for row in self.cartan_rows)
+        pos = tuple(tuple(pairing(row, r.weight) for row in self.cartan_rows) for r in alg.pos_roots)
         self.pairings = tuple(tuple(-c for c in row) for row in pos) + ((0,) * R,) * R + pos
         self.odd = tuple(el.odd for el in basis)
         self._ad_cache = {}
@@ -251,7 +251,7 @@ class BracketTable:
 
     def h_value_pairing(self, val: Value, w: Weight) -> Coefficient:
         """<w, h> in canonical form for a Cartan-valued bracket result h."""
-        return _exact(pairing(self.cartan_row(val), w))
+        return pairing(self.cartan_row(val), w)
 
     def ad_row(self, g: int) -> Dict[int, List[Value]]:
         """For each generator x with [g, x] != 0, ad_chain's list for (g, x)

@@ -47,6 +47,11 @@ def params_for(text: str, N: int, seed: int = 0) -> CaseParams:
     return CaseParams(N, default_lambda(case, N, seed)), table
 
 
+def levels(text):
+    """The levels of text on the standard grid."""
+    return sorted({N for t, N in full_grid() if t == text})
+
+
 def apply_one_at_a_time(engine, lam, e_factors, tail):
     """Reference for the candidate's construction: every lowering power and
     then every odd raising factor (a generator id) acts on the growing
@@ -91,11 +96,12 @@ def test_default_lambda_is_deterministic_and_constrained():
 def test_weights_are_canonical(text):
     """default_lambda, chain_weight, parse_weight and from_lattice give an
     int for every integral coordinate, a Fraction only for the others, on
-    each case of the standard grid at its levels and seeds 0..2."""
+    each case of the standard grid at its levels and seeds 0..2; so do
+    coroot_pairing and reflect at every step of each case's orbit chain."""
     case = CaseId.parse(text)
     alg = build_context(case).alg
     weights = {}
-    for N in sorted({N for t, N in full_grid() if t == text}):
+    for N in levels(text):
         for seed in range(3):
             lam = default_lambda(case, N, seed)
             # p/q text with q even for every coordinate, integral ones too
@@ -105,8 +111,14 @@ def test_weights_are_canonical(text):
             weights[f"parse_weight N={N} seed={seed}"] = parsed
             if case.m:
                 target = (1, 2) if len(singular._support(alg)) == 2 else 1
-                mu = chain_weight(N, chain_kappas(target, alg), seed, alg)
+                kappas = chain_kappas(target, alg)
+                mu = chain_weight(N, kappas, seed, alg)
                 weights[f"chain_weight C={N} seed={seed}"] = mu
+                for k in kappas:
+                    name = alg.pos_roots[k].name
+                    weights[f"<mu, h_{name}> C={N} seed={seed}"] = alg.coroot_pairing(mu, k)
+                    mu = alg.reflect(mu, k)
+                    weights[f"reflected in {name} C={N} seed={seed}"] = mu
     for i, point in enumerate(alg.lattice):
         weights[f"from_lattice root {i}"] = alg.from_lattice(point)
     bad = list(non_canonical(weights, text))
@@ -317,16 +329,47 @@ def test_straightened_factors_match_one_at_a_time(text):
             assert got.body == want.body, (text, engine.sequence, factors)
 
 
-def drawn_orders(cand, table, seed, samples):
-    """The distinct orders other than the identity among the sign-flip
-    check's seeded draws, first drawn first, and for each its trial."""
-    out = {}
+def clashing_pairs(cand, table):
+    """The factor positions (i, j), i < j, whose generators' bracket is
+    nonzero: the only pairs whose order a sign-flip class fixes."""
+    ids = cand.odd_ids
+    return [(i, j) for i in range(len(ids)) for j in range(i + 1, len(ids)) if table.bracket(ids[i], ids[j])]
+
+
+def trace_form(perm, clash):
+    """The least order, lexicographically, that perm reaches by swapping
+    neighbours that are no clashing pair: each place takes the least factor
+    that no earlier factor left clashes with.  Two orders are in one
+    sign-flip class exactly when their forms agree."""
+    clash = {frozenset(p) for p in clash}
+    rest, out = list(perm), []
+    while rest:
+        free = min(f for n, f in enumerate(rest) if all({g, f} not in clash for g in rest[:n]))
+        rest.remove(free)
+        out.append(free)
+    return tuple(out)
+
+
+def signflip_draws(cand, table, seed, samples):
+    """The sign-flip check's seeded draws, each with its trace form."""
+    clash = clashing_pairs(cand, table)
     for trial in range(samples):
         rng = random.Random(f"signflip:{table.alg.case.text}:{cand.params.N}:{seed}:{trial}")
         perm = list(range(len(cand.odd_ids)))
         rng.shuffle(perm)
-        if perm != sorted(perm):
-            out.setdefault(tuple(perm), trial)
+        yield trial, tuple(perm), trace_form(perm, clash)
+
+
+def drawn_orders(cand, table, seed, samples):
+    """The first drawn order of each sign-flip class other than the
+    identity's among the check's seeded draws, first drawn first, and for
+    each its trial."""
+    out = {}
+    tried = {tuple(range(len(cand.odd_ids)))}
+    for trial, perm, form in signflip_draws(cand, table, seed, samples):
+        if form not in tried:
+            tried.add(form)
+            out[perm] = trial
     return out
 
 
@@ -347,8 +390,9 @@ def signflip_builds(monkeypatch, cand, engine, u, seed, spoil=None):
 
 
 def test_signflip_builds_each_drawn_order_once(monkeypatch):
-    """Each distinct drawn order other than the identity is built once, in
-    the order first drawn; at K = 2 that is the one swapped order."""
+    """The first drawn order of each class other than the identity's is
+    built once, first drawn first, and no other; at K = 2 that is the one
+    swapped order."""
     for text, seed in (("B-I:m=1,n=1", 0), ("B-I:m=1,n=2", 0), ("G3", 0)):
         params, table = params_for(text, 1, seed)
         cand = candidate(params, table)
@@ -364,7 +408,7 @@ def test_signflip_builds_each_drawn_order_once(monkeypatch):
 
 def test_signflip_reports_a_spoiled_order_drawn_after_a_repeat(monkeypatch):
     """An order whose build is neither u nor -u is the counterexample even
-    when an earlier draw repeated an order already tried and was skipped."""
+    when an earlier draw fell in a class already tried and was skipped."""
     params, table = params_for("B-I:m=1,n=2", 1, 0)
     cand = candidate(params, table)
     orders = drawn_orders(cand, table, 0, 20)
@@ -375,6 +419,75 @@ def test_signflip_reports_a_spoiled_order_drawn_after_a_repeat(monkeypatch):
     got, built = signflip_builds(monkeypatch, cand, engine, u, 0, spoil)
     assert tuple(got) == spoil
     assert built == [o for o, t in orders.items() if t <= at]
+
+
+def test_orders_of_one_class_build_one_vector_up_to_sign():
+    """Reference for the class rule on every standard-grid point at seeds
+    0..2: every distinct drawn order, built exactly, is u or -u, and one
+    drawn in a class already tried is its class's first build times
+    (-1)^d, for the d pairs of odd factors the two orders put the other
+    way round, none of them clashing, so each swap anticommutes."""
+    for text, N in full_grid():
+        for seed in range(3):
+            params, table = params_for(text, N, seed)
+            cand = candidate(params, table)
+            ids = cand.odd_ids
+            assert all(table.odd[g] for g in ids)
+            engine = PBWEngine(table)
+            u = cand.build(engine).body
+            identity = tuple(range(len(ids)))
+            first = {identity: (identity, u)}
+            built = {identity}
+            for _, perm, form in signflip_draws(cand, table, seed, cli.SIGNFLIP_SAMPLES):
+                if perm in built:
+                    continue
+                built.add(perm)
+                w = cand.build(engine, [ids[i] for i in perm]).body
+                assert w in (u, el_scale(u, -1)), (text, N, seed, perm)
+                start, body = first.setdefault(form, (perm, w))
+                at, at_start = ({f: k for k, f in enumerate(p)} for p in (perm, start))
+                swapped = [
+                    (i, j) for i in identity for j in identity[i + 1:]
+                    if (at[i] < at[j]) != (at_start[i] < at_start[j])
+                ]
+                assert not set(swapped) & set(clashing_pairs(cand, table))
+                assert w == el_scale(body, (-1) ** len(swapped)), (text, N, seed, perm, start)
+
+
+@pytest.mark.parametrize("text", [t for t in grid_cases() if t.startswith("B-II")])
+def test_b2_signflip_makes_no_draw_and_no_rebuild(text, monkeypatch):
+    """B-II's odd factors have no clashing pair, so every order is in the
+    identity's class: at each grid level and seeds 0..2 the check draws no
+    order and builds none."""
+    points = []
+    for N in levels(text):
+        for seed in range(3):
+            params, table = params_for(text, N, seed)
+            cand = candidate(params, table)
+            engine = PBWEngine(table)
+            points.append((cand, engine, cand.build(engine), seed))
+    draws, builds = [], []
+    shuffle = random.Random.shuffle
+    monkeypatch.setattr(random.Random, "shuffle", lambda self, x: draws.append(x) or shuffle(self, x))
+    monkeypatch.setattr(Candidate, "build", lambda *args: builds.append(args))
+    for cand, engine, u, seed in points:
+        assert signflip_counterexample(cand, engine, u, seed, cli.SIGNFLIP_SAMPLES) is None
+    assert draws == [] and builds == []
+
+
+@pytest.mark.parametrize("text", grid_cases())
+def test_grid_clashing_pairs_are_disjoint(text):
+    """On every standard-grid case the candidate's clashing pairs are
+    disjoint, K/2 of them (none in B-II), so each of the 2^k ways to order
+    them is a class of its own, and the check's stop once 2^k classes are
+    tried is exact."""
+    for N in levels(text):
+        params, table = params_for(text, N)
+        cand = candidate(params, table)
+        clash = clashing_pairs(cand, table)
+        places = [i for pair in clash for i in pair]
+        assert len(places) == len(set(places))
+        assert len(clash) == (0 if text.startswith("B-II") else len(cand.odd_ids) // 2)
 
 
 @pytest.mark.parametrize("text", ["B-I:m=1,n=1", "G3", "D-II:m=2,n=2", "F31"])
