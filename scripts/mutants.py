@@ -297,34 +297,25 @@ MUTANTS = (
          "tests/test_cli.py::test_selftest_names_each_failed_check[scaling-failures2]"),
     ),
     Mutant(
-        "signflip-skips-an-untried-order",
+        "signflip-tail-test-dropped",
         "singular.py",
-        "tried = {(True,) * len(clash)}",
-        "tried = {(False,) * len(clash)}",
-        ("tests/test_singular.py::test_signflip_builds_each_drawn_order_once",),
+        "        if image:\n",
+        "        if False:\n",
+        ("tests/test_cli.py::test_failed_signflip_exits_one",),
     ),
     Mutant(
-        "signflip-stops-one-class-short",
+        "signflip-overlap-test-skipped",
         "singular.py",
-        "classes = 2 ** len(clash)",
-        "classes = 2 ** len(clash) - 1",
-        ("tests/test_cli.py::test_failed_signflip_exits_one",
-         "tests/test_singular.py::test_signflip_builds_each_drawn_order_once"),
+        "    if shared is not None:\n",
+        "    if False:\n",
+        ("tests/test_cli.py::test_a_factor_in_two_clashing_pairs_is_the_counterexample",),
     ),
     Mutant(
         "signflip-clash-test-inverted",
         "singular.py",
-        "if bracket(ids[i], ids[j])]",
-        "if not bracket(ids[i], ids[j])]",
-        ("tests/test_cli.py::test_failed_signflip_exits_one",
-         "tests/test_singular.py::test_signflip_builds_each_drawn_order_once"),
-    ),
-    Mutant(
-        "signflip-accepts-u-only",
-        "singular.py",
-        "if w.body != u.body and w.body != neg:",
-        "if w.body != u.body:",
-        ("tests/test_cli.py::test_a_sign_flipped_order_passes",),
+        "if table.bracket(ids[i], ids[j])]",
+        "if not table.bracket(ids[i], ids[j])]",
+        ("tests/test_singular.py::test_signflip_certificate_builds_no_candidate_and_draws_nothing",),
     ),
 )
 

@@ -52,7 +52,7 @@ from .rootdata import (
     format_weight,
     pairing,
 )
-from .superalgebra import BracketTable, Coefficient, _scaled, build_structure_constants
+from .superalgebra import BracketTable, Coefficient, _merge, build_structure_constants
 from .verma import VermaVector, _Action, is_singular
 
 
@@ -211,8 +211,8 @@ class Candidate:
         # for one (engine, tail as a generator-id monomial) at a time, the key,
         # the action of M(lambda) and the U(n^+) monomials' images on tail v+,
         # never read for another tail, even a scalar multiple.  A build for a
-        # new key drops them: the CLI builds u, the sign-flip rebuilds on the
-        # same engine, then the witness steps, and never returns to a key
+        # new key drops them: the CLI builds u, then the witness steps, and
+        # never returns to a key
         self._images: Optional[Tuple[Tuple[PBWEngine, Monomial], _Action, Dict[Monomial, UEAElement]]] = None
 
     def build(
@@ -702,39 +702,36 @@ def run_witness(cand: Candidate, table: BracketTable) -> WitnessReport:
     return WitnessReport(tuple(rows), first)
 
 
-def signflip_counterexample(
-    cand: Candidate, engine: PBWEngine, u: VermaVector, seed: int, samples: int
-) -> Optional[List[int]]:
-    """The first of `samples` seeded orders of the odd factors whose
-    candidate is neither u nor -u, or None, for u = cand.build(engine).
-    Each rebuild is only its permuted word of the candidate's factor ids
-    acting through Candidate.build on engine, so it reuses the candidate's
-    kept images.  Two factors whose bracket is 0 anticommute in U(g), so
-    two orders that put each clashing pair (nonzero bracket) in the same
-    relative order give words equal up to sign: one build decides its
-    whole class.  So only the first draw of each class is built: the
-    identity's class is u's own, and drawing stops once all 2^k classes
-    of k clashing pairs are tried, a count reached only when those pairs
-    form a forest."""
-    params = cand.params
+def signflip_counterexample(cand: Candidate, engine: PBWEngine) -> Optional[str]:
+    """None when every order of the odd factors builds u or -u, by a
+    certificate; else a text naming the premise that fails.
+
+    Call factor positions i < j a clashing pair when their generators'
+    bracket is nonzero; factors whose bracket is 0 supercommute in U(g).
+    The premises: (1) the clashing pairs are disjoint, and (2) each pair's
+    bracket [x, y] kills the tail vector f_gamma^(N + c) v+.  With (1),
+    every order's word is +- a product of blocks, x y or y x, one per pair,
+    and of the unpaired factors, as a factor outside a pair supercommutes
+    with both of its members.  y x = [x, y] - x y, and by Jacobi [x, y]
+    supercommutes with every factor outside its pair, so each term of the
+    expanded word that holds a bracket carries it onto the tail, where (2)
+    makes it 0: the word acts as +- the candidate's own, and none is built."""
     ids = cand.odd_ids
-    bracket = engine.table.bracket
-    neg = _scaled(u.body, -1)
-    clash = [(i, j) for i in range(len(ids)) for j in range(i + 1, len(ids)) if bracket(ids[i], ids[j])]
-    tried = {(True,) * len(clash)}
-    classes = 2 ** len(clash)
-    for trial in range(samples):
-        if len(tried) == classes:
-            break
-        rng = random.Random(f"signflip:{engine.table.alg.case.text}:{params.N}:{seed}:{trial}")
-        perm = list(range(len(ids)))
-        rng.shuffle(perm)
-        pos = {f: k for k, f in enumerate(perm)}
-        key = tuple(pos[i] < pos[j] for i, j in clash)
-        if key in tried:
-            continue
-        tried.add(key)
-        w = cand.build(engine, [ids[i] for i in perm])
-        if w.body != u.body and w.body != neg:
-            return perm
+    table = engine.table
+    name = [table.basis[g].name for g in ids]
+    clash = [(i, j) for i in range(len(ids)) for j in range(i + 1, len(ids)) if table.bracket(ids[i], ids[j])]
+    places = [k for pair in clash for k in pair]
+    shared = next((k for k in places if places.count(k) > 1), None)
+    if shared is not None:
+        partners = " and ".join(name[i + j - shared] for i, j in clash if shared in (i, j))
+        return f"factor {name[shared]} clashes with {partners}"
+    action = _Action(engine, cand.params.lam)
+    tail = engine.import_element({cand.tail_ids: 1})
+    for i, j in clash:
+        image: UEAElement = {}
+        for g, c in table.bracket(ids[i], ids[j]).items():
+            _merge(image, action.apply(g, 1, tail), c)
+        if image:
+            on = engine.render_monomial(cand.tail_ids)
+            return f"[{name[i]}, {name[j]}] {on} v+ = {engine.render(image, 'v+')}"
     return None

@@ -26,7 +26,7 @@ from superverma import cli, singular
 from superverma.cli import main, parse_grid
 from superverma.pbw import NotDivisible, PBWEngine, WrongOrder
 from superverma.rootdata import (
-    FAMILIES, OSP_FAMILIES, AlgebraData, CaseId, InvalidParams, IsotropicCoroot, ParityViolation, RootDataError,
+    FAMILIES, OSP_FAMILIES, CaseId, InvalidParams, IsotropicCoroot, ParityViolation, RootDataError,
 )
 from superverma.singular import Candidate, CaseParams, build_context, candidate, default_lambda
 from superverma.superalgebra import ClosureFailure
@@ -820,30 +820,58 @@ def test_zero_candidate_is_the_counterexample(capsys, monkeypatch, check):
 
 
 def test_failed_signflip_exits_one(capsys, monkeypatch):
-    """A permuted candidate that is not +-u fails the sign-flip check.  The
-    rebuilds run through Candidate.build, as the candidate does, so every
-    word other than the candidate's own comes out doubled."""
-    case = CaseId.parse("B-I:m=1,n=1")
-    table = build_context(case)
-    params = CaseParams(1, default_lambda(case, 1, 0))
-    own = candidate(params, table).odd_ids
-    real = Candidate.build
+    """A tail one above the top of gamma's string, f_gamma^(N + c + 1),
+    fails the sign-flip certificate's second premise: the check sees it in
+    place of the candidate's tail, and the counterexample names the
+    clashing pair and the nonzero image of its bracket."""
+    real = cli.signflip_counterexample
 
-    def doubled_when_permuted(self, engine, factors=None, tail=None):
-        u = real(self, engine, factors, tail)
-        return u if factors is None or tuple(factors) == own else u.scaled(2)
+    def above_the_top(cand, engine):
+        ((g, e),) = cand.tail_ids
+        raised = Candidate(cand.params, cand.odd, cand.odd_ids, (engine.table.powers[g, e + 1],))
+        return real(raised, engine)
 
-    monkeypatch.setattr(Candidate, "build", doubled_when_permuted)
-    code, out, _ = run(capsys, "verify", "--case", "B-I", "--m", "1", "--n", "1",
+    monkeypatch.setattr(cli, "signflip_counterexample", above_the_top)
+    code, out, _ = run(capsys, "verify", "--case", "D-II", "--m", "1", "--n", "2",
                        "--N", "1", "--check", "signflip")
     assert code == 1
     assert "signflip=FAIL" in out
-    assert re.search(r"counterexample: permutation \[\d+(, \d+)*\] is not a sign flip", out), out
+    assert "counterexample: [e_{e2-d1}, e_{d1+e1}] f_{e1+e2}^4 v+ = 4 f_{e1+e2}^3 v+" in out, out
+
+
+def test_a_factor_in_two_clashing_pairs_is_the_counterexample(capsys, monkeypatch):
+    """With the bracket table patched so that the first odd factor clashes
+    with a second factor beside its own partner, the clashing pairs are not
+    disjoint: the check fails and names the shared factor.  The patched
+    table is this test's own, so no cache of it outlives the test."""
+    monkeypatch.setattr(singular, "_CONTEXTS", {})
+    case = CaseId.parse("D-II:m=1,n=2")
+    table = build_context(case)
+    ids = candidate(CaseParams(1, default_lambda(case, 1, 0)), table).odd_ids
+    first = ids[0]
+    partner = next(y for y in ids if table.bracket(first, y))
+    extra = next(y for y in ids[1:] if y != partner)
+    real = table.bracket
+
+    def clashing_twice(x, y):
+        if {x, y} == {first, extra}:
+            return real(first, partner)
+        return real(x, y)
+
+    monkeypatch.setattr(table, "bracket", clashing_twice)
+    code, out, _ = run(capsys, "verify", "--case", "D-II", "--m", "1", "--n", "2",
+                       "--N", "1", "--check", "signflip", "--json")
+    rec = json.loads(out)
+    assert code == 1
+    assert rec["signflip_ok"] is False
+    basis = table.basis
+    others = " and ".join(basis[g].name for g in sorted((partner, extra), key=ids.index))
+    assert rec["counterexample"] == f"factor {basis[first].name} clashes with {others}"
 
 
 def test_a_sign_flipped_order_passes(capsys):
-    """At B-I m=n=1 N=1 seed 0, K = 2, and the one order the check builds,
-    the swapped one, gives -u: a sign flip passes."""
+    """At B-I m=n=1 N=1 seed 0, K = 2, and the one other order, the swapped
+    one, gives -u: a sign flip passes."""
     case = CaseId.parse("B-I:m=1,n=1")
     table = build_context(case)
     cand = candidate(CaseParams(1, default_lambda(case, 1, 0)), table)
@@ -872,32 +900,6 @@ def test_failed_witness_exits_one(capsys, monkeypatch, rows, first, counterexamp
     assert code == 1
     assert "witness=FAIL" in out
     assert f"counterexample: {counterexample}" in out, out
-
-
-def test_signflip_rebuilds_add_no_forms(capsys, monkeypatch):
-    """A point validates its params and derives its odd factors once for all
-    of its sign-flip rebuilds, and each module slot reads its Cartan
-    pairings from the bracket table: the number of AlgebraData.coroot_pairing
-    calls in one point does not grow with the number of rebuilds."""
-    argv = ("verify", "--case", "B-I", "--m", "2", "--n", "1", "--N", "1",
-            "--check", "signflip", "--json")
-    assert run(capsys, *argv)[0] == 0  # the context and the slot are warm from here on
-    real = AlgebraData.coroot_pairing
-    calls = []
-
-    def counted(self, lam, beta):
-        calls.append(None)
-        return real(self, lam, beta)
-
-    monkeypatch.setattr(AlgebraData, "coroot_pairing", counted)
-    counts = {}
-    for samples in (20, 40):
-        monkeypatch.setattr(cli, "SIGNFLIP_SAMPLES", samples)
-        calls.clear()
-        code, out, _ = run(capsys, *argv)
-        assert code == 0 and json.loads(out)["signflip_ok"]
-        counts[samples] = len(calls)
-    assert 0 < counts[40] <= counts[20], counts
 
 
 @pytest.mark.parametrize("spoil", ["mixed", "shifted"])

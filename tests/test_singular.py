@@ -1,5 +1,6 @@
 """Candidate vector construction and parameter handling."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from superverma.singular import (
     validate_params,
     witness_spec,
 )
-from superverma.verma import _Action, act, highest_weight_vector, is_singular, weight_of
+from superverma.verma import VermaVector, _Action, act, highest_weight_vector, is_singular, weight_of
 from test_acceptance import full_grid, grid_cases
 from test_superalgebra import non_canonical
 
@@ -331,174 +332,97 @@ def test_straightened_factors_match_one_at_a_time(text):
 
 def clashing_pairs(cand, table):
     """The factor positions (i, j), i < j, whose generators' bracket is
-    nonzero: the only pairs whose order a sign-flip class fixes."""
+    nonzero."""
     ids = cand.odd_ids
     return [(i, j) for i in range(len(ids)) for j in range(i + 1, len(ids)) if table.bracket(ids[i], ids[j])]
 
 
-def trace_form(perm, clash):
-    """The least order, lexicographically, that perm reaches by swapping
-    neighbours that are no clashing pair: each place takes the least factor
-    that no earlier factor left clashes with.  Two orders are in one
-    sign-flip class exactly when their forms agree."""
-    clash = {frozenset(p) for p in clash}
-    rest, out = list(perm), []
-    while rest:
-        free = min(f for n, f in enumerate(rest) if all({g, f} not in clash for g in rest[:n]))
-        rest.remove(free)
-        out.append(free)
-    return tuple(out)
+# the osp cases with m, n <= 3 off the standard grid (D needs n >= 2)
+SMALL_OSP = [
+    text
+    for family in ("B-I", "B-II", "D-I", "D-II")
+    for m in (1, 2, 3)
+    for n in ((1, 2, 3) if family.startswith("B") else (2, 3))
+    if (text := f"{family}:m={m},n={n}") not in grid_cases()
+]
 
 
-def signflip_draws(cand, table, seed, samples):
-    """The sign-flip check's seeded draws, each with its trace form."""
-    clash = clashing_pairs(cand, table)
-    for trial in range(samples):
-        rng = random.Random(f"signflip:{table.alg.case.text}:{cand.params.N}:{seed}:{trial}")
-        perm = list(range(len(cand.odd_ids)))
-        rng.shuffle(perm)
-        yield trial, tuple(perm), trace_form(perm, clash)
-
-
-def drawn_orders(cand, table, seed, samples):
-    """The first drawn order of each sign-flip class other than the
-    identity's among the check's seeded draws, first drawn first, and for
-    each its trial."""
-    out = {}
-    tried = {tuple(range(len(cand.odd_ids)))}
-    for trial, perm, form in signflip_draws(cand, table, seed, samples):
-        if form not in tried:
-            tried.add(form)
-            out[perm] = trial
-    return out
-
-
-def signflip_builds(monkeypatch, cand, engine, u, seed, spoil=None):
-    """signflip_counterexample's result and the orders it built; spoil is
-    an order whose build comes out doubled."""
-    real = Candidate.build
-    built = []
-
-    def counted(self, engine, factors=None, tail=None):
-        w = real(self, engine, factors, tail)
-        perm = tuple(cand.odd_ids.index(g) for g in factors)
-        built.append(perm)
-        return w.scaled(2) if perm == spoil else w
-
-    monkeypatch.setattr(Candidate, "build", counted)
-    return signflip_counterexample(cand, engine, u, seed, 20), built
-
-
-def test_signflip_builds_each_drawn_order_once(monkeypatch):
-    """The first drawn order of each class other than the identity's is
-    built once, first drawn first, and no other; at K = 2 that is the one
-    swapped order."""
-    for text, seed in (("B-I:m=1,n=1", 0), ("B-I:m=1,n=2", 0), ("G3", 0)):
-        params, table = params_for(text, 1, seed)
+def test_every_swap_of_clashing_pairs_builds_u_up_to_sign():
+    """Reference for the sign-flip certificate, run on the engine: on every
+    standard-grid point at seeds 0..2, and on the osp cases with m, n <= 3
+    off the grid at level 1 (seed 0), the identity order with each subset S
+    of the clashing pairs swapped in place builds exactly (-1)^|S| u."""
+    points = [(text, N, seed) for text, N in full_grid() for seed in range(3)]
+    points += [(text, 1, 0) for text in SMALL_OSP]
+    for text, N, seed in points:
+        params, table = params_for(text, N, seed)
         cand = candidate(params, table)
+        ids = cand.odd_ids
         engine = PBWEngine(table)
-        u = cand.build(engine)
-        got, built = signflip_builds(monkeypatch, cand, engine, u, seed)
-        monkeypatch.undo()
-        assert got is None
-        assert built == list(drawn_orders(cand, table, seed, 20))
-        if len(cand.odd_ids) == 2:
-            assert built == [(1, 0)]
+        u = cand.build(engine).body
+        clash = clashing_pairs(cand, table)
+        for size in range(len(clash) + 1):
+            for swapped in itertools.combinations(clash, size):
+                order = list(ids)
+                for i, j in swapped:
+                    order[i], order[j] = order[j], order[i]
+                w = cand.build(engine, order).body
+                assert w == el_scale(u, (-1) ** size), (text, N, seed, swapped)
 
 
-def test_signflip_reports_a_spoiled_order_drawn_after_a_repeat(monkeypatch):
-    """An order whose build is neither u nor -u is the counterexample even
-    when an earlier draw fell in a class already tried and was skipped."""
-    params, table = params_for("B-I:m=1,n=2", 1, 0)
-    cand = candidate(params, table)
-    orders = drawn_orders(cand, table, 0, 20)
-    # the first order drawn after a skipped draw: more trials than orders before it
-    spoil, at = next((o, t) for i, (o, t) in enumerate(orders.items()) if t > i)
-    engine = PBWEngine(table)
-    u = cand.build(engine)
-    got, built = signflip_builds(monkeypatch, cand, engine, u, 0, spoil)
-    assert tuple(got) == spoil
-    assert built == [o for o, t in orders.items() if t <= at]
+@pytest.mark.parametrize("text", grid_cases() + SMALL_OSP)
+def test_grid_clashing_pairs_are_disjoint(text):
+    """The sign-flip certificate's premises hold on every standard-grid case
+    at its levels and on the osp cases with m, n <= 3 off the grid at levels
+    1 and the next, each at seeds 0..2: the candidate's clashing pairs are
+    disjoint, K/2 of them (none in B-II); c = 1 - <rho, h_gamma>, so the
+    tail f_gamma^(N + c) is the top of gamma's string; and each pair's
+    bracket kills the tail vector, applied through act."""
+    alg = build_context(CaseId.parse(text)).alg
+    for N in levels(text) or ([1, 3] if alg.case.odd_gamma else [1, 2]):
+        for seed in range(3):
+            params, table = params_for(text, N, seed)
+            cand = candidate(params, table)
+            clash = clashing_pairs(cand, table)
+            places = [i for pair in clash for i in pair]
+            assert len(places) == len(set(places))
+            assert len(clash) == (0 if text.startswith("B-II") else len(cand.odd_ids) // 2)
+            ((_, top),) = cand.tail_ids
+            assert top - N == 1 - alg.coroot_pairing(alg.rho, alg.gamma)
+            engine = PBWEngine(table)
+            tail = VermaVector(engine.import_element({cand.tail_ids: 1}), params.lam)
+            for i, j in clash:
+                bracket = table.bracket(cand.odd_ids[i], cand.odd_ids[j])
+                z = engine.import_element({(table.powers[g, 1],): c for g, c in bracket.items()})
+                assert act(z, tail, engine).is_zero(), (text, N, seed, i, j)
 
 
-def test_orders_of_one_class_build_one_vector_up_to_sign():
-    """Reference for the class rule on every standard-grid point at seeds
-    0..2: every distinct drawn order, built exactly, is u or -u, and one
-    drawn in a class already tried is its class's first build times
-    (-1)^d, for the d pairs of odd factors the two orders put the other
-    way round, none of them clashing, so each swap anticommutes."""
+def test_signflip_certificate_builds_no_candidate_and_draws_nothing(monkeypatch):
+    """On every standard-grid point at seeds 0..2 the sign-flip check
+    certifies every order with no Candidate.build call and no random draw."""
+    points = []
     for text, N in full_grid():
         for seed in range(3):
             params, table = params_for(text, N, seed)
-            cand = candidate(params, table)
-            ids = cand.odd_ids
-            assert all(table.odd[g] for g in ids)
-            engine = PBWEngine(table)
-            u = cand.build(engine).body
-            identity = tuple(range(len(ids)))
-            first = {identity: (identity, u)}
-            built = {identity}
-            for _, perm, form in signflip_draws(cand, table, seed, cli.SIGNFLIP_SAMPLES):
-                if perm in built:
-                    continue
-                built.add(perm)
-                w = cand.build(engine, [ids[i] for i in perm]).body
-                assert w in (u, el_scale(u, -1)), (text, N, seed, perm)
-                start, body = first.setdefault(form, (perm, w))
-                at, at_start = ({f: k for k, f in enumerate(p)} for p in (perm, start))
-                swapped = [
-                    (i, j) for i in identity for j in identity[i + 1:]
-                    if (at[i] < at[j]) != (at_start[i] < at_start[j])
-                ]
-                assert not set(swapped) & set(clashing_pairs(cand, table))
-                assert w == el_scale(body, (-1) ** len(swapped)), (text, N, seed, perm, start)
-
-
-@pytest.mark.parametrize("text", [t for t in grid_cases() if t.startswith("B-II")])
-def test_b2_signflip_makes_no_draw_and_no_rebuild(text, monkeypatch):
-    """B-II's odd factors have no clashing pair, so every order is in the
-    identity's class: at each grid level and seeds 0..2 the check draws no
-    order and builds none."""
-    points = []
-    for N in levels(text):
-        for seed in range(3):
-            params, table = params_for(text, N, seed)
-            cand = candidate(params, table)
-            engine = PBWEngine(table)
-            points.append((cand, engine, cand.build(engine), seed))
-    draws, builds = [], []
-    shuffle = random.Random.shuffle
-    monkeypatch.setattr(random.Random, "shuffle", lambda self, x: draws.append(x) or shuffle(self, x))
-    monkeypatch.setattr(Candidate, "build", lambda *args: builds.append(args))
-    for cand, engine, u, seed in points:
-        assert signflip_counterexample(cand, engine, u, seed, cli.SIGNFLIP_SAMPLES) is None
-    assert draws == [] and builds == []
-
-
-@pytest.mark.parametrize("text", grid_cases())
-def test_grid_clashing_pairs_are_disjoint(text):
-    """On every standard-grid case the candidate's clashing pairs are
-    disjoint, K/2 of them (none in B-II), so each of the 2^k ways to order
-    them is a class of its own, and the check's stop once 2^k classes are
-    tried is exact."""
-    for N in levels(text):
-        params, table = params_for(text, N)
-        cand = candidate(params, table)
-        clash = clashing_pairs(cand, table)
-        places = [i for pair in clash for i in pair]
-        assert len(places) == len(set(places))
-        assert len(clash) == (0 if text.startswith("B-II") else len(cand.odd_ids) // 2)
+            points.append((candidate(params, table), PBWEngine(table)))
+    calls = []
+    for cls, name in ((Candidate, "build"), (random.Random, "random"), (random.Random, "getrandbits")):
+        monkeypatch.setattr(cls, name, lambda *args, name=name: calls.append(name))
+    for cand, engine in points:
+        assert signflip_counterexample(cand, engine) is None
+    assert calls == []
 
 
 @pytest.mark.parametrize("text", ["B-I:m=1,n=1", "G3", "D-II:m=2,n=2", "F31"])
 def test_rebuilds_resolve_no_roots(text, monkeypatch):
     """The candidate's factors and tail are generator ids from the start, so
-    no build, neither a sign-flip rebuild nor a witness step, resolves a
-    root (AlgebraData.as_index).  The candidate keeps the images of
-    its last (engine, tail) only: the sign-flip rebuilds reuse u's action,
-    the witness engine keeps the spec's tail and, for an odd gamma, the
-    candidate's own, a scalar multiple of it whose images it never shares,
-    and after the witness run the memo holds that last key alone."""
+    no build, neither the candidate nor a witness step, resolves a root
+    (AlgebraData.as_index), and neither does the sign-flip check, which
+    builds nothing and makes one module action of its own.  The candidate
+    keeps the images of its last (engine, tail) only: the witness engine
+    keeps the spec's tail and, for an odd gamma, the candidate's own, a
+    scalar multiple of it whose images it never shares, and after the
+    witness run the memo holds that last key alone."""
     params, table = params_for(text, 1)
     cand = candidate(params, table)
     lookups = []
@@ -529,16 +453,15 @@ def test_rebuilds_resolve_no_roots(text, monkeypatch):
     monkeypatch.setattr(_Action, "__init__", counted_action)
     monkeypatch.setattr(Candidate, "build", counted_build)
     engine = PBWEngine(table)
-    u = cand.build(engine)
+    cand.build(engine)
     del lookups[:]
     assert len(actions) == 1
-    assert signflip_counterexample(cand, engine, u, 0, 20) is None
+    assert signflip_counterexample(cand, engine) is None
     assert lookups == []
-    assert len(actions) == 1
+    assert len(actions) == 2
     assert run_witness(cand, table).ok
     spec = witness_spec(cand, table.alg)
-    rebuilds = len(drawn_orders(cand, table, 0, 20))
-    assert per_build == [0] * (1 + rebuilds + len(spec.steps) + 1)
+    assert per_build == [0] * (1 + len(spec.steps) + 1)
 
     (witness_engine, last_tail), _, _ = cand._images
     assert witness_engine is not engine and witness_engine.tail == spec.order_tail
