@@ -311,6 +311,21 @@ MUTANTS = (
         ("tests/test_cli.py::test_a_factor_in_two_clashing_pairs_is_the_counterexample",),
     ),
     Mutant(
+        "witness-tail-scalar-dropped",
+        "singular.py",
+        "_exact(s * first)",
+        "_exact(first)",
+        ("tests/test_witnesses.py::test_candidate_coefficient_matches_a_build_on_the_candidates_own_tail",
+         "tests/test_golden.py::test_output_matches_golden[grid_seed0.ndjson]"),
+    ),
+    Mutant(
+        "witness-ladder-power-off-by-a-stride",
+        "singular.py",
+        "N + stride * (k - 1) - 1",
+        "N + stride * k - 1",
+        ("tests/test_cli.py::test_a_two_pivot_witness_ladder_holds",),
+    ),
+    Mutant(
         "signflip-clash-test-inverted",
         "singular.py",
         "if table.bracket(ids[i], ids[j])]",

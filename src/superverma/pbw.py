@@ -102,7 +102,7 @@ class PBWEngine:
     enumeration index, except that `tail` moves the listed generators to
     the end of the lowering block, in the given order.  A tail that lists
     every lowering generator prescribes the whole block.  Compared by
-    identity, so two engines of equal orders are distinct dict keys.
+    identity.
     """
 
     table: BracketTable

@@ -52,7 +52,7 @@ from .rootdata import (
     format_weight,
     pairing,
 )
-from .superalgebra import BracketTable, Coefficient, _merge, build_structure_constants
+from .superalgebra import BracketTable, Coefficient, _exact, _merge, build_structure_constants
 from .verma import VermaVector, _Action, is_singular
 
 
@@ -208,33 +208,26 @@ class Candidate:
         self.odd = odd
         self.odd_ids = odd_ids
         self.tail_ids = tail_ids
-        # for one (engine, tail as a generator-id monomial) at a time, the key,
-        # the action of M(lambda) and the U(n^+) monomials' images on tail v+,
-        # never read for another tail, even a scalar multiple.  A build for a
-        # new key drops them: the CLI builds u, then the witness steps, and
-        # never returns to a key
-        self._images: Optional[Tuple[Tuple[PBWEngine, Monomial], _Action, Dict[Monomial, UEAElement]]] = None
 
     def build(
         self,
         engine: PBWEngine,
         factors: Optional[Sequence[int]] = None,
-        tail: Optional[Monomial] = None,
+        images: Optional[Dict[Monomial, UEAElement]] = None,
     ) -> VermaVector:
         """The word of raising factors, as generator ids (the odd factors
-        by default), straightened in U(n^+), acting once on tail v+, with
-        tail a monomial of lowering generator ids (the candidate's tail by
-        default), through _Action.words with the kept images, which are
-        kept for the last (engine, tail) only."""
+        by default), straightened in U(n^+), acting once on images[()] v+
+        through _Action.words, which reads and extends images: U(n^+)
+        monomials' images on images[()] v+ under this engine and lambda.
+        By default images is fresh, on the candidate's tail, and dropped
+        when the call returns."""
         lam = self.params.lam
         factors = self.odd_ids if factors is None else factors
-        key = (engine, self.tail_ids if tail is None else tail)
-        if self._images is None or self._images[0] != key:
-            self._images = (key, _Action(engine, lam), {(): engine.import_element({key[1]: 1})})
-        _, action, images = self._images
+        if images is None:
+            images = {(): engine.import_element({self.tail_ids: 1})}
         powers = engine.table.powers
         word = engine.import_element({tuple(powers[g, 1] for g in factors): 1})
-        return VermaVector(action.words(word, images), lam)
+        return VermaVector(_Action(engine, lam).words(word, images), lam)
 
 
 # the F31 and G3 odd factors, by root name, in application order
@@ -547,8 +540,7 @@ class WitnessStep(NamedTuple):
 class WitnessSpec(NamedTuple):
     # the lowering generators the witness engine orders last, as positive-root indices
     order_tail: Tuple[int, ...]
-    # the lowering tail f_gamma^(N + c), as PBW exponents, that every step acts on
-    tail: Tuple[Tuple[int, int], ...]
+    # the last step applies no factor: its v_mono is the tail every step acts on
     steps: Tuple[WitnessStep, ...]
 
 
@@ -565,7 +557,7 @@ def _f_power(alg: AlgebraData, i: int, e: int) -> Tuple[Tuple[int, int], ...]:
     return ((i, e),)
 
 
-def _named_spec(alg: AlgebraData, order, tail, factors, v_monos) -> WitnessSpec:
+def _named_spec(alg: AlgebraData, order, factors, v_monos) -> WitnessSpec:
     """A hand-written spec, its roots given by name or index, resolved once:
     step k, from 0, applies factors[k:] and reads v_monos[k]."""
     ix = alg.as_index
@@ -573,7 +565,7 @@ def _named_spec(alg: AlgebraData, order, tail, factors, v_monos) -> WitnessSpec:
         WitnessStep(k, tuple(ix(r) for r in factors[k:]), tuple((ix(r), e) for r, e in mono))
         for k, mono in enumerate(v_monos)
     )
-    return WitnessSpec(tuple(ix(r) for r in order), tail, steps)
+    return WitnessSpec(tuple(ix(r) for r in order), steps)
 
 
 def witness_spec(cand: Candidate, alg: AlgebraData) -> WitnessSpec:
@@ -602,7 +594,7 @@ def witness_spec(cand: Candidate, alg: AlgebraData) -> WitnessSpec:
             ((c[0], 1), ("D", N + 3)),
             tail,
         ]
-        return _named_spec(alg, order, tail, c, v_monos)
+        return _named_spec(alg, order, c, v_monos)
 
     if alg.case.family == "G3":
         M = (N - 1) // 2
@@ -620,7 +612,7 @@ def witness_spec(cand: Candidate, alg: AlgebraData) -> WitnessSpec:
             (("D+e3", 1), ("D", 1), ("2D", M + 2)),
             tail,
         ]
-        return _named_spec(alg, order, tail, factors, v_monos)
+        return _named_spec(alg, order, factors, v_monos)
 
     pivots, block = _osp_shape(alg)
     root, at = alg.root_of, alg.at
@@ -652,7 +644,7 @@ def witness_spec(cand: Candidate, alg: AlgebraData) -> WitnessSpec:
         else:
             mono = tail
         steps.append(WitnessStep(k, factors, tuple(mono)))
-    return WitnessSpec(tuple(covered), tail, tuple(steps))
+    return WitnessSpec(tuple(covered), tuple(steps))
 
 
 class WitnessRow(NamedTuple):
@@ -688,18 +680,21 @@ def witness_monomial(engine: PBWEngine, mono_spec: Sequence[Tuple[RootSpec, int]
 def run_witness(cand: Candidate, table: BracketTable) -> WitnessReport:
     spec = witness_spec(cand, table.alg)
     engine = PBWEngine(table, [table.f_id(i) for i in spec.order_tail])
-    tail = tuple(table.powers[table.f_id(i), e] for i, e in spec.tail)
+    # every build reads one dict on the candidate's tail in normal form, s * tail,
+    # with s = (c/2)^k for an odd gamma through x^2 = [x, x] / 2, else 1
+    ((tail, s),) = engine.import_element({cand.tail_ids: 1}).items()
+    images = {(): {tail: 1}}
     rows = []
     for step in spec.steps:
         ids = [table.e_id(i) for i in step.e_factors]
-        u_k = cand.build(engine, ids, tail)
+        u_k = cand.build(engine, ids, images)
         mono = witness_monomial(engine, step.v_mono)
         coeff = u_k.body.get(mono, 0)
         weight_ok = _of_weight(engine, u_k.body, engine.element_lattice({mono: 1}))
         rows.append(WitnessRow(step.label, coeff, weight_ok))
-    u = cand.build(engine)
+    u = cand.build(engine, images=images)
     first = u.body.get(witness_monomial(engine, spec.steps[0].v_mono), 0)
-    return WitnessReport(tuple(rows), first)
+    return WitnessReport(tuple(rows), _exact(s * first))
 
 
 def signflip_counterexample(cand: Candidate, engine: PBWEngine) -> Optional[str]:

@@ -21,15 +21,15 @@ a time, from the right, inside the module:
 
 _Action.words is the module's one word loop: each word acts from its
 longest suffix with a known image, one power at a time.  act starts it from
-the body alone, singular.Candidate from its kept images; is_singular applies
-each simple raising generator and keeps the first failing image.
+the body alone, singular.Candidate.build from the images it is given;
+is_singular applies each simple raising generator and keeps the first
+failing image.
 
 Nothing keyed on lambda outlives a call: each call builds its own _Action,
 which derives only <lambda - rho, h_j>, one dot product of lambda with the
 bracket table's cartan_rows[j] less its stored <rho, h_j>, and reads the
 lambda-free <wt(f), h_j> from the table's pairings.  lambda's coordinates
-may be of any exact type; nothing converts them.  singular.Candidate keeps
-one _Action beside its images.
+may be of any exact type; nothing converts them.
 """
 
 from __future__ import annotations

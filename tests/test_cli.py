@@ -419,6 +419,63 @@ def test_a_failed_root_lookup_is_an_internal_error(capsys, monkeypatch):
     assert err == f"internal error at D-I:m=1,n=2 N=1 seed=0: RootDataError: no positive root has lattice key {key}\n"
 
 
+def test_a_failed_level_solve_is_an_internal_error(capsys, monkeypatch):
+    """default_lambda solves <lambda, h_gamma> = N by one dot product and
+    checks it with coroot_pairing; a solve that misses, here through a
+    pairing off by one, exits 3 and names its grid point."""
+    real = singular.pairing
+    monkeypatch.setattr(singular, "pairing", lambda row, w: real(row, w) + 1)
+    code, out, err = run(capsys, "verify", "--case", "D-I", "--m", "1", "--n", "2", "--N", "1")
+    assert (code, out) == (3, "")
+    assert err == ("internal error at D-I:m=1,n=2 N=1 seed=0: RootDataError:"
+                   " solving <lambda, h_gamma> = 1 for D-I:m=1,n=2 failed\n")
+
+
+def test_odd_factors_off_a_gamma_multiple_are_an_internal_error(capsys, monkeypatch):
+    """The odd factors must sum to c * gamma; F31's list with its first
+    factor dropped does not, so the candidate exits 3 naming its point."""
+    monkeypatch.setattr(singular, "F31_FACTOR_ORDER", singular.F31_FACTOR_ORDER[1:])
+    code, out, err = run(capsys, "verify", "--case", "F31", "--N", "1")
+    assert (code, out) == (3, "")
+    assert err == ("internal error at F31 N=1 seed=0: RootDataError:"
+                   " the odd factors of F31 do not sum to a multiple of gamma\n")
+
+
+def test_a_chain_weight_off_its_pairings_is_an_internal_error(capsys, monkeypatch):
+    """chain_weight draws a weight whose every chain pairing is a positive
+    integer; a chain that reflects twice in its first kappa pairs the second
+    time to -p, so the orbit exits 3 and names its chain."""
+    real = singular.chain_kappas
+    monkeypatch.setattr(singular, "chain_kappas", lambda target, alg: real(target, alg)[:1] + real(target, alg))
+    code, out, err = run(capsys, "orbit", "--case", "B-I", "--m", "2", "--n", "2", "--C", "1")
+    assert (code, out) == (3, "")
+    assert err == ("internal error at B-I:m=2,n=2 C=1 target=1 seed=0: RootDataError:"
+                   " B-I:m=2,n=2: chain weight 5/2,1/2,-2,-3 pairs to -2 with d1-d2\n")
+
+
+def test_chain_weight_refuses_a_p_below_one():
+    """The CLI refuses --p below 1 before set-up; the library's chain_weight
+    refuses it too, before it draws anything."""
+    alg = build_context(CaseId("B-I", 2, 2)).alg
+    kappas = singular.chain_kappas(1, alg)
+    for p in (0, -1):
+        with pytest.raises(InvalidParams, match="^p must be a positive integer$"):
+            singular.chain_weight(1, kappas, 0, alg, p_first=p)
+    assert singular.chain_weight(1, kappas, 0, alg, p_first=1)
+
+
+def test_a_two_pivot_witness_ladder_holds(capsys):
+    """D-II m=1 n=2 at N=2 has two pivots and a one-place block, so its
+    ladder has one step of weight gamma times a power of f_gamma and the
+    bare tail; both coefficients, and the candidate's, are pinned."""
+    code, out, err = run(capsys, "verify", "--case", "D-II", "--m", "1", "--n", "2",
+                         "--N", "2", "--check", "witness", "--json")
+    rec = json.loads(out)
+    assert (code, err) == (0, "")
+    assert rec["witness_ok"] is True and rec["counterexample"] is None
+    assert (rec["witness_coefficients"], rec["candidate_coefficient"]) == (["48", "1"], "48")
+
+
 def dump_script():
     """scripts/dump_structure_constants.py as a module."""
     path = Path(__file__).resolve().parent.parent / "scripts" / "dump_structure_constants.py"
@@ -801,7 +858,7 @@ def spoil_candidate(monkeypatch, spoil):
     def spoiled(params, alg):
         cand = real(params, alg)
         build = cand.build
-        cand.build = lambda engine, *args: spoil(build(engine, *args), engine)
+        cand.build = lambda engine, *args, **kwargs: spoil(build(engine, *args, **kwargs), engine)
         return cand
 
     monkeypatch.setattr(cli, "candidate", spoiled)

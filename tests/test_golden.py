@@ -131,7 +131,7 @@ def witness_specs() -> str:
                 mono = sorted(_powers(alg, [(i, e)]) for i, e in step.v_mono if e)
                 lines.append(f"  step {step.label} "
                              + " ".join(alg.pos_roots[i].name for i in step.e_factors)
-                             + " | " + _powers(alg, spec.tail)
+                             + " | " + _powers(alg, spec.steps[-1].v_mono)
                              + " | " + " ".join(mono))
     return "".join(line + "\n" for line in lines)
 

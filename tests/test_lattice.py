@@ -230,7 +230,7 @@ def test_candidates_and_witness_specs_match_the_fraction_reference(case):
         order, tail, steps = ref_witness_spec(alg, N, factors)
         spec = witness_spec(cand, alg)
         assert weights_of(alg, spec.order_tail) == order
-        assert powers_of(alg, spec.tail) == tail
+        assert powers_of(alg, spec.steps[-1].v_mono) == tail
         assert [(s.label, weights_of(alg, s.e_factors), powers_of(alg, s.v_mono)) for s in spec.steps] == steps
 
         engine = PBWEngine(table, spec.order_tail)

@@ -163,15 +163,6 @@ def test_a_report_record_refuses_assignment(records, name):
     assert getattr(record, field) is not None
 
 
-def test_engines_of_equal_orders_are_distinct_keys():
-    """Candidate keeps its images for one (engine, tail) key: an engine is
-    compared by identity, so an equal order built again is a new key."""
-    table = build_context(CaseId("B-II", 1, 1))
-    one, two = PBWEngine(table, (0,)), PBWEngine(table, (0,))
-    assert one.sequence == two.sequence and one != two
-    assert len({(one, ()): 1, (two, ()): 2}) == 2
-
-
 def test_algebra_data_is_not_hashed_by_content():
     """It holds dicts: a copy with every field equal is another key."""
     alg = build_context(CaseId("B-II", 1, 1)).alg

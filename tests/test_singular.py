@@ -26,6 +26,7 @@ from superverma.singular import (
     run_witness,
     signflip_counterexample,
     validate_params,
+    witness_monomial,
     witness_spec,
 )
 from superverma.verma import VermaVector, _Action, act, highest_weight_vector, is_singular, weight_of
@@ -308,14 +309,14 @@ def test_straightened_factors_match_one_at_a_time(text):
     body of the factor-at-a-time reference exactly: for the candidate under
     the default engine and the witness engine, and for every witness step
     under the witness engine, each in its own order and five seeded
-    permutations, all through one Candidate, whose dict of monomial images
-    each (engine, tail) shares."""
+    permutations, all through one Candidate and one dict of monomial
+    images per (engine, tail), which every order on it shares."""
     params, table = params_for(text, 1)
     cand = candidate(params, table)
     odd, tail = cand.odd_ids, cand.tail_ids
     spec = witness_spec(cand, table.alg)
     witness_engine = PBWEngine(table, spec.order_tail)
-    spec_tail = tuple((table.f_gen(w), e) for w, e in spec.tail)
+    spec_tail = tuple((table.f_gen(w), e) for w, e in spec.steps[-1].v_mono)
     jobs = [(PBWEngine(table), odd, tail), (witness_engine, odd, tail)]
     jobs += [
         (witness_engine, [table.e_gen(w) for w in step.e_factors], spec_tail)
@@ -323,9 +324,10 @@ def test_straightened_factors_match_one_at_a_time(text):
     ]
     rng = random.Random(f"straighten:{text}")
     for engine, e_factors, tail in jobs:
+        images = {(): engine.import_element({tail: 1})}
         orders = [list(e_factors)] + [rng.sample(e_factors, len(e_factors)) for _ in range(5)]
         for factors in orders:
-            got = cand.build(engine, factors, tail)
+            got = cand.build(engine, factors, images)
             want = apply_one_at_a_time(engine, params.lam, factors, tail)
             assert got.body == want.body, (text, engine.sequence, factors)
 
@@ -418,13 +420,13 @@ def test_rebuilds_resolve_no_roots(text, monkeypatch):
     """The candidate's factors and tail are generator ids from the start, so
     no build, neither the candidate nor a witness step, resolves a root
     (AlgebraData.as_index), and neither does the sign-flip check, which
-    builds nothing and makes one module action of its own.  The candidate
-    keeps the images of its last (engine, tail) only: the witness engine
-    keeps the spec's tail and, for an odd gamma, the candidate's own, a
-    scalar multiple of it whose images it never shares, and after the
-    witness run the memo holds that last key alone."""
+    builds nothing and makes one module action of its own.  A candidate
+    holds no images: one witness run makes one dict, on the normal form of
+    the candidate's tail, and every build of the run reads it, the
+    candidate's own too, for an odd gamma as well."""
     params, table = params_for(text, 1)
     cand = candidate(params, table)
+    fields = {"params", "odd", "odd_ids", "tail_ids"}
     lookups = []
     actions = []
     real_index, real_build, real_action = AlgebraData.as_index, Candidate.build, _Action.__init__
@@ -438,15 +440,14 @@ def test_rebuilds_resolve_no_roots(text, monkeypatch):
         real_action(self, *args)
 
     per_build = []
-    memos = {}
+    dicts = []
 
-    def counted_build(self, *args):
+    def counted_build(self, engine, factors=None, images=None):
         before = len(lookups)
-        u = real_build(self, *args)
+        u = real_build(self, engine, factors, images)
         per_build.append(len(lookups) - before)
-        key, _, images = self._images
-        memos.setdefault(key, images)
-        assert memos[key] is images
+        dicts.append(images)
+        assert set(vars(self)) == fields
         return u
 
     monkeypatch.setattr(AlgebraData, "as_index", counted_index)
@@ -462,16 +463,16 @@ def test_rebuilds_resolve_no_roots(text, monkeypatch):
     assert run_witness(cand, table).ok
     spec = witness_spec(cand, table.alg)
     assert per_build == [0] * (1 + len(spec.steps) + 1)
+    assert set(vars(cand)) == fields
 
-    (witness_engine, last_tail), _, _ = cand._images
-    assert witness_engine is not engine and witness_engine.tail == spec.order_tail
-    spec_tail = tuple((table.f_gen(w), e) for w, e in spec.tail)
-    assert (spec_tail != cand.tail_ids) == table.alg.gamma.odd
-    assert last_tail == cand.tail_ids
-    assert set(memos) == {
-        (engine, cand.tail_ids), (witness_engine, spec_tail), (witness_engine, cand.tail_ids),
-    }
-    if table.alg.gamma.odd:
-        own = memos[(witness_engine, cand.tail_ids)]
-        split = memos[(witness_engine, spec_tail)]
-        assert own is not split and own[()] != split[()]
+    assert dicts[0] is None
+    images = dicts[1]
+    assert all(d is images for d in dicts[1:])
+    witness_engine = PBWEngine(table, [table.f_id(i) for i in spec.order_tail])
+    tail = witness_monomial(witness_engine, spec.steps[-1].v_mono)
+    assert images[()] == {tail: 1}
+    ((own, s),) = witness_engine.import_element({cand.tail_ids: 1}).items()
+    assert own == tail and (s != 1) == table.alg.gamma.odd
+    # the candidate's straightened word is among the images the run kept
+    word = witness_engine.import_element({tuple(table.powers[g, 1] for g in cand.odd_ids): 1})
+    assert set(word) <= set(images)

@@ -380,8 +380,8 @@ def test_alternating_highest_weights_match_fresh_engines():
 def test_candidates_at_two_weights_share_an_engine():
     """Two candidates at different highest weights, built suffix by suffix
     on one shared engine, with act and is_singular at the other weight in
-    between, equal what fresh engines give: each candidate keeps its own
-    action, and the engine keeps nothing keyed on a highest weight."""
+    between, equal what fresh engines give: each build makes its own action
+    and images, and the engine keeps nothing keyed on a highest weight."""
     case = CaseId.parse("D-II:m=2,n=2")
     table = build_context(case)
     shared = PBWEngine(table)

@@ -24,6 +24,7 @@ from superverma.singular import (
     witness_spec,
 )
 from superverma.verma import VermaVector, act, highest_weight_vector
+from test_acceptance import full_grid
 
 
 def report_for(text: str, N: int, seed: int = 1):
@@ -68,7 +69,7 @@ def test_g3_partial_product_is_proportional_to_candidate():
     engine = PBWEngine(table, spec.order_tail)
     step = spec.steps[0]
     v = highest_weight_vector(lam)
-    for w, exp in reversed(spec.tail):
+    for w, exp in reversed(spec.steps[-1].v_mono):
         v = act(engine.gen(engine.table.f_gen(w), exp), v, engine)
     for w in reversed(step.e_factors):
         v = act(engine.gen(engine.table.e_gen(w)), v, engine)
@@ -77,6 +78,26 @@ def test_g3_partial_product_is_proportional_to_candidate():
     ratio = u.body[mono] / v.body[mono]
     assert ratio != 0
     assert u.body == {m: ratio * c for m, c in v.body.items()}
+
+
+def test_candidate_coefficient_matches_a_build_on_the_candidates_own_tail():
+    """Reference for the one images dict: at every standard-grid point,
+    seeds 0..2, run_witness reads the candidate's coefficient on the normal
+    form of its tail and scales it by that form's scalar, and it equals the
+    coefficient read from the candidate built on its own tail f_gamma^(N + c)
+    under the witness engine, an int or a Fraction alike.  For an odd gamma
+    (B-I, G3) the two tails differ by (c/2)^k."""
+    for text, N in full_grid():
+        case = CaseId.parse(text)
+        table = build_context(case)
+        for seed in range(3):
+            cand = candidate(CaseParams(N, default_lambda(case, N, seed)), table)
+            spec = witness_spec(cand, table.alg)
+            engine = PBWEngine(table, [table.f_id(i) for i in spec.order_tail])
+            u = cand.build(engine)
+            want = u.body.get(witness_monomial(engine, spec.steps[0].v_mono), 0)
+            got = run_witness(cand, table).candidate_coefficient
+            assert (type(got), got) == (type(want), want), (text, N, seed)
 
 
 def test_osp_witness_chains_small():
@@ -147,8 +168,8 @@ def test_mixed_witness_step_fails_its_weight_check(monkeypatch):
     weight_ok false in its row instead of raising."""
     real = Candidate.build
 
-    def with_stray(self, *args):
-        u = real(self, *args)
+    def with_stray(self, *args, **kwargs):
+        u = real(self, *args, **kwargs)
         return VermaVector({**u.body, (): 1}, u.highest_weight)
 
     monkeypatch.setattr(Candidate, "build", with_stray)
