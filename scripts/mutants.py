@@ -332,6 +332,21 @@ MUTANTS = (
         "if not table.bracket(ids[i], ids[j])]",
         ("tests/test_singular.py::test_signflip_certificate_builds_no_candidate_and_draws_nothing",),
     ),
+    Mutant(
+        "settled-every-root",
+        "singular.py",
+        "        if not left:\n            settled[j] = \"annihilated\"",
+        "        if True:\n            settled[j] = \"annihilated\"",
+        ("tests/test_cli.py::test_a_tail_above_the_top_fails_the_singular_check",
+         "tests/test_cli.py::test_a_dropped_factor_fails_the_singular_check"),
+    ),
+    Mutant(
+        "settled-commutator-sign-flipped-for-an-even-root",
+        "singular.py",
+        "1 if table.odd[e] and word_odd else -1",
+        "1 if not table.odd[e] or word_odd else -1",
+        ("tests/test_singular.py::test_settled_roots_are_pinned",),
+    ),
 )
 
 

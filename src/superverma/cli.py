@@ -56,6 +56,7 @@ from .singular import (
     default_lambda,
     propagate_chain,
     run_witness,
+    settled_roots,
     signflip_counterexample,
 )
 from .superalgebra import check_jacobi, check_reference_scaling
@@ -251,7 +252,8 @@ def _verify_point(job):
     if problem is not None and counterexample is None:
         counterexample = problem
     if "singular" in checks:
-        report = is_singular(u, engine)
+        # u is cand.build(engine) on the default factors, as settled_roots needs
+        report = is_singular(u, engine, settled_roots(cand, table))
         rec["singular_ok"] = report.ok
         rec["residuals"] = [[name, count] for name, count in report.residuals]
         if report.failure is not None and counterexample is None:

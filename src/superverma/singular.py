@@ -12,6 +12,11 @@ orbit chain's kappas and final beta are found by int steps on the root
 data's packed lattice (AlgebraData.keys, unit_key and at), and weights are
 compared as lattice points.
 
+u is E f_gamma^(N + c) v+ for the straightened word E, so a simple root
+e_j kills it by an identity in U(n^+) alone when e_j E = 0, or when e_j
+supercommutes with E and with f_gamma (settled_roots); verify raises u by
+the other simple roots only.
+
 A case is its bracket table (build_context): every entry point takes the
 table, reads the case from table.alg, and builds the engines it uses,
 which cache nothing.
@@ -259,6 +264,44 @@ def candidate(params: CaseParams, table: BracketTable) -> Candidate:
 def candidate_u(params: CaseParams, table: BracketTable) -> VermaVector:
     """The candidate singular vector of weight lambda - rho - N*gamma."""
     return candidate(params, table).build(PBWEngine(table))
+
+
+def settled_roots(cand: Candidate, table: BracketTable) -> Dict[int, str]:
+    """The simple roots j (as simple-root indices) whose raising generator
+    e_j kills u = E T for the candidate's straightened word E of odd
+    factors and T = f_gamma^(N + c) v+, each with its premise, an exact
+    identity in U(n^+) that engine.multiply computes:
+
+    - "annihilated": e_j E = 0, so e_j u = 0;
+    - "commuting": e_j E - (-1)^(|e_j||E|) E e_j = 0 and [e_j, f_gamma] = 0,
+      so e_j u = +- E e_j T, and e_j T = 0 as e_j v+ = 0.
+
+    Neither premise reads lambda, N or an image of the build.  The result
+    is kept on the table, keyed by the factor ids and the tail's generator,
+    and is shared: callers only read it."""
+    ((f, _),) = cand.tail_ids
+    key = (cand.odd_ids, f)
+    settled = table.settled.get(key)
+    if settled is not None:
+        return settled
+    engine = PBWEngine(table)
+    powers = table.powers
+    word = engine.import_element({tuple(powers[g, 1] for g in cand.odd_ids): 1})
+    word_odd = sum(table.odd[g] for g in cand.odd_ids) % 2
+    settled = {}
+    for j, i in enumerate(table.alg.simple_pos_index):
+        e = table.e_id(i)
+        e_j = {(powers[e, 1],): 1}
+        left = engine.multiply(e_j, word)
+        if not left:
+            settled[j] = "annihilated"
+        elif not table.bracket(e, f):
+            # left - (-1)^(|e_j||E|) E e_j
+            _merge(left, engine.multiply(word, e_j), 1 if table.odd[e] and word_odd else -1)
+            if not left:
+                settled[j] = "commuting"
+    table.settled[key] = settled
+    return settled
 
 
 def claimed_drop(params: CaseParams, alg: AlgebraData) -> Tuple[int, ...]:

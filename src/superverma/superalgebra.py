@@ -202,6 +202,9 @@ class BracketTable:
     # powers[g, e] is the one (g, e) pair that every monomial built on this
     # table shares, filled on demand and freed with the table
     powers: PowerStore
+    # singular.settled_roots, keyed (odd factor ids, tail generator id),
+    # filled on first use
+    settled: Dict[Tuple[Tuple[int, ...], int], Dict[int, str]]
 
     def __init__(
         self, alg: AlgebraData, basis: Tuple[BasisElement, ...], entries: Dict[Tuple[int, int], Value]
@@ -221,6 +224,7 @@ class BracketTable:
         self.odd = tuple(el.odd for el in basis)
         self._ad_cache = {}
         self.powers = PowerStore()
+        self.settled = {}
 
     @property
     def dim(self) -> int:

@@ -22,8 +22,9 @@ a time, from the right, inside the module:
 _Action.words is the module's one word loop: each word acts from its
 longest suffix with a known image, one power at a time.  act starts it from
 the body alone, singular.Candidate.build from the images it is given;
-is_singular applies each simple raising generator and keeps the first
-failing image.
+is_singular applies each simple raising generator, but those of the roots
+its caller proves kill the vector (verify's singular.settled_roots), and
+keeps the first failing image.
 
 Nothing keyed on lambda outlives a call: each call builds its own _Action,
 which derives only <lambda - rho, h_j>, one dot product of lambda with the
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Container, Dict, NamedTuple, Optional, Tuple
 
 from .pbw import Monomial, PBWEngine, UEAElement
 from .rootdata import Weight, pairing, wdiff, wsum
@@ -174,13 +175,17 @@ class SingularityReport(NamedTuple):
     failure: Optional[Tuple[str, UEAElement]]
 
 
-def is_singular(v: VermaVector, engine: PBWEngine) -> SingularityReport:
+def is_singular(v: VermaVector, engine: PBWEngine, settled: Container[int] = ()) -> SingularityReport:
     """Check that v is nonzero and killed by every raising simple generator.
 
     The residual list names each simple root together with the number of
     surviving terms, so a failure is attributable; the first nonzero image
     is kept as the failure.  The body is raised whole, scaled to integral
-    coefficients, as act raises it.
+    coefficients, as act raises it, by every simple root but those in
+    settled (simple-root indices), which read residual 0 unraised.  Only a
+    root proven to kill v may be settled: singular.settled_roots proves it
+    for v = cand.build(engine) on the candidate's default factors, and the
+    orbit checks settle none.
     """
     table = engine.table
     action = _Action(engine, v.highest_weight)
@@ -188,6 +193,9 @@ def is_singular(v: VermaVector, engine: PBWEngine) -> SingularityReport:
     residuals = []
     failure = None
     for j, s in enumerate(table.alg.simple_system):
+        if j in settled:
+            residuals.append((s.name, 0))
+            continue
         image = action.apply(table.e_id(table.alg.simple_pos_index[j]), 1, body)
         residuals.append((s.name, len(image)))
         if image and failure is None:

@@ -476,13 +476,17 @@ def test_a_two_pivot_witness_ladder_holds(capsys):
     assert (rec["witness_coefficients"], rec["candidate_coefficient"]) == (["48", "1"], "48")
 
 
-def dump_script():
-    """scripts/dump_structure_constants.py as a module."""
-    path = Path(__file__).resolve().parent.parent / "scripts" / "dump_structure_constants.py"
-    spec = importlib.util.spec_from_file_location("dump_structure_constants", path)
+def script_module(name):
+    """scripts/<name>.py as a module."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     return script
+
+
+def dump_script():
+    return script_module("dump_structure_constants")
 
 
 def test_dump_script_refuses_an_oversized_case_before_set_up(capsys, monkeypatch):
@@ -842,7 +846,7 @@ def test_failed_check_exits_one(capsys, monkeypatch):
     fake = SingularityReport(
         ok=False, nonzero=True, residuals=(("e1", 2),), failure=("e1", {(): 1})
     )
-    monkeypatch.setattr(cli, "is_singular", lambda v, engine: fake)
+    monkeypatch.setattr(cli, "is_singular", lambda v, engine, settled=(): fake)
     code, out, _ = run(capsys, "verify", "--case", "B-I", "--m", "1", "--n", "1",
                        "--N", "1", "--check", "singular")
     assert code == 1
@@ -894,6 +898,85 @@ def test_failed_signflip_exits_one(capsys, monkeypatch):
     assert code == 1
     assert "signflip=FAIL" in out
     assert "counterexample: [e_{e2-d1}, e_{d1+e1}] f_{e1+e2}^4 v+ = 4 f_{e1+e2}^3 v+" in out, out
+
+
+def tail_above_the_top(cand, table):
+    """cand with its tail f_gamma^(N + c) raised to f_gamma^(N + c + 1), one
+    above the top of gamma's string."""
+    ((g, e),) = cand.tail_ids
+    return Candidate(cand.params, cand.odd, cand.odd_ids, (table.powers[g, e + 1],))
+
+
+def faulty_singular_point(capsys, monkeypatch, spoil, drop):
+    """verify D-II m=1 n=2 N=1 (singular check) as JSON, its candidate
+    replaced by spoil(cand, table) and the claimed drop moved by the lattice
+    point drop, so that the weight check passes and the singular check's
+    counterexample is the one named."""
+    real, real_drop = cli.candidate, cli.claimed_drop
+    monkeypatch.setattr(cli, "candidate", lambda params, table: spoil(real(params, table), table))
+    monkeypatch.setattr(
+        cli, "claimed_drop", lambda params, alg: tuple(a + b for a, b in zip(real_drop(params, alg), drop(alg)))
+    )
+    code, out, _ = run(capsys, "verify", "--case", "D-II", "--m", "1", "--n", "2",
+                       "--N", "1", "--check", "singular", "--json")
+    assert code == 1
+    rec = json.loads(out)
+    assert (rec["weight_ok"], rec["singular_ok"]) == (True, False)
+    return rec
+
+
+def test_a_tail_above_the_top_fails_the_singular_check(capsys, monkeypatch):
+    """A tail one above the top of gamma's string, f_gamma^(N + c + 1): the
+    roots the factor word settles, e2-d1 and 2d1, still read 0, as their
+    premises hold for any power of f_gamma, and the open root e1-e2 is
+    raised to a nonzero image, which is the counterexample."""
+    rec = faulty_singular_point(capsys, monkeypatch, tail_above_the_top, lambda alg: alg.lattice[alg.gamma.index])
+    assert rec["residuals"] == [["e1-e2", 1], ["e2-d1", 0], ["2d1", 0]]
+    assert rec["counterexample"] == "e_{e1-e2} u = 24 f_{e2-d1} f_{d1+e2} f_{e1+e2} v+", rec["counterexample"]
+
+
+def test_a_dropped_factor_fails_the_singular_check(capsys, monkeypatch):
+    """With the first odd factor e_{e2-d1} dropped, after the full word's
+    roots were settled on the same table: the shorter word settles its own
+    roots, e1-e2 and 2d1, under its own factor ids, so e2-d1, which the full
+    word annihilates, is raised and is the counterexample."""
+    assert run(capsys, "verify", "--case", "D-II", "--m", "1", "--n", "2", "--N", "1", "--check", "singular")[0] == 0
+    dropped = lambda cand, table: Candidate(cand.params, cand.odd[1:], cand.odd_ids[1:], cand.tail_ids)
+    rec = faulty_singular_point(capsys, monkeypatch, dropped, lambda alg: alg.lattice[alg.as_index("e2-d1")])
+    assert rec["residuals"] == [["e1-e2", 0], ["e2-d1", 5], ["2d1", 0]]
+    assert rec["counterexample"].startswith("e_{e2-d1} u = "), rec["counterexample"]
+
+
+def test_raise_settled_roots_script(capsys):
+    """scripts/raise_settled_roots.py raises a verify point's u by each
+    settled root and prints each image's term count; a level the case
+    refuses is a usage error."""
+    script = script_module("raise_settled_roots")
+    assert script.main(["D-II:m=1,n=2", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "e2-d1 (annihilated): 0 terms",
+        "2d1 (commuting): 0 terms",
+        "D-II:m=1,n=2 N=1 seed=0: 2 of 3 simple roots settled, 0 with a nonzero image",
+    ]
+    assert script.main(["B-I:m=1,n=1", "2"]) == 2
+    assert capsys.readouterr().err == "error: B-I needs an odd level, got N=2\n"
+
+
+def test_raise_settled_roots_script_fails_on_a_nonzero_image(capsys, monkeypatch):
+    """With every root taken as settled and the tail one above the top of
+    gamma's string, the open root e1-e2 is raised to a nonzero image: the
+    script prints it and exits 1."""
+    script = script_module("raise_settled_roots")
+    real = script.candidate
+    monkeypatch.setattr(script, "candidate", lambda params, table: tail_above_the_top(real(params, table), table))
+    monkeypatch.setattr(script, "settled_roots", lambda cand, table: dict.fromkeys(range(3), "assumed"))
+    assert script.main(["D-II:m=1,n=2", "1"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "e1-e2 (assumed): 1 terms",
+        "e2-d1 (assumed): 0 terms",
+        "2d1 (assumed): 0 terms",
+        "D-II:m=1,n=2 N=1 seed=0: 3 of 3 simple roots settled, 1 with a nonzero image",
+    ]
 
 
 def test_a_factor_in_two_clashing_pairs_is_the_counterexample(capsys, monkeypatch):

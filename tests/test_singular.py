@@ -24,6 +24,7 @@ from superverma.singular import (
     claimed_drop,
     default_lambda,
     run_witness,
+    settled_roots,
     signflip_counterexample,
     validate_params,
     witness_monomial,
@@ -413,6 +414,92 @@ def test_signflip_certificate_builds_no_candidate_and_draws_nothing(monkeypatch)
     for cand, engine in points:
         assert signflip_counterexample(cand, engine) is None
     assert calls == []
+
+
+# settled_roots on each case's default factors, by simple-root name: the
+# annihilated root (the odd simple root among the factors; G3 has none) and
+# the commuting ones
+SETTLED = {
+    "B-I:m=1,n=1": ("d1-e1", ()),
+    "B-I:m=1,n=2": ("d1-e1", ("e1-e2",)),
+    "B-I:m=2,n=1": ("d2-e1", ()),
+    "B-I:m=2,n=2": ("d2-e1", ("e1-e2",)),
+    "B-II:m=1,n=1": ("e1-d1", ()),
+    "B-II:m=1,n=2": ("e2-d1", ()),
+    "B-II:m=2,n=1": ("e1-d1", ("d1-d2",)),
+    "B-II:m=2,n=2": ("e2-d1", ("d1-d2",)),
+    "D-I:m=1,n=2": ("d1-e1", ("e1-e2",)),
+    "D-I:m=1,n=3": ("d1-e1", ("e1-e2", "e2-e3")),
+    "D-I:m=2,n=2": ("d2-e1", ("e1-e2",)),
+    "D-I:m=2,n=3": ("d2-e1", ("e1-e2", "e2-e3")),
+    "D-II:m=1,n=2": ("e2-d1", ("2d1",)),
+    "D-II:m=1,n=3": ("e3-d1", ("2d1",)),
+    "D-II:m=2,n=2": ("e2-d1", ("d1-d2", "2d2")),
+    "D-II:m=2,n=3": ("e3-d1", ("d1-d2", "2d2")),
+    "F31": ("+---", ("e2-e3", "e3")),
+    "G3": (None, ("e2-e1",)),
+    "B-I:m=1,n=3": ("d1-e1", ("e1-e2", "e2-e3")),
+    "B-I:m=2,n=3": ("d2-e1", ("e1-e2", "e2-e3")),
+    "B-I:m=3,n=1": ("d3-e1", ("d1-d2",)),
+    "B-I:m=3,n=2": ("d3-e1", ("d1-d2", "e1-e2")),
+    "B-I:m=3,n=3": ("d3-e1", ("d1-d2", "e1-e2", "e2-e3")),
+    "B-II:m=1,n=3": ("e3-d1", ("e1-e2",)),
+    "B-II:m=2,n=3": ("e3-d1", ("e1-e2", "d1-d2")),
+    "B-II:m=3,n=1": ("e1-d1", ("d1-d2", "d2-d3")),
+    "B-II:m=3,n=2": ("e2-d1", ("d1-d2", "d2-d3")),
+    "B-II:m=3,n=3": ("e3-d1", ("e1-e2", "d1-d2", "d2-d3")),
+    "D-I:m=3,n=2": ("d3-e1", ("d1-d2", "e1-e2")),
+    "D-I:m=3,n=3": ("d3-e1", ("d1-d2", "e1-e2", "e2-e3")),
+    "D-II:m=3,n=2": ("e2-d1", ("d1-d2", "d2-d3", "2d3")),
+    "D-II:m=3,n=3": ("e3-d1", ("d1-d2", "d2-d3", "2d3")),
+}
+
+
+def test_settled_roots_are_pinned():
+    """settled_roots on every standard-grid case and every osp case with
+    m, n <= 3 off the grid: the roots and premises are pinned, at least one
+    simple root is left to be raised, and the result is kept on the table
+    under the factor ids and the tail's generator, so a candidate at
+    another level and seed reads the same one."""
+    assert sorted(SETTLED) == sorted(grid_cases() + SMALL_OSP)
+    for text, (annihilated, commuting) in SETTLED.items():
+        params, table = params_for(text, 1)
+        cand = candidate(params, table)
+        settled = settled_roots(cand, table)
+        names = [s.name for s in table.alg.simple_system]
+        want = dict.fromkeys(commuting, "commuting")
+        if annihilated is not None:
+            want[annihilated] = "annihilated"
+        assert {names[j]: premise for j, premise in settled.items()} == want, text
+        assert len(settled) < table.alg.rank
+        ((f, _),) = cand.tail_ids
+        assert table.settled[cand.odd_ids, f] is settled
+        assert settled_roots(candidate(*params_for(text, 3, seed=1)), table) is settled
+
+
+def test_settled_roots_raise_to_zero():
+    """Engine cross-check of settled_roots: on every standard-grid point at
+    seeds 0..2, and on the osp cases with m, n <= 3 off the grid at levels
+    up to 2 (seed 0), u and the word on a tail one above the top of gamma's
+    string, which is not singular, are raised by every simple root.  Each
+    settled root's image is 0 on both, as the premises hold for any power
+    of f_gamma; the tail above the top leaves an open root's image nonzero;
+    and is_singular given the settled roots reports what the full raise
+    reports."""
+    points = [(text, N, seed) for text, N in full_grid() for seed in range(3)]
+    points += [(text, N, 0) for text in SMALL_OSP for N in (1, 2) if N == 1 or not text.startswith("B-I:")]
+    for text, N, seed in points:
+        params, table = params_for(text, N, seed)
+        cand = candidate(params, table)
+        engine = PBWEngine(table)
+        settled = settled_roots(cand, table)
+        ((f, top),) = cand.tail_ids
+        above = {(): engine.import_element({(table.powers[f, top + 1],): 1})}
+        for v in (cand.build(engine), cand.build(engine, images=above)):
+            full = is_singular(v, engine)
+            assert all(full.residuals[j][1] == 0 for j in settled), (text, N, seed, full.residuals)
+            assert is_singular(v, engine, settled) == full
+        assert not full.ok and full.failure[0] not in [full.residuals[j][0] for j in settled]
 
 
 @pytest.mark.parametrize("text", ["B-I:m=1,n=1", "G3", "D-II:m=2,n=2", "F31"])
