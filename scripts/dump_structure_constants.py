@@ -5,9 +5,10 @@ Builds the root datum and the closed bracket table for the requested case
 and writes every nonzero bracket, one per line, in a fixed basis order.
 Useful for eyeballing structure constants or diffing two builds.
 
-Exit codes, as for the superverma command: 0 on success, 2 for a usage
-error (a case that cannot be parsed or is too large), 3 for an internal
-error such as root data or a bracket closure that fails its own checks.
+Exit codes, as for the superverma command, whose guard it runs through: 0
+on success, 2 for a usage error (a case that cannot be parsed or is too
+large), 3 for an internal error such as root data or a bracket closure that
+fails its own checks, 141 when stdout is closed early.
 
 Usage:
     python3 scripts/dump_structure_constants.py B-I:m=1,n=1
@@ -17,7 +18,8 @@ Usage:
 import argparse
 import sys
 
-from superverma.rootdata import CaseId, InvalidParams
+from superverma.cli import guard
+from superverma.rootdata import CaseId
 from superverma.singular import build_context
 from superverma.superalgebra import dump_table
 
@@ -28,17 +30,11 @@ def main(argv=None):
                         help="case label, e.g. B-I:m=1,n=1, D-II:m=1,n=2, F31, G3")
     parser.add_argument("--out", default="-",
                         help="output path (default stdout)")
-    args = parser.parse_args(argv)
+    return guard(dump, parser.parse_args(argv))
 
-    try:
-        text = dump_table(build_context(CaseId.parse(args.case)))
-    except InvalidParams as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # anything else is a fault of the program
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
 
+def dump(args):
+    text = dump_table(build_context(CaseId.parse(args.case)))
     if args.out == "-":
         sys.stdout.write(text)
     else:

@@ -50,6 +50,8 @@ MULTIPLY = "tests/test_pbw.py::test_multiply_matches_one_power_at_a_time"
 JOIN = "tests/test_pbw.py::test_join_matches_right_multiplication"
 LEFT_RULE = "tests/test_pbw.py::test_left_rule_matches_right_multiplication"
 TAIL_CHECK = "tests/test_singular.py::test_engines_of_a_case_share_the_table_and_make_each_order_once"
+SMALL_VERIFY = "tests/test_cli.py::test_a_small_verify_run_reports_every_flag_true"
+SMALL_ORBIT = "tests/test_cli.py::test_a_small_orbit_chain_reports_every_flag_true"
 
 MUTANTS = (
     Mutant(
@@ -346,6 +348,34 @@ MUTANTS = (
         "1 if table.odd[e] and word_odd else -1",
         "1 if not table.odd[e] or word_odd else -1",
         ("tests/test_singular.py::test_settled_roots_are_pinned",),
+    ),
+    Mutant(
+        "candidate-word-of-squared-factors",
+        "singular.py",
+        "tuple(powers[g, 1] for g in factors)",
+        "tuple(powers[g, 2] for g in factors)",
+        (SMALL_VERIFY,),
+    ),
+    Mutant(
+        "claimed-drop-one-gamma-too-many",
+        "singular.py",
+        "params.N * c for c in",
+        "(params.N + 1) * c for c in",
+        (SMALL_VERIFY,),
+    ),
+    Mutant(
+        "orbit-weight-against-the-unreflected-beta",
+        "singular.py",
+        "for c in alg.lattice[beta2.index]",
+        "for c in alg.lattice[shap.beta.index]",
+        (SMALL_ORBIT,),
+    ),
+    Mutant(
+        "chain-stops-one-reflection-short",
+        "singular.py",
+        "    for k in kappas:\n        shap, step = orbit_propagate(",
+        "    for k in kappas[:-1]:\n        shap, step = orbit_propagate(",
+        (SMALL_ORBIT,),
     ),
 )
 

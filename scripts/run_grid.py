@@ -7,6 +7,9 @@ the newline-delimited JSON records into a single stream.  The output is
 byte-deterministic for a fixed seed list, so the resulting file can be
 diffed across runs or machines.
 
+Exit codes are the superverma command's, through its guard: the largest of
+the family runs', or 141 when stdout is closed early.
+
 Usage:
     python3 scripts/run_grid.py --out grid.ndjson --jobs 4
     python3 scripts/run_grid.py --seed 0..4 --check nonzero --check singular
@@ -17,7 +20,7 @@ import contextlib
 import io
 import sys
 
-from superverma.cli import CHECK_NAMES, main as cli_main
+from superverma.cli import CHECK_NAMES, guard, main as cli_main
 
 # (family, m grid, n grid, N grid); m/n are None for the exceptional cases.
 STANDARD_GRID = (
@@ -51,8 +54,10 @@ def main(argv=None):
                         help="checks to run at each point (repeatable; default all)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes per family run")
-    args = parser.parse_args(argv)
+    return guard(run, parser.parse_args(argv))
 
+
+def run(args):
     buffer = io.StringIO()
     status = 0
     for family, m, n, levels in STANDARD_GRID:

@@ -26,7 +26,7 @@ import os
 import random
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -160,10 +160,22 @@ class PointFault(Exception):
     "<point>: <class>: <message>"."""
 
 
+@contextmanager
+def _naming(where: str):
+    """Raise an error out of the block as the PointFault naming ``where``, a
+    grid point or a selftest check; a usage error passes as it is."""
+    try:
+        yield
+    except InvalidParams:
+        raise
+    except Exception as exc:
+        raise PointFault(f"{where}: {type(exc).__name__}: {exc}") from exc
+
+
 def _run_grid(point, where: str, jobs, args, text_line, noun: str) -> int:
     """Run ``point`` on every job and print one report line per job, in job
     order and as soon as it completes, then a summary in text mode; an
-    internal error out of a job is a PointFault named ``where.format(*job)``.
+    internal error out of a job is a PointFault naming ``where.format(*job)``.
     Worker processes are bounded by the number of jobs and of CPUs; the
     process pool, and multiprocessing with it, is imported only when more
     than one would start."""
@@ -183,12 +195,8 @@ def _run_grid(point, where: str, jobs, args, text_line, noun: str) -> int:
     with executor as pool:
         results = (pool.map if pool else map)(point, jobs)
         for job in jobs:
-            try:
+            with _naming(where.format(*job)):
                 rec, elapsed = next(results)
-            except InvalidParams:
-                raise
-            except Exception as exc:
-                raise PointFault(f"{where.format(*job)}: {type(exc).__name__}: {exc}") from exc
             if not rec["ok"]:
                 failures += 1
             line = json.dumps(rec, sort_keys=True) if args.json else text_line(rec, elapsed)
@@ -232,55 +240,56 @@ def _verify_point(job):
         "u_terms": len(u.body),
     }
     nonzero = not u.is_zero()
+    # each failing check's problem in check order, the first the counterexample;
     # a zero u fails the weight check, which always runs, so it is always named
-    counterexample = None if nonzero else "u = 0"
+    problems = [] if nonzero else ["u = 0"]
     if "nonzero" in checks:
         rec["nonzero_ok"] = nonzero
     # weight_of(u) is lambda - rho - drop exactly when the body's weight is -drop
-    weight_ok, problem = False, None
+    weight_ok = False
     if nonzero:
         try:
             weight_ok = engine.element_lattice(u.body) == tuple(-c for c in drop)
         except Inhomogeneous as exc:
-            problem = f"body of u: {exc}"
-        if not weight_ok and problem is None:
+            problems.append(f"body of u: {exc}")
+        if not weight_ok and not problems:
             expected = wdiff(wdiff(lam, alg.rho), alg.from_lattice(drop))
-            problem = (
+            problems.append(
                 f"weight_of(u) = ({format_weight(weight_of(u, engine))}), expected ({format_weight(expected)})"
             )
     rec["weight_ok"] = weight_ok
-    if problem is not None and counterexample is None:
-        counterexample = problem
     if "singular" in checks:
         # u is cand.build(engine) on the default factors, as settled_roots needs
         report = is_singular(u, engine, settled_roots(cand, table))
         rec["singular_ok"] = report.ok
         rec["residuals"] = [[name, count] for name, count in report.residuals]
-        if report.failure is not None and counterexample is None:
+        if report.failure is not None:
             name, image = report.failure
-            counterexample = f"e_{{{name}}} u = {engine.render(image, 'v+')}"
+            problems.append(f"e_{{{name}}} u = {engine.render(image, 'v+')}")
     if "signflip" in checks:
         flip = signflip_counterexample(cand, engine)
         rec["signflip_ok"] = nonzero and flip is None
-        if flip is not None and counterexample is None:
-            counterexample = flip
+        if flip is not None:
+            problems.append(flip)
     if "witness" in checks:
         wrep = run_witness(cand, table)
         rec["witness_ok"] = wrep.ok
         rec["witness_coefficients"] = [str(r.coefficient) for r in wrep.rows]
         rec["candidate_coefficient"] = str(wrep.candidate_coefficient)
-        if not wrep.ok and counterexample is None:
+        if not wrep.ok:
             bad = next((r for r in wrep.rows if r.coefficient == 0 or not r.weight_ok), None)
-            if bad is not None:
-                counterexample = f"witness step {bad.label} coefficient {bad.coefficient}"
-            else:
-                counterexample = "candidate misses the first witness monomial"
-    rec["counterexample"] = counterexample
-    rec["ok"] = all(rec[key] for key in rec if key.endswith("_ok"))
+            problems.append(
+                "candidate misses the first witness monomial" if bad is None
+                else f"witness step {bad.label} coefficient {bad.coefficient}"
+            )
+    rec["counterexample"] = problems[0] if problems else None
+    rec["ok"] = all(rec[key] for key in _flags(rec))
     return rec, time.monotonic() - t0
 
 
-_FLAG_KEYS = ("nonzero_ok", "weight_ok", "singular_ok", "signflip_ok", "witness_ok")
+def _flags(rec) -> List[str]:
+    """A verify record's check flags, the keys ending in _ok, in check order."""
+    return [key for key in rec if key.endswith("_ok")]
 
 
 def _verify_text_line(rec, elapsed: float) -> str:
@@ -290,11 +299,9 @@ def _verify_text_line(rec, elapsed: float) -> str:
         f"seed={rec['seed']}",
         f"lambda=({','.join(rec['lambda'])})",
         f"u_terms={rec['u_terms']}",
+        *(f"{key[:-3]}={'ok' if rec[key] else 'FAIL'}" for key in _flags(rec)),
+        f"[{elapsed * 1000:.0f}ms]",
     ]
-    for key in _FLAG_KEYS:
-        if key in rec:
-            bits.append(f"{key[:-3]}={'ok' if rec[key] else 'FAIL'}")
-    bits.append(f"[{elapsed * 1000:.0f}ms]")
     line = " ".join(bits)
     if rec["counterexample"]:
         line += f"\n  counterexample: {rec['counterexample']}"
@@ -354,22 +361,14 @@ def _orbit_point(job):
         "mu": [str(x) for x in report.mu0],
         "start_singular": report.start_singular,
         "start_terms": report.start_terms,
+        # each step but its mu, which is the previous step's nu or the chain's mu
         "steps": [
             {
-                "kappa": s.kappa,
-                "beta_from": s.beta_from,
-                "beta_to": s.beta_to,
-                "p": s.p,
-                "exponent": s.exponent,
-                "nu": [str(x) for x in s.nu],
-                "theta_terms": s.theta_terms,
-                "start_singular": s.start_singular,
-                "lifted_singular": s.lifted_singular,
-                "image_singular": s.image_singular,
-                "weight_ok": s.weight_ok,
-                "ok": s.ok,
+                **{key: value for key, value in step._asdict().items() if key != "mu"},
+                "nu": [str(x) for x in step.nu],
+                "ok": step.ok,
             }
-            for s in report.steps
+            for step in report.steps
         ],
         "final_beta": report.final_beta,
         "final_ok": report.final_ok,
@@ -539,12 +538,8 @@ def cmd_selftest(args) -> int:
             case = CaseId.parse(text)
             if args.case is not None and case.family != args.case:
                 continue
-            try:
+            with _naming(f"{name} {text} seed={args.seed}"):
                 ok, detail = fn(build_context(case), args.seed)
-            except InvalidParams:
-                raise
-            except Exception as exc:
-                raise PointFault(f"{name} {text} seed={args.seed}: {type(exc).__name__}: {exc}") from exc
             count += 1
             if args.json:
                 print(json.dumps(
@@ -627,11 +622,10 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    _lift_digit_limit()
-    args = _parser().parse_args(argv)
-    # looked up per call, so a command replaced at run time is the one run
-    command = {"verify": cmd_verify, "orbit": cmd_orbit, "selftest": cmd_selftest}[args.command]
+def guard(command, args) -> int:
+    """command(args)'s exit code, or the exit class of what it raised with
+    its one stderr line: 141 for a closed stdout, 2 for a usage error, 3 for
+    an internal error.  The command and the scripts share it."""
     try:
         code = command(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
@@ -649,6 +643,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Exception as exc:  # anything else is a fault of the program
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    _lift_digit_limit()
+    args = _parser().parse_args(argv)
+    # looked up per call, so a command replaced at run time is the one run
+    return guard({"verify": cmd_verify, "orbit": cmd_orbit, "selftest": cmd_selftest}[args.command], args)
 
 
 if __name__ == "__main__":

@@ -58,7 +58,7 @@ from .rootdata import (
     pairing,
 )
 from .superalgebra import BracketTable, Coefficient, _exact, _merge, build_structure_constants
-from .verma import VermaVector, _Action, is_singular
+from .verma import VermaVector, _Action, act, is_singular
 
 
 # the largest superalgebra a case may have, by dimension: set-up grows about
@@ -763,12 +763,10 @@ def signflip_counterexample(cand: Candidate, engine: PBWEngine) -> Optional[str]
     if shared is not None:
         partners = " and ".join(name[i + j - shared] for i, j in clash if shared in (i, j))
         return f"factor {name[shared]} clashes with {partners}"
-    action = _Action(engine, cand.params.lam)
-    tail = engine.import_element({cand.tail_ids: 1})
+    tail = VermaVector(engine.import_element({cand.tail_ids: 1}), cand.params.lam)
     for i, j in clash:
-        image: UEAElement = {}
-        for g, c in table.bracket(ids[i], ids[j]).items():
-            _merge(image, action.apply(g, 1, tail), c)
+        bracket = {(table.powers[g, 1],): c for g, c in table.bracket(ids[i], ids[j]).items()}
+        image = act(bracket, tail, engine).body
         if image:
             on = engine.render_monomial(cand.tail_ids)
             return f"[{name[i]}, {name[j]}] {on} v+ = {engine.render(image, 'v+')}"

@@ -476,6 +476,34 @@ def test_a_two_pivot_witness_ladder_holds(capsys):
     assert (rec["witness_coefficients"], rec["candidate_coefficient"]) == (["48", "1"], "48")
 
 
+def test_a_small_verify_run_reports_every_flag_true(capsys):
+    """verify D-II m=1 n=2 N=2 at every check exits 0 with each flag true.
+    Each flag can fail: the mutation table's entries make this run exit 1
+    with nonzero_ok false (a word of squared odd isotropic factors is 0)
+    and with weight_ok false alone (a claimed drop of (N + 1) gamma)."""
+    code, out, err = run(capsys, "verify", "--case", "D-II", "--m", "1", "--n", "2", "--N", "2", "--json")
+    rec = json.loads(out)
+    assert (code, err) == (0, "")
+    flags = ("nonzero_ok", "weight_ok", "singular_ok", "signflip_ok", "witness_ok")
+    assert {key: rec[key] for key in rec if key.endswith("_ok")} == dict.fromkeys(flags, True)
+    assert rec["counterexample"] is None
+
+
+def test_a_small_orbit_chain_reports_every_flag_true(capsys):
+    """orbit B-I m=2 n=1, one reflection d2 -> d1, exits 0 with each flag
+    true.  Each flag can fail: the mutation table's entries make this run
+    exit 1 with the step's weight_ok false alone (theta' checked against
+    the unreflected beta) and with final_ok false alone (a chain that stops
+    one reflection short of its target)."""
+    code, out, err = run(capsys, "orbit", "--case", "B-I", "--m", "2", "--n", "1", "--json")
+    rec = json.loads(out)
+    assert (code, err) == (0, "")
+    assert (rec["start_singular"], rec["final_beta"], rec["final_ok"]) == (True, "d1", True)
+    (step,) = rec["steps"]
+    flags = ("start_singular", "lifted_singular", "image_singular", "weight_ok", "ok")
+    assert {key: step[key] for key in flags} == dict.fromkeys(flags, True)
+
+
 def script_module(name):
     """scripts/<name>.py as a module."""
     path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
@@ -977,6 +1005,62 @@ def test_raise_settled_roots_script_fails_on_a_nonzero_image(capsys, monkeypatch
         "2d1 (assumed): 0 terms",
         "D-II:m=1,n=2 N=1 seed=0: 3 of 3 simple roots settled, 1 with a nonzero image",
     ]
+
+
+def test_raise_settled_roots_script_reports_an_internal_error(capsys, monkeypatch):
+    """A fault of the program out of the script's raise exits 3 with the
+    one stderr line the superverma command prints, and no traceback."""
+    script = script_module("raise_settled_roots")
+
+    def broken(cand, table):
+        raise KeyError(99)
+
+    monkeypatch.setattr(script, "settled_roots", broken)
+    assert script.main(["D-II:m=1,n=2", "1"]) == 3
+    assert capsys.readouterr() == ("", "internal error: KeyError: 99\n")
+
+
+@pytest.mark.parametrize("fault, code, err", [
+    (InvalidParams("B-I:m=1,n=1 is refused"), 2, "error: B-I:m=1,n=1 is refused\n"),
+    (RootDataError("the simple roots are not a basis"), 3,
+     "internal error: RootDataError: the simple roots are not a basis\n"),
+], ids=["usage", "internal"])
+def test_one_fault_exits_alike_through_the_command_and_each_script(capsys, monkeypatch, fault, code, err):
+    """The command and both scripts run through cli.guard: a fault raised
+    while B-I m=1 n=1 is set up, outside any grid point (orbit builds the
+    case to find its default target), gives each the same exit code and
+    stderr line, and nothing on stdout."""
+    def broken(case):
+        raise fault
+
+    monkeypatch.setattr(singular, "_CONTEXTS", {})
+    monkeypatch.setattr(singular, "build_algebra_data", broken)
+    runs = {
+        "superverma": lambda: main(["orbit", "--case", "B-I", "--m", "1", "--n", "1"]),
+        "dump_structure_constants": lambda: dump_script().main(["B-I:m=1,n=1"]),
+        "raise_settled_roots": lambda: script_module("raise_settled_roots").main(["B-I:m=1,n=1", "1"]),
+    }
+    for name, call in runs.items():
+        assert (name, call(), *capsys.readouterr()) == (name, code, "", err)
+
+
+@pytest.mark.parametrize("script, argv", [
+    pytest.param("dump_structure_constants", ("G3",), id="dump_structure_constants"),
+    pytest.param("raise_settled_roots", ("G3", "1"), id="raise_settled_roots"),
+    pytest.param("run_grid", ("--seed", "0", "--check", "nonzero"), id="run_grid"),
+])
+def test_closed_stdout_exits_141_quietly_through_each_script(script, argv):
+    """The scripts share the command's guard: a reader of stdout gone before
+    the first write reaches it gives exit 141 and no traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{script}.py"
+    try:
+        proc = run_python(str(path), *argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141, proc.stderr
+    assert proc.stderr == b""
 
 
 def test_a_factor_in_two_clashing_pairs_is_the_counterexample(capsys, monkeypatch):

@@ -507,7 +507,7 @@ def test_rebuilds_resolve_no_roots(text, monkeypatch):
     """The candidate's factors and tail are generator ids from the start, so
     no build, neither the candidate nor a witness step, resolves a root
     (AlgebraData.as_index), and neither does the sign-flip check, which
-    builds nothing and makes one module action of its own.  A candidate
+    builds nothing and makes one module action per clashing pair.  A candidate
     holds no images: one witness run makes one dict, on the normal form of
     the candidate's tail, and every build of the run reads it, the
     candidate's own too, for an odd gamma as well."""
@@ -546,7 +546,9 @@ def test_rebuilds_resolve_no_roots(text, monkeypatch):
     assert len(actions) == 1
     assert signflip_counterexample(cand, engine) is None
     assert lookups == []
-    assert len(actions) == 2
+    ids = cand.odd_ids
+    clashing = [(x, y) for i, x in enumerate(ids) for y in ids[i + 1 :] if table.bracket(x, y)]
+    assert clashing and len(actions) == 1 + len(clashing)
     assert run_witness(cand, table).ok
     spec = witness_spec(cand, table.alg)
     assert per_build == [0] * (1 + len(spec.steps) + 1)
